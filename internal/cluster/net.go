@@ -1,33 +1,22 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"net"
 	"sort"
-	"strconv"
-	"strings"
-	"sync"
 	"sync/atomic"
 
 	"clare/internal/crs"
-	"clare/internal/telemetry"
+	"clare/internal/wal"
+	"clare/internal/wire"
 )
 
-// maxWireLine mirrors the crs server's per-line bound.
-const maxWireLine = 4 * 1024 * 1024
-
-// Server is the cluster's wire front-end: it speaks the existing CRS
-// protocol unchanged (HELLO/RETRIEVE/WRITE/SYNC/STATS/BEGIN/ASSERT/
-// COMMIT/ABORT/QUIT), so crsctl and crs.Client work against a cluster
-// transparently. RETRIEVE and STATS scatter-gather through the Router;
-// WRITE and SYNC route to the owning shard's primary; transactions pass
-// through to the primary of the shard owning the first asserted
-// predicate (a transaction may touch exactly one shard — cross-shard
-// transactions are rejected, there is no distributed commit).
+// Server is the cluster's wire front-end: it speaks the CRS protocol of
+// package wire unchanged (every verb but REPL), so crsctl and crs.Client
+// work against a cluster transparently. RETRIEVE and STATS
+// scatter-gather through the Router; WRITE and SYNC route to the owning
+// shard's primary; transactions pass through to the primary of the
+// shard owning the first asserted predicate (see Tx).
 //
 // The diagnosis verbs follow the same split: FLIGHT dumps the ROUTER'S
 // own flight recorder (the cluster-level view — routing decisions,
@@ -35,419 +24,137 @@ const maxWireLine = 4 * 1024 * 1024
 // slow-query captures merged by capture time, because the EXPLAIN
 // re-run that fills a capture only ever happens where the clauses live.
 type Server struct {
-	router *Router
-
+	router   *Router
 	nextSess atomic.Int64
-
-	connMu   sync.Mutex
-	conns    map[net.Conn]struct{}
-	handlers sync.WaitGroup
-	draining bool
+	acc      wire.Acceptor
 }
 
 // NewServer wraps a router in the wire front-end.
-func NewServer(r *Router) *Server {
-	return &Server{router: r, conns: make(map[net.Conn]struct{})}
-}
+func NewServer(r *Router) *Server { return &Server{router: r} }
 
 // Router exposes the underlying scatter-gather router.
 func (s *Server) Router() *Router { return s.router }
 
 // Serve accepts connections on l until it closes, one handler per
 // connection — the same accept loop contract as crs.Server.Serve.
-func (s *Server) Serve(l net.Listener) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			s.handlers.Wait()
-			return err
-		}
-		s.connMu.Lock()
-		if s.draining {
-			s.connMu.Unlock()
-			fmt.Fprintln(conn, "ERR server shutting down")
-			conn.Close()
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		s.handlers.Add(1)
-		s.connMu.Unlock()
-		go func() {
-			defer s.handlers.Done()
-			defer func() {
-				s.connMu.Lock()
-				delete(s.conns, conn)
-				s.connMu.Unlock()
-			}()
-			s.handle(conn)
-		}()
-	}
-}
+func (s *Server) Serve(l net.Listener) error { return s.acc.Serve(l, s.serveConn) }
 
 // Shutdown drains the front-end: new connections are refused and
 // Shutdown returns when in-flight handlers finish, or force-closes the
 // stragglers when ctx expires first.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.connMu.Lock()
-	s.draining = true
-	s.connMu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		s.handlers.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		s.connMu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.connMu.Unlock()
-		<-done
-		return ctx.Err()
+func (s *Server) Shutdown(ctx context.Context) error { return s.acc.Shutdown(ctx) }
+
+// frontConn is one connection's state: its session id and its
+// pass-through transaction.
+type frontConn struct {
+	router *Router
+	id     int64
+	tx     Tx
+}
+
+// verbs is every verb the front-end serves.
+var verbs = wire.Table[*frontConn]{}
+
+func init() {
+	verbs.Plain("HELLO", func(c *frontConn, r *wire.Reply) { r.OK("crs", c.id) })
+	verbs.Plain("STATS", (*frontConn).stats)
+	verbs.Count("FLIGHT", (*frontConn).flight)
+	verbs.Count("SLOWLOG", (*frontConn).slowLog)
+	verbs.Query("RETRIEVE", (*frontConn).retrieve)
+	verbs.Query("EXPLAIN", (*frontConn).explain)
+	verbs.Plain("BEGIN", func(c *frontConn, r *wire.Reply) { r.Done(c.tx.Begin()) })
+	verbs.Clause("ASSERT", func(c *frontConn, r *wire.Reply, clause string) { r.Done(c.tx.Assert(clause)) })
+	verbs.Plain("COMMIT", func(c *frontConn, r *wire.Reply) { r.Done(c.tx.End(true)) })
+	verbs.Plain("ABORT", func(c *frontConn, r *wire.Reply) { r.Done(c.tx.End(false)) })
+	verbs.Write("WRITE", (*frontConn).write)
+	verbs.Sync("SYNC", (*frontConn).sync)
+}
+
+func (s *Server) serveConn(conn net.Conn) {
+	c := &frontConn{router: s.router, id: s.nextSess.Add(1), tx: Tx{r: s.router}}
+	defer c.tx.Drop()
+	verbs.Serve(conn, c, nil)
+}
+
+func (c *frontConn) stats(r *wire.Reply) {
+	kv, err := c.router.Stats()
+	if err != nil {
+		r.Fail(err)
+		return
+	}
+	keys := make([]string, 0, len(kv))
+	for k := range kv {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys) // deterministic wire order, cluster-wide
+	r.Header("STATS", len(keys))
+	for _, k := range keys {
+		r.Body("S", "%s %d", k, kv[k])
 	}
 }
 
-// routedTx is one connection's pass-through transaction: a backend
-// client pinned to the shard group that owns the first asserted
-// predicate, with BEGIN deferred until that first ASSERT names it.
-type routedTx struct {
-	shard  int
-	node   *node
-	client *crs.Client
+func (c *frontConn) flight(r *wire.Reply, n int) {
+	wire.JSONBody(r, "FLIGHT", "F", c.router.Flight().Snapshot(n))
 }
 
-func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
-	sessID := s.nextSess.Add(1)
-	in := bufio.NewScanner(conn)
-	in.Buffer(make([]byte, 0, 64*1024), maxWireLine)
-	out := bufio.NewWriter(conn)
-	reply := func(format string, args ...any) {
-		fmt.Fprintf(out, format+"\n", args...)
-		out.Flush()
+func (c *frontConn) slowLog(r *wire.Reply, n int) {
+	caps, err := c.router.SlowTail(n)
+	if err != nil {
+		r.Fail(err)
+		return
 	}
+	wire.JSONBody(r, "SLOWLOG", "Q", caps)
+}
 
-	var tx *routedTx
-	// dropTx abandons a pass-through transaction whose backend leg
-	// failed: closing the client closes its server session, which aborts
-	// the staged state and releases the predicate locks.
-	dropTx := func() {
-		if tx != nil && tx.client != nil {
-			tx.node.discard(tx.client)
-		}
-		tx = nil
+func (c *frontConn) retrieve(r *wire.Reply, q wire.Query) {
+	if _, err := crs.ParseMode(q.Mode); err != nil {
+		r.Fail(err)
+		return
 	}
-	defer dropTx()
-
-	for in.Scan() {
-		line := strings.TrimSpace(in.Text())
-		if line == "" {
-			continue
-		}
-		cmd, rest, _ := strings.Cut(line, " ")
-		switch strings.ToUpper(cmd) {
-		case "HELLO":
-			reply("OK crs %d", sessID)
-		case "QUIT":
-			reply("BYE")
-			return
-		case "STATS":
-			kv, err := s.router.Stats()
-			if err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			keys := make([]string, 0, len(kv))
-			for k := range kv {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys) // deterministic wire order, cluster-wide
-			fmt.Fprintf(out, "STATS %d\n", len(keys))
-			for _, k := range keys {
-				fmt.Fprintf(out, "S %s %d\n", k, kv[k])
-			}
-			out.Flush()
-		case "FLIGHT":
-			n, err := optionalCount(rest)
-			if err != nil {
-				reply("ERR usage: FLIGHT [n]")
-				continue
-			}
-			recs := s.router.Flight().Snapshot(n)
-			fmt.Fprintf(out, "FLIGHT %d\n", len(recs))
-			for _, rec := range recs {
-				blob, err := json.Marshal(rec)
-				if err != nil {
-					continue
-				}
-				fmt.Fprintf(out, "F %s\n", blob)
-			}
-			out.Flush()
-		case "SLOWLOG":
-			n, err := optionalCount(rest)
-			if err != nil {
-				reply("ERR usage: SLOWLOG [n]")
-				continue
-			}
-			caps, err := s.router.SlowTail(n)
-			if err != nil {
-				reply("ERR %v", errText(err))
-				continue
-			}
-			fmt.Fprintf(out, "SLOWLOG %d\n", len(caps))
-			for _, c := range caps {
-				blob, err := json.Marshal(c)
-				if err != nil {
-					continue
-				}
-				fmt.Fprintf(out, "Q %s\n", blob)
-			}
-			out.Flush()
-		case "RETRIEVE":
-			modeWord, goalText, ok := strings.Cut(rest, " ")
-			if !ok {
-				reply("ERR usage: RETRIEVE <mode> <goal>")
-				continue
-			}
-			if _, err := crs.ParseMode(modeWord); err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			goalText, tc := crs.CutTraceHeader(goalText)
-			res, err := s.router.RetrieveTraced(modeWord, strings.TrimSuffix(goalText, "."), tc)
-			if err != nil {
-				reply("ERR %v", errText(err))
-				continue
-			}
-			reply("CANDIDATES %d", len(res.Clauses))
-			for _, cl := range res.Clauses {
-				reply("C %s", cl)
-			}
-			reply("%s", res.Stats)
-			if tc != nil {
-				reply("TRACE %s", spanToken(res.Spans))
-			}
-		case "EXPLAIN":
-			modeWord, goalText, ok := strings.Cut(rest, " ")
-			if !ok {
-				reply("ERR usage: EXPLAIN <mode> <goal>")
-				continue
-			}
-			if _, err := crs.ParseMode(modeWord); err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			goalText, tc := crs.CutTraceHeader(goalText)
-			res, err := s.router.ExplainTraced(modeWord, strings.TrimSuffix(goalText, "."), tc)
-			if err != nil {
-				reply("ERR %v", errText(err))
-				continue
-			}
-			fmt.Fprintf(out, "EXPLAIN %d\n", len(res.Entries))
-			for _, e := range res.Entries {
-				fmt.Fprintf(out, "E %s %s\n", e.Key, e.Value)
-			}
-			out.Flush()
-			if tc != nil {
-				reply("TRACE %s", spanToken(res.Spans))
-			}
-		case "WRITE":
-			opWord, clauseText, ok := strings.Cut(rest, " ")
-			if !ok {
-				reply("ERR usage: WRITE assert|retract <clause>.")
-				continue
-			}
-			seq, err := s.router.Write(opWord, strings.TrimSuffix(strings.TrimSpace(clauseText), "."))
-			if err != nil {
-				reply("ERR %v", errText(err))
-				continue
-			}
-			reply("OK %d", seq)
-		case "SYNC":
-			fields := strings.Fields(rest)
-			if len(fields) != 2 {
-				reply("ERR usage: SYNC <shard> <from-seq>")
-				continue
-			}
-			shard, err1 := strconv.Atoi(fields[0])
-			from, err2 := strconv.ParseUint(fields[1], 10, 64)
-			if err1 != nil || err2 != nil {
-				reply("ERR bad SYNC arguments %q", rest)
-				continue
-			}
-			recs, last, err := s.router.SyncLog(shard, from)
-			if err != nil {
-				reply("ERR %v", errText(err))
-				continue
-			}
-			fmt.Fprintf(out, "LOG %d %d\n", len(recs), last)
-			for _, rec := range recs {
-				fmt.Fprintf(out, "R %s\n", rec.WireText())
-			}
-			out.Flush()
-		case "BEGIN":
-			if tx != nil {
-				reply("ERR crs: transaction already in progress")
-				continue
-			}
-			tx = &routedTx{}
-			reply("OK")
-		case "ASSERT":
-			if tx == nil {
-				reply("ERR crs: no transaction in progress")
-				continue
-			}
-			clause := strings.TrimSuffix(rest, ".")
-			head := clause
-			if h, _, ok := strings.Cut(clause, ":-"); ok {
-				head = h
-			}
-			pi, err := GoalIndicator(strings.TrimSpace(head))
-			if err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			shard := ShardOf(pi, s.router.Shards())
-			if tx.client == nil {
-				// First ASSERT pins the transaction to its shard's
-				// PRIMARY: a transaction is a write, and only the primary
-				// sequences writes into the shard's log (a replica would
-				// reject BEGIN as read-only anyway). A stale pooled
-				// connection gets one fresh-dial retry; beyond that the
-				// transaction fails — there is no write failover.
-				p := s.router.groups[shard].primary()
-				var c *crs.Client
-				var lastErr error
-				for attempt := 0; attempt < 2 && c == nil; attempt++ {
-					cc, pooled, err := p.get(s.router.cfg)
-					if err != nil {
-						p.strike(s.router)
-						lastErr = err
-						break
-					}
-					if err := cc.Begin(); err != nil {
-						var se *crs.ServerError
-						if errors.As(err, &se) {
-							p.put(cc, s.router.cfg)
-							lastErr = err
-							break
-						}
-						p.discard(cc)
-						lastErr = err
-						if !pooled {
-							p.strike(s.router)
-							break
-						}
-						continue
-					}
-					p.clear(s.router)
-					c = cc
-				}
-				if c == nil {
-					reply("ERR %v", errText(lastErr))
-					continue
-				}
-				tx.client, tx.node, tx.shard = c, p, shard
-			} else if shard != tx.shard {
-				reply("ERR cluster: cross-shard transaction (%s is on shard %d, transaction pinned to %d)",
-					pi, shard, tx.shard)
-				continue
-			}
-			if err := tx.client.Assert(clause); err != nil {
-				var se *crs.ServerError
-				if errors.As(err, &se) {
-					reply("ERR %s", se.Msg)
-				} else {
-					// Transport failure mid-transaction: the staged state
-					// is gone with the session; the client must re-run.
-					dropTx()
-					reply("ERR cluster: backend lost mid-transaction: %v", err)
-				}
-				continue
-			}
-			reply("OK")
-		case "COMMIT", "ABORT":
-			if tx == nil {
-				reply("ERR crs: no transaction in progress")
-				continue
-			}
-			if tx.client == nil { // empty transaction: nothing staged anywhere
-				tx = nil
-				reply("OK")
-				continue
-			}
-			var err error
-			if strings.ToUpper(cmd) == "COMMIT" {
-				err = tx.client.Commit()
-			} else {
-				err = tx.client.Abort()
-			}
-			if err != nil {
-				var se *crs.ServerError
-				if errors.As(err, &se) {
-					tx.node.put(tx.client, s.router.cfg)
-					tx = nil
-					reply("ERR %s", se.Msg)
-				} else {
-					dropTx()
-					reply("ERR cluster: backend lost mid-transaction: %v", err)
-				}
-				continue
-			}
-			committed := strings.ToUpper(cmd) == "COMMIT"
-			tx.node.put(tx.client, s.router.cfg)
-			if committed {
-				// The committed seqs are the primary's business; waking
-				// the shard's shippers ships them without waiting out
-				// the idle interval.
-				s.router.NotifyShard(tx.shard)
-			}
-			tx = nil
-			reply("OK")
-		default:
-			reply("ERR unknown command %q", cmd)
-		}
+	res, err := c.router.RetrieveTraced(q.Mode, q.Goal, q.Trace)
+	if err != nil {
+		r.Fail(err)
+		return
 	}
-	if err := in.Err(); errors.Is(err, bufio.ErrTooLong) {
-		reply("ERR line too long (max %d bytes)", maxWireLine)
+	r.Header("CANDIDATES", len(res.Clauses))
+	for _, cl := range res.Clauses {
+		r.Body("C", "%s", cl)
+	}
+	r.Line("%s", res.Stats)
+	if q.Trace != nil {
+		r.Trace(res.Spans)
 	}
 }
 
-// spanToken serializes a stitched span tree for the TRACE reply line;
-// "-" stands for "no trace recorded" (the router has no tracer).
-func spanToken(spans []telemetry.WireSpan) string {
-	if tok := telemetry.EncodeWireSpans(spans); tok != "" {
-		return tok
+func (c *frontConn) explain(r *wire.Reply, q wire.Query) {
+	if _, err := crs.ParseMode(q.Mode); err != nil {
+		r.Fail(err)
+		return
 	}
-	return "-"
+	res, err := c.router.ExplainTraced(q.Mode, q.Goal, q.Trace)
+	if err != nil {
+		r.Fail(err)
+		return
+	}
+	r.Header("EXPLAIN", len(res.Entries))
+	for _, e := range res.Entries {
+		r.Body("E", "%s %s", e.Key, e.Value)
+	}
+	if q.Trace != nil {
+		r.Trace(res.Spans)
+	}
 }
 
-// optionalCount parses a FLIGHT/SLOWLOG verb's optional count argument
-// (absent means 0 = "everything"), mirroring the crs server's rule.
-func optionalCount(rest string) (int, error) {
-	rest = strings.TrimSpace(rest)
-	if rest == "" {
-		return 0, nil
-	}
-	v, err := strconv.Atoi(rest)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("cluster: bad count %q", rest)
-	}
-	return v, nil
+func (c *frontConn) write(r *wire.Reply, op wal.Op, clause string) {
+	seq, err := c.router.Write(op.String(), clause)
+	r.Done(err, seq)
 }
 
-// errText strips the crs client's "crs server: " prefix so an ERR
-// relayed through the router reads like the backend's original reply.
-func errText(err error) string {
-	if err == nil {
-		return "cluster: no reachable replica"
+func (c *frontConn) sync(r *wire.Reply, shard int, from uint64) {
+	recs, last, err := c.router.SyncLog(shard, from)
+	if err != nil {
+		r.Fail(err)
+		return
 	}
-	var se *crs.ServerError
-	if errors.As(err, &se) {
-		return se.Msg
-	}
-	return err.Error()
+	r.Log(recs, last)
 }

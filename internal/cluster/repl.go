@@ -46,15 +46,10 @@ func (r *Router) Write(op, clause string) (uint64, error) {
 	if _, err := wal.ParseOp(op); err != nil {
 		return 0, err
 	}
-	head := clause
-	if h, _, ok := strings.Cut(clause, ":-"); ok {
-		head = h
-	}
-	pi, err := GoalIndicator(strings.TrimSpace(head))
+	shard, _, err := r.clauseShard(clause)
 	if err != nil {
 		return 0, err
 	}
-	shard := ShardOf(pi, len(r.groups))
 	g := r.groups[shard]
 	p := g.primary()
 	seq, err := callNode(r, p, func(c *crs.Client) (uint64, error) {
@@ -80,6 +75,146 @@ func (r *Router) Write(op, clause string) (uint64, error) {
 		sh.Notify(seq)
 	}
 	return seq, nil
+}
+
+// clauseShard resolves the shard owning a clause's head predicate, and
+// that predicate's indicator.
+func (r *Router) clauseShard(clause string) (int, string, error) {
+	head, _, _ := strings.Cut(clause, ":-")
+	pi, err := GoalIndicator(strings.TrimSpace(head))
+	if err != nil {
+		return 0, "", err
+	}
+	return ShardOf(pi, len(r.groups)), pi, nil
+}
+
+// Tx is one front-end connection's pass-through transaction: a backend
+// client pinned to the shard group that owns the first asserted
+// predicate, with the backend BEGIN deferred until that first Assert
+// names it. A transaction may touch exactly one shard — there is no
+// distributed commit. The zero value with r set is a connection with no
+// transaction open; a Tx is used by one goroutine.
+type Tx struct {
+	r      *Router
+	open   bool
+	shard  int
+	node   *node
+	client *crs.Client // nil until the first Assert
+}
+
+// Begin opens a transaction; nothing is staged anywhere yet.
+func (t *Tx) Begin() error {
+	if t.open {
+		return crs.ErrInTransaction
+	}
+	t.open = true
+	return nil
+}
+
+// Assert stages a clause on the pinned backend. A backend rejection
+// leaves the transaction open; a transport failure loses it (the staged
+// state is gone with the backend session, the client must re-run).
+func (t *Tx) Assert(clause string) error {
+	if !t.open {
+		return crs.ErrNoTransaction
+	}
+	shard, pi, err := t.r.clauseShard(clause)
+	if err != nil {
+		return err
+	}
+	if t.client == nil {
+		if t.client, t.node, err = t.r.beginOn(shard); err != nil {
+			return err
+		}
+		t.shard = shard
+	} else if shard != t.shard {
+		return fmt.Errorf("cluster: cross-shard transaction (%s is on shard %d, transaction pinned to %d)",
+			pi, shard, t.shard)
+	}
+	return t.backend(t.client.Assert(clause))
+}
+
+// End commits or aborts. The transaction is over either way.
+func (t *Tx) End(commit bool) error {
+	if !t.open {
+		return crs.ErrNoTransaction
+	}
+	if t.client == nil { // empty transaction: nothing staged anywhere
+		t.open = false
+		return nil
+	}
+	end := t.client.Abort
+	if commit {
+		end = t.client.Commit
+	}
+	err := t.backend(end())
+	if t.client == nil { // dropped: the backend was lost
+		return err
+	}
+	t.node.put(t.client, t.r.cfg)
+	t.open, t.client = false, nil
+	if commit && err == nil {
+		// The committed seqs are the primary's business; waking the
+		// shard's shippers ships them without waiting out the idle
+		// interval.
+		t.r.NotifyShard(t.shard)
+	}
+	return err
+}
+
+// backend classifies a backend leg's outcome: a rejection passes
+// through, a transport failure drops the transaction.
+func (t *Tx) backend(err error) error {
+	var se *crs.ServerError
+	if err == nil || errors.As(err, &se) {
+		return err
+	}
+	t.Drop()
+	return fmt.Errorf("cluster: backend lost mid-transaction: %v", err)
+}
+
+// Drop abandons the transaction: closing the backend client closes its
+// server session, which aborts the staged state and releases the
+// predicate locks.
+func (t *Tx) Drop() {
+	if t.client != nil {
+		t.node.discard(t.client)
+	}
+	t.open, t.client = false, nil
+}
+
+// beginOn leases a client to the shard's PRIMARY and opens a backend
+// transaction on it: a transaction is a write, and only the primary
+// sequences writes into the shard's log (a replica would reject BEGIN
+// as read-only anyway). A stale pooled connection gets one fresh-dial
+// retry; beyond that the transaction fails — there is no write
+// failover.
+func (r *Router) beginOn(shard int) (*crs.Client, *node, error) {
+	p := r.groups[shard].primary()
+	var err error
+	for attempt := 0; attempt < 2; attempt++ {
+		var c *crs.Client
+		var pooled bool
+		if c, pooled, err = p.get(r.cfg); err != nil {
+			p.strike(r)
+			break
+		}
+		if err = c.Begin(); err == nil {
+			p.clear(r)
+			return c, p, nil
+		}
+		var se *crs.ServerError
+		if errors.As(err, &se) {
+			p.put(c, r.cfg)
+			break
+		}
+		p.discard(c)
+		if !pooled {
+			p.strike(r)
+			break
+		}
+	}
+	return nil, nil, err
 }
 
 // NotifyShard wakes the shard's shippers without a seq hint — used

@@ -15,6 +15,7 @@ import (
 	"clare/internal/fault"
 	"clare/internal/telemetry"
 	"clare/internal/wal"
+	"clare/internal/wire"
 )
 
 // Router defaults.
@@ -934,7 +935,8 @@ func (r *Router) observeRouted(pred, mode, plan string, start time.Time, tr *tel
 		rec.TraceID = tr.TraceID
 	}
 	if res != nil {
-		rec.Total, rec.AfterFS1, rec.AfterFS2 = parseStatsLine(res.Stats)
+		fn := wire.ParseFunnel(res.Stats)
+		rec.Total, rec.AfterFS1, rec.AfterFS2 = fn.Total, fn.FS1, fn.FS2
 	}
 	if err != nil {
 		// A failed route still lands in the black box: the funnel is
@@ -1213,33 +1215,8 @@ func mergeStatsLines(acc, next, mode string) string {
 	if acc == "" {
 		return next
 	}
-	at, a1, a2 := parseStatsLine(acc)
-	bt, b1, b2 := parseStatsLine(next)
-	return fmt.Sprintf("STATS mode=%s total=%d fs1=%d fs2=%d", mode, at+bt, a1+b1, a2+b2)
-}
-
-// parseStatsLine extracts total/fs1/fs2 from a retrieval STATS trailer;
-// unparsable fields read as zero (the merge stays best-effort).
-func parseStatsLine(line string) (total, fs1, fs2 int64) {
-	for _, f := range strings.Fields(line) {
-		k, v, ok := strings.Cut(f, "=")
-		if !ok {
-			continue
-		}
-		var n int64
-		if _, err := fmt.Sscanf(v, "%d", &n); err != nil {
-			continue
-		}
-		switch k {
-		case "total":
-			total = n
-		case "fs1":
-			fs1 = n
-		case "fs2":
-			fs2 = n
-		}
-	}
-	return total, fs1, fs2
+	a, b := wire.ParseFunnel(acc), wire.ParseFunnel(next)
+	return wire.Funnel{Mode: mode, Total: a.Total + b.Total, FS1: a.FS1 + b.FS1, FS2: a.FS2 + b.FS2}.String()
 }
 
 // Stats gathers every shard group's service counters (one reachable

@@ -35,7 +35,7 @@ func facts(name string, n int) testPred {
 func (p testPred) indicator() string { return p.name + "/2" }
 
 // startBackend boots one crs.Server on loopback holding preds.
-func startBackend(t *testing.T, preds []testPred) (*crs.Server, net.Listener) {
+func startBackend(t testing.TB, preds []testPred) (*crs.Server, net.Listener) {
 	t.Helper()
 	r, err := core.New(core.DefaultConfig())
 	if err != nil {
@@ -120,7 +120,7 @@ func testPreds() []testPred {
 	return out
 }
 
-func newTestRouter(t *testing.T, addrs [][]string, mut func(*Config)) *Router {
+func newTestRouter(t testing.TB, addrs [][]string, mut func(*Config)) *Router {
 	t.Helper()
 	cfg := Config{
 		Shards:      addrs,

@@ -1,7 +1,6 @@
 package crs
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +11,7 @@ import (
 
 	"clare/internal/core"
 	"clare/internal/telemetry"
+	"clare/internal/wire"
 )
 
 // DefaultTimeout bounds the dial and each wire read/write when Dial is
@@ -26,16 +26,8 @@ const (
 	DefaultRetryBackoff = 50 * time.Millisecond
 )
 
-// ServerError is a protocol-level "ERR <message>" reply: the server
-// received the request and rejected it. It is never retried — retrying
-// a rejected request would just be rejected again (or worse, applied
-// twice after a transient rejection).
-type ServerError struct {
-	// Msg is the server's message after the ERR prefix.
-	Msg string
-}
-
-func (e *ServerError) Error() string { return "crs server: " + e.Msg }
+// ServerError is a protocol-level rejection (see wire.ServerError).
+type ServerError = wire.ServerError
 
 // Client is a CRS wire-protocol client. Idempotent requests (RETRIEVE,
 // STATS) survive transport failures: the client reconnects with
@@ -46,9 +38,7 @@ func (e *ServerError) Error() string { return "crs server: " + e.Msg }
 type Client struct {
 	// addr is the dialed address, kept for reconnects.
 	addr string
-	conn net.Conn
-	in   *bufio.Scanner
-	out  *bufio.Writer
+	conn *wire.Conn
 	// timeout bounds each wire read and write (0 = no deadline).
 	timeout time.Duration
 	// callTimeout, when > 0, overrides timeout for the duration of one
@@ -98,10 +88,7 @@ func (c *Client) connect() error {
 	if err != nil {
 		return err
 	}
-	c.conn = conn
-	c.in = bufio.NewScanner(conn)
-	c.in.Buffer(make([]byte, 0, 64*1024), maxWireLine)
-	c.out = bufio.NewWriter(conn)
+	c.conn = wire.NewConn(conn)
 	line, err := c.roundTrip("HELLO")
 	if err != nil {
 		conn.Close()
@@ -137,33 +124,25 @@ func (c *Client) retryBackoff() time.Duration {
 // on transport failures. ServerError replies pass through immediately,
 // and nothing is retried inside a transaction (the reconnect would
 // silently discard the staged state).
-func (c *Client) retryIdempotent(op func() error) error {
+func retryIdempotent[T any](c *Client, op func() (T, error)) (T, error) {
 	backoff := c.retryBackoff()
-	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			time.Sleep(backoff)
 			backoff *= 2
 			c.conn.Close()
 			if err := c.connect(); err != nil {
-				lastErr = err
 				if attempt >= c.maxRetries() {
-					return lastErr
+					var zero T
+					return zero, err
 				}
 				continue
 			}
 		}
-		err := op()
-		if err == nil {
-			return nil
-		}
+		res, err := op()
 		var se *ServerError
-		if errors.As(err, &se) {
-			return err
-		}
-		lastErr = err
-		if c.inTx || attempt >= c.maxRetries() {
-			return lastErr
+		if err == nil || errors.As(err, &se) || c.inTx || attempt >= c.maxRetries() {
+			return res, err
 		}
 	}
 }
@@ -194,45 +173,11 @@ func (c *Client) Close() error {
 // connection is unusable afterwards.
 func (c *Client) Sever() error { return c.conn.Close() }
 
-func (c *Client) send(line string) error {
-	if to := c.effTimeout(); to > 0 {
-		if err := c.conn.SetWriteDeadline(time.Now().Add(to)); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintln(c.out, line); err != nil {
-		return err
-	}
-	return c.out.Flush()
-}
-
-func (c *Client) recv() (string, error) {
-	if to := c.effTimeout(); to > 0 {
-		if err := c.conn.SetReadDeadline(time.Now().Add(to)); err != nil {
-			return "", err
-		}
-	}
-	if !c.in.Scan() {
-		if err := c.in.Err(); err != nil {
-			return "", err
-		}
-		return "", fmt.Errorf("crs client: connection closed")
-	}
-	return c.in.Text(), nil
-}
-
-func (c *Client) roundTrip(line string) (string, error) {
-	if err := c.send(line); err != nil {
-		return "", err
-	}
-	resp, err := c.recv()
-	if err != nil {
-		return "", err
-	}
-	if strings.HasPrefix(resp, "ERR ") {
-		return "", &ServerError{Msg: strings.TrimPrefix(resp, "ERR ")}
-	}
-	return resp, nil
+// roundTrip sends one request under the deadline in force for the
+// current operation and returns the first reply line.
+func (c *Client) roundTrip(verb string, args ...string) (string, error) {
+	c.conn.Timeout = c.effTimeout()
+	return c.conn.Call(verb, args...)
 }
 
 // RetrieveResult is a client-side view of one retrieval.
@@ -259,10 +204,8 @@ func (c *Client) RetrieveWithTimeout(mode, goal string, d time.Duration) (*Retri
 // RetrieveTracedWithTimeout is RetrieveTraced under a per-call deadline
 // override (see RetrieveWithTimeout).
 func (c *Client) RetrieveTracedWithTimeout(mode, goal string, tc *telemetry.TraceContext, d time.Duration) (*RetrieveResult, error) {
-	if d > 0 {
-		c.callTimeout = d
-		defer func() { c.callTimeout = 0 }()
-	}
+	c.callTimeout = d // effTimeout ignores an override <= 0
+	defer func() { c.callTimeout = 0 }()
 	return c.RetrieveTraced(mode, goal, tc)
 }
 
@@ -281,75 +224,30 @@ func (c *Client) Retrieve(mode, goal string) (*RetrieveResult, error) {
 // the header (a server predating it rejects the goal). tc nil is plain
 // Retrieve.
 func (c *Client) RetrieveTraced(mode, goal string, tc *telemetry.TraceContext) (*RetrieveResult, error) {
-	var res *RetrieveResult
-	err := c.retryIdempotent(func() (err error) {
-		res, err = c.retrieveOnce(mode, goal, tc)
-		return err
-	})
-	return res, err
+	return retryIdempotent(c, func() (*RetrieveResult, error) { return c.retrieveOnce(mode, goal, tc) })
 }
 
 func (c *Client) retrieveOnce(mode, goal string, tc *telemetry.TraceContext) (*RetrieveResult, error) {
-	first, err := c.roundTrip(fmt.Sprintf("RETRIEVE %s %s.%s", mode, goal, traceHeader(tc)))
+	first, err := c.roundTrip("RETRIEVE", mode, wire.Term(goal, tc))
 	if err != nil {
 		return nil, err
-	}
-	var n int
-	if _, err := fmt.Sscanf(first, "CANDIDATES %d", &n); err != nil {
-		return nil, fmt.Errorf("crs client: unexpected reply %q", first)
 	}
 	res := &RetrieveResult{}
-	for i := 0; i < n; i++ {
-		line, err := c.recv()
-		if err != nil {
-			return nil, err
-		}
-		if !strings.HasPrefix(line, "C ") {
-			return nil, fmt.Errorf("crs client: unexpected candidate line %q", line)
-		}
-		res.Clauses = append(res.Clauses, strings.TrimPrefix(line, "C "))
-	}
-	stats, err := c.recv()
-	if err != nil {
+	if _, err := c.conn.Body(first, "CANDIDATES", "C", func(clause string) error {
+		res.Clauses = append(res.Clauses, clause)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	res.Stats = stats
+	if res.Stats, err = c.conn.Line(); err != nil {
+		return nil, err
+	}
 	if tc != nil {
-		if res.Spans, err = c.recvTrace(); err != nil {
+		if res.Spans, err = c.conn.Trace(); err != nil {
 			return nil, err
 		}
 	}
 	return res, nil
-}
-
-// traceHeader renders the request-line suffix for a trace context ("",
-// or " trace=<id>:<span>").
-func traceHeader(tc *telemetry.TraceContext) string {
-	if tc == nil {
-		return ""
-	}
-	return " trace=" + tc.String()
-}
-
-// recvTrace reads and decodes the TRACE reply line a traced call ends
-// with ("-" decodes to no spans).
-func (c *Client) recvTrace() ([]telemetry.WireSpan, error) {
-	line, err := c.recv()
-	if err != nil {
-		return nil, err
-	}
-	tok, ok := strings.CutPrefix(line, "TRACE ")
-	if !ok {
-		return nil, fmt.Errorf("crs client: unexpected trace line %q", line)
-	}
-	if tok == "-" {
-		return nil, nil
-	}
-	spans, err := telemetry.DecodeWireSpans(tok)
-	if err != nil {
-		return nil, fmt.Errorf("crs client: %w", err)
-	}
-	return spans, nil
 }
 
 // ExplainResult is a client-side view of one EXPLAIN call.
@@ -379,47 +277,35 @@ func (c *Client) Explain(mode, goal string) (*ExplainResult, error) {
 
 // ExplainTraced is Explain carrying a trace context (see RetrieveTraced).
 func (c *Client) ExplainTraced(mode, goal string, tc *telemetry.TraceContext) (*ExplainResult, error) {
-	var res *ExplainResult
-	err := c.retryIdempotent(func() (err error) {
-		res, err = c.explainOnce(mode, goal, tc)
-		return err
-	})
-	return res, err
+	return retryIdempotent(c, func() (*ExplainResult, error) { return c.explainOnce(mode, goal, tc) })
 }
 
 // ExplainTracedWithTimeout is ExplainTraced under a per-call deadline
 // override (see RetrieveWithTimeout).
 func (c *Client) ExplainTracedWithTimeout(mode, goal string, tc *telemetry.TraceContext, d time.Duration) (*ExplainResult, error) {
-	if d > 0 {
-		c.callTimeout = d
-		defer func() { c.callTimeout = 0 }()
-	}
+	c.callTimeout = d // effTimeout ignores an override <= 0
+	defer func() { c.callTimeout = 0 }()
 	return c.ExplainTraced(mode, goal, tc)
 }
 
 func (c *Client) explainOnce(mode, goal string, tc *telemetry.TraceContext) (*ExplainResult, error) {
-	first, err := c.roundTrip(fmt.Sprintf("EXPLAIN %s %s.%s", mode, goal, traceHeader(tc)))
+	first, err := c.roundTrip("EXPLAIN", mode, wire.Term(goal, tc))
 	if err != nil {
 		return nil, err
 	}
-	var n int
-	if _, err := fmt.Sscanf(first, "EXPLAIN %d", &n); err != nil {
-		return nil, fmt.Errorf("crs client: unexpected explain reply %q", first)
-	}
 	res := &ExplainResult{}
-	for i := 0; i < n; i++ {
-		line, err := c.recv()
-		if err != nil {
-			return nil, err
+	if _, err := c.conn.Body(first, "EXPLAIN", "E", func(kv string) error {
+		key, value, ok := strings.Cut(kv, " ")
+		if !ok {
+			return errors.New("want <key> <value>")
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 3 || fields[0] != "E" {
-			return nil, fmt.Errorf("crs client: unexpected explain line %q", line)
-		}
-		res.Entries = append(res.Entries, core.ExplainEntry{Key: fields[1], Value: fields[2]})
+		res.Entries = append(res.Entries, core.ExplainEntry{Key: key, Value: value})
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	if tc != nil {
-		if res.Spans, err = c.recvTrace(); err != nil {
+		if res.Spans, err = c.conn.Trace(); err != nil {
 			return nil, err
 		}
 	}
@@ -429,24 +315,17 @@ func (c *Client) explainOnce(mode, goal string, tc *telemetry.TraceContext) (*Ex
 // StatsWithTimeout is Stats under a per-call deadline override, with
 // the same semantics as RetrieveWithTimeout.
 func (c *Client) StatsWithTimeout(d time.Duration) (map[string]int64, error) {
-	if d > 0 {
-		c.callTimeout = d
-		defer func() { c.callTimeout = 0 }()
-	}
+	c.callTimeout = d // effTimeout ignores an override <= 0
+	defer func() { c.callTimeout = 0 }()
 	return c.Stats()
 }
 
 // Stats asks the server for its service counters: served.<mode>,
 // sessions, boards, qcache.{hits,misses,entries}, board health
 // (boards.*) and the fault-tolerance tallies (see the wire-protocol
-// comment in net.go). Stats is idempotent and retried like Retrieve.
+// comment in package wire). Stats is idempotent and retried like Retrieve.
 func (c *Client) Stats() (map[string]int64, error) {
-	var out map[string]int64
-	err := c.retryIdempotent(func() (err error) {
-		out, err = c.statsOnce()
-		return err
-	})
-	return out, err
+	return retryIdempotent(c, c.statsOnce)
 }
 
 func (c *Client) statsOnce() (map[string]int64, error) {
@@ -454,25 +333,14 @@ func (c *Client) statsOnce() (map[string]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	var n int
-	if _, err := fmt.Sscanf(first, "STATS %d", &n); err != nil {
-		return nil, fmt.Errorf("crs client: unexpected stats reply %q", first)
-	}
-	out := make(map[string]int64, n)
-	for i := 0; i < n; i++ {
-		line, err := c.recv()
-		if err != nil {
-			return nil, err
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 3 || fields[0] != "S" {
-			return nil, fmt.Errorf("crs client: unexpected stats line %q", line)
-		}
-		v, err := strconv.ParseInt(fields[2], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("crs client: bad stats value in %q", line)
-		}
-		out[fields[1]] = v
+	out := make(map[string]int64)
+	if _, err := c.conn.Body(first, "STATS", "S", func(kv string) error {
+		key, value, _ := strings.Cut(kv, " ")
+		v, err := strconv.ParseInt(value, 10, 64)
+		out[key] = v
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -480,63 +348,38 @@ func (c *Client) statsOnce() (map[string]int64, error) {
 // Flight pulls the last n flight-recorder records (n <= 0 = the whole
 // ring), oldest first. Idempotent and retried like Stats.
 func (c *Client) Flight(n int) ([]telemetry.FlightRecord, error) {
-	var out []telemetry.FlightRecord
-	err := c.retryIdempotent(func() (err error) {
-		out, err = flightOnce(c, n)
-		return err
+	return retryIdempotent(c, func() ([]telemetry.FlightRecord, error) {
+		return dumpOnce[telemetry.FlightRecord](c, "FLIGHT", "F", n)
 	})
-	return out, err
 }
 
 // SlowTail pulls the last n slow-query captures (n <= 0 = everything
 // the log holds), oldest first. Idempotent and retried like Stats.
 func (c *Client) SlowTail(n int) ([]telemetry.SlowCapture, error) {
-	var out []telemetry.SlowCapture
-	err := c.retryIdempotent(func() (err error) {
-		out, err = slowTailOnce(c, n)
-		return err
+	return retryIdempotent(c, func() ([]telemetry.SlowCapture, error) {
+		return dumpOnce[telemetry.SlowCapture](c, "SLOWLOG", "Q", n)
 	})
-	return out, err
-}
-
-func flightOnce(c *Client, n int) ([]telemetry.FlightRecord, error) {
-	return dumpOnce[telemetry.FlightRecord](c, "FLIGHT", "F", n)
-}
-
-func slowTailOnce(c *Client, n int) ([]telemetry.SlowCapture, error) {
-	return dumpOnce[telemetry.SlowCapture](c, "SLOWLOG", "Q", n)
 }
 
 // dumpOnce runs one "<verb> [n]" → "<verb> <k>" + k "<tag> <json>"
 // exchange, decoding each body line into T.
 func dumpOnce[T any](c *Client, verb, tag string, n int) ([]T, error) {
-	req := verb
+	var args []string
 	if n > 0 {
-		req = fmt.Sprintf("%s %d", verb, n)
+		args = []string{strconv.Itoa(n)}
 	}
-	first, err := c.roundTrip(req)
+	first, err := c.roundTrip(verb, args...)
 	if err != nil {
 		return nil, err
 	}
-	var k int
-	if _, err := fmt.Sscanf(first, verb+" %d", &k); err != nil {
-		return nil, fmt.Errorf("crs client: unexpected %s reply %q", verb, first)
-	}
-	out := make([]T, 0, k)
-	for i := 0; i < k; i++ {
-		line, err := c.recv()
-		if err != nil {
-			return nil, err
-		}
-		body, ok := strings.CutPrefix(line, tag+" ")
-		if !ok {
-			return nil, fmt.Errorf("crs client: unexpected %s line %q", verb, line)
-		}
+	out := []T{}
+	if _, err := c.conn.Body(first, verb, tag, func(body string) error {
 		var rec T
-		if err := json.Unmarshal([]byte(body), &rec); err != nil {
-			return nil, fmt.Errorf("crs client: bad %s json: %v", verb, err)
-		}
+		err := json.Unmarshal([]byte(body), &rec)
 		out = append(out, rec)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -554,7 +397,7 @@ func (c *Client) Begin() error {
 
 // Assert stages a clause (source without final '.').
 func (c *Client) Assert(clause string) error {
-	return c.simple(fmt.Sprintf("ASSERT %s.", clause))
+	return c.simple("ASSERT", wire.Term(clause, nil))
 }
 
 // Commit commits the transaction.
@@ -571,8 +414,8 @@ func (c *Client) Abort() error {
 	return err
 }
 
-func (c *Client) simple(line string) error {
-	resp, err := c.roundTrip(line)
+func (c *Client) simple(verb string, args ...string) error {
+	resp, err := c.roundTrip(verb, args...)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"clare/internal/wal"
+	"clare/internal/wire"
 )
 
 // Client write path. None of these calls goes through retryIdempotent:
@@ -28,10 +29,8 @@ func (c *Client) AssertNow(clause string) (uint64, error) {
 // is bounded by d instead of the client's global timeout (d <= 0 leaves
 // the global timeout in force).
 func (c *Client) AssertWithTimeout(clause string, d time.Duration) (uint64, error) {
-	if d > 0 {
-		c.callTimeout = d
-		defer func() { c.callTimeout = 0 }()
-	}
+	c.callTimeout = d // effTimeout ignores an override <= 0
+	defer func() { c.callTimeout = 0 }()
 	return c.AssertNow(clause)
 }
 
@@ -45,25 +44,25 @@ func (c *Client) Retract(clause string) (uint64, error) {
 // RetractWithTimeout is Retract under a per-call deadline override (see
 // AssertWithTimeout).
 func (c *Client) RetractWithTimeout(clause string, d time.Duration) (uint64, error) {
-	if d > 0 {
-		c.callTimeout = d
-		defer func() { c.callTimeout = 0 }()
-	}
+	c.callTimeout = d // effTimeout ignores an override <= 0
+	defer func() { c.callTimeout = 0 }()
 	return c.Retract(clause)
 }
 
 func (c *Client) write(op, clause string) (uint64, error) {
-	resp, err := c.roundTrip(fmt.Sprintf("WRITE %s %s.", op, clause))
+	return c.seqReply("WRITE", op, wire.Term(clause, nil))
+}
+
+// seqReply runs one request answered "OK <seq>".
+func (c *Client) seqReply(verb string, args ...string) (uint64, error) {
+	resp, err := c.roundTrip(verb, args...)
 	if err != nil {
 		return 0, err
 	}
 	seqText, ok := strings.CutPrefix(resp, "OK ")
-	if !ok {
-		return 0, fmt.Errorf("crs client: unexpected write reply %q", resp)
-	}
 	seq, err := strconv.ParseUint(seqText, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("crs client: bad write seq in %q", resp)
+	if !ok || err != nil {
+		return 0, fmt.Errorf("crs client: unexpected %s reply %q", verb, resp)
 	}
 	return seq, nil
 }
@@ -74,30 +73,22 @@ func (c *Client) write(op, clause string) (uint64, error) {
 // single-shard crsd, routing to a cluster front-end). Not retried: the
 // caller (a follower loop) re-issues from its own watermark.
 func (c *Client) SyncLog(shard int, from uint64) ([]wal.Record, uint64, error) {
-	first, err := c.roundTrip(fmt.Sprintf("SYNC %d %d", shard, from))
+	first, err := c.roundTrip("SYNC", strconv.Itoa(shard), strconv.FormatUint(from, 10))
 	if err != nil {
 		return nil, 0, err
 	}
-	var n int
-	var last uint64
-	if _, err := fmt.Sscanf(first, "LOG %d %d", &n, &last); err != nil {
-		return nil, 0, fmt.Errorf("crs client: unexpected sync reply %q", first)
-	}
-	recs := make([]wal.Record, 0, n)
-	for i := 0; i < n; i++ {
-		line, err := c.recv()
-		if err != nil {
-			return nil, 0, err
-		}
-		body, ok := strings.CutPrefix(line, "R ")
-		if !ok {
-			return nil, 0, fmt.Errorf("crs client: unexpected log line %q", line)
-		}
+	var recs []wal.Record
+	lastText, err := c.conn.Body(first, "LOG", "R", func(body string) error {
 		rec, err := wal.ParseRecordText(body)
-		if err != nil {
-			return nil, 0, fmt.Errorf("crs client: %w", err)
-		}
 		recs = append(recs, rec)
+		return err
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	last, err := strconv.ParseUint(lastText, 10, 64)
+	if err != nil {
+		return nil, 0, fmt.Errorf("crs client: unexpected LOG reply %q", first)
 	}
 	return recs, last, nil
 }
@@ -105,10 +96,8 @@ func (c *Client) SyncLog(shard int, from uint64) ([]wal.Record, uint64, error) {
 // ReplWithTimeout is Repl under a per-call deadline override (see
 // AssertWithTimeout).
 func (c *Client) ReplWithTimeout(rec wal.Record, d time.Duration) (uint64, error) {
-	if d > 0 {
-		c.callTimeout = d
-		defer func() { c.callTimeout = 0 }()
-	}
+	c.callTimeout = d // effTimeout ignores an override <= 0
+	defer func() { c.callTimeout = 0 }()
 	return c.Repl(rec)
 }
 
@@ -117,17 +106,5 @@ func (c *Client) ReplWithTimeout(rec wal.Record, d time.Duration) (uint64, error
 // push half of log shipping. Not retried; the shipper's rewind protocol
 // handles every delivery ambiguity.
 func (c *Client) Repl(rec wal.Record) (uint64, error) {
-	resp, err := c.roundTrip("REPL " + rec.WireText())
-	if err != nil {
-		return 0, err
-	}
-	appliedText, ok := strings.CutPrefix(resp, "OK ")
-	if !ok {
-		return 0, fmt.Errorf("crs client: unexpected repl reply %q", resp)
-	}
-	applied, err := strconv.ParseUint(appliedText, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("crs client: bad repl seq in %q", resp)
-	}
-	return applied, nil
+	return c.seqReply("REPL", rec.WireText())
 }

@@ -1,99 +1,19 @@
 package crs
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
-	"strconv"
-	"strings"
 
 	"clare/internal/core"
 	"clare/internal/parse"
-	"clare/internal/telemetry"
 	"clare/internal/term"
 	"clare/internal/wal"
+	"clare/internal/wire"
 )
 
-// Wire protocol (text, line-oriented; terms in Edinburgh syntax):
-//
-//	C: HELLO                    S: OK crs <session-id>
-//	C: RETRIEVE <mode> <goal>   S: CANDIDATES <n>
-//	                               <n> clause lines, each "C <clause>."
-//	                               STATS mode=<m> total=<t> fs1=<a> fs2=<b>
-//	C: EXPLAIN <mode> <goal>    S: EXPLAIN <n>
-//	                               <n> lines, each "E <key> <value>"
-//	C: BEGIN                    S: OK
-//	C: ASSERT <clause>          S: OK
-//	C: COMMIT                   S: OK
-//	C: ABORT                    S: OK
-//	C: WRITE assert <clause>    S: OK <seq>
-//	C: WRITE retract <clause>   S: OK <seq>
-//	C: SYNC <shard> <from-seq>  S: LOG <n> <last-seq>
-//	                               <n> lines, each "R <seq> <op> <module> <clause>"
-//	C: REPL <seq> <op> <module> <clause>
-//	                            S: OK <applied-seq>
-//	C: STATS                    S: STATS <n>
-//	                               <n> lines, each "S <key> <value>"
-//	C: FLIGHT [<n>]             S: FLIGHT <k>
-//	                               <k> lines, each "F <json>" — the last k
-//	                               flight-recorder records, oldest first
-//	C: SLOWLOG [<n>]            S: SLOWLOG <k>
-//	                               <k> lines, each "Q <json>" — the last k
-//	                               slow-query captures, oldest first
-//	C: QUIT                     S: BYE
-//
-// mode ∈ software|fs1|fs2|fs1+fs2|auto. Errors answer "ERR <message>".
-// STATS keys are served.<mode>, sessions, boards, qcache.{hits,misses,
-// entries}, the board-health gauges boards.{free,leased,tripped,trips,
-// readmits}, the fault-tolerance tallies degraded, retries and faults,
-// engine.native (1 when the server runs the native vectorized
-// engine, 0 for the cycle-accurate simulation), the durable write
-// path's wal.* keys (wal.{enabled,seq,applied,segments,appends,fsyncs,
-// faults,replicated,readonly}), the diagnosis layer's flight.{size,
-// recorded} and slow.{captured,suppressed}, and — when an SLO is
-// configured — the slo.* family (slo.enabled, the objective as
-// slo.p99.us / slo.err.permille, lifetime slo.{requests,slow,errors,
-// breaches,breach.active}, and per sliding window
-// slo.window.{short,long}.{requests,slow,errors} with the burn rates
-// scaled ×1000 as slo.burn.{short,long}.milli); values are decimal
-// integers. FLIGHT and SLOWLOG bodies are single-line JSON objects
-// (see telemetry.FlightRecord and telemetry.SlowCapture); with no
-// recorder or log attached both answer an empty listing.
-//
-// Write path: ASSERT stages into a BEGIN…COMMIT transaction exactly as
-// before; WRITE is the autocommit form — one clause logged, applied and
-// (per the fsync policy) durable before the assigned log sequence
-// number returns. SYNC streams the write-ahead log's suffix from
-// from-seq (the shard token is informational on a single-shard server)
-// and REPL lands one primary-sequenced record on a replica, answering
-// the replica's applied watermark: a duplicate acks without
-// re-applying, a gap acks the current watermark without applying so the
-// shipper rewinds. Record clauses are Edinburgh source without the
-// final '.'.
-//
-// Trace context: a RETRIEVE or EXPLAIN goal may be followed by one
-// trailing token " trace=<traceid>:<parentspan>" (after the goal's
-// terminating '.'). A server that understands it threads the context
-// into the retrieval's span tree and appends one extra reply line after
-// the trailer:
-//
-//	TRACE <token>
-//
-// where token is the retrieval's span subtree serialized by
-// telemetry.EncodeWireSpans ("-" when the server has no tracer). The
-// header is strictly opt-in: old clients that send no header parse
-// against this server exactly as before (no TRACE line is emitted), and
-// a caller must not send the header to a server that predates it.
-// EXPLAIN keys and values never contain spaces; the key order is the
-// filter pipeline's and is part of the wire contract (appending new
-// keys is compatible).
-
-// maxWireLine bounds one protocol line in either direction. A longer
-// line is answered with "ERR line too long" and the connection dropped.
-const maxWireLine = 4 * 1024 * 1024
+// The wire protocol is specified and framed in package wire; this file
+// binds its verbs to a Session.
 
 // syncBatch caps the records one SYNC reply carries; a follower that
 // needs more keeps pulling from its advanced watermark.
@@ -123,34 +43,7 @@ func ParseMode(s string) (*core.SearchMode, error) {
 // Serve accepts connections on l until it is closed. Each connection gets
 // its own session. Serve returns after the listener closes and all
 // connection handlers finish.
-func (s *Server) Serve(l net.Listener) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			s.handlers.Wait()
-			return err
-		}
-		s.connMu.Lock()
-		if s.draining {
-			s.connMu.Unlock()
-			fmt.Fprintln(conn, "ERR server shutting down")
-			conn.Close()
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		s.handlers.Add(1)
-		s.connMu.Unlock()
-		go func() {
-			defer s.handlers.Done()
-			defer func() {
-				s.connMu.Lock()
-				delete(s.conns, conn)
-				s.connMu.Unlock()
-			}()
-			s.handle(conn)
-		}()
-	}
-}
+func (s *Server) Serve(l net.Listener) error { return s.acc.Serve(l, s.serveConn) }
 
 // Shutdown drains the server: new connections are refused, and Shutdown
 // returns once every in-flight handler has finished. If ctx expires
@@ -158,30 +51,34 @@ func (s *Server) Serve(l net.Listener) error {
 // retrieval still runs to completion; its client sees the connection
 // drop) and ctx.Err() is returned. The caller should close its
 // listeners first so Serve stops accepting.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.connMu.Lock()
-	s.draining = true
-	s.connMu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		s.handlers.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		s.connMu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.connMu.Unlock()
-		<-done
-		return ctx.Err()
-	}
+func (s *Server) Shutdown(ctx context.Context) error { return s.acc.Shutdown(ctx) }
+
+// wireConn is one connection's state: its session on the server.
+type wireConn struct {
+	srv  *Server
+	sess *Session
 }
 
-func (s *Server) handle(conn net.Conn) {
+// verbs is every verb the backend serves.
+var verbs = wire.Table[wireConn]{}
+
+func init() {
+	verbs.Plain("HELLO", wireConn.hello)
+	verbs.Plain("STATS", wireConn.stats)
+	verbs.Count("FLIGHT", wireConn.flight)
+	verbs.Count("SLOWLOG", wireConn.slowLog)
+	verbs.Query("RETRIEVE", wireConn.retrieve)
+	verbs.Query("EXPLAIN", wireConn.explain)
+	verbs.Plain("BEGIN", func(c wireConn, r *wire.Reply) { r.Done(c.sess.Begin()) })
+	verbs.Clause("ASSERT", wireConn.assert)
+	verbs.Plain("COMMIT", func(c wireConn, r *wire.Reply) { r.Done(c.sess.Commit()) })
+	verbs.Plain("ABORT", func(c wireConn, r *wire.Reply) { r.Done(c.sess.Abort()) })
+	verbs.Write("WRITE", wireConn.write)
+	verbs.Sync("SYNC", wireConn.sync)
+	verbs.Record("REPL", wireConn.repl)
+}
+
+func (s *Server) serveConn(conn net.Conn) {
 	defer func() {
 		// A handler panic is exactly the moment the black box must
 		// survive the process: snapshot the flight ring, then crash as
@@ -194,284 +91,128 @@ func (s *Server) handle(conn net.Conn) {
 			panic(r)
 		}
 	}()
-	defer conn.Close()
 	sess := s.OpenSession()
 	defer sess.Close()
-	in := bufio.NewScanner(conn)
-	in.Buffer(make([]byte, 0, 64*1024), maxWireLine)
-	out := bufio.NewWriter(conn)
-	reply := func(format string, args ...any) {
-		if strings.HasPrefix(format, "ERR") {
-			s.met.wireErrs.Inc()
-		}
-		fmt.Fprintf(out, format+"\n", args...)
-		out.Flush()
-	}
-	for in.Scan() {
-		line := strings.TrimSpace(in.Text())
-		if line == "" {
-			continue
-		}
-		cmd, rest, _ := strings.Cut(line, " ")
-		switch strings.ToUpper(cmd) {
-		case "HELLO":
-			reply("OK crs %d", sess.ID())
-		case "QUIT":
-			reply("BYE")
-			return
-		case "STATS":
-			kv := s.Snapshot().lines()
-			fmt.Fprintf(out, "STATS %d\n", len(kv))
-			for _, p := range kv {
-				fmt.Fprintf(out, "S %s %d\n", p.Key, p.Value)
-			}
-			out.Flush()
-		case "FLIGHT":
-			n, err := optionalCount(rest)
-			if err != nil {
-				reply("ERR usage: FLIGHT [<n>]")
-				continue
-			}
-			recs := s.flight.Snapshot(n)
-			fmt.Fprintf(out, "FLIGHT %d\n", len(recs))
-			for _, rec := range recs {
-				blob, err := json.Marshal(rec)
-				if err != nil {
-					continue
-				}
-				fmt.Fprintf(out, "F %s\n", blob)
-			}
-			out.Flush()
-		case "SLOWLOG":
-			n, err := optionalCount(rest)
-			if err != nil {
-				reply("ERR usage: SLOWLOG [<n>]")
-				continue
-			}
-			caps := s.slowLog.Tail(n)
-			fmt.Fprintf(out, "SLOWLOG %d\n", len(caps))
-			for _, c := range caps {
-				blob, err := json.Marshal(c)
-				if err != nil {
-					continue
-				}
-				fmt.Fprintf(out, "Q %s\n", blob)
-			}
-			out.Flush()
-		case "BEGIN":
-			if err := sess.Begin(); err != nil {
-				reply("ERR %v", err)
-			} else {
-				reply("OK")
-			}
-		case "COMMIT":
-			if err := sess.Commit(); err != nil {
-				reply("ERR %v", err)
-			} else {
-				reply("OK")
-			}
-		case "ABORT":
-			if err := sess.Abort(); err != nil {
-				reply("ERR %v", err)
-			} else {
-				reply("OK")
-			}
-		case "ASSERT":
-			cl, err := parse.Term(strings.TrimSuffix(rest, "."))
-			if err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			head, body := splitClause(cl)
-			if err := sess.Assert(head, body); err != nil {
-				reply("ERR %v", err)
-			} else {
-				reply("OK")
-			}
-		case "WRITE":
-			opWord, clauseText, ok := strings.Cut(rest, " ")
-			if !ok {
-				reply("ERR usage: WRITE assert|retract <clause>.")
-				continue
-			}
-			op, err := wal.ParseOp(opWord)
-			if err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			cl, err := parse.Term(strings.TrimSuffix(clauseText, "."))
-			if err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			head, body := splitClause(cl)
-			var seq uint64
-			if op == wal.OpAssert {
-				seq, err = sess.AssertNow(head, body)
-			} else {
-				seq, err = sess.RetractNow(head, body)
-			}
-			if err != nil {
-				reply("ERR %v", err)
-			} else {
-				reply("OK %d", seq)
-			}
-		case "SYNC":
-			fields := strings.Fields(rest)
-			if len(fields) != 2 {
-				reply("ERR usage: SYNC <shard> <from-seq>")
-				continue
-			}
-			from, err := strconv.ParseUint(fields[1], 10, 64)
-			if err != nil {
-				reply("ERR bad from-seq %q", fields[1])
-				continue
-			}
-			recs, last, err := s.LogSuffix(from, syncBatch)
-			if err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			fmt.Fprintf(out, "LOG %d %d\n", len(recs), last)
-			for _, rec := range recs {
-				fmt.Fprintf(out, "R %s\n", rec.WireText())
-			}
-			out.Flush()
-		case "REPL":
-			rec, err := wal.ParseRecordText(rest)
-			if err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			applied, err := s.ApplyReplicated(rec)
-			if err != nil {
-				reply("ERR %v", err)
-			} else {
-				reply("OK %d", applied)
-			}
-		case "RETRIEVE":
-			modeWord, goalText, ok := strings.Cut(rest, " ")
-			if !ok {
-				reply("ERR usage: RETRIEVE <mode> <goal>")
-				continue
-			}
-			mode, err := ParseMode(modeWord)
-			if err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			goalText, tc := CutTraceHeader(goalText)
-			goal, err := parse.Term(strings.TrimSuffix(goalText, "."))
-			if err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			rt, err := sess.RetrieveTraced(goal, mode, tc)
-			if err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			heads, bodies, err := rt.DecodeCandidates()
-			if err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			reply("CANDIDATES %d", len(heads))
-			for i := range heads {
-				if term.Equal(bodies[i], term.Atom("true")) {
-					reply("C %s.", heads[i])
-				} else {
-					reply("C %s :- %s.", heads[i], bodies[i])
-				}
-			}
-			reply("STATS mode=%v total=%d fs1=%d fs2=%d",
-				rt.Mode, rt.Stats.TotalClauses, rt.Stats.AfterFS1, rt.Stats.AfterFS2)
-			if tc != nil {
-				reply("TRACE %s", traceToken(rt.Trace()))
-			}
-		case "EXPLAIN":
-			modeWord, goalText, ok := strings.Cut(rest, " ")
-			if !ok {
-				reply("ERR usage: EXPLAIN <mode> <goal>")
-				continue
-			}
-			mode, err := ParseMode(modeWord)
-			if err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			goalText, tc := CutTraceHeader(goalText)
-			goal, err := parse.Term(strings.TrimSuffix(goalText, "."))
-			if err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			p, err := sess.Explain(goal, mode, tc)
-			if err != nil {
-				reply("ERR %v", err)
-				continue
-			}
-			entries := p.Entries()
-			fmt.Fprintf(out, "EXPLAIN %d\n", len(entries))
-			for _, e := range entries {
-				fmt.Fprintf(out, "E %s %s\n", e.Key, e.Value)
-			}
-			out.Flush()
-			if tc != nil {
-				reply("TRACE %s", traceToken(p.Trace))
-			}
-		default:
-			reply("ERR unknown command %q", cmd)
-		}
-	}
-	if err := in.Err(); errors.Is(err, bufio.ErrTooLong) {
-		reply("ERR line too long (max %d bytes)", maxWireLine)
+	verbs.Serve(conn, wireConn{s, sess}, s.met.wireErrs)
+}
+
+func (c wireConn) hello(r *wire.Reply) { r.OK("crs", c.sess.ID()) }
+
+func (c wireConn) stats(r *wire.Reply) {
+	kv := c.srv.Snapshot().lines()
+	r.Header("STATS", len(kv))
+	for _, p := range kv {
+		r.Body("S", "%s %d", p.Key, p.Value)
 	}
 }
 
-// optionalCount parses the optional non-negative count argument the
-// FLIGHT and SLOWLOG verbs take; empty means 0 ("everything").
-func optionalCount(rest string) (int, error) {
-	rest = strings.TrimSpace(rest)
-	if rest == "" {
-		return 0, nil
-	}
-	v, err := strconv.Atoi(rest)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("crs: bad count %q", rest)
-	}
-	return v, nil
+func (c wireConn) flight(r *wire.Reply, n int) {
+	wire.JSONBody(r, "FLIGHT", "F", c.srv.flight.Snapshot(n))
 }
 
-// CutTraceHeader splits an optional trailing trace-context token off a
-// goal text: "p(X). trace=<id>:<span>" → ("p(X).", context). Text
-// without a well-formed header — including everything an old client can
-// send, since the token must follow the goal's terminating '.' — is
-// returned unchanged for the goal parser to judge. Exported because the
-// cluster front-end speaks the same wire protocol.
-func CutTraceHeader(text string) (string, *telemetry.TraceContext) {
-	i := strings.LastIndexByte(text, ' ')
-	if i < 0 || !strings.HasPrefix(text[i+1:], "trace=") {
-		return text, nil
-	}
-	goal := strings.TrimRight(text[:i], " ")
-	if !strings.HasSuffix(goal, ".") {
-		return text, nil
-	}
-	tc, err := telemetry.ParseTraceContext(strings.TrimPrefix(text[i+1:], "trace="))
+func (c wireConn) slowLog(r *wire.Reply, n int) {
+	wire.JSONBody(r, "SLOWLOG", "Q", c.srv.slowLog.Tail(n))
+}
+
+// parseQuery resolves a query's mode word and goal text.
+func parseQuery(q wire.Query) (*core.SearchMode, term.Term, error) {
+	mode, err := ParseMode(q.Mode)
 	if err != nil {
-		return text, nil
+		return nil, nil, err
 	}
-	return goal, &tc
+	goal, err := parse.Term(q.Goal)
+	return mode, goal, err
 }
 
-// traceToken serializes a retrieval's span tree for the TRACE reply
-// line; "-" stands for "no trace recorded" (the server has no tracer).
-func traceToken(t *telemetry.Trace) string {
-	if tok := telemetry.EncodeWireSpans(t.Wire(0)); tok != "" {
-		return tok
+func (c wireConn) retrieve(r *wire.Reply, q wire.Query) {
+	mode, goal, err := parseQuery(q)
+	if err != nil {
+		r.Fail(err)
+		return
 	}
-	return "-"
+	rt, err := c.sess.RetrieveTraced(goal, mode, q.Trace)
+	if err != nil {
+		r.Fail(err)
+		return
+	}
+	heads, bodies, err := rt.DecodeCandidates()
+	if err != nil {
+		r.Fail(err)
+		return
+	}
+	r.Header("CANDIDATES", len(heads))
+	for i := range heads {
+		if term.Equal(bodies[i], term.Atom("true")) {
+			r.Body("C", "%s.", heads[i])
+		} else {
+			r.Body("C", "%s :- %s.", heads[i], bodies[i])
+		}
+	}
+	r.Line("%v", wire.Funnel{Mode: rt.Mode.String(), Total: int64(rt.Stats.TotalClauses),
+		FS1: int64(rt.Stats.AfterFS1), FS2: int64(rt.Stats.AfterFS2)})
+	if q.Trace != nil {
+		r.Trace(rt.Trace().Wire(0))
+	}
+}
+
+func (c wireConn) explain(r *wire.Reply, q wire.Query) {
+	mode, goal, err := parseQuery(q)
+	if err != nil {
+		r.Fail(err)
+		return
+	}
+	p, err := c.sess.Explain(goal, mode, q.Trace)
+	if err != nil {
+		r.Fail(err)
+		return
+	}
+	entries := p.Entries()
+	r.Header("EXPLAIN", len(entries))
+	for _, e := range entries {
+		r.Body("E", "%s %s", e.Key, e.Value)
+	}
+	if q.Trace != nil {
+		r.Trace(p.Trace.Wire(0))
+	}
+}
+
+func (c wireConn) assert(r *wire.Reply, clause string) {
+	cl, err := parse.Term(clause)
+	if err != nil {
+		r.Fail(err)
+		return
+	}
+	r.Done(c.sess.Assert(splitClause(cl)))
+}
+
+func (c wireConn) write(r *wire.Reply, op wal.Op, clause string) {
+	cl, err := parse.Term(clause)
+	if err != nil {
+		r.Fail(err)
+		return
+	}
+	head, body := splitClause(cl)
+	var seq uint64
+	if op == wal.OpAssert {
+		seq, err = c.sess.AssertNow(head, body)
+	} else {
+		seq, err = c.sess.RetractNow(head, body)
+	}
+	r.Done(err, seq)
+}
+
+func (c wireConn) sync(r *wire.Reply, _ int, from uint64) {
+	recs, last, err := c.srv.LogSuffix(from, syncBatch)
+	if err != nil {
+		r.Fail(err)
+		return
+	}
+	r.Log(recs, last)
+}
+
+func (c wireConn) repl(r *wire.Reply, rec wal.Record) {
+	applied, err := c.srv.ApplyReplicated(rec)
+	r.Done(err, applied)
 }
 
 func splitClause(t term.Term) (head, body term.Term) {

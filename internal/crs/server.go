@@ -8,7 +8,6 @@ package crs
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,6 +17,7 @@ import (
 	"clare/internal/telemetry"
 	"clare/internal/term"
 	"clare/internal/wal"
+	"clare/internal/wire"
 )
 
 // Server owns a CLARE retriever and the clause data behind it, mediating
@@ -78,11 +78,8 @@ type Server struct {
 	readOnly   atomic.Bool
 	replicated atomic.Int64
 
-	// Connection tracking for Serve/Shutdown.
-	connMu   sync.Mutex
-	conns    map[net.Conn]struct{}
-	handlers sync.WaitGroup
-	draining bool
+	// acc tracks connections for Serve/Shutdown.
+	acc wire.Acceptor
 }
 
 // predState is the server's authoritative copy of one predicate: the
@@ -102,7 +99,6 @@ func NewServer(r *core.Retriever) *Server {
 		served:    make(map[core.SearchMode]int),
 		met:       newServerMetrics(r.Metrics()),
 		lat:       telemetry.NewLatencyTracker(0),
-		conns:     make(map[net.Conn]struct{}),
 	}
 }
 

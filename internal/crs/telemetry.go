@@ -70,7 +70,7 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	m.replApplied = reg.Counter("clare_crs_replicated_total",
 		"primary-sequenced records applied via replication", nil)
 	m.wireErrs = reg.Counter("clare_crs_wire_errors_total",
-		"ERR replies sent over the wire protocol", nil)
+		"rejections (ERR replies) sent over the wire protocol", nil)
 	m.slowCaptures = reg.Counter("clare_crs_slow_captures_total",
 		"slow retrievals re-profiled into the slow-query log", nil)
 	return m

@@ -14,6 +14,7 @@ import (
 	"clare/internal/core"
 	"clare/internal/parse"
 	"clare/internal/telemetry"
+	"clare/internal/wire"
 	"clare/internal/workload"
 )
 
@@ -45,7 +46,7 @@ func rawDial(t *testing.T, addr string) *rawSession {
 	}
 	t.Cleanup(func() { conn.Close() })
 	r := &rawSession{conn: conn, in: bufio.NewScanner(conn)}
-	r.in.Buffer(make([]byte, 0, 64*1024), maxWireLine)
+	r.in.Buffer(make([]byte, 0, 64*1024), wire.MaxLine)
 	return r
 }
 
@@ -83,7 +84,7 @@ func TestWireMalformedFrames(t *testing.T) {
 	}
 }
 
-// TestWireOversizedPayload: a line above maxWireLine draws "ERR line too
+// TestWireOversizedPayload: a line above wire.MaxLine draws "ERR line too
 // long" and the server drops the connection.
 func TestWireOversizedPayload(t *testing.T) {
 	s := newServer(t)
@@ -93,7 +94,7 @@ func TestWireOversizedPayload(t *testing.T) {
 	}
 	// One token larger than the server's scanner limit, no newline needed:
 	// the scanner errors as soon as its buffer fills.
-	if _, err := r.conn.Write(bytes.Repeat([]byte{'a'}, maxWireLine+1)); err != nil {
+	if _, err := r.conn.Write(bytes.Repeat([]byte{'a'}, wire.MaxLine+1)); err != nil {
 		t.Fatal(err)
 	}
 	if !r.in.Scan() {

@@ -98,10 +98,15 @@ func (p *Parser) ReadAll() ([]term.Term, error) {
 	}
 }
 
+// stdOps is the standard operator table Term parses with. It is never
+// handed out (Term's parser does not escape), so nothing can run op/3
+// against it and concurrent Term calls only ever read it.
+var stdOps = NewOpTable()
+
 // Term parses a single source string holding exactly one term (no trailing
 // '.').  Convenience for tests and query building.
 func Term(src string) (term.Term, error) {
-	p, err := New(src)
+	p, err := NewWithOps(src, stdOps)
 	if err != nil {
 		return nil, err
 	}

@@ -357,3 +357,21 @@ func TestOpsAccessor(t *testing.T) {
 		t.Error("Ops() returned nil")
 	}
 }
+
+// TestTermSharesOpTable: Term parses against the one package-level
+// standard table; building a private table per call costs 13 more
+// allocations than the whole parse of an atom.
+func TestTermSharesOpTable(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { MustTerm("a") }); n > 10 {
+		t.Errorf("Term(%q) = %v allocs, want <= 10 (an operator table per call?)", "a", n)
+	}
+	// A parser that hands its table out still gets a private one.
+	p, err := New("a.")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Ops().Add(Op{Priority: 700, Type: XFX, Name: "===>"})
+	if _, err := Term("a ===> b"); err == nil {
+		t.Error("op/3 on a parser's private table leaked into Term's standard table")
+	}
+}
