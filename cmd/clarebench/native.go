@@ -2,8 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
@@ -105,10 +103,7 @@ func expNATIVE() error {
 		return fmt.Errorf("NATIVE: %d candidate-set divergences between engines", divergences)
 	}
 	fmt.Printf("(candidate sets identical across engines on all %d goals; mode fs1+fs2)\n", nGoals)
-	if err := nativeParallelSweep(); err != nil {
-		return err
-	}
-	return nativeColdStart()
+	return nativeParallelSweep()
 }
 
 // nativeParallelSweep measures the partitioned FS1 scan's worker-count
@@ -178,80 +173,4 @@ func nativeParallelSweep() error {
 		}
 	}
 	return w.Flush()
-}
-
-// nativeColdStart times loading a kbc-built store through the heap
-// decoder vs mapping it read-only — the mmap path's pitch is that cold
-// start becomes page-in instead of re-decode.
-func nativeColdStart() error {
-	wk := workload.WarrenKB{Scale: 0.1, Seed: 1}
-	preds := wk.Generate()
-	r, err := core.New(core.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	for _, p := range preds {
-		if _, err := r.AddClauses("warren", p.Clauses); err != nil {
-			return err
-		}
-	}
-	dir, err := os.MkdirTemp("", "clarebench-store")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "warren.clare")
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.SaveKB(f); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-
-	heapStart := time.Now()
-	hf, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	hr, err := core.LoadRetriever(core.DefaultConfig(), hf)
-	hf.Close()
-	if err != nil {
-		return err
-	}
-	heapMs := float64(time.Since(heapStart).Microseconds()) / 1000
-
-	mapStart := time.Now()
-	mr, mapped, err := core.MapRetriever(core.DefaultConfig(), path)
-	if err != nil {
-		return err
-	}
-	mapMs := float64(time.Since(mapStart).Microseconds()) / 1000
-	defer mr.CloseStore()
-
-	// Sanity: both loads answer a probe identically.
-	goal := term.New(preds[0].Name, term.Atom("e1"), term.NewVar("V"))
-	hrt, err := hr.Retrieve(goal, core.ModeFS1FS2)
-	if err != nil {
-		return err
-	}
-	mrt, err := mr.Retrieve(goal, core.ModeFS1FS2)
-	if err != nil {
-		return err
-	}
-	if fmt.Sprint(addrList(hrt)) != fmt.Sprint(addrList(mrt)) {
-		return fmt.Errorf("NATIVE: heap and mmap loads disagree on %v", goal)
-	}
-	fmt.Printf("\ncold start, %d-predicate store (%.1f MB): heap decode %.1f ms, mmap %.1f ms (mapped=%v, %.1fx)\n",
-		len(preds), float64(st.Size())/(1<<20), heapMs, mapMs, mapped, heapMs/mapMs)
-	record("NATIVE", "coldstart_heap_ms", heapMs, "ms")
-	record("NATIVE", "coldstart_mmap_ms", mapMs, "ms")
-	return nil
 }

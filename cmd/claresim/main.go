@@ -62,15 +62,11 @@ func main() {
 
 	var r *core.Retriever
 	if *store != "" {
-		f, err := os.Open(*store)
-		if err != nil {
-			fatal("%v", err)
-		}
-		r, err = core.LoadRetriever(cfg, f)
-		f.Close()
-		if err != nil {
+		var err error
+		if r, _, err = core.MapRetriever(cfg, *store); err != nil {
 			fatal("loading store: %v", err)
 		}
+		defer r.CloseStore()
 	} else {
 		clauses, err := plfile.ReadFile(*kbFile)
 		if err != nil {

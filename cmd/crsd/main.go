@@ -33,11 +33,9 @@
 // metric); the active engine is visible as the engine.native STATS key.
 // -scan-workers partitions each native FS1 columnar scan across that
 // many goroutines (results identical at any count; scan.workers in
-// STATS), and -mmap=true (the default) maps -kb read-only so predicates
-// decode zero-copy out of the page cache — cold start becomes page-in
-// instead of re-decode, with store.mapped=1 in STATS. Stores that
-// predate the mappable format, or platforms without mmap, silently fall
-// back to the heap load.
+// STATS). -kb is loaded from a read-only mapping of the file where the
+// platform has mmap (store.mapped=1 in STATS) and from the file read
+// into memory elsewhere; either way predicates view the image in place.
 //
 // -planner arms the adaptive cost-based mode planner: auto-mode
 // retrievals pick software/fs1/fs2/fs1+fs2 per query from learned
@@ -102,8 +100,7 @@ func main() {
 	boards := flag.Int("boards", 1, "FS2 board/drive units in the simulated chassis (concurrent retrievals)")
 	engine := flag.String("engine", "sim", "retrieval engine: sim (cycle-accurate) or native (vectorized)")
 	drain := flag.Duration("drain", 10*time.Second, "shutdown grace period for in-flight sessions")
-	traces := flag.Int("traces", telemetry.DefaultTraceRing, "retrieval traces kept for /trace")
-	traceBuf := flag.Int("trace-buf", 0, "trace ring capacity (overrides -traces when set)")
+	traceBuf := flag.Int("trace-buf", telemetry.DefaultTraceRing, "retrieval traces kept for /trace")
 	var faultSpecs multiFlag
 	flag.Var(&faultSpecs, "fault", "arm a fault-injection rule, site[@key]=P or site[@key]=1/N[,limit=L] (repeatable)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the fault-injection schedule")
@@ -111,7 +108,6 @@ func main() {
 	planner := flag.Bool("planner", false, "arm the adaptive cost-based mode planner for auto-mode retrievals")
 	plannerStats := flag.String("planner-stats", "", "planner statistics snapshot path (default: <kb>.plan next to -kb; no snapshot without -kb)")
 	latWindow := flag.Int("latency-window", 0, "per-predicate latency samples kept for quantiles (0 = default)")
-	useMmap := flag.Bool("mmap", true, "map -kb read-only and decode zero-copy (falls back to a heap load when the store or platform does not support it)")
 	scanWorkers := flag.Int("scan-workers", 0, "goroutines per native FS1 columnar scan (0 = GOMAXPROCS, negative = serial; results are identical at any count)")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory: enables the durable write path (WRITE/SYNC/REPL) and replays the log over the loaded store at startup")
 	walFsync := flag.String("wal-fsync", "always", "WAL fsync policy: always, never, or a flush interval like 50ms")
@@ -144,10 +140,7 @@ func main() {
 	}
 	cfg.Engine = eng
 	cfg.Metrics = telemetry.NewRegistry()
-	cfg.Tracer = telemetry.NewTracer(*traces)
-	if *traceBuf > 0 {
-		cfg.Tracer.Resize(*traceBuf)
-	}
+	cfg.Tracer = telemetry.NewTracer(*traceBuf)
 	if len(faultSpecs) > 0 {
 		inj := fault.New(*faultSeed)
 		for _, spec := range faultSpecs {
@@ -194,23 +187,10 @@ func main() {
 	if *kb != "" {
 		start := time.Now()
 		var mapped bool
-		if *useMmap {
-			r, mapped, err = core.MapRetriever(cfg, *kb)
-		} else {
-			var f *os.File
-			if f, err = os.Open(*kb); err == nil {
-				r, err = core.LoadRetriever(cfg, f)
-				f.Close()
-			}
-		}
-		if err != nil {
+		if r, mapped, err = core.MapRetriever(cfg, *kb); err != nil {
 			fatal("loading %s: %v", *kb, err)
 		}
-		store := "heap"
-		if mapped {
-			store = "mmap"
-		}
-		logg.Info("store loaded", "path", *kb, "backing", store, "cold_start", time.Since(start).Round(time.Microsecond))
+		logg.Info("store loaded", "path", *kb, "mapped", mapped, "cold_start", time.Since(start).Round(time.Microsecond))
 	} else {
 		r, err = core.New(cfg)
 		if err != nil {

@@ -67,8 +67,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "listen address")
 	admin := flag.String("admin", "", "admin HTTP address for /metrics, /trace and /debug/pprof (empty disables)")
 	drain := flag.Duration("drain", 10*time.Second, "shutdown grace period for in-flight sessions")
-	traces := flag.Int("traces", telemetry.DefaultTraceRing, "routed-retrieval traces kept for /trace")
-	traceBuf := flag.Int("trace-buf", 0, "trace ring capacity (overrides -traces when set)")
+	traceBuf := flag.Int("trace-buf", telemetry.DefaultTraceRing, "routed-retrieval traces kept for /trace")
 	wireTimeout := flag.Duration("wire-timeout", cluster.DefaultWireTimeout, "backend dial and wire operation bound")
 	callTimeout := flag.Duration("call-timeout", cluster.DefaultCallTimeout, "per-backend request budget before failover (negative disables)")
 	trip := flag.Int("trip", cluster.DefaultTripThreshold, "consecutive failures that trip a backend out of rotation")
@@ -107,7 +106,7 @@ func main() {
 		HedgeFloor:    *hedgeFloor,
 		LatencyWindow: *latWindow,
 		Metrics:       telemetry.NewRegistry(),
-		Tracer:        telemetry.NewTracer(*traces),
+		Tracer:        telemetry.NewTracer(*traceBuf),
 	}
 	for _, spec := range shardSpecs {
 		var replicas []string
@@ -117,9 +116,6 @@ func main() {
 			}
 		}
 		cfg.Shards = append(cfg.Shards, replicas)
-	}
-	if *traceBuf > 0 {
-		cfg.Tracer.Resize(*traceBuf)
 	}
 	if *flightN > 0 {
 		cfg.Flight = telemetry.NewFlightRecorder(*flightN)

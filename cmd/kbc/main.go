@@ -123,15 +123,11 @@ func writeShards(r *core.Retriever, n int, dir string) error {
 }
 
 func inspect(path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal("%v", err)
-	}
-	defer f.Close()
-	r, err := core.LoadRetriever(core.DefaultConfig(), f)
+	r, _, err := core.MapRetriever(core.DefaultConfig(), path)
 	if err != nil {
 		fatal("loading %s: %v", path, err)
 	}
+	defer r.CloseStore()
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "predicate\tclauses\trules\tmasked\tclause file\tindex")
 	for _, pi := range r.Predicates() {

@@ -102,33 +102,30 @@ func (b *Builder) Add(head, body term.Term) error {
 	if err != nil {
 		return fmt.Errorf("clausefile: encoding clause for %v: %w", head, err)
 	}
-	addr := uint32(b.file.size)
-	if err := b.file.index.Add(head, addr); err != nil {
-		return err
-	}
-	headBytes, err := headEnc.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	clauseBytes, err := clauseEnc.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	recSize := 8 + len(headBytes) + len(clauseBytes) // two length prefixes
+	recSize := recordSize(headEnc, clauseEnc)
 	if recSize > MaxRecordBytes {
 		return fmt.Errorf("clausefile: clause %v compiles to %d bytes, exceeding the %d-byte result-memory slot",
 			head, recSize, MaxRecordBytes)
 	}
-	sc := &StoredClause{
-		Addr:      addr,
-		Seq:       len(b.file.clauses),
-		Head:      headEnc,
-		Clause:    clauseEnc,
-		SizeBytes: recSize,
+	if err := b.file.index.Add(head, uint32(b.file.size)); err != nil {
+		return err
 	}
-	b.file.clauses = append(b.file.clauses, sc)
-	b.file.size += recSize
+	b.file.append(headEnc, clauseEnc, recSize)
 	return nil
+}
+
+// recordSize is a clause record as it sits on disk: two length prefixes
+// plus both PIF records.
+func recordSize(head, clause *pif.Encoded) int {
+	return recordFraming + head.RecordSize() + clause.RecordSize()
+}
+
+// append adds one record of recSize bytes at the end of the file.
+func (f *PredFile) append(head, clause *pif.Encoded, recSize int) {
+	f.clauses = append(f.clauses, &StoredClause{
+		Addr: uint32(f.size), Seq: len(f.clauses), Head: head, Clause: clause, SizeBytes: recSize,
+	})
+	f.size += recSize
 }
 
 // Build finalises the file.
@@ -193,6 +190,3 @@ func (f *PredFile) DecodeClause(sc *StoredClause) (head, body term.Term, err err
 	}
 	return c.Args[0], c.Args[1], nil
 }
-
-// fileMagic marks a serialised compiled clause file.
-const fileMagic = 0xDB0F11E5

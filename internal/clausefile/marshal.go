@@ -9,21 +9,43 @@ import (
 	"clare/internal/symtab"
 )
 
-// Serialised layout (big-endian):
+// Serialised layout. The header and per-record metadata are big-endian;
+// every record's Args/Heap words are hoisted into one shared little-endian
+// word section, 8-byte aligned relative to the blob start:
 //
-//	magic    uint32
-//	modLen   uint16, module bytes
-//	funLen   uint16, functor bytes
-//	arity    uint16
-//	count    uint32
-//	idxLen   uint32, secondary index blob (scw.Index)
+//	magic     uint32
+//	modLen    uint16, module bytes
+//	funLen    uint16, functor bytes
+//	arity     uint16
+//	count     uint32
+//	idxLen    uint32, secondary index blob (scw.Index)
+//	wordCount uint32
+//	pad       zero bytes to an 8-byte boundary (relative to blob start)
+//	words     wordCount x uint32 little-endian
 //	records: per clause
-//	    headLen   uint32, head PIF record
-//	    clauseLen uint32, clause PIF record
+//	    headLen   uint32, head PIF meta record
+//	    clauseLen uint32, clause PIF meta record
+//
+// Records consume the word section in order (head args, head heap,
+// clause args, clause heap, clause by clause), so no record stores word
+// offsets. Unmarshal hands each record views of the section wherever the
+// host can read it in place (see wordsView) and decoded copies elsewhere,
+// so a blob built anywhere loads everywhere with identical results.
 //
 // The symbol table is NOT serialised here: it is shared across the whole
 // knowledge base and persisted by the KB layer; addresses and PIF content
 // fields are stable only relative to that table.
+
+// fileMagic marks a serialised compiled clause file.
+const fileMagic = 0xDB0F11E6
+
+// wordAlign is the alignment of the word section relative to the blob
+// start. 8 exceeds the 4 bytes uint32 views need, leaving headroom for
+// future 64-bit words.
+const wordAlign = 8
+
+// recordFraming is the two uint32 length prefixes of a clause record.
+const recordFraming = 8
 
 // MarshalBinary serialises the compiled clause file and its secondary
 // index.
@@ -32,53 +54,53 @@ func (f *PredFile) MarshalBinary() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, 64+len(idx)+f.size)
-	var tmp [4]byte
-	put16 := func(v uint16) {
-		binary.BigEndian.PutUint16(tmp[:2], v)
-		buf = append(buf, tmp[:2]...)
-	}
-	put32 := func(v uint32) {
-		binary.BigEndian.PutUint32(tmp[:4], v)
-		buf = append(buf, tmp[:4]...)
-	}
-	put32(fileMagic)
 	if len(f.Module) > 0xFFFF || len(f.Functor) > 0xFFFF || f.Arity > 0xFFFF {
 		return nil, fmt.Errorf("clausefile: header fields too large")
 	}
-	put16(uint16(len(f.Module)))
-	buf = append(buf, f.Module...)
-	put16(uint16(len(f.Functor)))
-	buf = append(buf, f.Functor...)
-	put16(uint16(f.Arity))
-	put32(uint32(len(f.clauses)))
-	put32(uint32(len(idx)))
-	buf = append(buf, idx...)
+	wordCount := 0
 	for _, sc := range f.clauses {
-		hb, err := sc.Head.MarshalBinary()
-		if err != nil {
-			return nil, err
+		wordCount += len(sc.Head.Args) + len(sc.Head.Heap) + len(sc.Clause.Args) + len(sc.Clause.Heap)
+	}
+	be := binary.BigEndian
+	buf := make([]byte, 0, 64+len(idx)+f.size)
+	buf = be.AppendUint32(buf, fileMagic)
+	buf = be.AppendUint16(buf, uint16(len(f.Module)))
+	buf = append(buf, f.Module...)
+	buf = be.AppendUint16(buf, uint16(len(f.Functor)))
+	buf = append(buf, f.Functor...)
+	buf = be.AppendUint16(buf, uint16(f.Arity))
+	buf = be.AppendUint32(buf, uint32(len(f.clauses)))
+	buf = be.AppendUint32(buf, uint32(len(idx)))
+	buf = append(buf, idx...)
+	buf = be.AppendUint32(buf, uint32(wordCount))
+	for len(buf)%wordAlign != 0 {
+		buf = append(buf, 0)
+	}
+	for _, sc := range f.clauses {
+		for _, ws := range [][]pif.Word{sc.Head.Args, sc.Head.Heap, sc.Clause.Args, sc.Clause.Heap} {
+			for _, w := range ws {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(w))
+			}
 		}
-		cb, err := sc.Clause.MarshalBinary()
-		if err != nil {
-			return nil, err
+	}
+	for _, sc := range f.clauses {
+		for _, e := range []*pif.Encoded{sc.Head, sc.Clause} {
+			meta, err := e.MarshalBinaryMeta()
+			if err != nil {
+				return nil, err
+			}
+			buf = be.AppendUint32(buf, uint32(len(meta)))
+			buf = append(buf, meta...)
 		}
-		put32(uint32(len(hb)))
-		buf = append(buf, hb...)
-		put32(uint32(len(cb)))
-		buf = append(buf, cb...)
 	}
 	return buf, nil
 }
 
-// Unmarshal parses a serialised compiled clause file (either format)
-// against the shared symbol table, decoding through the heap. Use
-// UnmarshalMapped to decode a v2 blob zero-copy out of a mapping.
+// Unmarshal parses a serialised compiled clause file against the shared
+// symbol table. The records' words may be views into data, so data must
+// stay alive and unmodified for as long as the file is in use. Corrupt or
+// truncated input fails with an error, never a panic.
 func Unmarshal(data []byte, syms *symtab.Table) (*PredFile, error) {
-	if len(data) >= 4 && binary.BigEndian.Uint32(data) == fileMagic2 {
-		f, _, err := unmarshalV2(data, syms, false)
-		return f, err
-	}
 	r := &reader{data: data}
 	if m := r.u32(); m != fileMagic {
 		return nil, fmt.Errorf("clausefile: bad magic 0x%08x", m)
@@ -88,8 +110,7 @@ func Unmarshal(data []byte, syms *symtab.Table) (*PredFile, error) {
 	f.Functor = string(r.bytes(int(r.u16())))
 	f.Arity = int(r.u16())
 	count := int(r.u32())
-	idxLen := int(r.u32())
-	idxBlob := r.bytes(idxLen)
+	idxBlob := r.bytes(int(r.u32()))
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -98,10 +119,16 @@ func Unmarshal(data []byte, syms *symtab.Table) (*PredFile, error) {
 		return nil, err
 	}
 	f.index = idx
-	addr := uint32(0)
-	// One word arena for the whole predicate: every record's Args/Heap
-	// become views into the slab (len(data)/4 words bounds the total).
-	slab := pif.NewSlab(len(data) / 4)
+	wordCount := int(r.u32())
+	r.bytes((wordAlign - r.pos%wordAlign) % wordAlign)
+	if wordCount < 0 || int64(wordCount)*4 > int64(len(data)) {
+		return nil, fmt.Errorf("clausefile: word section of %d words exceeds blob", wordCount)
+	}
+	wb := r.bytes(wordCount * 4)
+	if r.err != nil {
+		return nil, r.err
+	}
+	wv := pif.NewWordView(wordsView(wb))
 	for i := 0; i < count; i++ {
 		hb := r.bytes(int(r.u32()))
 		cb := r.bytes(int(r.u32()))
@@ -109,65 +136,54 @@ func Unmarshal(data []byte, syms *symtab.Table) (*PredFile, error) {
 			return nil, r.err
 		}
 		var he, ce pif.Encoded
-		if err := he.UnmarshalBinaryInto(hb, slab); err != nil {
+		if err := he.UnmarshalBinaryMeta(hb, wv); err != nil {
 			return nil, fmt.Errorf("clausefile: record %d head: %w", i, err)
 		}
-		if err := ce.UnmarshalBinaryInto(cb, slab); err != nil {
+		if err := ce.UnmarshalBinaryMeta(cb, wv); err != nil {
 			return nil, fmt.Errorf("clausefile: record %d clause: %w", i, err)
 		}
-		recSize := 8 + len(hb) + len(cb)
-		f.clauses = append(f.clauses, &StoredClause{
-			Addr: addr, Seq: i, Head: &he, Clause: &ce, SizeBytes: recSize,
-		})
-		addr += uint32(recSize)
-		f.size += recSize
+		f.append(&he, &ce, recordSize(&he, &ce))
 	}
 	if r.pos != len(data) {
 		return nil, fmt.Errorf("clausefile: %d trailing bytes", len(data)-r.pos)
 	}
+	if left := wv.Remaining(); left != 0 {
+		return nil, fmt.Errorf("clausefile: %d unconsumed section words", left)
+	}
 	return f, nil
 }
 
+// reader is a bounds-checked cursor over a blob; the first out-of-range
+// read latches err and every later read returns zero.
 type reader struct {
 	data []byte
 	pos  int
 	err  error
 }
 
-func (r *reader) need(n int) bool {
-	if r.err != nil {
-		return false
-	}
-	if r.pos+n > len(r.data) {
-		r.err = fmt.Errorf("clausefile: truncated at byte %d", r.pos)
-		return false
-	}
-	return true
-}
-
-func (r *reader) u16() uint16 {
-	if !r.need(2) {
-		return 0
-	}
-	v := binary.BigEndian.Uint16(r.data[r.pos:])
-	r.pos += 2
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if !r.need(4) {
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.data[r.pos:])
-	r.pos += 4
-	return v
-}
-
 func (r *reader) bytes(n int) []byte {
-	if n < 0 || !r.need(n) {
+	if r.err != nil {
+		return nil
+	}
+	if n < 0 || n > len(r.data)-r.pos {
+		r.err = fmt.Errorf("clausefile: truncated at byte %d", r.pos)
 		return nil
 	}
 	v := r.data[r.pos : r.pos+n]
 	r.pos += n
 	return v
+}
+
+func (r *reader) u16() uint16 {
+	if b := r.bytes(2); b != nil {
+		return binary.BigEndian.Uint16(b)
+	}
+	return 0
+}
+
+func (r *reader) u32() uint32 {
+	if b := r.bytes(4); b != nil {
+		return binary.BigEndian.Uint32(b)
+	}
+	return 0
 }

@@ -109,113 +109,126 @@ func equalRecords(t *testing.T, label string, a, b *pif.Encoded) {
 	}
 }
 
-// TestV2RoundTripEquivalence: any predicate marshalled in the mappable
-// v2 layout decodes identically through every path — the heap decoder,
-// the zero-copy mapped decoder, and (for reference) the v1 format — with
-// per-clause SizeBytes invariant across formats, so disk accounting and
-// stats never depend on which store built them.
+// misaligned returns a copy of b at an odd address, where wordsView must
+// decode instead of viewing.
+func misaligned(b []byte) []byte {
+	shifted := make([]byte, len(b)+1)
+	copy(shifted[1:], b)
+	return shifted[1:]
+}
+
+// TestV2RoundTripEquivalence: a marshalled predicate decodes to a file
+// indistinguishable from the one that was built — whether its words are
+// views of the blob or decoded copies — with per-clause SizeBytes intact,
+// so disk accounting and stats never depend on how a store was loaded;
+// and marshalling the decoded file reproduces the blob.
 func TestV2RoundTripEquivalence(t *testing.T) {
 	orig, syms := buildMixed(t, 41)
-	v1, err := orig.MarshalBinary()
+	blob, err := orig.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := orig.MarshalBinaryV2()
+	viewed, err := Unmarshal(blob, syms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromV1, err := Unmarshal(v1, syms)
+	copied, err := Unmarshal(misaligned(blob), syms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap, err := Unmarshal(v2, syms)
+	equalFiles(t, "orig vs viewed", orig, viewed)
+	equalFiles(t, "viewed vs copied", viewed, copied)
+	again, err := viewed.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mappedF, mapped, err := UnmarshalMapped(v2, syms)
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(blob, again) {
+		t.Error("re-marshalling a decoded file changed the blob")
 	}
-	if hostLittleEndian && !mapped {
-		t.Error("aligned v2 blob on a little-endian host should decode zero-copy")
-	}
-	equalFiles(t, "orig vs v1", orig, fromV1)
-	equalFiles(t, "orig vs v2-heap", orig, heap)
-	equalFiles(t, "v2-heap vs v2-mapped", heap, mappedF)
 }
 
-// TestV2UnalignedFallsBackToHeap: a v2 blob sitting at an odd address
-// cannot be viewed zero-copy; the mapped decoder must fall back to the
-// heap with identical results rather than fault.
+// TestV2UnalignedFallsBackToHeap: a word section at an odd address
+// cannot be viewed in place; it must decode to a copy with identical
+// results rather than fault, while an aligned one on a little-endian
+// host is a view of the blob's own bytes.
 func TestV2UnalignedFallsBackToHeap(t *testing.T) {
 	orig, syms := buildMixed(t, 9)
-	v2, err := orig.MarshalBinaryV2()
+	blob, err := orig.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	shifted := make([]byte, len(v2)+1)
-	copy(shifted[1:], v2)
-	f, mapped, err := UnmarshalMapped(shifted[1:], syms)
+	shifted := misaligned(blob)
+	f, err := Unmarshal(shifted, syms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mapped {
-		t.Error("misaligned buffer claimed the zero-copy path")
+	clear(shifted)
+	equalFiles(t, "orig vs misaligned, buffer wiped", orig, f)
+
+	section := make([]byte, 16)
+	section[4] = 7
+	if w := wordsView(section[1:13]); len(w) != 3 || w[0] != 7<<24 {
+		t.Errorf("misaligned section decoded to %v", w)
 	}
-	equalFiles(t, "orig vs misaligned", orig, f)
+	w := wordsView(section[:12])
+	if len(w) != 3 || w[1] != 7 {
+		t.Fatalf("aligned section decoded to %v", w)
+	}
+	section[4] = 9
+	if hostLittleEndian != (w[1] == 9) {
+		t.Errorf("little-endian host %v, but aligned section is a view: %v", hostLittleEndian, w[1] == 9)
+	}
 }
 
-// TestV2CorruptionFailsClosed: every strict prefix of a v2 blob fails
-// with an error (never a panic, never a silently short file), through
-// both decode paths.
+// TestV2CorruptionFailsClosed: every strict prefix of a blob fails with
+// an error (never a panic, never a silently short file), viewed or
+// copied.
 func TestV2CorruptionFailsClosed(t *testing.T) {
 	orig, syms := buildMixed(t, 17)
-	v2, err := orig.MarshalBinaryV2()
+	blob, err := orig.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for n := 0; n < len(v2); n++ {
-		if _, err := Unmarshal(v2[:n], syms); err == nil {
-			t.Fatalf("heap decode of %d/%d-byte prefix succeeded", n, len(v2))
+	for n := 0; n < len(blob); n++ {
+		if _, err := Unmarshal(blob[:n], syms); err == nil {
+			t.Fatalf("decode of %d/%d-byte prefix succeeded", n, len(blob))
 		}
-		if _, _, err := UnmarshalMapped(v2[:n], syms); err == nil {
-			t.Fatalf("mapped decode of %d/%d-byte prefix succeeded", n, len(v2))
+		if _, err := Unmarshal(misaligned(blob[:n]), syms); err == nil {
+			t.Fatalf("misaligned decode of %d/%d-byte prefix succeeded", n, len(blob))
 		}
 	}
 	// Single-byte flips must never panic; erroring or decoding to some
 	// file are both acceptable (flipping a symbol-offset byte can still
 	// parse).
-	for n := 0; n < len(v2); n += 3 {
-		bad := append([]byte(nil), v2...)
+	for n := 0; n < len(blob); n += 3 {
+		bad := append([]byte(nil), blob...)
 		bad[n] ^= 0x5A
 		_, _ = Unmarshal(bad, syms)
-		_, _, _ = UnmarshalMapped(bad, syms)
+		_, _ = Unmarshal(misaligned(bad), syms)
 	}
 }
 
-// FuzzSlabMap drives both decode paths over arbitrary bytes: no input
-// may panic, and whenever both the heap and the mapped decoder accept an
-// input they must produce indistinguishable files.
+// FuzzSlabMap drives the decoder over arbitrary bytes at both
+// alignments: no input may panic, and the viewed and the copied decode
+// must accept the same inputs and produce indistinguishable files.
 func FuzzSlabMap(f *testing.F) {
 	orig, _ := buildMixed(f, 13)
-	if v2, err := orig.MarshalBinaryV2(); err == nil {
-		f.Add(v2)
+	if blob, err := orig.MarshalBinary(); err == nil {
+		f.Add(blob)
 	}
-	if v1, err := orig.MarshalBinary(); err == nil {
-		f.Add(v1)
-	}
+	f.Add([]byte{0xDB, 0x0F, 0x11, 0xE5, 0, 0, 0, 0}) // the retired v1 magic
 	f.Add([]byte{})
 	f.Add([]byte{0xDB, 0x0F, 0x11, 0xE6, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		syms := symtab.New()
-		heap, herr := Unmarshal(data, syms)
-		mappedF, _, merr := UnmarshalMapped(data, syms)
-		if (herr == nil) != (merr == nil) {
-			t.Fatalf("decode paths disagree: heap err = %v, mapped err = %v", herr, merr)
+		viewed, verr := Unmarshal(append([]byte(nil), data...), syms)
+		copied, cerr := Unmarshal(misaligned(data), syms)
+		if (verr == nil) != (cerr == nil) {
+			t.Fatalf("decodes disagree: aligned err = %v, misaligned err = %v", verr, cerr)
 		}
-		if herr != nil {
+		if verr != nil {
 			return
 		}
-		equalFiles(t, "heap vs mapped", heap, mappedF)
+		equalFiles(t, "viewed vs copied", viewed, copied)
 	})
 }

@@ -22,6 +22,7 @@ import (
 	"clare/internal/disk"
 	"clare/internal/fault"
 	"clare/internal/fs2"
+	"clare/internal/mmapfile"
 	"clare/internal/pif"
 	"clare/internal/plan"
 	"clare/internal/ptu"
@@ -257,10 +258,9 @@ type Retriever struct {
 	scanPool    *scw.ScanPool
 	scanWorkers atomic.Int32
 
-	// storeMap pins the mmap'd store backing zero-copy predicates (nil
-	// for heap-loaded retrievers). See MapRetriever.
-	storeMap    storeMapping
-	storeMapped bool
+	// store pins the image MapRetriever loaded the predicates from (nil
+	// otherwise): they keep views into its bytes.
+	store *mmapfile.Mapping
 
 	predsMu sync.RWMutex
 	preds   map[Indicator]*Predicate

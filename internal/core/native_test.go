@@ -53,18 +53,10 @@ func genWorkload(t testing.TB, seed int64, functor string, arity, n int) (clause
 		if err != nil {
 			continue
 		}
-		hb, err := he.MarshalBinary()
-		if err != nil {
-			continue
-		}
 		// Size the full stored record the way the builder does: head
 		// record + ':-'(head, true) clause record + framing.
 		ce, err := penc.Encode(term.New(":-", head, term.Atom("true")), pif.DBSide)
-		if err != nil {
-			continue
-		}
-		cb, err := ce.MarshalBinary()
-		if err != nil || 8+len(hb)+len(cb) > clausefile.MaxRecordBytes {
+		if err != nil || 8+he.RecordSize()+ce.RecordSize() > clausefile.MaxRecordBytes {
 			continue
 		}
 		clauses = append(clauses, ClauseTerm{Head: head})

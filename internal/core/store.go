@@ -1,59 +1,57 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
+	"slices"
 
 	"clare/internal/clausefile"
 	"clare/internal/mmapfile"
 	"clare/internal/symtab"
-	"clare/internal/term"
 )
 
-// Knowledge-base store formats (big-endian framing).
-//
-// v1 (kbMagic, read support only):
-//
-//	magic    uint32 0xC1A7E0DB
-//	symLen   uint32, symbol table blob
-//	count    uint32 predicate files
-//	per file: len uint32, clausefile v1 blob
-//
-// v2 (kbMagic2, what SaveKB writes) — the mappable layout:
+// Knowledge-base store format (big-endian framing) — one compiled clause
+// file plus its secondary file per predicate, behind one shared symbol
+// table:
 //
 //	magic    uint32 0xC1A7E1DB
 //	symLen   uint32, symbol table blob
 //	count    uint32 predicate files
 //	per file:
-//	    len       uint32  clausefile v2 blob length
+//	    len       uint32  clausefile blob length
 //	    ruleCount uint32  clauses with a non-true body
 //	    padLen    uint32  zero bytes following, aligning the blob
 //	    pad       [padLen]byte
-//	    blob      clausefile v2
+//	    blob      clausefile
 //
-// Each v2 predicate blob starts 8-aligned in the file, and the blob's
-// own word section is 8-aligned relative to the blob, so under a (page-
-// aligned) read-only mapping every word section is aligned in memory and
-// decodes zero-copy. ruleCount is precomputed at save time so loading
-// does not decode every clause body just to count rules — with mmap that
-// leaves page-in as the only cold-start cost.
+// Each predicate blob starts 8-aligned in the file, and the blob's own
+// word section is 8-aligned relative to the blob, so in any 8-aligned
+// image of the file — a page-aligned mapping, or the file read into one
+// buffer — every word section is aligned in memory and the records view
+// it in place instead of decoding it. ruleCount is computed at save time
+// so loading never decodes a clause body.
 //
 // The symbol table is saved once and shared by every predicate file, so
 // PIF content fields (symbol offsets) remain valid across the round trip.
+//
+// parseStore is the only reader of this layout; LoadRetriever and
+// MapRetriever differ only in where the image's bytes come from.
 
 const (
-	kbMagic  = 0xC1A7E0DB
-	kbMagic2 = 0xC1A7E1DB
+	kbMagic = 0xC1A7E1DB
+	// kbMagicV1 marked the retired per-record store format. It is
+	// recognised only to tell its owner what to do.
+	kbMagicV1 = 0xC1A7E0DB
 
-	// kbBlobAlign aligns each predicate blob in the file so a mapping
-	// preserves the blob-internal word alignment.
+	// kbBlobAlign aligns each predicate blob in the file so an aligned
+	// image preserves the blob-internal word alignment.
 	kbBlobAlign = 8
 )
 
-// SaveKB serialises the retriever's predicates and shared symbol table
-// in the mappable v2 format.
+// SaveKB serialises the retriever's predicates and shared symbol table.
 func (r *Retriever) SaveKB(w io.Writer) error {
 	return r.SaveKBPartition(w, nil)
 }
@@ -61,9 +59,9 @@ func (r *Retriever) SaveKB(w io.Writer) error {
 // SaveKBPartition serialises the predicates selected by keep (nil keeps
 // all) with the full shared symbol table. This is the cluster build
 // path: kbc -shards writes one partition per shard group, selected by
-// the shard function, and every partition stays loadable by plain
-// LoadRetriever (and mappable by MapRetriever) because the symbol table
-// is written whole, so PIF content fields remain valid in every slice.
+// the shard function, and every partition is an ordinary store because
+// the symbol table is written whole, so PIF content fields remain valid
+// in every slice.
 func (r *Retriever) SaveKBPartition(w io.Writer, keep func(Indicator) bool) error {
 	r.predsMu.RLock()
 	defer r.predsMu.RUnlock()
@@ -71,59 +69,39 @@ func (r *Retriever) SaveKBPartition(w io.Writer, keep func(Indicator) bool) erro
 	if err != nil {
 		return err
 	}
-	off := 0
-	var hdr [4]byte
-	emit := func(b []byte) error {
-		n, err := w.Write(b)
-		off += n
-		return err
-	}
-	put := func(v uint32) error {
-		binary.BigEndian.PutUint32(hdr[:], v)
-		return emit(hdr[:])
-	}
-	if err := put(kbMagic2); err != nil {
-		return err
-	}
-	if err := put(uint32(len(symBlob))); err != nil {
-		return err
-	}
-	if err := emit(symBlob); err != nil {
-		return err
-	}
 	// Deterministic order for reproducible files.
-	kept := make([]Indicator, 0, len(r.preds))
-	for _, pi := range sortedIndicators(r.preds) {
-		if keep == nil || keep(pi) {
-			kept = append(kept, pi)
-		}
+	kept := sortedIndicators(r.preds)
+	if keep != nil {
+		kept = slices.DeleteFunc(kept, func(pi Indicator) bool { return !keep(pi) })
 	}
-	if err := put(uint32(len(kept))); err != nil {
-		return err
-	}
-	var pad [kbBlobAlign]byte
-	for _, pi := range kept {
-		pred := r.preds[pi]
-		blob, err := pred.File.MarshalBinaryV2()
-		if err != nil {
-			return err
-		}
-		if err := put(uint32(len(blob))); err != nil {
-			return err
-		}
-		if err := put(uint32(pred.RuleCount)); err != nil {
-			return err
-		}
-		padLen := (kbBlobAlign - (off+4)%kbBlobAlign) % kbBlobAlign
-		if err := put(uint32(padLen)); err != nil {
-			return err
-		}
-		if padLen > 0 {
-			if err := emit(pad[:padLen]); err != nil {
+	be := binary.BigEndian
+	off := 0
+	emit := func(chunks ...[]byte) error {
+		for _, b := range chunks {
+			n, err := w.Write(b)
+			off += n
+			if err != nil {
 				return err
 			}
 		}
-		if err := emit(blob); err != nil {
+		return nil
+	}
+	hdr := be.AppendUint32(be.AppendUint32(nil, kbMagic), uint32(len(symBlob)))
+	if err := emit(hdr, symBlob, be.AppendUint32(nil, uint32(len(kept)))); err != nil {
+		return err
+	}
+	for _, pi := range kept {
+		pred := r.preds[pi]
+		blob, err := pred.File.MarshalBinary()
+		if err != nil {
+			return err
+		}
+		padLen := (kbBlobAlign - (off+12)%kbBlobAlign) % kbBlobAlign
+		hdr = be.AppendUint32(hdr[:0], uint32(len(blob)))
+		hdr = be.AppendUint32(hdr, uint32(pred.RuleCount))
+		hdr = be.AppendUint32(hdr, uint32(padLen))
+		hdr = append(hdr, make([]byte, padLen)...)
+		if err := emit(hdr, blob); err != nil {
 			return err
 		}
 	}
@@ -135,90 +113,76 @@ func sortedIndicators(m map[Indicator]*Predicate) []Indicator {
 	for pi := range m {
 		out = append(out, pi)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && less(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortFunc(out, func(a, b Indicator) int {
+		return cmp.Or(cmp.Compare(a.Functor, b.Functor), cmp.Compare(a.Arity, b.Arity))
+	})
 	return out
 }
 
-func less(a, b Indicator) bool {
-	if a.Functor != b.Functor {
-		return a.Functor < b.Functor
-	}
-	return a.Arity < b.Arity
-}
-
-// saveKBv1 writes the legacy v1 store format — kept for the
-// compatibility tests that prove old stores still load.
-func (r *Retriever) saveKBv1(w io.Writer) error {
-	r.predsMu.RLock()
-	defer r.predsMu.RUnlock()
-	symBlob, err := r.syms.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	var hdr [4]byte
-	put := func(v uint32) error {
-		binary.BigEndian.PutUint32(hdr[:], v)
-		_, err := w.Write(hdr[:])
-		return err
-	}
-	if err := put(kbMagic); err != nil {
-		return err
-	}
-	if err := put(uint32(len(symBlob))); err != nil {
-		return err
-	}
-	if _, err := w.Write(symBlob); err != nil {
-		return err
-	}
-	kept := sortedIndicators(r.preds)
-	if err := put(uint32(len(kept))); err != nil {
-		return err
-	}
-	for _, pi := range kept {
-		blob, err := r.preds[pi].File.MarshalBinary()
-		if err != nil {
-			return err
-		}
-		if err := put(uint32(len(blob))); err != nil {
-			return err
-		}
-		if _, err := w.Write(blob); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadRetriever reads a saved knowledge base (either format) into a
-// fresh retriever, decoding through the heap. The store's symbol table
-// becomes the retriever's, so subsequent queries intern consistently
-// with the stored PIF encodings.
+// LoadRetriever reads a saved knowledge base into a fresh retriever. The
+// store's symbol table becomes the retriever's, so subsequent queries
+// intern consistently with the stored PIF encodings.
 func LoadRetriever(cfg Config, rd io.Reader) (*Retriever, error) {
-	var hdr [4]byte
-	get := func() (uint32, error) {
-		if _, err := io.ReadFull(rd, hdr[:]); err != nil {
-			return 0, err
-		}
-		return binary.BigEndian.Uint32(hdr[:]), nil
+	// Not io.ReadAll: its 1.25x growth copies a multi-megabyte store
+	// five times over where the buffer's doubling copies it twice.
+	var image bytes.Buffer
+	if _, err := image.ReadFrom(rd); err != nil {
+		return nil, err
 	}
-	magic, err := get()
+	return parseStore(cfg, image.Bytes())
+}
+
+// MapRetriever loads the knowledge base saved at path from a read-only
+// mapping of the file where the platform has one, and from the file read
+// into memory where it does not; it reports which (as StoreMapped does
+// afterwards). The bytes stay pinned for the retriever's lifetime;
+// mutations after load (AddClauses, WAL replay) rebuild whole predicates
+// on the heap and never touch the image.
+func MapRetriever(cfg Config, path string) (*Retriever, bool, error) {
+	m, err := mmapfile.Map(path)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	if magic != kbMagic && magic != kbMagic2 {
-		return nil, fmt.Errorf("core: bad knowledge-base magic 0x%08x", magic)
-	}
-	symLen, err := get()
+	r, err := parseStore(cfg, m.Data())
 	if err != nil {
-		return nil, err
+		m.Close()
+		return nil, false, err
 	}
-	symBlob := make([]byte, symLen)
-	if _, err := io.ReadFull(rd, symBlob); err != nil {
-		return nil, err
+	r.store = m
+	return r, m.Mapped(), nil
+}
+
+// StoreMapped reports whether the retriever's base image is a read-only
+// file mapping (MapRetriever on a platform with mmap).
+func (r *Retriever) StoreMapped() bool { return r.store.Mapped() }
+
+// CloseStore releases the store image MapRetriever pinned, if any. Only
+// call it when the retriever is no longer in use: loaded predicates
+// reference the image directly.
+func (r *Retriever) CloseStore() error {
+	m := r.store
+	r.store = nil
+	return m.Close()
+}
+
+// parseStore walks a store image into a fresh retriever. Predicates keep
+// views into data, which must outlive the retriever unmodified. Every
+// length in the image is checked against the bytes actually present
+// before anything is sized by it, and the image must end where the last
+// predicate does.
+func parseStore(cfg Config, data []byte) (*Retriever, error) {
+	rd := &byteReader{data: data}
+	switch m := rd.u32(); {
+	case rd.err != nil:
+		return nil, rd.err
+	case m == kbMagicV1:
+		return nil, fmt.Errorf("core: v1 store: rebuild with kbc")
+	case m != kbMagic:
+		return nil, fmt.Errorf("core: bad knowledge-base magic 0x%08x", m)
+	}
+	symBlob := rd.bytes(int(rd.u32()))
+	if rd.err != nil {
+		return nil, rd.err
 	}
 	syms, err := symtab.UnmarshalTable(symBlob)
 	if err != nil {
@@ -228,201 +192,43 @@ func LoadRetriever(cfg Config, rd io.Reader) (*Retriever, error) {
 	if err != nil {
 		return nil, err
 	}
-	count, err := get()
-	if err != nil {
-		return nil, err
-	}
-	var discard [kbBlobAlign]byte
-	for i := uint32(0); i < count; i++ {
-		blobLen, err := get()
-		if err != nil {
-			return nil, err
+	count := int(rd.u32())
+	for i := 0; i < count; i++ {
+		blobLen := int(rd.u32())
+		ruleCount := int(rd.u32())
+		padLen := int(rd.u32())
+		if rd.err == nil && padLen >= kbBlobAlign {
+			return nil, fmt.Errorf("core: predicate file %d: bad pad length %d", i, padLen)
 		}
-		ruleCount := -1
-		if magic == kbMagic2 {
-			rc, err := get()
-			if err != nil {
-				return nil, err
-			}
-			padLen, err := get()
-			if err != nil {
-				return nil, err
-			}
-			if padLen >= kbBlobAlign {
-				return nil, fmt.Errorf("core: predicate file %d: bad pad length %d", i, padLen)
-			}
-			if _, err := io.ReadFull(rd, discard[:padLen]); err != nil {
-				return nil, err
-			}
-			ruleCount = int(rc)
-		}
-		blob := make([]byte, blobLen)
-		if _, err := io.ReadFull(rd, blob); err != nil {
-			return nil, err
+		rd.bytes(padLen)
+		blob := rd.bytes(blobLen)
+		if rd.err != nil {
+			return nil, rd.err
 		}
 		f, err := clausefile.Unmarshal(blob, syms)
 		if err != nil {
 			return nil, fmt.Errorf("core: predicate file %d: %w", i, err)
 		}
-		pred, err := adoptLoadedFile(f, ruleCount)
-		if err != nil {
-			return nil, err
+		if ruleCount < 0 || ruleCount > f.Len() {
+			return nil, fmt.Errorf("core: predicate %s/%d: rule count %d exceeds %d clauses",
+				f.Functor, f.Arity, ruleCount, f.Len())
 		}
-		r.predsMu.Lock()
+		pred := &Predicate{File: f, RuleCount: ruleCount}
+		for _, ent := range f.Index().Entries() {
+			if ent.Mask != 0 {
+				pred.MaskedClauses++
+			}
+		}
 		r.preds[Indicator{Functor: f.Functor, Arity: f.Arity}] = pred
-		r.predsMu.Unlock()
+	}
+	if rd.pos != len(data) {
+		return nil, fmt.Errorf("core: %d trailing bytes in knowledge base", len(data)-rd.pos)
 	}
 	return r, nil
 }
 
-// adoptLoadedFile wraps a decoded clause file in a Predicate. ruleCount
-// < 0 (the v1 store, which does not record it) counts rules by decoding
-// every clause body — the cost the v2 header field exists to avoid.
-func adoptLoadedFile(f *clausefile.PredFile, ruleCount int) (*Predicate, error) {
-	pred := &Predicate{File: f}
-	for _, ent := range f.Index().Entries() {
-		if ent.Mask != 0 {
-			pred.MaskedClauses++
-		}
-	}
-	if ruleCount >= 0 {
-		if ruleCount > f.Len() {
-			return nil, fmt.Errorf("core: predicate %s/%d: rule count %d exceeds %d clauses",
-				f.Functor, f.Arity, ruleCount, f.Len())
-		}
-		pred.RuleCount = ruleCount
-		return pred, nil
-	}
-	for _, sc := range f.All() {
-		_, body, err := f.DecodeClause(sc)
-		if err != nil {
-			return nil, err
-		}
-		if !term.Equal(body, term.Atom("true")) {
-			pred.RuleCount++
-		}
-	}
-	return pred, nil
-}
-
-// storeMapping is the mapped store handle the retriever pins (decoupled
-// from the mmapfile type so core tests can substitute one).
-type storeMapping interface{ Close() error }
-
-// StoreMapped reports whether the retriever's predicates decode out of a
-// read-only file mapping (the MapRetriever zero-copy path).
-func (r *Retriever) StoreMapped() bool { return r.storeMapped }
-
-// CloseStore releases the store mapping, if any. Only call it when the
-// retriever is no longer in use: mapped predicates reference the mapping
-// directly. Heap-backed retrievers are a no-op.
-func (r *Retriever) CloseStore() error {
-	if r.storeMap == nil {
-		return nil
-	}
-	m := r.storeMap
-	r.storeMap = nil
-	r.storeMapped = false
-	return m.Close()
-}
-
-// MapRetriever loads a saved knowledge base by mapping it read-only and
-// decoding predicate word slabs zero-copy out of the mapping (v2 stores
-// on platforms with mmap). It reports whether the mapping path was
-// taken: when mmap is unavailable, or the store is the v1 format, it
-// falls back to the heap path of LoadRetriever — same results, higher
-// cold-start cost. The mapping stays pinned for the retriever's
-// lifetime; mutations after load (AddClauses, WAL replay) rebuild whole
-// predicates on the heap and never touch the mapped image.
-func MapRetriever(cfg Config, path string) (*Retriever, bool, error) {
-	heapLoad := func() (*Retriever, bool, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, false, err
-		}
-		defer f.Close()
-		r, err := LoadRetriever(cfg, f)
-		return r, false, err
-	}
-	m, err := mmapfile.Map(path)
-	if err != nil {
-		return heapLoad()
-	}
-	data := m.Data()
-	if len(data) < 4 || binary.BigEndian.Uint32(data) != kbMagic2 {
-		m.Close()
-		return heapLoad()
-	}
-	r, mapped, err := loadMappedKB(cfg, data)
-	if err != nil {
-		m.Close()
-		return nil, false, err
-	}
-	if !mapped {
-		// Every predicate fell back to the heap (e.g. big-endian host):
-		// nothing references the mapping.
-		m.Close()
-		return r, false, nil
-	}
-	r.storeMap = m
-	r.storeMapped = true
-	return r, true, nil
-}
-
-// loadMappedKB decodes a v2 store out of a mapped byte image. It reports
-// whether any predicate's words are zero-copy views into data — if so
-// the caller must keep the mapping alive for the retriever's lifetime.
-func loadMappedKB(cfg Config, data []byte) (*Retriever, bool, error) {
-	r := &byteReader{data: data}
-	if m := r.u32(); m != kbMagic2 {
-		return nil, false, fmt.Errorf("core: bad knowledge-base magic 0x%08x", m)
-	}
-	symBlob := r.bytes(int(r.u32()))
-	if r.err != nil {
-		return nil, false, r.err
-	}
-	syms, err := symtab.UnmarshalTable(symBlob)
-	if err != nil {
-		return nil, false, err
-	}
-	rtr, err := NewWithSymbols(cfg, syms)
-	if err != nil {
-		return nil, false, err
-	}
-	count := int(r.u32())
-	anyMapped := false
-	for i := 0; i < count; i++ {
-		blobLen := int(r.u32())
-		ruleCount := int(r.u32())
-		padLen := int(r.u32())
-		if r.err == nil && padLen >= kbBlobAlign {
-			return nil, false, fmt.Errorf("core: predicate file %d: bad pad length %d", i, padLen)
-		}
-		r.bytes(padLen)
-		blob := r.bytes(blobLen)
-		if r.err != nil {
-			return nil, false, r.err
-		}
-		f, mapped, err := clausefile.UnmarshalMapped(blob, syms)
-		if err != nil {
-			return nil, false, fmt.Errorf("core: predicate file %d: %w", i, err)
-		}
-		anyMapped = anyMapped || mapped
-		pred, err := adoptLoadedFile(f, ruleCount)
-		if err != nil {
-			return nil, false, err
-		}
-		rtr.predsMu.Lock()
-		rtr.preds[Indicator{Functor: f.Functor, Arity: f.Arity}] = pred
-		rtr.predsMu.Unlock()
-	}
-	if r.pos != len(data) {
-		return nil, false, fmt.Errorf("core: %d trailing bytes in knowledge base", len(data)-r.pos)
-	}
-	return rtr, anyMapped, nil
-}
-
-// byteReader is a bounds-checked cursor over a mapped store image.
+// byteReader is a bounds-checked cursor over a store image; the first
+// out-of-range read latches err and every later read returns zero.
 type byteReader struct {
 	data []byte
 	pos  int
@@ -430,23 +236,17 @@ type byteReader struct {
 }
 
 func (r *byteReader) u32() uint32 {
-	if r.err != nil {
-		return 0
+	if b := r.bytes(4); b != nil {
+		return binary.BigEndian.Uint32(b)
 	}
-	if r.pos+4 > len(r.data) {
-		r.err = fmt.Errorf("core: truncated knowledge base at byte %d", r.pos)
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.data[r.pos:])
-	r.pos += 4
-	return v
+	return 0
 }
 
 func (r *byteReader) bytes(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if n < 0 || r.pos+n > len(r.data) {
+	if n < 0 || n > len(r.data)-r.pos {
 		r.err = fmt.Errorf("core: truncated knowledge base at byte %d", r.pos)
 		return nil
 	}

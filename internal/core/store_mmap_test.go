@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"clare/internal/parse"
@@ -81,9 +84,9 @@ func storeGoals() []string {
 }
 
 // TestStoreHeapMmapEquivalence: a kbc-built store answers identically
-// whether it was decoded through the heap or out of a read-only mapping
-// — candidates, funnel statistics, disk-size accounting, and per-
-// predicate rule/mask counts all match the retriever that built it.
+// whether its bytes came from a reader or from a read-only mapping of
+// the file — candidates, funnel statistics, disk-size accounting, and
+// per-predicate rule/mask counts all match the retriever that built it.
 func TestStoreHeapMmapEquivalence(t *testing.T) {
 	orig, path := storeFixture(t)
 	hf, err := os.Open(path)
@@ -101,10 +104,10 @@ func TestStoreHeapMmapEquivalence(t *testing.T) {
 	}
 	defer mm.CloseStore()
 	if runtime.GOOS == "linux" && !mapped {
-		t.Fatal("v2 store on linux should take the mmap path")
+		t.Fatal("a store file on linux should be mapped")
 	}
 	if heap.StoreMapped() {
-		t.Error("heap-loaded retriever claims a mapped store")
+		t.Error("retriever loaded from a reader claims a mapped store")
 	}
 	if mm.StoreMapped() != mapped {
 		t.Errorf("StoreMapped() = %v, MapRetriever said %v", mm.StoreMapped(), mapped)
@@ -177,87 +180,195 @@ func TestStoreMmapWritesOverlayHeap(t *testing.T) {
 	}
 }
 
-// TestStoreV1Compat: a legacy v1 store still loads (heap path, rules
-// recounted by decoding) and answers identically to a v2 load of the
-// same retriever; MapRetriever falls back to the heap for it.
+// TestStoreV1Compat: the retired v1 format is recognised by its magic
+// and refused with the instruction to rebuild — through both entry
+// points, for a store the parent's writer produced and for a bare header
+// — and never decoded.
 func TestStoreV1Compat(t *testing.T) {
-	orig, _ := storeFixture(t)
-	var v1 bytes.Buffer
-	if err := orig.saveKBv1(&v1); err != nil {
-		t.Fatal(err)
-	}
-	old, err := LoadRetriever(DefaultConfig(), bytes.NewReader(v1.Bytes()))
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy_v1.clare"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, goalSrc := range storeGoals() {
-		for _, mode := range modes() {
-			diffRetrievers(t, "orig/v1", orig, old, goalSrc, mode)
+	dir := t.TempDir()
+	for name, image := range map[string][]byte{"legacy": legacy, "header": legacy[:4]} {
+		path := filepath.Join(dir, name+".clare")
+		if err := os.WriteFile(path, image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, lerr := LoadRetriever(DefaultConfig(), bytes.NewReader(image))
+		_, mapped, merr := MapRetriever(DefaultConfig(), path)
+		for entry, err := range map[string]error{"LoadRetriever": lerr, "MapRetriever": merr} {
+			if err == nil || !strings.Contains(err.Error(), "v1 store: rebuild with kbc") {
+				t.Errorf("%s of v1 %s: err = %v, want the rebuild instruction", entry, name, err)
+			}
+		}
+		if mapped {
+			t.Errorf("a refused v1 %s reports a mapped store", name)
 		}
 	}
-	p1, err := orig.Predicate(parse.MustTerm("fly(x)"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := old.Predicate(parse.MustTerm("fly(x)"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1.RuleCount != p2.RuleCount || p1.MaskedClauses != p2.MaskedClauses {
-		t.Errorf("v1 reload: rules %d vs %d, masked %d vs %d",
-			p1.RuleCount, p2.RuleCount, p1.MaskedClauses, p2.MaskedClauses)
-	}
-	v1Path := filepath.Join(t.TempDir(), "v1.clare")
-	if err := os.WriteFile(v1Path, v1.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fb, mapped, err := MapRetriever(DefaultConfig(), v1Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mapped || fb.StoreMapped() {
-		t.Error("v1 store must fall back to the heap path")
-	}
-	diffRetrievers(t, "v1/fallback", old, fb, "fly(Z)", ModeSoftware)
 }
 
-// TestStoreCorruptionFailsClosed: truncated or bit-flipped store images
-// fail with an error through both load paths — never a panic, never a
-// silently short knowledge base.
+// loadBoth loads a store image through both entry points and returns
+// their errors, closing whatever loaded.
+func loadBoth(t *testing.T, image []byte) (loadErr, mapErr error) {
+	t.Helper()
+	_, loadErr = LoadRetriever(DefaultConfig(), bytes.NewReader(image))
+	path := filepath.Join(t.TempDir(), "image.clare")
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, _, mapErr := MapRetriever(DefaultConfig(), path)
+	if mapErr == nil {
+		r.CloseStore()
+	}
+	return loadErr, mapErr
+}
+
+// lengthFields returns the offset of every length field on the way to
+// the first predicate's records: the store header's, the first
+// predicate header's, and the clause-file blob's own.
+func lengthFields(t *testing.T, data []byte) map[string]int {
+	t.Helper()
+	be := binary.BigEndian
+	fields := map[string]int{"symLen": 4}
+	pos := 8 + int(be.Uint32(data[4:]))
+	fields["count"] = pos
+	fields["blobLen"], fields["ruleCount"], fields["padLen"] = pos+4, pos+8, pos+12
+	pos += 16 + int(be.Uint32(data[pos+12:]))
+	pos += 4 // blob magic
+	pos += 2 + int(be.Uint16(data[pos:]))
+	pos += 2 + int(be.Uint16(data[pos:]))
+	pos += 2 // arity
+	fields["blob.count"], fields["blob.idxLen"] = pos, pos+4
+	pos += 8 + int(be.Uint32(data[pos+4:]))
+	fields["blob.wordCount"] = pos
+	return fields
+}
+
+// TestStoreCorruptionFailsClosed: truncated, over-long, bit-flipped and
+// hostile store images fail with an error through both entry points —
+// never a panic, never a silently short knowledge base, and never an
+// allocation sized by a length the image cannot back.
 func TestStoreCorruptionFailsClosed(t *testing.T) {
 	_, path := storeFixture(t)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
+	if lerr, merr := loadBoth(t, data); lerr != nil || merr != nil {
+		t.Fatalf("intact store: LoadRetriever %v, MapRetriever %v", lerr, merr)
+	}
 	for frac := 1; frac < 8; frac++ {
 		n := len(data) * frac / 8
-		if _, err := LoadRetriever(DefaultConfig(), bytes.NewReader(data[:n])); err == nil {
-			t.Errorf("heap load of %d/%d-byte prefix succeeded", n, len(data))
+		if lerr, merr := loadBoth(t, data[:n]); lerr == nil || merr == nil {
+			t.Errorf("%d/%d-byte prefix: LoadRetriever %v, MapRetriever %v", n, len(data), lerr, merr)
 		}
-		tpath := filepath.Join(dir, fmt.Sprintf("trunc%d.clare", frac))
-		if err := os.WriteFile(tpath, data[:n], 0o644); err != nil {
-			t.Fatal(err)
+	}
+	long := append(append([]byte(nil), data...), "garbage!"...)
+	if lerr, merr := loadBoth(t, long); lerr == nil || merr == nil {
+		t.Errorf("appended garbage: LoadRetriever %v, MapRetriever %v", lerr, merr)
+	}
+	// A length field claiming 4 GiB must cost an error, not 4 GiB: what
+	// a load allocates stays within a small multiple of the file plus
+	// the fixed cost of an empty retriever.
+	budget := uint64(8*len(data) + 256<<10)
+	for name, off := range lengthFields(t, data) {
+		bad := append([]byte(nil), data...)
+		binary.BigEndian.PutUint32(bad[off:], 0xFFFFFFFF)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		lerr, merr := loadBoth(t, bad)
+		runtime.ReadMemStats(&after)
+		if lerr == nil || merr == nil {
+			t.Errorf("%s = 0xFFFFFFFF: LoadRetriever %v, MapRetriever %v", name, lerr, merr)
 		}
-		if r, _, err := MapRetriever(DefaultConfig(), tpath); err == nil {
-			r.CloseStore()
-			t.Errorf("mapped load of %d/%d-byte prefix succeeded", n, len(data))
+		if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+			t.Errorf("%s = 0xFFFFFFFF: loads allocated %d bytes for a %d-byte file (budget %d)",
+				name, got, len(data), budget)
 		}
 	}
 	// Bit flips must never panic; loading or erroring are both legal.
 	for off := 0; off < len(data); off += 97 {
 		bad := append([]byte(nil), data...)
 		bad[off] ^= 0x40
-		if r, err := LoadRetriever(DefaultConfig(), bytes.NewReader(bad)); err == nil {
-			_ = r
-		}
-		bpath := filepath.Join(dir, "flip.clare")
-		if err := os.WriteFile(bpath, bad, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if r, _, err := MapRetriever(DefaultConfig(), bpath); err == nil {
-			r.CloseStore()
+		loadBoth(t, bad)
+	}
+}
+
+// TestStoreGoldenV2 pins the store format to a file the parent's writer
+// produced: today's SaveKB must reproduce it byte for byte, and both
+// entry points must load it into a retriever that answers exactly like
+// the one compiled from source — candidate addresses and record sizes,
+// every stage statistic, and the per-predicate accounting.
+func TestStoreGoldenV2(t *testing.T) {
+	path := filepath.Join("testdata", "golden_v2.clare")
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled := goldenRetriever(t)
+	var saved bytes.Buffer
+	if err := compiled.SaveKB(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saved.Bytes(), golden) {
+		t.Fatalf("SaveKB wrote %d bytes that differ from the %d-byte golden store: the format moved",
+			saved.Len(), len(golden))
+	}
+	loaded, err := LoadRetriever(DefaultConfig(), bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm, mapped, err := MapRetriever(DefaultConfig(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mm.CloseStore()
+	if runtime.GOOS == "linux" && !(mapped && mm.StoreMapped()) {
+		t.Error("MapRetriever of a store file on linux should report a mapped store")
+	}
+	want := goldenAnswers(t, compiled)
+	for name, r := range map[string]*Retriever{"LoadRetriever": loaded, "MapRetriever": mm} {
+		if got := goldenAnswers(t, r); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s answers differ from the compiled retriever:\n got %+v\nwant %+v", name, got, want)
 		}
 	}
+}
+
+// goldenAnswers runs a fixed goal list in all four modes and records
+// everything a store path could change.
+func goldenAnswers(t *testing.T, r *Retriever) []string {
+	t.Helper()
+	var out []string
+	for _, pi := range r.Predicates() {
+		p := r.preds[pi]
+		out = append(out, fmt.Sprintf("%v: clauses %d bytes %d index %d rules %d masked %d", pi,
+			p.File.Len(), p.File.SizeBytes(), p.File.IndexSizeBytes(), p.RuleCount, p.MaskedClauses))
+	}
+	for _, goalSrc := range []string{
+		"married_couple(husband3, X)",
+		"married_couple(S, S)",
+		"married_couple(nobody, X)",
+		"fly(tweety)",
+		"fly(plane(P))",
+		"fly(Z)",
+		"rel(a, f(B, c), L)",
+		"rel(X, g(X), X)",
+		"rel(k, 42, S)",
+		"rel(q, q, q)",
+	} {
+		for _, mode := range modes() {
+			rt, err := r.Retrieve(parse.MustTerm(goalSrc), mode)
+			if err != nil {
+				out = append(out, fmt.Sprintf("%s %v: error %v", goalSrc, mode, err))
+				continue
+			}
+			line := fmt.Sprintf("%s %v: %+v:", goalSrc, mode, rt.Stats)
+			for _, c := range rt.Candidates {
+				line += fmt.Sprintf(" %d+%d", c.Addr, c.SizeBytes)
+			}
+			out = append(out, line)
+		}
+	}
+	return out
 }

@@ -183,3 +183,38 @@ func TestSaveKBDeterministic(t *testing.T) {
 		t.Error("SaveKB output not deterministic")
 	}
 }
+
+// goldenRetriever compiles the fixed knowledge base behind
+// testdata/golden_v2.clare: facts, rules, masked (variable-bearing)
+// heads and structured arguments over three predicates.
+func goldenRetriever(t *testing.T) *Retriever {
+	t.Helper()
+	r := familyRetriever(t, 12, 5)
+	modules := map[string][]string{
+		"flying": {
+			"fly(tweety)",
+			"fly(X) :- bird(X)",
+			"fly(plane(N)) :- fuelled(N), crewed(N)",
+		},
+		"relations": {
+			"rel(a, f(b, c), [1, 2, 3])",
+			"rel(X, g(X), Y) :- rel(Y, g(Y), X)",
+			"rel(k, 42, \"str\")",
+			"rel(_, _, nil)",
+		},
+	}
+	for _, module := range []string{"flying", "relations"} {
+		var cs []ClauseTerm
+		for _, src := range modules[module] {
+			c := ClauseTerm{Head: parse.MustTerm(src)}
+			if w, ok := c.Head.(*term.Compound); ok && w.Functor == ":-" {
+				c.Head, c.Body = w.Args[0], w.Args[1]
+			}
+			cs = append(cs, c)
+		}
+		if _, err := r.AddClauses(module, cs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r
+}

@@ -201,7 +201,7 @@ func (s *Server) Load(module string, clauses []core.ClauseTerm) error {
 }
 
 // Adopt registers every predicate already present in the retriever but
-// unknown to the server — the crsd -kb path, where LoadRetriever built
+// unknown to the server — the crsd -kb path, where MapRetriever built
 // the predicates from a compiled store without going through Load.
 // Clause terms are decoded back out of the compiled files so the
 // transaction path (whose commit rebuilds from the term list) keeps

@@ -119,8 +119,8 @@ type Snapshot struct {
 	// ScanWorkers is the resolved partitioned-scan width for native FS1
 	// scans (1 means serial; the sim engine ignores it).
 	ScanWorkers int
-	// StoreMapped reports whether the retriever's predicates decode out
-	// of a read-only store mapping (the mmap cold-start path).
+	// StoreMapped reports whether the retriever's base store image is a
+	// read-only file mapping.
 	StoreMapped bool
 	// PlanEnabled reports whether the adaptive planner is armed; Plan
 	// carries its service counters and PlanPredicates the statistics

@@ -2,6 +2,8 @@
 
 package mmapfile
 
-func mapFile(path string) (*Mapping, error) { return nil, ErrUnsupported }
+import "errors"
 
-func unmap(data []byte) error { return nil }
+func mapFile(string) ([]byte, error) { return nil, errors.ErrUnsupported }
+
+func unmap([]byte) error { return nil }

@@ -8,7 +8,7 @@ import (
 	"syscall"
 )
 
-func mapFile(path string) (*Mapping, error) {
+func mapFile(path string) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -19,22 +19,10 @@ func mapFile(path string) (*Mapping, error) {
 		return nil, err
 	}
 	size := st.Size()
-	if size == 0 {
-		return &Mapping{}, nil
-	}
 	if size != int64(int(size)) {
 		return nil, fmt.Errorf("mmapfile: %s: %d bytes exceeds address space", path, size)
 	}
-	data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
-	if err != nil {
-		return nil, fmt.Errorf("mmapfile: mmap %s: %w", path, err)
-	}
-	return &Mapping{data: data}, nil
+	return syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 }
 
-func unmap(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	return syscall.Munmap(data)
-}
+func unmap(data []byte) error { return syscall.Munmap(data) }

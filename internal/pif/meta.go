@@ -5,35 +5,49 @@ import (
 	"fmt"
 )
 
-// Meta records are the mappable store's split of a PIF record: the
-// variable-length metadata (functor, variable names, counts) stays a
-// per-record blob, while the Args/Heap words of every record in a
-// predicate live in one shared word slab the records consume in order.
-// The slab can then be laid out little-endian and aligned on disk so a
-// memory-mapped store decodes it zero-copy — Args/Heap become views into
-// the mapping — while the heap path decodes the same bytes with a copy.
+// A stored clause record is split in two. The variable-length metadata
+// (functor, variable names, counts) is a per-record meta blob; the
+// Args/Heap words of every record in a predicate live in one shared word
+// section the records consume in order, laid out little-endian and
+// aligned so a loader can hand out views of it instead of decoding.
 //
-// Layout (big-endian, mirroring the v1 record minus the words):
+// Meta record layout (big-endian):
 //
 //	magic      uint16  0xC1A6 ("meta")
 //	side       uint8
 //	arity      uint8
 //	functorLen uint16
 //	numVars    uint16
-//	numArgs    uint32  (words, taken from the shared slab)
-//	numHeap    uint32  (words, taken from the shared slab)
+//	numArgs    uint32  (words, taken from the shared section)
+//	numHeap    uint32  (words, taken from the shared section)
 //	functor    [functorLen]byte
 //	varNames   numVars x {uint16 len, bytes}
 //
-// A meta record plus 4 bytes per word is exactly the v1 record size,
-// which keeps StoredClause.SizeBytes — and every stat derived from it —
-// identical across store formats.
+// A record's size on the (simulated) disk is its meta record plus 4 bytes
+// per word — RecordSize — which is what StoredClause.SizeBytes and every
+// disk-time figure derived from it are built on.
 
-const metaMagic = 0xC1A6
+const (
+	metaMagic      = 0xC1A6
+	metaHeaderSize = 2 + 1 + 1 + 2 + 2 + 4 + 4
+)
+
+// metaSize is len(MarshalBinaryMeta()) by arithmetic.
+func (e *Encoded) metaSize() int {
+	size := metaHeaderSize + len(e.Functor)
+	for _, n := range e.VarNames {
+		size += 2 + len(n)
+	}
+	return size
+}
+
+// RecordSize is the record's on-disk size: the meta record plus 4 bytes
+// per Args/Heap word.
+func (e *Encoded) RecordSize() int { return e.metaSize() + e.SizeBytes() }
 
 // MarshalBinaryMeta serialises the record's metadata; the words are the
-// caller's to lay into the shared slab (Args first, then Heap, in record
-// order — the order UnmarshalBinaryMeta consumes them).
+// caller's to lay into the shared section (Args first, then Heap, in
+// record order — the order UnmarshalBinaryMeta consumes them).
 func (e *Encoded) MarshalBinaryMeta() ([]byte, error) {
 	if len(e.Functor) > 0xFFFF {
 		return nil, fmt.Errorf("pif: functor too long (%d bytes)", len(e.Functor))
@@ -44,29 +58,16 @@ func (e *Encoded) MarshalBinaryMeta() ([]byte, error) {
 	if e.NumVars > 0xFFFF {
 		return nil, fmt.Errorf("pif: too many variables (%d)", e.NumVars)
 	}
-	size := 2 + 1 + 1 + 2 + 2 + 4 + 4 + len(e.Functor)
-	for _, n := range e.VarNames {
-		size += 2 + len(n)
-	}
-	buf := make([]byte, 0, size)
-	var tmp [4]byte
-	put16 := func(v uint16) {
-		binary.BigEndian.PutUint16(tmp[:2], v)
-		buf = append(buf, tmp[:2]...)
-	}
-	put32 := func(v uint32) {
-		binary.BigEndian.PutUint32(tmp[:4], v)
-		buf = append(buf, tmp[:4]...)
-	}
-	put16(metaMagic)
+	buf := make([]byte, 0, e.metaSize())
+	buf = binary.BigEndian.AppendUint16(buf, metaMagic)
 	buf = append(buf, byte(e.Side), byte(e.Arity))
-	put16(uint16(len(e.Functor)))
-	put16(uint16(e.NumVars))
-	put32(uint32(len(e.Args)))
-	put32(uint32(len(e.Heap)))
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(e.Functor)))
+	buf = binary.BigEndian.AppendUint16(buf, uint16(e.NumVars))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Args)))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Heap)))
 	buf = append(buf, e.Functor...)
 	for _, n := range e.VarNames {
-		put16(uint16(len(n)))
+		buf = binary.BigEndian.AppendUint16(buf, uint16(len(n)))
 		buf = append(buf, n...)
 	}
 	return buf, nil
@@ -74,15 +75,14 @@ func (e *Encoded) MarshalBinaryMeta() ([]byte, error) {
 
 // UnmarshalBinaryMeta parses a meta record, taking its Args/Heap words
 // from the shared word view in order. Every failure is an error, never a
-// panic — truncated metadata, a short slab, or a foreign magic all fail
-// closed.
+// panic — truncated metadata, a short word section, or a foreign magic
+// all fail closed.
 func (e *Encoded) UnmarshalBinaryMeta(data []byte, wv *WordView) error {
 	r := reader{data: data}
 	if m := r.u16(); m != metaMagic {
 		return fmt.Errorf("pif: bad meta record magic 0x%04x", m)
 	}
-	e.Side = Side(r.u8())
-	e.Arity = int(r.u8())
+	sideArity := r.bytes(2)
 	funLen := int(r.u16())
 	e.NumVars = int(r.u16())
 	nArgs := int(r.u32())
@@ -91,11 +91,10 @@ func (e *Encoded) UnmarshalBinaryMeta(data []byte, wv *WordView) error {
 	if r.err != nil {
 		return r.err
 	}
-	e.Functor = string(fun)
+	e.Side, e.Arity, e.Functor = Side(sideArity[0]), int(sideArity[1]), string(fun)
 	e.VarNames = make([]string, e.NumVars)
 	for i := range e.VarNames {
-		n := int(r.u16())
-		e.VarNames[i] = string(r.bytes(n))
+		e.VarNames[i] = string(r.bytes(int(r.u16())))
 	}
 	if r.err != nil {
 		return r.err
@@ -113,27 +112,62 @@ func (e *Encoded) UnmarshalBinaryMeta(data []byte, wv *WordView) error {
 	return nil
 }
 
-// WordView hands out sequential views of a shared word slab — the
+// reader is a bounds-checked cursor over a meta record; the first
+// out-of-range read latches err and every later read returns zero.
+type reader struct {
+	data []byte
+	pos  int
+	err  error
+}
+
+func (r *reader) bytes(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n < 0 || n > len(r.data)-r.pos {
+		r.err = fmt.Errorf("pif: truncated record at byte %d", r.pos)
+		return nil
+	}
+	v := r.data[r.pos : r.pos+n]
+	r.pos += n
+	return v
+}
+
+func (r *reader) u16() uint16 {
+	if b := r.bytes(2); b != nil {
+		return binary.BigEndian.Uint16(b)
+	}
+	return 0
+}
+
+func (r *reader) u32() uint32 {
+	if b := r.bytes(4); b != nil {
+		return binary.BigEndian.Uint32(b)
+	}
+	return 0
+}
+
+// WordView hands out sequential views of a shared word section — the
 // consuming counterpart of the store writer's word layout. The backing
-// slice may be heap-decoded words or a zero-copy cast of a read-only
-// mapping; either way views are full-cap sub-slices, so appends can
-// never bleed into a neighbouring record.
+// slice may be decoded words or a cast of the store image itself; either
+// way views are full-cap sub-slices, so appends can never bleed into a
+// neighbouring record.
 type WordView struct {
 	words []Word
 	off   int
 }
 
-// NewWordView wraps a word slab.
+// NewWordView wraps a word section.
 func NewWordView(words []Word) *WordView { return &WordView{words: words} }
 
 // Take returns the next n words (nil for n == 0). Requests beyond the
-// slab fail closed.
+// section fail closed.
 func (v *WordView) Take(n int) ([]Word, error) {
 	if n == 0 {
 		return nil, nil
 	}
 	if n < 0 || n > len(v.words)-v.off {
-		return nil, fmt.Errorf("pif: word slab exhausted (want %d words, have %d)", n, len(v.words)-v.off)
+		return nil, fmt.Errorf("pif: word section exhausted (want %d words, have %d)", n, len(v.words)-v.off)
 	}
 	w := v.words[v.off : v.off+n : v.off+n]
 	v.off += n

@@ -250,6 +250,9 @@ type Encoded struct {
 // SizeBytes is the clause's size as streamed from disk: 4 bytes per word.
 func (e *Encoded) SizeBytes() int { return 4 * (len(e.Args) + len(e.Heap)) }
 
+// Indicator returns "functor/arity" for the encoded clause.
+func (e *Encoded) Indicator() string { return fmt.Sprintf("%s/%d", e.Functor, e.Arity) }
+
 // String disassembles the encoded term.
 func (e *Encoded) String() string {
 	var b strings.Builder

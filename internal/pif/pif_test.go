@@ -1,6 +1,7 @@
 package pif
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -371,13 +372,9 @@ func TestMarshalRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode %s: %v", src, err)
 		}
-		data, err := e.MarshalBinary()
+		e2, err := metaRoundTrip(e)
 		if err != nil {
-			t.Fatalf("marshal %s: %v", src, err)
-		}
-		var e2 Encoded
-		if err := e2.UnmarshalBinary(data); err != nil {
-			t.Fatalf("unmarshal %s: %v", src, err)
+			t.Fatalf("meta round trip %s: %v", src, err)
 		}
 		if e2.Indicator() != e.Indicator() || e2.NumVars != e.NumVars ||
 			len(e2.Args) != len(e.Args) || len(e2.Heap) != len(e.Heap) {
@@ -388,7 +385,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 				t.Fatalf("arg word %d differs", i)
 			}
 		}
-		got, err := dec.Decode(&e2)
+		got, err := dec.Decode(e2)
 		if err != nil {
 			t.Fatalf("decode unmarshalled %s: %v", src, err)
 		}
@@ -399,19 +396,47 @@ func TestMarshalRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalErrors(t *testing.T) {
-	var e Encoded
-	if err := e.UnmarshalBinary([]byte{0x00, 0x01}); err == nil {
-		t.Error("bad magic should fail")
-	}
 	enc, _ := encDec(t)
-	good, _ := enc.Encode(parse.MustTerm("f(a,b)"), DBSide)
-	data, _ := good.MarshalBinary()
-	if err := e.UnmarshalBinary(data[:len(data)-2]); err == nil {
-		t.Error("truncated record should fail")
+	good, _ := enc.Encode(parse.MustTerm("f(a,B)"), DBSide)
+	data, _ := good.MarshalBinaryMeta()
+	words := append(append([]Word(nil), good.Args...), good.Heap...)
+	var e Encoded
+	if err := e.UnmarshalBinaryMeta(data, NewWordView(words)); err != nil {
+		t.Fatalf("good record: %v", err)
 	}
-	if err := e.UnmarshalBinary(append(data, 0)); err == nil {
-		t.Error("trailing bytes should fail")
+	for name, bad := range map[string][]byte{
+		"bad magic":      {0x00, 0x01},
+		"truncated":      data[:len(data)-2],
+		"trailing bytes": append(append([]byte(nil), data...), 0),
+	} {
+		if err := e.UnmarshalBinaryMeta(bad, NewWordView(words)); err == nil {
+			t.Errorf("%s should fail", name)
+		}
 	}
+	if err := e.UnmarshalBinaryMeta(data, NewWordView(words[:len(words)-1])); err == nil {
+		t.Error("a word section shorter than the record claims should fail")
+	}
+}
+
+// metaRoundTrip stores e the way the clause file does — a meta record
+// plus its words in a shared section — and decodes it back.
+func metaRoundTrip(e *Encoded) (*Encoded, error) {
+	data, err := e.MarshalBinaryMeta()
+	if err != nil {
+		return nil, err
+	}
+	if len(data)+e.SizeBytes() != e.RecordSize() {
+		return nil, fmt.Errorf("RecordSize %d, marshalled %d+%d", e.RecordSize(), len(data), e.SizeBytes())
+	}
+	wv := NewWordView(append(append([]Word(nil), e.Args...), e.Heap...))
+	var e2 Encoded
+	if err := e2.UnmarshalBinaryMeta(data, wv); err != nil {
+		return nil, err
+	}
+	if left := wv.Remaining(); left != 0 {
+		return nil, fmt.Errorf("%d words unconsumed", left)
+	}
+	return &e2, nil
 }
 
 func TestSizeBytes(t *testing.T) {
@@ -453,12 +478,8 @@ func TestQuickMarshalRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		data, err := e.MarshalBinary()
+		e2, err := metaRoundTrip(e)
 		if err != nil {
-			return false
-		}
-		var e2 Encoded
-		if err := e2.UnmarshalBinary(data); err != nil {
 			return false
 		}
 		if len(e2.Args) != len(e.Args) {
