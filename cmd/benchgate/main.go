@@ -30,13 +30,7 @@
 // best static mode): the planner is allowed a small learning tax but
 // must never lose badly to a mode a static config could have pinned.
 // The planner scoreboard is simulated cost, so this floor is
-// deterministic and applies on any host. The observability stack's
-// OBS/recorder_ratio metric (recorder-on over recorder-off wall
-// throughput; A/B-interleaved rounds, best round taken, since noise
-// only ever inflates apparent overhead) must reach -obs-floor (default
-// 0.95x): the flight recorder, slow-query detection, and SLO
-// accounting together may cost at most 5% — the price of leaving
-// diagnosis on in production.
+// deterministic and applies on any host.
 package main
 
 import (
@@ -70,7 +64,6 @@ func main() {
 	wallThreshold := flag.Float64("wall-threshold", 0.50, "max allowed regression for wall-clock throughput (wall-queries/s)")
 	parFloor := flag.Float64("par-speedup-floor", 1.6, "min NATIVE/par_speedup_w8 when the fresh run had gomaxprocs >= 8")
 	planFloorVal := flag.Float64("plan-floor", 0.9, "min PLAN/plan_vs_best — the planner vs the best static mode")
-	obsFloorVal := flag.Float64("obs-floor", 0.95, "min OBS/recorder_ratio — recorder-on vs recorder-off throughput")
 	flag.Parse()
 	if *fresh == "" {
 		fmt.Fprintln(os.Stderr, "usage: benchgate -fresh fresh.json [-baseline BENCH_x.json] [-dir .] [-threshold 0.10] [-wall-threshold 0.50]")
@@ -102,9 +95,6 @@ func main() {
 		failures++
 	}
 	if !planFloor(os.Stdout, cur, *planFloorVal) {
-		failures++
-	}
-	if !obsFloor(os.Stdout, cur, *obsFloorVal) {
 		failures++
 	}
 	if failures > 0 {
@@ -155,26 +145,6 @@ func planFloor(w io.Writer, cur *report, floor float64) (ok bool) {
 			return false
 		}
 		fmt.Fprintf(w, "  ok    PLAN/plan_vs_best = %.2fx >= floor %.1fx\n", m.Value, floor)
-		return true
-	}
-	return true
-}
-
-// obsFloor enforces the absolute observability-overhead floor on the
-// fresh run: OBS/recorder_ratio (recorder-on over recorder-off wall
-// throughput) must reach floor. The two sides run A/B-interleaved on
-// the same host, so the ratio is robust to machine speed and there is
-// no small-host skip.
-func obsFloor(w io.Writer, cur *report, floor float64) (ok bool) {
-	for _, m := range cur.Metrics {
-		if m.Experiment != "OBS" || m.Name != "recorder_ratio" {
-			continue
-		}
-		if m.Value < floor {
-			fmt.Fprintf(w, "  FAIL  OBS/recorder_ratio = %.3fx < floor %.2fx\n", m.Value, floor)
-			return false
-		}
-		fmt.Fprintf(w, "  ok    OBS/recorder_ratio = %.3fx >= floor %.2fx\n", m.Value, floor)
 		return true
 	}
 	return true

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	clarebench                 # run every experiment
-//	clarebench -exp T1         # one experiment: T1 F1 F6..F12 TA1 R1 R2 D1 D2 M1 W1 L15 CONC NATIVE AB1 AB2 FLT CLUSTER WRITE PLAN OBS
+//	clarebench -exp T1         # one experiment: T1 F1 F6..F12 TA1 R1 R2 D1 D2 M1 W1 L15 CONC NATIVE AB1 AB2 FLT CLUSTER WRITE PLAN
 //	clarebench -exp CONC,NATIVE # a comma-separated subset
 //	clarebench -json           # also write machine-readable BENCH_<gitsha>.json
 package main
@@ -54,7 +54,6 @@ func main() {
 		{"CLUSTER", "Sharded cluster — scatter-gather throughput and replica failover", expCLUSTER},
 		{"WRITE", "Durable replicated writes — assert/retract churn under retrieval load", expWRITE},
 		{"PLAN", "Adaptive planner — cost-based mode selection and hedged tail latency", expPLAN},
-		{"OBS", "Observability overhead — flight recorder + SLO accounting on vs off", expOBS},
 	}
 
 	// -exp accepts a comma-separated list of ids; "all" runs everything.

@@ -254,6 +254,9 @@ func printFlight(recs []telemetry.FlightRecord) {
 		if r.Hedged {
 			line += "  hedged"
 		}
+		if r.Err != "" {
+			line += fmt.Sprintf("  err=%q", r.Err)
+		}
 		fmt.Println(line)
 	}
 }

@@ -86,10 +86,10 @@ type Config struct {
 	// ShipInterval is the idle log-shipping period per replica (0 means
 	// DefaultShipInterval).
 	ShipInterval time.Duration
-	// Hedge arms request hedging on retrievals: when a group's best
-	// replica has not answered within the predicate's P99 budget, the
-	// runner-up gets a duplicate request and the first answer wins (the
-	// loser is cancelled).
+	// Hedge arms request hedging on routed reads (RETRIEVE and EXPLAIN
+	// take one path): when a group's best replica has not answered within
+	// the predicate's P99 budget, the runner-up gets a duplicate request
+	// and the first answer wins (the loser is cancelled).
 	Hedge bool
 	// HedgeFloor is the minimum hedge budget (0 means DefaultHedgeFloor).
 	// Only meaningful with Hedge.
@@ -105,14 +105,14 @@ type Config struct {
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, records one span tree per routed retrieval.
 	Tracer *telemetry.Tracer
-	// Flight, when non-nil, receives one compact record per routed
-	// retrieval (predicate, routing decision, merged candidate funnel,
-	// wall time, hedge flag) — the router's own black box, independent
-	// of the per-backend recorders. Nil disables recording.
+	// Flight, when non-nil, receives one compact record per routed read,
+	// served or failed (predicate, routing decision, merged candidate
+	// funnel, wall time, hedge flag, error) — the router's own black box,
+	// independent of the per-backend recorders. Nil disables recording.
 	Flight *telemetry.FlightRecorder
 	// SLO, when non-nil, tracks the router's own burn rate over routed
-	// retrievals (end-to-end wall time, as a client saw it). Nil
-	// disables tracking.
+	// reads (end-to-end wall time, as a client saw it). Nil disables
+	// tracking.
 	SLO *telemetry.SLOTracker
 }
 
@@ -805,6 +805,50 @@ func remoteCtx(tr *telemetry.Trace, netSpan *telemetry.Span) *telemetry.TraceCon
 	return &telemetry.TraceContext{TraceID: tr.TraceID, ParentSpan: netSpan.ID}
 }
 
+// verb is what distinguishes the routed read verbs, RETRIEVE and EXPLAIN:
+// the backend call, where the reply keeps its span tree, how fanned-out
+// replies merge and where the candidate funnel is read from. Everything
+// else — home shard, fan-out, failover, hedging, tracing, recording — is
+// route's, once.
+type verb[T any] struct {
+	explain bool
+	call    func(c *crs.Client, mode, goal string, tc *telemetry.TraceContext, d time.Duration) (T, error)
+	spans   func(res T) *[]telemetry.WireSpan
+	merge   func(parts []T, mode string) T
+	funnel  func(res T) wire.Funnel
+}
+
+var retrieveVerb = verb[*crs.RetrieveResult]{
+	call:  (*crs.Client).RetrieveTracedWithTimeout,
+	spans: func(res *crs.RetrieveResult) *[]telemetry.WireSpan { return &res.Spans },
+	// Shard-order merging keeps per-predicate clause order intact: the
+	// partitioned build places each predicate whole on one shard, so its
+	// clauses arrive from a single group already in user order.
+	merge: func(parts []*crs.RetrieveResult, mode string) *crs.RetrieveResult {
+		merged := &crs.RetrieveResult{}
+		for _, p := range parts {
+			merged.Clauses = append(merged.Clauses, p.Clauses...)
+			merged.Stats = mergeStatsLines(merged.Stats, p.Stats, mode)
+		}
+		return merged
+	},
+	funnel: func(res *crs.RetrieveResult) wire.Funnel { return wire.ParseFunnel(res.Stats) },
+}
+
+var explainVerb = verb[*crs.ExplainResult]{
+	explain: true,
+	call:    (*crs.Client).ExplainTracedWithTimeout,
+	spans:   func(res *crs.ExplainResult) *[]telemetry.WireSpan { return &res.Spans },
+	merge:   func(parts []*crs.ExplainResult, _ string) *crs.ExplainResult { return mergeExplain(parts) },
+	funnel: func(res *crs.ExplainResult) wire.Funnel {
+		geti := func(key string) int64 {
+			n, _ := strconv.ParseInt(res.Get(key), 10, 64)
+			return n
+		}
+		return wire.Funnel{Total: geti("candidates.total"), FS1: geti("candidates.after_fs1"), FS2: geti("candidates.after_fs2")}
+	},
+}
+
 // Retrieve routes one retrieval. mode and goal are in wire form (mode
 // word, Edinburgh goal without the final '.'). The predicate indicator
 // routes the call to its shard group; mode=software and goals whose
@@ -820,200 +864,7 @@ func (r *Router) Retrieve(mode, goal string) (*crs.RetrieveResult, error) {
 // result's Spans field (populated only when tc is non-nil) holds one
 // stitched cross-process tree: route → shard → net → backend pipeline.
 func (r *Router) RetrieveTraced(mode, goal string, tc *telemetry.TraceContext) (*crs.RetrieveResult, error) {
-	start := time.Now()
-	r.requests.Add(1)
-	tr := r.tracer.StartRemote("route", tc)
-	root := tr.Root()
-	finishErr := func(err error) error {
-		if root != nil {
-			root.SetAttr("error", err.Error())
-			root.End()
-			r.tracer.Finish(tr)
-		}
-		return err
-	}
-	finishOK := func(res *crs.RetrieveResult) *crs.RetrieveResult {
-		r.met.latency.ObserveDuration(time.Since(start))
-		if root != nil {
-			root.SetAttr("candidates", fmt.Sprint(len(res.Clauses)))
-			root.End()
-		}
-		if tc != nil {
-			res.Spans = tr.Wire(0)
-		}
-		r.tracer.Finish(tr)
-		return res
-	}
-
-	pi, err := GoalIndicator(goal)
-	if err != nil {
-		r.met.errors.Inc()
-		return nil, finishErr(err)
-	}
-	if root != nil {
-		root.SetAttr("predicate", pi)
-		root.SetAttr("mode", mode)
-	}
-	defer func() { r.lat.Observe(pi, time.Since(start)) }()
-
-	retrieveOp := func(c *crs.Client, netSpan *telemetry.Span) (*crs.RetrieveResult, error) {
-		res, err := c.RetrieveTracedWithTimeout(mode, goal, remoteCtx(tr, netSpan), r.cfg.CallTimeout)
-		if err == nil {
-			tr.Graft(netSpan, res.Spans)
-		}
-		return res, err
-	}
-
-	var hedged atomic.Bool
-	var res *crs.RetrieveResult
-	if mode != "software" {
-		shard := ShardOf(pi, len(r.groups))
-		if root != nil {
-			root.SetAttr("shard", fmt.Sprint(shard))
-		}
-		sp := tr.Span(root, "shard")
-		if sp != nil {
-			sp.SetAttr("shard", fmt.Sprint(shard))
-		}
-		res, err = callGroupHedged(r, r.groups[shard], pi, tr, sp, &hedged, retrieveOp)
-		if sp != nil {
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-			} else {
-				sp.SetAttr("candidates", fmt.Sprint(len(res.Clauses)))
-			}
-			sp.End()
-		}
-		if err == nil {
-			r.met.requests[shard].Inc()
-			r.observeRouted(pi, mode, fmt.Sprintf("shard=%d", shard), start, tr, &hedged, res, nil)
-			return finishOK(res), nil
-		}
-		if !errors.Is(err, errUnknownPredicate) {
-			r.met.errors.Inc()
-			r.observeRouted(pi, mode, fmt.Sprintf("shard=%d", shard), start, tr, &hedged, nil, err)
-			return nil, finishErr(err)
-		}
-		// The owning shard has never heard of the predicate (the KB may
-		// not have been partitioned with our shard function, or the
-		// clauses were asserted elsewhere): ask everyone.
-	}
-
-	res, err = r.fanout(mode, goal, pi, tr, root, &hedged, retrieveOp)
-	if err != nil {
-		r.met.errors.Inc()
-		r.observeRouted(pi, mode, "fanout", start, tr, &hedged, nil, err)
-		return nil, finishErr(err)
-	}
-	root.SetAttr("fanout", "true")
-	r.observeRouted(pi, mode, "fanout", start, tr, &hedged, res, nil)
-	return finishOK(res), nil
-}
-
-// observeRouted feeds the router's own observability surfaces after one
-// routed retrieval: the SLO tracker (end-to-end wall time keyed by
-// predicate) and the flight recorder, whose record carries the routing
-// decision, the candidate funnel parsed back out of the merged STATS
-// trailer, and the hedge flag. Both surfaces are nil-safe, so an
-// unarmed router pays two nil checks here.
-func (r *Router) observeRouted(pred, mode, plan string, start time.Time, tr *telemetry.Trace, hedged *atomic.Bool, res *crs.RetrieveResult, err error) {
-	wall := time.Since(start)
-	r.cfg.SLO.Observe(pred, wall, err != nil)
-	f := r.cfg.Flight
-	if f == nil {
-		return
-	}
-	rec := &telemetry.FlightRecord{
-		TS:        start.UnixNano(),
-		Predicate: pred,
-		Mode:      mode,
-		Plan:      plan,
-		WallNS:    int64(wall),
-		Hedged:    hedged.Load(),
-	}
-	if tr != nil {
-		rec.TraceID = tr.TraceID
-	}
-	if res != nil {
-		fn := wire.ParseFunnel(res.Stats)
-		rec.Total, rec.AfterFS1, rec.AfterFS2 = fn.Total, fn.FS1, fn.FS2
-	}
-	if err != nil {
-		// A failed route still lands in the black box: the funnel is
-		// zero and the plan says which path died.
-		rec.Plan = plan + " !err"
-		rec.Faults = 1
-	}
-	f.Record(rec)
-}
-
-// fanout scatters the retrieval to every shard group concurrently and
-// gathers the replies in shard order. A group that does not know the
-// predicate contributes nothing; when no group knows it, the original
-// unknown-predicate rejection is surfaced. Shard-order merging keeps
-// per-predicate clause order intact: the partitioned build places each
-// predicate whole on one shard, so its clauses arrive from a single
-// group already in user order.
-func (r *Router) fanout(mode, goal, pred string, tr *telemetry.Trace, root *telemetry.Span,
-	hedged *atomic.Bool, op func(c *crs.Client, netSpan *telemetry.Span) (*crs.RetrieveResult, error)) (*crs.RetrieveResult, error) {
-	r.fanouts.Add(1)
-	r.met.fanouts.Inc()
-	results := make([]*crs.RetrieveResult, len(r.groups))
-	errs := make([]error, len(r.groups))
-	var wg sync.WaitGroup
-	for i, g := range r.groups {
-		wg.Add(1)
-		go func(i int, g *group) {
-			defer wg.Done()
-			// Span creation and grafting are goroutine-safe on a Trace, so
-			// each worker opens (and owns) its shard span itself.
-			sp := tr.Span(root, "shard")
-			if sp != nil {
-				sp.SetAttr("shard", fmt.Sprint(g.shard))
-			}
-			res, err := callGroupHedged(r, g, pred, tr, sp, hedged, op)
-			if err == nil {
-				r.met.requests[g.shard].Inc()
-				results[i] = res
-			} else {
-				errs[i] = err
-			}
-			if sp != nil {
-				if err != nil {
-					sp.SetAttr("error", err.Error())
-				} else {
-					sp.SetAttr("candidates", fmt.Sprint(len(res.Clauses)))
-				}
-				sp.End()
-			}
-		}(i, g)
-	}
-	wg.Wait()
-
-	merged := &crs.RetrieveResult{}
-	var answered bool
-	var firstErr error
-	for i := range r.groups {
-		switch {
-		case results[i] != nil:
-			answered = true
-			merged.Clauses = append(merged.Clauses, results[i].Clauses...)
-			merged.Stats = mergeStatsLines(merged.Stats, results[i].Stats, mode)
-		case errors.Is(errs[i], errUnknownPredicate):
-			// Healthy group, no data: an empty contribution.
-		case firstErr == nil:
-			firstErr = errs[i]
-		}
-	}
-	if firstErr != nil {
-		// Partial scatter results would silently drop clauses; a cluster
-		// retrieval is all-or-nothing.
-		return nil, firstErr
-	}
-	if !answered {
-		return nil, &crs.ServerError{Msg: fmt.Sprintf("crs: unknown predicate %s", indicatorText(goal))}
-	}
-	return merged, nil
+	return route(r, &retrieveVerb, mode, goal, tc)
 }
 
 // Explain routes one EXPLAIN (filter-cost profile) call the way
@@ -1026,93 +877,116 @@ func (r *Router) Explain(mode, goal string) (*crs.ExplainResult, error) {
 // ExplainTraced is Explain joining a remote caller's trace context, the
 // way RetrieveTraced joins one.
 func (r *Router) ExplainTraced(mode, goal string, tc *telemetry.TraceContext) (*crs.ExplainResult, error) {
+	return route(r, &explainVerb, mode, goal, tc)
+}
+
+// route is the one path a routed read takes, whatever its verb.
+func route[T any](r *Router, v *verb[T], mode, goal string, tc *telemetry.TraceContext) (T, error) {
+	var zero T
 	start := time.Now()
 	r.requests.Add(1)
-	tr := r.tracer.StartRemote("route", tc)
-	root := tr.Root()
-	finishErr := func(err error) error {
-		r.met.errors.Inc()
-		if root != nil {
-			root.SetAttr("error", err.Error())
-			root.End()
-			r.tracer.Finish(tr)
-		}
-		return err
-	}
-	finishOK := func(res *crs.ExplainResult) *crs.ExplainResult {
-		r.met.latency.ObserveDuration(time.Since(start))
-		root.End()
-		if tc != nil {
-			res.Spans = tr.Wire(0)
-		}
-		r.tracer.Finish(tr)
-		return res
-	}
-
-	pi, err := GoalIndicator(goal)
+	pred, err := GoalIndicator(goal)
 	if err != nil {
-		return nil, finishErr(err)
+		r.met.errors.Inc()
+		return zero, err
 	}
-	if root != nil {
-		root.SetAttr("predicate", pi)
-		root.SetAttr("mode", mode)
-		root.SetAttr("explain", "true")
-	}
-	defer func() { r.lat.Observe(pi, time.Since(start)) }()
-
-	explainOp := func(c *crs.Client, netSpan *telemetry.Span) (*crs.ExplainResult, error) {
-		res, err := c.ExplainTracedWithTimeout(mode, goal, remoteCtx(tr, netSpan), r.cfg.CallTimeout)
+	tr := r.tracer.StartAt("route", tc, start)
+	root := tr.Root()
+	op := func(c *crs.Client, netSpan *telemetry.Span) (T, error) {
+		res, err := v.call(c, mode, goal, remoteCtx(tr, netSpan), r.cfg.CallTimeout)
 		if err == nil {
-			tr.Graft(netSpan, res.Spans)
+			tr.Graft(netSpan, *v.spans(res))
 		}
 		return res, err
 	}
 
+	var hedged atomic.Bool
+	var res T
+	plan, homed := "fanout", false
 	if mode != "software" {
-		shard := ShardOf(pi, len(r.groups))
-		sp := tr.Span(root, "shard")
-		sp.SetAttr("shard", fmt.Sprint(shard))
-		res, err := callGroup(r, r.groups[shard], tr, sp, explainOp)
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-		}
-		sp.End()
-		if err == nil {
-			r.met.requests[shard].Inc()
-			return finishOK(res), nil
-		}
-		if !errors.Is(err, errUnknownPredicate) {
-			return nil, finishErr(err)
+		g := r.groups[ShardOf(pred, len(r.groups))]
+		res, err = callShard(r, v, g, pred, tr, root, &hedged, op)
+		// An unknown-predicate reply means the owning shard has never
+		// heard of the predicate (the KB may not have been partitioned
+		// with our shard function, or the clauses were asserted
+		// elsewhere): ask everyone.
+		if homed = !errors.Is(err, errUnknownPredicate); homed {
+			plan = "shard=" + strconv.Itoa(g.shard)
 		}
 	}
+	if !homed {
+		res, err = fanout(r, v, mode, pred, tr, root, &hedged, op)
+	}
 
+	var fn wire.Funnel
+	if err == nil && (tr != nil || r.cfg.Flight != nil) {
+		fn = v.funnel(res)
+	}
+	r.observeRouted(routed{pred: pred, mode: mode, plan: plan, explain: v.explain, start: start,
+		trace: tr, hedged: hedged.Load(), funnel: fn, err: err})
+	if err != nil {
+		return zero, err
+	}
+	// The reply carries the stitched tree only for a caller that sent a
+	// trace context; the grafted backend subtrees never leak out bare.
+	*v.spans(res) = nil
+	if tc != nil {
+		*v.spans(res) = tr.Wire()
+	}
+	return res, nil
+}
+
+// callShard runs op against one shard group under its own "shard" span.
+// Span creation and grafting are goroutine-safe on a Trace, so fan-out
+// workers each open (and own) theirs.
+func callShard[T any](r *Router, v *verb[T], g *group, pred string, tr *telemetry.Trace, root *telemetry.Span,
+	hedged *atomic.Bool, op func(c *crs.Client, netSpan *telemetry.Span) (T, error)) (T, error) {
+	sp := tr.Span(root, "shard")
+	if sp != nil {
+		sp.SetAttr("shard", strconv.Itoa(g.shard))
+	}
+	res, err := callGroupHedged(r, g, pred, tr, sp, hedged, op)
+	if err == nil {
+		r.met.requests[g.shard].Inc()
+	}
+	if sp != nil {
+		if err != nil {
+			sp.SetAttr("error", err.Error())
+		} else {
+			sp.SetAttr("candidates", strconv.FormatInt(v.funnel(res).FS2, 10))
+		}
+		sp.End()
+	}
+	return res, err
+}
+
+// fanout scatters the call to every shard group concurrently and gathers
+// the replies in shard order. A group that does not know the predicate
+// contributes nothing; when no group knows it, the unknown-predicate
+// rejection is surfaced in the single-node ERR shape.
+func fanout[T any](r *Router, v *verb[T], mode, pred string, tr *telemetry.Trace, root *telemetry.Span,
+	hedged *atomic.Bool, op func(c *crs.Client, netSpan *telemetry.Span) (T, error)) (T, error) {
+	var zero T
 	r.fanouts.Add(1)
 	r.met.fanouts.Inc()
-	results := make([]*crs.ExplainResult, len(r.groups))
+	results := make([]T, len(r.groups))
 	errs := make([]error, len(r.groups))
 	var wg sync.WaitGroup
 	for i, g := range r.groups {
 		wg.Add(1)
 		go func(i int, g *group) {
 			defer wg.Done()
-			sp := tr.Span(root, "shard")
-			sp.SetAttr("shard", fmt.Sprint(g.shard))
-			results[i], errs[i] = callGroup(r, g, tr, sp, explainOp)
-			if errs[i] != nil {
-				sp.SetAttr("error", errs[i].Error())
-			}
-			sp.End()
+			results[i], errs[i] = callShard(r, v, g, pred, tr, root, hedged, op)
 		}(i, g)
 	}
 	wg.Wait()
 
-	var answered []*crs.ExplainResult
+	var answered []T
 	var firstErr error
 	for i := range r.groups {
 		switch {
 		case errs[i] == nil:
 			answered = append(answered, results[i])
-			r.met.requests[i].Inc()
 		case errors.Is(errs[i], errUnknownPredicate):
 			// Healthy group, no data: an empty contribution.
 		case firstErr == nil:
@@ -1120,14 +994,80 @@ func (r *Router) ExplainTraced(mode, goal string, tc *telemetry.TraceContext) (*
 		}
 	}
 	if firstErr != nil {
-		return nil, finishErr(firstErr)
+		// Partial scatter results would silently drop clauses; a cluster
+		// read is all-or-nothing.
+		return zero, firstErr
 	}
 	if len(answered) == 0 {
-		return nil, finishErr(&crs.ServerError{
-			Msg: fmt.Sprintf("crs: unknown predicate %s", indicatorText(goal))})
+		return zero, &crs.ServerError{Msg: "crs: unknown predicate " + pred}
 	}
-	root.SetAttr("fanout", "true")
-	return finishOK(mergeExplain(answered)), nil
+	return v.merge(answered, mode), nil
+}
+
+// routed is the record of one routed call: what observeRouted derives
+// every surface from.
+type routed struct {
+	pred, mode string
+	plan       string // "shard=N" or "fanout"
+	explain    bool
+	start      time.Time
+	trace      *telemetry.Trace
+	hedged     bool
+	funnel     wire.Funnel // merged candidate funnel; zero when the call failed
+	err        error
+}
+
+// observeRouted is the one place a routed call is recorded. One reading
+// of the clock feeds the latency histogram, the per-predicate latency
+// window (the hedge budget), the SLO tracker (end-to-end wall time, as a
+// client saw it), the flight ring and the trace root. Every surface is
+// nil-safe, so an unarmed router pays nil checks here.
+func (r *Router) observeRouted(c routed) {
+	wall := time.Since(c.start)
+	r.lat.Observe(c.pred, wall)
+	r.cfg.SLO.Observe(c.pred, wall, c.err != nil)
+	if c.err != nil {
+		r.met.errors.Inc()
+	} else {
+		r.met.latency.ObserveDuration(wall)
+	}
+	if root := c.trace.Root(); root != nil {
+		root.Wall = wall
+		root.SetAttr("predicate", c.pred)
+		root.SetAttr("mode", c.mode)
+		root.SetAttr("plan", c.plan)
+		if c.explain {
+			root.SetAttr("explain", "true")
+		}
+		if c.err != nil {
+			root.SetAttr("error", c.err.Error())
+		} else {
+			root.SetAttr("candidates", strconv.FormatInt(c.funnel.FS2, 10))
+		}
+		r.tracer.Finish(c.trace)
+	}
+	if f := r.cfg.Flight; f != nil {
+		rec := &telemetry.FlightRecord{
+			TS:        c.start.UnixNano(),
+			Predicate: c.pred,
+			Mode:      c.mode,
+			Plan:      c.plan,
+			Total:     c.funnel.Total,
+			AfterFS1:  c.funnel.FS1,
+			AfterFS2:  c.funnel.FS2,
+			WallNS:    int64(wall),
+			Hedged:    c.hedged,
+		}
+		if c.trace != nil {
+			rec.TraceID = c.trace.TraceID
+		}
+		if c.err != nil {
+			// A failed route still lands in the black box: the funnel is
+			// zero and the plan says which path died.
+			rec.Err = c.err.Error()
+		}
+		f.Record(rec)
+	}
 }
 
 // mergeExplain folds fanned-out per-shard profiles into one: integer
@@ -1197,16 +1137,6 @@ func mergeExplainValue(a, b string) string {
 		}
 	}
 	return a
-}
-
-// indicatorText best-effort renders the goal's indicator for the
-// unknown-predicate rejection (matching the single-node ERR shape).
-func indicatorText(goal string) string {
-	pi, err := GoalIndicator(goal)
-	if err != nil {
-		return goal
-	}
-	return pi
 }
 
 // mergeStatsLines folds one backend's "STATS mode=… total=… fs1=… fs2=…"

@@ -14,7 +14,8 @@ import (
 )
 
 // startTracedCluster is startCluster with a tracer in every backend, so
-// RETRIEVE replies carry span subtrees for the router to stitch.
+// RETRIEVE replies carry span subtrees for the router to stitch, and a
+// four-entry pipeline chunk, so a 200-fact predicate streams 50 chunks.
 func startTracedCluster(t *testing.T, shards, replicas int, preds []testPred) *testCluster {
 	t.Helper()
 	tc := &testCluster{preds: preds}
@@ -31,6 +32,7 @@ func startTracedCluster(t *testing.T, shards, replicas int, preds []testPred) *t
 		for j := 0; j < replicas; j++ {
 			cfg := core.DefaultConfig()
 			cfg.Tracer = telemetry.NewTracer(8)
+			cfg.StreamChunkEntries = 4
 			r, err := core.New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -107,7 +109,7 @@ func TestStitchedCrossProcessTrace(t *testing.T) {
 	if len(traces) != 1 {
 		t.Fatal("router recorded no trace")
 	}
-	spans := traces[0].Wire(0)
+	spans := traces[0].Wire()
 	checkSpanTree(t, spans)
 	names := spanNames(spans)
 	for _, want := range []string{"route", "shard", "net", "retrieve"} {
@@ -124,6 +126,74 @@ func TestStitchedCrossProcessTrace(t *testing.T) {
 	}
 	if remote == 0 {
 		t.Error("no grafted remote spans in the router trace")
+	}
+}
+
+// TestStitchedTraceFixedShape: the stitched route → shard → net →
+// retrieve tree over a 50-chunk predicate has exactly as many spans as
+// over a one-chunk predicate — the backend ships stages, not chunks.
+func TestStitchedTraceFixedShape(t *testing.T) {
+	small, big := facts("shape1", 3), facts("shape50", 200)
+	tc := startTracedCluster(t, 2, 1, []testPred{small, big})
+	r := newTestRouter(t, tc.addrs, func(cfg *Config) { cfg.Tracer = telemetry.NewTracer(4) })
+	spans := func(p testPred, chunks string) int {
+		res, err := r.RetrieveTraced("fs1+fs2", p.name+"(e1, Y)", &telemetry.TraceContext{TraceID: 9, ParentSpan: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSpanTree(t, res.Spans)
+		for _, ws := range res.Spans {
+			if ws.Name == "fs1_scan" && ws.Attrs["chunks"] != chunks {
+				t.Errorf("%s: fs1_scan streamed %s chunks, want %s", p.name, ws.Attrs["chunks"], chunks)
+			}
+		}
+		if names := spanNames(res.Spans); names["fs1_scan"] != 1 || names["fs2_match"] != 1 {
+			t.Errorf("%s: stage spans = %v, want one per stage", p.name, names)
+		}
+		return len(res.Spans)
+	}
+	if one, many := spans(small, "1"), spans(big, "50"); one != many {
+		t.Errorf("stitched tree has %d spans over 1 chunk, %d over 50", one, many)
+	}
+}
+
+// TestRoutedCallsRecorded: the router records every routed read through
+// one function — a routed EXPLAIN reaches its SLO windows and flight
+// ring like a retrieval, and a call that dies on a dead shard lands in
+// the ring with Err set (and as an SLO error), not as a fault count.
+func TestRoutedCallsRecorded(t *testing.T) {
+	preds := testPreds()
+	tc := startCluster(t, 2, 1, preds)
+	flight := telemetry.NewFlightRecorder(8)
+	slo := telemetry.NewSLOTracker(telemetry.SLO{P99: time.Minute})
+	r := newTestRouter(t, tc.addrs, func(cfg *Config) {
+		cfg.Flight, cfg.SLO = flight, slo
+		cfg.WireTimeout, cfg.CallTimeout = 200*time.Millisecond, 200*time.Millisecond
+	})
+	p := predOnShard(t, preds, 2, 0)
+	goal := p.name + "(X, Y)"
+	if _, err := r.Explain("fs1+fs2", goal); err != nil {
+		t.Fatal(err)
+	}
+	recs := flight.Snapshot(0)
+	if len(recs) != 1 || recs[0].Predicate != p.indicator() || recs[0].Plan != "shard=0" ||
+		recs[0].Total != int64(len(p.clauses)) || recs[0].Err != "" {
+		t.Fatalf("flight ring after a routed EXPLAIN = %+v", recs)
+	}
+	if st := slo.Status(); st.Requests != 1 || st.Errors != 0 {
+		t.Errorf("SLO windows after a routed EXPLAIN: %+v", st)
+	}
+
+	tc.kill(t, 0, 0)
+	if _, err := r.Retrieve("fs1+fs2", goal); err == nil {
+		t.Fatal("retrieval through a dead shard succeeded")
+	}
+	recs = flight.Snapshot(0)
+	if last := recs[len(recs)-1]; len(recs) != 2 || last.Err == "" || last.Plan != "shard=0" || last.Faults != 0 {
+		t.Fatalf("flight ring after a dead-shard retrieval = %+v", recs)
+	}
+	if st := slo.Status(); st.Requests != 2 || st.Errors != 1 {
+		t.Errorf("SLO windows after a dead-shard retrieval: %+v", st)
 	}
 }
 

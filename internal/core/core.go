@@ -128,9 +128,9 @@ type Config struct {
 	// pool, the disk drives, the FS2 boards, the VME buses, and the query
 	// cache. Nil disables metrics at zero hot-path cost.
 	Metrics *telemetry.Registry
-	// Tracer, when non-nil, records one span tree per retrieval (encode,
-	// board lease, per-chunk FS1 scan / disk fetch / FS2 match, host
-	// match). Nil disables tracing.
+	// Tracer, when non-nil, records one span tree per retrieval: the root
+	// plus one span per stage that ran (board lease, encode, FS1 scan,
+	// disk fetch, FS2 match, host match). Nil disables tracing.
 	Tracer *telemetry.Tracer
 	// Faults, when non-nil, is the fault injector armed across the
 	// chassis: every drive, bus, and board probes it, as does the
@@ -444,18 +444,22 @@ type ClauseTerm struct {
 
 // Predicate returns the managed predicate for the goal's indicator.
 func (r *Retriever) Predicate(goal term.Term) (*Predicate, error) {
+	_, p, err := r.lookup(goal)
+	return p, err
+}
+
+// lookup resolves the goal's indicator and its managed predicate.
+func (r *Retriever) lookup(goal term.Term) (Indicator, *Predicate, error) {
 	functor, args, ok := principal(goal)
 	if !ok {
-		return nil, fmt.Errorf("core: %v is not callable", goal)
+		return Indicator{}, nil, fmt.Errorf("core: %v is not callable", goal)
 	}
 	pi := Indicator{Functor: functor, Arity: len(args)}
-	r.predsMu.RLock()
-	p, ok := r.preds[pi]
-	r.predsMu.RUnlock()
+	p, ok := r.PredicateByIndicator(pi)
 	if !ok {
-		return nil, fmt.Errorf("core: unknown predicate %v", pi)
+		return pi, nil, fmt.Errorf("core: unknown predicate %v", pi)
 	}
-	return p, nil
+	return pi, p, nil
 }
 
 // PredicateByIndicator returns the managed predicate for pi, or false
@@ -544,17 +548,25 @@ type StageStats struct {
 	Degraded string
 }
 
-// Retrieval is the outcome of one CLARE search call.
+// Retrieval is the outcome of one CLARE search call and its one record:
+// the search modes write Stats (simulated time, counts) and the stage
+// clock, and everything else said about the call — registry
+// observations, the planner observation, the flight record, the span
+// tree — is derived from those by Retriever.record.
 type Retrieval struct {
 	Mode SearchMode
 	Goal term.Term
+	// Predicate is the goal's indicator ("functor/arity"), rendered once
+	// per retrieval for every consumer that keys on it.
+	Predicate string
 	// Candidates are the potential unifiers, in user clause order.
 	Candidates []*clausefile.StoredClause
 	Stats      StageStats
 	pred       *Predicate
 
+	wall  stageClock
+	slot  int // board unit the final attempt leased; -1 when the host matched alone
 	trace *telemetry.Trace
-	wall  stageWallTimes
 }
 
 // Trace returns the retrieval's span tree (nil unless the retriever was
@@ -612,97 +624,29 @@ func (r *Retriever) RetrieveTraced(goal term.Term, mode SearchMode, tc *telemetr
 // that picked mode (nil when the mode was pinned statically), so the
 // flight record can name the decision without re-deriving it.
 func (r *Retriever) RetrieveTracedPlan(goal term.Term, mode SearchMode, tc *telemetry.TraceContext, d *plan.Decision) (*Retrieval, error) {
-	wallStart := time.Now()
-	pred, err := r.Predicate(goal)
+	start := time.Now()
+	pi, pred, err := r.lookup(goal)
 	if err != nil {
 		r.met.errors.Inc()
 		return nil, err
 	}
-	var pi Indicator
-	if functor, args, ok := principal(goal); ok {
-		pi = Indicator{Functor: functor, Arity: len(args)}
+	rt, err := r.ladder(goal, mode, pred, pi.String(), start)
+	r.record(rt, start, tc, d, err)
+	if err != nil {
+		return nil, err
 	}
+	return rt, nil
+}
 
-	tr := r.tracer.StartRemote("retrieve", tc)
-	root := tr.Root()
-	if root != nil {
-		root.SetAttr("predicate", pi.String())
-		root.SetAttr("mode", mode.String())
-	}
-
-	finish := func(rt *Retrieval, faults, retries int, degraded string) *Retrieval {
-		rt.Stats.AfterFS2 = len(rt.Candidates)
-		rt.Stats.Faults = faults
-		rt.Stats.Retries = retries
-		rt.Stats.Degraded = degraded
-		wall := time.Since(wallStart)
-		r.met.observe(rt, wall)
-		if p := r.cfg.Planner; p != nil && degraded == "" && faults == 0 {
-			// Degraded or faulted runs price the failure ladder, not the
-			// mode — keep them out of the learned profile.
-			if pm, ok := planMode(mode); ok {
-				p.Observe(pi.String(), plan.ShapeOf(goal), pm, plan.Observation{
-					TotalClauses: rt.Stats.TotalClauses,
-					AfterFS1:     rt.Stats.AfterFS1,
-					AfterFS2:     rt.Stats.AfterFS2,
-					Sim:          rt.Stats.Total,
-					Wall:         wall,
-				})
-			}
-		}
-		if f := r.cfg.Flight; f != nil {
-			rec := &telemetry.FlightRecord{
-				TS:        wallStart.UnixNano(),
-				Predicate: pi.String(),
-				Mode:      mode.String(),
-				Total:     int64(rt.Stats.TotalClauses),
-				AfterFS1:  int64(rt.Stats.AfterFS1),
-				AfterFS2:  int64(rt.Stats.AfterFS2),
-				SimNS:     int64(rt.Stats.Total),
-				WallNS:    int64(wall),
-				Degraded:  degraded,
-				Faults:    int64(faults),
-				Retries:   int64(retries),
-			}
-			if tr != nil {
-				rec.TraceID = tr.TraceID
-			}
-			if d != nil {
-				rec.Shape = string(d.Shape)
-				rec.Plan = d.Reason
-			} else {
-				rec.Shape = string(plan.ShapeOf(goal))
-			}
-			f.Record(rec)
-			r.met.flightRecords.Inc()
-		}
-		if root != nil {
-			root.AddSim(rt.Stats.Total)
-			root.SetAttr("candidates", fmt.Sprint(len(rt.Candidates)))
-			if degraded != "" {
-				root.SetAttr("degraded", degraded)
-			}
-			if retries > 0 {
-				root.SetAttr("retries", fmt.Sprint(retries))
-			}
-			root.End()
-			r.tracer.Finish(tr)
-		}
-		return rt
-	}
-	fail := func(err error) error {
-		r.met.errors.Inc()
-		if root != nil {
-			root.SetAttr("error", err.Error())
-			root.End()
-			r.tracer.Finish(tr)
-		}
-		return err
-	}
-
-	effMode := mode
-	degraded := ""
-	faults, retries := 0, 0
+// ladder runs one retrieval down the fault ladder — retry on other
+// hardware, downgrade to a full FS2 scan when the index is unreadable,
+// fall to the host when no board is left — and returns the record of the
+// attempt that ended it, together with that attempt's error if it was
+// not an injected fault. Each attempt starts a fresh record: a faulted
+// attempt's partial candidates and stage times must not leak into the
+// next. start is the call's entry time; the first attempt's lease wait
+// is measured from it (only a map read lies between).
+func (r *Retriever) ladder(goal term.Term, mode SearchMode, pred *Predicate, name string, start time.Time) (*Retrieval, error) {
 	backoff := r.cfg.RetryBackoff
 	if backoff <= 0 {
 		backoff = defaultRetryBackoff
@@ -714,101 +658,90 @@ func (r *Retriever) RetrieveTracedPlan(goal term.Term, mode SearchMode, tc *tele
 	case maxRetries < 0:
 		maxRetries = 0
 	}
+	effMode, degraded := mode, ""
+	faults, retries := 0, 0
+	fresh := func(mark time.Time) *Retrieval {
+		rt := &Retrieval{Mode: mode, Goal: goal, Predicate: name, pred: pred, slot: -1}
+		rt.Stats.TotalClauses = pred.File.Len()
+		rt.wall.mark = mark
+		return rt
+	}
+	seal := func(rt *Retrieval) *Retrieval {
+		rt.Stats.AfterFS2 = len(rt.Candidates)
+		rt.Stats.Faults, rt.Stats.Retries, rt.Stats.Degraded = faults, retries, degraded
+		return rt
+	}
+	mark := start
 	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if attempt > 0 {
 			retries++
-			r.met.retriesC.Inc()
 			time.Sleep(backoff)
 			backoff *= 2
+			mark = time.Now()
 		}
 		// The predicate-targeted whole-retrieval site: chaos schedules
 		// fail retrievals by indicator without aiming at one component.
-		if err := r.cfg.Faults.Probe(fault.SiteRetrieve, pi.String()); err != nil {
+		if err := r.cfg.Faults.Probe(fault.SiteRetrieve, name); err != nil {
 			faults++
 			continue
 		}
-		rt := &Retrieval{Mode: mode, Goal: goal, pred: pred, trace: tr}
-		rt.Stats.TotalClauses = pred.File.Len()
-
-		leaseStart := time.Now()
+		rt := fresh(mark)
 		u := r.pool.lease()
-		leaseWait := time.Since(leaseStart)
-		r.met.leaseWait.ObserveDuration(leaseWait)
 		if u == nil {
 			// Every unit is tripped and cooling off: drop to the
 			// ladder's last rung.
 			break
 		}
+		rt.wall.lap(stageLease)
+		rt.slot = u.slot
 		r.met.boardsBusy.Add(1)
-		if sp := tr.Span(root, stageLease); sp != nil {
-			sp.Start = leaseStart
-			sp.Wall = leaseWait
-			sp.SetAttr("slot", fmt.Sprint(u.slot))
-		}
-		root.SetAttr("board", fmt.Sprint(u.slot))
-
-		if r.cfg.Engine == EngineNative {
-			switch effMode {
-			case ModeSoftware:
-				// Mode (a) is defined by the host reference matcher and is
-				// shared between engines; the native engine accelerates
-				// the filter modes.
-				err = r.retrieveSoftware(goal, pred, rt, u)
-			case ModeFS1:
-				err = r.retrieveFS1Native(goal, pred, rt, u)
-			case ModeFS2:
-				err = r.retrieveFS2AllNative(goal, pred, rt, u)
-			case ModeFS1FS2:
-				err = r.retrieveFS1FS2Native(goal, pred, rt, u)
-			default:
-				err = fmt.Errorf("core: unknown mode %d", mode)
-			}
-		} else {
-			switch effMode {
-			case ModeSoftware:
-				err = r.retrieveSoftware(goal, pred, rt, u)
-			case ModeFS1:
-				err = r.retrieveFS1(goal, pred, rt, u)
-			case ModeFS2:
-				err = r.retrieveFS2All(goal, pred, rt, u)
-			case ModeFS1FS2:
-				err = r.retrieveFS1FS2(goal, pred, rt, u)
-			default:
-				err = fmt.Errorf("core: unknown mode %d", mode)
-			}
-		}
-		if err == nil {
-			r.pool.release(u)
-			r.met.boardsBusy.Add(-1)
-			return finish(rt, faults, retries, degraded), nil
-		}
+		err := r.search(effMode, goal, pred, rt, u)
+		r.met.boardsBusy.Add(-1)
 		if !fault.Is(err) {
 			r.pool.release(u)
-			r.met.boardsBusy.Add(-1)
-			return nil, fail(err)
+			return seal(rt), err
 		}
 		faults++
 		r.pool.releaseFaulty(u)
-		r.met.boardsBusy.Add(-1)
 		if fault.SiteOf(err) == fault.SiteDiskIndex && (effMode == ModeFS1 || effMode == ModeFS1FS2) {
 			// The secondary file is unreadable: abandon FS1 filtering
 			// and full-scan the clause file through FS2 (§2.2 mode (c)).
-			effMode = ModeFS2
-			degraded = "fs2"
-			r.met.degraded["fs2"].Inc()
+			effMode, degraded = ModeFS2, "fs2"
 		}
 	}
 	// Last rung: no healthy board, or the retry budget is spent. The host
 	// matches the raw clause file itself — no hardware, no injection
 	// sites, guaranteed to complete.
 	degraded = "host"
-	r.met.degraded["host"].Inc()
-	rt := &Retrieval{Mode: mode, Goal: goal, pred: pred, trace: tr}
-	rt.Stats.TotalClauses = pred.File.Len()
-	if err := r.retrieveSoftware(goal, pred, rt, nil); err != nil {
-		return nil, fail(err)
+	rt := fresh(time.Now())
+	err := r.retrieveSoftware(goal, pred, rt, nil)
+	return seal(rt), err
+}
+
+// searchModes is the one dispatch from engine × mode to the function
+// that runs it on a leased unit. Mode (a) is defined by the host
+// reference matcher and shared between engines; the native engine
+// accelerates the filter modes.
+var searchModes = [...][4]func(*Retriever, term.Term, *Predicate, *Retrieval, *boardUnit) error{
+	EngineSim: {
+		ModeSoftware: (*Retriever).retrieveSoftware,
+		ModeFS1:      (*Retriever).retrieveFS1,
+		ModeFS2:      (*Retriever).retrieveFS2All,
+		ModeFS1FS2:   (*Retriever).retrieveFS1FS2,
+	},
+	EngineNative: {
+		ModeSoftware: (*Retriever).retrieveSoftware,
+		ModeFS1:      (*Retriever).retrieveFS1Native,
+		ModeFS2:      (*Retriever).retrieveFS2AllNative,
+		ModeFS1FS2:   (*Retriever).retrieveFS1FS2Native,
+	},
+}
+
+func (r *Retriever) search(mode SearchMode, goal term.Term, pred *Predicate, rt *Retrieval, u *boardUnit) error {
+	if mode < ModeSoftware || mode > ModeFS1FS2 {
+		return fmt.Errorf("core: unknown mode %d", mode)
 	}
-	return finish(rt, faults, retries, degraded), nil
+	return searchModes[r.cfg.Engine][mode](r, goal, pred, rt, u)
 }
 
 // Flight reports the flight recorder this retriever records into (nil
@@ -818,15 +751,7 @@ func (r *Retriever) Flight() *telemetry.FlightRecorder { return r.cfg.Flight }
 // encodeQuery produces the goal's SCW query codeword and PIF query image,
 // memoised per goal shape in the query cache.
 func (r *Retriever) encodeQuery(goal term.Term, rt *Retrieval) (qd scw.QueryDescriptor, q *pif.Encoded, err error) {
-	start := time.Now()
-	sp := rt.trace.Span(nil, stageEncode)
-	defer func() {
-		rt.wall.encode += time.Since(start)
-		if sp != nil {
-			sp.SetAttr("cache", map[bool]string{true: "hit", false: "miss"}[rt.Stats.QueryCacheHit])
-			sp.End()
-		}
-	}()
+	defer rt.wall.lap(stageEncode)
 	var key string
 	if r.qcache != nil {
 		var cacheable bool
@@ -874,13 +799,7 @@ func (r *Retriever) retrieveSoftware(goal term.Term, pred *Predicate, rt *Retrie
 	} else {
 		diskTime = r.cfg.Disk.ScanTime(pred.File.SizeBytes())
 	}
-	if sp := rt.trace.Span(nil, stageDiskFetch); sp != nil {
-		sp.AddSim(diskTime)
-		sp.SetAttr("bytes", fmt.Sprint(pred.File.SizeBytes()))
-		sp.End()
-	}
-	sp := rt.trace.Span(nil, stageHostMatch)
-	start := time.Now()
+	rt.wall.lap(stageDiskFetch)
 	cfg := ptuConfigFor(r.cfg.Microprogram)
 	for _, sc := range all {
 		head, _, err := pred.File.DecodeClause(sc)
@@ -892,12 +811,7 @@ func (r *Retriever) retrieveSoftware(goal term.Term, pred *Predicate, rt *Retrie
 			rt.Candidates = append(rt.Candidates, sc)
 		}
 	}
-	rt.wall.host += time.Since(start)
-	if sp != nil {
-		sp.AddSim(rt.Stats.HostMatch)
-		sp.SetAttr("clauses", fmt.Sprint(len(all)))
-		sp.End()
-	}
+	rt.wall.lap(stageHostMatch)
 	rt.Stats.DiskFetch = diskTime
 	rt.Stats.Total = diskTime + rt.Stats.HostMatch
 	return nil
@@ -910,8 +824,6 @@ func (r *Retriever) retrieveFS1(goal term.Term, pred *Predicate, rt *Retrieval, 
 	if err != nil {
 		return err
 	}
-	scanSpan := rt.trace.Span(nil, stageFS1Scan)
-	scanStart := time.Now()
 	scan := pred.File.Index().Scan(qd)
 	rt.Stats.IndexBytes = scan.BytesScanned
 	// The index streams from disk through FS1; FS1 (4.5 MB/s) outruns the
@@ -927,15 +839,8 @@ func (r *Retriever) retrieveFS1(goal term.Term, pred *Predicate, rt *Retrieval, 
 	rt.Stats.FS1Scan = fs1Time
 	rt.Stats.AfterFS1 = len(scan.Addrs)
 	rt.Stats.MaskedHits = scan.MaskedHits
-	rt.wall.fs1 += time.Since(scanStart)
-	if scanSpan != nil {
-		scanSpan.AddSim(fs1Time)
-		scanSpan.SetAttr("survivors", fmt.Sprint(len(scan.Addrs)))
-		scanSpan.End()
-	}
+	rt.wall.lap(stageFS1Scan)
 
-	fetchSpan := rt.trace.Span(nil, stageDiskFetch)
-	fetchStart := time.Now()
 	candidates, err := pred.File.ByAddrs(scan.Addrs)
 	if err != nil {
 		return err
@@ -953,14 +858,24 @@ func (r *Retriever) retrieveFS1(goal term.Term, pred *Predicate, rt *Retrieval, 
 		return err
 	}
 	rt.Candidates = candidates
-	rt.wall.fetch += time.Since(fetchStart)
-	if fetchSpan != nil {
-		fetchSpan.AddSim(rt.Stats.DiskFetch)
-		fetchSpan.SetAttr("bytes", fmt.Sprint(fetchBytes))
-		fetchSpan.End()
-	}
+	rt.wall.lap(stageDiskFetch)
 	rt.Stats.Total = rt.Stats.FS1Scan + rt.Stats.DiskFetch
 	return nil
+}
+
+// streamChunks resolves the fs1+fs2 pipeline's chunking of an n-entry
+// index: entries per chunk and how many chunks that makes.
+func (r *Retriever) streamChunks(n int) (chunk, count int) {
+	chunk = r.cfg.StreamChunkEntries
+	if chunk <= 0 {
+		// One disk track per chunk — the paper's worst-case unit of a
+		// single FS2 search call (§3.2).
+		chunk = r.cfg.Disk.TrackBytes / scw.EntrySize
+		if chunk < 1 {
+			chunk = 1
+		}
+	}
+	return chunk, (n + chunk - 1) / chunk
 }
 
 // retrieveFS1FS2 is mode (d) restructured as a streaming pipeline: the
@@ -980,15 +895,7 @@ func (r *Retriever) retrieveFS1FS2(goal term.Term, pred *Predicate, rt *Retrieva
 	if n == 0 {
 		return nil
 	}
-	chunk := r.cfg.StreamChunkEntries
-	if chunk <= 0 {
-		// One disk track per chunk — the paper's worst-case unit of a
-		// single FS2 search call (§3.2).
-		chunk = r.cfg.Disk.TrackBytes / scw.EntrySize
-		if chunk < 1 {
-			chunk = 1
-		}
-	}
+	chunk, count := r.streamChunks(n)
 
 	if _, err := u.bus.SelectFS2(fs2.ModeSetQuery); err != nil {
 		return err
@@ -996,6 +903,7 @@ func (r *Retriever) retrieveFS1FS2(goal term.Term, pred *Predicate, rt *Retrieva
 	if err := u.board.SetQuery(q); err != nil {
 		return err
 	}
+	rt.wall.lap(stageFS2Match)
 
 	// One positioning access starts the sequential index stream; chunk
 	// transfers then continue at the sustained rate.
@@ -1003,18 +911,13 @@ func (r *Retriever) retrieveFS1FS2(goal term.Term, pred *Predicate, rt *Retrieva
 	if err != nil {
 		return err
 	}
-	var scanChunks, matchChunks []time.Duration
+	scanChunks := make([]time.Duration, 0, count)
+	matchChunks := make([]time.Duration, 0, count)
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
 		if hi > n {
 			hi = n
 		}
-		chunkSpan := rt.trace.Span(nil, "chunk")
-		if chunkSpan != nil {
-			chunkSpan.SetAttr("entries", fmt.Sprintf("%d-%d", lo, hi))
-		}
-		scanSpan := rt.trace.Span(chunkSpan, stageFS1Scan)
-		scanStart := time.Now()
 		scan := ix.ScanRange(qd, lo, hi)
 		rt.Stats.IndexBytes += scan.BytesScanned
 		// FS1 outruns the disk, so chunk delivery dominates the scan.
@@ -1030,15 +933,8 @@ func (r *Retriever) retrieveFS1FS2(goal term.Term, pred *Predicate, rt *Retrieva
 		rt.Stats.AfterFS1 += len(scan.Addrs)
 		rt.Stats.MaskedHits += scan.MaskedHits
 		scanChunks = append(scanChunks, sTime)
-		rt.wall.fs1 += time.Since(scanStart)
-		if scanSpan != nil {
-			scanSpan.AddSim(sTime)
-			scanSpan.SetAttr("survivors", fmt.Sprint(len(scan.Addrs)))
-			scanSpan.End()
-		}
+		rt.wall.lap(stageFS1Scan)
 
-		fetchSpan := rt.trace.Span(chunkSpan, stageDiskFetch)
-		fetchStart := time.Now()
 		candidates, err := pred.File.ByAddrs(scan.Addrs)
 		if err != nil {
 			return err
@@ -1057,22 +953,11 @@ func (r *Retriever) retrieveFS1FS2(goal term.Term, pred *Predicate, rt *Retrieva
 			return err
 		}
 		rt.Stats.DiskFetch += fetch
-		rt.wall.fetch += time.Since(fetchStart)
-		if fetchSpan != nil {
-			fetchSpan.AddSim(fetch)
-			fetchSpan.SetAttr("bytes", fmt.Sprint(fetchBytes))
-			fetchSpan.End()
-		}
+		rt.wall.lap(stageDiskFetch)
 
-		matchSpan := rt.trace.Span(chunkSpan, stageFS2Match)
 		match, _, err := r.searchFS2(u, candidates, rt)
 		if err != nil {
 			return err
-		}
-		if matchSpan != nil {
-			matchSpan.AddSim(match)
-			matchSpan.SetAttr("examined", fmt.Sprint(len(candidates)))
-			matchSpan.End()
 		}
 		// Within the chunk, the fetched stream passes through FS2 on the
 		// fly (the Double Buffer): the slower side dominates.
@@ -1081,7 +966,6 @@ func (r *Retriever) retrieveFS1FS2(goal term.Term, pred *Predicate, rt *Retrieva
 			mTime = match
 		}
 		matchChunks = append(matchChunks, mTime)
-		chunkSpan.End()
 	}
 	rt.Stats.FS1Scan += access
 	rt.Stats.Chunks = len(scanChunks)
@@ -1102,11 +986,7 @@ func (r *Retriever) retrieveFS2All(goal term.Term, pred *Predicate, rt *Retrieva
 	if err != nil {
 		return err
 	}
-	if sp := rt.trace.Span(nil, stageDiskFetch); sp != nil {
-		sp.AddSim(diskTime)
-		sp.SetAttr("bytes", fmt.Sprint(pred.File.SizeBytes()))
-		sp.End()
-	}
+	rt.wall.lap(stageDiskFetch)
 	_, q, err := r.encodeQuery(goal, rt)
 	if err != nil {
 		return err
@@ -1117,15 +997,9 @@ func (r *Retriever) retrieveFS2All(goal term.Term, pred *Predicate, rt *Retrieva
 	if err := u.board.SetQuery(q); err != nil {
 		return err
 	}
-	matchSpan := rt.trace.Span(nil, stageFS2Match)
-	matchTime, clauseTimes, err := r.searchFS2(u, all, rt)
+	_, clauseTimes, err := r.searchFS2(u, all, rt)
 	if err != nil {
 		return err
-	}
-	if matchSpan != nil {
-		matchSpan.AddSim(matchTime)
-		matchSpan.SetAttr("examined", fmt.Sprint(len(all)))
-		matchSpan.End()
 	}
 	xfers := make([]time.Duration, len(all))
 	for i, sc := range all {
@@ -1161,8 +1035,6 @@ func pipelineTime(access time.Duration, xfers, matches []time.Duration) time.Dur
 // appends the satisfiers to rt.Candidates and returns the stream's match
 // time plus per-clause times (for pipeline accounting).
 func (r *Retriever) searchFS2(u *boardUnit, in []*clausefile.StoredClause, rt *Retrieval) (time.Duration, []time.Duration, error) {
-	wallStart := time.Now()
-	defer func() { rt.wall.fs2 += time.Since(wallStart) }()
 	records := make([]fs2.Record, len(in))
 	for i, sc := range in {
 		records[i] = fs2.Record{Addr: sc.Addr, Enc: sc.Head}
@@ -1208,6 +1080,7 @@ func (r *Retriever) searchFS2(u *boardUnit, in []*clausefile.StoredClause, rt *R
 		return 0, nil, err
 	}
 	rt.Candidates = append(rt.Candidates, matched...)
+	rt.wall.lap(stageFS2Match)
 	return matchTime, clauseTimes, nil
 }
 

@@ -14,7 +14,7 @@ import (
 // This file implements the per-retrieval EXPLAIN profile: the paper's
 // stage-by-stage cost argument (§2.1 false drops, §2.2 partial-test
 // precision) turned into an inspectable artifact. An Explain call runs a
-// real retrieval, then pushes the candidates through host full
+// real retrieval, then ProfileOf pushes the candidates through host full
 // unification to count the true unifiers — the reference the filter
 // rungs are judged against:
 //
@@ -30,8 +30,9 @@ import (
 
 // Profile is one retrieval's filter-cost profile.
 type Profile struct {
-	Mode      SearchMode
-	Predicate Indicator
+	Mode SearchMode
+	// Predicate is the goal's indicator as the retrieval rendered it.
+	Predicate string
 	Stats     StageStats
 	// Unified is the number of candidates whose heads truly unify with
 	// the goal (host full unification with occurs-check off, the Prolog
@@ -44,8 +45,8 @@ type Profile struct {
 	GhostFS2 float64
 	// HostUnifyWall is the host time the reference unification pass cost.
 	HostUnifyWall time.Duration
-	// Wall is the whole retrieval's host time (the retrieval itself, not
-	// the reference pass).
+	// Wall is the retrieval's own host time, as its record measured it
+	// (the reference pass is HostUnifyWall).
 	Wall time.Duration
 	// Trace is the retrieval's span tree (nil without a Tracer).
 	Trace *telemetry.Trace
@@ -63,34 +64,35 @@ func (r *Retriever) Explain(goal term.Term, mode SearchMode) (*Profile, error) {
 // ExplainTraced is Explain joining a remote caller's trace, the way
 // RetrieveTraced joins one.
 func (r *Retriever) ExplainTraced(goal term.Term, mode SearchMode, tc *telemetry.TraceContext) (*Profile, error) {
-	wallStart := time.Now()
 	rt, err := r.RetrieveTraced(goal, mode, tc)
 	if err != nil {
 		return nil, err
 	}
-	p := &Profile{Mode: mode, Stats: rt.Stats, Trace: rt.trace}
-	if functor, args, ok := principal(goal); ok {
-		p.Predicate = Indicator{Functor: functor, Arity: len(args)}
-	}
+	return r.ProfileOf(rt)
+}
 
-	// The reference pass: full unification of the goal against every
-	// candidate head, on the host. This is ground truth, not a filter —
-	// it is what the CRS's caller would do with the candidates anyway.
+// ProfileOf derives the EXPLAIN profile of a finished retrieval: the
+// reference pass — full unification of the goal against every candidate
+// head, on the host. This is ground truth, not a filter; it is what the
+// CRS's caller would do with the candidates anyway. The candidates point
+// into an immutable compiled clause file, so the pass needs no lock the
+// retrieval held.
+func (r *Retriever) ProfileOf(rt *Retrieval) (*Profile, error) {
+	p := &Profile{Mode: rt.Mode, Predicate: rt.Predicate, Stats: rt.Stats, Wall: rt.wall.total, Trace: rt.trace}
 	unifyStart := time.Now()
 	heads, _, err := rt.DecodeCandidates()
 	if err != nil {
 		return nil, err
 	}
 	for _, h := range heads {
-		if unify.Unifiable(goal, h) {
+		if unify.Unifiable(rt.Goal, h) {
 			p.Unified++
 		}
 	}
 	p.HostUnifyWall = time.Since(unifyStart)
-	p.Wall = time.Since(wallStart)
 
-	usedFS1 := mode == ModeFS1 || mode == ModeFS1FS2
-	usedFS2 := mode == ModeFS2 || mode == ModeFS1FS2
+	usedFS1 := rt.Mode == ModeFS1 || rt.Mode == ModeFS1FS2
+	usedFS2 := rt.Mode == ModeFS2 || rt.Mode == ModeFS1FS2
 	if rt.Stats.Degraded == "host" {
 		usedFS1, usedFS2 = false, false
 	} else if rt.Stats.Degraded == "fs2" {
@@ -124,7 +126,7 @@ func (p *Profile) Entries() []ExplainEntry {
 	ratio := func(f float64) string { return strconv.FormatFloat(f, 'f', 4, 64) }
 	out := []ExplainEntry{
 		{"mode", p.Mode.String()},
-		{"predicate", p.Predicate.String()},
+		{"predicate", p.Predicate},
 		{"candidates.total", fmt.Sprint(st.TotalClauses)},
 		{"candidates.after_fs1", fmt.Sprint(st.AfterFS1)},
 		{"candidates.after_fs2", fmt.Sprint(st.AfterFS2)},
@@ -139,7 +141,7 @@ func (p *Profile) Entries() []ExplainEntry {
 		{"sim.fs2_match", dur(st.FS2Match)},
 		{"sim.host_match", dur(st.HostMatch)},
 		{"sim.total", dur(st.Total)},
-		{"wall.retrieval", dur(p.Wall - p.HostUnifyWall)},
+		{"wall.retrieval", dur(p.Wall)},
 		{"wall.host_unify", dur(p.HostUnifyWall)},
 		{"chunks", fmt.Sprint(st.Chunks)},
 		{"cache_hit", strconv.FormatBool(st.QueryCacheHit)},

@@ -76,8 +76,6 @@ func (r *Retriever) retrieveFS1Native(goal term.Term, pred *Predicate, rt *Retri
 	a := r.arena()
 	defer r.natPool.Put(a)
 
-	scanSpan := rt.trace.Span(nil, stageFS1Scan)
-	scanStart := time.Now()
 	pred.File.Index().Columnar().ParScanInto(qd, r.ScanWorkers(), r.scanPool, &a.pbuf)
 	buf := &a.pbuf.Out
 	rt.Stats.IndexBytes = buf.BytesScanned
@@ -93,15 +91,8 @@ func (r *Retriever) retrieveFS1Native(goal term.Term, pred *Predicate, rt *Retri
 	rt.Stats.FS1Scan = fs1Time
 	rt.Stats.AfterFS1 = len(buf.Pos)
 	rt.Stats.MaskedHits = buf.MaskedHits
-	rt.wall.fs1 += time.Since(scanStart)
-	if scanSpan != nil {
-		scanSpan.AddSim(fs1Time)
-		scanSpan.SetAttr("survivors", fmt.Sprint(len(buf.Pos)))
-		scanSpan.End()
-	}
+	rt.wall.lap(stageFS1Scan)
 
-	fetchSpan := rt.trace.Span(nil, stageDiskFetch)
-	fetchStart := time.Now()
 	all := pred.File.All()
 	candidates := make([]*clausefile.StoredClause, 0, len(buf.Pos))
 	fetchBytes := 0
@@ -115,12 +106,7 @@ func (r *Retriever) retrieveFS1Native(goal term.Term, pred *Predicate, rt *Retri
 		return err
 	}
 	rt.Candidates = candidates
-	rt.wall.fetch += time.Since(fetchStart)
-	if fetchSpan != nil {
-		fetchSpan.AddSim(rt.Stats.DiskFetch)
-		fetchSpan.SetAttr("bytes", fmt.Sprint(fetchBytes))
-		fetchSpan.End()
-	}
+	rt.wall.lap(stageDiskFetch)
 	rt.Stats.Total = rt.Stats.FS1Scan + rt.Stats.DiskFetch
 	return nil
 }
@@ -139,11 +125,7 @@ func (r *Retriever) retrieveFS2AllNative(goal term.Term, pred *Predicate, rt *Re
 	if err != nil {
 		return err
 	}
-	if sp := rt.trace.Span(nil, stageDiskFetch); sp != nil {
-		sp.AddSim(diskTime)
-		sp.SetAttr("bytes", fmt.Sprint(pred.File.SizeBytes()))
-		sp.End()
-	}
+	rt.wall.lap(stageDiskFetch)
 	_, q, err := r.encodeQuery(goal, rt)
 	if err != nil {
 		return err
@@ -153,14 +135,8 @@ func (r *Retriever) retrieveFS2AllNative(goal term.Term, pred *Predicate, rt *Re
 	if err := a.nm.SetQuery(q); err != nil {
 		return err
 	}
-	matchSpan := rt.trace.Span(nil, stageFS2Match)
-	start := time.Now()
 	r.nativeFilter(a.nm, all, rt)
-	rt.wall.fs2 += time.Since(start)
-	if matchSpan != nil {
-		matchSpan.SetAttr("examined", fmt.Sprint(len(all)))
-		matchSpan.End()
-	}
+	rt.wall.lap(stageFS2Match)
 	rt.Stats.DiskFetch = diskTime
 	rt.Stats.Total = diskTime
 	return nil
@@ -181,18 +157,13 @@ func (r *Retriever) retrieveFS1FS2Native(goal term.Term, pred *Predicate, rt *Re
 	if n == 0 {
 		return nil
 	}
-	chunk := r.cfg.StreamChunkEntries
-	if chunk <= 0 {
-		chunk = r.cfg.Disk.TrackBytes / scw.EntrySize
-		if chunk < 1 {
-			chunk = 1
-		}
-	}
+	chunk, count := r.streamChunks(n)
 	a := r.arena()
 	defer r.natPool.Put(a)
 	if err := a.nm.SetQuery(q); err != nil {
 		return err
 	}
+	rt.wall.lap(stageFS2Match)
 	col := ix.Columnar()
 	all := pred.File.All()
 
@@ -200,18 +171,13 @@ func (r *Retriever) retrieveFS1FS2Native(goal term.Term, pred *Predicate, rt *Re
 	if err != nil {
 		return err
 	}
-	var scanChunks, matchChunks []time.Duration
+	scanChunks := make([]time.Duration, 0, count)
+	matchChunks := make([]time.Duration, 0, count)
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
 		if hi > n {
 			hi = n
 		}
-		chunkSpan := rt.trace.Span(nil, "chunk")
-		if chunkSpan != nil {
-			chunkSpan.SetAttr("entries", fmt.Sprintf("%d-%d", lo, hi))
-		}
-		scanSpan := rt.trace.Span(chunkSpan, stageFS1Scan)
-		scanStart := time.Now()
 		// Chunks default to one disk track (~1.5k entries), well under
 		// scw.ParScanMinEntries, so the partitioned call degenerates to a
 		// serial sweep unless StreamChunkEntries is configured large.
@@ -230,15 +196,8 @@ func (r *Retriever) retrieveFS1FS2Native(goal term.Term, pred *Predicate, rt *Re
 		rt.Stats.AfterFS1 += len(buf.Pos)
 		rt.Stats.MaskedHits += buf.MaskedHits
 		scanChunks = append(scanChunks, sTime)
-		rt.wall.fs1 += time.Since(scanStart)
-		if scanSpan != nil {
-			scanSpan.AddSim(sTime)
-			scanSpan.SetAttr("survivors", fmt.Sprint(len(buf.Pos)))
-			scanSpan.End()
-		}
+		rt.wall.lap(stageFS1Scan)
 
-		fetchSpan := rt.trace.Span(chunkSpan, stageDiskFetch)
-		fetchStart := time.Now()
 		fetchBytes := 0
 		for _, p := range buf.Pos {
 			fetchBytes += all[p].SizeBytes
@@ -249,16 +208,9 @@ func (r *Retriever) retrieveFS1FS2Native(goal term.Term, pred *Predicate, rt *Re
 			return err
 		}
 		rt.Stats.DiskFetch += fetch
-		rt.wall.fetch += time.Since(fetchStart)
-		if fetchSpan != nil {
-			fetchSpan.AddSim(fetch)
-			fetchSpan.SetAttr("bytes", fmt.Sprint(fetchBytes))
-			fetchSpan.End()
-		}
+		matchChunks = append(matchChunks, fetch)
+		rt.wall.lap(stageDiskFetch)
 
-		matchSpan := rt.trace.Span(chunkSpan, stageFS2Match)
-		matchStart := time.Now()
-		examined := len(buf.Pos)
 		for _, p := range buf.Pos {
 			sc := all[p]
 			if a.nm.Match(sc.Head) {
@@ -269,13 +221,7 @@ func (r *Retriever) retrieveFS1FS2Native(goal term.Term, pred *Predicate, rt *Re
 				rt.Stats.FS2RejectsLevel++
 			}
 		}
-		rt.wall.fs2 += time.Since(matchStart)
-		if matchSpan != nil {
-			matchSpan.SetAttr("examined", fmt.Sprint(examined))
-			matchSpan.End()
-		}
-		matchChunks = append(matchChunks, fetch)
-		chunkSpan.End()
+		rt.wall.lap(stageFS2Match)
 	}
 	rt.Stats.FS1Scan += access
 	rt.Stats.Chunks = len(scanChunks)

@@ -1,35 +1,85 @@
 package core
 
 import (
+	"strconv"
 	"sync"
 	"time"
 
+	"clare/internal/plan"
 	"clare/internal/telemetry"
 )
 
-// Stage names, shared by the stage histograms and the trace span
-// taxonomy. A retrieval's span tree is:
+// stage indexes the per-stage slots of a retrieval's record, the stage
+// histograms and the trace span taxonomy. The Retrieval is the source:
+// the retrieve* functions write Stats (simulated time, counts) and lap
+// the stage clock, nothing else, and record derives the registry
+// observations, the planner observation, the flight record and the span
+// tree from it in one place. The tree is therefore a view with a fixed
+// shape — the root plus one span per stage that ran, whatever the
+// predicate size, chunk count or engine:
 //
-//	retrieve                       (root: predicate, mode, board slot)
-//	├─ encode                      (query-cache probe + SCW/PIF encode)
-//	├─ board_lease                 (wall time waiting for a free unit)
-//	├─ chunk[i]                    (fs1+fs2 mode: one pipeline chunk)
-//	│  ├─ fs1_scan                 (index scan through FS1, disk-bound)
-//	│  ├─ disk_fetch               (surviving clause records off disk)
-//	│  └─ fs2_match                (partial test unification on the board)
-//	└─ host_match                  (software mode only)
+//	retrieve       predicate, mode, board, candidates [degraded, retries, error]
+//	├─ board_lease slot           (wall time waiting for a free unit)
+//	├─ encode      cache=hit|miss (query-cache probe + SCW/PIF encode)
+//	├─ fs1_scan    survivors, chunks (index scan through FS1, disk-bound)
+//	├─ disk_fetch  bytes          (clause records off disk)
+//	├─ fs2_match   examined       (partial test unification)
+//	└─ host_match  examined       (software mode, and the host-only rung)
 //
-// Flat modes (software, fs1, fs2) attach the stage spans directly under
-// the root. Sim durations come from the component models; wall durations
-// from the host clock.
+// A stage that interleaves per pipeline chunk (fs1+fs2 mode) is one span
+// whose Wall is the sum over its slices and whose "chunks" attr says how
+// many there were; per-chunk simulated time stays where it is exact, in
+// Stats.Chunks and pipelineTime. Sim comes from the component models
+// (the matching StageStats field), Wall from the host clock.
+type stage int
+
 const (
-	stageEncode    = "encode"
-	stageLease     = "board_lease"
-	stageFS1Scan   = "fs1_scan"
-	stageDiskFetch = "disk_fetch"
-	stageFS2Match  = "fs2_match"
-	stageHostMatch = "host_match"
+	stageLease stage = iota
+	stageEncode
+	stageFS1Scan
+	stageDiskFetch
+	stageFS2Match
+	stageHostMatch
+	numStages
 )
+
+var stageNames = [numStages]string{"board_lease", "encode", "fs1_scan", "disk_fetch", "fs2_match", "host_match"}
+
+// stageClock splits a retrieval's host time between its stages with one
+// clock read per stage boundary: lap charges the time since the previous
+// boundary to a stage. The stages interleave per chunk in fs1+fs2 mode,
+// so a stage's wall time is summed over its slices.
+type stageClock struct {
+	mark  time.Time            // the last boundary
+	first [numStages]time.Time // when each stage first began; zero = never ran
+	wall  [numStages]time.Duration
+	total time.Duration // the whole call, set by record
+}
+
+func (c *stageClock) lap(s stage) {
+	now := time.Now()
+	if c.first[s].IsZero() {
+		c.first[s] = c.mark
+	}
+	c.wall[s] += now.Sub(c.mark)
+	c.mark = now
+}
+
+// sim reports the stage's simulated duration (zero for the stages with no
+// hardware analogue).
+func (st *StageStats) sim(s stage) time.Duration {
+	switch s {
+	case stageFS1Scan:
+		return st.FS1Scan
+	case stageDiskFetch:
+		return st.DiskFetch
+	case stageFS2Match:
+		return st.FS2Match
+	case stageHostMatch:
+		return st.HostMatch
+	}
+	return 0
+}
 
 // coreMetrics pre-resolves every handle the retrieval hot path updates,
 // so instrumentation costs one atomic op per touch (and literally nothing
@@ -39,8 +89,10 @@ type coreMetrics struct {
 	errors        *telemetry.Counter
 	retrievalSim  map[SearchMode]*telemetry.Histogram
 	retrievalWall map[SearchMode]*telemetry.Histogram
-	stageSim      map[string]*telemetry.Histogram
-	stageWall     map[string]*telemetry.Histogram
+	// stageWall[stageLease] is the lease-wait histogram; the stages with no
+	// hardware analogue have no sim series observed.
+	stageSim  [numStages]*telemetry.Histogram
+	stageWall [numStages]*telemetry.Histogram
 
 	clausesIn *telemetry.Counter
 	afterFS1  *telemetry.Counter
@@ -48,7 +100,6 @@ type coreMetrics struct {
 	chunks    *telemetry.Counter
 	overflows *telemetry.Counter
 
-	leaseWait  *telemetry.Histogram
 	boardsBusy *telemetry.Gauge
 
 	retriesC *telemetry.Counter
@@ -77,8 +128,6 @@ func newCoreMetrics(reg *telemetry.Registry) *coreMetrics {
 		retrievals:    make(map[SearchMode]*telemetry.Counter, len(allModes)),
 		retrievalSim:  make(map[SearchMode]*telemetry.Histogram, len(allModes)),
 		retrievalWall: make(map[SearchMode]*telemetry.Histogram, len(allModes)),
-		stageSim:      make(map[string]*telemetry.Histogram, 8),
-		stageWall:     make(map[string]*telemetry.Histogram, 8),
 	}
 	for _, mode := range allModes {
 		ml := telemetry.Labels{"mode": mode.String()}
@@ -88,12 +137,13 @@ func newCoreMetrics(reg *telemetry.Registry) *coreMetrics {
 		m.retrievalWall[mode] = reg.Histogram("clare_retrieval_seconds", "whole-retrieval duration per mode and clock", nil,
 			telemetry.Labels{"mode": mode.String(), "clock": "wall"})
 	}
-	for _, stage := range []string{stageEncode, stageFS1Scan, stageDiskFetch, stageFS2Match, stageHostMatch} {
-		m.stageSim[stage] = reg.Histogram("clare_stage_seconds", "per-stage duration per clock", nil,
-			telemetry.Labels{"stage": stage, "clock": "sim"})
-		m.stageWall[stage] = reg.Histogram("clare_stage_seconds", "per-stage duration per clock", nil,
-			telemetry.Labels{"stage": stage, "clock": "wall"})
+	for s := stageEncode; s < numStages; s++ {
+		m.stageSim[s] = reg.Histogram("clare_stage_seconds", "per-stage duration per clock", nil,
+			telemetry.Labels{"stage": stageNames[s], "clock": "sim"})
+		m.stageWall[s] = reg.Histogram("clare_stage_seconds", "per-stage duration per clock", nil,
+			telemetry.Labels{"stage": stageNames[s], "clock": "wall"})
 	}
+	m.stageWall[stageLease] = reg.Histogram("clare_board_lease_wait_seconds", "wall time a retrieval waited for a free board unit", nil, nil)
 	m.errors = reg.Counter("clare_retrieval_errors_total", "retrievals that failed", nil)
 	m.clausesIn = reg.Counter("clare_stage_candidates_total", "candidate counts entering/leaving each filter stage",
 		telemetry.Labels{"stage": "input"})
@@ -103,7 +153,6 @@ func newCoreMetrics(reg *telemetry.Registry) *coreMetrics {
 		telemetry.Labels{"stage": "after_fs2"})
 	m.chunks = reg.Counter("clare_pipeline_chunks_total", "FS1→FS2 pipeline chunks streamed", nil)
 	m.overflows = reg.Counter("clare_result_overflows_total", "retrievals that overflowed the Result Memory", nil)
-	m.leaseWait = reg.Histogram("clare_board_lease_wait_seconds", "wall time a retrieval waited for a free board unit", nil, nil)
 	m.boardsBusy = reg.Gauge("clare_boards_busy", "board units currently leased", nil)
 	m.retriesC = reg.Counter("clare_retrieval_retries_total", "retrieval attempts re-run after an injected fault", nil)
 	m.degraded = map[string]*telemetry.Counter{
@@ -121,46 +170,135 @@ func newCoreMetrics(reg *telemetry.Registry) *coreMetrics {
 	return m
 }
 
-// stageWallTimes accumulates per-stage host time across a retrieval (the
-// stages interleave per chunk in fs1+fs2 mode, so each stage's wall time
-// is summed over its slices and observed once at the end).
-type stageWallTimes struct {
-	encode, fs1, fetch, fs2, host time.Duration
+// record is the one place a finished retrieval is observed: the registry,
+// the planner, the span tree and the flight record are all derived here
+// from rt (and err, for a retrieval that failed past the predicate
+// lookup), so the search modes carry no bookkeeping of their own.
+func (r *Retriever) record(rt *Retrieval, start time.Time, tc *telemetry.TraceContext, d *plan.Decision, err error) {
+	st := &rt.Stats
+	rt.wall.total = time.Since(start)
+	r.met.observe(rt, err)
+
+	var shape plan.Shape
+	if d != nil {
+		shape = d.Shape
+	} else if r.cfg.Planner != nil || r.cfg.Flight != nil {
+		shape = plan.ShapeOf(rt.Goal)
+	}
+	if p := r.cfg.Planner; p != nil && err == nil && st.Degraded == "" && st.Faults == 0 {
+		// Degraded or faulted runs price the failure ladder, not the
+		// mode — keep them out of the learned profile.
+		if pm, ok := planMode(rt.Mode); ok {
+			p.Observe(rt.Predicate, shape, pm, plan.Observation{
+				TotalClauses: st.TotalClauses,
+				AfterFS1:     st.AfterFS1,
+				AfterFS2:     st.AfterFS2,
+				Sim:          st.Total,
+				Wall:         rt.wall.total,
+			})
+		}
+	}
+	if r.tracer != nil {
+		rt.trace = r.spanTree(rt, start, tc, err)
+	}
+	if f := r.cfg.Flight; f != nil {
+		rec := &telemetry.FlightRecord{
+			TS:        start.UnixNano(),
+			TraceID:   rt.TraceID(),
+			Predicate: rt.Predicate,
+			Shape:     string(shape),
+			Mode:      rt.Mode.String(),
+			Total:     int64(st.TotalClauses),
+			AfterFS1:  int64(st.AfterFS1),
+			AfterFS2:  int64(st.AfterFS2),
+			SimNS:     int64(st.Total),
+			WallNS:    int64(rt.wall.total),
+			Degraded:  st.Degraded,
+			Faults:    int64(st.Faults),
+			Retries:   int64(st.Retries),
+		}
+		if d != nil {
+			rec.Plan = d.Reason
+		}
+		if err != nil {
+			rec.Err = err.Error()
+		}
+		f.Record(rec)
+		r.met.flightRecords.Inc()
+	}
+}
+
+// spanTree renders the retrieval's record as its fixed-shape trace and
+// files it in the tracer's ring.
+func (r *Retriever) spanTree(rt *Retrieval, start time.Time, tc *telemetry.TraceContext, err error) *telemetry.Trace {
+	st := &rt.Stats
+	tr := r.tracer.StartAt("retrieve", tc, start)
+	root := tr.Root()
+	root.Wall, root.Sim = rt.wall.total, st.Total
+	root.SetAttr("predicate", rt.Predicate)
+	root.SetAttr("mode", rt.Mode.String())
+	if rt.slot >= 0 {
+		root.SetAttr("board", strconv.Itoa(rt.slot))
+	}
+	if st.Degraded != "" {
+		root.SetAttr("degraded", st.Degraded)
+	}
+	if st.Retries > 0 {
+		root.SetAttr("retries", strconv.Itoa(st.Retries))
+	}
+	if err != nil {
+		root.SetAttr("error", err.Error())
+	} else {
+		root.SetAttr("candidates", strconv.Itoa(len(rt.Candidates)))
+	}
+	for s := stage(0); s < numStages; s++ {
+		if rt.wall.first[s].IsZero() {
+			continue
+		}
+		sp := tr.Record(root, stageNames[s], rt.wall.first[s], rt.wall.wall[s], st.sim(s))
+		switch s {
+		case stageLease:
+			sp.SetAttr("slot", strconv.Itoa(rt.slot))
+		case stageEncode:
+			cache := "miss"
+			if st.QueryCacheHit {
+				cache = "hit"
+			}
+			sp.SetAttr("cache", cache)
+		case stageFS1Scan:
+			sp.SetAttr("survivors", strconv.Itoa(st.AfterFS1))
+			if st.Chunks > 0 {
+				sp.SetAttr("chunks", strconv.Itoa(st.Chunks))
+			}
+		case stageDiskFetch:
+			sp.SetAttr("bytes", strconv.Itoa(st.ClauseBytes))
+		case stageFS2Match, stageHostMatch:
+			sp.SetAttr("examined", strconv.Itoa(st.AfterFS1))
+		}
+	}
+	r.tracer.Finish(tr)
+	return tr
 }
 
 // observe publishes one finished retrieval into the registry.
-func (m *coreMetrics) observe(rt *Retrieval, wall time.Duration) {
-	m.retrievals[rt.Mode].Inc()
-	m.retrievalSim[rt.Mode].ObserveDuration(rt.Stats.Total)
-	m.retrievalWall[rt.Mode].ObserveDuration(wall)
+func (m *coreMetrics) observe(rt *Retrieval, err error) {
 	st := &rt.Stats
-	if st.FS1Scan > 0 {
-		m.stageSim[stageFS1Scan].ObserveDuration(st.FS1Scan)
+	m.retriesC.Add(int64(st.Retries))
+	m.faultsC.Add(int64(st.Faults))
+	if err != nil {
+		m.errors.Inc()
+		return
 	}
-	if st.DiskFetch > 0 {
-		m.stageSim[stageDiskFetch].ObserveDuration(st.DiskFetch)
-	}
-	if st.FS2Match > 0 {
-		m.stageSim[stageFS2Match].ObserveDuration(st.FS2Match)
-	}
-	if st.HostMatch > 0 {
-		m.stageSim[stageHostMatch].ObserveDuration(st.HostMatch)
-	}
-	w := &rt.wall
-	if w.encode > 0 {
-		m.stageWall[stageEncode].ObserveDuration(w.encode)
-	}
-	if w.fs1 > 0 {
-		m.stageWall[stageFS1Scan].ObserveDuration(w.fs1)
-	}
-	if w.fetch > 0 {
-		m.stageWall[stageDiskFetch].ObserveDuration(w.fetch)
-	}
-	if w.fs2 > 0 {
-		m.stageWall[stageFS2Match].ObserveDuration(w.fs2)
-	}
-	if w.host > 0 {
-		m.stageWall[stageHostMatch].ObserveDuration(w.host)
+	m.retrievals[rt.Mode].Inc()
+	m.retrievalSim[rt.Mode].ObserveDuration(st.Total)
+	m.retrievalWall[rt.Mode].ObserveDuration(rt.wall.total)
+	for s := stage(0); s < numStages; s++ {
+		if d := st.sim(s); d > 0 {
+			m.stageSim[s].ObserveDuration(d)
+		}
+		if !rt.wall.first[s].IsZero() {
+			m.stageWall[s].ObserveDuration(rt.wall.wall[s])
+		}
 	}
 	m.clausesIn.Add(int64(st.TotalClauses))
 	m.afterFS1.Add(int64(st.AfterFS1))
@@ -176,5 +314,7 @@ func (m *coreMetrics) observe(rt *Retrieval, wall time.Duration) {
 	if st.Overflowed {
 		m.overflows.Inc()
 	}
-	m.faultsC.Add(int64(st.Faults))
+	if st.Degraded != "" {
+		m.degraded[st.Degraded].Inc()
+	}
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -23,84 +26,132 @@ func telemetryRetriever(t *testing.T, boards int) (*Retriever, *telemetry.Regist
 	return r, cfg.Metrics, cfg.Tracer
 }
 
-// TestRetrievalSpanTree: one fs1+fs2 retrieval must record a complete
-// span tree — root, encode, board lease, and per chunk an fs1_scan,
-// disk_fetch and fs2_match — with parent links intact and simulated time
-// that reconciles with the retrieval's StageStats.
+// TestRetrievalSpanTree: on both engines and in every mode the span tree
+// is exactly the root plus the stages that ran — the same spans for a
+// one-chunk predicate and a 25-chunk one — and every span's simulated
+// time is the matching StageStats field.
 func TestRetrievalSpanTree(t *testing.T) {
-	r, _, tracer := telemetryRetriever(t, 2)
-	rt, err := r.Retrieve(parse.MustTerm("married_couple(X, Y)"), ModeFS1FS2)
-	if err != nil {
-		t.Fatal(err)
+	stagesRan := map[SearchMode][]string{
+		ModeSoftware: {"board_lease", "disk_fetch", "host_match"},
+		ModeFS1:      {"board_lease", "encode", "fs1_scan", "disk_fetch"},
+		ModeFS2:      {"board_lease", "encode", "disk_fetch", "fs2_match"},
+		ModeFS1FS2:   {"board_lease", "encode", "fs1_scan", "disk_fetch", "fs2_match"},
 	}
-	tr := rt.Trace()
-	if tr == nil {
-		t.Fatal("retrieval carried no trace")
-	}
-	root := tr.Root()
-	if root.Name != "retrieve" || root.Attrs["predicate"] != "married_couple/2" || root.Attrs["mode"] != "fs1+fs2" {
-		t.Errorf("root span = %+v", root)
-	}
-	if root.Sim != rt.Stats.Total {
-		t.Errorf("root sim %v != Stats.Total %v", root.Sim, rt.Stats.Total)
-	}
-	byName := make(map[string][]*telemetry.Span)
-	for _, sp := range tr.Spans {
-		byName[sp.Name] = append(byName[sp.Name], sp)
-	}
-	for _, name := range []string{"encode", "board_lease"} {
-		if len(byName[name]) != 1 {
-			t.Errorf("%s spans = %d, want 1", name, len(byName[name]))
+	goal := parse.MustTerm("married_couple(husband3, X)")
+	for _, engine := range []Engine{EngineSim, EngineNative} {
+		for _, mode := range modes() {
+			t.Run(engine.String()+"/"+mode.String(), func(t *testing.T) {
+				var spanCounts []int
+				for _, clauses := range []int{10, 400} {
+					cfg := DefaultConfig()
+					cfg.Engine = engine
+					cfg.StreamChunkEntries = 16
+					cfg.Tracer = telemetry.NewTracer(4)
+					r := buildRetriever(t, cfg, clauses, 0)
+					rt, err := r.Retrieve(goal, mode)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if mode == ModeFS1FS2 {
+						if want := (clauses + 15) / 16; rt.Stats.Chunks != want {
+							t.Fatalf("%d clauses: Stats.Chunks = %d, want %d", clauses, rt.Stats.Chunks, want)
+						}
+					}
+					tr := rt.Trace()
+					if tr == nil {
+						t.Fatal("retrieval carried no trace")
+					}
+					if last := cfg.Tracer.Last(1); len(last) != 1 || last[0] != tr {
+						t.Error("finished trace not in the tracer ring")
+					}
+					root := tr.Root()
+					if root.Name != "retrieve" || root.Attrs["predicate"] != "married_couple/2" ||
+						root.Attrs["mode"] != mode.String() || root.Attrs["candidates"] != "1" {
+						t.Errorf("root span = %+v", root)
+					}
+					if root.Sim != rt.Stats.Total {
+						t.Errorf("root sim %v != Stats.Total %v", root.Sim, rt.Stats.Total)
+					}
+					var got []string
+					for _, sp := range tr.Spans[1:] {
+						got = append(got, sp.Name)
+						if sp.Parent != root.ID {
+							t.Errorf("%s parent = %d, want root %d", sp.Name, sp.Parent, root.ID)
+						}
+						wantSim := map[string]time.Duration{
+							"fs1_scan":   rt.Stats.FS1Scan,
+							"disk_fetch": rt.Stats.DiskFetch,
+							"fs2_match":  rt.Stats.FS2Match,
+							"host_match": rt.Stats.HostMatch,
+						}[sp.Name]
+						if sp.Sim != wantSim {
+							t.Errorf("%s sim = %v, want the Stats field %v", sp.Name, sp.Sim, wantSim)
+						}
+						if sp.Name == "fs1_scan" && mode == ModeFS1FS2 && sp.Attrs["chunks"] != strconv.Itoa(rt.Stats.Chunks) {
+							t.Errorf("fs1_scan chunks attr = %q, want %d", sp.Attrs["chunks"], rt.Stats.Chunks)
+						}
+					}
+					if want := stagesRan[mode]; !slices.Equal(got, want) {
+						t.Errorf("%d clauses: stage spans = %v, want %v", clauses, got, want)
+					}
+					spanCounts = append(spanCounts, len(tr.Spans))
+				}
+				if spanCounts[0] != spanCounts[1] {
+					t.Errorf("span count depends on predicate size: %v", spanCounts)
+				}
+			})
 		}
 	}
-	chunks := byName["chunk"]
-	if len(chunks) != rt.Stats.Chunks || rt.Stats.Chunks < 2 {
-		t.Fatalf("chunk spans = %d, Stats.Chunks = %d (want equal, ≥2)", len(chunks), rt.Stats.Chunks)
-	}
-	for _, name := range []string{"fs1_scan", "disk_fetch", "fs2_match"} {
-		if len(byName[name]) != len(chunks) {
-			t.Errorf("%s spans = %d, want one per chunk (%d)", name, len(byName[name]), len(chunks))
+}
+
+// TestArmedRetrievalAllocsFlat: with registry, tracer and flight ring all
+// armed, a native fs1+fs2 retrieval allocates the same number of objects
+// over one pipeline chunk as over 25 — nothing per-chunk is recorded.
+func TestArmedRetrievalAllocsFlat(t *testing.T) {
+	goal := parse.MustTerm("married_couple(husband3, X)")
+	allocs := func(clauses int) float64 {
+		cfg := DefaultConfig()
+		cfg.Engine = EngineNative
+		cfg.StreamChunkEntries = 16
+		cfg.Metrics = telemetry.NewRegistry()
+		cfg.Tracer = telemetry.NewTracer(4)
+		cfg.Flight = telemetry.NewFlightRecorder(4)
+		r := buildRetriever(t, cfg, clauses, 0)
+		// The minimum over single runs: under -race sync.Pool drops arenas
+		// at random, and a rebuilt arena is not the retrieval's cost.
+		best := math.Inf(1)
+		for i := 0; i < 50; i++ {
+			best = min(best, testing.AllocsPerRun(1, func() {
+				if rt, err := r.Retrieve(goal, ModeFS1FS2); err != nil || rt.Stats.Chunks != (clauses+15)/16 {
+					t.Fatalf("retrieve: %v (chunks %d)", err, rt.Stats.Chunks)
+				}
+			}))
 		}
+		return best
 	}
-	// Parent links: chunks hang off the root, stages off their chunk.
-	chunkIDs := make(map[int]bool)
-	for _, c := range chunks {
-		if c.Parent != root.ID {
-			t.Errorf("chunk span parent = %d, want root %d", c.Parent, root.ID)
-		}
-		chunkIDs[c.ID] = true
+	if one, many := allocs(10), allocs(400); one != many {
+		t.Errorf("allocs per retrieval: %v over 1 chunk, %v over 25", one, many)
 	}
-	var scanSim, fetchSim, matchSim time.Duration
-	for _, name := range []string{"fs1_scan", "disk_fetch", "fs2_match"} {
-		for _, sp := range byName[name] {
-			if !chunkIDs[sp.Parent] {
-				t.Errorf("%s span parent %d is not a chunk", name, sp.Parent)
-			}
-		}
+}
+
+// TestFailedRetrievalRecorded: a retrieval that fails past the predicate
+// lookup goes through the same record path as a served one — the flight
+// ring holds it with Err set and the trace root carries the error.
+func TestFailedRetrievalRecorded(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Tracer = telemetry.NewTracer(4)
+	cfg.Flight = telemetry.NewFlightRecorder(4)
+	r := buildRetriever(t, cfg, 10, 0)
+	if _, err := r.RetrieveTraced(parse.MustTerm("married_couple(husband3, X)"), SearchMode(9), nil); err == nil {
+		t.Fatal("unknown mode did not fail")
 	}
-	for _, sp := range byName["fs1_scan"] {
-		scanSim += sp.Sim
+	recs := cfg.Flight.Snapshot(0)
+	if len(recs) != 1 || !strings.Contains(recs[0].Err, "unknown mode") || recs[0].Predicate != "married_couple/2" {
+		t.Fatalf("flight ring after a failed retrieval = %+v", recs)
 	}
-	for _, sp := range byName["disk_fetch"] {
-		fetchSim += sp.Sim
-	}
-	for _, sp := range byName["fs2_match"] {
-		matchSim += sp.Sim
-	}
-	// Chunk scan spans exclude the initial positioning access, which
-	// Stats.FS1Scan includes.
-	if got, want := scanSim+r.cfg.Disk.AccessTime(), rt.Stats.FS1Scan; got != want {
-		t.Errorf("Σ fs1_scan sim + access = %v, want Stats.FS1Scan %v", got, want)
-	}
-	if fetchSim != rt.Stats.DiskFetch {
-		t.Errorf("Σ disk_fetch sim = %v, want %v", fetchSim, rt.Stats.DiskFetch)
-	}
-	if matchSim != rt.Stats.FS2Match {
-		t.Errorf("Σ fs2_match sim = %v, want %v", matchSim, rt.Stats.FS2Match)
-	}
-	// The tracer ring holds the finished trace.
-	if last := tracer.Last(1); len(last) != 1 || last[0] != tr {
-		t.Error("finished trace not in the tracer ring")
+	last := cfg.Tracer.Last(1)
+	if len(last) != 1 || last[0].TraceID != recs[0].TraceID || !strings.Contains(last[0].Root().Attrs["error"], "unknown mode") {
+		t.Errorf("failed retrieval's trace = %+v", last)
 	}
 }
 

@@ -151,7 +151,7 @@ func (c wireConn) retrieve(r *wire.Reply, q wire.Query) {
 	r.Line("%v", wire.Funnel{Mode: rt.Mode.String(), Total: int64(rt.Stats.TotalClauses),
 		FS1: int64(rt.Stats.AfterFS1), FS2: int64(rt.Stats.AfterFS2)})
 	if q.Trace != nil {
-		r.Trace(rt.Trace().Wire(0))
+		r.Trace(rt.Trace().Wire())
 	}
 }
 
@@ -172,7 +172,7 @@ func (c wireConn) explain(r *wire.Reply, q wire.Query) {
 		r.Body("E", "%s %s", e.Key, e.Value)
 	}
 	if q.Trace != nil {
-		r.Trace(p.Trace.Wire(0))
+		r.Trace(p.Trace.Wire())
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"clare/internal/core"
 	"clare/internal/plan"
+	"clare/internal/telemetry"
 	"clare/internal/workload"
 )
 
@@ -13,10 +14,12 @@ import (
 // wire: auto-mode retrievals must surface the planner's counters under
 // the plan.* STATS keys, the configured latency window under
 // latency.window, and the per-query decision as plan.* EXPLAIN entries
-// — with a shared-variable goal never planned onto an FS1 rung.
+// — with a shared-variable goal never planned onto an FS1 rung — and in
+// the EXPLAIN's flight record, as a RETRIEVE's carries it.
 func TestWirePlannerStatsAndExplain(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Planner = plan.New(plan.Config{})
+	cfg.Flight = telemetry.NewFlightRecorder(8)
 	r, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -83,6 +86,10 @@ func TestWirePlannerStatsAndExplain(t *testing.T) {
 	switch entries["plan.mode"] {
 	case "fs1", "fs1+fs2":
 		t.Errorf("shared-variable goal planned onto %s — the codeword filter is blind to it", entries["plan.mode"])
+	}
+	recs := cfg.Flight.Snapshot(1)
+	if len(recs) != 1 || recs[0].Plan != entries["plan.reason"] || recs[0].Shape != entries["plan.shape"] {
+		t.Errorf("EXPLAIN's flight record = %+v, want plan %q shape %q", recs, entries["plan.reason"], entries["plan.shape"])
 	}
 }
 

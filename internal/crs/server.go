@@ -327,64 +327,55 @@ func (c *Session) Retrieve(goal term.Term, mode *core.SearchMode) (*core.Retriev
 // header through here so the retrieval's span tree records the caller's
 // trace ID and parent span.
 func (c *Session) RetrieveTraced(goal term.Term, mode *core.SearchMode, tc *telemetry.TraceContext) (*core.Retrieval, error) {
-	pi, ps, err := c.lookup(goal)
+	rt, _, err := c.serve(goal, mode, tc)
+	return rt, err
+}
+
+// Explain serves one EXPLAIN call: a served retrieval — same locking,
+// mode choice and accounting as Retrieve — whose candidates then go
+// through the host reference-unification pass, profiled per filter rung.
+func (c *Session) Explain(goal term.Term, mode *core.SearchMode, tc *telemetry.TraceContext) (*core.Profile, error) {
+	rt, d, err := c.serve(goal, mode, tc)
 	if err != nil {
 		return nil, err
 	}
-	wallStart := time.Now()
-	lockStart := time.Now()
+	p, err := c.srv.retriever.ProfileOf(rt)
+	if err != nil {
+		return nil, err
+	}
+	p.Plan = d
+	return p, nil
+}
+
+// serve is the one path a retrieval takes through a session: predicate
+// lookup, read lock, mode choice (returned with the planner decision
+// behind it, nil unless planned), the retrieval itself, accounting.
+func (c *Session) serve(goal term.Term, mode *core.SearchMode, tc *telemetry.TraceContext) (*core.Retrieval, *plan.Decision, error) {
+	pi, ps, err := c.lookup(goal)
+	if err != nil {
+		return nil, nil, err
+	}
+	start := time.Now()
 	ps.lock.RLock()
-	c.srv.met.lockWaitRead.ObserveDuration(time.Since(lockStart))
 	defer ps.lock.RUnlock()
+	c.srv.met.lockWaitRead.ObserveDuration(time.Since(start))
 
 	m, d, err := c.chooseMode(goal, mode)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// No server-wide lock here: the retriever leases a board unit from
 	// the chassis pool per call, so concurrent retrievals run in parallel
 	// up to the configured board count (the real CRS queues search calls
 	// only when all boards are busy).
 	rt, err := c.srv.retriever.RetrieveTracedPlan(goal, m, tc, d)
+	wall := time.Since(start)
 	if err != nil {
-		c.srv.slo.Observe(pi.String(), time.Since(wallStart), true)
-		return nil, err
+		c.srv.slo.Observe(pi.String(), wall, true)
+		return nil, nil, err
 	}
-	c.account(pi, m, &rt.Stats, time.Since(wallStart), goal, rt.TraceID())
-	return rt, nil
-}
-
-// Explain serves one EXPLAIN call: a real retrieval plus the host
-// reference-unification pass, profiled per filter rung. Locking, mode
-// choice and stats accounting match Retrieve — an EXPLAIN is a served
-// retrieval that also returns its cost profile.
-func (c *Session) Explain(goal term.Term, mode *core.SearchMode, tc *telemetry.TraceContext) (*core.Profile, error) {
-	pi, ps, err := c.lookup(goal)
-	if err != nil {
-		return nil, err
-	}
-	wallStart := time.Now()
-	lockStart := time.Now()
-	ps.lock.RLock()
-	c.srv.met.lockWaitRead.ObserveDuration(time.Since(lockStart))
-	defer ps.lock.RUnlock()
-
-	m, d, err := c.chooseMode(goal, mode)
-	if err != nil {
-		return nil, err
-	}
-	p, err := c.srv.retriever.ExplainTraced(goal, m, tc)
-	if err != nil {
-		c.srv.slo.Observe(pi.String(), time.Since(wallStart), true)
-		return nil, err
-	}
-	p.Plan = d
-	var traceID uint64
-	if p.Trace != nil {
-		traceID = p.Trace.TraceID
-	}
-	c.account(pi, m, &p.Stats, time.Since(wallStart), goal, traceID)
-	return p, nil
+	c.srv.account(pi, rt, wall)
+	return rt, d, nil
 }
 
 // lookup validates the session and resolves the goal's predicate state.
@@ -420,28 +411,29 @@ func (c *Session) chooseMode(goal term.Term, mode *core.SearchMode) (core.Search
 	return c.srv.retriever.PlanMode(goal)
 }
 
-// account publishes one served retrieval into the service counters, the
-// per-predicate latency window, and the SLO tracker, then checks the
-// slow-query threshold — which must read the rolling P99 before this
-// sample joins the window, or a genuine outlier would raise its own
-// adaptive bar.
-func (c *Session) account(pi core.Indicator, m core.SearchMode, st *core.StageStats, wall time.Duration, goal term.Term, traceID uint64) {
-	s := c.srv
+// account publishes one served retrieval — its record, plus the wall time
+// the session saw around it (lock wait included) — into the service
+// counters, the per-predicate latency window, and the SLO tracker, then
+// checks the slow-query threshold — which must read the rolling P99
+// before this sample joins the window, or a genuine outlier would raise
+// its own adaptive bar.
+func (s *Server) account(pi core.Indicator, rt *core.Retrieval, wall time.Duration) {
+	st, pred := &rt.Stats, rt.Predicate
 	s.statsMu.Lock()
-	s.served[m]++
+	s.served[rt.Mode]++
 	if st.Degraded != "" {
 		s.degraded++
 	}
 	s.retries += int64(st.Retries)
 	s.faults += int64(st.Faults)
 	s.statsMu.Unlock()
-	s.met.requests[m].Inc()
+	s.met.requests[rt.Mode].Inc()
 	s.met.predCounter(pi).Inc()
-	thr := s.slowThreshold(pi.String())
-	s.lat.Observe(pi.String(), wall)
-	s.slo.Observe(pi.String(), wall, false)
-	if thr > 0 && wall > thr && s.slowLog.Offer(pi.String()) {
-		s.captureSlow(pi, m, goal, wall, thr, traceID)
+	thr := s.slowThreshold(pred)
+	s.lat.Observe(pred, wall)
+	s.slo.Observe(pred, wall, false)
+	if thr > 0 && wall > thr && s.slowLog.Offer(pred) {
+		s.captureSlow(rt, wall, thr)
 	}
 }
 
@@ -470,20 +462,19 @@ func (s *Server) slowThreshold(pred string) time.Duration {
 // the worst case is profiling a slightly newer clause list than the
 // retrieval saw — and bypasses account, so a capture can never trigger
 // itself.
-func (s *Server) captureSlow(pi core.Indicator, m core.SearchMode, goal term.Term, wall, thr time.Duration, traceID uint64) {
-	goalText := fmt.Sprint(goal)
+func (s *Server) captureSlow(rt *core.Retrieval, wall, thr time.Duration) {
+	capt := &telemetry.SlowCapture{
+		Predicate:   rt.Predicate,
+		Mode:        rt.Mode.String(),
+		Goal:        fmt.Sprint(rt.Goal),
+		WallNS:      int64(wall),
+		ThresholdNS: int64(thr),
+		TraceID:     rt.TraceID(),
+	}
 	s.slowWG.Add(1)
 	go func() {
 		defer s.slowWG.Done()
-		capt := &telemetry.SlowCapture{
-			Predicate:   pi.String(),
-			Mode:        m.String(),
-			Goal:        goalText,
-			WallNS:      int64(wall),
-			ThresholdNS: int64(thr),
-			TraceID:     traceID,
-		}
-		if p, err := s.retriever.ExplainTraced(goal, m, nil); err != nil {
+		if p, err := s.retriever.ExplainTraced(rt.Goal, rt.Mode, nil); err != nil {
 			capt.Profile = []telemetry.KV{{Key: "error", Value: err.Error()}}
 		} else {
 			for _, e := range p.Entries() {
@@ -493,9 +484,9 @@ func (s *Server) captureSlow(pi core.Indicator, m core.SearchMode, goal term.Ter
 		s.slowLog.Add(capt)
 		s.met.slowCaptures.Inc()
 		s.log.Warn("slow query captured",
-			"predicate", pi.String(), "mode", m.String(),
+			"predicate", capt.Predicate, "mode", capt.Mode,
 			"wall", wall.String(), "threshold", thr.String(),
-			"trace", fmt.Sprintf("%016x", traceID))
+			"trace", fmt.Sprintf("%016x", capt.TraceID))
 	}()
 }
 

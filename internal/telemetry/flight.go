@@ -30,6 +30,8 @@ type FlightRecord struct {
 	Faults    int64  `json:"faults,omitempty"`
 	Retries   int64  `json:"retries,omitempty"`
 	Hedged    bool   `json:"hedged,omitempty"`
+	// Err is the error a failed retrieval returned ("" when it succeeded).
+	Err string `json:"err,omitempty"`
 }
 
 // FlightRecorder is a fixed-size ring of FlightRecords written

@@ -19,17 +19,6 @@ type AdminConfig struct {
 	SlowLog  *SlowQueryLog
 }
 
-// AdminMux assembles the operational HTTP surface crsd serves on its
-// -admin listener from positional arguments. Kept for older call
-// sites; NewAdminMux takes the full config.
-func AdminMux(reg *Registry, tracer *Tracer, lat ...*LatencyTracker) *http.ServeMux {
-	cfg := AdminConfig{Registry: reg, Tracer: tracer}
-	if len(lat) > 0 {
-		cfg.Latency = lat[0]
-	}
-	return NewAdminMux(cfg)
-}
-
 // NewAdminMux assembles the operational HTTP surface:
 //
 //	/metrics       Prometheus text exposition of the registry
@@ -47,27 +36,17 @@ func NewAdminMux(cfg AdminConfig) *http.ServeMux {
 		_ = reg.WritePrometheus(w)
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		n := 16
-		if q := r.URL.Query().Get("n"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v < 0 {
-				http.Error(w, "trace: n must be a non-negative integer", http.StatusBadRequest)
-				return
-			}
-			n = v
+		n, ok := queryN(w, r, "trace", 16)
+		if !ok {
+			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		_ = tracer.WriteJSON(w, n)
 	})
 	mux.HandleFunc("/top", func(w http.ResponseWriter, r *http.Request) {
-		n := 10
-		if q := r.URL.Query().Get("n"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v < 0 {
-				http.Error(w, "top: n must be a non-negative integer", http.StatusBadRequest)
-				return
-			}
-			n = v
+		n, ok := queryN(w, r, "top", 10)
+		if !ok {
+			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		_ = tracker.WriteJSON(w, n)

@@ -14,7 +14,7 @@ import (
 func TestAdminMuxMetrics(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("clare_retrievals_total", "served", Labels{"mode": "fs2"}).Add(3)
-	srv := httptest.NewServer(AdminMux(reg, NewTracer(4)))
+	srv := httptest.NewServer(NewAdminMux(AdminConfig{Registry: reg, Tracer: NewTracer(4)}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -41,7 +41,7 @@ func TestAdminMuxTrace(t *testing.T) {
 		tr.Root().End()
 		tracer.Finish(tr)
 	}
-	srv := httptest.NewServer(AdminMux(NewRegistry(), tracer))
+	srv := httptest.NewServer(NewAdminMux(AdminConfig{Registry: NewRegistry(), Tracer: tracer}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/trace?n=2")
@@ -65,7 +65,7 @@ func TestAdminMuxTrace(t *testing.T) {
 }
 
 func TestAdminMuxPprofAndNils(t *testing.T) {
-	srv := httptest.NewServer(AdminMux(nil, nil))
+	srv := httptest.NewServer(NewAdminMux(AdminConfig{}))
 	defer srv.Close()
 	for _, path := range []string{"/metrics", "/trace", "/debug/pprof/"} {
 		resp, err := http.Get(srv.URL + path)

@@ -2,10 +2,8 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -21,7 +19,7 @@ func TestWireSpanRoundTrip(t *testing.T) {
 	child.End()
 	root.End()
 
-	tok := EncodeWireSpans(remote.Wire(0))
+	tok := EncodeWireSpans(remote.Wire())
 	spans, err := DecodeWireSpans(tok)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +31,7 @@ func TestWireSpanRoundTrip(t *testing.T) {
 	local := tr.Start("route")
 	net := local.Span(local.Root(), "net")
 	local.Graft(net, spans)
-	all := local.Wire(0)
+	all := local.Wire()
 	if len(all) != 4 { // route, net, retrieve, fs1_scan
 		t.Fatalf("grafted trace has %d spans, want 4", len(all))
 	}
@@ -50,96 +48,6 @@ func TestWireSpanRoundTrip(t *testing.T) {
 	if byName["retrieve"].Attrs["remote_span"] != "1" {
 		t.Errorf("grafted span remote_span = %q, want original ID 1", byName["retrieve"].Attrs["remote_span"])
 	}
-}
-
-// TestWireTruncation: an oversized trace truncates to the cap and marks
-// the root, without mutating the live span.
-func TestWireTruncation(t *testing.T) {
-	tr := NewTracer(1)
-	trace := tr.Start("retrieve")
-	for i := 0; i < MaxWireSpans+10; i++ {
-		trace.Span(nil, fmt.Sprintf("chunk%d", i)).End()
-	}
-	out := trace.Wire(0)
-	if len(out) != MaxWireSpans {
-		t.Fatalf("wire form has %d spans, want cap %d", len(out), MaxWireSpans)
-	}
-	if out[0].Attrs["truncated"] != "true" {
-		t.Error("truncated tree not marked on the root")
-	}
-	if trace.Root().Attrs["truncated"] != "" {
-		t.Error("truncation marker leaked into the live span")
-	}
-}
-
-// TestTracerResizeConcurrent hammers Resize against Start/Finish; the
-// race detector is the assertion.
-func TestTracerResizeConcurrent(t *testing.T) {
-	tr := NewTracer(8)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			trace := tr.Start("retrieve")
-			trace.Span(nil, "fs1_scan").End()
-			tr.Finish(trace)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		sizes := []int{4, 64, 1, 16}
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			tr.Resize(sizes[i%len(sizes)])
-		}
-	}()
-	time.Sleep(50 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-}
-
-// TestTracerResizePreservesNewest: shrinking keeps the newest traces,
-// growing keeps everything.
-func TestTracerResizePreservesNewest(t *testing.T) {
-	tr := NewTracer(8)
-	for i := 0; i < 6; i++ {
-		trace := tr.Start(fmt.Sprintf("t%d", i))
-		tr.Finish(trace)
-	}
-	tr.Resize(3)
-	if tr.Cap() != 3 {
-		t.Fatalf("cap = %d, want 3", tr.Cap())
-	}
-	got := tr.Last(0)
-	if len(got) != 3 || got[0].Name != "t3" || got[2].Name != "t5" {
-		t.Fatalf("resize kept %v, want t3..t5", names(got))
-	}
-	tr.Resize(10)
-	trace := tr.Start("t6")
-	tr.Finish(trace)
-	got = tr.Last(0)
-	if len(got) != 4 || got[3].Name != "t6" {
-		t.Fatalf("after grow: %v, want t3..t6", names(got))
-	}
-}
-
-func names(ts []*Trace) []string {
-	out := make([]string, len(ts))
-	for i, tr := range ts {
-		out[i] = tr.Name
-	}
-	return out
 }
 
 // TestLatencyTrackerQuantiles: nearest-rank quantiles over a known
@@ -185,7 +93,7 @@ func TestAdminMuxTop(t *testing.T) {
 	lt := NewLatencyTracker(0)
 	lt.Observe("married_couple/2", 3*time.Millisecond)
 	lt.Observe("route0/2", time.Millisecond)
-	mux := AdminMux(NewRegistry(), nil, lt)
+	mux := NewAdminMux(AdminConfig{Registry: NewRegistry(), Latency: lt})
 
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/top?n=1", nil))
@@ -207,7 +115,7 @@ func TestAdminMuxTop(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	AdminMux(NewRegistry(), nil).ServeHTTP(rec, httptest.NewRequest("GET", "/top", nil))
+	NewAdminMux(AdminConfig{Registry: NewRegistry()}).ServeHTTP(rec, httptest.NewRequest("GET", "/top", nil))
 	if rec.Code != 200 || strings.TrimSpace(rec.Body.String()) != "[]" {
 		t.Errorf("trackerless /top = %d %q, want 200 []", rec.Code, rec.Body.String())
 	}

@@ -133,15 +133,10 @@ func (w *sloWindow) totals(now time.Time) (requests, slow, errors int64) {
 	return
 }
 
-// burnRate converts window totals into a burn rate: the fraction of the
-// error budget consumed per unit of budgeted fraction. A burn of 1.0
-// means the service is exactly spending its budget; 10 means it will
-// exhaust a month's budget in ~3 days.
-func burnRate(slo SLO, requests, slow, errors int64) float64 {
-	return BurnRate(slo, requests, slow, errors)
-}
-
-// BurnRate converts window totals into a burn rate against slo.
+// BurnRate converts window totals into a burn rate against slo: the
+// fraction of the error budget consumed per unit of budgeted fraction. A
+// burn of 1.0 means the service is exactly spending its budget; 10 means
+// it will exhaust a month's budget in ~3 days.
 // Exported so the cluster router can recompute a cluster-wide burn from
 // summed per-backend window counts (summing burn rates would weight a
 // near-idle backend the same as a loaded one; summing the counts first
@@ -268,7 +263,7 @@ func (t *SLOTracker) Observe(key string, d time.Duration, isErr bool) {
 	}
 	var fire func(float64)
 	req, sl, er := t.short.totals(now)
-	burn := burnRate(t.slo, req, sl, er)
+	burn := BurnRate(t.slo, req, sl, er)
 	if burn >= breachBurn && req >= 10 {
 		if !t.breached {
 			t.breached = true
@@ -285,7 +280,7 @@ func (t *SLOTracker) Observe(key string, d time.Duration, isErr bool) {
 	t.gShort.Set(burn)
 	if t.gLong != nil {
 		lreq, lsl, ler := t.long.totals(now)
-		t.gLong.Set(burnRate(t.slo, lreq, lsl, ler))
+		t.gLong.Set(BurnRate(t.slo, lreq, lsl, ler))
 	}
 	t.cReq.Inc()
 	if slow {
@@ -359,11 +354,11 @@ func (t *SLOTracker) Status() SLOStatus {
 		BreachActive: t.breached,
 		Short: SLOWindowStatus{
 			Window: sloShortWindow.String(), Requests: sreq, Slow: sslow, Errors: serr,
-			Burn: burnRate(t.slo, sreq, sslow, serr),
+			Burn: BurnRate(t.slo, sreq, sslow, serr),
 		},
 		Long: SLOWindowStatus{
 			Window: sloLongWindow.String(), Requests: lreq, Slow: lslow, Errors: lerr,
-			Burn: burnRate(t.slo, lreq, lslow, lerr),
+			Burn: BurnRate(t.slo, lreq, lslow, lerr),
 		},
 	}
 	for key, w := range t.perKey {
@@ -373,7 +368,7 @@ func (t *SLOTracker) Status() SLOStatus {
 		}
 		st.PerKey = append(st.PerKey, SLOKeyStatus{
 			Key: key, Requests: req, Slow: slow, Errors: errs,
-			Burn: burnRate(t.slo, req, slow, errs),
+			Burn: BurnRate(t.slo, req, slow, errs),
 		})
 	}
 	sort.Slice(st.PerKey, func(i, j int) bool {

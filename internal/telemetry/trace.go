@@ -12,10 +12,10 @@ import (
 	"time"
 )
 
-// Span is one stage of a retrieval: encode, query-cache probe, board
-// lease, an FS1 chunk scan, a disk access or stream, an FS2 match on one
-// board, host matching. Spans form a tree within their trace via Parent
-// (span IDs start at 1; the root's Parent is 0).
+// Span is one stage of a retrieval (encode, board lease, FS1 scan, disk
+// fetch, FS2 match, host matching) or one hop of a routed call (shard,
+// net). Spans form a tree within their trace via Parent (span IDs start
+// at 1; the root's Parent is 0).
 //
 // Every span carries both clocks: Wall is host time actually spent, Sim
 // is the component model's simulated duration (zero for stages that have
@@ -28,8 +28,6 @@ type Span struct {
 	Start  time.Time         `json:"start"`
 	Wall   time.Duration     `json:"wall_ns"`
 	Sim    time.Duration     `json:"sim_ns"`
-
-	tr *Trace
 }
 
 // SetAttr attaches a key/value to the span.
@@ -41,14 +39,6 @@ func (s *Span) SetAttr(k, v string) {
 		s.Attrs = make(map[string]string, 4)
 	}
 	s.Attrs[k] = v
-}
-
-// AddSim accumulates simulated time on the span.
-func (s *Span) AddSim(d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.Sim += d
 }
 
 // End stamps the span's wall duration from its start time. Safe to call
@@ -122,6 +112,16 @@ func (t *Trace) Span(parent *Span, name string) *Span {
 	if t == nil {
 		return nil
 	}
+	return t.Record(parent, name, time.Now(), 0, 0)
+}
+
+// Record adds a finished span under parent — a stage the caller timed
+// itself and reports afterwards, where Span/End time a live one. Parent
+// resolution, nil-safety and concurrency are Span's.
+func (t *Trace) Record(parent *Span, name string, start time.Time, wall, sim time.Duration) *Span {
+	if t == nil {
+		return nil
+	}
 	t.mu.Lock()
 	pid := 0
 	if parent != nil {
@@ -129,7 +129,7 @@ func (t *Trace) Span(parent *Span, name string) *Span {
 	} else if len(t.Spans) > 0 {
 		pid = t.Spans[0].ID
 	}
-	s := &Span{ID: len(t.Spans) + 1, Parent: pid, Name: name, Start: time.Now(), tr: t}
+	s := &Span{ID: len(t.Spans) + 1, Parent: pid, Name: name, Start: start, Wall: wall, Sim: sim}
 	t.Spans = append(t.Spans, s)
 	t.mu.Unlock()
 	return s
@@ -161,43 +161,18 @@ type WireSpan struct {
 	Sim    int64             `json:"s"`
 }
 
-// MaxWireSpans bounds one serialized subtree: a chunked fs1+fs2 trace
-// over a big predicate can carry thousands of chunk spans, and the wire
-// reply must stay within one protocol line. A truncated tree keeps its
-// earliest spans (the tree reads top-down) and marks the root attr
-// "truncated".
-const MaxWireSpans = 512
-
-// Wire snapshots the trace's spans (up to max; <= 0 means MaxWireSpans)
-// in creation order for wire serialization.
-func (t *Trace) Wire(max int) []WireSpan {
+// Wire snapshots the trace's spans in creation order for wire
+// serialization.
+func (t *Trace) Wire() []WireSpan {
 	if t == nil {
 		return nil
 	}
-	if max <= 0 {
-		max = MaxWireSpans
-	}
 	t.mu.Lock()
-	spans := t.Spans
-	truncated := len(spans) > max
-	if truncated {
-		spans = spans[:max]
-	}
-	out := make([]WireSpan, len(spans))
-	for i, s := range spans {
+	defer t.mu.Unlock()
+	out := make([]WireSpan, len(t.Spans))
+	for i, s := range t.Spans {
 		out[i] = WireSpan{ID: s.ID, Parent: s.Parent, Name: s.Name, Attrs: s.Attrs,
 			Start: s.Start, Wall: int64(s.Wall), Sim: int64(s.Sim)}
-	}
-	t.mu.Unlock()
-	if truncated && len(out) > 0 {
-		// Copy-on-write the root attrs: the live span map must not gain a
-		// wire-only marker.
-		attrs := make(map[string]string, len(out[0].Attrs)+1)
-		for k, v := range out[0].Attrs {
-			attrs[k] = v
-		}
-		attrs["truncated"] = "true"
-		out[0].Attrs = attrs
 	}
 	return out
 }
@@ -265,14 +240,14 @@ func (t *Trace) Graft(parent *Span, sub []WireSpan) {
 		attrs["remote_span"] = strconv.Itoa(ws.ID)
 		t.Spans = append(t.Spans, &Span{
 			ID: id, Parent: pid, Name: ws.Name, Attrs: attrs,
-			Start: ws.Start, Wall: time.Duration(ws.Wall), Sim: time.Duration(ws.Sim), tr: t,
+			Start: ws.Start, Wall: time.Duration(ws.Wall), Sim: time.Duration(ws.Sim),
 		})
 	}
 }
 
 // Tracer records finished traces in a ring buffer (newest evicts
-// oldest), the store behind crsd's /trace endpoint. The ring can be
-// resized at runtime (crsd -trace-buf governs the boot size).
+// oldest), the store behind crsd's /trace endpoint (crsd -trace-buf
+// sets its size).
 type Tracer struct {
 	mu     sync.Mutex
 	ring   []*Trace
@@ -302,15 +277,22 @@ func (tr *Tracer) Start(name string) *Trace {
 // tc so its span tree can be stitched back under the caller's parent
 // span. tc nil is plain Start.
 func (tr *Tracer) StartRemote(name string, tc *TraceContext) *Trace {
+	return tr.StartAt(name, tc, time.Now())
+}
+
+// StartAt is StartRemote for an operation that began at begin: the
+// caller read the clock itself and derives the tree afterwards, so the
+// trace and its root span are stamped with that instant.
+func (tr *Tracer) StartAt(name string, tc *TraceContext, begin time.Time) *Trace {
 	if tr == nil {
 		return nil
 	}
-	t := &Trace{TraceID: tr.nextID.Add(1), Name: name, Begin: time.Now()}
+	t := &Trace{TraceID: tr.nextID.Add(1), Name: name, Begin: begin}
 	if tc != nil {
 		ctx := *tc
 		t.Remote = &ctx
 	}
-	t.Span(nil, name) // root
+	t.Record(nil, name, begin, 0, 0) // root
 	return t
 }
 
@@ -329,41 +311,6 @@ func (tr *Tracer) Finish(t *Trace) {
 	tr.mu.Unlock()
 }
 
-// Resize changes the ring capacity, preserving the newest traces that
-// fit. Safe under concurrent Start/Finish: Start never touches the ring,
-// and Finish serializes on the same mutex. n <= 0 means DefaultTraceRing.
-func (tr *Tracer) Resize(n int) {
-	if tr == nil {
-		return
-	}
-	if n <= 0 {
-		n = DefaultTraceRing
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if n == len(tr.ring) {
-		return
-	}
-	all := tr.lastLocked(0)
-	if len(all) > n {
-		all = all[len(all)-n:]
-	}
-	tr.ring = make([]*Trace, n)
-	copy(tr.ring, all)
-	tr.filled = len(all) == n
-	tr.next = len(all) % n
-}
-
-// Cap reports the current ring capacity.
-func (tr *Tracer) Cap() int {
-	if tr == nil {
-		return 0
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return len(tr.ring)
-}
-
 // Last returns up to n of the most recent traces, oldest first. n <= 0
 // means the whole ring.
 func (tr *Tracer) Last(n int) []*Trace {
@@ -372,22 +319,13 @@ func (tr *Tracer) Last(n int) []*Trace {
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	all := tr.lastLocked(0)
-	if n > 0 && len(all) > n {
-		all = all[len(all)-n:]
-	}
-	return all
-}
-
-// lastLocked collects the ring's contents oldest-first; the caller holds
-// tr.mu.
-func (tr *Tracer) lastLocked(_ int) []*Trace {
 	var all []*Trace
 	if tr.filled {
 		all = append(all, tr.ring[tr.next:]...)
-		all = append(all, tr.ring[:tr.next]...)
-	} else {
-		all = append(all, tr.ring[:tr.next]...)
+	}
+	all = append(all, tr.ring[:tr.next]...)
+	if n > 0 && len(all) > n {
+		all = all[len(all)-n:]
 	}
 	return all
 }

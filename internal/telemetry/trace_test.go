@@ -20,10 +20,9 @@ func TestTraceSpanTree(t *testing.T) {
 	enc.SetAttr("cache", "miss")
 	enc.End()
 	chunk := trace.Span(root, "chunk")
-	scan := trace.Span(chunk, "fs1_scan")
-	scan.AddSim(3 * time.Millisecond)
-	scan.AddSim(1 * time.Millisecond)
-	scan.End()
+	// A stage its caller timed itself arrives finished.
+	scanStart := time.Now()
+	scan := trace.Record(chunk, "fs1_scan", scanStart, 2*time.Millisecond, 4*time.Millisecond)
 	chunk.End()
 	root.End()
 	tr.Finish(trace)
@@ -34,8 +33,8 @@ func TestTraceSpanTree(t *testing.T) {
 	if scan.Parent != chunk.ID || chunk.Parent != root.ID || enc.Parent != root.ID {
 		t.Errorf("parent links wrong: enc=%d chunk=%d scan=%d", enc.Parent, chunk.Parent, scan.Parent)
 	}
-	if scan.Sim != 4*time.Millisecond {
-		t.Errorf("scan sim = %v, want 4ms", scan.Sim)
+	if scan.Sim != 4*time.Millisecond || scan.Wall != 2*time.Millisecond || !scan.Start.Equal(scanStart) {
+		t.Errorf("recorded span = %+v, want sim 4ms wall 2ms at %v", scan, scanStart)
 	}
 	if enc.Attrs["cache"] != "miss" {
 		t.Errorf("attrs = %v", enc.Attrs)
@@ -76,8 +75,10 @@ func TestTracerNilSafe(t *testing.T) {
 	}
 	sp := trace.Span(nil, "y")
 	sp.SetAttr("a", "b")
-	sp.AddSim(time.Second)
 	sp.End()
+	if trace.Record(nil, "z", time.Time{}, 0, time.Second) != nil || tr.StartAt("x", nil, time.Time{}) != nil {
+		t.Error("nil tracer/trace recorded a span")
+	}
 	tr.Finish(trace)
 	var sb strings.Builder
 	if err := tr.WriteJSON(&sb, 10); err != nil || sb.Len() != 0 {
@@ -89,9 +90,7 @@ func TestWriteJSONLines(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 2; i++ {
 		trace := tr.Start("retrieve")
-		sp := trace.Span(nil, "fs2_match")
-		sp.AddSim(time.Millisecond)
-		sp.End()
+		trace.Record(nil, "fs2_match", time.Now(), 0, time.Millisecond)
 		trace.Root().End()
 		tr.Finish(trace)
 	}
