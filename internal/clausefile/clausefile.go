@@ -13,7 +13,9 @@
 package clausefile
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"clare/internal/pif"
 	"clare/internal/scw"
@@ -56,7 +58,19 @@ type PredFile struct {
 	clauses []*StoredClause
 	index   *scw.Index
 	size    int
+
+	// The head stream: every clause's Head.Args copied back to back, so a
+	// filter walking the whole predicate reads one contiguous run of words
+	// instead of chasing StoredClause → Head → Args per clause. Clause i's
+	// words are headWords[headOff[i]:headOff[i+1]] (offsets taken without
+	// their top bit); headOff[i]'s top bit records that none of them is a
+	// variable. Costs 4 B per head word plus 4 B per clause.
+	headWords []pif.Word
+	headOff   []uint32
 }
+
+// headGround is the variable-free flag carried in a head-stream offset.
+const headGround = 1 << 31
 
 // Builder accumulates clauses for one predicate.
 type Builder struct {
@@ -110,7 +124,7 @@ func (b *Builder) Add(head, body term.Term) error {
 	if err := b.file.index.Add(head, uint32(b.file.size)); err != nil {
 		return err
 	}
-	b.file.append(headEnc, clauseEnc, recSize)
+	b.file.append(new(StoredClause), headEnc, clauseEnc, recSize)
 	return nil
 }
 
@@ -120,12 +134,21 @@ func recordSize(head, clause *pif.Encoded) int {
 	return recordFraming + head.RecordSize() + clause.RecordSize()
 }
 
-// append adds one record of recSize bytes at the end of the file.
-func (f *PredFile) append(head, clause *pif.Encoded, recSize int) {
-	f.clauses = append(f.clauses, &StoredClause{
-		Addr: uint32(f.size), Seq: len(f.clauses), Head: head, Clause: clause, SizeBytes: recSize,
-	})
+// append fills sc in as the record of recSize bytes at the end of the file
+// and adds its head words at the end of the head stream.
+func (f *PredFile) append(sc *StoredClause, head, clause *pif.Encoded, recSize int) {
+	*sc = StoredClause{Addr: uint32(f.size), Seq: len(f.clauses), Head: head, Clause: clause, SizeBytes: recSize}
+	f.clauses = append(f.clauses, sc)
 	f.size += recSize
+
+	if f.headOff == nil {
+		f.headOff = []uint32{0}
+	}
+	if pif.VariableFree(head.Args) {
+		f.headOff[len(f.headOff)-1] |= headGround
+	}
+	f.headWords = append(f.headWords, head.Args...)
+	f.headOff = append(f.headOff, uint32(len(f.headWords)))
 }
 
 // Build finalises the file.
@@ -157,21 +180,28 @@ func (f *PredFile) Index() *scw.Index { return f.index }
 // All returns every stored clause in user order.
 func (f *PredFile) All() []*StoredClause { return f.clauses }
 
+// HeadArgs returns clause i's head-argument words (equal to
+// All()[i].Head.Args) from the head stream, and whether none of them is a
+// variable word.
+func (f *PredFile) HeadArgs(i int) (args []pif.Word, ground bool) {
+	lo, hi := f.headOff[i], f.headOff[i+1]
+	return f.headWords[lo&^headGround : hi&^headGround], lo&headGround != 0
+}
+
 // ByAddrs returns the stored clauses at the given addresses, preserving
 // the given (clause) order. Unknown addresses are errors — the index never
-// fabricates them.
+// fabricates them. Record addresses increase in user order, so each is a
+// binary search of the clause list.
 func (f *PredFile) ByAddrs(addrs []uint32) ([]*StoredClause, error) {
-	byAddr := make(map[uint32]*StoredClause, len(f.clauses))
-	for _, sc := range f.clauses {
-		byAddr[sc.Addr] = sc
-	}
 	out := make([]*StoredClause, 0, len(addrs))
 	for _, a := range addrs {
-		sc, ok := byAddr[a]
+		i, ok := slices.BinarySearchFunc(f.clauses, a, func(sc *StoredClause, a uint32) int {
+			return cmp.Compare(sc.Addr, a)
+		})
 		if !ok {
 			return nil, fmt.Errorf("clausefile: no clause at address %d", a)
 		}
-		out = append(out, sc)
+		out = append(out, f.clauses[i])
 	}
 	return out, nil
 }

@@ -1,7 +1,10 @@
 package clausefile
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 
 	"clare/internal/parse"
@@ -227,6 +230,20 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 	if _, err := Unmarshal(append(data, 9), syms); err == nil {
 		t.Error("trailing bytes should fail")
+	}
+	// A file whose records are another predicate's: the header's functor
+	// (after magic, module and the functor length) no longer names them.
+	foreign := bytes.Clone(data)
+	foreign[4+2+len(f.Module)+2] ^= 1
+	if _, err := Unmarshal(foreign, syms); err == nil || !strings.Contains(err.Error(), "does not belong") {
+		t.Errorf("foreign heads: err = %v", err)
+	}
+	// A record count the blob cannot hold (it sizes the record slabs) is
+	// refused before anything is allocated for it.
+	inflated := bytes.Clone(data)
+	binary.BigEndian.PutUint32(inflated[4+2+len(f.Module)+2+len(f.Functor)+2:], 0xFFFFFFFF)
+	if _, err := Unmarshal(inflated, syms); err == nil || !strings.Contains(err.Error(), "exceed blob") {
+		t.Errorf("inflated count: err = %v", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package clausefile
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"clare/internal/pif"
 	"clare/internal/scw"
@@ -129,21 +130,48 @@ func Unmarshal(data []byte, syms *symtab.Table) (*PredFile, error) {
 		return nil, r.err
 	}
 	wv := pif.NewWordView(wordsView(wb))
+	// Every record has two length prefixes at least, so a count the rest
+	// of the blob cannot hold is corrupt — refused before it sizes anything.
+	if count > (len(data)-r.pos)/recordFraming {
+		return nil, fmt.Errorf("clausefile: %d records exceed blob", count)
+	}
+	// A loaded file is resident for the daemon's life and the collector
+	// walks it on every cycle, so it is built tight: the records in two
+	// slabs instead of three objects each, one functor string per file, the
+	// stream's slices sized once. That pays for the head stream (a mapped
+	// store is about as large on the heap as before it had one) and leaves
+	// the collector a third fewer objects to mark. The price: a caller
+	// holding one record keeps its whole predicate's slabs alive.
+	recs := make([]StoredClause, count)
+	encs := make([]pif.Encoded, 2*count)
+	f.clauses = make([]*StoredClause, 0, count)
+	f.headOff = make([]uint32, 1, count+1)
 	for i := 0; i < count; i++ {
 		hb := r.bytes(int(r.u32()))
 		cb := r.bytes(int(r.u32()))
 		if r.err != nil {
 			return nil, r.err
 		}
-		var he, ce pif.Encoded
+		he, ce := &encs[2*i], &encs[2*i+1]
 		if err := he.UnmarshalBinaryMeta(hb, wv); err != nil {
 			return nil, fmt.Errorf("clausefile: record %d head: %w", i, err)
 		}
 		if err := ce.UnmarshalBinaryMeta(cb, wv); err != nil {
 			return nil, fmt.Errorf("clausefile: record %d clause: %w", i, err)
 		}
-		f.append(&he, &ce, recordSize(&he, &ce))
+		// Builder.Add admits no other head; filters rely on it to test the
+		// predicate once per retrieval rather than once per record.
+		if he.Functor != f.Functor || he.Arity != f.Arity {
+			return nil, fmt.Errorf("clausefile: record %d head %s does not belong to %s/%d", i, he.Indicator(), f.Functor, f.Arity)
+		}
+		// One functor string per file, not two per record.
+		he.Functor = f.Functor
+		if ce.Functor == clauseWrapper {
+			ce.Functor = clauseWrapper
+		}
+		f.append(&recs[i], he, ce, recordSize(he, ce))
 	}
+	f.headWords = slices.Clone(f.headWords) // drop append's slack
 	if r.pos != len(data) {
 		return nil, fmt.Errorf("clausefile: %d trailing bytes", len(data)-r.pos)
 	}

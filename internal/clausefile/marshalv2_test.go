@@ -3,6 +3,7 @@ package clausefile
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"clare/internal/parse"
@@ -144,6 +145,60 @@ func TestV2RoundTripEquivalence(t *testing.T) {
 	}
 	if !bytes.Equal(blob, again) {
 		t.Error("re-marshalling a decoded file changed the blob")
+	}
+}
+
+// TestHeadStreamRoundTrip: the head stream is built where records are
+// appended, so a Builder-made file and its Unmarshal-ed image (viewed or
+// copied) carry the same stream word for word: every head's argument
+// words back to back, and the variable-free flag set exactly on the heads
+// without a named or anonymous variable.
+func TestHeadStreamRoundTrip(t *testing.T) {
+	syms := symtab.New()
+	b, err := NewBuilder("zoo", "animal", 2, syms, scw.DefaultParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heads := []struct {
+		text   string
+		ground bool
+	}{
+		{"animal(cat, meows)", true},
+		{"animal(X, barks)", false},
+		{"animal(_, purrs)", false},
+		{"animal(f(bird, g(7)), chirps)", true},
+		{"animal(f(bird, Y), chirps)", false},
+		{"animal([1, 2, 3], date(1, 2, 3))", true},
+		{"animal([1, 2 | T], 2.5)", false},
+		{"animal(-3, [])", true},
+	}
+	for _, h := range heads {
+		if err := b.Add(parse.MustTerm(h.text), term.Atom("true")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	orig := b.Build()
+	blob, err := orig.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, data := range map[string][]byte{"viewed": blob, "copied": misaligned(blob)} {
+		loaded, err := Unmarshal(data, syms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(orig.headWords, loaded.headWords) || !slices.Equal(orig.headOff, loaded.headOff) {
+			t.Fatalf("%s: head stream differs from the built file's", label)
+		}
+		for i, sc := range loaded.All() {
+			args, ground := loaded.HeadArgs(i)
+			if !slices.Equal(args, sc.Head.Args) {
+				t.Fatalf("%s: %s: stream holds %v, head is %v", label, heads[i].text, args, sc.Head.Args)
+			}
+			if ground != heads[i].ground {
+				t.Fatalf("%s: %s: variable-free flag %v", label, heads[i].text, ground)
+			}
+		}
 	}
 }
 

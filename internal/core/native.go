@@ -10,9 +10,11 @@
 //   - FS1 scans sweep the columnar secondary-file view (scw.Columnar):
 //     one 64-bit AND/compare per entry against the union of the query's
 //     argument codewords, instead of a per-entry per-argument loop.
-//   - FS2 filtering runs fs2.NativeMatcher directly on the stored clause
-//     heads — the PIF records already decoded into the predicate's slab —
-//     with fixed-capacity variable stores and zero allocations per clause.
+//   - FS2 filtering compiles the query once (fs2.NativeMatcher.SetQuery)
+//     and runs the step program over the predicate's contiguous head-word
+//     stream (clausefile.PredFile.HeadArgs); heads carrying variables go
+//     through the generic matcher on their stored record. Zero
+//     allocations per clause either way.
 //   - Candidate clauses are reached by index position (entry j is clause
 //     j), skipping the address-map lookup, and fetch accounting uses the
 //     exact run size (disk.FetchRun) instead of a truncated average.
@@ -112,14 +114,13 @@ func (r *Retriever) retrieveFS1Native(goal term.Term, pred *Predicate, rt *Retri
 }
 
 // retrieveFS2AllNative is mode (c) on the native engine: the whole clause
-// file filtered through the native matcher. The stored heads are already
-// decoded (slab views), so "streaming" is a pointer walk; the drive model
-// still accounts (and can fault) the underlying sequential scan. FS2
-// match time is zero in the simulated ledger — Stats.Total is the stream
-// with free matching.
+// file filtered through the native matcher. The heads are resident (views
+// of the store image plus the head stream), so "streaming" is a walk over
+// memory; the drive model still accounts (and can fault) the underlying
+// sequential scan. FS2 match time is zero in the simulated ledger —
+// Stats.Total is the stream with free matching.
 func (r *Retriever) retrieveFS2AllNative(goal term.Term, pred *Predicate, rt *Retrieval, u *boardUnit) error {
-	all := pred.File.All()
-	rt.Stats.AfterFS1 = len(all)
+	rt.Stats.AfterFS1 = pred.File.Len()
 	rt.Stats.ClauseBytes = pred.File.SizeBytes()
 	diskTime, err := u.drive.Scan(pred.File.SizeBytes())
 	if err != nil {
@@ -135,7 +136,7 @@ func (r *Retriever) retrieveFS2AllNative(goal term.Term, pred *Predicate, rt *Re
 	if err := a.nm.SetQuery(q); err != nil {
 		return err
 	}
-	r.nativeFilter(a.nm, all, rt)
+	nativeFilter(a.nm, pred.File, pred.File.Len(), nil, rt)
 	rt.wall.lap(stageFS2Match)
 	rt.Stats.DiskFetch = diskTime
 	rt.Stats.Total = diskTime
@@ -211,16 +212,7 @@ func (r *Retriever) retrieveFS1FS2Native(goal term.Term, pred *Predicate, rt *Re
 		matchChunks = append(matchChunks, fetch)
 		rt.wall.lap(stageDiskFetch)
 
-		for _, p := range buf.Pos {
-			sc := all[p]
-			if a.nm.Match(sc.Head) {
-				rt.Candidates = append(rt.Candidates, sc)
-			} else if a.nm.LastRejectXB() {
-				rt.Stats.FS2RejectsXB++
-			} else {
-				rt.Stats.FS2RejectsLevel++
-			}
-		}
+		nativeFilter(a.nm, pred.File, len(buf.Pos), buf.Pos, rt)
 		rt.wall.lap(stageFS2Match)
 	}
 	rt.Stats.FS1Scan += access
@@ -229,17 +221,35 @@ func (r *Retriever) retrieveFS1FS2Native(goal term.Term, pred *Predicate, rt *Re
 	return nil
 }
 
-// nativeFilter streams stored clauses through the native matcher,
+// nativeFilter passes n clauses of f through the native matcher — the
+// first n in file order when pos is nil (mode fs2 walks the whole file),
+// else the FS1 survivors at index positions pos[:n] (mode fs1+fs2) —
 // appending the satisfiers to rt.Candidates and splitting rejects into
-// the level/cross-binding counters — the native engine's counterpart of
-// searchFS2, with no batching (there is no Result Memory to overflow).
-func (r *Retriever) nativeFilter(nm *fs2.NativeMatcher, in []*clausefile.StoredClause, rt *Retrieval) {
-	for _, sc := range in {
-		if nm.Match(sc.Head) {
-			rt.Candidates = append(rt.Candidates, sc)
-		} else if nm.LastRejectXB() {
-			rt.Stats.FS2RejectsXB++
+// the level/cross-binding counters. It is the native engine's counterpart
+// of searchFS2, with no batching (there is no Result Memory to overflow).
+// Variable-free heads are matched on the head stream by the compiled
+// query, the predicate tested once up front; the rest on their stored
+// record.
+func nativeFilter(nm *fs2.NativeMatcher, f *clausefile.PredFile, n int, pos []uint32, rt *Retrieval) {
+	all := f.All()
+	compiled := nm.CompiledFor(f.Functor, f.Arity)
+	for k := 0; k < n; k++ {
+		i := k
+		if pos != nil {
+			i = int(pos[k])
+		}
+		var ok bool
+		if args, ground := f.HeadArgs(i); ground && compiled {
+			ok = nm.MatchArgs(args)
 		} else {
+			ok = nm.Match(all[i].Head)
+		}
+		switch {
+		case ok:
+			rt.Candidates = append(rt.Candidates, all[i])
+		case nm.LastRejectXB():
+			rt.Stats.FS2RejectsXB++
+		default:
 			rt.Stats.FS2RejectsLevel++
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"clare/internal/clausefile"
@@ -39,30 +40,68 @@ func buildEnginePair(t testing.TB, cfg Config, module string, clauses []ClauseTe
 	return sim, native
 }
 
+// storable reports whether the clause file accepts head: PIF-encodable
+// and within the record size limit, sized the way the builder does (head
+// record + ':-'(head, true) clause record + framing).
+func storable(penc *pif.Encoder, head term.Term) bool {
+	he, err := penc.Encode(head, pif.DBSide)
+	if err != nil {
+		return false
+	}
+	ce, err := penc.Encode(term.New(":-", head, term.Atom("true")), pif.DBSide)
+	return err == nil && 8+he.RecordSize()+ce.RecordSize() <= clausefile.MaxRecordBytes
+}
+
 // genWorkload generates n correlated (clause head, query) pairs for one
-// predicate, keeping only heads the clause file accepts (PIF-encodable
-// and within the record size limit). Queries that cannot be encoded are
-// kept: both engines must fail them identically in the hardware modes.
+// predicate, keeping only heads the clause file accepts. Queries that
+// cannot be encoded are kept: both engines must fail them identically in
+// the hardware modes.
 func genWorkload(t testing.TB, seed int64, functor string, arity, n int) (clauses []ClauseTerm, queries []term.Term) {
 	t.Helper()
 	g := termgen.New(seed)
 	penc := pif.NewEncoder(symtab.New())
 	for len(clauses) < n {
 		query, head := g.Pair(functor, arity)
-		he, err := penc.Encode(head, pif.DBSide)
-		if err != nil {
-			continue
-		}
-		// Size the full stored record the way the builder does: head
-		// record + ':-'(head, true) clause record + framing.
-		ce, err := penc.Encode(term.New(":-", head, term.Atom("true")), pif.DBSide)
-		if err != nil || 8+he.RecordSize()+ce.RecordSize() > clausefile.MaxRecordBytes {
+		if !storable(penc, head) {
 			continue
 		}
 		clauses = append(clauses, ClauseTerm{Head: head})
 		queries = append(queries, query)
 	}
 	return clauses, queries
+}
+
+// genFacts generates n p/3 heads shaped like a relation's facts: most
+// are variable-free (in-line structures, lists, numbers, atoms) with
+// arguments often repeated across positions, so shared-variable goals
+// have satisfiers; about one in four carries named variables and one in
+// nine an anonymous one, which the native filter must hand to the generic
+// matcher.
+func genFacts(t testing.TB, seed int64, n int) []ClauseTerm {
+	t.Helper()
+	g := termgen.New(seed)
+	rng := rand.New(rand.NewSource(seed))
+	penc := pif.NewEncoder(symtab.New())
+	var clauses []ClauseTerm
+	for len(clauses) < n {
+		head := g.Goal("p", 3)
+		if len(clauses)%4 != 3 {
+			args := make([]term.Term, 3)
+			for i := range args {
+				if args[i] = g.Ground(g.Term(2)); i > 0 && rng.Intn(5) < 2 {
+					args[i] = args[rng.Intn(i)]
+				}
+			}
+			if len(clauses)%9 == 8 {
+				args[rng.Intn(3)] = term.NewVar("_")
+			}
+			head = term.New("p", args...)
+		}
+		if storable(penc, head) {
+			clauses = append(clauses, ClauseTerm{Head: head})
+		}
+	}
+	return clauses
 }
 
 // diffRetrieve runs one goal through both engines in one mode and
@@ -113,10 +152,15 @@ func diffRetrieve(t *testing.T, sim, native *Retriever, goal term.Term, mode Sea
 }
 
 // TestEngineDifferentialGenerated drives both engines over
-// generator-produced knowledge bases — variable-bearing heads (masked
-// index entries), shared variables, near-miss queries — across all four
-// search modes, and requires identical candidates and statistics
-// throughout.
+// generator-produced knowledge bases across all four search modes, and
+// requires identical candidates and statistics throughout. The first
+// population is correlated (head, query) pairs — variable-bearing heads
+// (masked index entries), shared variables, near-miss queries. The second
+// is what the compiled matcher and the head stream are for: single-word,
+// mostly shared-variable goals over mostly variable-free facts, under
+// every microprogram the native engine runs; mode fs2 walks the whole
+// head stream there, and its FS2RejectsLevel/FS2RejectsXB split must be
+// the board's.
 func TestEngineDifferentialGenerated(t *testing.T) {
 	comparisons := 0
 	for arity := 1; arity <= 4; arity++ {
@@ -136,6 +180,34 @@ func TestEngineDifferentialGenerated(t *testing.T) {
 	}
 	if comparisons < 2400 {
 		t.Fatalf("only %d engine comparisons ran", comparisons)
+	}
+
+	goals := []string{
+		"p(X, X, _)", "p(X, Y, X)", "p(_, Y, Y)", "p(X, X, X)", "p(X, Y, Z)",
+		"p(a, X, X)", "p(X, 1, X)", "p(X, X, 0.5)", "p(b, c, _)",
+		"p(f(X), X, _)", "p([X | T], X, T)", // multi-word arguments: never compiled
+	}
+	for i, mp := range []fs2.Microprogram{fs2.MPLevel1, fs2.MPLevel2, fs2.MPLevel3, fs2.MPLevel3XB} {
+		cfg := DefaultConfig()
+		cfg.Microprogram = mp
+		sim, native := buildEnginePair(t, cfg, "facts", genFacts(t, int64(2000+i), 300))
+		var passed, xb int
+		for _, g := range goals {
+			goal := parse.MustTerm(g)
+			for _, mode := range modes() {
+				diffRetrieve(t, sim, native, goal, mode)
+			}
+			rt, err := native.Retrieve(goal, ModeFS2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			passed += len(rt.Candidates)
+			xb += rt.Stats.FS2RejectsXB
+		}
+		if passed == 0 || mp.CrossBinding != (xb > 0) {
+			t.Fatalf("%s: mode fs2 passed %d clauses and made %d cross-binding rejects over the shared-variable goals",
+				mp.Name, passed, xb)
+		}
 	}
 }
 
@@ -232,21 +304,15 @@ func TestNativeKernelsZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := pred.File.Index().Columnar()
-	all := pred.File.All()
-	out := make([]*clausefile.StoredClause, 0, len(all))
+	rt.Candidates = make([]*clausefile.StoredClause, 0, pred.File.Len())
 	for _, workers := range []int{1, 2, 4, 8} {
 		r.SetScanWorkers(workers)
 		var survivors int
 		scan := func() {
 			col.ParScanInto(qd, r.ScanWorkers(), r.scanPool, &a.pbuf)
-			out = out[:0]
-			for _, p := range a.pbuf.Out.Pos {
-				sc := all[p]
-				if a.nm.Match(sc.Head) {
-					out = append(out, sc)
-				}
-			}
-			survivors = len(out)
+			rt.Candidates = rt.Candidates[:0]
+			nativeFilter(a.nm, pred.File, len(a.pbuf.Out.Pos), a.pbuf.Out.Pos, rt)
+			survivors = len(rt.Candidates)
 		}
 		scan() // warm the pool and per-partition buffers
 		allocs := testing.AllocsPerRun(200, scan)

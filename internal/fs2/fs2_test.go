@@ -120,15 +120,20 @@ type rig struct {
 
 func newRig(t *testing.T, query string, mp Microprogram) *rig {
 	t.Helper()
-	syms := symtab.New()
-	enc := pif.NewEncoder(syms)
+	enc := pif.NewEncoder(symtab.New())
+	q, err := enc.Encode(parse.MustTerm(query), pif.QuerySide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &rig{e: simFor(t, mp, q), enc: enc}
+}
+
+// simFor loads mp and q into a simulated board, ready to Search.
+func simFor(t testing.TB, mp Microprogram, q *pif.Encoded) *Engine {
+	t.Helper()
 	e := New()
 	e.SetMode(ModeMicroprogramming)
 	if err := e.LoadMicroprogram(mp); err != nil {
-		t.Fatal(err)
-	}
-	q, err := enc.Encode(parse.MustTerm(query), pif.QuerySide)
-	if err != nil {
 		t.Fatal(err)
 	}
 	e.SetMode(ModeSetQuery)
@@ -136,7 +141,7 @@ func newRig(t *testing.T, query string, mp Microprogram) *rig {
 		t.Fatal(err)
 	}
 	e.SetMode(ModeSearch)
-	return &rig{e: e, enc: enc}
+	return e
 }
 
 func (r *rig) records(t *testing.T, heads ...string) []Record {

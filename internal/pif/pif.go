@@ -133,6 +133,19 @@ func CategoryOf(t Tag) Category {
 // IsVariable reports whether t is one of the five variable tags.
 func IsVariable(t Tag) bool { return CategoryOf(t) == CatVariable }
 
+// VariableFree reports whether no word of an argument stream carries a
+// variable tag, named or anonymous. It reads every word as a tagged word;
+// a structure pointer's extension word (a bare heap offset) can only make
+// the answer a conservative false.
+func VariableFree(words []Word) bool {
+	for _, w := range words {
+		if t := w.Tag(); t == TagAnonVar || t&^3 == TagSubDV {
+			return false
+		}
+	}
+	return true
+}
+
 // IsInt reports whether t is an in-line integer tag.
 func IsInt(t Tag) bool { return t&0xF0 == Tag(TagIntBase) }
 

@@ -174,6 +174,7 @@ func UnmarshalIndex(data []byte) (*Index, error) {
 		return nil, fmt.Errorf("scw: index file size %d, want %d for %d entries", len(data), want, n)
 	}
 	ix := NewIndex(enc)
+	ix.entries = make([]Entry, 0, n)
 	for i := 0; i < n; i++ {
 		ent, err := UnmarshalEntry(data[10+i*EntrySize:])
 		if err != nil {

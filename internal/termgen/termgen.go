@@ -196,6 +196,30 @@ func (g *Gen) Pair(functor string, arity int) (query, head term.Term) {
 	return term.New(functor, qargs...), term.New(functor, hargs...)
 }
 
+// Ground returns t with every variable replaced by a constant (an open
+// list's tail variable by [], closing the list): the variable-free facts
+// that make up most of a knowledge base. Occurrences of one variable get
+// independent constants.
+func (g *Gen) Ground(t term.Term) term.Term {
+	switch t := term.Deref(t).(type) {
+	case *term.Var:
+		return g.constant()
+	case *term.Compound:
+		args := make([]term.Term, len(t.Args))
+		for i, a := range t.Args {
+			args[i] = g.Ground(a)
+		}
+		if _, tail, ok := term.IsCons(t); ok {
+			if _, open := term.Deref(tail).(*term.Var); open {
+				args[1] = term.NilAtom
+			}
+		}
+		return &term.Compound{Functor: t.Functor, Args: args}
+	default:
+		return t
+	}
+}
+
 // Mutate returns a structural variant of t built from the current
 // scope's variables: most nodes are copied (variables mapped
 // consistently into this scope, preserving sharing), and MutateProb of

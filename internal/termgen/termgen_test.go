@@ -84,3 +84,41 @@ func TestGoalShape(t *testing.T) {
 		}
 	}
 }
+
+// TestGround: a grounded term has no variable, keeps its shape (every
+// compound's functor and arity, every list's elements), and closes open
+// lists.
+func TestGround(t *testing.T) {
+	g := New(5)
+	for i := 0; i < 200; i++ {
+		goal := g.Goal("p", 3)
+		ground := g.Ground(goal)
+		if vs := term.Vars(ground, nil); len(vs) != 0 {
+			t.Fatalf("Ground(%v) = %v still has variables %v", goal, ground, vs)
+		}
+		var same func(a, b term.Term) bool
+		same = func(a, b term.Term) bool {
+			ac, ok := a.(*term.Compound)
+			if !ok {
+				_, isVar := a.(*term.Var)
+				return isVar || a == b
+			}
+			bc, ok := b.(*term.Compound)
+			if !ok || ac.Functor != bc.Functor || len(ac.Args) != len(bc.Args) {
+				return false
+			}
+			for j := range ac.Args {
+				if !same(ac.Args[j], bc.Args[j]) {
+					return false
+				}
+			}
+			return true
+		}
+		if !same(goal, ground) {
+			t.Fatalf("Ground(%v) = %v changed more than the variables", goal, ground)
+		}
+		if _, tail := term.ListSlice(g.Ground(term.ListTail(g.Var(), term.Int(1)))); tail != term.NilAtom {
+			t.Fatalf("grounded open list ends in %v", tail)
+		}
+	}
+}
