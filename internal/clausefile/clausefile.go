@@ -23,10 +23,6 @@ import (
 	"clare/internal/term"
 )
 
-// clauseWrapper is the functor wrapping head and body in the full clause
-// encoding.
-const clauseWrapper = ":-"
-
 // MaxRecordBytes is the largest clause record the system accepts: the FS2
 // Result Memory gives each satisfier a 512-byte slot (its 9-bit offset
 // counter, §3.2), so clause records must fit one slot. Enforced at compile
@@ -54,6 +50,7 @@ type PredFile struct {
 	Functor string
 	Arity   int
 	Symbols *symtab.Table
+	dec     pif.Decoder // DecodeClause's, over Symbols
 
 	clauses []*StoredClause
 	index   *scw.Index
@@ -92,6 +89,7 @@ func NewBuilder(module, functor string, arity int, syms *symtab.Table, params sc
 			Functor: functor,
 			Arity:   arity,
 			Symbols: syms,
+			dec:     pif.Decoder{Symbols: syms},
 			index:   scw.NewIndex(ienc),
 		},
 		penc: pif.NewEncoder(syms),
@@ -112,7 +110,7 @@ func (b *Builder) Add(head, body term.Term) error {
 	if err != nil {
 		return fmt.Errorf("clausefile: encoding head %v: %w", head, err)
 	}
-	clauseEnc, err := b.penc.Encode(term.New(clauseWrapper, head, body), pif.DBSide)
+	clauseEnc, err := b.penc.Encode(term.New(pif.ClauseFunctor, head, body), pif.DBSide)
 	if err != nil {
 		return fmt.Errorf("clausefile: encoding clause for %v: %w", head, err)
 	}
@@ -209,14 +207,20 @@ func (f *PredFile) ByAddrs(addrs []uint32) ([]*StoredClause, error) {
 // DecodeClause reconstructs the head and body terms of a stored clause,
 // with head/body variable sharing intact.
 func (f *PredFile) DecodeClause(sc *StoredClause) (head, body term.Term, err error) {
-	dec := pif.NewDecoder(f.Symbols)
-	whole, err := dec.Decode(sc.Clause)
+	whole, err := f.dec.Decode(sc.Clause)
 	if err != nil {
 		return nil, nil, err
 	}
 	c, ok := whole.(*term.Compound)
-	if !ok || c.Functor != clauseWrapper || len(c.Args) != 2 {
+	if !ok || c.Functor != pif.ClauseFunctor || len(c.Args) != 2 {
 		return nil, nil, fmt.Errorf("clausefile: record at %d is not a clause", sc.Addr)
 	}
 	return c.Args[0], c.Args[1], nil
+}
+
+// AppendClause appends a stored clause's source form — "Head." or
+// "Head :- Body." — to dst, rendered from its words (pif.AppendClause):
+// what printing DecodeClause's terms gives, without building them.
+func (f *PredFile) AppendClause(dst []byte, sc *StoredClause) ([]byte, error) {
+	return pif.AppendClause(dst, f.Symbols, sc.Clause)
 }

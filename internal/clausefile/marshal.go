@@ -106,7 +106,7 @@ func Unmarshal(data []byte, syms *symtab.Table) (*PredFile, error) {
 	if m := r.u32(); m != fileMagic {
 		return nil, fmt.Errorf("clausefile: bad magic 0x%08x", m)
 	}
-	f := &PredFile{Symbols: syms}
+	f := &PredFile{Symbols: syms, dec: pif.Decoder{Symbols: syms}}
 	f.Module = string(r.bytes(int(r.u16())))
 	f.Functor = string(r.bytes(int(r.u16())))
 	f.Arity = int(r.u16())
@@ -166,8 +166,8 @@ func Unmarshal(data []byte, syms *symtab.Table) (*PredFile, error) {
 		}
 		// One functor string per file, not two per record.
 		he.Functor = f.Functor
-		if ce.Functor == clauseWrapper {
-			ce.Functor = clauseWrapper
+		if ce.Functor == pif.ClauseFunctor {
+			ce.Functor = pif.ClauseFunctor
 		}
 		f.append(&recs[i], he, ce, recordSize(he, ce))
 	}

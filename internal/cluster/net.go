@@ -116,10 +116,8 @@ func (c *frontConn) retrieve(r *wire.Reply, q wire.Query) {
 		r.Fail(err)
 		return
 	}
-	r.Header("CANDIDATES", len(res.Clauses))
-	for _, cl := range res.Clauses {
-		r.Body("C", "%s", cl)
-	}
+	// The candidate lines go out as the backend framed them.
+	r.BlockString("CANDIDATES", len(res.Clauses), res.Body)
 	r.Line("%s", res.Stats)
 	if q.Trace != nil {
 		r.Trace(res.Spans)

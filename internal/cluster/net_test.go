@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"clare/internal/core"
 	"clare/internal/crs"
+	"clare/internal/term"
 )
 
 // startFront boots the cluster wire front-end over a fresh router.
@@ -213,5 +215,75 @@ func TestFrontendShutdown(t *testing.T) {
 	c.Close()
 	if err := <-done; err != nil {
 		t.Errorf("graceful Shutdown = %v", err)
+	}
+}
+
+// rawRetrieve sends one RETRIEVE line to addr on a bare socket and
+// returns the reply as it came: header, body lines, trailer.
+func rawRetrieve(t *testing.T, addr, mode, goal string) (header, body, trailer string) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	in := bufio.NewReader(conn)
+	fmt.Fprintf(conn, "RETRIEVE %s %s.\n", mode, goal)
+	line := func() string {
+		s, err := in.ReadString('\n')
+		if err != nil {
+			t.Fatalf("reading reply from %s: %v", addr, err)
+		}
+		return s
+	}
+	header = line()
+	var n int
+	if _, err := fmt.Sscanf(header, "CANDIDATES %d", &n); err != nil {
+		t.Fatalf("bad header %q: %v", header, err)
+	}
+	for i := 0; i < n; i++ {
+		body += line()
+	}
+	return header, body, line()
+}
+
+// TestRetrieveBytesThroughFront: the front-end forwards a backend's
+// candidate lines as bytes. Routed to one shard, the whole reply is the
+// backend's own; fanned out, the body is the shards' bodies in shard
+// order under a summed header and trailer.
+func TestRetrieveBytesThroughFront(t *testing.T) {
+	x := term.NewVar("X")
+	mixed := func(name string, n int) testPred {
+		p := facts(name, n)
+		p.clauses = append(p.clauses,
+			core.ClauseTerm{Head: term.New(name, x, term.Atom("a rule")), Body: term.New(",", term.New("aux", x, term.Int(-7)), term.Atom("!"))},
+			core.ClauseTerm{Head: term.New(name, term.List(term.Float(2), x), term.Atom("Q"))})
+		return p
+	}
+	_, l0 := startBackend(t, []testPred{mixed("dup", 3), mixed("only0", 40)})
+	_, l1 := startBackend(t, []testPred{mixed("dup", 5)})
+	a0, a1 := l0.Addr().String(), l1.Addr().String()
+
+	_, single := startFront(t, [][]string{{a0}})
+	for _, mode := range []string{"fs1+fs2", "software"} {
+		h, b, tr := rawRetrieve(t, a0, mode, "only0(X, Y)")
+		fh, fb, ftr := rawRetrieve(t, single, mode, "only0(X, Y)")
+		if h != "CANDIDATES 42\n" || !strings.Contains(b, "C only0(X,'a rule') :- (aux(X,-7),!).\n") {
+			t.Fatalf("%s: backend replied %q %q", mode, h, b)
+		}
+		if fh+fb+ftr != h+b+tr {
+			t.Errorf("%s through one shard:\n%s%s%swant the backend's own\n%s%s%s", mode, fh, fb, ftr, h, b, tr)
+		}
+	}
+
+	_, both := startFront(t, [][]string{{a0}, {a1}})
+	_, b0, _ := rawRetrieve(t, a0, "software", "dup(X, Y)")
+	_, b1, _ := rawRetrieve(t, a1, "software", "dup(X, Y)")
+	h, b, tr := rawRetrieve(t, both, "software", "dup(X, Y)")
+	if h != "CANDIDATES 12\n" || b != b0+b1 {
+		t.Errorf("fan-out replied %q\n%swant the shard-order concatenation\n%s%s", h, b, b0, b1)
+	}
+	if want := "STATS mode=software total=12 fs1=12 fs2=12\n"; tr != want {
+		t.Errorf("fan-out trailer %q, want %q", tr, want)
 	}
 }

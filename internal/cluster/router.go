@@ -826,10 +826,13 @@ var retrieveVerb = verb[*crs.RetrieveResult]{
 	// clauses arrive from a single group already in user order.
 	merge: func(parts []*crs.RetrieveResult, mode string) *crs.RetrieveResult {
 		merged := &crs.RetrieveResult{}
-		for _, p := range parts {
+		bodies := make([]string, len(parts))
+		for i, p := range parts {
 			merged.Clauses = append(merged.Clauses, p.Clauses...)
+			bodies[i] = p.Body
 			merged.Stats = mergeStatsLines(merged.Stats, p.Stats, mode)
 		}
+		merged.Body = strings.Join(bodies, "")
 		return merged
 	},
 	funnel: func(res *crs.RetrieveResult) wire.Funnel { return wire.ParseFunnel(res.Stats) },

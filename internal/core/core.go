@@ -581,8 +581,11 @@ func (rt *Retrieval) TraceID() uint64 {
 	return rt.trace.TraceID
 }
 
-// DecodeCandidates reconstructs the candidate clauses (head, body).
+// DecodeCandidates reconstructs the candidate clauses (head, body) as
+// terms, for a host that goes on to unify with them.
 func (rt *Retrieval) DecodeCandidates() (heads, bodies []term.Term, err error) {
+	heads = make([]term.Term, 0, len(rt.Candidates))
+	bodies = make([]term.Term, 0, len(rt.Candidates))
 	for _, sc := range rt.Candidates {
 		h, b, err := rt.pred.File.DecodeClause(sc)
 		if err != nil {
@@ -592,6 +595,22 @@ func (rt *Retrieval) DecodeCandidates() (heads, bodies []term.Term, err error) {
 		bodies = append(bodies, b)
 	}
 	return heads, bodies, nil
+}
+
+// AppendCandidateLines appends one line per candidate to dst — prefix,
+// the clause in source form ("Head." or "Head :- Body."), '\n' — rendered
+// straight from the stored words: the text printing DecodeCandidates'
+// terms gives, without the terms. On error dst comes back as it was.
+func (rt *Retrieval) AppendCandidateLines(dst []byte, prefix string) ([]byte, error) {
+	out := dst
+	for _, sc := range rt.Candidates {
+		var err error
+		if out, err = rt.pred.File.AppendClause(append(out, prefix...), sc); err != nil {
+			return dst, err
+		}
+		out = append(out, '\n')
+	}
+	return out, nil
 }
 
 // Retrieve runs one search call in the given mode. It is safe for

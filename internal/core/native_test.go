@@ -128,6 +128,10 @@ func diffRetrieve(t *testing.T, sim, native *Retriever, goal term.Term, mode Sea
 				mode, goal, i, srt.Candidates[i].Addr, nrt.Candidates[i].Addr)
 		}
 	}
+	// Either engine's candidates render from their words to the lines
+	// decoding and printing them gives.
+	checkCandidateLines(t, srt)
+	checkCandidateLines(t, nrt)
 	ss, ns := srt.Stats, nrt.Stats
 	if ss.AfterFS1 != ns.AfterFS1 || ss.AfterFS2 != ns.AfterFS2 {
 		t.Fatalf("%v %v: survivor counts sim %d/%d, native %d/%d",

@@ -182,8 +182,13 @@ func (c *Client) roundTrip(verb string, args ...string) (string, error) {
 
 // RetrieveResult is a client-side view of one retrieval.
 type RetrieveResult struct {
-	// Clauses are the candidate clauses in source form (with final '.').
+	// Clauses are the candidate clauses in source form (with final '.'):
+	// substrings of Body.
 	Clauses []string
+	// Body is the reply's candidate lines as they were framed on the
+	// wire, "C <clause>\n" each — what a front-end forwards without
+	// looking inside.
+	Body string
 	// Stats is the raw STATS line.
 	Stats string
 	// Spans is the server-side span subtree, decoded from the TRACE
@@ -232,13 +237,15 @@ func (c *Client) retrieveOnce(mode, goal string, tc *telemetry.TraceContext) (*R
 	if err != nil {
 		return nil, err
 	}
-	res := &RetrieveResult{}
-	if _, err := c.conn.Body(first, "CANDIDATES", "C", func(clause string) error {
-		res.Clauses = append(res.Clauses, clause)
-		return nil
-	}); err != nil {
+	body, n, _, err := c.conn.Block(first, "CANDIDATES", "C")
+	if err != nil {
 		return nil, err
 	}
+	res := &RetrieveResult{Clauses: make([]string, 0, n), Body: body}
+	_ = wire.Lines(body, "C", func(clause string) error { // cannot fail: the callback never does
+		res.Clauses = append(res.Clauses, clause)
+		return nil
+	})
 	if res.Stats, err = c.conn.Line(); err != nil {
 		return nil, err
 	}

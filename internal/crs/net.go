@@ -53,29 +53,37 @@ func (s *Server) Serve(l net.Listener) error { return s.acc.Serve(l, s.serveConn
 // listeners first so Serve stops accepting.
 func (s *Server) Shutdown(ctx context.Context) error { return s.acc.Shutdown(ctx) }
 
-// wireConn is one connection's state: its session on the server.
+// wireConn is one connection's state: its session on the server, and the
+// buffer its RETRIEVE replies are rendered in — reused from reply to
+// reply, so a connection's steady state allocates nothing per candidate.
 type wireConn struct {
-	srv  *Server
-	sess *Session
+	srv    *Server
+	sess   *Session
+	render []byte
 }
 
+// maxKeptRender bounds the render buffer a connection keeps between
+// replies; one reply larger than this is not held against its memory for
+// as long as it stays open.
+const maxKeptRender = 1 << 20
+
 // verbs is every verb the backend serves.
-var verbs = wire.Table[wireConn]{}
+var verbs = wire.Table[*wireConn]{}
 
 func init() {
-	verbs.Plain("HELLO", wireConn.hello)
-	verbs.Plain("STATS", wireConn.stats)
-	verbs.Count("FLIGHT", wireConn.flight)
-	verbs.Count("SLOWLOG", wireConn.slowLog)
-	verbs.Query("RETRIEVE", wireConn.retrieve)
-	verbs.Query("EXPLAIN", wireConn.explain)
-	verbs.Plain("BEGIN", func(c wireConn, r *wire.Reply) { r.Done(c.sess.Begin()) })
-	verbs.Clause("ASSERT", wireConn.assert)
-	verbs.Plain("COMMIT", func(c wireConn, r *wire.Reply) { r.Done(c.sess.Commit()) })
-	verbs.Plain("ABORT", func(c wireConn, r *wire.Reply) { r.Done(c.sess.Abort()) })
-	verbs.Write("WRITE", wireConn.write)
-	verbs.Sync("SYNC", wireConn.sync)
-	verbs.Record("REPL", wireConn.repl)
+	verbs.Plain("HELLO", (*wireConn).hello)
+	verbs.Plain("STATS", (*wireConn).stats)
+	verbs.Count("FLIGHT", (*wireConn).flight)
+	verbs.Count("SLOWLOG", (*wireConn).slowLog)
+	verbs.Query("RETRIEVE", (*wireConn).retrieve)
+	verbs.Query("EXPLAIN", (*wireConn).explain)
+	verbs.Plain("BEGIN", func(c *wireConn, r *wire.Reply) { r.Done(c.sess.Begin()) })
+	verbs.Clause("ASSERT", (*wireConn).assert)
+	verbs.Plain("COMMIT", func(c *wireConn, r *wire.Reply) { r.Done(c.sess.Commit()) })
+	verbs.Plain("ABORT", func(c *wireConn, r *wire.Reply) { r.Done(c.sess.Abort()) })
+	verbs.Write("WRITE", (*wireConn).write)
+	verbs.Sync("SYNC", (*wireConn).sync)
+	verbs.Record("REPL", (*wireConn).repl)
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -93,12 +101,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	sess := s.OpenSession()
 	defer sess.Close()
-	verbs.Serve(conn, wireConn{s, sess}, s.met.wireErrs)
+	verbs.Serve(conn, &wireConn{srv: s, sess: sess}, s.met.wireErrs)
 }
 
-func (c wireConn) hello(r *wire.Reply) { r.OK("crs", c.sess.ID()) }
+func (c *wireConn) hello(r *wire.Reply) { r.OK("crs", c.sess.ID()) }
 
-func (c wireConn) stats(r *wire.Reply) {
+func (c *wireConn) stats(r *wire.Reply) {
 	kv := c.srv.Snapshot().lines()
 	r.Header("STATS", len(kv))
 	for _, p := range kv {
@@ -106,11 +114,11 @@ func (c wireConn) stats(r *wire.Reply) {
 	}
 }
 
-func (c wireConn) flight(r *wire.Reply, n int) {
+func (c *wireConn) flight(r *wire.Reply, n int) {
 	wire.JSONBody(r, "FLIGHT", "F", c.srv.flight.Snapshot(n))
 }
 
-func (c wireConn) slowLog(r *wire.Reply, n int) {
+func (c *wireConn) slowLog(r *wire.Reply, n int) {
 	wire.JSONBody(r, "SLOWLOG", "Q", c.srv.slowLog.Tail(n))
 }
 
@@ -124,7 +132,7 @@ func parseQuery(q wire.Query) (*core.SearchMode, term.Term, error) {
 	return mode, goal, err
 }
 
-func (c wireConn) retrieve(r *wire.Reply, q wire.Query) {
+func (c *wireConn) retrieve(r *wire.Reply, q wire.Query) {
 	mode, goal, err := parseQuery(q)
 	if err != nil {
 		r.Fail(err)
@@ -135,18 +143,16 @@ func (c wireConn) retrieve(r *wire.Reply, q wire.Query) {
 		r.Fail(err)
 		return
 	}
-	heads, bodies, err := rt.DecodeCandidates()
+	// The candidates go out as their stored words render: no term is
+	// built for a clause the host may never unify with.
+	body, err := rt.AppendCandidateLines(c.render[:0], "C ")
 	if err != nil {
 		r.Fail(err)
 		return
 	}
-	r.Header("CANDIDATES", len(heads))
-	for i := range heads {
-		if term.Equal(bodies[i], term.Atom("true")) {
-			r.Body("C", "%s.", heads[i])
-		} else {
-			r.Body("C", "%s :- %s.", heads[i], bodies[i])
-		}
+	r.Block("CANDIDATES", len(rt.Candidates), body)
+	if c.render = body; cap(body) > maxKeptRender {
+		c.render = nil
 	}
 	r.Line("%v", wire.Funnel{Mode: rt.Mode.String(), Total: int64(rt.Stats.TotalClauses),
 		FS1: int64(rt.Stats.AfterFS1), FS2: int64(rt.Stats.AfterFS2)})
@@ -155,7 +161,7 @@ func (c wireConn) retrieve(r *wire.Reply, q wire.Query) {
 	}
 }
 
-func (c wireConn) explain(r *wire.Reply, q wire.Query) {
+func (c *wireConn) explain(r *wire.Reply, q wire.Query) {
 	mode, goal, err := parseQuery(q)
 	if err != nil {
 		r.Fail(err)
@@ -176,7 +182,7 @@ func (c wireConn) explain(r *wire.Reply, q wire.Query) {
 	}
 }
 
-func (c wireConn) assert(r *wire.Reply, clause string) {
+func (c *wireConn) assert(r *wire.Reply, clause string) {
 	cl, err := parse.Term(clause)
 	if err != nil {
 		r.Fail(err)
@@ -185,7 +191,7 @@ func (c wireConn) assert(r *wire.Reply, clause string) {
 	r.Done(c.sess.Assert(splitClause(cl)))
 }
 
-func (c wireConn) write(r *wire.Reply, op wal.Op, clause string) {
+func (c *wireConn) write(r *wire.Reply, op wal.Op, clause string) {
 	cl, err := parse.Term(clause)
 	if err != nil {
 		r.Fail(err)
@@ -201,7 +207,7 @@ func (c wireConn) write(r *wire.Reply, op wal.Op, clause string) {
 	r.Done(err, seq)
 }
 
-func (c wireConn) sync(r *wire.Reply, _ int, from uint64) {
+func (c *wireConn) sync(r *wire.Reply, _ int, from uint64) {
 	recs, last, err := c.srv.LogSuffix(from, syncBatch)
 	if err != nil {
 		r.Fail(err)
@@ -210,7 +216,7 @@ func (c wireConn) sync(r *wire.Reply, _ int, from uint64) {
 	r.Log(recs, last)
 }
 
-func (c wireConn) repl(r *wire.Reply, rec wal.Record) {
+func (c *wireConn) repl(r *wire.Reply, rec wal.Record) {
 	applied, err := c.srv.ApplyReplicated(rec)
 	r.Done(err, applied)
 }

@@ -19,15 +19,16 @@ type Decoder struct {
 func NewDecoder(symbols *symtab.Table) *Decoder { return &Decoder{Symbols: symbols} }
 
 type decodeState struct {
-	d    *Decoder
-	e    *Encoded
-	vars []*term.Var // slot -> variable
+	d      *Decoder
+	e      *Encoded
+	vars   []*term.Var // slot -> variable
+	budget int         // words the walk may still read (see errWordReuse)
 }
 
 // Decode reconstructs the callable term from e. Variables regain their
 // source names; each anonymous-variable word becomes a fresh variable.
 func (d *Decoder) Decode(e *Encoded) (term.Term, error) {
-	st := &decodeState{d: d, e: e, vars: make([]*term.Var, e.NumVars)}
+	st := &decodeState{d: d, e: e, vars: make([]*term.Var, e.NumVars), budget: len(e.Args) + len(e.Heap)}
 	args := make([]term.Term, 0, e.Arity)
 	pos := 0
 	for i := 0; i < e.Arity; i++ {
@@ -47,6 +48,9 @@ func (d *Decoder) Decode(e *Encoded) (term.Term, error) {
 // decodeAt decodes the term starting at words[pos], returning it and the
 // index of the next word.
 func (st *decodeState) decodeAt(words []Word, pos int) (term.Term, int, error) {
+	if st.budget--; st.budget < 0 {
+		return nil, 0, errWordReuse
+	}
 	if pos >= len(words) {
 		return nil, 0, fmt.Errorf("truncated stream at word %d", pos)
 	}
@@ -86,10 +90,7 @@ func (st *decodeState) decodeAt(words []Word, pos int) (term.Term, int, error) {
 		return term.Float(v), pos + 1, nil
 
 	case IsInt(tag):
-		raw := uint32(tag&0x0F)<<24 | w.Content()
-		// Sign-extend from bit 27.
-		v := int32(raw << 4)
-		return term.Int(v >> 4), pos + 1, nil
+		return term.Int(inlineInt(w)), pos + 1, nil
 
 	case Group(tag) == GroupStructInline:
 		arity := InlineArity(tag)
@@ -153,18 +154,15 @@ func (st *decodeState) decodeAt(words []Word, pos int) (term.Term, int, error) {
 }
 
 func (st *decodeState) decodeHeapStruct(off uint32) (term.Term, error) {
-	heap := st.e.Heap
-	if int(off)+1 >= len(heap) {
-		return nil, fmt.Errorf("heap structure offset %d out of range", off)
+	heap, p, arity, err := heapObject(st.e.Heap, off, 2)
+	if err != nil {
+		return nil, err
 	}
-	arity := int(heap[off])
-	fw := heap[off+1]
-	name, err := st.d.Symbols.Name(symtab.Ref(fw.Content()))
+	name, err := st.d.Symbols.Name(symtab.Ref(heap[p-1].Content()))
 	if err != nil {
 		return nil, err
 	}
 	args := make([]term.Term, 0, arity)
-	p := int(off) + 2
 	for i := 0; i < arity; i++ {
 		var a term.Term
 		a, p, err = st.decodeAt(heap, p)
@@ -177,14 +175,11 @@ func (st *decodeState) decodeHeapStruct(off uint32) (term.Term, error) {
 }
 
 func (st *decodeState) decodeHeapList(off uint32, unterminated bool) (term.Term, error) {
-	heap := st.e.Heap
-	if int(off) >= len(heap) {
-		return nil, fmt.Errorf("heap list offset %d out of range", off)
+	heap, p, n, err := heapObject(st.e.Heap, off, 1)
+	if err != nil {
+		return nil, err
 	}
-	n := int(heap[off])
 	elems := make([]term.Term, 0, n)
-	p := int(off) + 1
-	var err error
 	for i := 0; i < n; i++ {
 		var e term.Term
 		e, p, err = st.decodeAt(heap, p)

@@ -14,6 +14,8 @@ import (
 	"math"
 	"sort"
 	"sync"
+
+	"clare/internal/term"
 )
 
 // Ref is a symbol table offset. Refs are dense, start at 1 and are stable
@@ -47,6 +49,9 @@ func (k Kind) String() string {
 
 type entry struct {
 	kind Kind
+	// bare records, once at intern time, that the atom prints without
+	// quotes (term.AtomBare). It sits in the padding beside kind.
+	bare bool
 	name string  // valid when kind == KindAtom
 	fval float64 // valid when kind == KindFloat
 }
@@ -83,7 +88,7 @@ func (t *Table) Atom(name string) Ref {
 	if r, ok := t.atoms[name]; ok {
 		return r
 	}
-	t.entries = append(t.entries, entry{kind: KindAtom, name: name})
+	t.entries = append(t.entries, entry{kind: KindAtom, bare: term.AtomBare(name), name: name})
 	r = Ref(len(t.entries))
 	t.atoms[name] = r
 	return r
@@ -136,16 +141,23 @@ func (t *Table) Kind(r Ref) (Kind, error) {
 
 // Name returns the atom text for r. It is an error if r is not an atom.
 func (t *Table) Name(r Ref) (string, error) {
+	name, _, err := t.AtomText(r)
+	return name, err
+}
+
+// AtomText is Name plus whether the atom prints without quotes, so a
+// printer need not rescan the text at every occurrence.
+func (t *Table) AtomText(r Ref) (name string, bare bool, err error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	e, err := t.entry(r)
 	if err != nil {
-		return "", err
+		return "", false, err
 	}
 	if e.kind != KindAtom {
-		return "", fmt.Errorf("symtab: ref %d is a %s, not an atom", r, e.kind)
+		return "", false, fmt.Errorf("symtab: ref %d is a %s, not an atom", r, e.kind)
 	}
-	return e.name, nil
+	return e.name, e.bare, nil
 }
 
 // FloatValue returns the float for r. It is an error if r is not a float.

@@ -6,6 +6,9 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"clare/internal/term"
 )
 
 func TestAtomInterning(t *testing.T) {
@@ -166,5 +169,38 @@ func TestQuickFloatRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAtomTextBare: the prints-without-quotes bit recorded at intern time
+// is term's rule, survives a marshal round trip, and costs the entry
+// nothing — it sits in the padding beside kind.
+func TestAtomTextBare(t *testing.T) {
+	tb := New()
+	names := []string{"foo", "Foo", "hello world", "[]", "", "+", "don't", "x_1", "é"}
+	for _, s := range names {
+		tb.Atom(s)
+	}
+	data, err := tb.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := UnmarshalTable(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range []*Table{tb, loaded} {
+		for i, s := range names {
+			name, bare, err := table.AtomText(Ref(i + 1))
+			if err != nil || name != s || bare != term.AtomBare(s) {
+				t.Errorf("AtomText(%q) = %q, %v, %v; want bare = %v", s, name, bare, err, term.AtomBare(s))
+			}
+		}
+	}
+	if _, _, err := tb.AtomText(tb.Float(1.5)); err == nil {
+		t.Error("AtomText of a float ref should fail")
+	}
+	if size := unsafe.Sizeof(entry{}); size > 4*unsafe.Sizeof(uintptr(0)) {
+		t.Errorf("entry grew to %d bytes", size)
 	}
 }

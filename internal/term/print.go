@@ -1,26 +1,34 @@
 package term
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // String renders the term in Edinburgh syntax with list notation and atom
 // quoting. Operators are not reconstructed; compound terms print in
 // canonical functional notation, which the parser accepts back.
+//
+// The Append functions are the printing rules themselves — quoting, float
+// form, variable names — for callers that print without a Term in hand
+// (pif.AppendClause renders stored words); the String methods are built
+// on them, so there is one of each rule.
 
-func (a Atom) String() string { return quoteAtom(string(a)) }
+func (a Atom) String() string {
+	if AtomBare(string(a)) {
+		return string(a)
+	}
+	return string(appendQuoted(nil, string(a)))
+}
 
 func (i Int) String() string { return strconv.FormatInt(int64(i), 10) }
 
 func (f Float) String() string {
-	s := strconv.FormatFloat(float64(f), 'g', -1, 64)
-	// Ensure the token reads back as a float, not an integer.
-	if !strings.ContainsAny(s, ".eE") {
-		s += ".0"
-	}
-	return s
+	var b [32]byte
+	return string(AppendFloat(b[:0], float64(f)))
 }
 
 func (v *Var) String() string {
@@ -30,69 +38,96 @@ func (v *Var) String() string {
 	return v.displayName()
 }
 
-func (c *Compound) String() string {
-	var b strings.Builder
-	writeTerm(&b, c)
-	return b.String()
+func (c *Compound) String() string { return string(appendTerm(nil, c)) }
+
+// AppendFloat appends f the way Float prints: shortest round-trip 'g'
+// form, with ".0" added when that would read back as an integer.
+func AppendFloat(dst []byte, f float64) []byte {
+	n := len(dst)
+	dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
+	if !bytes.ContainsAny(dst[n:], ".eE") {
+		dst = append(dst, ".0"...)
+	}
+	return dst
 }
 
-func writeTerm(b *strings.Builder, t Term) {
-	t = Deref(t)
-	c, ok := t.(*Compound)
-	if !ok {
-		b.WriteString(t.String())
-		return
+// NextVarID draws the next id from the counter NewVar numbers variables
+// with, for a printer that names an anonymous variable without building it.
+func NextVarID() uint64 { return varCounter.Add(1) }
+
+// AppendVarName appends the printed name of an unbound variable: its
+// source name, or _G<id> when it has none (machine-generated, or "_").
+func AppendVarName(dst []byte, name string, id uint64) []byte {
+	if name != "" && name != "_" {
+		return append(dst, name...)
 	}
+	return strconv.AppendUint(append(dst, "_G"...), id, 10)
+}
+
+func appendTerm(dst []byte, t Term) []byte {
+	switch t := Deref(t).(type) {
+	case Atom:
+		return AppendAtom(dst, string(t))
+	case Int:
+		return strconv.AppendInt(dst, int64(t), 10)
+	case Float:
+		return AppendFloat(dst, float64(t))
+	case *Var:
+		return AppendVarName(dst, t.Name, t.id)
+	case *Compound:
+		return appendCompound(dst, t)
+	default:
+		return append(dst, t.String()...)
+	}
+}
+
+func appendCompound(dst []byte, c *Compound) []byte {
 	if c.Functor == ConsFunctor && len(c.Args) == 2 {
-		writeList(b, c)
-		return
+		return appendList(dst, c)
 	}
 	// The control constructs print infix, parenthesised, so bodies read
 	// naturally and re-parse exactly.
-	if len(c.Args) == 2 && controlOp(c.Functor) {
-		b.WriteByte('(')
-		writeTerm(b, c.Args[0])
-		b.WriteString(c.Functor)
-		writeTerm(b, c.Args[1])
-		b.WriteByte(')')
-		return
+	if len(c.Args) == 2 && ControlOp(c.Functor) {
+		dst = append(dst, '(')
+		dst = appendTerm(dst, c.Args[0])
+		dst = append(dst, c.Functor...)
+		dst = appendTerm(dst, c.Args[1])
+		return append(dst, ')')
 	}
-	b.WriteString(quoteAtom(c.Functor))
-	b.WriteByte('(')
+	dst = AppendAtom(dst, c.Functor)
+	dst = append(dst, '(')
 	for i, a := range c.Args {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		writeTerm(b, a)
+		dst = appendTerm(dst, a)
 	}
-	b.WriteByte(')')
+	return append(dst, ')')
 }
 
-func writeList(b *strings.Builder, c *Compound) {
-	b.WriteByte('[')
-	writeTerm(b, c.Args[0])
+func appendList(dst []byte, c *Compound) []byte {
+	dst = append(dst, '[')
+	dst = appendTerm(dst, c.Args[0])
 	t := Deref(c.Args[1])
 	for {
 		if t == NilAtom {
-			b.WriteByte(']')
-			return
+			return append(dst, ']')
 		}
 		if cc, ok := t.(*Compound); ok && cc.Functor == ConsFunctor && len(cc.Args) == 2 {
-			b.WriteByte(',')
-			writeTerm(b, cc.Args[0])
+			dst = append(dst, ',')
+			dst = appendTerm(dst, cc.Args[0])
 			t = Deref(cc.Args[1])
 			continue
 		}
-		b.WriteByte('|')
-		writeTerm(b, t)
-		b.WriteByte(']')
-		return
+		dst = append(dst, '|')
+		dst = appendTerm(dst, t)
+		return append(dst, ']')
 	}
 }
 
-// controlOp reports whether f is one of the control operators printed
-// infix.
-func controlOp(f string) bool {
+// ControlOp reports whether f is one of the control operators a binary
+// compound prints infix.
+func ControlOp(f string) bool {
 	switch f {
 	case ",", ";", "->", ":-":
 		return true
@@ -100,33 +135,37 @@ func controlOp(f string) bool {
 	return false
 }
 
-// quoteAtom returns the atom in valid Edinburgh source form, adding quotes
-// when the bare text would not read back as a single atom token.
-func quoteAtom(s string) string {
-	if atomNeedsNoQuotes(s) {
-		return s
+// AppendAtom appends the atom in valid Edinburgh source form, adding
+// quotes when the bare text would not read back as a single atom token.
+func AppendAtom(dst []byte, s string) []byte {
+	if AtomBare(s) {
+		return append(dst, s...)
 	}
-	var b strings.Builder
-	b.WriteByte('\'')
+	return appendQuoted(dst, s)
+}
+
+func appendQuoted(dst []byte, s string) []byte {
+	dst = append(dst, '\'')
 	for _, r := range s {
 		switch r {
 		case '\'':
-			b.WriteString(`\'`)
+			dst = append(dst, `\'`...)
 		case '\\':
-			b.WriteString(`\\`)
+			dst = append(dst, `\\`...)
 		case '\n':
-			b.WriteString(`\n`)
+			dst = append(dst, `\n`...)
 		case '\t':
-			b.WriteString(`\t`)
+			dst = append(dst, `\t`...)
 		default:
-			b.WriteRune(r)
+			dst = utf8.AppendRune(dst, r)
 		}
 	}
-	b.WriteByte('\'')
-	return b.String()
+	return append(dst, '\'')
 }
 
-func atomNeedsNoQuotes(s string) bool {
+// AtomBare reports whether the atom prints without quotes. It depends on
+// the text alone, so a symbol table can record it once per symbol.
+func AtomBare(s string) bool {
 	if s == "" {
 		return false
 	}

@@ -160,7 +160,7 @@ func (v *Var) displayName() string {
 	if v.Name != "" && v.Name != "_" {
 		return v.Name
 	}
-	return fmt.Sprintf("_G%d", v.id)
+	return string(AppendVarName(nil, "", v.id))
 }
 
 // Ground reports whether t contains no unbound variables.

@@ -1,6 +1,7 @@
 package term
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -224,7 +225,15 @@ func TestStringQuoting(t *testing.T) {
 		{Atom(""), "''"},
 		{Int(-5), "-5"},
 		{Float(2), "2.0"},
+		{Float(1e21), "1e+21"},
+		// The non-finite floats print in a form the parser does not read
+		// back; pinned here so the term printer and pif.AppendClause, which
+		// share AppendFloat, cannot drift apart unnoticed.
+		{Float(math.NaN()), "NaN.0"},
+		{Float(math.Inf(1)), "+Inf.0"},
+		{Float(math.Inf(-1)), "-Inf.0"},
 		{New("f", Atom("a"), Int(1)), "f(a,1)"},
+		{New(",", Atom("a"), New("->", Atom("b"), Atom("c"))), "(a,(b->c))"},
 		{Cons(Int(1), NewVarNamed("T")), "[1|T]"},
 	}
 	for _, c := range cases {

@@ -240,6 +240,20 @@ func (r *Reply) values(vals []any) {
 	r.w.WriteByte('\n')
 }
 
+// Block writes a whole counted reply from body lines that are already
+// framed — n lines, each "<tag> <text>\n", as AppendCandidateLines
+// renders them or Conn.Block read them — with no per-line work.
+func (r *Reply) Block(verb string, n int, body []byte) {
+	r.Header(verb, n)
+	r.w.Write(body)
+}
+
+// BlockString is Block for a body held as a string.
+func (r *Reply) BlockString(verb string, n int, body string) {
+	r.Header(verb, n)
+	r.w.WriteString(body)
+}
+
 // Body writes one tagged body line, "<tag> <formatted>".
 func (r *Reply) Body(tag, format string, args ...any) {
 	r.w.WriteString(tag)

@@ -3,7 +3,8 @@
 // framed, and how a client reads it back. The backend (package crs) and
 // the cluster front-end (package cluster) each register the verbs they
 // serve in a Table and write their answers through a Reply; crs.Client
-// sends with Conn.Call and reads counted bodies with Conn.Body.
+// sends with Conn.Call and reads counted bodies with Conn.Block or
+// Conn.Body.
 //
 // Wire protocol (text, line-oriented; terms in Edinburgh syntax):
 //
@@ -81,7 +82,13 @@
 // keys is compatible).
 //
 // Framing rule: a reply is buffered whole and flushed once, when its
-// verb returns — never per line.
+// verb returns — never per line. A counted body may travel as one block:
+// Reply.Block writes body lines that are already framed ("<tag>
+// <text>\n" each — RETRIEVE's candidate lines, rendered from the stored
+// words) and Conn.Block reads a counted body back as one string, checking
+// the tag of every line, MaxLine and the exact count on the way, so a
+// front-end forwards it with Reply.BlockString and never looks inside.
+// Conn.Body is a per-line view of the same read.
 package wire
 
 import (

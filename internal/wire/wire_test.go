@@ -1,11 +1,15 @@
 package wire
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"clare/internal/telemetry"
 	"clare/internal/wal"
@@ -24,10 +28,11 @@ func init() {
 			r.Fail(fmt.Errorf("crs: unknown mode %q", q.Mode))
 			return
 		}
-		r.Header("CANDIDATES", n)
+		var body []byte
 		for i := 0; i < n; i++ {
-			r.Body("C", "%s :- row(%d).", q.Goal, i)
+			body = fmt.Appendf(body, "C %s :- row(%d).\n", q.Goal, i)
 		}
+		r.Block("CANDIDATES", n, body)
 		r.Line("%v", Funnel{Mode: "fs2", Total: int64(n), FS1: int64(n), FS2: int64(n)})
 		if q.Trace != nil {
 			r.Trace(nil)
@@ -144,6 +149,66 @@ func TestCountedReplies(t *testing.T) {
 	}
 	if _, err := c.Body("FLIGHT 1", "STATS", "S", nil); err == nil {
 		t.Error("wrong header verb accepted")
+	}
+}
+
+// rawConn is a Conn whose peer writes reply, byte for byte, and then
+// either closes or (hold) goes silent with the connection open.
+func rawConn(t *testing.T, reply string, hold bool) *Conn {
+	client, server := net.Pipe()
+	t.Cleanup(func() { client.Close(); server.Close() })
+	go func() {
+		io.WriteString(server, reply) //nolint:errcheck // the test closes the pipe under a long write
+		if !hold {
+			server.Close()
+		}
+	}()
+	return NewConn(client)
+}
+
+// TestBlockReader pins what reading a counted body as one block keeps of
+// the line-by-line reader: the tag is checked on every line, the count is
+// exact in both directions, no line may exceed MaxLine, and a peer that
+// stalls mid-body trips the read deadline.
+func TestBlockReader(t *testing.T) {
+	c := rawConn(t, "C a.\nC b :- c.\nSTATS x\n", false)
+	block, n, more, err := c.Block("CANDIDATES 2 extra", "CANDIDATES", "C")
+	if err != nil || block != "C a.\nC b :- c.\n" || n != 2 || more != "extra" {
+		t.Errorf("Block = %q, %d, %q, %v", block, n, more, err)
+	}
+	var texts []string
+	err = Lines(block, "C", func(s string) error { texts = append(texts, s); return nil })
+	if err != nil || len(texts) != 2 || texts[0] != "a." || texts[1] != "b :- c." {
+		t.Errorf("Lines = %q", texts)
+	}
+	if next, err := c.Line(); err != nil || next != "STATS x" {
+		t.Errorf("line after the block = %q, %v: the block took more or fewer than its count", next, err)
+	}
+
+	for _, tc := range []struct{ name, header, reply, want string }{
+		{"wrong tag", "CANDIDATES 2", "C a.\nS b.\n", `unexpected CANDIDATES line "S b."`},
+		{"tag without text", "CANDIDATES 1", "C\n", `unexpected CANDIDATES line "C"`},
+		{"tag run into text", "CANDIDATES 1", "Cx a.\n", `unexpected CANDIDATES line "Cx a."`},
+		{"short count", "CANDIDATES 3", "C a.\nC b.\n", "connection closed"},
+		{"oversized line", "CANDIDATES 2", "C a.\nC " + strings.Repeat("x", MaxLine) + "\n", bufio.ErrTooLong.Error()},
+		{"negative count", "CANDIDATES -1", "", `unexpected CANDIDATES reply "CANDIDATES -1"`},
+	} {
+		_, _, _, err := rawConn(t, tc.reply, false).Block(tc.header, "CANDIDATES", "C")
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+
+	c = rawConn(t, "C a.\n", true)
+	c.Timeout = 50 * time.Millisecond
+	start := time.Now()
+	_, _, _, err = c.Block("CANDIDATES 2", "CANDIDATES", "C")
+	var nerr net.Error
+	if !errors.As(err, &nerr) || !nerr.Timeout() {
+		t.Errorf("stalled body: err = %v, want a timeout", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("stalled body returned after %v", d)
 	}
 }
 
