@@ -29,7 +29,12 @@ import (
 // time, as the PDBM compiler would.
 const MaxRecordBytes = 512
 
-// StoredClause is one record of a compiled clause file.
+// StoredClause is one record of a compiled clause file. Head and Clause
+// are set once and never written again, and a record removed from its
+// file is never reused, so a retrieval's candidates stay readable — and
+// render the same — after the lock that excluded writes is gone. Addr and
+// Seq are the file's to re-base (PredFile.Remove): read them only while
+// writes are excluded.
 type StoredClause struct {
 	// Addr is the record's byte offset in the file — the address the
 	// secondary index and the Result Memory traffic in.
@@ -44,12 +49,16 @@ type StoredClause struct {
 	SizeBytes int
 }
 
-// PredFile is the compiled clause file for one predicate.
+// PredFile is the compiled clause file for one predicate. Append and
+// Remove change it in place; everything else only reads. The caller keeps
+// the two apart (the CRS holds the predicate's write lock across a
+// write).
 type PredFile struct {
 	Module  string
 	Functor string
 	Arity   int
 	Symbols *symtab.Table
+	enc     pif.Encoder // Compile's, over Symbols
 	dec     pif.Decoder // DecodeClause's, over Symbols
 
 	clauses []*StoredClause
@@ -69,11 +78,22 @@ type PredFile struct {
 // headGround is the variable-free flag carried in a head-stream offset.
 const headGround = 1 << 31
 
+// newPredFile is an empty file over syms whose secondary file is index.
+func newPredFile(module, functor string, arity int, syms *symtab.Table, index *scw.Index) *PredFile {
+	return &PredFile{
+		Module:  module,
+		Functor: functor,
+		Arity:   arity,
+		Symbols: syms,
+		enc:     pif.Encoder{Symbols: syms},
+		dec:     pif.Decoder{Symbols: syms},
+		index:   index,
+	}
+}
+
 // Builder accumulates clauses for one predicate.
 type Builder struct {
 	file *PredFile
-	penc *pif.Encoder
-	ienc *scw.Encoder
 }
 
 // NewBuilder starts a compiled clause file for module:functor/arity using
@@ -83,53 +103,105 @@ func NewBuilder(module, functor string, arity int, syms *symtab.Table, params sc
 	if err != nil {
 		return nil, err
 	}
-	return &Builder{
-		file: &PredFile{
-			Module:  module,
-			Functor: functor,
-			Arity:   arity,
-			Symbols: syms,
-			dec:     pif.Decoder{Symbols: syms},
-			index:   scw.NewIndex(ienc),
-		},
-		penc: pif.NewEncoder(syms),
-		ienc: ienc,
-	}, nil
+	return &Builder{file: newPredFile(module, functor, arity, syms, scw.NewIndex(ienc))}, nil
 }
 
 // Add appends one clause (body term.Atom("true") for facts) in user order.
 func (b *Builder) Add(head, body term.Term) error {
+	c, err := b.file.Compile(head, body)
+	if err != nil {
+		return err
+	}
+	b.file.Append(c)
+	return nil
+}
+
+// Compiled is one clause compiled for a predicate file: everything a
+// record holds except its place in the file.
+type Compiled struct {
+	head, clause *pif.Encoded
+	entry        scw.Entry // Addr unset
+	size         int
+	rule         bool
+}
+
+// Masked reports whether the clause's index entry masks an argument (a
+// head with a variable in it).
+func (c Compiled) Masked() bool { return c.entry.Mask != 0 }
+
+// Rule reports whether the clause has a body other than true.
+func (c Compiled) Rule() bool { return c.rule }
+
+// Compile compiles one clause of f's predicate (body term.Atom("true")
+// for a fact) — both PIF encodings, the codeword entry, the record-size
+// check — without changing f, so a caller can refuse a clause before it
+// commits to storing it. Everything that can be wrong with a clause is
+// wrong here: Append cannot fail.
+func (f *PredFile) Compile(head, body term.Term) (Compiled, error) {
 	pi, args, ok := principal(head)
 	if !ok {
-		return fmt.Errorf("clausefile: %v is not a callable head", head)
+		return Compiled{}, fmt.Errorf("clausefile: %v is not a callable head", head)
 	}
-	if pi != b.file.Functor || len(args) != b.file.Arity {
-		return fmt.Errorf("clausefile: head %v does not belong to %s/%d", head, b.file.Functor, b.file.Arity)
+	if pi != f.Functor || len(args) != f.Arity {
+		return Compiled{}, fmt.Errorf("clausefile: head %v does not belong to %s/%d", head, f.Functor, f.Arity)
 	}
-	headEnc, err := b.penc.Encode(head, pif.DBSide)
+	headEnc, err := f.enc.Encode(head, pif.DBSide)
 	if err != nil {
-		return fmt.Errorf("clausefile: encoding head %v: %w", head, err)
+		return Compiled{}, fmt.Errorf("clausefile: encoding head %v: %w", head, err)
 	}
-	clauseEnc, err := b.penc.Encode(term.New(pif.ClauseFunctor, head, body), pif.DBSide)
+	clauseEnc, err := f.enc.Encode(term.New(pif.ClauseFunctor, head, body), pif.DBSide)
 	if err != nil {
-		return fmt.Errorf("clausefile: encoding clause for %v: %w", head, err)
+		return Compiled{}, fmt.Errorf("clausefile: encoding clause for %v: %w", head, err)
 	}
 	recSize := recordSize(headEnc, clauseEnc)
 	if recSize > MaxRecordBytes {
-		return fmt.Errorf("clausefile: clause %v compiles to %d bytes, exceeding the %d-byte result-memory slot",
+		return Compiled{}, fmt.Errorf("clausefile: clause %v compiles to %d bytes, exceeding the %d-byte result-memory slot",
 			head, recSize, MaxRecordBytes)
 	}
-	if err := b.file.index.Add(head, uint32(b.file.size)); err != nil {
-		return err
+	ent, err := f.index.Encoder().EncodeClause(head, 0)
+	if err != nil {
+		return Compiled{}, err
 	}
-	b.file.append(new(StoredClause), headEnc, clauseEnc, recSize)
-	return nil
+	rule := !term.Equal(body, term.Atom("true"))
+	return Compiled{head: headEnc, clause: clauseEnc, entry: ent, size: recSize, rule: rule}, nil
 }
 
 // recordSize is a clause record as it sits on disk: two length prefixes
 // plus both PIF records.
 func recordSize(head, clause *pif.Encoded) int {
 	return recordFraming + head.RecordSize() + clause.RecordSize()
+}
+
+// Append adds a clause compiled by f.Compile as the file's last: record,
+// index entry and head-stream words.
+func (f *PredFile) Append(c Compiled) {
+	ent := c.entry
+	ent.Addr = uint32(f.size)
+	f.index.Append(ent)
+	f.append(new(StoredClause), c.head, c.clause, c.size)
+}
+
+// Remove drops clause i — its record, its index entry and its head-stream
+// words — and re-bases what follows (record and entry addresses, user
+// positions, stream offsets), leaving the file a fresh build over the
+// remaining clauses would give: MarshalBinary cannot tell the two apart.
+// The removed record itself is left as it was for whoever still holds it.
+func (f *PredFile) Remove(i int) {
+	size := f.clauses[i].SizeBytes
+	f.clauses = slices.Delete(f.clauses, i, i+1)
+	for _, sc := range f.clauses[i:] {
+		sc.Addr -= uint32(size)
+		sc.Seq--
+	}
+	f.size -= size
+	f.index.Remove(i, uint32(size))
+
+	lo, hi := f.headOff[i]&^headGround, f.headOff[i+1]&^headGround
+	f.headWords = slices.Delete(f.headWords, int(lo), int(hi))
+	f.headOff = slices.Delete(f.headOff, i, i+1)
+	for j := i; j < len(f.headOff); j++ {
+		f.headOff[j] -= hi - lo // the ground flag in the top bit is untouched
+	}
 }
 
 // append fills sc in as the record of recSize bytes at the end of the file
@@ -175,7 +247,8 @@ func (f *PredFile) IndexSizeBytes() int { return f.index.SizeBytes() }
 // Index exposes the secondary file.
 func (f *PredFile) Index() *scw.Index { return f.index }
 
-// All returns every stored clause in user order.
+// All returns every stored clause in user order: the file's own slice,
+// which a write shifts in place — copy what must outlive the exclusion.
 func (f *PredFile) All() []*StoredClause { return f.clauses }
 
 // HeadArgs returns clause i's head-argument words (equal to
@@ -213,7 +286,7 @@ func (f *PredFile) DecodeClause(sc *StoredClause) (head, body term.Term, err err
 	}
 	c, ok := whole.(*term.Compound)
 	if !ok || c.Functor != pif.ClauseFunctor || len(c.Args) != 2 {
-		return nil, nil, fmt.Errorf("clausefile: record at %d is not a clause", sc.Addr)
+		return nil, nil, fmt.Errorf("clausefile: a record of %s/%d is not a clause", f.Functor, f.Arity)
 	}
 	return c.Args[0], c.Args[1], nil
 }

@@ -106,10 +106,9 @@ func Unmarshal(data []byte, syms *symtab.Table) (*PredFile, error) {
 	if m := r.u32(); m != fileMagic {
 		return nil, fmt.Errorf("clausefile: bad magic 0x%08x", m)
 	}
-	f := &PredFile{Symbols: syms, dec: pif.Decoder{Symbols: syms}}
-	f.Module = string(r.bytes(int(r.u16())))
-	f.Functor = string(r.bytes(int(r.u16())))
-	f.Arity = int(r.u16())
+	module := string(r.bytes(int(r.u16())))
+	functor := string(r.bytes(int(r.u16())))
+	arity := int(r.u16())
 	count := int(r.u32())
 	idxBlob := r.bytes(int(r.u32()))
 	if r.err != nil {
@@ -119,7 +118,7 @@ func Unmarshal(data []byte, syms *symtab.Table) (*PredFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.index = idx
+	f := newPredFile(module, functor, arity, syms, idx)
 	wordCount := int(r.u32())
 	r.bytes((wordAlign - r.pos%wordAlign) % wordAlign)
 	if wordCount < 0 || int64(wordCount)*4 > int64(len(data)) {

@@ -395,9 +395,10 @@ func (r *Retriever) DiskStats() disk.Stats { return r.pool.diskSnapshot() }
 // QueryCache reports the query-encoding cache's counters.
 func (r *Retriever) QueryCache() QueryCacheStats { return r.qcache.stats() }
 
-// AddClauses compiles clauses into a new predicate file under module. The
-// clauses must all share one functor/arity; bodies use term.Atom("true")
-// for facts. Replaces any existing predicate of the same indicator.
+// AddClauses compiles clauses into a new predicate file under module — the
+// bulk build (a load, kbc). The clauses must all share one functor/arity;
+// bodies use term.Atom("true") for facts. Replaces any existing predicate
+// of the same indicator; a single write to a live one is Append or Remove.
 func (r *Retriever) AddClauses(module string, clauses []ClauseTerm) (*Predicate, error) {
 	if len(clauses) == 0 {
 		return nil, fmt.Errorf("core: no clauses")
@@ -411,29 +412,64 @@ func (r *Retriever) AddClauses(module string, clauses []ClauseTerm) (*Predicate,
 	if err != nil {
 		return nil, err
 	}
-	pred := &Predicate{}
+	pred := &Predicate{File: b.Build()}
 	for _, cl := range clauses {
-		body := cl.Body
-		if body == nil {
-			body = term.Atom("true")
-		}
-		if err := b.Add(cl.Head, body); err != nil {
+		c, err := pred.Compile(cl.Head, cl.Body)
+		if err != nil {
 			return nil, err
 		}
-		if !term.Equal(body, term.Atom("true")) {
-			pred.RuleCount++
-		}
-	}
-	pred.File = b.Build()
-	for _, ent := range pred.File.Index().Entries() {
-		if ent.Mask != 0 {
-			pred.MaskedClauses++
-		}
+		pred.Append(c)
 	}
 	r.predsMu.Lock()
 	r.preds[pi] = pred
 	r.predsMu.Unlock()
 	return pred, nil
+}
+
+// Compile compiles one clause of p (body nil or term.Atom("true") for a
+// fact) without storing it. Every reason to refuse a clause — an
+// over-size record, too many variables, an integer out of range, a head
+// of another predicate — is found here, so a caller that logs between
+// Compile and Append never logs a clause it cannot store.
+func (p *Predicate) Compile(head, body term.Term) (clausefile.Compiled, error) {
+	if body == nil {
+		body = term.Atom("true")
+	}
+	return p.File.Compile(head, body)
+}
+
+// Append stores a clause p.Compile produced as p's last, in place: the
+// compiled file, its secondary file and the counts. It cannot fail. The
+// caller excludes retrievals on p for the duration (the CRS holds the
+// predicate's write lock); candidates of earlier retrievals stay valid.
+func (p *Predicate) Append(c clausefile.Compiled) {
+	p.File.Append(c)
+	if c.Rule() {
+		p.RuleCount++
+	}
+	if c.Masked() {
+		p.MaskedClauses++
+	}
+}
+
+// Remove drops p's clause at user position i in place, under the same
+// exclusion as Append.
+func (p *Predicate) Remove(i int) error {
+	if i < 0 || i >= p.File.Len() {
+		return fmt.Errorf("core: no clause %d in %s/%d (%d clauses)", i, p.File.Functor, p.File.Arity, p.File.Len())
+	}
+	_, body, err := p.File.DecodeClause(p.File.All()[i])
+	if err != nil {
+		return err
+	}
+	if !term.Equal(body, term.Atom("true")) {
+		p.RuleCount--
+	}
+	if p.File.Index().Entries()[i].Mask != 0 {
+		p.MaskedClauses--
+	}
+	p.File.Remove(i)
+	return nil
 }
 
 // ClauseTerm pairs a head with an optional body (nil for facts).

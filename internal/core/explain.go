@@ -74,9 +74,10 @@ func (r *Retriever) ExplainTraced(goal term.Term, mode SearchMode, tc *telemetry
 // ProfileOf derives the EXPLAIN profile of a finished retrieval: the
 // reference pass — full unification of the goal against every candidate
 // head, on the host. This is ground truth, not a filter; it is what the
-// CRS's caller would do with the candidates anyway. The candidates point
-// into an immutable compiled clause file, so the pass needs no lock the
-// retrieval held.
+// CRS's caller would do with the candidates anyway. It reads the
+// retrieval's own fields and each candidate's Clause words — written once,
+// whatever writes the compiled file has seen since — so it needs no lock
+// the retrieval held.
 func (r *Retriever) ProfileOf(rt *Retrieval) (*Profile, error) {
 	p := &Profile{Mode: rt.Mode, Predicate: rt.Predicate, Stats: rt.Stats, Wall: rt.wall.total, Trace: rt.trace}
 	unifyStart := time.Now()

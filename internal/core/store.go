@@ -135,9 +135,10 @@ func LoadRetriever(cfg Config, rd io.Reader) (*Retriever, error) {
 // MapRetriever loads the knowledge base saved at path from a read-only
 // mapping of the file where the platform has one, and from the file read
 // into memory where it does not; it reports which (as StoreMapped does
-// afterwards). The bytes stay pinned for the retriever's lifetime;
-// mutations after load (AddClauses, WAL replay) rebuild whole predicates
-// on the heap and never touch the image.
+// afterwards). The bytes stay pinned for the retriever's lifetime and no
+// write touches them: a loaded record keeps its views into the image, an
+// appended one lives on the heap, and a removal only drops heap-side
+// bookkeeping (Predicate.Append, Predicate.Remove).
 func MapRetriever(cfg Config, path string) (*Retriever, bool, error) {
 	m, err := mmapfile.Map(path)
 	if err != nil {

@@ -138,45 +138,68 @@ func TestStoreHeapMmapEquivalence(t *testing.T) {
 	}
 }
 
-// TestStoreMmapWritesOverlayHeap: mutating a mapped retriever rebuilds
-// the touched predicate on the heap — the mapped base image is never
-// written — and retrieval sees the union.
+// TestStoreMmapWritesOverlayHeap: writes to a mapped retriever — in place
+// (Append, Remove) or a whole-predicate AddClauses — live on the heap; the
+// mapped base image is never written, the store file never changes, and
+// retrieval sees the union.
 func TestStoreMmapWritesOverlayHeap(t *testing.T) {
-	_, path := storeFixture(t)
+	path := filepath.Join("testdata", "golden_v2.clare")
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mm, _, err := MapRetriever(DefaultConfig(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mm.CloseStore()
-	if _, err := mm.AddClauses("family", []ClauseTerm{
-		{Head: parse.MustTerm("married_couple(newman, newwife)")},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	rt, err := mm.Retrieve(parse.MustTerm("married_couple(newman, X)"), ModeFS1FS2)
+	couples := mm.preds[Indicator{"married_couple", 2}]
+	c, err := couples.Compile(parse.MustTerm("married_couple(newman, newwife)"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trueU, _, err := rt.Evaluate()
-	if err != nil {
+	couples.Append(c)
+	if err := couples.Remove(0); err != nil { // a record that views the image
 		t.Fatal(err)
 	}
-	if trueU != 1 {
-		t.Fatalf("true unifiers after overlay write = %d, want 1", trueU)
+	if _, err := mm.AddClauses("flying", []ClauseTerm{{Head: parse.MustTerm("fly(newbird)")}}); err != nil {
+		t.Fatal(err)
 	}
-	// The on-disk image is untouched: a fresh mapping must not see the
-	// write.
+	unifiers := func(r *Retriever, goal string) int {
+		t.Helper()
+		rt, err := r.Retrieve(parse.MustTerm(goal), ModeFS1FS2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _, err := rt.Evaluate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	for goal, want := range map[string]int{
+		"married_couple(newman, X)":   1,
+		"married_couple(husband0, X)": 0,
+		"married_couple(husband1, X)": 1,
+		"fly(newbird)":                1,
+		"fly(tweety)":                 0,
+	} {
+		if got := unifiers(mm, goal); got != want {
+			t.Errorf("%s after the writes: %d true unifiers, want %d", goal, got, want)
+		}
+	}
+	// The image is untouched: a fresh mapping is the store as saved, and
+	// the file is the golden bytes.
 	fresh, _, err := MapRetriever(DefaultConfig(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fresh.CloseStore()
-	rt2, err := fresh.Retrieve(parse.MustTerm("married_couple(newman, X)"), ModeFS1FS2)
-	if err != nil {
-		t.Fatal(err)
+	if got, want := goldenAnswers(t, fresh), goldenAnswers(t, goldenRetriever(t)); !reflect.DeepEqual(got, want) {
+		t.Errorf("writes leaked into the mapped base image:\n got %+v\nwant %+v", got, want)
 	}
-	if n, _, _ := rt2.Evaluate(); n != 0 {
-		t.Fatalf("write leaked into the mapped base image: %d unifiers", n)
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, golden) {
+		t.Errorf("golden_v2.clare changed on disk (%v)", err)
 	}
 }
 

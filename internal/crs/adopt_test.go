@@ -77,8 +77,8 @@ func TestServerAdopt(t *testing.T) {
 		t.Errorf("adopted retrieval: true=%d err=%v, want 1 true unifier", trueU, err)
 	}
 
-	// The transaction path needs the decoded clause list: assert into an
-	// adopted predicate and check the commit is retrievable.
+	// The store is the only copy of an adopted predicate: assert into
+	// one and check the commit is retrievable.
 	if err := sess.Begin(); err != nil {
 		t.Fatal(err)
 	}

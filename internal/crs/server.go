@@ -82,12 +82,12 @@ type Server struct {
 	acc wire.Acceptor
 }
 
-// predState is the server's authoritative copy of one predicate: the
-// clause list in user order plus its lock.
+// predState is what the server holds per predicate: the lock that orders
+// its readers and writers, and the module its log records name. The
+// clauses themselves live once, in the retriever's compiled clause file.
 type predState struct {
-	lock    sync.RWMutex
-	module  string
-	clauses []core.ClauseTerm
+	lock   sync.RWMutex
+	module string
 }
 
 // NewServer wraps a retriever.
@@ -183,6 +183,7 @@ func (s *Server) Load(module string, clauses []core.ClauseTerm) error {
 	}
 	ps := &predState{module: module}
 	ps.lock.Lock() // fresh mutex: never blocks
+	defer ps.lock.Unlock()
 	s.mu.Lock()
 	s.preds[pi] = ps
 	s.mu.Unlock()
@@ -192,50 +193,36 @@ func (s *Server) Load(module string, clauses []core.ClauseTerm) error {
 			delete(s.preds, pi)
 		}
 		s.mu.Unlock()
-		ps.lock.Unlock()
 		return err
 	}
-	ps.clauses = append([]core.ClauseTerm(nil), clauses...)
-	ps.lock.Unlock()
 	return nil
 }
 
 // Adopt registers every predicate already present in the retriever but
 // unknown to the server — the crsd -kb path, where MapRetriever built
-// the predicates from a compiled store without going through Load.
-// Clause terms are decoded back out of the compiled files so the
-// transaction path (whose commit rebuilds from the term list) keeps
-// working on adopted predicates.
+// the predicates from a compiled store without going through Load. Each
+// gets its lock and module name; the store stays the only copy of a clause.
 func (s *Server) Adopt() error {
 	for _, pi := range s.retriever.Predicates() {
-		s.mu.RLock()
-		_, known := s.preds[pi]
-		s.mu.RUnlock()
-		if known {
-			continue
-		}
 		p, ok := s.retriever.PredicateByIndicator(pi)
 		if !ok {
 			continue
 		}
-		stored := p.File.All()
-		clauses := make([]core.ClauseTerm, 0, len(stored))
-		for _, sc := range stored {
-			head, body, err := p.File.DecodeClause(sc)
-			if err != nil {
-				return fmt.Errorf("crs: adopt %v: %w", pi, err)
-			}
-			if term.Equal(body, term.Atom("true")) {
-				body = nil // fact
-			}
-			clauses = append(clauses, core.ClauseTerm{Head: head, Body: body})
-		}
-		ps := &predState{module: p.File.Module, clauses: clauses}
 		s.mu.Lock()
-		s.preds[pi] = ps
+		if _, known := s.preds[pi]; !known {
+			s.preds[pi] = &predState{module: p.File.Module}
+		}
 		s.mu.Unlock()
 	}
 	return nil
+}
+
+// state returns the server's lock and module name for pi.
+func (s *Server) state(pi core.Indicator) (*predState, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	ps, ok := s.preds[pi]
+	return ps, ok
 }
 
 func indicatorOf(t term.Term) (core.Indicator, error) {
@@ -334,6 +321,8 @@ func (c *Session) RetrieveTraced(goal term.Term, mode *core.SearchMode, tc *tele
 // Explain serves one EXPLAIN call: a served retrieval — same locking,
 // mode choice and accounting as Retrieve — whose candidates then go
 // through the host reference-unification pass, profiled per filter rung.
+// Like a reply's rendering, that pass reads only the candidates' own
+// words, which outlive the read lock (clausefile.StoredClause).
 func (c *Session) Explain(goal term.Term, mode *core.SearchMode, tc *telemetry.TraceContext) (*core.Profile, error) {
 	rt, d, err := c.serve(goal, mode, tc)
 	if err != nil {
@@ -391,9 +380,7 @@ func (c *Session) lookup(goal term.Term) (core.Indicator, *predState, error) {
 	if err != nil {
 		return core.Indicator{}, nil, err
 	}
-	c.srv.mu.RLock()
-	ps, ok := c.srv.preds[pi]
-	c.srv.mu.RUnlock()
+	ps, ok := c.srv.state(pi)
 	if !ok {
 		return core.Indicator{}, nil, fmt.Errorf("crs: unknown predicate %v", pi)
 	}
@@ -433,7 +420,7 @@ func (s *Server) account(pi core.Indicator, rt *core.Retrieval, wall time.Durati
 	s.lat.Observe(pred, wall)
 	s.slo.Observe(pred, wall, false)
 	if thr > 0 && wall > thr && s.slowLog.Offer(pred) {
-		s.captureSlow(rt, wall, thr)
+		s.captureSlow(pi, rt, wall, thr)
 	}
 }
 
@@ -457,12 +444,14 @@ func (s *Server) slowThreshold(pred string) time.Duration {
 }
 
 // captureSlow re-runs the slow retrieval as an EXPLAIN on a background
-// goroutine and publishes the capture. The re-run skips the predicate
-// read lock — the compiled clause files are immutable once built, so
-// the worst case is profiling a slightly newer clause list than the
-// retrieval saw — and bypasses account, so a capture can never trigger
-// itself.
-func (s *Server) captureSlow(rt *core.Retrieval, wall, thr time.Duration) {
+// goroutine and publishes the capture. The re-run takes the predicate's
+// read lock like any retrieval — writes change a compiled file in place —
+// so it may profile a newer clause list than the retrieval saw; it
+// bypasses account, so a capture can never trigger itself. It runs on a
+// copy of the goal: profiling binds a goal's variables, and the goal
+// itself is still the session's, which may be profiling it too.
+func (s *Server) captureSlow(pi core.Indicator, rt *core.Retrieval, wall, thr time.Duration) {
+	goal := term.Rename(rt.Goal)
 	capt := &telemetry.SlowCapture{
 		Predicate:   rt.Predicate,
 		Mode:        rt.Mode.String(),
@@ -474,7 +463,11 @@ func (s *Server) captureSlow(rt *core.Retrieval, wall, thr time.Duration) {
 	s.slowWG.Add(1)
 	go func() {
 		defer s.slowWG.Done()
-		if p, err := s.retriever.ExplainTraced(rt.Goal, rt.Mode, nil); err != nil {
+		ps, _ := s.state(pi)
+		ps.lock.RLock()
+		p, err := s.retriever.ExplainTraced(goal, rt.Mode, nil)
+		ps.lock.RUnlock()
+		if err != nil {
 			capt.Profile = []telemetry.KV{{Key: "error", Value: err.Error()}}
 		} else {
 			for _, e := range p.Entries() {
@@ -524,9 +517,7 @@ func (c *Session) Assert(head, body term.Term) error {
 	if err != nil {
 		return err
 	}
-	c.srv.mu.RLock()
-	ps, ok := c.srv.preds[pi]
-	c.srv.mu.RUnlock()
+	ps, ok := c.srv.state(pi)
 	if !ok {
 		return fmt.Errorf("crs: unknown predicate %v (load it first)", pi)
 	}
@@ -540,8 +531,9 @@ func (c *Session) Assert(head, body term.Term) error {
 	return nil
 }
 
-// Commit applies the staged writes (rebuilding the affected compiled
-// clause files and their secondary indexes) and releases the locks.
+// Commit applies the staged writes — each clause appended in place to its
+// predicate's compiled clause file and secondary index — and releases the
+// locks.
 func (c *Session) Commit() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -557,50 +549,43 @@ func (c *Session) Commit() error {
 		c.tx = nil
 	}()
 	c.srv.met.txCommits.Inc()
-	// Write-ahead: the transaction's appends become one log batch (one
-	// durability unit, consecutive seqs, one policy fsync) before any
-	// compiled clause file is rebuilt. The affected predicates are all
-	// still write-locked, so replay order per predicate matches apply
-	// order.
 	tr := c.srv.retriever.Tracer().Start("commit")
 	defer c.srv.retriever.Tracer().Finish(tr)
-	if c.srv.walLog != nil && len(txn.staged) > 0 {
-		var recs []wal.Record
-		for pi, appended := range txn.staged {
-			c.srv.mu.RLock()
-			ps := c.srv.preds[pi]
-			c.srv.mu.RUnlock()
-			for _, cl := range appended {
-				recs = append(recs, wal.Record{Op: wal.OpAssert, Module: ps.module, Clause: renderClause(cl.Head, cl.Body)})
+	// Prepare first: a clause the store cannot hold fails the commit here,
+	// with nothing of the batch logged or applied.
+	var applies []func() error
+	var recs []wal.Record
+	for pi, appended := range txn.staged {
+		ps, _ := c.srv.state(pi)
+		for _, cl := range appended {
+			apply, err := c.srv.prepare(wal.OpAssert, pi, cl.Head, cl.Body)
+			if err != nil {
+				return fmt.Errorf("crs: commit failed for %v: %w", pi, err)
 			}
+			applies = append(applies, apply)
+			recs = append(recs, wal.Record{Op: wal.OpAssert, Module: ps.module, Clause: renderClause(cl.Head, cl.Body)})
 		}
+	}
+	// Write-ahead: the transaction's appends become one log batch (one
+	// durability unit, consecutive seqs, one policy fsync) before any
+	// compiled clause file changes. The affected predicates are all still
+	// write-locked (since their first Assert), so replay order per
+	// predicate matches apply order.
+	if c.srv.walLog != nil && len(recs) > 0 {
 		sp := tr.Span(nil, "wal")
 		last, err := c.srv.walLog.AppendBatch(recs)
 		sp.End()
 		if err != nil {
 			return fmt.Errorf("crs: commit wal append: %w", err)
 		}
-		defer func() {
-			// Runs after the apply loop below; on a mid-loop failure the
-			// log is ahead of the store, which restart replay resolves.
-			c.srv.noteWrite(last, wal.OpAssert, len(recs))
-		}()
+		defer c.srv.noteWrite(last, wal.OpAssert, len(recs)) // once applied, below
 	}
 	applySp := tr.Span(nil, "apply")
 	defer applySp.End()
-	for pi, appended := range txn.staged {
-		// The predicate's write lock (held since first Assert) makes the
-		// rebuild exclusive; the server mutex is only needed to look the
-		// state up, not across the rebuild.
-		c.srv.mu.RLock()
-		ps := c.srv.preds[pi]
-		c.srv.mu.RUnlock()
-		newClauses := append(append([]core.ClauseTerm(nil), ps.clauses...), appended...)
-		_, err := c.srv.retriever.AddClauses(ps.module, newClauses)
-		if err != nil {
-			return fmt.Errorf("crs: commit failed for %v: %w", pi, err)
+	for _, apply := range applies {
+		if err := apply(); err != nil {
+			return fmt.Errorf("crs: commit apply: %w", err)
 		}
-		ps.clauses = newClauses
 	}
 	return nil
 }

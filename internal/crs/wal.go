@@ -2,7 +2,7 @@ package crs
 
 // Durable write path: the server's write-ahead-log integration. A
 // primary logs every mutation (autocommit WRITE, transaction COMMIT)
-// before rebuilding the compiled clause files, replays the log over the
+// before changing the compiled clause files, replays the log over the
 // loaded base store at startup, and serves the log suffix to replicas
 // over SYNC; a replica applies primary-sequenced records via
 // ApplyReplicated (REPL), idempotently and in order, so identical logs
@@ -111,48 +111,90 @@ func (s *Server) ApplyReplicated(rec wal.Record) (uint64, error) {
 // predicate is created from the record's module — the record was
 // validated against a loaded predicate on the primary, so a miss here
 // means the record legitimately introduced it.
-func (s *Server) applyRecord(rec wal.Record) error {
+func (s *Server) applyRecord(rec wal.Record) (err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("crs: wal seq %d: %w", rec.Seq, err)
+		}
+	}()
 	cl, err := parse.Term(rec.Clause)
 	if err != nil {
-		return fmt.Errorf("crs: wal seq %d: %w", rec.Seq, err)
+		return err
 	}
 	head, body := splitClause(cl)
 	pi, err := indicatorOf(head)
 	if err != nil {
-		return fmt.Errorf("crs: wal seq %d: %w", rec.Seq, err)
+		return err
 	}
-	s.mu.RLock()
-	ps, ok := s.preds[pi]
-	s.mu.RUnlock()
+	ps, ok := s.state(pi)
 	if !ok {
 		if rec.Op == wal.OpRetract {
-			return fmt.Errorf("crs: wal seq %d retracts unknown predicate %v", rec.Seq, pi)
+			return fmt.Errorf("retract of unknown predicate %v", pi)
 		}
 		return s.Load(rec.Module, []core.ClauseTerm{{Head: head, Body: body}})
 	}
 	ps.lock.Lock()
 	defer ps.lock.Unlock()
-	var newClauses []core.ClauseTerm
-	switch rec.Op {
+	apply, err := s.prepare(rec.Op, pi, head, body)
+	if err != nil {
+		return err
+	}
+	return apply()
+}
+
+// prepare takes one write on pi — whose write lock the caller holds — as
+// far as it can be refused: an assert is compiled, a retract's victim
+// found. The apply it returns changes the compiled clause file in place
+// and fails only on a stored record that does not decode, so a write
+// logged between the two is one every replay of the log can take.
+func (s *Server) prepare(op wal.Op, pi core.Indicator, head, body term.Term) (apply func() error, err error) {
+	pred, ok := s.retriever.PredicateByIndicator(pi)
+	if !ok {
+		return nil, fmt.Errorf("crs: %v is not in the store", pi)
+	}
+	switch op {
 	case wal.OpAssert:
-		newClauses = append(append([]core.ClauseTerm(nil), ps.clauses...), core.ClauseTerm{Head: head, Body: body})
+		c, err := pred.Compile(head, body)
+		if err != nil {
+			return nil, fmt.Errorf("crs: assert refused: %w", err)
+		}
+		return func() error { pred.Append(c); return nil }, nil
 	case wal.OpRetract:
-		idx := matchClause(ps.clauses, head, body)
-		if idx < 0 {
-			return fmt.Errorf("crs: wal seq %d: no clause of %v matches %s", rec.Seq, pi, rec.Clause)
+		i, err := s.victim(pred, head, body)
+		if err != nil {
+			return nil, err
 		}
-		if len(ps.clauses) == 1 {
-			return fmt.Errorf("crs: wal seq %d would empty %v", rec.Seq, pi)
+		if pred.File.Len() == 1 {
+			return nil, fmt.Errorf("crs: retract would empty %v (reload the predicate instead)", pi)
 		}
-		newClauses = append(append([]core.ClauseTerm(nil), ps.clauses[:idx]...), ps.clauses[idx+1:]...)
-	default:
-		return fmt.Errorf("crs: wal seq %d: unknown op %v", rec.Seq, rec.Op)
+		return func() error { return pred.Remove(i) }, nil
 	}
-	if _, err := s.retriever.AddClauses(ps.module, newClauses); err != nil {
-		return fmt.Errorf("crs: wal seq %d apply: %w", rec.Seq, err)
+	return nil, fmt.Errorf("crs: unknown op %v", op)
+}
+
+// victim finds the clause a retract of head :- body removes: the first, in
+// user order, jointly unifiable with it (deterministic, so every replica
+// picks the same one). The store is asked the way a Prolog host asks it:
+// the engine's own filter returns, in user order, a superset of the
+// clauses whose heads unify with head, and only those are decoded and
+// unified. Going straight to the retriever, it is not a served retrieval.
+func (s *Server) victim(pred *core.Predicate, head, body term.Term) (int, error) {
+	rt, err := s.retriever.Retrieve(head, core.ModeFS1FS2)
+	if err != nil {
+		return 0, err
 	}
-	ps.clauses = newClauses
-	return nil
+	want := clausePair(head, body)
+	for _, sc := range rt.Candidates {
+		// A decoded clause has variables of its own: nothing to rename.
+		h, b, err := pred.File.DecodeClause(sc)
+		if err != nil {
+			return 0, err
+		}
+		if unify.Unifiable(want, clausePair(h, b)) {
+			return sc.Seq, nil
+		}
+	}
+	return 0, fmt.Errorf("crs: no clause of %s matches %s", rt.Predicate, renderClause(head, body))
 }
 
 // noteWrite publishes a completed primary write: the applied watermark
@@ -216,9 +258,7 @@ func (c *Session) writeNow(op wal.Op, head, body term.Term) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.mu.RLock()
-	ps, ok := s.preds[pi]
-	s.mu.RUnlock()
+	ps, ok := s.state(pi)
 	if !ok {
 		return 0, fmt.Errorf("crs: unknown predicate %v (load it first)", pi)
 	}
@@ -229,22 +269,16 @@ func (c *Session) writeNow(op wal.Op, head, body term.Term) (uint64, error) {
 	s.met.lockWaitWrite.ObserveDuration(time.Since(lockStart))
 	defer ps.lock.Unlock()
 
-	clause := renderClause(head, body)
-	idx := -1
-	if op == wal.OpRetract {
-		// Validate before logging: a no-match retract must never enter
-		// the log (replicas would fail the same lookup and wedge).
-		if idx = matchClause(ps.clauses, head, body); idx < 0 {
-			return 0, fmt.Errorf("crs: no clause of %v matches %s", pi, clause)
-		}
-		if len(ps.clauses) == 1 {
-			return 0, fmt.Errorf("crs: retract would empty %v (reload the predicate instead)", pi)
-		}
+	// Before logging: a write the store cannot take must never enter the
+	// log — recovery and every replica would fail on the same record.
+	apply, err := s.prepare(op, pi, head, body)
+	if err != nil {
+		return 0, err
 	}
 	var seq uint64
 	sp := tr.Span(nil, "wal")
 	if s.walLog != nil {
-		if seq, err = s.walLog.Append(op, ps.module, clause); err != nil {
+		if seq, err = s.walLog.Append(op, ps.module, renderClause(head, body)); err != nil {
 			sp.End()
 			return 0, err
 		}
@@ -255,16 +289,9 @@ func (c *Session) writeNow(op wal.Op, head, body term.Term) (uint64, error) {
 
 	applySp := tr.Span(nil, "apply")
 	defer applySp.End()
-	var newClauses []core.ClauseTerm
-	if op == wal.OpAssert {
-		newClauses = append(append([]core.ClauseTerm(nil), ps.clauses...), core.ClauseTerm{Head: head, Body: body})
-	} else {
-		newClauses = append(append([]core.ClauseTerm(nil), ps.clauses[:idx]...), ps.clauses[idx+1:]...)
-	}
-	if _, err := s.retriever.AddClauses(ps.module, newClauses); err != nil {
+	if err := apply(); err != nil {
 		return 0, fmt.Errorf("crs: apply %v: %w", op, err)
 	}
-	ps.clauses = newClauses
 	s.noteWrite(seq, op, 1)
 	return seq, nil
 }
@@ -277,20 +304,6 @@ func renderClause(head, body term.Term) string {
 		return fmt.Sprintf("%s", head)
 	}
 	return fmt.Sprintf("%s :- %s", head, body)
-}
-
-// matchClause finds the first stored clause jointly unifiable with
-// head :- body (the retract selection rule; deterministic, so every
-// replica picks the same clause). The stored clause is renamed so its
-// variables cannot collide with the query's.
-func matchClause(clauses []core.ClauseTerm, head, body term.Term) int {
-	want := clausePair(head, body)
-	for i, cl := range clauses {
-		if unify.Unifiable(want, term.Rename(clausePair(cl.Head, cl.Body))) {
-			return i
-		}
-	}
-	return -1
 }
 
 func clausePair(head, body term.Term) term.Term {

@@ -1,5 +1,7 @@
 package scw
 
+import "slices"
+
 // Columnar is the native engine's struct-of-arrays view of a secondary
 // file: codewords, mask fields and clause addresses in three parallel
 // arrays, grouped in 64-entry blocks. The layout trades the 14-byte
@@ -41,18 +43,46 @@ func NewColumnar(p Params, entries []Entry) *Columnar {
 	n := len(entries)
 	c := &Columnar{
 		p:       p,
-		codes:   make([]uint64, n),
-		masks:   make([]uint16, n),
-		addrs:   make([]uint32, n),
-		blockOr: make([]uint16, (n+colBlock-1)/colBlock),
+		codes:   make([]uint64, 0, n),
+		masks:   make([]uint16, 0, n),
+		addrs:   make([]uint32, 0, n),
+		blockOr: make([]uint16, 0, (n+colBlock-1)/colBlock),
 	}
-	for j, ent := range entries {
-		c.codes[j] = uint64(ent.Code)
-		c.masks[j] = uint16(ent.Mask)
-		c.addrs[j] = ent.Addr
-		c.blockOr[j/colBlock] |= uint16(ent.Mask)
+	for _, ent := range entries {
+		c.append(ent)
 	}
 	return c
+}
+
+// append adds ent as the last entry (Index.Append).
+func (c *Columnar) append(ent Entry) {
+	if len(c.codes)%colBlock == 0 {
+		c.blockOr = append(c.blockOr, 0)
+	}
+	c.blockOr[len(c.codes)/colBlock] |= uint16(ent.Mask)
+	c.codes = append(c.codes, uint64(ent.Code))
+	c.masks = append(c.masks, uint16(ent.Mask))
+	c.addrs = append(c.addrs, ent.Addr)
+}
+
+// remove drops entry i and moves the later addresses down by size
+// (Index.Remove). Every entry after i changes block, so the mask
+// summaries from i's block on are recomputed.
+func (c *Columnar) remove(i int, size uint32) {
+	c.codes = slices.Delete(c.codes, i, i+1)
+	c.masks = slices.Delete(c.masks, i, i+1)
+	c.addrs = slices.Delete(c.addrs, i, i+1)
+	for j := i; j < len(c.addrs); j++ {
+		c.addrs[j] -= size
+	}
+	c.blockOr = c.blockOr[:(len(c.codes)+colBlock-1)/colBlock]
+	for b := i / colBlock; b < len(c.blockOr); b++ {
+		var or uint16
+		for _, m := range c.masks[b*colBlock : min((b+1)*colBlock, len(c.masks))] {
+			or |= m
+		}
+		c.blockOr[b] = or
+	}
 }
 
 // Len returns the number of entries.

@@ -2,6 +2,7 @@ package scw
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"clare/internal/term"
@@ -117,27 +118,49 @@ func TestColumnarUnconstrained(t *testing.T) {
 	sameScan(t, ix, ix.Scan(qd), &buf, "unconstrained")
 }
 
-// TestColumnarCache checks the Columnar view is cached and invalidated
-// when the index grows.
+// TestColumnarCache checks the Columnar view is built once and from then
+// on kept in step with the index by Append and Remove — including a remove
+// followed by an append, which leaves the length where it was.
 func TestColumnarCache(t *testing.T) {
-	ix, qds := buildGenIndex(t, 7, 80, 1, 2, true)
-	c1 := ix.Columnar()
-	if c2 := ix.Columnar(); c1 != c2 {
-		t.Fatalf("Columnar not cached across calls")
+	ix, qds := buildGenIndex(t, 7, 150, 8, 2, true)
+	c := ix.Columnar()
+	inStep := func(label string) {
+		t.Helper()
+		if ix.Columnar() != c {
+			t.Fatalf("%s: Columnar rebuilt, want the one view kept in step", label)
+		}
+		if c.Len() != ix.Len() {
+			t.Fatalf("%s: Columnar has %d entries, index has %d", label, c.Len(), ix.Len())
+		}
+		fresh := NewColumnar(ix.Encoder().Params(), ix.Entries())
+		if !reflect.DeepEqual(c.codes, fresh.codes) || !reflect.DeepEqual(c.masks, fresh.masks) ||
+			!reflect.DeepEqual(c.addrs, fresh.addrs) || !reflect.DeepEqual(c.blockOr, fresh.blockOr) {
+			t.Fatalf("%s: Columnar differs from a fresh build over the entries", label)
+		}
+		var buf ScanBuf
+		for _, qd := range qds {
+			c.ScanInto(qd, &buf)
+			sameScan(t, ix, ix.Scan(qd), &buf, label)
+		}
 	}
-	if err := ix.Add(term.New("p", term.Atom("a"), term.Atom("b")), uint32(ix.Len())); err != nil {
-		t.Fatal(err)
+	inStep("built")
+	add := func(head term.Term) {
+		t.Helper()
+		if err := ix.Add(head, uint32(ix.Len())*100); err != nil {
+			t.Fatal(err)
+		}
 	}
-	c3 := ix.Columnar()
-	if c3 == c1 {
-		t.Fatalf("Columnar cache not invalidated after Add")
+	add(term.New("p", term.Atom("a"), term.Atom("b")))
+	inStep("append")
+	ix.Remove(3, 100)
+	add(term.New("p", term.NewVar("X"), term.Atom("b"))) // masked, same length as before the remove
+	inStep("remove then append")
+	for ix.Len() > 0 { // across every block boundary, down to empty
+		ix.Remove(ix.Len()/2, 100)
+		inStep("remove")
 	}
-	if c3.Len() != ix.Len() {
-		t.Fatalf("rebuilt Columnar has %d entries, index has %d", c3.Len(), ix.Len())
-	}
-	var buf ScanBuf
-	c3.ScanInto(qds[0], &buf)
-	sameScan(t, ix, ix.Scan(qds[0]), &buf, "post-grow")
+	add(term.New("p", term.Atom("a"), term.Atom("b")))
+	inStep("append to empty")
 }
 
 // TestScanRangeIntoZeroAlloc enforces the native engine's allocation

@@ -3,6 +3,7 @@ package scw
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -24,14 +25,18 @@ func ScanTime(bytes int) time.Duration {
 type Index struct {
 	enc     *Encoder
 	entries []Entry
-	// col caches the columnar view for the native engine; invalidated by
-	// length (indexes are append-only, so a stale pointer is detectable
-	// from the entry count alone).
+	// col is the columnar view the native engine scans: built by the first
+	// Columnar call, kept in step by Append and Remove from then on. It is
+	// atomic only because concurrent scans may race to build it; writes
+	// need the exclusion documented on Append.
 	col atomic.Pointer[Columnar]
 }
 
 // NewIndex returns an empty index using enc's parameters.
 func NewIndex(enc *Encoder) *Index { return &Index{enc: enc} }
+
+// Encoder returns the encoder the index's entries were built with.
+func (ix *Index) Encoder() *Encoder { return ix.enc }
 
 // Add encodes head and appends its entry with the given clause address.
 func (ix *Index) Add(head term.Term, addr uint32) error {
@@ -39,8 +44,31 @@ func (ix *Index) Add(head term.Term, addr uint32) error {
 	if err != nil {
 		return err
 	}
-	ix.entries = append(ix.entries, ent)
+	ix.Append(ent)
 	return nil
+}
+
+// Append adds ent at the end of the file. Like Remove it writes the
+// entries and the columnar view in place: the caller keeps scans of this
+// index out for the duration.
+func (ix *Index) Append(ent Entry) {
+	ix.entries = append(ix.entries, ent)
+	if c := ix.col.Load(); c != nil {
+		c.append(ent)
+	}
+}
+
+// Remove drops entry i, the entry of a clause record of size bytes, and
+// moves the addresses of the entries after it down by size — the file a
+// fresh build over the remaining clauses gives.
+func (ix *Index) Remove(i int, size uint32) {
+	ix.entries = slices.Delete(ix.entries, i, i+1)
+	for j := i; j < len(ix.entries); j++ {
+		ix.entries[j].Addr -= size
+	}
+	if c := ix.col.Load(); c != nil {
+		c.remove(i, size)
+	}
 }
 
 // Len returns the number of entries.
@@ -123,12 +151,10 @@ func (ix *Index) ScanRange(qd QueryDescriptor, lo, hi int) ScanResult {
 }
 
 // Columnar returns the struct-of-arrays view of the index for the native
-// engine, building it on first use and caching it. Indexes are
-// append-only, so a cached view is stale exactly when its length differs
-// from the entry count; retrieval-time callers see a fully built index
-// and always hit the cache.
+// engine, building it on first use. Append and Remove keep a built view
+// in step, so a write never costs the next scan a rebuild.
 func (ix *Index) Columnar() *Columnar {
-	if c := ix.col.Load(); c != nil && c.Len() == len(ix.entries) {
+	if c := ix.col.Load(); c != nil {
 		return c
 	}
 	c := NewColumnar(ix.enc.Params(), ix.entries)
