@@ -661,9 +661,7 @@ func BenchmarkConcurrentRetrieval(b *testing.B) {
 		want[i] = fmt.Sprint(candidateAddrs(rt))
 	}
 
-	for _, boards := range []int{1, 2, 4, 8} {
-		cfg := core.DefaultConfig()
-		cfg.Boards = boards
+	build := func(cfg core.Config) *core.Retriever {
 		r, err := core.New(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -673,45 +671,62 @@ func BenchmarkConcurrentRetrieval(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		return r
+	}
+	// run drives b.N retrievals from `clients` closed-loop clients and
+	// returns each one's simulated service time.
+	run := func(b *testing.B, r *core.Retriever, clients int) []time.Duration {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		service := make([]time.Duration, b.N)
+		b.ResetTimer()
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := next.Add(1) - 1
+					if i >= int64(b.N) {
+						return
+					}
+					g := int(i) % nGoals
+					rt, err := r.Retrieve(goals[g], core.ModeFS1FS2)
+					if err != nil {
+						b.Error(err)
+						return
+					}
+					if got := fmt.Sprint(candidateAddrs(rt)); got != want[g] {
+						b.Errorf("goal %d: candidates %s, want %s", g, got, want[g])
+						return
+					}
+					service[i] = rt.Stats.Total
+				}
+			}()
+		}
+		wg.Wait()
+		b.StopTimer()
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+		return service
+	}
+
+	for _, boards := range []int{1, 2, 4, 8} {
+		cfg := core.DefaultConfig()
+		cfg.Boards = boards
+		r := build(cfg)
 		for _, clients := range []int{1, 2, 4, 8, 16} {
 			b.Run(fmt.Sprintf("boards%d/clients%d", boards, clients), func(b *testing.B) {
-				var next atomic.Int64
-				var wg sync.WaitGroup
-				var mu sync.Mutex
-				service := make([]time.Duration, b.N)
-				b.ResetTimer()
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for {
-							i := next.Add(1) - 1
-							if i >= int64(b.N) {
-								return
-							}
-							g := int(i) % nGoals
-							rt, err := r.Retrieve(goals[g], core.ModeFS1FS2)
-							if err != nil {
-								b.Error(err)
-								return
-							}
-							if got := fmt.Sprint(candidateAddrs(rt)); got != want[g] {
-								b.Errorf("goal %d: candidates %s, want %s", g, got, want[g])
-								return
-							}
-							mu.Lock()
-							service[i] = rt.Stats.Total
-							mu.Unlock()
-						}
-					}()
-				}
-				wg.Wait()
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-				makespan := core.Makespan(service, boards, clients)
+				makespan := core.Makespan(run(b, r, clients), boards, clients)
 				b.ReportMetric(float64(b.N)/makespan.Seconds(), "sim-q/s")
 			})
 		}
+	}
+	// The native engine leases no board: its clients overlap with no
+	// chassis to size, so wall-clock queries/s is its only curve.
+	cfg := core.DefaultConfig()
+	cfg.Engine = core.EngineNative
+	r := build(cfg)
+	for _, clients := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("native/clients%d", clients), func(b *testing.B) { run(b, r, clients) })
 	}
 }
 

@@ -72,11 +72,14 @@ type Options struct {
 	// Planner arms the adaptive cost-based mode planner: auto-mode
 	// retrievals (nil Mode) pick their search mode per query from
 	// learned per-predicate statistics instead of the static heuristic.
+	// Sim engine only (it prices simulated time); NewKB refuses it with
+	// Engine "native".
 	Planner bool
 	// Boards is the number of FS2 board + drive units in the simulated
 	// chassis (0 means 1 — the paper's single-board setup). Each
 	// concurrent retrieval leases one unit, so N boards serve N
-	// retrievals in parallel.
+	// retrievals in parallel. The native engine builds no chassis, runs
+	// retrievals in parallel regardless, and refuses Boards > 1.
 	Boards int
 	// StreamChunkEntries sets how many secondary-file entries FS1 hands
 	// downstream per pipeline chunk in fs1+fs2 mode (0 derives one disk

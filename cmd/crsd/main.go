@@ -31,6 +31,10 @@
 // -engine native swaps the cycle-accurate hardware simulation for the
 // vectorized host engine (same candidates, wall-clock as the first-class
 // metric); the active engine is visible as the engine.native STATS key.
+// The native engine builds no simulated chassis: its retrievals run in
+// parallel without a board to lease, STATS reports boards 0, and the
+// flags that size the chassis or price its clock (-boards above 1,
+// -planner) are refused with it.
 // -scan-workers partitions each native FS1 columnar scan across that
 // many goroutines (results identical at any count; scan.workers in
 // STATS). -kb is loaded from a read-only mapping of the file where the
@@ -97,15 +101,15 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7071", "listen address")
 	admin := flag.String("admin", "", "admin HTTP address for /metrics, /trace and /debug/pprof (empty disables)")
-	boards := flag.Int("boards", 1, "FS2 board/drive units in the simulated chassis (concurrent retrievals)")
-	engine := flag.String("engine", "sim", "retrieval engine: sim (cycle-accurate) or native (vectorized)")
+	boards := flag.Int("boards", 1, "FS2 board/drive units in the simulated chassis = concurrent retrievals (-engine sim only; native leases no board and runs retrievals in parallel)")
+	engine := flag.String("engine", "sim", "retrieval engine: sim (cycle-accurate) or native (vectorized, no simulated chassis)")
 	drain := flag.Duration("drain", 10*time.Second, "shutdown grace period for in-flight sessions")
 	traceBuf := flag.Int("trace-buf", telemetry.DefaultTraceRing, "retrieval traces kept for /trace")
 	var faultSpecs multiFlag
 	flag.Var(&faultSpecs, "fault", "arm a fault-injection rule, site[@key]=P or site[@key]=1/N[,limit=L] (repeatable)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the fault-injection schedule")
 	kb := flag.String("kb", "", "compiled knowledge-base store to load (kbc output; a shard slice works unchanged)")
-	planner := flag.Bool("planner", false, "arm the adaptive cost-based mode planner for auto-mode retrievals")
+	planner := flag.Bool("planner", false, "arm the adaptive cost-based mode planner for auto-mode retrievals (-engine sim only: it prices simulated time)")
 	plannerStats := flag.String("planner-stats", "", "planner statistics snapshot path (default: <kb>.plan next to -kb; no snapshot without -kb)")
 	latWindow := flag.Int("latency-window", 0, "per-predicate latency samples kept for quantiles (0 = default)")
 	scanWorkers := flag.Int("scan-workers", 0, "goroutines per native FS1 columnar scan (0 = GOMAXPROCS, negative = serial; results are identical at any count)")

@@ -179,7 +179,6 @@ func TestChaosParallelScan(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Engine = EngineNative
 	cfg.ScanWorkers = 8
-	cfg.Boards = 4
 	cfg.RetryBackoff = time.Microsecond
 	cfg.Faults = fault.New(20260808).
 		Add(fault.Rule{Site: fault.SiteDiskRead, Probability: 0.10}).

@@ -1,6 +1,6 @@
 // Native execution engine: the hardware-filter search modes (b)/(c)/(d)
 // re-implemented as tight host code behind the same Retrieve interface.
-// The simulated engine (core.go) walks the cycle-accurate hardware
+// The simulated engine (sim.go) walks the cycle-accurate hardware
 // protocol — VME register traffic, the Double Buffer, per-operation FS2
 // cycle counts — and is the repository's ground truth. Mode (a), software
 // only, is defined by the host reference matcher (package ptu) and is
@@ -28,41 +28,85 @@
 // free. Drive accounting and drive fault sites are preserved — the
 // disk-degradation ladder (unreadable index → FS2-only, read fault →
 // retry → host) behaves identically — but the board and bus protocol
-// sites are bypassed along with the protocol itself. See DESIGN.md §11.
+// sites are bypassed along with the protocol itself.
+//
+// The engine owns no simulated hardware. A retrieval leases nothing: it
+// reads the compiled files (shared, and immutable while the caller holds
+// the predicate's read lock), works in an arena it owns for its duration,
+// and charges the drive model on the arena's own ledger, folded into the
+// retriever's totals when it finishes — so any number of retrievals run
+// in parallel. See DESIGN.md §6 and §11.
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"clare/internal/clausefile"
+	"clare/internal/disk"
 	"clare/internal/fs2"
 	"clare/internal/scw"
+	"clare/internal/telemetry"
 	"clare/internal/term"
 )
 
 // nativeArena is the per-retrieval scratch state of the native engine:
 // the partitioned scan buffer (merged survivors + one ScanBuf and task
-// slot per worker partition) and an FS2 matcher with embedded variable
-// stores. Arenas are recycled through Retriever.natPool, so steady-state
-// retrievals allocate nothing on the scan or match paths — at any worker
-// count, since the per-partition buffers live in the arena too.
+// slot per worker partition), an FS2 matcher with embedded variable
+// stores, and the drive ledger the retrieval accounts on. Arenas are
+// recycled through Retriever.natPool, so steady-state retrievals allocate
+// nothing on the scan or match paths — at any worker count, since the
+// per-partition buffers live in the arena too.
 type nativeArena struct {
 	pbuf scw.ParScanBuf
 	nm   *fs2.NativeMatcher
+	// drive prices and counts this retrieval's disk traffic and probes the
+	// drive fault sites, keyed as the one-board chassis keyed its spindle.
+	// Its handles into the registry are shared; its Stats are the
+	// retrieval's own until searchNative folds them into Retriever.disk.
+	drive disk.Drive
 }
 
-// arena leases a native arena from the pool, building one on first use.
-func (r *Retriever) arena() *nativeArena {
-	if a, ok := r.natPool.Get().(*nativeArena); ok {
-		return a
-	}
+// arena leases an arena from natPool, which builds one when it has none.
+func (r *Retriever) arena() *nativeArena { return r.natPool.Get().(*nativeArena) }
+
+// newArena builds an arena for natPool. It fails on a microprogram the
+// native matcher lacks (NewWithSymbols builds the first arena to find
+// that out), and resolving the drive's registry handles is what lists
+// the clare_disk_* families on /metrics.
+func (r *Retriever) newArena() (*nativeArena, error) {
 	nm, err := fs2.NewNativeMatcher(r.cfg.Microprogram)
 	if err != nil {
-		// NewWithSymbols validated the microprogram for native mode.
-		panic(fmt.Sprintf("core: native arena: %v", err))
+		return nil, err
 	}
-	return &nativeArena{nm: nm}
+	a := &nativeArena{nm: nm, drive: disk.Drive{Model: r.cfg.Disk}}
+	a.drive.SetFaults(r.cfg.Faults, "0")
+	a.drive.Instrument(r.cfg.Metrics, telemetry.Labels{"slot": "0"})
+	return a, nil
+}
+
+// searchNative runs one attempt of a retrieval on the native engine, in
+// an arena it owns until it returns. Mode (a) is defined by the host
+// reference matcher and shared between engines; the native engine
+// accelerates the filter modes.
+func (r *Retriever) searchNative(mode SearchMode, goal term.Term, pred *Predicate, rt *Retrieval) error {
+	a := r.arena()
+	r.met.boardsBusy.Add(1)
+	var err error
+	switch mode {
+	case ModeSoftware:
+		err = r.retrieveSoftware(goal, pred, rt, &a.drive)
+	case ModeFS1:
+		err = r.retrieveFS1Native(goal, pred, rt, a)
+	case ModeFS2:
+		err = r.retrieveFS2AllNative(goal, pred, rt, a)
+	case ModeFS1FS2:
+		err = r.retrieveFS1FS2Native(goal, pred, rt, a)
+	}
+	r.met.boardsBusy.Add(-1)
+	r.disk.Add(a.drive.Stats)
+	a.drive.Reset()
+	r.natPool.Put(a)
+	return err
 }
 
 // retrieveFS1Native is mode (b) on the native engine: a partitioned
@@ -70,44 +114,33 @@ func (r *Retriever) arena() *nativeArena {
 // survivors merged in partition order — bit-identical to a serial scan),
 // then a position-indexed gather of the surviving clause records with
 // exact-size fetch accounting.
-func (r *Retriever) retrieveFS1Native(goal term.Term, pred *Predicate, rt *Retrieval, u *boardUnit) error {
+func (r *Retriever) retrieveFS1Native(goal term.Term, pred *Predicate, rt *Retrieval, a *nativeArena) error {
 	qd, _, err := r.encodeQuery(goal, rt)
 	if err != nil {
 		return err
 	}
-	a := r.arena()
-	defer r.natPool.Put(a)
-
 	pred.File.Index().Columnar().ParScanInto(qd, r.ScanWorkers(), r.scanPool, &a.pbuf)
 	buf := &a.pbuf.Out
 	rt.Stats.IndexBytes = buf.BytesScanned
-	diskIndex, err := u.drive.IndexScan(buf.BytesScanned)
+	diskIndex, err := a.drive.IndexScan(buf.BytesScanned)
 	if err != nil {
 		return err
 	}
 	// Same delivery model as the sim path: FS1 outruns the disk.
-	fs1Time := scw.ScanTime(buf.BytesScanned)
-	if diskIndex > fs1Time {
-		fs1Time = diskIndex
-	}
-	rt.Stats.FS1Scan = fs1Time
+	rt.Stats.FS1Scan = max(scw.ScanTime(buf.BytesScanned), diskIndex)
 	rt.Stats.AfterFS1 = len(buf.Pos)
 	rt.Stats.MaskedHits = buf.MaskedHits
 	rt.wall.lap(stageFS1Scan)
 
 	all := pred.File.All()
-	candidates := make([]*clausefile.StoredClause, 0, len(buf.Pos))
-	fetchBytes := 0
+	rt.Candidates = make([]*clausefile.StoredClause, 0, len(buf.Pos))
 	for _, p := range buf.Pos {
-		sc := all[p]
-		fetchBytes += sc.SizeBytes
-		candidates = append(candidates, sc)
+		rt.Stats.ClauseBytes += all[p].SizeBytes
+		rt.Candidates = append(rt.Candidates, all[p])
 	}
-	rt.Stats.ClauseBytes = fetchBytes
-	if rt.Stats.DiskFetch, err = u.drive.FetchRun(len(candidates), fetchBytes); err != nil {
+	if rt.Stats.DiskFetch, err = a.drive.FetchRun(len(buf.Pos), rt.Stats.ClauseBytes); err != nil {
 		return err
 	}
-	rt.Candidates = candidates
 	rt.wall.lap(stageDiskFetch)
 	rt.Stats.Total = rt.Stats.FS1Scan + rt.Stats.DiskFetch
 	return nil
@@ -119,10 +152,10 @@ func (r *Retriever) retrieveFS1Native(goal term.Term, pred *Predicate, rt *Retri
 // memory; the drive model still accounts (and can fault) the underlying
 // sequential scan. FS2 match time is zero in the simulated ledger —
 // Stats.Total is the stream with free matching.
-func (r *Retriever) retrieveFS2AllNative(goal term.Term, pred *Predicate, rt *Retrieval, u *boardUnit) error {
+func (r *Retriever) retrieveFS2AllNative(goal term.Term, pred *Predicate, rt *Retrieval, a *nativeArena) error {
 	rt.Stats.AfterFS1 = pred.File.Len()
 	rt.Stats.ClauseBytes = pred.File.SizeBytes()
-	diskTime, err := u.drive.Scan(pred.File.SizeBytes())
+	diskTime, err := a.drive.Scan(pred.File.SizeBytes())
 	if err != nil {
 		return err
 	}
@@ -131,8 +164,6 @@ func (r *Retriever) retrieveFS2AllNative(goal term.Term, pred *Predicate, rt *Re
 	if err != nil {
 		return err
 	}
-	a := r.arena()
-	defer r.natPool.Put(a)
 	if err := a.nm.SetQuery(q); err != nil {
 		return err
 	}
@@ -143,12 +174,18 @@ func (r *Retriever) retrieveFS2AllNative(goal term.Term, pred *Predicate, rt *Re
 	return nil
 }
 
-// retrieveFS1FS2Native is mode (d) on the native engine, keeping the sim
-// path's chunked pipeline shape (and its chunked index-stream accounting)
-// with the columnar scan and native matcher doing the work per chunk. In
-// the simulated pipeline the per-chunk match side is free, so the slower
-// side of each downstream step is always the fetch.
-func (r *Retriever) retrieveFS1FS2Native(goal term.Term, pred *Predicate, rt *Retrieval, u *boardUnit) error {
+// retrieveFS1FS2Native is mode (d) on the native engine: one serial
+// columnar sweep of the whole index, one pass of the survivors through
+// the native matcher, and between them the sim path's chunked pipeline
+// ledger derived from where the survivors fall. The survivors come out in
+// position order, so one walk over them splits them by pipeline chunk
+// (streamChunks): chunk c streamed its entries' index bytes and fetched
+// the survivors lying in it, and the drive is charged — and its fault
+// sites probed — chunk by chunk in the order the pipeline would have
+// issued the transfers. In the simulated pipeline the per-chunk match
+// side is free, so the slower side of each downstream step is always the
+// fetch.
+func (r *Retriever) retrieveFS1FS2Native(goal term.Term, pred *Predicate, rt *Retrieval, a *nativeArena) error {
 	qd, q, err := r.encodeQuery(goal, rt)
 	if err != nil {
 		return err
@@ -158,66 +195,56 @@ func (r *Retriever) retrieveFS1FS2Native(goal term.Term, pred *Predicate, rt *Re
 	if n == 0 {
 		return nil
 	}
-	chunk, count := r.streamChunks(n)
-	a := r.arena()
-	defer r.natPool.Put(a)
 	if err := a.nm.SetQuery(q); err != nil {
 		return err
 	}
 	rt.wall.lap(stageFS2Match)
-	col := ix.Columnar()
-	all := pred.File.All()
+	buf := &a.pbuf.Out
+	ix.Columnar().ScanRangeInto(qd, 0, n, buf)
+	rt.Stats.IndexBytes = buf.BytesScanned
+	rt.Stats.AfterFS1 = len(buf.Pos)
+	rt.Stats.MaskedHits = buf.MaskedHits
+	rt.wall.lap(stageFS1Scan)
 
-	access, err := u.drive.Access()
+	all := pred.File.All()
+	chunk, count := r.streamChunks(n)
+	access, err := a.drive.Access()
 	if err != nil {
 		return err
 	}
 	scanChunks := make([]time.Duration, 0, count)
 	matchChunks := make([]time.Duration, 0, count)
+	k := 0
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		// Chunks default to one disk track (~1.5k entries), well under
-		// scw.ParScanMinEntries, so the partitioned call degenerates to a
-		// serial sweep unless StreamChunkEntries is configured large.
-		col.ParScanRangeInto(qd, lo, hi, r.ScanWorkers(), r.scanPool, &a.pbuf)
-		buf := &a.pbuf.Out
-		rt.Stats.IndexBytes += buf.BytesScanned
-		sTime := scw.ScanTime(buf.BytesScanned)
-		dt, err := u.drive.Stream(buf.BytesScanned)
+		hi := min(lo+chunk, n)
+		indexBytes := (hi - lo) * scw.EntrySize
+		dt, err := a.drive.Stream(indexBytes)
 		if err != nil {
 			return err
 		}
-		if dt > sTime {
-			sTime = dt
-		}
+		sTime := max(scw.ScanTime(indexBytes), dt)
 		rt.Stats.FS1Scan += sTime
-		rt.Stats.AfterFS1 += len(buf.Pos)
-		rt.Stats.MaskedHits += buf.MaskedHits
 		scanChunks = append(scanChunks, sTime)
-		rt.wall.lap(stageFS1Scan)
 
-		fetchBytes := 0
-		for _, p := range buf.Pos {
-			fetchBytes += all[p].SizeBytes
+		first, fetchBytes := k, 0
+		for ; k < len(buf.Pos) && int(buf.Pos[k]) < hi; k++ {
+			fetchBytes += all[buf.Pos[k]].SizeBytes
 		}
 		rt.Stats.ClauseBytes += fetchBytes
-		fetch, err := u.drive.FetchRun(len(buf.Pos), fetchBytes)
+		fetch, err := a.drive.FetchRun(k-first, fetchBytes)
 		if err != nil {
 			return err
 		}
 		rt.Stats.DiskFetch += fetch
 		matchChunks = append(matchChunks, fetch)
-		rt.wall.lap(stageDiskFetch)
-
-		nativeFilter(a.nm, pred.File, len(buf.Pos), buf.Pos, rt)
-		rt.wall.lap(stageFS2Match)
 	}
 	rt.Stats.FS1Scan += access
-	rt.Stats.Chunks = len(scanChunks)
+	rt.Stats.Chunks = count
 	rt.Stats.Total = pipelineTime(access, scanChunks, matchChunks)
+	rt.wall.lap(stageDiskFetch)
+
+	nativeFilter(a.nm, pred.File, len(buf.Pos), buf.Pos, rt)
+	rt.wall.lap(stageFS2Match)
 	return nil
 }
 

@@ -3,12 +3,14 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"clare/internal/clausefile"
 	"clare/internal/fs2"
 	"clare/internal/parse"
 	"clare/internal/pif"
+	"clare/internal/plan"
 	"clare/internal/scw"
 	"clare/internal/symtab"
 	"clare/internal/term"
@@ -331,7 +333,8 @@ func TestNativeKernelsZeroAlloc(t *testing.T) {
 }
 
 // TestNativeEngineConfig covers the Engine plumbing: parsing, the
-// accessor, and the DescendFull rejection.
+// accessor, and what the native engine refuses — a DescendFull
+// microprogram and the settings of a chassis it does not build.
 func TestNativeEngineConfig(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -362,11 +365,35 @@ func TestNativeEngineConfig(t *testing.T) {
 	if _, err := New(cfg); err != nil {
 		t.Fatalf("sim engine rejected MPLevel5: %v", err)
 	}
+	for name, set := range map[string]func(*Config){
+		"Boards > 1": func(c *Config) { c.Boards = 2 },
+		"a planner":  func(c *Config) { c.Planner = plan.New(plan.Config{}) },
+	} {
+		cfg := DefaultConfig()
+		set(&cfg)
+		if _, err := New(cfg); err != nil {
+			t.Fatalf("sim engine rejected %s: %v", name, err)
+		}
+		cfg.Engine = EngineNative
+		if _, err := New(cfg); err == nil || strings.Contains(err.Error(), "\n") {
+			t.Fatalf("native engine with %s: err = %v, want a one-line refusal", name, err)
+		}
+	}
+	cfg = DefaultConfig()
+	cfg.Engine = EngineNative
+	cfg.Boards = 1 // crsd's -boards default
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := r.Health(); r.Boards() != 0 || r.pool != nil || h.Boards != 0 || h.Units != nil || r.FS2Stats() != (fs2.Stats{}) {
+		t.Fatalf("native retriever describes a chassis: boards %d, health %+v", r.Boards(), h)
+	}
 	cfg.Engine = Engine(42)
 	if _, err := New(cfg); err == nil {
 		t.Fatal("unknown engine value accepted")
 	}
-	r, err := New(DefaultConfig())
+	r, err = New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,6 @@ import (
 	"clare/internal/symtab"
 	"clare/internal/telemetry"
 	"clare/internal/term"
-	"clare/internal/vme"
 )
 
 // SearchMode is one of the four CRS retrieval modes (§2.2).
@@ -112,13 +111,16 @@ type Config struct {
 	// times are derived from the component models.
 	SoftwareMatchCost time.Duration
 	// Boards is the number of FS2 board + bus + drive units in the
-	// simulated chassis (0 means 1 — the paper's configuration). Each
+	// simulated chassis (0 means 1 — the paper's configuration). Each sim
 	// retrieval leases one unit, so up to Boards retrievals proceed in
-	// parallel.
+	// parallel. The native engine builds no chassis — its retrievals run
+	// in parallel unleased — and refuses Boards > 1.
 	Boards int
 	// StreamChunkEntries is how many secondary-file entries FS1 hands to
 	// the fetch+FS2 stage per pipeline chunk in fs1+fs2 mode (0 derives
-	// one disk track's worth — the paper's unit of transfer, §3.2).
+	// one disk track's worth — the paper's unit of transfer, §3.2). On the
+	// native engine it only shapes the simulated-time ledger: the index is
+	// swept once whatever the chunk size.
 	StreamChunkEntries int
 	// QueryCacheSize bounds the query-encoding cache (distinct goal
 	// shapes). 0 means DefaultQueryCacheSize; negative disables caching.
@@ -135,11 +137,12 @@ type Config struct {
 	// Faults, when non-nil, is the fault injector armed across the
 	// chassis: every drive, bus, and board probes it, as does the
 	// retriever itself (site core.retrieve, keyed by predicate
-	// indicator). Nil — the production configuration — costs one nil
-	// check per probe.
+	// indicator). The native engine probes the drive sites only, keyed
+	// "0". Nil — the production configuration — costs one nil check per
+	// probe.
 	Faults *fault.Injector
 	// TripThreshold is how many consecutive faulted leases trip a board
-	// unit out of rotation (0 means 3).
+	// unit out of rotation (0 means 3; sim engine only, like ProbePeriod).
 	TripThreshold int
 	// ProbePeriod is how long a tripped unit cools off before a
 	// probationary re-admission (0 means 100ms).
@@ -154,21 +157,27 @@ type Config struct {
 	// Engine selects the execution engine: EngineSim (the default, the
 	// cycle-accurate hardware simulation) or EngineNative (the vectorized
 	// host fast path with identical results). Native mode requires a
-	// microprogram the native matcher supports (no DescendFull).
+	// microprogram the native matcher supports (no DescendFull) and
+	// refuses the settings that configure the simulated chassis or price
+	// its clock: Boards > 1 and Planner.
 	Engine Engine
 	// ScanWorkers is how many partitions a native FS1 columnar scan may
 	// split into, each swept by its own goroutine (0 derives GOMAXPROCS,
 	// negative forces 1 — fully serial; clamped to MaxScanWorkers).
 	// Candidates are bit-identical at any worker count: partitions are
 	// contiguous and merged in order. Small scans stay serial regardless
-	// (scw.ParScanMinEntries), and the sim engine ignores this knob.
+	// (scw.ParScanMinEntries), as does mode fs1+fs2's sweep (concurrent
+	// retrievals are its parallelism), and the sim engine ignores this
+	// knob.
 	ScanWorkers int
 	// Planner, when non-nil, arms the adaptive cost-based planner: every
 	// clean retrieval's candidate funnel is folded into its per-predicate
 	// statistics store, and PlanMode (the auto-mode path in the CRS
 	// server and the Source facade) asks it to pick the search mode
 	// instead of the static ChooseMode heuristic. Nil — the default —
-	// costs one nil check per retrieval.
+	// costs one nil check per retrieval. Sim engine only: the planner
+	// prices simulated time, and the native ledger charges FS2 match at
+	// zero.
 	Planner *plan.Planner
 	// Flight, when non-nil, receives one compact FlightRecord per
 	// retrieval — the always-on black box the /flight dumps and
@@ -235,22 +244,29 @@ func (p *Predicate) FractionMasked() float64 {
 	return float64(p.MaskedClauses) / float64(p.File.Len())
 }
 
-// Retriever is the CLARE engine instance: a chassis of FS2 boards behind
-// VME buses (one or more — the paper built one), each with its own disk
-// spindle, and the managed predicates. Retrieve is safe for concurrent
-// callers: each retrieval leases a board unit from the pool.
+// Retriever is the CLARE engine instance over the managed predicates.
+// Retrieve is safe for concurrent callers. On the sim engine it is a
+// chassis of FS2 boards behind VME buses (one or more — the paper built
+// one), each with its own disk spindle, and each retrieval leases a
+// board unit from the pool; on the native engine a retrieval is a plain
+// reader of the compiled files and owns an arena for its duration.
 type Retriever struct {
 	cfg    Config
 	syms   *symtab.Table
 	penc   *pif.Encoder
 	ienc   *scw.Encoder
-	pool   *boardPool
+	pool   *boardPool // the simulated chassis; nil on the native engine
 	qcache *queryCache
 	met    *coreMetrics
 	tracer *telemetry.Tracer
 
-	// natPool recycles per-retrieval native-engine arenas (scan buffer +
-	// matcher); idle in sim mode.
+	// disk is what finished attempts charged the drive model: each
+	// accounts on a drive it owns — the leased unit's, the arena's — and
+	// folds its statistics in here when it ends.
+	disk disk.Totals
+
+	// natPool recycles per-retrieval native-engine arenas (scan buffer,
+	// matcher, drive ledger); idle in sim mode.
 	natPool sync.Pool
 	// scanPool runs native FS1 scan partitions; nil in sim mode. The
 	// worker count actually used per scan is scanWorkers, adjustable at
@@ -284,21 +300,6 @@ func NewWithSymbols(cfg Config, syms *symtab.Table) (*Retriever, error) {
 	if cfg.SoftwareMatchCost <= 0 {
 		cfg.SoftwareMatchCost = DefaultConfig().SoftwareMatchCost
 	}
-	switch cfg.Engine {
-	case EngineSim:
-	case EngineNative:
-		// Fail fast on microprograms the native matcher cannot run, rather
-		// than on the first retrieval.
-		if _, err := fs2.NewNativeMatcher(cfg.Microprogram); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown engine %d", cfg.Engine)
-	}
-	pool, err := newBoardPool(cfg, cfg.Boards)
-	if err != nil {
-		return nil, err
-	}
 	qcache := newQueryCache(cfg.QueryCacheSize)
 	qcache.instrument(cfg.Metrics)
 	if cfg.Metrics != nil {
@@ -309,17 +310,40 @@ func NewWithSymbols(cfg Config, syms *symtab.Table) (*Retriever, error) {
 		syms:   syms,
 		penc:   pif.NewEncoder(syms),
 		ienc:   ienc,
-		pool:   pool,
 		qcache: qcache,
 		met:    newCoreMetrics(cfg.Metrics),
 		tracer: cfg.Tracer,
 		preds:  make(map[Indicator]*Predicate),
 	}
-	if cfg.Engine == EngineNative {
+	switch cfg.Engine {
+	case EngineSim:
+		if r.pool, err = newBoardPool(cfg, cfg.Boards); err != nil {
+			return nil, err
+		}
+	case EngineNative:
+		// Fail fast on what the native engine cannot run, rather than on
+		// the first retrieval: the settings that size the simulated
+		// chassis or price its clock, and — building the first arena — a
+		// microprogram its matcher lacks.
+		if cfg.Boards > 1 {
+			return nil, fmt.Errorf("core: %d boards need the sim engine: the native engine builds no chassis and serves retrievals in parallel without one", cfg.Boards)
+		}
+		if cfg.Planner != nil {
+			return nil, fmt.Errorf("core: the planner needs the sim engine: it prices simulated time, and the native ledger charges FS2 match at zero")
+		}
+		a, err := r.newArena()
+		if err != nil {
+			return nil, err
+		}
+		r.natPool.Put(a)
+		// Later arenas cannot fail where the first did not.
+		r.natPool.New = func() any { a, _ := r.newArena(); return a }
 		// The pool bound is independent of the configured worker count so
 		// SetScanWorkers can sweep up to MaxScanWorkers at runtime;
 		// workers spawn lazily, so an over-sized bound is free.
 		r.scanPool = scw.NewScanPool(MaxScanWorkers - 1)
+	default:
+		return nil, fmt.Errorf("core: unknown engine %d", cfg.Engine)
 	}
 	r.scanWorkers.Store(int32(resolveScanWorkers(cfg.ScanWorkers)))
 	return r, nil
@@ -368,29 +392,28 @@ func (r *Retriever) Symbols() *symtab.Table { return r.syms }
 // Engine reports which execution engine the retriever runs.
 func (r *Retriever) Engine() Engine { return r.cfg.Engine }
 
-// Board exposes slot 0's FS2 engine (statistics, ablation). With a
-// multi-board chassis, FS2Stats aggregates across all boards.
-func (r *Retriever) Board() *fs2.Engine { return r.pool.all[0].board }
+// Boards reports the chassis size: 0 on the native engine, which builds
+// none.
+func (r *Retriever) Boards() int { return r.Health().Boards }
 
-// Drive exposes slot 0's disk drive (statistics). With a multi-board
-// chassis, DiskStats aggregates across all spindles.
-func (r *Retriever) Drive() *disk.Drive { return r.pool.all[0].drive }
-
-// Chassis exposes the VME chassis holding the filter boards.
-func (r *Retriever) Chassis() *vme.Chassis { return r.pool.chassis }
-
-// Boards reports the chassis size.
-func (r *Retriever) Boards() int { return len(r.pool.all) }
-
-// FS2Stats aggregates FS2 statistics across every board in the chassis.
-// The snapshot is taken under the pool lock from per-slot copies captured
-// at board release, so it is race-free while retrievals are in flight; a
-// retrieval still holding a board contributes its work when it releases.
+// FS2Stats aggregates FS2 statistics across every board in the chassis
+// (zero on the native engine, which drives no board). The snapshot is
+// taken under the pool lock from per-slot copies captured at board
+// release, so it is race-free while retrievals are in flight; a retrieval
+// still holding a board contributes its work when it releases.
 func (r *Retriever) FS2Stats() fs2.Stats { return r.pool.fs2Snapshot() }
 
-// DiskStats aggregates disk statistics across every spindle, with the
-// same release-time snapshot semantics as FS2Stats.
-func (r *Retriever) DiskStats() disk.Stats { return r.pool.diskSnapshot() }
+// DiskStats reports what finished retrievals charged the drive model, on
+// every spindle of the chassis or, on the native engine, on their own
+// ledgers. Like FS2Stats it is race-free while retrievals are in flight; an
+// attempt still running contributes when it ends.
+func (r *Retriever) DiskStats() disk.Stats { return r.disk.Stats() }
+
+// Health reports the chassis's board-health snapshot: counts of free,
+// leased, and tripped units plus per-slot state — the data the CRS
+// daemon exposes through STATS and /metrics. The native engine has no
+// boards to lease or trip and reports the zero Health.
+func (r *Retriever) Health() Health { return r.pool.health() }
 
 // QueryCache reports the query-encoding cache's counters.
 func (r *Retriever) QueryCache() QueryCacheStats { return r.qcache.stats() }
@@ -601,7 +624,7 @@ type Retrieval struct {
 	pred       *Predicate
 
 	wall  stageClock
-	slot  int // board unit the final attempt leased; -1 when the host matched alone
+	slot  int // board unit the final attempt leased; -1 when it leased none (native engine, host rung)
 	trace *telemetry.Trace
 }
 
@@ -650,16 +673,19 @@ func (rt *Retrieval) AppendCandidateLines(dst []byte, prefix string) ([]byte, er
 }
 
 // Retrieve runs one search call in the given mode. It is safe for
-// concurrent callers: each call leases one board unit (FS2 board, VME
-// bus, disk drive) from the chassis pool for its duration. When the
-// retriever carries telemetry, the call records per-stage metrics in both
-// clocks and one span tree into the tracer's ring buffer.
+// concurrent callers: on the sim engine each call leases one board unit
+// (FS2 board, VME bus, disk drive) from the chassis pool for its
+// duration; on the native engine calls run in parallel, sharing nothing
+// but the compiled files they read. When the retriever carries telemetry,
+// the call records per-stage metrics in both clocks and one span tree
+// into the tracer's ring buffer.
 //
 // Under fault injection the call degrades rather than fails. A faulted
-// attempt is retried on different hardware (bounded by Config.MaxRetries,
-// backing off between attempts); an unreadable FS1 index downgrades the
-// mode to a full FS2 scan; and when every board is tripped — or the retry
-// budget is spent — the host performs the whole match itself. Injected
+// attempt is retried (on different hardware, where there is any; bounded
+// by Config.MaxRetries, backing off between attempts); an unreadable FS1
+// index downgrades the mode to a full FS2 scan; and when every board is
+// tripped — or the retry budget is spent — the host performs the whole
+// match itself. Injected
 // faults therefore never surface as errors: Stats.Degraded records the
 // ladder rung the retrieval ended on, Stats.Faults/Retries what it cost
 // to get there.
@@ -700,7 +726,9 @@ func (r *Retriever) RetrieveTracedPlan(goal term.Term, mode SearchMode, tc *tele
 // not an injected fault. Each attempt starts a fresh record: a faulted
 // attempt's partial candidates and stage times must not leak into the
 // next. start is the call's entry time; the first attempt's lease wait
-// is measured from it (only a map read lies between).
+// is measured from it (only a map read lies between). The native engine
+// has no hardware to lease, retry on or trip: its attempts differ only in
+// what the drive fault sites answer.
 func (r *Retriever) ladder(goal term.Term, mode SearchMode, pred *Predicate, name string, start time.Time) (*Retrieval, error) {
 	backoff := r.cfg.RetryBackoff
 	if backoff <= 0 {
@@ -726,6 +754,9 @@ func (r *Retriever) ladder(goal term.Term, mode SearchMode, pred *Predicate, nam
 		rt.Stats.Faults, rt.Stats.Retries, rt.Stats.Degraded = faults, retries, degraded
 		return rt
 	}
+	if mode < ModeSoftware || mode > ModeFS1FS2 {
+		return seal(fresh(start)), fmt.Errorf("core: unknown mode %d", mode)
+	}
 	mark := start
 	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if attempt > 0 {
@@ -741,23 +772,18 @@ func (r *Retriever) ladder(goal term.Term, mode SearchMode, pred *Predicate, nam
 			continue
 		}
 		rt := fresh(mark)
-		u := r.pool.lease()
-		if u == nil {
+		var err error
+		if r.pool == nil {
+			err = r.searchNative(effMode, goal, pred, rt)
+		} else if err = r.searchSim(effMode, goal, pred, rt); err == errNoBoard {
 			// Every unit is tripped and cooling off: drop to the
 			// ladder's last rung.
 			break
 		}
-		rt.wall.lap(stageLease)
-		rt.slot = u.slot
-		r.met.boardsBusy.Add(1)
-		err := r.search(effMode, goal, pred, rt, u)
-		r.met.boardsBusy.Add(-1)
 		if !fault.Is(err) {
-			r.pool.release(u)
 			return seal(rt), err
 		}
 		faults++
-		r.pool.releaseFaulty(u)
 		if fault.SiteOf(err) == fault.SiteDiskIndex && (effMode == ModeFS1 || effMode == ModeFS1FS2) {
 			// The secondary file is unreadable: abandon FS1 filtering
 			// and full-scan the clause file through FS2 (§2.2 mode (c)).
@@ -769,34 +795,8 @@ func (r *Retriever) ladder(goal term.Term, mode SearchMode, pred *Predicate, nam
 	// sites, guaranteed to complete.
 	degraded = "host"
 	rt := fresh(time.Now())
-	err := r.retrieveSoftware(goal, pred, rt, nil)
+	err := r.retrieveSoftware(goal, pred, rt, disk.NewDrive(r.cfg.Disk))
 	return seal(rt), err
-}
-
-// searchModes is the one dispatch from engine × mode to the function
-// that runs it on a leased unit. Mode (a) is defined by the host
-// reference matcher and shared between engines; the native engine
-// accelerates the filter modes.
-var searchModes = [...][4]func(*Retriever, term.Term, *Predicate, *Retrieval, *boardUnit) error{
-	EngineSim: {
-		ModeSoftware: (*Retriever).retrieveSoftware,
-		ModeFS1:      (*Retriever).retrieveFS1,
-		ModeFS2:      (*Retriever).retrieveFS2All,
-		ModeFS1FS2:   (*Retriever).retrieveFS1FS2,
-	},
-	EngineNative: {
-		ModeSoftware: (*Retriever).retrieveSoftware,
-		ModeFS1:      (*Retriever).retrieveFS1Native,
-		ModeFS2:      (*Retriever).retrieveFS2AllNative,
-		ModeFS1FS2:   (*Retriever).retrieveFS1FS2Native,
-	},
-}
-
-func (r *Retriever) search(mode SearchMode, goal term.Term, pred *Predicate, rt *Retrieval, u *boardUnit) error {
-	if mode < ModeSoftware || mode > ModeFS1FS2 {
-		return fmt.Errorf("core: unknown mode %d", mode)
-	}
-	return searchModes[r.cfg.Engine][mode](r, goal, pred, rt, u)
 }
 
 // Flight reports the flight recorder this retriever records into (nil
@@ -837,22 +837,19 @@ func (r *Retriever) encodeQuery(goal term.Term, rt *Retrieval) (qd scw.QueryDesc
 // mode (a): "the CRS performs all the search operations itself". The
 // software matcher runs the same level-3+XB algorithm (package ptu).
 //
-// A nil unit selects host-only degraded operation: the host reads the
-// clause file through its own block I/O (costed by the drive model
-// directly, outside any per-spindle accounting) and nothing probes a
-// fault site, so this path always completes.
-func (r *Retriever) retrieveSoftware(goal term.Term, pred *Predicate, rt *Retrieval, u *boardUnit) error {
+// drive is the spindle the clause file streams from: the leased unit's
+// on the sim engine, the arena's ledger on the native one. The host-only
+// rung passes a drive of its own — the host reads the clause file through
+// its own block I/O, costed by the drive model outside any per-spindle
+// accounting — which nothing has armed with faults, so that path always
+// completes.
+func (r *Retriever) retrieveSoftware(goal term.Term, pred *Predicate, rt *Retrieval, drive *disk.Drive) error {
 	all := pred.File.All()
 	rt.Stats.AfterFS1 = len(all)
 	rt.Stats.ClauseBytes = pred.File.SizeBytes()
-	var diskTime time.Duration
-	if u != nil {
-		var err error
-		if diskTime, err = u.drive.Scan(pred.File.SizeBytes()); err != nil {
-			return err
-		}
-	} else {
-		diskTime = r.cfg.Disk.ScanTime(pred.File.SizeBytes())
+	diskTime, err := drive.Scan(pred.File.SizeBytes())
+	if err != nil {
+		return err
 	}
 	rt.wall.lap(stageDiskFetch)
 	cfg := ptuConfigFor(r.cfg.Microprogram)
@@ -872,52 +869,6 @@ func (r *Retriever) retrieveSoftware(goal term.Term, pred *Predicate, rt *Retrie
 	return nil
 }
 
-// retrieveFS1 scans the secondary file and fetches the surviving clause
-// records — mode (b).
-func (r *Retriever) retrieveFS1(goal term.Term, pred *Predicate, rt *Retrieval, u *boardUnit) error {
-	qd, _, err := r.encodeQuery(goal, rt)
-	if err != nil {
-		return err
-	}
-	scan := pred.File.Index().Scan(qd)
-	rt.Stats.IndexBytes = scan.BytesScanned
-	// The index streams from disk through FS1; FS1 (4.5 MB/s) outruns the
-	// disk, so delivery dominates.
-	diskIndex, err := u.drive.IndexScan(scan.BytesScanned)
-	if err != nil {
-		return err
-	}
-	fs1Time := scan.Elapsed
-	if diskIndex > fs1Time {
-		fs1Time = diskIndex
-	}
-	rt.Stats.FS1Scan = fs1Time
-	rt.Stats.AfterFS1 = len(scan.Addrs)
-	rt.Stats.MaskedHits = scan.MaskedHits
-	rt.wall.lap(stageFS1Scan)
-
-	candidates, err := pred.File.ByAddrs(scan.Addrs)
-	if err != nil {
-		return err
-	}
-	fetchBytes := 0
-	for _, sc := range candidates {
-		fetchBytes += sc.SizeBytes
-	}
-	rt.Stats.ClauseBytes = fetchBytes
-	avg := 0
-	if len(candidates) > 0 {
-		avg = fetchBytes / len(candidates)
-	}
-	if rt.Stats.DiskFetch, err = u.drive.Fetch(len(candidates), avg); err != nil {
-		return err
-	}
-	rt.Candidates = candidates
-	rt.wall.lap(stageDiskFetch)
-	rt.Stats.Total = rt.Stats.FS1Scan + rt.Stats.DiskFetch
-	return nil
-}
-
 // streamChunks resolves the fs1+fs2 pipeline's chunking of an n-entry
 // index: entries per chunk and how many chunks that makes.
 func (r *Retriever) streamChunks(n int) (chunk, count int) {
@@ -931,138 +882,6 @@ func (r *Retriever) streamChunks(n int) (chunk, count int) {
 		}
 	}
 	return chunk, (n + chunk - 1) / chunk
-}
-
-// retrieveFS1FS2 is mode (d) restructured as a streaming pipeline: the
-// secondary file is consumed in chunks, and as soon as FS1 emits a
-// chunk's survivors their clause records are fetched and matched by FS2
-// — while FS1 is already scanning the next chunk. This lifts the
-// Double-Buffer idea (overlap transfer with matching) from the datapath
-// to the stage pipeline: per chunk the slower of {FS1 delivery} and
-// {fetch + FS2 match} dominates, accounted by pipelineTime.
-func (r *Retriever) retrieveFS1FS2(goal term.Term, pred *Predicate, rt *Retrieval, u *boardUnit) error {
-	qd, q, err := r.encodeQuery(goal, rt)
-	if err != nil {
-		return err
-	}
-	ix := pred.File.Index()
-	n := ix.Len()
-	if n == 0 {
-		return nil
-	}
-	chunk, count := r.streamChunks(n)
-
-	if _, err := u.bus.SelectFS2(fs2.ModeSetQuery); err != nil {
-		return err
-	}
-	if err := u.board.SetQuery(q); err != nil {
-		return err
-	}
-	rt.wall.lap(stageFS2Match)
-
-	// One positioning access starts the sequential index stream; chunk
-	// transfers then continue at the sustained rate.
-	access, err := u.drive.Access()
-	if err != nil {
-		return err
-	}
-	scanChunks := make([]time.Duration, 0, count)
-	matchChunks := make([]time.Duration, 0, count)
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		scan := ix.ScanRange(qd, lo, hi)
-		rt.Stats.IndexBytes += scan.BytesScanned
-		// FS1 outruns the disk, so chunk delivery dominates the scan.
-		sTime := scan.Elapsed
-		dt, err := u.drive.Stream(scan.BytesScanned)
-		if err != nil {
-			return err
-		}
-		if dt > sTime {
-			sTime = dt
-		}
-		rt.Stats.FS1Scan += sTime
-		rt.Stats.AfterFS1 += len(scan.Addrs)
-		rt.Stats.MaskedHits += scan.MaskedHits
-		scanChunks = append(scanChunks, sTime)
-		rt.wall.lap(stageFS1Scan)
-
-		candidates, err := pred.File.ByAddrs(scan.Addrs)
-		if err != nil {
-			return err
-		}
-		fetchBytes := 0
-		for _, sc := range candidates {
-			fetchBytes += sc.SizeBytes
-		}
-		rt.Stats.ClauseBytes += fetchBytes
-		avg := 0
-		if len(candidates) > 0 {
-			avg = fetchBytes / len(candidates)
-		}
-		fetch, err := u.drive.Fetch(len(candidates), avg)
-		if err != nil {
-			return err
-		}
-		rt.Stats.DiskFetch += fetch
-		rt.wall.lap(stageDiskFetch)
-
-		match, _, err := r.searchFS2(u, candidates, rt)
-		if err != nil {
-			return err
-		}
-		// Within the chunk, the fetched stream passes through FS2 on the
-		// fly (the Double Buffer): the slower side dominates.
-		mTime := fetch
-		if match > mTime {
-			mTime = match
-		}
-		matchChunks = append(matchChunks, mTime)
-	}
-	rt.Stats.FS1Scan += access
-	rt.Stats.Chunks = len(scanChunks)
-	rt.Stats.Total = pipelineTime(access, scanChunks, matchChunks)
-	return nil
-}
-
-// retrieveFS2All streams the whole clause file through FS2 — mode (c).
-// The Double Buffer overlaps each clause's matching with the next
-// clause's transfer, so the stream time is computed per clause:
-//
-//	access + xfer₀ + Σᵢ₌₁ max(xferᵢ, matchᵢ₋₁) + match_last
-func (r *Retriever) retrieveFS2All(goal term.Term, pred *Predicate, rt *Retrieval, u *boardUnit) error {
-	all := pred.File.All()
-	rt.Stats.AfterFS1 = len(all)
-	rt.Stats.ClauseBytes = pred.File.SizeBytes()
-	diskTime, err := u.drive.Scan(pred.File.SizeBytes())
-	if err != nil {
-		return err
-	}
-	rt.wall.lap(stageDiskFetch)
-	_, q, err := r.encodeQuery(goal, rt)
-	if err != nil {
-		return err
-	}
-	if _, err := u.bus.SelectFS2(fs2.ModeSetQuery); err != nil {
-		return err
-	}
-	if err := u.board.SetQuery(q); err != nil {
-		return err
-	}
-	_, clauseTimes, err := r.searchFS2(u, all, rt)
-	if err != nil {
-		return err
-	}
-	xfers := make([]time.Duration, len(all))
-	for i, sc := range all {
-		xfers[i] = r.cfg.Disk.TransferTime(sc.SizeBytes)
-	}
-	rt.Stats.DiskFetch = diskTime
-	rt.Stats.Total = pipelineTime(r.cfg.Disk.AccessTime(), xfers, clauseTimes)
-	return nil
 }
 
 // pipelineTime models the double-buffered stream: transfer of clause i
@@ -1083,60 +902,6 @@ func pipelineTime(access time.Duration, xfers, matches []time.Duration) time.Dur
 		total += matches[n-1]
 	}
 	return total
-}
-
-// searchFS2 drives the §3 register protocol for one stream of clause
-// records through the leased board (the query must already be set),
-// appends the satisfiers to rt.Candidates and returns the stream's match
-// time plus per-clause times (for pipeline accounting).
-func (r *Retriever) searchFS2(u *boardUnit, in []*clausefile.StoredClause, rt *Retrieval) (time.Duration, []time.Duration, error) {
-	records := make([]fs2.Record, len(in))
-	for i, sc := range in {
-		records[i] = fs2.Record{Addr: sc.Addr, Enc: sc.Head}
-	}
-	// The Result Memory bounds one FS2 search call (§3.2: "the worst case
-	// of a single FS2 search call" is one disk track). The CRS issues the
-	// stream in batches the satisfier counter can always accommodate, so
-	// no satisfier is ever lost to the 6-bit counter.
-	var matchTime time.Duration
-	var clauseTimes []time.Duration
-	var addrs []uint32
-	for start := 0; start < len(records); start += fs2.ResultSlots {
-		end := start + fs2.ResultSlots
-		if end > len(records) {
-			end = len(records)
-		}
-		if _, err := u.bus.SelectFS2(fs2.ModeSearch); err != nil {
-			return 0, nil, err
-		}
-		res, err := u.board.Search(records[start:end])
-		if err != nil {
-			return 0, nil, err
-		}
-		matchTime += res.MatchTime
-		clauseTimes = append(clauseTimes, res.ClauseTimes...)
-		rt.Stats.FS2RejectsLevel += res.RejectsLevel
-		rt.Stats.FS2RejectsXB += res.RejectsXB
-		if res.Overflowed {
-			rt.Stats.Overflowed = true
-		}
-		if _, err := u.bus.SelectFS2(fs2.ModeReadResult); err != nil {
-			return 0, nil, err
-		}
-		batch, err := u.board.ReadResult()
-		if err != nil {
-			return 0, nil, err
-		}
-		addrs = append(addrs, batch...)
-	}
-	rt.Stats.FS2Match += matchTime
-	matched, err := rt.pred.File.ByAddrs(addrs)
-	if err != nil {
-		return 0, nil, err
-	}
-	rt.Candidates = append(rt.Candidates, matched...)
-	rt.wall.lap(stageFS2Match)
-	return matchTime, clauseTimes, nil
 }
 
 // ptuConfigFor maps an FS2 microprogram to the equivalent software

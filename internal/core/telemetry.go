@@ -19,7 +19,7 @@ import (
 // predicate size, chunk count or engine:
 //
 //	retrieve       predicate, mode, board, candidates [degraded, retries, error]
-//	├─ board_lease slot           (wall time waiting for a free unit)
+//	├─ board_lease slot           (wall time waiting for a free unit; sim engine only)
 //	├─ encode      cache=hit|miss (query-cache probe + SCW/PIF encode)
 //	├─ fs1_scan    survivors, chunks (index scan through FS1, disk-bound)
 //	├─ disk_fetch  bytes          (clause records off disk)
@@ -89,8 +89,9 @@ type coreMetrics struct {
 	errors        *telemetry.Counter
 	retrievalSim  map[SearchMode]*telemetry.Histogram
 	retrievalWall map[SearchMode]*telemetry.Histogram
-	// stageWall[stageLease] is the lease-wait histogram; the stages with no
-	// hardware analogue have no sim series observed.
+	// stageWall[stageLease] is the lease-wait histogram (observed on the
+	// sim engine only: a native retrieval leases nothing); the stages with
+	// no hardware analogue have no sim series observed.
 	stageSim  [numStages]*telemetry.Histogram
 	stageWall [numStages]*telemetry.Histogram
 
@@ -153,7 +154,7 @@ func newCoreMetrics(reg *telemetry.Registry) *coreMetrics {
 		telemetry.Labels{"stage": "after_fs2"})
 	m.chunks = reg.Counter("clare_pipeline_chunks_total", "FS1→FS2 pipeline chunks streamed", nil)
 	m.overflows = reg.Counter("clare_result_overflows_total", "retrievals that overflowed the Result Memory", nil)
-	m.boardsBusy = reg.Gauge("clare_boards_busy", "board units currently leased", nil)
+	m.boardsBusy = reg.Gauge("clare_boards_busy", "retrievals executing on the engine now (sim: board units leased; native: retrievals in flight)", nil)
 	m.retriesC = reg.Counter("clare_retrieval_retries_total", "retrieval attempts re-run after an injected fault", nil)
 	m.degraded = map[string]*telemetry.Counter{
 		"fs2": reg.Counter("clare_degraded_retrievals_total", "retrievals that fell down the degradation ladder, by rung",

@@ -265,7 +265,6 @@ func TestUnappliableWriteNeverLogged(t *testing.T) {
 func TestWritesRaceReaders(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Engine = core.EngineNative
-	cfg.Boards = 4
 	r, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -100,12 +100,14 @@ type Snapshot struct {
 	Served map[core.SearchMode]int
 	// Sessions is the number of currently open sessions.
 	Sessions int
-	// Boards is the configured chassis width.
+	// Boards is the configured chassis width (0 on the native engine,
+	// which builds no chassis).
 	Boards int
 	// QueryCache is the retriever's query-encoding cache state.
 	QueryCache core.QueryCacheStats
 	// Health is the board pool's current health (trips, re-admissions,
-	// units free/leased/tripped).
+	// units free/leased/tripped); all zero on the native engine, so STATS
+	// reads boards 0 / boards.* 0 there.
 	Health core.Health
 	// Degraded counts served retrievals that fell down the degradation
 	// ladder (any rung); Retries and Faults are the total retry attempts
@@ -160,12 +162,13 @@ func (s *Server) Snapshot() Snapshot {
 	s.statsMu.Lock()
 	degraded, retries, faults := s.degraded, s.retries, s.faults
 	s.statsMu.Unlock()
+	health := s.retriever.Health()
 	sn := Snapshot{
 		Served:        s.Served(),
 		Sessions:      s.Sessions(),
-		Boards:        s.retriever.Boards(),
+		Boards:        health.Boards,
 		QueryCache:    s.retriever.QueryCache(),
-		Health:        s.retriever.Health(),
+		Health:        health,
 		Degraded:      degraded,
 		Retries:       retries,
 		Faults:        faults,

@@ -11,6 +11,7 @@ package disk
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"clare/internal/fault"
@@ -128,6 +129,30 @@ func (s *Stats) Add(other Stats) {
 	s.Accesses += other.Accesses
 	s.Elapsed += other.Elapsed
 	s.Faults += other.Faults
+}
+
+// Totals sums the Stats of drives whose owners have finished with them. It
+// is safe for concurrent use: a retrieval accounts on a Drive it owns —
+// no synchronisation on that path — and adds the drive's Stats here once,
+// so aggregate readers take no lock that retrievals share.
+type Totals struct{ bytes, accesses, elapsed, faults atomic.Int64 }
+
+// Add folds s into the totals.
+func (t *Totals) Add(s Stats) {
+	t.bytes.Add(s.BytesRead)
+	t.accesses.Add(int64(s.Accesses))
+	t.elapsed.Add(int64(s.Elapsed))
+	t.faults.Add(int64(s.Faults))
+}
+
+// Stats reports the totals so far.
+func (t *Totals) Stats() Stats {
+	return Stats{
+		BytesRead: t.bytes.Load(),
+		Accesses:  int(t.accesses.Load()),
+		Elapsed:   time.Duration(t.elapsed.Load()),
+		Faults:    int(t.faults.Load()),
+	}
 }
 
 // driveMetrics are the drive's registry handles; the zero value (all nil)

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -178,5 +179,34 @@ func TestScanTimeMonotone(t *testing.T) {
 			t.Errorf("ScanTime(%d) = %v not increasing", n, got)
 		}
 		prev = got
+	}
+}
+
+// TestTotalsConcurrentAdd: drives owned by concurrent goroutines fold into
+// one Totals without a lock and nothing is lost.
+func TestTotalsConcurrentAdd(t *testing.T) {
+	var tot Totals
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				d := NewDrive(FujitsuM2351A)
+				if _, err := d.Scan(1000); err != nil {
+					t.Error(err)
+				}
+				tot.Add(d.Stats)
+			}
+		}()
+	}
+	wg.Wait()
+	d := NewDrive(FujitsuM2351A)
+	if _, err := d.Scan(1000); err != nil {
+		t.Fatal(err)
+	}
+	want := Stats{BytesRead: 800 * d.Stats.BytesRead, Accesses: 800 * d.Stats.Accesses, Elapsed: 800 * d.Stats.Elapsed}
+	if got := tot.Stats(); got != want {
+		t.Errorf("totals = %+v, want %+v", got, want)
 	}
 }

@@ -160,20 +160,3 @@ func (b *Bus) FS2() *fs2.Engine { return b.fs2 }
 func (b *Bus) String() string {
 	return fmt.Sprintf("vme control=0b%08b board=%v", b.ReadControl(), b.Selected())
 }
-
-// Chassis is a card cage holding several CLARE buses — the paper's
-// single-board VME setup generalised to a multi-board configuration.
-// Each slot's bus (and the FS2 board behind it) is independent; slot 0
-// reproduces the original one-board chassis.
-type Chassis struct {
-	buses []*Bus
-}
-
-// NewChassis assembles a chassis from the given buses, in slot order.
-func NewChassis(buses ...*Bus) *Chassis { return &Chassis{buses: buses} }
-
-// Slots returns the number of occupied slots.
-func (c *Chassis) Slots() int { return len(c.buses) }
-
-// Slot returns the bus in slot i.
-func (c *Chassis) Slot(i int) *Bus { return c.buses[i] }
