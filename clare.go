@@ -93,11 +93,6 @@ type Options struct {
 	// vectorized host engine: identical candidates, wall-clock
 	// throughput as the first-class metric, no cycle model for FS2).
 	Engine string
-	// ScanWorkers sets how many goroutines a native FS1 columnar scan is
-	// partitioned across (0 derives GOMAXPROCS, negative forces serial).
-	// Results are bit-identical at any worker count; the sim engine
-	// ignores it.
-	ScanWorkers int
 	// Out receives Prolog output (write/1 etc.); nil means os.Stdout.
 	Out io.Writer
 }
@@ -147,7 +142,6 @@ func NewKB(opts Options) (*KB, error) {
 		Boards:             opts.Boards,
 		StreamChunkEntries: opts.StreamChunkEntries,
 		QueryCacheSize:     opts.QueryCacheSize,
-		ScanWorkers:        opts.ScanWorkers,
 	}
 	if opts.Planner {
 		cfg.Planner = plan.New(plan.Config{})

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"text/tabwriter"
 	"time"
 
@@ -22,7 +21,7 @@ import (
 )
 
 func tab() *tabwriter.Writer {
-	return tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	return tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 }
 
 // expT1 derives Table 1 from the datapath routes and compares with the
@@ -55,7 +54,7 @@ func expT1() error {
 // expFigures prints the per-route timing calculations of Figures 6–12.
 func expFigures() error {
 	for _, op := range fs2.Breakdowns() {
-		fmt.Println(op.Breakdown())
+		fmt.Fprintln(out, op.Breakdown())
 	}
 	return nil
 }
@@ -134,8 +133,8 @@ func expTA1() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("\nexample PIF compilation of p(foo, 42, X, [a|T], f(X)):")
-	fmt.Println(e)
+	fmt.Fprintln(out, "\nexample PIF compilation of p(foo, 42, X, [a|T], f(X)):")
+	fmt.Fprintln(out, e)
 	return nil
 }
 
@@ -185,7 +184,7 @@ func expR2() error {
 // expD1 sweeps arity past the 12-argument encoding limit and codeword
 // width, measuring false drops after FS1 and after FS2.
 func expD1() error {
-	fmt.Println("arity sweep (facts differ only in their LAST argument; query is fully ground):")
+	fmt.Fprintln(out, "arity sweep (facts differ only in their LAST argument; query is fully ground):")
 	w := tab()
 	fmt.Fprintln(w, "arity\tafter FS1\tafter FS1+FS2\ttrue\tFS1 false-drop %")
 	for _, arity := range []int{4, 8, 12, 13, 16} {
@@ -212,7 +211,7 @@ func expD1() error {
 		return err
 	}
 
-	fmt.Println("\ncodeword width sweep (1024 facts over 512 keys; mean over 32 non-matching ground probes):")
+	fmt.Fprintln(out, "\ncodeword width sweep (1024 facts over 512 keys; mean over 32 non-matching ground probes):")
 	w = tab()
 	fmt.Fprintln(w, "width (bits)\tmean candidates after FS1\tfalse-drop %")
 	for _, width := range []int{8, 16, 24, 32, 48, 64} {
@@ -274,7 +273,7 @@ func expD2() error {
 // expM1 compares the four search modes on fact- and rule-intensive KBs.
 func expM1() error {
 	run := func(label string, clauses []core.ClauseTerm, goal term.Term) error {
-		fmt.Printf("%s:\n", label)
+		fmt.Fprintf(out, "%s:\n", label)
 		r, err := core.New(core.DefaultConfig())
 		if err != nil {
 			return err
@@ -297,7 +296,6 @@ func expM1() error {
 			us := func(d time.Duration) string { return d.Round(time.Microsecond).String() }
 			fmt.Fprintf(w, "%v\t%d\t%d\t%d\t%s\t%s\t%s\t%s\t%s\n",
 				m, s.AfterFS1, s.AfterFS2, trueU, us(s.FS1Scan), us(s.DiskFetch), us(s.FS2Match), us(s.HostMatch), us(s.Total))
-			record("M1", fmt.Sprintf("%s_%v_sim_us", label[:4], m), float64(s.Total.Microseconds()), "us")
 		}
 		if err := w.Flush(); err != nil {
 			return err
@@ -306,7 +304,7 @@ func expM1() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("heuristic mode for this query: %v\n\n", core.ChooseMode(goal, pred))
+		fmt.Fprintf(out, "heuristic mode for this query: %v\n\n", core.ChooseMode(goal, pred))
 		return nil
 	}
 	rel := workload.Relation{Name: "emp", Facts: 4096, Domain: 256, Arity: 3, Seed: 3}
@@ -345,14 +343,12 @@ func expW1() error {
 		}
 		fmt.Fprintf(w, "%g\t%d\t%d\t%d\t%d\t%v\n",
 			scale, len(preds), clauses, bytes, len(rt.Candidates), rt.Stats.Total.Round(time.Microsecond))
-		record("W1", fmt.Sprintf("scale%g_sim_us_per_probe", scale),
-			float64(rt.Stats.Total.Microseconds()), "us")
 	}
 	if err := w.Flush(); err != nil {
 		return err
 	}
 	p, rl, f := (workload.WarrenKB{Scale: 1}).Dimensions()
-	fmt.Printf("(paper's full target: %d predicates, %d rules, %d facts, ≈30 MB)\n", p, rl, f)
+	fmt.Fprintf(out, "(paper's full target: %d predicates, %d rules, %d facts, ≈30 MB)\n", p, rl, f)
 	return nil
 }
 
@@ -436,9 +432,9 @@ func expL15() error {
 }
 
 // expB1 runs the PDBM benchmark suite (refs [6,7]): selection scaling,
-// join, update and LIPS.
+// join, update and the naive-reverse inference count.
 func expB1() error {
-	fmt.Println("selection: ground probe vs growing KB (refs [6,7]; the footnote's ≈60k-clause ceiling motivated PDBM):")
+	fmt.Fprintln(out, "selection: ground probe vs growing KB (refs [6,7]; the footnote's ≈60k-clause ceiling motivated PDBM):")
 	pts, err := pdbmbench.Selection(
 		[]int{1024, 4096, 16384},
 		[]core.SearchMode{core.ModeSoftware, core.ModeFS1FS2})
@@ -458,22 +454,21 @@ func expB1() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\njoin: emp(512) ⋈ dept(32) through the engine: %d answers, %d inferences\n",
+	fmt.Fprintf(out, "\njoin: emp(512) ⋈ dept(32) through the engine: %d answers, %d inferences\n",
 		jr.Answers, jr.Inferences)
 
 	ur, err := pdbmbench.Update(1000, 8, 25)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("update: %d asserts in %d transactions → %d clauses (indexes rebuilt per commit)\n",
+	fmt.Fprintf(out, "update: %d asserts in %d transactions → %d clauses (indexes rebuilt per commit)\n",
 		ur.Asserted, ur.Transactions, ur.FinalClauses)
 
 	lr, err := pdbmbench.NaiveReverse(30, 20)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("nrev(30)×20: %d inferences in %v wall — %.0f LIPS (host engine, this machine)\n",
-		lr.Inferences, lr.Wall.Round(time.Millisecond), lr.LIPS)
+	fmt.Fprintf(out, "nrev(30)×20: %d inferences (host engine)\n", lr.Inferences)
 	return nil
 }
 
@@ -567,10 +562,10 @@ func expWCS() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("WCS capacity: %d words × %d bits; program %q occupies %d words\n",
+	fmt.Fprintf(out, "WCS capacity: %d words × %d bits; program %q occupies %d words\n",
 		fs2.WCSWords, fs2.MicrowordBits, prog.Name, len(prog.Words))
-	fmt.Printf("Map ROM: %d type-pair jump vectors installed\n\n", prog.ROM.Len())
-	fmt.Println(prog.Listing())
+	fmt.Fprintf(out, "Map ROM: %d type-pair jump vectors installed\n\n", prog.ROM.Len())
+	fmt.Fprintln(out, prog.Listing())
 	return nil
 }
 
@@ -708,14 +703,12 @@ func expCONC() error {
 			}
 			fmt.Fprintf(w, "%d\t%d\t%v\t%.1f\t%.2fx\n",
 				boards, clients, makespan.Round(time.Millisecond), qps, qps/baseline)
-			record("CONC", fmt.Sprintf("boards%d_clients%d_sim_qps", boards, clients), qps, "queries/s")
 		}
-		noteBoards(boards)
 	}
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	fmt.Println("(service times measured on real retrievals; schedule is the closed multi-client model)")
+	fmt.Fprintln(out, "(service times measured on real retrievals; schedule is the closed multi-client model)")
 	return nil
 }
 
@@ -759,7 +752,6 @@ func expFLT() error {
 
 	w := tab()
 	fmt.Fprintln(w, "scenario\tretrievals\tfaults\tretries\tdegraded fs2\tdegraded host\ttripped\tcorrect")
-	var totalDegraded, totalRetries float64
 	for _, sc := range scenarios {
 		cfg := core.DefaultConfig()
 		cfg.Boards = sc.boards
@@ -808,17 +800,10 @@ func expFLT() error {
 		h := r.Health()
 		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d/%d\n",
 			sc.name, queries, faults, retries, degFS2, degHost, h.Tripped, correct, queries)
-		record("FLT", sc.name+"_faults", float64(faults), "faults")
-		record("FLT", sc.name+"_degraded", float64(degFS2+degHost), "retrievals")
-		record("FLT", sc.name+"_retries", float64(retries), "attempts")
-		totalDegraded += float64(degFS2 + degHost)
-		totalRetries += float64(retries)
 	}
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	record("FLT", "degraded", totalDegraded, "retrievals")
-	record("FLT", "retries", totalRetries, "attempts")
-	fmt.Println("(every scenario returns the full true-unifier set; degradation trades time, never answers)")
+	fmt.Fprintln(out, "(every scenario returns the full true-unifier set; degradation trades time, never answers)")
 	return nil
 }

@@ -2,50 +2,14 @@ package main
 
 import (
 	"fmt"
-	"net"
-	"sort"
-	"sync/atomic"
 	"time"
 
-	"clare/internal/cluster"
 	"clare/internal/core"
-	"clare/internal/crs"
 	"clare/internal/parse"
 	"clare/internal/plan"
 	"clare/internal/term"
 	"clare/internal/workload"
 )
-
-// expPLAN evaluates the adaptive cost-based planner in two parts.
-//
-// Mode selection: a mixed workload no single static mode suits —
-// selective ground probes over a fact relation (FS1 territory), ground
-// probes over a rule-intensive predicate whose masked index entries
-// defeat FS1 (FS2 territory), the shared-variable married_couple(S,S)
-// pathology (§2.1: the codeword filter passes everything), and all-
-// variable scans (any filter is pure overhead). Every query runs under
-// each static mode and under the planner; the scoreboard is end-to-end
-// simulated cost — the retrieval's simulated time plus the host
-// unification the returned candidates still owe (at the simulator's own
-// SoftwareMatchCost; software mode already paid it in-retrieval). The
-// planner must reach at least the best static mode; on a genuinely
-// mixed workload it should beat it, because no static mode wins every
-// family.
-//
-// Tail latency: a real 1-shard × 2-replica cluster in which each
-// replica sits behind a proxy that delays roughly one reply in twenty
-// by 40ms, independently — a random per-request tail (GC pause, page
-// fault), which load-aware replica scoring cannot route around because
-// neither replica is slow on average. Hedged and unhedged routers serve
-// the same sequential workload; hedging must cut the observed P99,
-// because a duplicate fired at the P99 budget only loses when both
-// replicas stall at once.
-func expPLAN() error {
-	if err := planModeSelection(); err != nil {
-		return err
-	}
-	return planHedging()
-}
 
 // planWorkload is the mixed goal set with the predicates it runs over.
 type planWorkload struct {
@@ -101,7 +65,20 @@ func funnelCost(rt *core.Retrieval, mode core.SearchMode, hostUnit time.Duration
 	return c
 }
 
-func planModeSelection() error {
+// expPLAN evaluates the adaptive cost-based planner's mode selection on
+// a mixed workload no single static mode suits — selective ground probes
+// over a fact relation (FS1 territory), ground probes over a
+// rule-intensive predicate whose masked index entries defeat FS1 (FS2
+// territory), the shared-variable married_couple(S,S) pathology (§2.1:
+// the codeword filter passes everything), and all-variable scans (any
+// filter is pure overhead). Every query runs under each static mode and
+// under the planner; the scoreboard is end-to-end simulated cost — the
+// retrieval's simulated time plus the host unification the returned
+// candidates still owe (at the simulator's own SoftwareMatchCost;
+// software mode already paid it in-retrieval). The planner must reach at
+// least 0.9× the best static mode; on a genuinely mixed workload it
+// should beat it, because no static mode wins every family.
+func expPLAN() error {
 	w := buildPlanWorkload()
 	hostUnit := core.DefaultConfig().SoftwareMatchCost
 	modes := []core.SearchMode{core.ModeSoftware, core.ModeFS1, core.ModeFS2, core.ModeFS1FS2}
@@ -173,216 +150,18 @@ func planModeSelection() error {
 	}
 
 	ctr := pr.Planner().Counters()
-	fmt.Printf("\nplanner decisions: ")
+	fmt.Fprintf(out, "\nplanner decisions: ")
 	for pm := plan.Mode(0); pm < plan.NumModes; pm++ {
-		fmt.Printf("%s=%d ", pm, ctr.ByMode[pm])
+		fmt.Fprintf(out, "%s=%d ", pm, ctr.ByMode[pm])
 	}
-	fmt.Printf("(shared-var codeword skips %d, observations %d)\n", ctr.SharedVarSkips, ctr.Observations)
-
-	record("PLAN", "planner_sim_qps", qps, "queries/s")
-	record("PLAN", "static_best_sim_qps", best, "queries/s")
-	record("PLAN", "static_worst_sim_qps", worst, "queries/s")
-	record("PLAN", "plan_vs_best", qps/best, "x")
-	record("PLAN", "plan_vs_worst", qps/worst, "x")
-	record("PLAN", "sharedvar_skips", float64(ctr.SharedVarSkips), "count")
-	fmt.Printf("planner %.2fx the best static mode, %.2fx the worst (>= 0.9x best required)\n",
+	fmt.Fprintf(out, "(shared-var codeword skips %d, observations %d)\n", ctr.SharedVarSkips, ctr.Observations)
+	fmt.Fprintf(out, "planner %.2fx the best static mode, %.2fx the worst (>= 0.9x best required)\n",
 		qps/best, qps/worst)
 	if ctr.SharedVarSkips == 0 {
 		return fmt.Errorf("PLAN: no shared-variable goal skipped the codeword filter")
 	}
 	if qps < 0.9*best {
 		return fmt.Errorf("PLAN: planner %.0f sim qps under 0.9x the best static mode (%.0f)", qps, best)
-	}
-	return nil
-}
-
-// slowProxy forwards TCP bytes to a backend, stalling the reply to one
-// request in `every` by `delay` — an intermittently slow replica (GC
-// pause, page fault): fast enough on average that load-aware scoring
-// keeps it in rotation, occasionally pathological. Requests are counted
-// as newline-terminated client lines, so the stall schedule is exact
-// regardless of how replies fragment into TCP reads.
-type slowProxy struct {
-	l       net.Listener
-	backend string
-	delay   time.Duration
-	every   int64
-	n       atomic.Int64
-	stall   atomic.Bool
-}
-
-func newSlowProxy(backend string, delay time.Duration, every int64) (*slowProxy, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	p := &slowProxy{l: l, backend: backend, delay: delay, every: every}
-	go p.serve()
-	return p, nil
-}
-
-func (p *slowProxy) addr() string { return p.l.Addr().String() }
-func (p *slowProxy) close()       { p.l.Close() }
-
-func (p *slowProxy) serve() {
-	for {
-		c, err := p.l.Accept()
-		if err != nil {
-			return
-		}
-		go p.handle(c)
-	}
-}
-
-func (p *slowProxy) handle(client net.Conn) {
-	backend, err := net.Dial("tcp", p.backend)
-	if err != nil {
-		client.Close()
-		return
-	}
-	go func() {
-		buf := make([]byte, 32<<10)
-		for {
-			n, err := client.Read(buf)
-			if n > 0 {
-				for _, b := range buf[:n] {
-					if b == '\n' && p.n.Add(1)%p.every == 0 {
-						p.stall.Store(true)
-					}
-				}
-				if _, werr := backend.Write(buf[:n]); werr != nil {
-					break
-				}
-			}
-			if err != nil {
-				break
-			}
-		}
-		backend.Close()
-		client.Close()
-	}()
-	buf := make([]byte, 32<<10)
-	for {
-		n, err := backend.Read(buf)
-		if n > 0 {
-			if p.stall.CompareAndSwap(true, false) {
-				time.Sleep(p.delay)
-			}
-			if _, werr := client.Write(buf[:n]); werr != nil {
-				break
-			}
-		}
-		if err != nil {
-			break
-		}
-	}
-	client.Close()
-	backend.Close()
-}
-
-func planHedging() error {
-	const (
-		queries = 600
-		delay   = 40 * time.Millisecond
-		every   = 50
-	)
-	rel := workload.Relation{Name: "hpred", Facts: 400, Domain: 40, Arity: 2, Seed: 11}
-	clauses := rel.Clauses()
-
-	// Two identical replicas of the one shard, each behind its own
-	// intermittently slow proxy (independent delay schedules).
-	var addrs []string
-	var closers []func()
-	defer func() {
-		for _, c := range closers {
-			c()
-		}
-	}()
-	for rep := 0; rep < 2; rep++ {
-		r, err := core.New(core.DefaultConfig())
-		if err != nil {
-			return err
-		}
-		if _, err := r.AddClauses("plan", clauses); err != nil {
-			return err
-		}
-		cs := crs.NewServer(r)
-		if err := cs.Adopt(); err != nil {
-			return err
-		}
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		go cs.Serve(l)
-		closers = append(closers, func() { l.Close() })
-		proxy, err := newSlowProxy(l.Addr().String(), delay, every)
-		if err != nil {
-			return err
-		}
-		// Offset the second schedule so the replicas do not stall in
-		// lockstep.
-		proxy.n.Store(int64(rep) * every / 2)
-		closers = append(closers, proxy.close)
-		addrs = append(addrs, proxy.addr())
-	}
-
-	run := func(hedge bool) (p99 float64, hedges, wins int64, err error) {
-		router, err := cluster.NewRouter(cluster.Config{
-			Shards:      [][]string{addrs},
-			WireTimeout: 2 * time.Second,
-			CallTimeout: 2 * time.Second,
-			Hedge:       hedge,
-			HedgeFloor:  2 * time.Millisecond,
-		})
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		defer router.Close()
-		walls := make([]time.Duration, 0, queries)
-		for i := 0; i < queries; i++ {
-			goal := fmt.Sprintf("hpred(k%d, V)", i%rel.Domain)
-			start := time.Now()
-			if _, err := router.Retrieve("auto", goal); err != nil {
-				return 0, 0, 0, err
-			}
-			walls = append(walls, time.Since(start))
-		}
-		stats, err := router.Stats()
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
-		rank := (99*len(walls) + 99) / 100 // nearest-rank ceil(0.99 n)
-		if rank > len(walls) {
-			rank = len(walls)
-		}
-		p99 = float64(walls[rank-1].Microseconds()) / 1000
-		return p99, stats["cluster.hedges"], stats["cluster.hedge.wins"], nil
-	}
-
-	unhedged, _, _, err := run(false)
-	if err != nil {
-		return err
-	}
-	hedged, hedges, wins, err := run(true)
-	if err != nil {
-		return err
-	}
-	improvement := unhedged / hedged
-	fmt.Printf("\ntail latency, 1 shard x 2 replicas, each replica ~%d%% slow by %v:\n", 100/every, delay)
-	fmt.Printf("  unhedged P99 %.1f ms, hedged P99 %.1f ms (%.1fx; %d hedges fired, %d won)\n",
-		unhedged, hedged, improvement, hedges, wins)
-	record("PLAN", "hedge_unhedged_p99_ms", unhedged, "ms")
-	record("PLAN", "hedge_hedged_p99_ms", hedged, "ms")
-	record("PLAN", "hedge_p99_improvement", improvement, "x")
-	record("PLAN", "hedges_fired", float64(hedges), "count")
-	if hedges == 0 {
-		return fmt.Errorf("PLAN: no hedge fired against the slow replica")
-	}
-	if improvement < 1.5 {
-		return fmt.Errorf("PLAN: hedging improved P99 only %.2fx (unhedged %.1fms, hedged %.1fms), want >= 1.5x",
-			improvement, unhedged, hedged)
 	}
 	return nil
 }

@@ -35,9 +35,7 @@
 // parallel without a board to lease, STATS reports boards 0, and the
 // flags that size the chassis or price its clock (-boards above 1,
 // -planner) are refused with it.
-// -scan-workers partitions each native FS1 columnar scan across that
-// many goroutines (results identical at any count; scan.workers in
-// STATS). -kb is loaded from a read-only mapping of the file where the
+// -kb is loaded from a read-only mapping of the file where the
 // platform has mmap (store.mapped=1 in STATS) and from the file read
 // into memory elsewhere; either way predicates view the image in place.
 //
@@ -112,7 +110,6 @@ func main() {
 	planner := flag.Bool("planner", false, "arm the adaptive cost-based mode planner for auto-mode retrievals (-engine sim only: it prices simulated time)")
 	plannerStats := flag.String("planner-stats", "", "planner statistics snapshot path (default: <kb>.plan next to -kb; no snapshot without -kb)")
 	latWindow := flag.Int("latency-window", 0, "per-predicate latency samples kept for quantiles (0 = default)")
-	scanWorkers := flag.Int("scan-workers", 0, "goroutines per native FS1 columnar scan (0 = GOMAXPROCS, negative = serial; results are identical at any count)")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory: enables the durable write path (WRITE/SYNC/REPL) and replays the log over the loaded store at startup")
 	walFsync := flag.String("wal-fsync", "always", "WAL fsync policy: always, never, or a flush interval like 50ms")
 	replica := flag.Bool("replica", false, "serve as a read-only replica: client writes are rejected, only REPL applies records")
@@ -160,7 +157,6 @@ func main() {
 		cfg.Faults = inj
 		logg.Info("fault injection armed", "rules", strings.Join(faultSpecs, " "), "seed", *faultSeed)
 	}
-	cfg.ScanWorkers = *scanWorkers
 	// The recorder must be armed before the retriever is built — the
 	// retriever copies its Config at construction.
 	var flight *telemetry.FlightRecorder

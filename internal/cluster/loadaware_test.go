@@ -11,15 +11,13 @@ import (
 
 // TestProbeDiscoversBackendCapability arms a connection against a
 // native-engine backend: the one-shot STATS probe must latch the
-// engine kind and scan-worker count, and the service-time prior must
-// drop accordingly.
+// engine kind, and the service-time prior must drop accordingly.
 func TestProbeDiscoversBackendCapability(t *testing.T) {
 	cfg := core.DefaultConfig()
 	var err error
 	if cfg.Engine, err = core.ParseEngine("native"); err != nil {
 		t.Fatal(err)
 	}
-	cfg.ScanWorkers = 4
 	r, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -51,9 +49,6 @@ func TestProbeDiscoversBackendCapability(t *testing.T) {
 	}
 	if !n.native.Load() {
 		t.Error("native engine not discovered through STATS probe")
-	}
-	if got := n.workers.Load(); got != 4 {
-		t.Errorf("scan workers = %d, want 4", got)
 	}
 	if est := n.serviceEstimate(nil); est >= simServicePrior {
 		t.Errorf("native service estimate %v not under the sim prior %v", est, simServicePrior)

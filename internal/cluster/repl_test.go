@@ -6,6 +6,7 @@ import (
 	"net"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -109,7 +110,8 @@ func retrieveDirect(t *testing.T, addr, goal string) []string {
 
 // TestRoutedWriteReplicates: autocommit writes routed through the
 // cluster land on the shard primary, ship to every replica, and leave
-// identical candidate sets on all three nodes.
+// identical candidate sets on all three nodes — also when the writes,
+// and retrievals beside them, come from concurrent clients.
 func TestRoutedWriteReplicates(t *testing.T) {
 	preds := []testPred{facts("wr", 4)}
 	rs := startReplSet(t, 2, preds)
@@ -160,6 +162,50 @@ func TestRoutedWriteReplicates(t *testing.T) {
 	}
 	if kv["cluster.wal.lag.max"] != 0 {
 		t.Errorf("cluster.wal.lag.max = %d, want 0 after catch-up", kv["cluster.wal.lag.max"])
+	}
+
+	// The same under concurrent churn: four clients assert, retract their
+	// oldest and retrieve while the shippers run; no call fails, and the
+	// replicas converge to the primary once the log drains.
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			var mine []string
+			for i := 0; i < 60; i++ {
+				var err error
+				switch {
+				case i%3 != 0:
+					_, err = r.Retrieve("auto", fmt.Sprintf("wr(e%d, V)", i%4))
+				case len(mine) > 3:
+					_, err = r.Retract(mine[0])
+					mine = mine[1:]
+				default:
+					clause := fmt.Sprintf("wr(c%d_%d, churn)", c, i)
+					_, err = r.Assert(clause)
+					mine = append(mine, clause)
+				}
+				if err != nil {
+					t.Errorf("client %d, op %d under churn: %v", c, i, err)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	r.CatchUpReplication()
+	head := rs.srvs[0].AppliedSeq()
+	if head != 6+4*20 {
+		t.Errorf("primary at seq %d after the churn, want %d", head, 6+4*20)
+	}
+	want = retrieveDirect(t, rs.addrs[0], "wr(X, Y)")
+	for i := 1; i < len(rs.addrs); i++ {
+		if got := rs.srvs[i].AppliedSeq(); got != head {
+			t.Errorf("replica %d applied seq = %d after the churn, primary at %d", i, got, head)
+		}
+		if got := retrieveDirect(t, rs.addrs[i], "wr(X, Y)"); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("replica %d diverges from primary after the churn:\n  got  %v\n  want %v", i, got, want)
+		}
 	}
 }
 

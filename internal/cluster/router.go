@@ -49,13 +49,11 @@ const (
 
 // Service-time priors used to score a replica before the router holds
 // latency samples for it: the native vectorized engine answers about an
-// order of magnitude faster than the cycle-accurate simulation, and
-// partitioned scan workers shave the large scans further. Learned from
-// each backend's STATS (engine.native, scan.workers) at pool-arm time.
+// order of magnitude faster than the cycle-accurate simulation. Learned
+// from each backend's STATS (engine.native) at pool-arm time.
 const (
 	simServicePrior    = time.Millisecond
 	nativeServicePrior = 200 * time.Microsecond
-	maxWorkerCredit    = 8
 )
 
 // Config parameterises a Router.
@@ -153,7 +151,6 @@ type node struct {
 	outstanding atomic.Int64
 	probed      atomic.Bool
 	native      atomic.Bool
-	workers     atomic.Int64
 }
 
 // group is one shard's replica set; nodes[0] is the primary (see
@@ -295,8 +292,8 @@ func (r *Router) Close() {
 // own transparent retry disabled — failover policy belongs to the
 // router, which wants to move to a replica, not hammer the same node.
 // The first fresh dial ever armed also probes the backend's STATS for
-// its service-time capability (engine.native, scan.workers); the probe
-// is one-shot per node and best-effort.
+// its service-time capability (engine.native); the probe is one-shot per
+// node and best-effort.
 func (n *node) get(cfg Config) (*crs.Client, bool, error) {
 	n.mu.Lock()
 	if k := len(n.idle); k > 0 {
@@ -314,9 +311,6 @@ func (n *node) get(cfg Config) (*crs.Client, bool, error) {
 	if n.probed.CompareAndSwap(false, true) {
 		if m, perr := c.StatsWithTimeout(cfg.WireTimeout); perr == nil {
 			n.native.Store(m["engine.native"] == 1)
-			if w := m["scan.workers"]; w > 0 {
-				n.workers.Store(w)
-			}
 		} else {
 			// The probe consumed the connection's health; hand the caller
 			// a clean dial and let the real call decide the node's fate.
@@ -402,17 +396,10 @@ func (n *node) serviceEstimate(r *Router) time.Duration {
 			return p90
 		}
 	}
-	est := simServicePrior
 	if n.native.Load() {
-		est = nativeServicePrior
-		if w := n.workers.Load(); w > 1 {
-			if w > maxWorkerCredit {
-				w = maxWorkerCredit
-			}
-			est /= time.Duration(w)
-		}
+		return nativeServicePrior
 	}
-	return est
+	return simServicePrior
 }
 
 // score is the node's expected queueing cost for one more request:

@@ -256,7 +256,7 @@ func TestStitchedTraceOverWire(t *testing.T) {
 // TestStitchedTraceSurvivesFailover: with one replica killed after the
 // pool warmed, the traced retrieval still succeeds and the stitched tree
 // shows the dead attempt (a net span with an error attr) next to the
-// successful one.
+// successful one, under a span annotated with the failover count.
 func TestStitchedTraceSurvivesFailover(t *testing.T) {
 	preds := testPreds()
 	tc := startTracedCluster(t, 2, 2, preds)
@@ -285,8 +285,11 @@ func TestStitchedTraceSurvivesFailover(t *testing.T) {
 		t.Errorf("failover lost clauses: got %d, want %d", len(res.Clauses), len(p.clauses))
 	}
 	checkSpanTree(t, res.Spans)
-	var nets, failed int
+	var nets, failed, annotated int
 	for _, ws := range res.Spans {
+		if ws.Attrs["failovers"] != "" {
+			annotated++
+		}
 		if ws.Name != "net" {
 			continue
 		}
@@ -295,8 +298,8 @@ func TestStitchedTraceSurvivesFailover(t *testing.T) {
 			failed++
 		}
 	}
-	if nets < 2 || failed == 0 {
-		t.Errorf("failover not visible in trace: %d net spans, %d failed", nets, failed)
+	if nets < 2 || failed == 0 || annotated == 0 {
+		t.Errorf("failover not visible in trace: %d net spans, %d failed, %d spans with a failovers attr", nets, failed, annotated)
 	}
 	if names := spanNames(res.Spans); names["retrieve"] == 0 {
 		t.Errorf("surviving replica's pipeline spans missing (have %v)", names)

@@ -50,15 +50,13 @@ import (
 )
 
 // nativeArena is the per-retrieval scratch state of the native engine:
-// the partitioned scan buffer (merged survivors + one ScanBuf and task
-// slot per worker partition), an FS2 matcher with embedded variable
-// stores, and the drive ledger the retrieval accounts on. Arenas are
-// recycled through Retriever.natPool, so steady-state retrievals allocate
-// nothing on the scan or match paths — at any worker count, since the
-// per-partition buffers live in the arena too.
+// the scan buffer, an FS2 matcher with embedded variable stores, and the
+// drive ledger the retrieval accounts on. Arenas are recycled through
+// Retriever.natPool, so steady-state retrievals allocate nothing on the
+// scan or match paths.
 type nativeArena struct {
-	pbuf scw.ParScanBuf
-	nm   *fs2.NativeMatcher
+	buf scw.ScanBuf
+	nm  *fs2.NativeMatcher
 	// drive prices and counts this retrieval's disk traffic and probes the
 	// drive fault sites, keyed as the one-board chassis keyed its spindle.
 	// Its handles into the registry are shared; its Stats are the
@@ -109,18 +107,18 @@ func (r *Retriever) searchNative(mode SearchMode, goal term.Term, pred *Predicat
 	return err
 }
 
-// retrieveFS1Native is mode (b) on the native engine: a partitioned
-// columnar sweep of the secondary file (up to ScanWorkers goroutines,
-// survivors merged in partition order — bit-identical to a serial scan),
-// then a position-indexed gather of the surviving clause records with
-// exact-size fetch accounting.
+// retrieveFS1Native is mode (b) on the native engine: one serial columnar
+// sweep of the secondary file, then a position-indexed gather of the
+// surviving clause records with exact-size fetch accounting. Concurrent
+// retrievals are the engine's parallelism; a partitioned sweep measured
+// slower than this one (DESIGN.md §11).
 func (r *Retriever) retrieveFS1Native(goal term.Term, pred *Predicate, rt *Retrieval, a *nativeArena) error {
 	qd, _, err := r.encodeQuery(goal, rt)
 	if err != nil {
 		return err
 	}
-	pred.File.Index().Columnar().ParScanInto(qd, r.ScanWorkers(), r.scanPool, &a.pbuf)
-	buf := &a.pbuf.Out
+	buf := &a.buf
+	pred.File.Index().Columnar().ScanInto(qd, buf)
 	rt.Stats.IndexBytes = buf.BytesScanned
 	diskIndex, err := a.drive.IndexScan(buf.BytesScanned)
 	if err != nil {
@@ -199,7 +197,7 @@ func (r *Retriever) retrieveFS1FS2Native(goal term.Term, pred *Predicate, rt *Re
 		return err
 	}
 	rt.wall.lap(stageFS2Match)
-	buf := &a.pbuf.Out
+	buf := &a.buf
 	ix.Columnar().ScanRangeInto(qd, 0, n, buf)
 	rt.Stats.IndexBytes = buf.BytesScanned
 	rt.Stats.AfterFS1 = len(buf.Pos)

@@ -221,16 +221,19 @@ func TestEngineDifferentialGenerated(t *testing.T) {
 // workload on both engines, including the shared-variable and miss
 // goals.
 func TestEngineDifferentialFamily(t *testing.T) {
-	clauses := make([]ClauseTerm, 120)
-	for i := range clauses {
-		a := term.Atom(fmt.Sprintf("husband%d", i))
-		b := term.Atom(fmt.Sprintf("wife%d", i))
-		if i%5 == 0 {
-			b = a
+	family := func(n int) []ClauseTerm {
+		clauses := make([]ClauseTerm, n)
+		for i := range clauses {
+			a := term.Atom(fmt.Sprintf("husband%d", i))
+			b := term.Atom(fmt.Sprintf("wife%d", i))
+			if i%5 == 0 {
+				b = a
+			}
+			clauses[i] = ClauseTerm{Head: term.New("married_couple", a, b)}
 		}
-		clauses[i] = ClauseTerm{Head: term.New("married_couple", a, b)}
+		return clauses
 	}
-	sim, native := buildEnginePair(t, DefaultConfig(), "family", clauses)
+	sim, native := buildEnginePair(t, DefaultConfig(), "family", family(120))
 	goals := []string{
 		"married_couple(husband7, wife7)",
 		"married_couple(husband10, X)",
@@ -241,6 +244,19 @@ func TestEngineDifferentialFamily(t *testing.T) {
 	for _, g := range goals {
 		for _, mode := range modes() {
 			diffRetrieve(t, sim, native, parse.MustTerm(g), mode)
+		}
+	}
+	// Mode fs1 over an index big enough that the partitioned kernel would
+	// split it: the server sweeps it serially, and the sweep is the board's.
+	sim, native = buildEnginePair(t, DefaultConfig(), "family", family(2*scw.ParScanMinEntries+7))
+	for _, g := range goals {
+		goal := parse.MustTerm(g)
+		diffRetrieve(t, sim, native, goal, ModeFS1)
+		// In mode fs1 the two ledgers agree to the nanosecond.
+		srt, _ := sim.Retrieve(goal, ModeFS1)
+		nrt, _ := native.Retrieve(goal, ModeFS1)
+		if srt.Stats != nrt.Stats {
+			t.Fatalf("fs1 %s: Stats sim %+v, native %+v", g, srt.Stats, nrt.Stats)
 		}
 	}
 }
@@ -277,13 +293,8 @@ func TestEngineDifferentialUnencodableGoal(t *testing.T) {
 
 // TestNativeKernelsZeroAlloc pins the native steady-state match path —
 // columnar scan plus native FS2 filtering through a pooled arena — at
-// zero allocations per retrieval once buffers have warmed up, at every
-// scan worker count (the partitioned path keeps per-worker survivor
-// buffers preallocated in the arena).
+// zero allocations per retrieval once buffers have warmed up.
 func TestNativeKernelsZeroAlloc(t *testing.T) {
-	prev := scw.ParScanMinEntries
-	scw.ParScanMinEntries = 64
-	t.Cleanup(func() { scw.ParScanMinEntries = prev })
 	clauses := make([]ClauseTerm, 512)
 	for i := range clauses {
 		clauses[i] = ClauseTerm{Head: term.New("p",
@@ -311,24 +322,20 @@ func TestNativeKernelsZeroAlloc(t *testing.T) {
 	}
 	col := pred.File.Index().Columnar()
 	rt.Candidates = make([]*clausefile.StoredClause, 0, pred.File.Len())
-	for _, workers := range []int{1, 2, 4, 8} {
-		r.SetScanWorkers(workers)
-		var survivors int
-		scan := func() {
-			col.ParScanInto(qd, r.ScanWorkers(), r.scanPool, &a.pbuf)
-			rt.Candidates = rt.Candidates[:0]
-			nativeFilter(a.nm, pred.File, len(a.pbuf.Out.Pos), a.pbuf.Out.Pos, rt)
-			survivors = len(rt.Candidates)
-		}
-		scan() // warm the pool and per-partition buffers
-		allocs := testing.AllocsPerRun(200, scan)
-		if survivors == 0 {
-			t.Fatalf("workers=%d: scan+match found nothing; kernel never exercised", workers)
-		}
-		if allocs != 0 {
-			t.Fatalf("workers=%d: native match path allocates %.1f times per retrieval, want 0",
-				workers, allocs)
-		}
+	var survivors int
+	scan := func() {
+		col.ScanInto(qd, &a.buf)
+		rt.Candidates = rt.Candidates[:0]
+		nativeFilter(a.nm, pred.File, len(a.buf.Pos), a.buf.Pos, rt)
+		survivors = len(rt.Candidates)
+	}
+	scan() // warm the arena's buffers
+	allocs := testing.AllocsPerRun(200, scan)
+	if survivors == 0 {
+		t.Fatal("scan+match found nothing; kernel never exercised")
+	}
+	if allocs != 0 {
+		t.Fatalf("native match path allocates %.1f times per retrieval, want 0", allocs)
 	}
 }
 
@@ -403,8 +410,7 @@ func TestNativeEngineConfig(t *testing.T) {
 }
 
 // BenchmarkRetrieveEngines compares one FS1+FS2 retrieval end to end on
-// both engines (the clarebench NATIVE experiment measures the same split
-// at workload scale).
+// both engines.
 func BenchmarkRetrieveEngines(b *testing.B) {
 	clauses := make([]ClauseTerm, 4096)
 	for i := range clauses {

@@ -13,9 +13,7 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"clare/internal/clausefile"
@@ -161,15 +159,6 @@ type Config struct {
 	// refuses the settings that configure the simulated chassis or price
 	// its clock: Boards > 1 and Planner.
 	Engine Engine
-	// ScanWorkers is how many partitions a native FS1 columnar scan may
-	// split into, each swept by its own goroutine (0 derives GOMAXPROCS,
-	// negative forces 1 — fully serial; clamped to MaxScanWorkers).
-	// Candidates are bit-identical at any worker count: partitions are
-	// contiguous and merged in order. Small scans stay serial regardless
-	// (scw.ParScanMinEntries), as does mode fs1+fs2's sweep (concurrent
-	// retrievals are its parallelism), and the sim engine ignores this
-	// knob.
-	ScanWorkers int
 	// Planner, when non-nil, arms the adaptive cost-based planner: every
 	// clean retrieval's candidate funnel is folded into its per-predicate
 	// statistics store, and PlanMode (the auto-mode path in the CRS
@@ -186,8 +175,9 @@ type Config struct {
 	Flight *telemetry.FlightRecorder
 }
 
-// MaxScanWorkers bounds ScanWorkers (and the retriever's scan worker
-// pool): beyond this, partition handoff overhead dwarfs any win.
+// MaxScanWorkers sizes the scan worker pool bench/trace.go builds for
+// its scw.scan_par_us layer timing. Nothing in this package reads it:
+// bench/ is its only caller, and it goes with ROADMAP item 1(c).
 const MaxScanWorkers = 32
 
 // Fault-handling defaults.
@@ -268,11 +258,6 @@ type Retriever struct {
 	// natPool recycles per-retrieval native-engine arenas (scan buffer,
 	// matcher, drive ledger); idle in sim mode.
 	natPool sync.Pool
-	// scanPool runs native FS1 scan partitions; nil in sim mode. The
-	// worker count actually used per scan is scanWorkers, adjustable at
-	// runtime (SetScanWorkers) without rebuilding the retriever.
-	scanPool    *scw.ScanPool
-	scanWorkers atomic.Int32
 
 	// store pins the image MapRetriever loaded the predicates from (nil
 	// otherwise): they keep views into its bytes.
@@ -338,44 +323,10 @@ func NewWithSymbols(cfg Config, syms *symtab.Table) (*Retriever, error) {
 		r.natPool.Put(a)
 		// Later arenas cannot fail where the first did not.
 		r.natPool.New = func() any { a, _ := r.newArena(); return a }
-		// The pool bound is independent of the configured worker count so
-		// SetScanWorkers can sweep up to MaxScanWorkers at runtime;
-		// workers spawn lazily, so an over-sized bound is free.
-		r.scanPool = scw.NewScanPool(MaxScanWorkers - 1)
 	default:
 		return nil, fmt.Errorf("core: unknown engine %d", cfg.Engine)
 	}
-	r.scanWorkers.Store(int32(resolveScanWorkers(cfg.ScanWorkers)))
 	return r, nil
-}
-
-// resolveScanWorkers maps the config knob to an effective worker count.
-func resolveScanWorkers(n int) int {
-	switch {
-	case n == 0:
-		n = runtime.GOMAXPROCS(0)
-	case n < 0:
-		n = 1
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > MaxScanWorkers {
-		n = MaxScanWorkers
-	}
-	return n
-}
-
-// ScanWorkers reports the native scan's current worker count (1 when
-// serial; the sim engine never consults it).
-func (r *Retriever) ScanWorkers() int { return int(r.scanWorkers.Load()) }
-
-// SetScanWorkers changes the native scan's worker count at runtime
-// (clamped like Config.ScanWorkers; 0 re-derives GOMAXPROCS). It takes
-// effect on the next retrieval — candidates are bit-identical at any
-// setting, so it is safe to adjust under live traffic.
-func (r *Retriever) SetScanWorkers(n int) {
-	r.scanWorkers.Store(int32(resolveScanWorkers(n)))
 }
 
 // Metrics returns the registry the retriever was configured with (nil

@@ -195,7 +195,6 @@ func (r *Retriever) record(rt *Retrieval, start time.Time, tc *telemetry.TraceCo
 				AfterFS1:     st.AfterFS1,
 				AfterFS2:     st.AfterFS2,
 				Sim:          st.Total,
-				Wall:         rt.wall.total,
 			})
 		}
 	}

@@ -28,13 +28,11 @@ func newEngineServer(t *testing.T, engine core.Engine) *Server {
 // TestStatsEngineKey: the engine.native STATS key reports which engine
 // the server runs — 0 for the simulation, 1 for the native engine — and
 // a native server still answers retrievals over the wire.
-// TestStatsScanStoreKeys: scan.workers carries the resolved partitioned-
-// scan width (including runtime changes via SetScanWorkers) and
-// store.mapped distinguishes mmap-backed stores from heap-loaded ones —
-// 0 here, since the server's predicates were loaded in memory.
+// TestStatsScanStoreKeys: store.mapped distinguishes mmap-backed stores
+// from heap-loaded ones — 0 here, since the server's predicates were
+// loaded in memory.
 func TestStatsScanStoreKeys(t *testing.T) {
 	s := newEngineServer(t, core.EngineNative)
-	s.retriever.SetScanWorkers(4)
 	c, err := Dial(startWire(t, s))
 	if err != nil {
 		t.Fatal(err)
@@ -43,9 +41,6 @@ func TestStatsScanStoreKeys(t *testing.T) {
 	stats, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got, ok := stats["scan.workers"]; !ok || got != 4 {
-		t.Errorf("scan.workers = %d (present %v), want 4", got, ok)
 	}
 	if got, ok := stats["store.mapped"]; !ok || got != 0 {
 		t.Errorf("store.mapped = %d (present %v), want 0", got, ok)

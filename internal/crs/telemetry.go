@@ -118,9 +118,6 @@ type Snapshot struct {
 	// EngineNative reports whether the retriever runs the native
 	// vectorized engine rather than the cycle-accurate simulation.
 	EngineNative bool
-	// ScanWorkers is the resolved partitioned-scan width for native FS1
-	// scans (1 means serial; the sim engine ignores it).
-	ScanWorkers int
 	// StoreMapped reports whether the retriever's base store image is a
 	// read-only file mapping.
 	StoreMapped bool
@@ -173,7 +170,6 @@ func (s *Server) Snapshot() Snapshot {
 		Retries:       retries,
 		Faults:        faults,
 		EngineNative:  s.retriever.Engine() == core.EngineNative,
-		ScanWorkers:   s.retriever.ScanWorkers(),
 		StoreMapped:   s.retriever.StoreMapped(),
 		LatencyWindow: s.lat.Window(),
 		WALApplied:    s.applied.Load(),
@@ -237,7 +233,6 @@ func (sn Snapshot) lines() []statsKV {
 	}
 	kv = append(kv, statsKV{"engine.native", engine})
 	kv = append(kv,
-		statsKV{"scan.workers", int64(sn.ScanWorkers)},
 		statsKV{"store.mapped", b2i(sn.StoreMapped)},
 		statsKV{"latency.window", int64(sn.LatencyWindow)},
 	)

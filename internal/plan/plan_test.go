@@ -1,8 +1,10 @@
 package plan
 
 import (
+	"bytes"
 	"encoding/json"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -103,8 +105,7 @@ func randObs(rng *rand.Rand, p *Planner, n int) {
 		p.Observe(preds[rng.Intn(len(preds))], shapes[rng.Intn(len(shapes))],
 			Mode(rng.Intn(NumModes)), Observation{
 				TotalClauses: total, AfterFS1: a1, AfterFS2: a2,
-				Sim:  time.Duration(rng.Int63n(int64(time.Second))),
-				Wall: time.Duration(rng.Int63n(int64(time.Millisecond))),
+				Sim: time.Duration(rng.Int63n(int64(time.Second))),
 			})
 	}
 }
@@ -148,6 +149,31 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		for i := range dp {
 			if dp[i] != dq[i] {
 				t.Fatalf("seed %d: decision %d diverged after restore: %+v vs %+v", seed, i, dp[i], dq[i])
+			}
+		}
+
+		// A snapshot written before the wall-clock cost was withdrawn
+		// still carries "wall_ns" in every cell: it loads, and decides
+		// the same.
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := bytes.ReplaceAll(blob, []byte(`"sim_ns":`), []byte(`"wall_ns": 81234.5, "sim_ns":`))
+		if bytes.Equal(old, blob) {
+			t.Fatalf("seed %d: snapshot has no cell to rewrite", seed)
+		}
+		oldPath := filepath.Join(t.TempDir(), "old.plan")
+		if err := os.WriteFile(oldPath, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w := New(Config{})
+		if err := w.Load(oldPath); err != nil {
+			t.Fatalf("seed %d: snapshot with wall_ns: %v", seed, err)
+		}
+		for i, d := range decisions(w) {
+			if d != dp[i] {
+				t.Fatalf("seed %d: decision %d diverged on a snapshot with wall_ns: %+v vs %+v", seed, i, d, dp[i])
 			}
 		}
 	}

@@ -17,11 +17,8 @@ import (
 type ModeStats struct {
 	// Count is the lifetime observation count for the cell.
 	Count uint64 `json:"count"`
-	// SimNS and WallNS are EWMA-decayed per-retrieval costs: the
-	// simulated time the retrieval charged and the host wall time it
-	// took.
-	SimNS  float64 `json:"sim_ns"`
-	WallNS float64 `json:"wall_ns"`
+	// SimNS is the EWMA-decayed simulated time a retrieval charged.
+	SimNS float64 `json:"sim_ns"`
 	// SelFS1 is the EWMA fraction of the clause file surviving the FS1
 	// codeword scan (meaningful only for modes that run FS1). SelOut is
 	// the EWMA fraction the whole retrieval returned to the caller —
@@ -53,9 +50,8 @@ type Observation struct {
 	TotalClauses int
 	AfterFS1     int
 	AfterFS2     int
-	// Sim is the retrieval's simulated time, Wall its host time.
-	Sim  time.Duration
-	Wall time.Duration
+	// Sim is the retrieval's simulated time.
+	Sim time.Duration
 }
 
 // snapshot is the on-disk profile. The format is additive: unknown
@@ -101,7 +97,6 @@ func (p *Planner) observeLocked(pred string, shape Shape, mode Mode, o Observati
 	first := ms.Count == 0
 	ms.Count++
 	ms.SimNS = ewma(ms.SimNS, float64(o.Sim.Nanoseconds()), p.alpha, first)
-	ms.WallNS = ewma(ms.WallNS, float64(o.Wall.Nanoseconds()), p.alpha, first)
 	if o.TotalClauses > 0 {
 		n := float64(o.TotalClauses)
 		if mode.UsesFS1() {

@@ -216,8 +216,8 @@ func FuzzColumnarScan(f *testing.F) {
 }
 
 // BenchmarkScanReference and BenchmarkScanColumnar expose the FS1 kernel
-// speedup in isolation (the NATIVE clarebench experiment measures it
-// end to end).
+// speedup in isolation (bench/'s big_scan workload measures it end to
+// end).
 func benchIndex(b *testing.B, n int) (*Index, []QueryDescriptor) {
 	return buildGenIndex(b, 1, n, 16, 3, true)
 }

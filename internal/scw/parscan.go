@@ -6,9 +6,16 @@ import (
 	"time"
 )
 
-// Partitioned columnar scans. The 64-entry block layout is already
-// partition-friendly: a scan of [lo, hi) is the concatenation of scans of
-// any contiguous cover of [lo, hi), because each entry's match is decided
+// Partitioned columnar scans. No retrieval runs them: the server sweeps
+// serially (DESIGN.md §11) since the partitioned sweep measured 0.46× of
+// the serial one at two workers. This file and its tests stay only
+// because bench/trace.go compiles against NewScanPool, ParScanBuf,
+// ParScanInto and ParScanRangeInto for its scw.scan_par_us timing; they
+// go with ROADMAP item 1(c).
+//
+// The 64-entry block layout is already partition-friendly: a scan of
+// [lo, hi) is the concatenation of scans of any contiguous cover of
+// [lo, hi), because each entry's match is decided
 // by that entry alone (the blockOr summaries only short-circuit the
 // per-entry mask lookup, never change its outcome). ParScanRangeInto
 // exploits this: it splits the range into per-worker partitions aligned
@@ -17,14 +24,12 @@ import (
 // survivor positions in partition order. Since partitions are contiguous
 // and ordered, the merged output — positions, MaskedHits, entry/byte
 // accounting — is bit-identical to the serial ScanRangeInto at any
-// worker count, which columnar_test.go and the core differential oracle
-// enforce.
+// worker count, which columnar_test.go and parscan_test.go enforce.
 //
 // The pool exists because spawning a goroutine per scan allocates (the
-// runtime heap-allocates the closure context since Go 1.17), which would
-// break the native engine's zero-alloc discipline. Workers are started
-// lazily on first use, park on a channel between scans, and exit after
-// scanPoolIdle without work, so an idle retriever holds no goroutines.
+// runtime heap-allocates the closure context since Go 1.17). Workers are
+// started lazily on first use, park on a channel between scans, and exit
+// after scanPoolIdle without work, so an idle pool holds no goroutines.
 
 // ParScanMinEntries is the smallest partition worth handing to a worker:
 // below this, channel handoff and wakeup latency cost more than the scan
@@ -54,7 +59,7 @@ func (t *scanTask) run() {
 }
 
 // ScanPool runs scan partitions on a bounded set of persistent worker
-// goroutines shared by all scans of a retriever. A nil *ScanPool is
+// goroutines shared by all scans of its owner. A nil *ScanPool is
 // valid and means "no helpers": every ParScanRangeInto through it runs
 // serially on the caller.
 type ScanPool struct {
@@ -68,7 +73,8 @@ type ScanPool struct {
 // Workers spawn lazily and idle-exit, so an unused pool costs only its
 // channel — sizing the bound above GOMAXPROCS is harmless and keeps the
 // partitioned path exercisable on small hosts (concurrency without
-// parallelism).
+// parallelism). bench/trace.go is its only caller outside this package's
+// tests.
 func NewScanPool(helpers int) *ScanPool {
 	if helpers < 0 {
 		helpers = 0
@@ -91,7 +97,7 @@ func (p *ScanPool) MaxHelpers() int {
 }
 
 // LiveWorkers reports the currently running workers — a pool invariant
-// probe for the chaos tests: it never exceeds MaxHelpers by more than
+// probe for the tests: it never exceeds MaxHelpers by more than
 // the transient re-admission in the exit protocol.
 func (p *ScanPool) LiveWorkers() int {
 	if p == nil {
@@ -162,7 +168,8 @@ func (p *ScanPool) worker() {
 // output buffer, one ScanBuf per helper partition, and the preallocated
 // task slots. Like ScanBuf, a zero ParScanBuf is ready to use and reuse
 // amortises every internal allocation — steady-state partitioned scans
-// allocate nothing at any worker count.
+// allocate nothing at any worker count. bench/trace.go is its only user
+// outside this package's tests.
 type ParScanBuf struct {
 	// Out receives the merged survivors, bit-identical to what a serial
 	// ScanRangeInto over the same range would produce.
@@ -182,6 +189,7 @@ func (pb *ParScanBuf) ensure(k int) {
 }
 
 // ParScanInto scans the whole file with up to workers partitions.
+// bench/trace.go is its only caller outside this package's tests.
 func (c *Columnar) ParScanInto(qd QueryDescriptor, workers int, pool *ScanPool, pb *ParScanBuf) {
 	c.ParScanRangeInto(qd, 0, len(c.codes), workers, pool, pb)
 }
@@ -193,6 +201,7 @@ func (c *Columnar) ParScanInto(qd QueryDescriptor, workers int, pool *ScanPool, 
 // partitions are aligned to colBlock boundaries so every worker keeps
 // the unmasked-block fast path. The merged result is bit-identical to
 // ScanRangeInto over the same range regardless of the worker count.
+// bench/trace.go is its only caller outside this package's tests.
 func (c *Columnar) ParScanRangeInto(qd QueryDescriptor, lo, hi, workers int, pool *ScanPool, pb *ParScanBuf) {
 	if lo < 0 {
 		lo = 0

@@ -326,7 +326,7 @@ type SeriesValue struct {
 }
 
 // Gather snapshots every series in registration order — the machine-
-// readable export consumers like clarebench build their reports from.
+// readable export tests read registries back through.
 func (r *Registry) Gather() []SeriesValue {
 	if r == nil {
 		return nil
