@@ -31,7 +31,6 @@ import (
 	"clare/internal/engine"
 	"clare/internal/fs2"
 	"clare/internal/parse"
-	"clare/internal/plan"
 	"clare/internal/scw"
 	"clare/internal/term"
 )
@@ -67,31 +66,15 @@ type Options struct {
 	// CrossBinding toggles the FS2 cross-binding checks.
 	CrossBinding bool
 	// Mode pins the search mode for every retrieval; nil selects per
-	// query via the CRS heuristic (or the adaptive planner, see Planner).
+	// query via the CRS heuristic.
 	Mode *SearchMode
-	// Planner arms the adaptive cost-based mode planner: auto-mode
-	// retrievals (nil Mode) pick their search mode per query from
-	// learned per-predicate statistics instead of the static heuristic.
-	// Sim engine only (it prices simulated time); NewKB refuses it with
-	// Engine "native".
-	Planner bool
-	// Boards is the number of FS2 board + drive units in the simulated
-	// chassis (0 means 1 — the paper's single-board setup). Each
-	// concurrent retrieval leases one unit, so N boards serve N
-	// retrievals in parallel. The native engine builds no chassis, runs
-	// retrievals in parallel regardless, and refuses Boards > 1.
-	Boards int
-	// StreamChunkEntries sets how many secondary-file entries FS1 hands
-	// downstream per pipeline chunk in fs1+fs2 mode (0 derives one disk
-	// track's worth).
-	StreamChunkEntries int
-	// QueryCacheSize bounds the query-encoding cache (0 means the
-	// default; negative disables it).
-	QueryCacheSize int
-	// Engine selects the execution engine: "sim" (or empty — the
-	// cycle-accurate simulation, the default) or "native" (the
-	// vectorized host engine: identical candidates, wall-clock
-	// throughput as the first-class metric, no cycle model for FS2).
+	// Engine selects the execution engine: "sim" (or empty, the default)
+	// is the cycle-accurate simulation on the paper's one board, and
+	// "native" the vectorized host engine (identical candidates, no cycle
+	// model for FS2). The library defaults to the simulation, unlike the
+	// crsd daemon, because what it reports — FS2Stats, DiskStats, the
+	// per-stage simulated times examples/quickstart prints — is the
+	// simulated hardware.
 	Engine string
 	// Out receives Prolog output (write/1 etc.); nil means os.Stdout.
 	Out io.Writer
@@ -138,13 +121,7 @@ func NewKB(opts Options) (*KB, error) {
 			BitsPerKey: opts.CodewordBits,
 			MaskBits:   opts.MaskBits,
 		},
-		Microprogram:       mp,
-		Boards:             opts.Boards,
-		StreamChunkEntries: opts.StreamChunkEntries,
-		QueryCacheSize:     opts.QueryCacheSize,
-	}
-	if opts.Planner {
-		cfg.Planner = plan.New(plan.Config{})
+		Microprogram: mp,
 	}
 	var err error
 	if cfg.Engine, err = core.ParseEngine(opts.Engine); err != nil {
@@ -248,12 +225,11 @@ func (kb *KB) RetrieveAuto(goal string) (*Retrieval, error) {
 	return kb.session.Retrieve(g, nil)
 }
 
-// FS2Stats exposes the accumulated FS2 statistics, aggregated across
-// every board in the chassis.
+// FS2Stats exposes the accumulated FS2 statistics of the simulated board
+// (zero on the native engine, which drives none).
 func (kb *KB) FS2Stats() fs2.Stats { return kb.Retriever.FS2Stats() }
 
-// DiskStats exposes the accumulated simulated-disk statistics, aggregated
-// across every drive in the chassis.
+// DiskStats exposes the accumulated simulated-disk statistics.
 func (kb *KB) DiskStats() disk.Stats { return kb.Retriever.DiskStats() }
 
 // QueryCacheStats reports the query-encoding cache's hit/miss counters.

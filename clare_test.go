@@ -287,4 +287,8 @@ func TestNativeEngineFacade(t *testing.T) {
 	if _, err := NewKB(Options{Engine: "turbo"}); err == nil {
 		t.Error("Engine \"turbo\" accepted, want error")
 	}
+	// The library reports the simulated hardware: an empty Engine is sim.
+	if kb := newKB(t, Defaults()); kb.Retriever.Engine() != core.EngineSim {
+		t.Errorf("default facade engine = %v, want sim", kb.Retriever.Engine())
+	}
 }

@@ -65,6 +65,22 @@ func funnelCost(rt *core.Retrieval, mode core.SearchMode, hostUnit time.Duration
 	return c
 }
 
+// observe folds a clean retrieval into the planner's statistics store.
+// Degraded or faulted runs price the failure ladder, not the mode, so
+// they stay out of the learned profile.
+func observe(pl *plan.Planner, rt *core.Retrieval) {
+	st := &rt.Stats
+	if st.Degraded != "" || st.Faults != 0 {
+		return
+	}
+	pl.Observe(rt.Predicate, plan.ShapeOf(rt.Goal), plan.Mode(rt.Mode), plan.Observation{
+		TotalClauses: st.TotalClauses,
+		AfterFS1:     st.AfterFS1,
+		AfterFS2:     st.AfterFS2,
+		Sim:          st.Total,
+	})
+}
+
 // expPLAN evaluates the adaptive cost-based planner's mode selection on
 // a mixed workload no single static mode suits — selective ground probes
 // over a fact relation (FS1 territory), ground probes over a
@@ -83,23 +99,28 @@ func expPLAN() error {
 	hostUnit := core.DefaultConfig().SoftwareMatchCost
 	modes := []core.SearchMode{core.ModeSoftware, core.ModeFS1, core.ModeFS2, core.ModeFS1FS2}
 
-	static, err := core.New(core.DefaultConfig())
+	// One retriever serves both sides. The planner is primed by observing
+	// the static passes (what a warmed-up server has seen), then decides
+	// the mode of every goal in a last pass, observing each clean run.
+	r, err := core.New(core.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	if err := w.load(static); err != nil {
+	if err := w.load(r); err != nil {
 		return err
 	}
+	pl := plan.New()
 	tw := tab()
 	fmt.Fprintln(tw, "strategy\tqueries\tsim cost\tsim queries/s")
 	best, worst := 0.0, 0.0
 	for _, m := range modes {
 		var total time.Duration
 		for _, g := range w.goals {
-			rt, err := static.Retrieve(g, m)
+			rt, err := r.Retrieve(g, m)
 			if err != nil {
 				return err
 			}
+			observe(pl, rt)
 			total += funnelCost(rt, m, hostUnit)
 		}
 		qps := float64(len(w.goals)) / total.Seconds()
@@ -112,35 +133,19 @@ func expPLAN() error {
 		fmt.Fprintf(tw, "static %s\t%d\t%v\t%.0f\n", m, len(w.goals), total.Round(time.Microsecond), qps)
 	}
 
-	// The planner side: prime the statistics store by observing one pass
-	// per static mode (what a warmed-up server has seen), then run the
-	// workload with every mode chosen by the planner.
-	cfg := core.DefaultConfig()
-	cfg.Planner = plan.New(plan.Config{})
-	pr, err := core.New(cfg)
-	if err != nil {
-		return err
-	}
-	if err := w.load(pr); err != nil {
-		return err
-	}
-	for _, m := range modes {
-		for _, g := range w.goals {
-			if _, err := pr.Retrieve(g, m); err != nil {
-				return err
-			}
-		}
-	}
 	var total time.Duration
 	for _, g := range w.goals {
-		m, _, err := pr.PlanMode(g)
+		pred, err := r.Predicate(g)
 		if err != nil {
 			return err
 		}
-		rt, err := pr.Retrieve(g, m)
+		pi := core.Indicator{Functor: pred.File.Functor, Arity: pred.File.Arity}
+		m := core.SearchMode(pl.Decide(pi.String(), plan.ShapeOf(g), pred.File.Len(), pred.MaskedClauses).Mode)
+		rt, err := r.Retrieve(g, m)
 		if err != nil {
 			return err
 		}
+		observe(pl, rt)
 		total += funnelCost(rt, m, hostUnit)
 	}
 	qps := float64(len(w.goals)) / total.Seconds()
@@ -149,7 +154,7 @@ func expPLAN() error {
 		return err
 	}
 
-	ctr := pr.Planner().Counters()
+	ctr := pl.Counters()
 	fmt.Fprintf(out, "\nplanner decisions: ")
 	for pm := plan.Mode(0); pm < plan.NumModes; pm++ {
 		fmt.Fprintf(out, "%s=%d ", pm, ctr.ByMode[pm])

@@ -175,15 +175,13 @@ var statsSections = []struct {
 }{
 	{"service", func(k string) bool {
 		switch k {
-		case "sessions", "boards", "degraded", "retries", "faults":
+		case "sessions", "degraded", "retries", "faults":
 			return true
 		}
 		return false
 	}},
 	{"served", func(k string) bool { return strings.HasPrefix(k, "served.") }},
-	{"boards", func(k string) bool { return strings.HasPrefix(k, "boards.") }},
 	{"qcache", func(k string) bool { return strings.HasPrefix(k, "qcache.") }},
-	{"plan", func(k string) bool { return strings.HasPrefix(k, "plan.") }},
 	{"latency", func(k string) bool { return strings.HasPrefix(k, "latency.") }},
 	{"wal", func(k string) bool { return strings.HasPrefix(k, "wal.") }},
 	{"flight", func(k string) bool { return strings.HasPrefix(k, "flight.") }},
@@ -238,9 +236,6 @@ func printFlight(recs []telemetry.FlightRecord) {
 			time.Duration(r.WallNS).Round(time.Microsecond))
 		if r.Plan != "" {
 			line += "  plan=" + r.Plan
-		}
-		if r.Shape != "" {
-			line += "  shape=" + r.Shape
 		}
 		if r.TraceID != 0 {
 			line += fmt.Sprintf("  trace=%016x", r.TraceID)

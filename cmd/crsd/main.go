@@ -18,36 +18,27 @@
 // new connections are refused and in-flight sessions get -drain to
 // finish before being force-closed.
 //
-// Chaos testing: the repeatable -fault flag arms deterministic fault
-// injection (seeded by -fault-seed), e.g.
-//
-//	crsd -boards 4 -fault fs2.match@0=0.5 -fault disk.index=1/100 family.pl
-//
-// Board health and degradation tallies are visible in the wire STATS
-// reply (boards.*, degraded, retries, faults) and as
-// clare_boards_tripped / clare_degraded_retrievals_total etc. on
-// /metrics.
-//
-// -engine native swaps the cycle-accurate hardware simulation for the
-// vectorized host engine (same candidates, wall-clock as the first-class
-// metric); the active engine is visible as the engine.native STATS key.
-// The native engine builds no simulated chassis: its retrievals run in
-// parallel without a board to lease, STATS reports boards 0, and the
-// flags that size the chassis or price its clock (-boards above 1,
-// -planner) are refused with it.
+// The daemon serves the native engine: the vectorized host engine, which
+// builds no simulated chassis and runs retrievals in parallel (STATS key
+// engine.native 1). -engine sim is the explicit "reproduce the paper's
+// timings" mode: the cycle-accurate hardware simulation on the paper's
+// one board, returning the same candidates in the same order with the
+// same funnel, and pricing every stage in the modelled hardware's time.
+// -latency-window resizes the per-predicate latency sample windows
+// behind the admin /top quantiles (latency.window in STATS).
 // -kb is loaded from a read-only mapping of the file where the
 // platform has mmap (store.mapped=1 in STATS) and from the file read
 // into memory elsewhere; either way predicates view the image in place.
 //
-// -planner arms the adaptive cost-based mode planner: auto-mode
-// retrievals pick software/fs1/fs2/fs1+fs2 per query from learned
-// per-predicate statistics instead of the static heuristic, shared-
-// variable goals automatically skip the codeword filter (§2.1), and the
-// decision shows up in EXPLAIN (plan.*) and STATS (plan.*). The
-// statistics store snapshots to -planner-stats (default <kb>.plan next
-// to -kb) on drain and reloads on boot. -latency-window resizes the
-// per-predicate latency sample windows behind the admin /top quantiles
-// (latency.window in STATS).
+// Chaos testing: the repeatable -fault flag arms deterministic fault
+// injection (seeded by -fault-seed), e.g.
+//
+//	crsd -engine sim -fault fs2.match=0.5 -fault disk.index=1/100 family.pl
+//
+// The degradation tallies are visible in the wire STATS reply
+// (degraded, retries, faults) and as clare_degraded_retrievals_total
+// etc. on /metrics; the sim engine's board health is on /metrics
+// (clare_boards_tripped, clare_board_trips_total).
 //
 // Observability: the daemon self-diagnoses. -flight sizes the
 // always-on flight recorder (one compact record per retrieval, dumped
@@ -90,7 +81,6 @@ import (
 	"clare/internal/core"
 	"clare/internal/crs"
 	"clare/internal/fault"
-	"clare/internal/plan"
 	"clare/internal/plfile"
 	"clare/internal/telemetry"
 	"clare/internal/wal"
@@ -99,16 +89,13 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7071", "listen address")
 	admin := flag.String("admin", "", "admin HTTP address for /metrics, /trace and /debug/pprof (empty disables)")
-	boards := flag.Int("boards", 1, "FS2 board/drive units in the simulated chassis = concurrent retrievals (-engine sim only; native leases no board and runs retrievals in parallel)")
-	engine := flag.String("engine", "sim", "retrieval engine: sim (cycle-accurate) or native (vectorized, no simulated chassis)")
+	engine := flag.String("engine", "native", "retrieval engine: native (vectorized, retrievals in parallel) or sim (the cycle-accurate simulation on the paper's one board, to reproduce its timings)")
 	drain := flag.Duration("drain", 10*time.Second, "shutdown grace period for in-flight sessions")
 	traceBuf := flag.Int("trace-buf", telemetry.DefaultTraceRing, "retrieval traces kept for /trace")
 	var faultSpecs multiFlag
 	flag.Var(&faultSpecs, "fault", "arm a fault-injection rule, site[@key]=P or site[@key]=1/N[,limit=L] (repeatable)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the fault-injection schedule")
 	kb := flag.String("kb", "", "compiled knowledge-base store to load (kbc output; a shard slice works unchanged)")
-	planner := flag.Bool("planner", false, "arm the adaptive cost-based mode planner for auto-mode retrievals (-engine sim only: it prices simulated time)")
-	plannerStats := flag.String("planner-stats", "", "planner statistics snapshot path (default: <kb>.plan next to -kb; no snapshot without -kb)")
 	latWindow := flag.Int("latency-window", 0, "per-predicate latency samples kept for quantiles (0 = default)")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory: enables the durable write path (WRITE/SYNC/REPL) and replays the log over the loaded store at startup")
 	walFsync := flag.String("wal-fsync", "always", "WAL fsync policy: always, never, or a flush interval like 50ms")
@@ -127,14 +114,13 @@ func main() {
 	logJSON := flag.Bool("log-json", false, "emit the event log as JSON objects instead of logfmt lines")
 	flag.Parse()
 	if flag.NArg() == 0 && *kb == "" {
-		fmt.Fprintln(os.Stderr, "usage: crsd [-addr host:port] [-admin host:port] [-boards n] [-engine sim|native] [-kb store.clare] predicate.pl ...")
+		fmt.Fprintln(os.Stderr, "usage: crsd [-addr host:port] [-admin host:port] [-engine native|sim] [-kb store.clare] predicate.pl ...")
 		os.Exit(2)
 	}
 
 	logg := telemetry.NewLogger(os.Stdout, telemetry.ParseLevel(*logLevel), *logJSON).With("daemon", "crsd")
 
 	cfg := core.DefaultConfig()
-	cfg.Boards = *boards
 	eng, err := core.ParseEngine(*engine)
 	if err != nil {
 		fatal("%v", err)
@@ -163,25 +149,8 @@ func main() {
 	if *flightN > 0 {
 		flight = telemetry.NewFlightRecorder(*flightN)
 		cfg.Flight = flight
-	}
-	var pl *plan.Planner
-	plPath := *plannerStats
-	if *planner {
-		pl = plan.New(plan.Config{})
-		if plPath == "" && *kb != "" {
-			plPath = plan.DefaultSnapshotPath(*kb)
-		}
-		if plPath != "" {
-			if err := pl.Load(plPath); err != nil {
-				fatal("planner stats %s: %v", plPath, err)
-			}
-			logg.Info("planner armed", "predicates", pl.Predicates(), "stats", plPath)
-		} else {
-			logg.Info("planner armed", "stats", "memory-only")
-		}
-		cfg.Planner = pl
-	} else if plPath != "" {
-		fatal("-planner-stats needs -planner")
+	} else if *flightSnap != "" {
+		fatal("-flight-snap needs -flight > 0")
 	}
 	var r *core.Retriever
 	if *kb != "" {
@@ -359,13 +328,6 @@ func main() {
 			logg.Error("flight snapshot failed", "path", *flightSnap, "error", err)
 		} else {
 			logg.Info("flight snapshot written", "path", *flightSnap, "recorded", flight.Recorded())
-		}
-	}
-	if pl != nil && plPath != "" {
-		if err := pl.Save(plPath); err != nil {
-			logg.Error("planner stats save failed", "path", plPath, "error", err)
-		} else {
-			logg.Info("planner stats saved", "path", plPath, "predicates", pl.Predicates())
 		}
 	}
 	logg.Info("bye")

@@ -119,6 +119,8 @@ func main() {
 	}
 	if *flightN > 0 {
 		cfg.Flight = telemetry.NewFlightRecorder(*flightN)
+	} else if *flightSnap != "" {
+		fatal("-flight-snap needs -flight > 0")
 	}
 	var sloT *telemetry.SLOTracker
 	if *sloSpec != "" {
@@ -132,7 +134,7 @@ func main() {
 		logg.Info("slo armed", "objective", slo.String())
 	}
 	snapshotFlight := func() {
-		if *flightSnap == "" || cfg.Flight == nil {
+		if *flightSnap == "" {
 			return
 		}
 		if err := cfg.Flight.SnapshotToFile(*flightSnap); err != nil {

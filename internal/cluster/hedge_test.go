@@ -11,8 +11,8 @@ import (
 // delayProxy forwards TCP bytes to a backend, delaying every
 // backend-to-client chunk by a fixed duration once afterLine request
 // lines (client-to-backend newlines) have passed — afterLine 0 is a
-// uniformly slow replica, afterLine n lets the handshake, probe and
-// warm-up traffic through fast and stalls what follows.
+// uniformly slow replica, afterLine n lets the handshake and warm-up
+// traffic through fast and stalls what follows.
 type delayProxy struct {
 	l         net.Listener
 	backend   string
@@ -138,7 +138,7 @@ func TestHedgeCutsSlowReplica(t *testing.T) {
 }
 
 // TestHedgeAbortsInFlightArm stalls the slow replica only after the
-// handshake, probe and one warm request have passed, so the stalled
+// handshake and one warm request have passed, so the stalled
 // arm holds a pooled, registered connection mid-call when the hedge
 // wins. The winning return must not wait out the loser's reply —
 // cancellation severs the connection instead of negotiating QUIT
@@ -147,9 +147,9 @@ func TestHedgeAbortsInFlightArm(t *testing.T) {
 	p := facts("midflight", 8)
 	_, slow := startBackend(t, []testPred{p})
 	_, fast := startBackend(t, []testPred{p})
-	// Lines 1-3 are HELLO, the STATS probe and the warm retrieval;
-	// everything after stalls 30ms.
-	proxy := newDelayProxy(t, slow.Addr().String(), 30*time.Millisecond, 3)
+	// Lines 1-2 are HELLO and the warm retrieval; everything after
+	// stalls 30ms.
+	proxy := newDelayProxy(t, slow.Addr().String(), 30*time.Millisecond, 2)
 
 	r := newTestRouter(t, [][]string{{proxy.addr(), fast.Addr().String()}}, func(c *Config) {
 		c.Hedge = true

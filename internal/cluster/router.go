@@ -47,14 +47,10 @@ const (
 	DefaultHedgeFloor = 5 * time.Millisecond
 )
 
-// Service-time priors used to score a replica before the router holds
-// latency samples for it: the native vectorized engine answers about an
-// order of magnitude faster than the cycle-accurate simulation. Learned
-// from each backend's STATS (engine.native) at pool-arm time.
-const (
-	simServicePrior    = time.Millisecond
-	nativeServicePrior = 200 * time.Microsecond
-)
+// servicePrior scores a replica before the router holds latency samples
+// for it: every unsampled node is priced alike, so the outstanding count
+// alone ranks them.
+const servicePrior = 200 * time.Microsecond
 
 // Config parameterises a Router.
 type Config struct {
@@ -145,12 +141,8 @@ type node struct {
 	stale atomic.Bool
 
 	// Load-aware selection state: calls currently in flight against the
-	// node, plus the capability its backend reported through STATS the
-	// first time a connection was armed (probed latches the one-time
-	// probe).
+	// node.
 	outstanding atomic.Int64
-	probed      atomic.Bool
-	native      atomic.Bool
 }
 
 // group is one shard's replica set; nodes[0] is the primary (see
@@ -291,9 +283,6 @@ func (r *Router) Close() {
 // when one exists, a fresh dial otherwise. Pooled clients have their
 // own transparent retry disabled — failover policy belongs to the
 // router, which wants to move to a replica, not hammer the same node.
-// The first fresh dial ever armed also probes the backend's STATS for
-// its service-time capability (engine.native); the probe is one-shot per
-// node and best-effort.
 func (n *node) get(cfg Config) (*crs.Client, bool, error) {
 	n.mu.Lock()
 	if k := len(n.idle); k > 0 {
@@ -308,20 +297,6 @@ func (n *node) get(cfg Config) (*crs.Client, bool, error) {
 		return nil, false, err
 	}
 	c.MaxRetries = -1
-	if n.probed.CompareAndSwap(false, true) {
-		if m, perr := c.StatsWithTimeout(cfg.WireTimeout); perr == nil {
-			n.native.Store(m["engine.native"] == 1)
-		} else {
-			// The probe consumed the connection's health; hand the caller
-			// a clean dial and let the real call decide the node's fate.
-			c.Close()
-			c, err = crs.DialTimeout(n.addr, cfg.WireTimeout)
-			if err != nil {
-				return nil, false, err
-			}
-			c.MaxRetries = -1
-		}
-	}
 	return c, false, nil
 }
 
@@ -387,19 +362,15 @@ func (n *node) clear(r *Router) {
 }
 
 // serviceEstimate prices one request against the node: the router's
-// observed per-node P90 when it holds samples, a capability-derived
-// prior otherwise. r may be nil (tests); the prior then depends only on
-// the probe state.
+// observed per-node P90 when it holds samples, servicePrior otherwise
+// (and when r is nil, as in tests of the ordering rules).
 func (n *node) serviceEstimate(r *Router) time.Duration {
 	if r != nil {
 		if p90, ok := r.nodeLat.Quantile(n.addr, 0.90); ok && p90 > 0 {
 			return p90
 		}
 	}
-	if n.native.Load() {
-		return nativeServicePrior
-	}
-	return simServicePrior
+	return servicePrior
 }
 
 // score is the node's expected queueing cost for one more request:
@@ -1142,8 +1113,7 @@ func mergeStatsLines(acc, next, mode string) string {
 // Stats gathers every shard group's service counters (one reachable
 // replica per group, failover ladder applied) and sums them per key,
 // then overlays the router's own cluster.* counters. Numeric summing
-// makes served.*, faults, retries etc. cluster-wide aggregates; gauges
-// like boards.free become chassis totals across the cluster.
+// makes served.*, faults, retries etc. cluster-wide aggregates.
 func (r *Router) Stats() (map[string]int64, error) {
 	out := make(map[string]int64)
 	groupStats := make([]map[string]int64, 0, len(r.groups))

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"time"
 
-	"clare/internal/plan"
 	"clare/internal/telemetry"
 	"clare/internal/term"
 	"clare/internal/unify"
@@ -50,10 +49,6 @@ type Profile struct {
 	Wall time.Duration
 	// Trace is the retrieval's span tree (nil without a Tracer).
 	Trace *telemetry.Trace
-	// Plan is the adaptive planner's decision when the retrieval's mode
-	// was planned rather than requested (nil for explicit-mode calls and
-	// heuristic servers). It renders as the plan.* entry family.
-	Plan *plan.Decision
 }
 
 // Explain runs one retrieval in the given mode and derives its profile.
@@ -159,30 +154,5 @@ func (p *Profile) Entries() []ExplainEntry {
 	if st.Faults > 0 {
 		out = append(out, ExplainEntry{"faults", fmt.Sprint(st.Faults)})
 	}
-	if d := p.Plan; d != nil {
-		// The plan.* family is appended, never interleaved, so old
-		// clients (and the fuzz whitelist) keep parsing planner replies.
-		out = append(out,
-			ExplainEntry{"plan.mode", d.Mode.String()},
-			ExplainEntry{"plan.shape", shapeText(d.Shape)},
-			ExplainEntry{"plan.reason", d.Reason},
-			ExplainEntry{"plan.learned", strconv.FormatBool(d.Learned)},
-		)
-		for pm := plan.Mode(0); pm < plan.NumModes; pm++ {
-			out = append(out, ExplainEntry{
-				"plan.est." + pm.String(),
-				time.Duration(d.Est[pm]).String(),
-			})
-		}
-	}
 	return out
-}
-
-// shapeText renders a shape for the wire; "-" stands for the empty
-// (0-arity) shape since EXPLAIN values cannot be empty strings.
-func shapeText(s plan.Shape) string {
-	if s == "" {
-		return "-"
-	}
-	return string(s)
 }

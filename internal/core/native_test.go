@@ -10,7 +10,6 @@ import (
 	"clare/internal/fs2"
 	"clare/internal/parse"
 	"clare/internal/pif"
-	"clare/internal/plan"
 	"clare/internal/scw"
 	"clare/internal/symtab"
 	"clare/internal/term"
@@ -372,29 +371,24 @@ func TestNativeEngineConfig(t *testing.T) {
 	if _, err := New(cfg); err != nil {
 		t.Fatalf("sim engine rejected MPLevel5: %v", err)
 	}
-	for name, set := range map[string]func(*Config){
-		"Boards > 1": func(c *Config) { c.Boards = 2 },
-		"a planner":  func(c *Config) { c.Planner = plan.New(plan.Config{}) },
-	} {
-		cfg := DefaultConfig()
-		set(&cfg)
-		if _, err := New(cfg); err != nil {
-			t.Fatalf("sim engine rejected %s: %v", name, err)
-		}
-		cfg.Engine = EngineNative
-		if _, err := New(cfg); err == nil || strings.Contains(err.Error(), "\n") {
-			t.Fatalf("native engine with %s: err = %v, want a one-line refusal", name, err)
-		}
+	cfg = DefaultConfig()
+	cfg.Boards = 2
+	if _, err := New(cfg); err != nil {
+		t.Fatalf("sim engine rejected Boards > 1: %v", err)
+	}
+	cfg.Engine = EngineNative
+	if _, err := New(cfg); err == nil || strings.Contains(err.Error(), "\n") {
+		t.Fatalf("native engine with Boards > 1: err = %v, want a one-line refusal", err)
 	}
 	cfg = DefaultConfig()
 	cfg.Engine = EngineNative
-	cfg.Boards = 1 // crsd's -boards default
+	cfg.Boards = 1 // the paper's one board is accepted
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h := r.Health(); r.Boards() != 0 || r.pool != nil || h.Boards != 0 || h.Units != nil || r.FS2Stats() != (fs2.Stats{}) {
-		t.Fatalf("native retriever describes a chassis: boards %d, health %+v", r.Boards(), h)
+	if h := r.Health(); r.pool != nil || h.Boards != 0 || h.Units != nil || r.FS2Stats() != (fs2.Stats{}) {
+		t.Fatalf("native retriever describes a chassis: health %+v", h)
 	}
 	cfg.Engine = Engine(42)
 	if _, err := New(cfg); err == nil {

@@ -9,14 +9,12 @@ import (
 	"clare/internal/term"
 )
 
-// plannerRetriever builds a planner-armed retriever over a mixed KB: a
-// selective fact relation, a rule-intensive predicate whose masked
-// index entries defeat FS1, and the §2.1 shared-variable family.
+// plannerRetriever builds a retriever over a mixed KB: a selective fact
+// relation, a rule-intensive predicate whose masked index entries defeat
+// FS1, and the §2.1 shared-variable family.
 func plannerRetriever(t *testing.T) *Retriever {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Planner = plan.New(plan.Config{})
-	r, err := New(cfg)
+	r, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,15 +55,31 @@ func plannerRetriever(t *testing.T) *Retriever {
 	return r
 }
 
-// TestPlannerDifferentialOracle is the planner's correctness oracle:
-// on a mixed workload, every goal's true-unifier count under the
-// planner-chosen mode must equal its count under each of the four
-// static modes — at every point of the planner's learning curve, since
-// the rounds keep feeding cost observations between decisions. Shaped
-// goals with shared variables must additionally never be planned onto
-// an FS1 rung (the codeword filter passes everything for them, §2.1).
+// observe folds a clean retrieval into the planner, the way the ledger's
+// PLAN section does.
+func observe(p *plan.Planner, rt *Retrieval) {
+	if rt.Stats.Degraded != "" || rt.Stats.Faults != 0 {
+		return
+	}
+	p.Observe(rt.Predicate, plan.ShapeOf(rt.Goal), plan.Mode(rt.Mode), plan.Observation{
+		TotalClauses: rt.Stats.TotalClauses,
+		AfterFS1:     rt.Stats.AfterFS1,
+		AfterFS2:     rt.Stats.AfterFS2,
+		Sim:          rt.Stats.Total,
+	})
+}
+
+// TestPlannerDifferentialOracle is the planner's correctness oracle,
+// with the planner driven as a library over a retriever: on a mixed
+// workload, every goal's true-unifier count under the planner-chosen
+// mode must equal its count under each of the four static modes — at
+// every point of the planner's learning curve, since the rounds keep
+// feeding cost observations between decisions. Shaped goals with shared
+// variables must additionally never be planned onto an FS1 rung (the
+// codeword filter passes everything for them, §2.1).
 func TestPlannerDifferentialOracle(t *testing.T) {
 	r := plannerRetriever(t)
+	p := plan.New()
 	goals := []string{
 		"orel(k3, V)",
 		"orel(k11, V)",
@@ -91,6 +105,7 @@ func TestPlannerDifferentialOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("round %d %s %v: %v", round, g, mode, err)
 				}
+				observe(p, rt)
 				trueU, _, err := rt.Evaluate()
 				if err != nil {
 					t.Fatal(err)
@@ -103,21 +118,22 @@ func TestPlannerDifferentialOracle(t *testing.T) {
 				}
 			}
 
-			m, d, err := r.PlanMode(goal)
+			pi, pred, err := r.lookup(goal)
 			if err != nil {
-				t.Fatalf("round %d %s: PlanMode: %v", round, g, err)
+				t.Fatal(err)
 			}
-			if d == nil {
-				t.Fatalf("round %d %s: no planner decision despite armed planner", round, g)
-			}
-			if plan.ShapeOf(goal).HasShared() && d.Mode.UsesFS1() {
+			shape := plan.ShapeOf(goal)
+			d := p.Decide(pi.String(), shape, pred.File.Len(), pred.MaskedClauses)
+			if shape.HasShared() && d.Mode.UsesFS1() {
 				t.Errorf("round %d %s: shared-variable goal planned onto %v (codeword filter is blind to it)",
 					round, g, d.Mode)
 			}
+			m := SearchMode(d.Mode)
 			rt, err := r.Retrieve(goal, m)
 			if err != nil {
 				t.Fatalf("round %d %s planner(%v): %v", round, g, m, err)
 			}
+			observe(p, rt)
 			gotTrue, _, err := rt.Evaluate()
 			if err != nil {
 				t.Fatal(err)
@@ -128,7 +144,7 @@ func TestPlannerDifferentialOracle(t *testing.T) {
 			}
 		}
 	}
-	if skips := r.Planner().Counters().SharedVarSkips; skips == 0 {
+	if skips := p.Counters().SharedVarSkips; skips == 0 {
 		t.Error("no shared-variable codeword skip recorded across the oracle workload")
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"clare/internal/fs2"
 	"clare/internal/mmapfile"
 	"clare/internal/pif"
-	"clare/internal/plan"
 	"clare/internal/ptu"
 	"clare/internal/scw"
 	"clare/internal/symtab"
@@ -152,22 +151,14 @@ type Config struct {
 	// RetryBackoff is the wait before the first retry, doubling per
 	// further attempt (0 means 200µs).
 	RetryBackoff time.Duration
-	// Engine selects the execution engine: EngineSim (the default, the
-	// cycle-accurate hardware simulation) or EngineNative (the vectorized
-	// host fast path with identical results). Native mode requires a
-	// microprogram the native matcher supports (no DescendFull) and
-	// refuses the settings that configure the simulated chassis or price
-	// its clock: Boards > 1 and Planner.
+	// Engine selects the execution engine: EngineSim (the zero value,
+	// the cycle-accurate hardware simulation the paper ledger and the
+	// tests build from) or EngineNative (the vectorized host fast path
+	// with identical results, what crsd serves by default). Native mode
+	// requires a microprogram the native matcher supports (no
+	// DescendFull) and refuses Boards > 1, which sizes the simulated
+	// chassis.
 	Engine Engine
-	// Planner, when non-nil, arms the adaptive cost-based planner: every
-	// clean retrieval's candidate funnel is folded into its per-predicate
-	// statistics store, and PlanMode (the auto-mode path in the CRS
-	// server and the Source facade) asks it to pick the search mode
-	// instead of the static ChooseMode heuristic. Nil — the default —
-	// costs one nil check per retrieval. Sim engine only: the planner
-	// prices simulated time, and the native ledger charges FS2 match at
-	// zero.
-	Planner *plan.Planner
 	// Flight, when non-nil, receives one compact FlightRecord per
 	// retrieval — the always-on black box the /flight dumps and
 	// crash/SLO-breach snapshots are built from. Nil — the default —
@@ -307,14 +298,11 @@ func NewWithSymbols(cfg Config, syms *symtab.Table) (*Retriever, error) {
 		}
 	case EngineNative:
 		// Fail fast on what the native engine cannot run, rather than on
-		// the first retrieval: the settings that size the simulated
-		// chassis or price its clock, and — building the first arena — a
-		// microprogram its matcher lacks.
+		// the first retrieval: a simulated chassis of more than one board,
+		// and — building the first arena — a microprogram its matcher
+		// lacks.
 		if cfg.Boards > 1 {
 			return nil, fmt.Errorf("core: %d boards need the sim engine: the native engine builds no chassis and serves retrievals in parallel without one", cfg.Boards)
-		}
-		if cfg.Planner != nil {
-			return nil, fmt.Errorf("core: the planner needs the sim engine: it prices simulated time, and the native ledger charges FS2 match at zero")
 		}
 		a, err := r.newArena()
 		if err != nil {
@@ -343,10 +331,6 @@ func (r *Retriever) Symbols() *symtab.Table { return r.syms }
 // Engine reports which execution engine the retriever runs.
 func (r *Retriever) Engine() Engine { return r.cfg.Engine }
 
-// Boards reports the chassis size: 0 on the native engine, which builds
-// none.
-func (r *Retriever) Boards() int { return r.Health().Boards }
-
 // FS2Stats aggregates FS2 statistics across every board in the chassis
 // (zero on the native engine, which drives no board). The snapshot is
 // taken under the pool lock from per-slot copies captured at board
@@ -361,9 +345,9 @@ func (r *Retriever) FS2Stats() fs2.Stats { return r.pool.fs2Snapshot() }
 func (r *Retriever) DiskStats() disk.Stats { return r.disk.Stats() }
 
 // Health reports the chassis's board-health snapshot: counts of free,
-// leased, and tripped units plus per-slot state — the data the CRS
-// daemon exposes through STATS and /metrics. The native engine has no
-// boards to lease or trip and reports the zero Health.
+// leased, and tripped units plus per-slot state (the same state the
+// clare_board* metrics publish). The native engine has no boards to
+// lease or trip and reports the zero Health.
 func (r *Retriever) Health() Health { return r.pool.health() }
 
 // QueryCache reports the query-encoding cache's counters.
@@ -561,8 +545,8 @@ type StageStats struct {
 // Retrieval is the outcome of one CLARE search call and its one record:
 // the search modes write Stats (simulated time, counts) and the stage
 // clock, and everything else said about the call — registry
-// observations, the planner observation, the flight record, the span
-// tree — is derived from those by Retriever.record.
+// observations, the flight record, the span tree — is derived from those
+// by Retriever.record.
 type Retrieval struct {
 	Mode SearchMode
 	Goal term.Term
@@ -649,13 +633,6 @@ func (r *Retriever) Retrieve(goal term.Term, mode SearchMode) (*Retrieval, error
 // parent span, so the CRS server can ship the subtree back over the wire
 // for the caller to graft. tc nil is plain Retrieve.
 func (r *Retriever) RetrieveTraced(goal term.Term, mode SearchMode, tc *telemetry.TraceContext) (*Retrieval, error) {
-	return r.RetrieveTracedPlan(goal, mode, tc, nil)
-}
-
-// RetrieveTracedPlan is RetrieveTraced carrying the planner decision
-// that picked mode (nil when the mode was pinned statically), so the
-// flight record can name the decision without re-deriving it.
-func (r *Retriever) RetrieveTracedPlan(goal term.Term, mode SearchMode, tc *telemetry.TraceContext, d *plan.Decision) (*Retrieval, error) {
 	start := time.Now()
 	pi, pred, err := r.lookup(goal)
 	if err != nil {
@@ -663,7 +640,7 @@ func (r *Retriever) RetrieveTracedPlan(goal term.Term, mode SearchMode, tc *tele
 		return nil, err
 	}
 	rt, err := r.ladder(goal, mode, pred, pi.String(), start)
-	r.record(rt, start, tc, d, err)
+	r.record(rt, start, tc, err)
 	if err != nil {
 		return nil, err
 	}

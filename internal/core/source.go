@@ -2,7 +2,6 @@ package core
 
 import (
 	"clare/internal/engine"
-	"clare/internal/plan"
 	"clare/internal/term"
 	"clare/internal/unify"
 )
@@ -26,8 +25,8 @@ func (s *Source) Candidates(goal term.Term) ([]*engine.Clause, error) {
 	mode := ModeFS1FS2
 	if s.Mode != nil {
 		mode = *s.Mode
-	} else if m, _, err := s.R.PlanMode(goal); err == nil {
-		mode = m
+	} else if pred, err := s.R.Predicate(goal); err == nil {
+		mode = ChooseMode(goal, pred)
 	}
 	rt, err := s.R.Retrieve(goal, mode)
 	if err != nil {
@@ -74,43 +73,6 @@ func ChooseMode(goal term.Term, pred *Predicate) SearchMode {
 	default:
 		return ModeFS1FS2
 	}
-}
-
-// planMode maps a core SearchMode onto the planner's mirror type; ok is
-// false for values outside the four modes.
-func planMode(m SearchMode) (plan.Mode, bool) {
-	if m < ModeSoftware || m > ModeFS1FS2 {
-		return 0, false
-	}
-	return plan.Mode(m), true
-}
-
-// modeFromPlan is the inverse mapping.
-func modeFromPlan(m plan.Mode) SearchMode { return SearchMode(m) }
-
-// Planner exposes the configured adaptive planner (nil when the
-// retriever runs the static heuristic).
-func (r *Retriever) Planner() *plan.Planner { return r.cfg.Planner }
-
-// PlanMode resolves the goal's search mode the auto-mode way: through
-// the configured adaptive planner when one is attached, through the
-// static ChooseMode heuristic otherwise. The returned Decision is nil
-// on the heuristic path.
-func (r *Retriever) PlanMode(goal term.Term) (SearchMode, *plan.Decision, error) {
-	pred, err := r.Predicate(goal)
-	if err != nil {
-		return ModeFS1FS2, nil, err
-	}
-	p := r.cfg.Planner
-	if p == nil {
-		return ChooseMode(goal, pred), nil, nil
-	}
-	var pi Indicator
-	if functor, args, ok := principal(goal); ok {
-		pi = Indicator{Functor: functor, Arity: len(args)}
-	}
-	d := p.Decide(pi.String(), plan.ShapeOf(goal), pred.File.Len(), pred.MaskedClauses)
-	return modeFromPlan(d.Mode), &d, nil
 }
 
 // Evaluate classifies a retrieval's candidates into true unifiers and

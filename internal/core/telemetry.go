@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"clare/internal/plan"
 	"clare/internal/telemetry"
 )
 
@@ -13,8 +12,8 @@ import (
 // histograms and the trace span taxonomy. The Retrieval is the source:
 // the retrieve* functions write Stats (simulated time, counts) and lap
 // the stage clock, nothing else, and record derives the registry
-// observations, the planner observation, the flight record and the span
-// tree from it in one place. The tree is therefore a view with a fixed
+// observations, the flight record and the span tree from it in one
+// place. The tree is therefore a view with a fixed
 // shape — the root plus one span per stage that ran, whatever the
 // predicate size, chunk count or engine:
 //
@@ -172,32 +171,13 @@ func newCoreMetrics(reg *telemetry.Registry) *coreMetrics {
 }
 
 // record is the one place a finished retrieval is observed: the registry,
-// the planner, the span tree and the flight record are all derived here
-// from rt (and err, for a retrieval that failed past the predicate
-// lookup), so the search modes carry no bookkeeping of their own.
-func (r *Retriever) record(rt *Retrieval, start time.Time, tc *telemetry.TraceContext, d *plan.Decision, err error) {
+// the span tree and the flight record are all derived here from rt (and
+// err, for a retrieval that failed past the predicate lookup), so the
+// search modes carry no bookkeeping of their own.
+func (r *Retriever) record(rt *Retrieval, start time.Time, tc *telemetry.TraceContext, err error) {
 	st := &rt.Stats
 	rt.wall.total = time.Since(start)
 	r.met.observe(rt, err)
-
-	var shape plan.Shape
-	if d != nil {
-		shape = d.Shape
-	} else if r.cfg.Planner != nil || r.cfg.Flight != nil {
-		shape = plan.ShapeOf(rt.Goal)
-	}
-	if p := r.cfg.Planner; p != nil && err == nil && st.Degraded == "" && st.Faults == 0 {
-		// Degraded or faulted runs price the failure ladder, not the
-		// mode — keep them out of the learned profile.
-		if pm, ok := planMode(rt.Mode); ok {
-			p.Observe(rt.Predicate, shape, pm, plan.Observation{
-				TotalClauses: st.TotalClauses,
-				AfterFS1:     st.AfterFS1,
-				AfterFS2:     st.AfterFS2,
-				Sim:          st.Total,
-			})
-		}
-	}
 	if r.tracer != nil {
 		rt.trace = r.spanTree(rt, start, tc, err)
 	}
@@ -206,7 +186,6 @@ func (r *Retriever) record(rt *Retrieval, start time.Time, tc *telemetry.TraceCo
 			TS:        start.UnixNano(),
 			TraceID:   rt.TraceID(),
 			Predicate: rt.Predicate,
-			Shape:     string(shape),
 			Mode:      rt.Mode.String(),
 			Total:     int64(st.TotalClauses),
 			AfterFS1:  int64(st.AfterFS1),
@@ -216,9 +195,6 @@ func (r *Retriever) record(rt *Retrieval, start time.Time, tc *telemetry.TraceCo
 			Degraded:  st.Degraded,
 			Faults:    int64(st.Faults),
 			Retries:   int64(st.Retries),
-		}
-		if d != nil {
-			rec.Plan = d.Reason
 		}
 		if err != nil {
 			rec.Err = err.Error()

@@ -328,9 +328,9 @@ func (c *Client) StatsWithTimeout(d time.Duration) (map[string]int64, error) {
 }
 
 // Stats asks the server for its service counters: served.<mode>,
-// sessions, boards, qcache.{hits,misses,entries}, board health
-// (boards.*) and the fault-tolerance tallies (see the wire-protocol
-// comment in package wire). Stats is idempotent and retried like Retrieve.
+// sessions, qcache.{hits,misses,entries}, the fault-tolerance tallies,
+// engine.native and the rest of the keys the wire-protocol comment in
+// package wire lists. Stats is idempotent and retried like Retrieve.
 func (c *Client) Stats() (map[string]int64, error) {
 	return retryIdempotent(c, c.statsOnce)
 }

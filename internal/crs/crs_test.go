@@ -371,9 +371,6 @@ func TestWireStats(t *testing.T) {
 	if kv["sessions"] != 1 {
 		t.Errorf("sessions = %d, want 1", kv["sessions"])
 	}
-	if kv["boards"] != int64(s.Retriever().Boards()) {
-		t.Errorf("boards = %d, want %d", kv["boards"], s.Retriever().Boards())
-	}
 	if kv["qcache.misses"] < 1 {
 		t.Errorf("qcache.misses = %d, want ≥1", kv["qcache.misses"])
 	}

@@ -1,6 +1,7 @@
 package crs
 
 import (
+	"strings"
 	"testing"
 
 	"clare/internal/core"
@@ -25,9 +26,6 @@ func newEngineServer(t *testing.T, engine core.Engine) *Server {
 	return s
 }
 
-// TestStatsEngineKey: the engine.native STATS key reports which engine
-// the server runs — 0 for the simulation, 1 for the native engine — and
-// a native server still answers retrievals over the wire.
 // TestStatsScanStoreKeys: store.mapped distinguishes mmap-backed stores
 // from heap-loaded ones — 0 here, since the server's predicates were
 // loaded in memory.
@@ -47,6 +45,9 @@ func TestStatsScanStoreKeys(t *testing.T) {
 	}
 }
 
+// TestStatsEngineKey: the engine.native STATS key reports which engine
+// the server runs — 0 for the simulation, 1 for the native engine — and
+// a native server still answers retrievals over the wire.
 func TestStatsEngineKey(t *testing.T) {
 	for _, tc := range []struct {
 		engine core.Engine
@@ -74,5 +75,37 @@ func TestStatsEngineKey(t *testing.T) {
 		} else if got != tc.want {
 			t.Errorf("engine %v: engine.native = %d, want %d", tc.engine, got, tc.want)
 		}
+	}
+}
+
+// TestWirePlannerOffKeys: the STATS surface of the engine crsd serves
+// carries no simulated-chassis or planner keys — no plan.* and no
+// boards/boards.* — while it does name the engine (engine.native) and
+// the configured latency window.
+func TestWirePlannerOffKeys(t *testing.T) {
+	s := newEngineServer(t, core.EngineNative)
+	s.SetLatencyWindow(128)
+	c, err := Dial(startWire(t, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Retrieve("auto", "married_couple(S, S)"); err != nil {
+		t.Fatal(err)
+	}
+	kv, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range kv {
+		if strings.HasPrefix(k, "plan.") || strings.HasPrefix(k, "boards") {
+			t.Errorf("STATS carries %s", k)
+		}
+	}
+	if kv["engine.native"] != 1 {
+		t.Errorf("engine.native = %d, want 1", kv["engine.native"])
+	}
+	if kv["latency.window"] != 128 {
+		t.Errorf("latency.window = %d, want the configured 128", kv["latency.window"])
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"clare/internal/core"
-	"clare/internal/plan"
 	"clare/internal/telemetry"
 	"clare/internal/term"
 	"clare/internal/wal"
@@ -24,9 +23,10 @@ import (
 // concurrent client access. Concurrency is layered: the server mutex
 // guards only the predicate and session registries; each predicate has
 // its own read/write lock (readers share, transactions exclude); and the
-// retriever's board pool hands every retrieval private hardware, so
-// sessions on different — or read-only same — predicates proceed in
-// parallel up to the chassis width.
+// retriever runs retrievals in parallel (native: unleased, each in an
+// arena of its own; sim: each on a leased board unit, up to the chassis
+// width), so sessions on different — or read-only same — predicates
+// proceed in parallel.
 type Server struct {
 	mu        sync.RWMutex // guards preds and sessions registries only
 	retriever *core.Retriever
@@ -314,8 +314,7 @@ func (c *Session) Retrieve(goal term.Term, mode *core.SearchMode) (*core.Retriev
 // header through here so the retrieval's span tree records the caller's
 // trace ID and parent span.
 func (c *Session) RetrieveTraced(goal term.Term, mode *core.SearchMode, tc *telemetry.TraceContext) (*core.Retrieval, error) {
-	rt, _, err := c.serve(goal, mode, tc)
-	return rt, err
+	return c.serve(goal, mode, tc)
 }
 
 // Explain serves one EXPLAIN call: a served retrieval — same locking,
@@ -324,47 +323,40 @@ func (c *Session) RetrieveTraced(goal term.Term, mode *core.SearchMode, tc *tele
 // Like a reply's rendering, that pass reads only the candidates' own
 // words, which outlive the read lock (clausefile.StoredClause).
 func (c *Session) Explain(goal term.Term, mode *core.SearchMode, tc *telemetry.TraceContext) (*core.Profile, error) {
-	rt, d, err := c.serve(goal, mode, tc)
+	rt, err := c.serve(goal, mode, tc)
 	if err != nil {
 		return nil, err
 	}
-	p, err := c.srv.retriever.ProfileOf(rt)
-	if err != nil {
-		return nil, err
-	}
-	p.Plan = d
-	return p, nil
+	return c.srv.retriever.ProfileOf(rt)
 }
 
 // serve is the one path a retrieval takes through a session: predicate
-// lookup, read lock, mode choice (returned with the planner decision
-// behind it, nil unless planned), the retrieval itself, accounting.
-func (c *Session) serve(goal term.Term, mode *core.SearchMode, tc *telemetry.TraceContext) (*core.Retrieval, *plan.Decision, error) {
+// lookup, read lock, mode choice, the retrieval itself, accounting.
+func (c *Session) serve(goal term.Term, mode *core.SearchMode, tc *telemetry.TraceContext) (*core.Retrieval, error) {
 	pi, ps, err := c.lookup(goal)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	start := time.Now()
 	ps.lock.RLock()
 	defer ps.lock.RUnlock()
 	c.srv.met.lockWaitRead.ObserveDuration(time.Since(start))
 
-	m, d, err := c.chooseMode(goal, mode)
+	m, err := c.chooseMode(goal, mode)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	// No server-wide lock here: the retriever leases a board unit from
-	// the chassis pool per call, so concurrent retrievals run in parallel
-	// up to the configured board count (the real CRS queues search calls
-	// only when all boards are busy).
-	rt, err := c.srv.retriever.RetrieveTracedPlan(goal, m, tc, d)
+	// No server-wide lock here: native retrievals run in parallel, and a
+	// sim retrieval leases a board unit from the chassis pool per call
+	// (the real CRS queues search calls only when all boards are busy).
+	rt, err := c.srv.retriever.RetrieveTraced(goal, m, tc)
 	wall := time.Since(start)
 	if err != nil {
 		c.srv.slo.Observe(pi.String(), wall, true)
-		return nil, nil, err
+		return nil, err
 	}
 	c.srv.account(pi, rt, wall)
-	return rt, d, nil
+	return rt, nil
 }
 
 // lookup validates the session and resolves the goal's predicate state.
@@ -387,15 +379,17 @@ func (c *Session) lookup(goal term.Term) (core.Indicator, *predState, error) {
 	return pi, ps, nil
 }
 
-// chooseMode resolves the effective search mode. nil delegates to the
-// retriever's auto path: the adaptive planner when one is configured,
-// the static heuristic otherwise (the decision is non-nil only on the
-// planner path).
-func (c *Session) chooseMode(goal term.Term, mode *core.SearchMode) (core.SearchMode, *plan.Decision, error) {
+// chooseMode resolves the effective search mode; nil selects it by the
+// CRS heuristic, core.ChooseMode.
+func (c *Session) chooseMode(goal term.Term, mode *core.SearchMode) (core.SearchMode, error) {
 	if mode != nil {
-		return *mode, nil, nil
+		return *mode, nil
 	}
-	return c.srv.retriever.PlanMode(goal)
+	pred, err := c.srv.retriever.Predicate(goal)
+	if err != nil {
+		return 0, err
+	}
+	return core.ChooseMode(goal, pred), nil
 }
 
 // account publishes one served retrieval — its record, plus the wall time

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"clare/internal/core"
-	"clare/internal/plan"
 	"clare/internal/telemetry"
 	"clare/internal/wal"
 )
@@ -100,15 +99,8 @@ type Snapshot struct {
 	Served map[core.SearchMode]int
 	// Sessions is the number of currently open sessions.
 	Sessions int
-	// Boards is the configured chassis width (0 on the native engine,
-	// which builds no chassis).
-	Boards int
 	// QueryCache is the retriever's query-encoding cache state.
 	QueryCache core.QueryCacheStats
-	// Health is the board pool's current health (trips, re-admissions,
-	// units free/leased/tripped); all zero on the native engine, so STATS
-	// reads boards 0 / boards.* 0 there.
-	Health core.Health
 	// Degraded counts served retrievals that fell down the degradation
 	// ladder (any rung); Retries and Faults are the total retry attempts
 	// spent and injected faults absorbed across served retrievals.
@@ -121,12 +113,6 @@ type Snapshot struct {
 	// StoreMapped reports whether the retriever's base store image is a
 	// read-only file mapping.
 	StoreMapped bool
-	// PlanEnabled reports whether the adaptive planner is armed; Plan
-	// carries its service counters and PlanPredicates the statistics
-	// store's predicate count.
-	PlanEnabled    bool
-	Plan           plan.Counters
-	PlanPredicates int
 	// LatencyWindow is the per-predicate latency tracker's sample
 	// capacity.
 	LatencyWindow int
@@ -159,13 +145,10 @@ func (s *Server) Snapshot() Snapshot {
 	s.statsMu.Lock()
 	degraded, retries, faults := s.degraded, s.retries, s.faults
 	s.statsMu.Unlock()
-	health := s.retriever.Health()
 	sn := Snapshot{
 		Served:        s.Served(),
 		Sessions:      s.Sessions(),
-		Boards:        health.Boards,
 		QueryCache:    s.retriever.QueryCache(),
-		Health:        health,
 		Degraded:      degraded,
 		Retries:       retries,
 		Faults:        faults,
@@ -175,11 +158,6 @@ func (s *Server) Snapshot() Snapshot {
 		WALApplied:    s.applied.Load(),
 		Replicated:    s.replicated.Load(),
 		ReadOnly:      s.readOnly.Load(),
-	}
-	if p := s.retriever.Planner(); p != nil {
-		sn.PlanEnabled = true
-		sn.Plan = p.Counters()
-		sn.PlanPredicates = p.Predicates()
 	}
 	if s.walLog != nil {
 		sn.WALEnabled = true
@@ -214,40 +192,16 @@ func (sn Snapshot) lines() []statsKV {
 	}
 	kv = append(kv,
 		statsKV{"sessions", int64(sn.Sessions)},
-		statsKV{"boards", int64(sn.Boards)},
 		statsKV{"qcache.hits", sn.QueryCache.Hits},
 		statsKV{"qcache.misses", sn.QueryCache.Misses},
 		statsKV{"qcache.entries", int64(sn.QueryCache.Size)},
-		statsKV{"boards.free", int64(sn.Health.Free)},
-		statsKV{"boards.leased", int64(sn.Health.Leased)},
-		statsKV{"boards.tripped", int64(sn.Health.Tripped)},
-		statsKV{"boards.trips", sn.Health.Trips},
-		statsKV{"boards.readmits", sn.Health.Readmits},
 		statsKV{"degraded", sn.Degraded},
 		statsKV{"retries", sn.Retries},
 		statsKV{"faults", sn.Faults},
-	)
-	engine := int64(0)
-	if sn.EngineNative {
-		engine = 1
-	}
-	kv = append(kv, statsKV{"engine.native", engine})
-	kv = append(kv,
+		statsKV{"engine.native", b2i(sn.EngineNative)},
 		statsKV{"store.mapped", b2i(sn.StoreMapped)},
 		statsKV{"latency.window", int64(sn.LatencyWindow)},
 	)
-	kv = append(kv, statsKV{"plan.enabled", b2i(sn.PlanEnabled)})
-	if sn.PlanEnabled {
-		kv = append(kv,
-			statsKV{"plan.decisions", sn.Plan.Decisions},
-			statsKV{"plan.sharedvar_skips", sn.Plan.SharedVarSkips},
-			statsKV{"plan.observations", sn.Plan.Observations},
-			statsKV{"plan.predicates", int64(sn.PlanPredicates)},
-		)
-		for pm := plan.Mode(0); pm < plan.NumModes; pm++ {
-			kv = append(kv, statsKV{"plan.decide." + pm.String(), sn.Plan.ByMode[pm]})
-		}
-	}
 	kv = append(kv,
 		statsKV{"wal.enabled", b2i(sn.WALEnabled)},
 		statsKV{"wal.seq", int64(sn.WALSeq)},

@@ -9,21 +9,17 @@
 // into EWMA-decayed selectivity and cost estimates keyed by the query's
 // argument shape, and the next decision for that shape reads them back.
 //
-// The package is deliberately self-contained (it imports only the term
-// walker): core attaches a *Planner via Config.Planner, the CRS server
-// consults it for auto-mode retrievals, and the store snapshots to disk
-// next to the KB store so a restarted server keeps its learned profile.
+// The planner prices simulated time, so it is a library of the paper
+// ledger, not of the server: clarebench's PLAN section drives one —
+// Decide before each planned retrieval, Observe after each clean one —
+// and no daemon path imports the package. It is deliberately
+// self-contained (it imports only the term walker).
 package plan
 
-import (
-	"fmt"
-
-	"clare/internal/term"
-)
+import "clare/internal/term"
 
 // Mode is a CRS search mode. The values and wire spellings mirror
-// core.SearchMode one for one (the package cannot import core — core
-// imports it), so conversion between the two is a checked cast.
+// core.SearchMode one for one, so conversion between the two is a cast.
 type Mode uint8
 
 const (
@@ -145,10 +141,8 @@ func (s Shape) AllVars() bool {
 
 // Decision is one planned retrieval: the chosen mode, why, and the
 // per-mode cost estimates (nominal nanoseconds) the choice fell out of.
-// It travels into the EXPLAIN profile as the plan.* entry family.
 type Decision struct {
 	Mode   Mode
-	Shape  Shape
 	Reason string
 	// Learned reports that the decision used per-shape observed stats
 	// rather than only the structural cost model.
@@ -156,12 +150,3 @@ type Decision struct {
 	// Est holds the estimated total cost per mode, indexed by Mode.
 	Est [NumModes]float64
 }
-
-// String renders the decision compactly for logs.
-func (d Decision) String() string {
-	return fmt.Sprintf("plan{%s shape=%s reason=%s learned=%v}", d.Mode, d.Shape, d.Reason, d.Learned)
-}
-
-// DefaultSnapshotPath is where a planner profile lives relative to a
-// compiled KB store: right next to it.
-func DefaultSnapshotPath(kbPath string) string { return kbPath + ".plan" }

@@ -1,11 +1,7 @@
 package plan
 
 import (
-	"bytes"
-	"encoding/json"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -39,7 +35,7 @@ func TestShapeOf(t *testing.T) {
 }
 
 func TestDecideStructuralRules(t *testing.T) {
-	p := New(Config{})
+	p := New()
 
 	// Shared variables must never plan onto the codeword filter.
 	d := p.Decide("married_couple/2", "ss", 1000, 0)
@@ -72,7 +68,7 @@ func TestDecideStructuralRules(t *testing.T) {
 }
 
 func TestDecideLearns(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	// Feed the store a regime where fs2 is observed far cheaper than the
 	// pipeline for this shape (say FS1 passes everything: sel1 ~ 1).
 	for i := 0; i < 10; i++ {
@@ -123,68 +119,12 @@ func decisions(p *Planner) []Decision {
 	return out
 }
 
-// TestSnapshotRoundTrip is the property test: for any seeded
-// observation stream, saving the store and loading it into a fresh
-// planner reproduces both the exact store state and every decision.
-func TestSnapshotRoundTrip(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		p := New(Config{})
-		randObs(rand.New(rand.NewSource(seed)), p, 400)
-		path := filepath.Join(t.TempDir(), "profile.plan")
-		if err := p.Save(path); err != nil {
-			t.Fatal(err)
-		}
-		q := New(Config{})
-		if err := q.Load(path); err != nil {
-			t.Fatal(err)
-		}
-
-		pj, _ := json.Marshal(snapshot{Version: snapshotVersion, Alpha: p.alpha, Preds: p.preds})
-		qj, _ := json.Marshal(snapshot{Version: snapshotVersion, Alpha: q.alpha, Preds: q.preds})
-		if string(pj) != string(qj) {
-			t.Fatalf("seed %d: store state did not round-trip", seed)
-		}
-
-		dp, dq := decisions(p), decisions(q)
-		for i := range dp {
-			if dp[i] != dq[i] {
-				t.Fatalf("seed %d: decision %d diverged after restore: %+v vs %+v", seed, i, dp[i], dq[i])
-			}
-		}
-
-		// A snapshot written before the wall-clock cost was withdrawn
-		// still carries "wall_ns" in every cell: it loads, and decides
-		// the same.
-		blob, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		old := bytes.ReplaceAll(blob, []byte(`"sim_ns":`), []byte(`"wall_ns": 81234.5, "sim_ns":`))
-		if bytes.Equal(old, blob) {
-			t.Fatalf("seed %d: snapshot has no cell to rewrite", seed)
-		}
-		oldPath := filepath.Join(t.TempDir(), "old.plan")
-		if err := os.WriteFile(oldPath, old, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		w := New(Config{})
-		if err := w.Load(oldPath); err != nil {
-			t.Fatalf("seed %d: snapshot with wall_ns: %v", seed, err)
-		}
-		for i, d := range decisions(w) {
-			if d != dp[i] {
-				t.Fatalf("seed %d: decision %d diverged on a snapshot with wall_ns: %+v vs %+v", seed, i, d, dp[i])
-			}
-		}
-	}
-}
-
 // TestDeterministicDecisions: two planners fed the same seeded stream
 // decide identically — there is no hidden nondeterminism (map order,
 // timing) in the decision path.
 func TestDeterministicDecisions(t *testing.T) {
 	const seed = 42
-	p, q := New(Config{}), New(Config{})
+	p, q := New(), New()
 	randObs(rand.New(rand.NewSource(seed)), p, 300)
 	randObs(rand.New(rand.NewSource(seed)), q, 300)
 	dp, dq := decisions(p), decisions(q)
@@ -192,15 +132,5 @@ func TestDeterministicDecisions(t *testing.T) {
 		if dp[i] != dq[i] {
 			t.Fatalf("decision %d diverged between identical planners: %+v vs %+v", i, dp[i], dq[i])
 		}
-	}
-}
-
-func TestLoadMissingIsCold(t *testing.T) {
-	p := New(Config{})
-	if err := p.Load(filepath.Join(t.TempDir(), "absent.plan")); err != nil {
-		t.Fatalf("missing snapshot should load cold, got %v", err)
-	}
-	if p.Predicates() != 0 {
-		t.Fatal("cold load left stats behind")
 	}
 }

@@ -21,19 +21,12 @@ const (
 // cost is trusted over the structural model.
 const minLearnObs = 3
 
-// Config parameterises a Planner.
-type Config struct {
-	// Alpha is the EWMA decay applied to every observed statistic: the
-	// weight of the newest observation (0 means DefaultAlpha).
-	Alpha float64
-}
-
-// DefaultAlpha balances adaptation speed against noise: ~10
-// observations to mostly forget an old regime.
+// DefaultAlpha is the EWMA decay applied to every observed statistic,
+// the weight of the newest observation: it balances adaptation speed
+// against noise, ~10 observations to mostly forget an old regime.
 const DefaultAlpha = 0.3
 
-// Counters is a snapshot of the planner's service counters, surfaced
-// through the STATS wire section (plan.*).
+// Counters is a snapshot of the planner's service counters.
 type Counters struct {
 	// Decisions counts Decide calls, ByMode splits them by chosen mode.
 	Decisions int64
@@ -49,25 +42,20 @@ type Counters struct {
 // All methods are safe for concurrent use.
 type Planner struct {
 	mu       sync.Mutex
-	alpha    float64
-	preds    map[string]*PredStats
+	cells    map[cellKey]*[NumModes]modeStats
 	counters Counters
 }
 
 // New builds an empty planner.
-func New(cfg Config) *Planner {
-	alpha := cfg.Alpha
-	if alpha <= 0 || alpha > 1 {
-		alpha = DefaultAlpha
-	}
-	return &Planner{alpha: alpha, preds: make(map[string]*PredStats)}
+func New() *Planner {
+	return &Planner{cells: make(map[cellKey]*[NumModes]modeStats)}
 }
 
 // Observe folds one completed retrieval into the store. Degraded or
 // faulted retrievals should not be fed here — their costs describe the
 // failure ladder, not the mode.
 func (p *Planner) Observe(pred string, shape Shape, mode Mode, o Observation) {
-	if p == nil || mode >= NumModes {
+	if mode >= NumModes {
 		return
 	}
 	p.mu.Lock()
@@ -78,9 +66,6 @@ func (p *Planner) Observe(pred string, shape Shape, mode Mode, o Observation) {
 
 // Counters returns the service counters.
 func (p *Planner) Counters() Counters {
-	if p == nil {
-		return Counters{}
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.counters
@@ -102,13 +87,10 @@ func (p *Planner) Counters() Counters {
 // Decisions are deterministic functions of the store state: same
 // profile, same inputs, same answer.
 func (p *Planner) Decide(pred string, shape Shape, clauses, masked int) Decision {
-	if p == nil {
-		return Decision{Mode: ModeFS1FS2, Shape: shape, Reason: "no-planner"}
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
-	d := Decision{Shape: shape}
+	var d Decision
 	d.Est, d.Learned = p.estimateLocked(pred, shape, clauses, masked)
 
 	switch {
@@ -137,13 +119,6 @@ func (p *Planner) Decide(pred string, shape Shape, clauses, masked int) Decision
 	}
 	p.counters.Decisions++
 	p.counters.ByMode[d.Mode]++
-	// Keep the geometry fresh even before any retrieval is observed.
-	ps := p.preds[pred]
-	if ps == nil {
-		ps = &PredStats{Shapes: make(map[Shape]*ShapeStats)}
-		p.preds[pred] = ps
-	}
-	ps.Clauses, ps.Masked = clauses, masked
 	return d
 }
 
@@ -172,30 +147,24 @@ func (p *Planner) estimateLocked(pred string, shape Shape, clauses, masked int) 
 		ModeFS1FS2:   sel1 * 0.2,
 	}
 
-	var ss *ShapeStats
-	if ps := p.preds[pred]; ps != nil {
-		ss = ps.Shapes[shape]
-	}
-	cell := func(m Mode) *ModeStats {
-		if ss == nil {
-			return nil
-		}
-		return ss.Modes[m]
+	var cells [NumModes]modeStats
+	if c := p.cells[cellKey{pred, shape}]; c != nil {
+		cells = *c
 	}
 	// Learned selectivities refine the priors as soon as one
 	// observation exists; learned costs replace the model only after
 	// minLearnObs. FS1 mode returns exactly the codeword scan's
 	// survivors, so its output fraction tracks sel1 however sel1 was
 	// learned.
-	if ms := cell(ModeFS1); ms != nil && ms.Count > 0 {
-		sel1 = ms.SelFS1
-	} else if ms := cell(ModeFS1FS2); ms != nil && ms.Count > 0 {
-		sel1 = ms.SelFS1
+	if ms := cells[ModeFS1]; ms.count > 0 {
+		sel1 = ms.selFS1
+	} else if ms := cells[ModeFS1FS2]; ms.count > 0 {
+		sel1 = ms.selFS1
 	}
 	out[ModeFS1] = sel1
 	for _, m := range [...]Mode{ModeSoftware, ModeFS2, ModeFS1FS2} {
-		if ms := cell(m); ms != nil && ms.Count > 0 {
-			out[m] = ms.SelOut
+		if ms := cells[m]; ms.count > 0 {
+			out[m] = ms.selOut
 		}
 	}
 
@@ -207,8 +176,8 @@ func (p *Planner) estimateLocked(pred string, shape Shape, clauses, masked int) 
 	}
 	for m := Mode(0); m < NumModes; m++ {
 		retrieval := model[m]
-		if ms := cell(m); ms != nil && ms.Count >= minLearnObs {
-			retrieval = ms.SimNS
+		if ms := cells[m]; ms.count >= minLearnObs {
+			retrieval = ms.simNS
 			learned = true
 		}
 		est[m] = retrieval + out[m]*n*costHostNS

@@ -18,9 +18,8 @@ type FlightRecord struct {
 	TS        int64  `json:"ts_unix_nano"`
 	TraceID   uint64 `json:"trace_id,omitempty"`
 	Predicate string `json:"predicate"`
-	Shape     string `json:"shape,omitempty"`
 	Mode      string `json:"mode"`
-	Plan      string `json:"plan,omitempty"`
+	Plan      string `json:"plan,omitempty"` // the router's routing decision: shard=N or fanout
 	Total     int64  `json:"candidates_total"`
 	AfterFS1  int64  `json:"after_fs1"`
 	AfterFS2  int64  `json:"after_fs2"`

@@ -37,11 +37,11 @@
 // mode ∈ software|fs1|fs2|fs1+fs2|auto. Errors answer "ERR <message>".
 // Verbs are case-insensitive; a verb the server did not register (REPL
 // on the front-end) answers "ERR unknown command". STATS keys are
-// served.<mode>, sessions, boards, qcache.{hits,misses,entries}, the
-// board-health gauges boards.{free,leased,tripped,trips,readmits}, the
+// served.<mode>, sessions, qcache.{hits,misses,entries}, the
 // fault-tolerance tallies degraded, retries and faults, engine.native
 // (1 when the server runs the native vectorized engine, 0 for the
-// cycle-accurate simulation), the durable write path's wal.* keys
+// cycle-accurate simulation), store.mapped (1 when the store image is a
+// file mapping), latency.window, the durable write path's wal.* keys
 // (wal.{enabled,seq,applied,segments,appends,fsyncs,faults,replicated,
 // readonly}), the diagnosis layer's flight.{size,recorded} and
 // slow.{captured,suppressed}, and — when an SLO is configured — the
