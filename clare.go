@@ -70,9 +70,10 @@ type Options struct {
 	Mode *SearchMode
 	// Engine selects the execution engine: "sim" (or empty, the default)
 	// is the cycle-accurate simulation on the paper's one board, and
-	// "native" the vectorized host engine (identical candidates, no cycle
-	// model for FS2). The library defaults to the simulation, unlike the
-	// crsd daemon, because what it reports — FS2Stats, DiskStats, the
+	// "native" the vectorized host engine (identical candidates, counts
+	// only: its simulated-time stage fields, FS2Stats and DiskStats are
+	// zero). The library defaults to the simulation, unlike the crsd
+	// daemon, because what it reports — FS2Stats, DiskStats, the
 	// per-stage simulated times examples/quickstart prints — is the
 	// simulated hardware.
 	Engine string
@@ -229,7 +230,8 @@ func (kb *KB) RetrieveAuto(goal string) (*Retrieval, error) {
 // (zero on the native engine, which drives none).
 func (kb *KB) FS2Stats() fs2.Stats { return kb.Retriever.FS2Stats() }
 
-// DiskStats exposes the accumulated simulated-disk statistics.
+// DiskStats exposes the accumulated simulated-disk statistics (zero on
+// the native engine, which charges no drive).
 func (kb *KB) DiskStats() disk.Stats { return kb.Retriever.DiskStats() }
 
 // QueryCacheStats reports the query-encoding cache's hit/miss counters.

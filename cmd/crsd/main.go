@@ -31,8 +31,13 @@
 // into memory elsewhere; either way predicates view the image in place.
 //
 // Chaos testing: the repeatable -fault flag arms deterministic fault
-// injection (seeded by -fault-seed), e.g.
+// injection (seeded by -fault-seed). The native engine probes the
+// retrieval site core.retrieve (keyed by predicate indicator) and, with
+// -wal-dir, wal.append and wal.fsync; a rule naming a simulated drive,
+// bus or board site (disk.read, disk.index, vme.bus, fs2.match) needs
+// -engine sim, and crsd exits 1 on it otherwise:
 //
+//	crsd -fault 'core.retrieve@married_couple/2=1,delay=30ms' family.pl
 //	crsd -engine sim -fault fs2.match=0.5 -fault disk.index=1/100 family.pl
 //
 // The degradation tallies are visible in the wire STATS reply
@@ -141,7 +146,6 @@ func main() {
 			inj.Add(rule)
 		}
 		cfg.Faults = inj
-		logg.Info("fault injection armed", "rules", strings.Join(faultSpecs, " "), "seed", *faultSeed)
 	}
 	// The recorder must be armed before the retriever is built — the
 	// retriever copies its Config at construction.
@@ -165,6 +169,9 @@ func main() {
 		if err != nil {
 			fatal("%v", err)
 		}
+	}
+	if cfg.Faults != nil {
+		logg.Info("fault injection armed", "rules", strings.Join(faultSpecs, " "), "seed", *faultSeed)
 	}
 	srv := crs.NewServer(r)
 	if *latWindow > 0 {

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"time"
 
+	"clare/internal/clausefile"
+	"clare/internal/scw"
 	"clare/internal/telemetry"
 	"clare/internal/term"
 	"clare/internal/unify"
@@ -69,12 +71,29 @@ func (r *Retriever) ExplainTraced(goal term.Term, mode SearchMode, tc *telemetry
 // ProfileOf derives the EXPLAIN profile of a finished retrieval: the
 // reference pass — full unification of the goal against every candidate
 // head, on the host. This is ground truth, not a filter; it is what the
-// CRS's caller would do with the candidates anyway. It reads the
-// retrieval's own fields and each candidate's Clause words — written once,
-// whatever writes the compiled file has seen since — so it needs no lock
-// the retrieval held.
+// CRS's caller would do with the candidates anyway. On the native engine
+// it also prices the retrieval in simulated time (Config.nativeLedger),
+// which in mode fs1+fs2 re-sweeps the predicate's index: the caller must
+// still exclude writes to the predicate, as for the retrieval itself (the
+// CRS holds its read lock). The rest reads the retrieval's own fields and
+// each candidate's Clause words, written once whatever writes the compiled
+// file has seen since.
 func (r *Retriever) ProfileOf(rt *Retrieval) (*Profile, error) {
 	p := &Profile{Mode: rt.Mode, Predicate: rt.Predicate, Stats: rt.Stats, Wall: rt.wall.total, Trace: rt.trace}
+	if r.pool == nil {
+		mode := rt.Mode
+		if rt.Stats.Degraded == "host" {
+			mode = ModeSoftware // the host rung ran mode (a)'s matcher
+		}
+		var qd scw.QueryDescriptor
+		if mode == ModeFS1FS2 {
+			var err error
+			if qd, err = r.ienc.EncodeQuery(rt.Goal); err != nil {
+				return nil, err
+			}
+		}
+		r.cfg.nativeLedger(&p.Stats, rt.pred.File, qd, mode)
+	}
 	unifyStart := time.Now()
 	heads, _, err := rt.DecodeCandidates()
 	if err != nil {
@@ -102,6 +121,68 @@ func (r *Retriever) ProfileOf(rt *Retrieval) (*Profile, error) {
 		r.met.ghostFS2.Set(p.GhostFS2)
 	}
 	return p, nil
+}
+
+// nativeLedger prices a native retrieval that ran in mode over f: it
+// fills st's simulated-time fields (and Chunks, and ClauseBytes in mode
+// fs1+fs2) with what the sim engine's one-board path charges for the same
+// work, FS2 matching free — the native engine has no cycle model. It
+// charges no drive, probes no fault site and observes no metric. Modes
+// software, fs1 and fs2 are functions of the counts the retrieval wrote
+// in st; mode fs1+fs2 sweeps f's index once more with the goal's query
+// codeword qd for where the survivors lie, and splits them by the sim
+// engine's pipeline chunks: chunk c streamed its entries' index bytes and
+// fetched the survivors lying in it. In the simulated pipeline the
+// per-chunk match side is free, so the slower side of each downstream
+// step is always the fetch.
+func (c *Config) nativeLedger(st *StageStats, f *clausefile.PredFile, qd scw.QueryDescriptor, mode SearchMode) {
+	m := c.Disk
+	switch mode {
+	case ModeSoftware:
+		st.DiskFetch = m.ScanTime(st.ClauseBytes)
+		st.HostMatch = time.Duration(st.AfterFS1) * c.SoftwareMatchCost
+		st.Total = st.DiskFetch + st.HostMatch
+	case ModeFS1:
+		// FS1 outruns the disk, so delivery dominates the scan.
+		st.FS1Scan = max(scw.ScanTime(st.IndexBytes), m.ScanTime(st.IndexBytes))
+		st.DiskFetch = m.FetchRunTime(st.AfterFS1, st.ClauseBytes)
+		st.Total = st.FS1Scan + st.DiskFetch
+	case ModeFS2:
+		st.DiskFetch = m.ScanTime(st.ClauseBytes)
+		st.Total = st.DiskFetch
+	case ModeFS1FS2:
+		n := f.Index().Len()
+		if n == 0 {
+			return
+		}
+		var buf scw.ScanBuf
+		f.Index().Columnar().ScanRangeInto(qd, 0, n, &buf)
+		all := f.All()
+		chunk, count := c.streamChunks(n)
+		access := m.AccessTime()
+		scans := make([]time.Duration, 0, count)
+		fetches := make([]time.Duration, 0, count)
+		st.FS1Scan = access
+		k := 0
+		for lo := 0; lo < n; lo += chunk {
+			hi := min(lo+chunk, n)
+			indexBytes := (hi - lo) * scw.EntrySize
+			scan := max(scw.ScanTime(indexBytes), m.TransferTime(indexBytes))
+			st.FS1Scan += scan
+			scans = append(scans, scan)
+
+			first, fetchBytes := k, 0
+			for ; k < len(buf.Pos) && int(buf.Pos[k]) < hi; k++ {
+				fetchBytes += all[buf.Pos[k]].SizeBytes
+			}
+			st.ClauseBytes += fetchBytes
+			fetch := m.FetchRunTime(k-first, fetchBytes)
+			st.DiskFetch += fetch
+			fetches = append(fetches, fetch)
+		}
+		st.Chunks = count
+		st.Total = pipelineTime(access, scans, fetches)
+	}
 }
 
 // ExplainEntry is one key/value of the rendered profile. Values are

@@ -16,52 +16,36 @@
 //     through the generic matcher on their stored record. Zero
 //     allocations per clause either way.
 //   - Candidate clauses are reached by index position (entry j is clause
-//     j), skipping the address-map lookup, and fetch accounting uses the
-//     exact run size (disk.FetchRun) instead of a truncated average.
+//     j), skipping the address-map lookup.
 //
 // Results are bit-identical to the simulated engine: same candidates in
 // the same order, same AfterFS1/MaskedHits/reject-split statistics —
-// the contract native_test.go enforces differentially. The simulated-time
-// ledger differs in one documented way: FS2 match time is zero (the
-// native engine has no cycle model; wall-clock is its first-class clock),
-// so Stats.Total in FS2-bearing modes reflects a stream whose matching is
-// free. Drive accounting and drive fault sites are preserved — the
-// disk-degradation ladder (unreadable index → FS2-only, read fault →
-// retry → host) behaves identically — but the board and bus protocol
-// sites are bypassed along with the protocol itself.
+// the contract native_test.go enforces differentially.
 //
-// The engine owns no simulated hardware. A retrieval leases nothing: it
-// reads the compiled files (shared, and immutable while the caller holds
-// the predicate's read lock), works in an arena it owns for its duration,
-// and charges the drive model on the arena's own ledger, folded into the
-// retriever's totals when it finishes — so any number of retrievals run
-// in parallel. See DESIGN.md §6 and §11.
+// The engine owns no simulated hardware, not even a drive. A retrieval
+// leases nothing: it reads the compiled files (shared, and immutable
+// while the caller holds the predicate's read lock), works in an arena it
+// owns for its duration and writes counts and the stage clock, so any
+// number of retrievals run in parallel. Its simulated-time fields stay
+// zero; EXPLAIN prices it (Config.nativeLedger). The only fault site it
+// probes is the retriever's own, core.retrieve. See DESIGN.md §6, §8 and
+// §11.
 package core
 
 import (
-	"time"
-
 	"clare/internal/clausefile"
-	"clare/internal/disk"
 	"clare/internal/fs2"
 	"clare/internal/scw"
-	"clare/internal/telemetry"
 	"clare/internal/term"
 )
 
 // nativeArena is the per-retrieval scratch state of the native engine:
-// the scan buffer, an FS2 matcher with embedded variable stores, and the
-// drive ledger the retrieval accounts on. Arenas are recycled through
-// Retriever.natPool, so steady-state retrievals allocate nothing on the
-// scan or match paths.
+// the scan buffer and an FS2 matcher with embedded variable stores.
+// Arenas are recycled through Retriever.natPool, so steady-state
+// retrievals allocate nothing on the scan or match paths.
 type nativeArena struct {
 	buf scw.ScanBuf
 	nm  *fs2.NativeMatcher
-	// drive prices and counts this retrieval's disk traffic and probes the
-	// drive fault sites, keyed as the one-board chassis keyed its spindle.
-	// Its handles into the registry are shared; its Stats are the
-	// retrieval's own until searchNative folds them into Retriever.disk.
-	drive disk.Drive
 }
 
 // arena leases an arena from natPool, which builds one when it has none.
@@ -69,17 +53,13 @@ func (r *Retriever) arena() *nativeArena { return r.natPool.Get().(*nativeArena)
 
 // newArena builds an arena for natPool. It fails on a microprogram the
 // native matcher lacks (NewWithSymbols builds the first arena to find
-// that out), and resolving the drive's registry handles is what lists
-// the clare_disk_* families on /metrics.
+// that out).
 func (r *Retriever) newArena() (*nativeArena, error) {
 	nm, err := fs2.NewNativeMatcher(r.cfg.Microprogram)
 	if err != nil {
 		return nil, err
 	}
-	a := &nativeArena{nm: nm, drive: disk.Drive{Model: r.cfg.Disk}}
-	a.drive.SetFaults(r.cfg.Faults, "0")
-	a.drive.Instrument(r.cfg.Metrics, telemetry.Labels{"slot": "0"})
-	return a, nil
+	return &nativeArena{nm: nm}, nil
 }
 
 // searchNative runs one attempt of a retrieval on the native engine, in
@@ -92,7 +72,7 @@ func (r *Retriever) searchNative(mode SearchMode, goal term.Term, pred *Predicat
 	var err error
 	switch mode {
 	case ModeSoftware:
-		err = r.retrieveSoftware(goal, pred, rt, &a.drive)
+		err = r.retrieveSoftware(goal, pred, rt, nil)
 	case ModeFS1:
 		err = r.retrieveFS1Native(goal, pred, rt, a)
 	case ModeFS2:
@@ -101,17 +81,15 @@ func (r *Retriever) searchNative(mode SearchMode, goal term.Term, pred *Predicat
 		err = r.retrieveFS1FS2Native(goal, pred, rt, a)
 	}
 	r.met.boardsBusy.Add(-1)
-	r.disk.Add(a.drive.Stats)
-	a.drive.Reset()
 	r.natPool.Put(a)
 	return err
 }
 
 // retrieveFS1Native is mode (b) on the native engine: one serial columnar
 // sweep of the secondary file, then a position-indexed gather of the
-// surviving clause records with exact-size fetch accounting. Concurrent
-// retrievals are the engine's parallelism; a partitioned sweep measured
-// slower than this one (DESIGN.md §11).
+// surviving clause records. Concurrent retrievals are the engine's
+// parallelism; a partitioned sweep measured slower than this one
+// (DESIGN.md §11).
 func (r *Retriever) retrieveFS1Native(goal term.Term, pred *Predicate, rt *Retrieval, a *nativeArena) error {
 	qd, _, err := r.encodeQuery(goal, rt)
 	if err != nil {
@@ -120,12 +98,6 @@ func (r *Retriever) retrieveFS1Native(goal term.Term, pred *Predicate, rt *Retri
 	buf := &a.buf
 	pred.File.Index().Columnar().ScanInto(qd, buf)
 	rt.Stats.IndexBytes = buf.BytesScanned
-	diskIndex, err := a.drive.IndexScan(buf.BytesScanned)
-	if err != nil {
-		return err
-	}
-	// Same delivery model as the sim path: FS1 outruns the disk.
-	rt.Stats.FS1Scan = max(scw.ScanTime(buf.BytesScanned), diskIndex)
 	rt.Stats.AfterFS1 = len(buf.Pos)
 	rt.Stats.MaskedHits = buf.MaskedHits
 	rt.wall.lap(stageFS1Scan)
@@ -136,28 +108,17 @@ func (r *Retriever) retrieveFS1Native(goal term.Term, pred *Predicate, rt *Retri
 		rt.Stats.ClauseBytes += all[p].SizeBytes
 		rt.Candidates = append(rt.Candidates, all[p])
 	}
-	if rt.Stats.DiskFetch, err = a.drive.FetchRun(len(buf.Pos), rt.Stats.ClauseBytes); err != nil {
-		return err
-	}
 	rt.wall.lap(stageDiskFetch)
-	rt.Stats.Total = rt.Stats.FS1Scan + rt.Stats.DiskFetch
 	return nil
 }
 
 // retrieveFS2AllNative is mode (c) on the native engine: the whole clause
 // file filtered through the native matcher. The heads are resident (views
 // of the store image plus the head stream), so "streaming" is a walk over
-// memory; the drive model still accounts (and can fault) the underlying
-// sequential scan. FS2 match time is zero in the simulated ledger —
-// Stats.Total is the stream with free matching.
+// memory.
 func (r *Retriever) retrieveFS2AllNative(goal term.Term, pred *Predicate, rt *Retrieval, a *nativeArena) error {
 	rt.Stats.AfterFS1 = pred.File.Len()
 	rt.Stats.ClauseBytes = pred.File.SizeBytes()
-	diskTime, err := a.drive.Scan(pred.File.SizeBytes())
-	if err != nil {
-		return err
-	}
-	rt.wall.lap(stageDiskFetch)
 	_, q, err := r.encodeQuery(goal, rt)
 	if err != nil {
 		return err
@@ -167,22 +128,13 @@ func (r *Retriever) retrieveFS2AllNative(goal term.Term, pred *Predicate, rt *Re
 	}
 	nativeFilter(a.nm, pred.File, pred.File.Len(), nil, rt)
 	rt.wall.lap(stageFS2Match)
-	rt.Stats.DiskFetch = diskTime
-	rt.Stats.Total = diskTime
 	return nil
 }
 
 // retrieveFS1FS2Native is mode (d) on the native engine: one serial
-// columnar sweep of the whole index, one pass of the survivors through
-// the native matcher, and between them the sim path's chunked pipeline
-// ledger derived from where the survivors fall. The survivors come out in
-// position order, so one walk over them splits them by pipeline chunk
-// (streamChunks): chunk c streamed its entries' index bytes and fetched
-// the survivors lying in it, and the drive is charged — and its fault
-// sites probed — chunk by chunk in the order the pipeline would have
-// issued the transfers. In the simulated pipeline the per-chunk match
-// side is free, so the slower side of each downstream step is always the
-// fetch.
+// columnar sweep of the whole index and one pass of the survivors through
+// the native matcher. The sim engine's chunked pipeline is a ledger, not
+// work: EXPLAIN derives it from where the survivors lie.
 func (r *Retriever) retrieveFS1FS2Native(goal term.Term, pred *Predicate, rt *Retrieval, a *nativeArena) error {
 	qd, q, err := r.encodeQuery(goal, rt)
 	if err != nil {
@@ -203,43 +155,6 @@ func (r *Retriever) retrieveFS1FS2Native(goal term.Term, pred *Predicate, rt *Re
 	rt.Stats.AfterFS1 = len(buf.Pos)
 	rt.Stats.MaskedHits = buf.MaskedHits
 	rt.wall.lap(stageFS1Scan)
-
-	all := pred.File.All()
-	chunk, count := r.streamChunks(n)
-	access, err := a.drive.Access()
-	if err != nil {
-		return err
-	}
-	scanChunks := make([]time.Duration, 0, count)
-	matchChunks := make([]time.Duration, 0, count)
-	k := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		indexBytes := (hi - lo) * scw.EntrySize
-		dt, err := a.drive.Stream(indexBytes)
-		if err != nil {
-			return err
-		}
-		sTime := max(scw.ScanTime(indexBytes), dt)
-		rt.Stats.FS1Scan += sTime
-		scanChunks = append(scanChunks, sTime)
-
-		first, fetchBytes := k, 0
-		for ; k < len(buf.Pos) && int(buf.Pos[k]) < hi; k++ {
-			fetchBytes += all[buf.Pos[k]].SizeBytes
-		}
-		rt.Stats.ClauseBytes += fetchBytes
-		fetch, err := a.drive.FetchRun(k-first, fetchBytes)
-		if err != nil {
-			return err
-		}
-		rt.Stats.DiskFetch += fetch
-		matchChunks = append(matchChunks, fetch)
-	}
-	rt.Stats.FS1Scan += access
-	rt.Stats.Chunks = count
-	rt.Stats.Total = pipelineTime(access, scanChunks, matchChunks)
-	rt.wall.lap(stageDiskFetch)
 
 	nativeFilter(a.nm, pred.File, len(buf.Pos), buf.Pos, rt)
 	rt.wall.lap(stageFS2Match)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"testing"
 	"time"
@@ -35,60 +34,17 @@ func ledgerClauses(nf, ng int) (f, g []ClauseTerm) {
 	return f, g
 }
 
-// perChunkLedger is the fs1+fs2 ledger as the native engine produced it
-// while it still swept the index one pipeline chunk per call: scan a
-// chunk, charge its stream, charge the fetch of its survivors, next chunk.
-// The one-sweep path must derive exactly this from the survivors'
-// positions.
-func perChunkLedger(r *Retriever, pred *Predicate, goal term.Term) (StageStats, error) {
-	var st StageStats
-	qd, err := r.ienc.EncodeQuery(goal)
-	if err != nil {
-		return st, err
-	}
-	col := pred.File.Index().Columnar()
-	all := pred.File.All()
-	n := col.Len()
-	chunk, _ := r.streamChunks(n)
-	m := r.cfg.Disk
-	var buf scw.ScanBuf
-	var scans, fetches []time.Duration
-	for lo := 0; lo < n; lo += chunk {
-		col.ScanRangeInto(qd, lo, lo+chunk, &buf)
-		st.IndexBytes += buf.BytesScanned
-		sTime := scw.ScanTime(buf.BytesScanned)
-		if dt := m.TransferTime(buf.BytesScanned); dt > sTime {
-			sTime = dt
-		}
-		st.FS1Scan += sTime
-		st.AfterFS1 += len(buf.Pos)
-		st.MaskedHits += buf.MaskedHits
-		scans = append(scans, sTime)
-		fetchBytes := 0
-		for _, p := range buf.Pos {
-			fetchBytes += all[p].SizeBytes
-		}
-		st.ClauseBytes += fetchBytes
-		fetch := m.FetchRunTime(len(buf.Pos), fetchBytes)
-		st.DiskFetch += fetch
-		fetches = append(fetches, fetch)
-	}
-	st.FS1Scan += m.AccessTime()
-	st.Chunks = len(scans)
-	st.Total = pipelineTime(m.AccessTime(), scans, fetches)
-	return st, nil
-}
-
 // TestNativeLedgerDerived: over chunk sizes from one entry to more than
 // the file, and goals whose survivors fall on a chunk's first entry, its
-// last, in no chunk at all and in masked blocks, the native fs1+fs2
-// ledger — derived after one sweep from where the survivors lie — is the
-// per-chunk loop's, field for field, and the sim engine's except for the
-// FS2-match term. (f's records are all one size, so on it the sim
-// engine's truncated-average fetch is exact, and a chunk's fetch always
-// outlasts its match, so DiskFetch and Total agree too; g's records vary,
-// and there the two engines' documented fetch terms differ.) A few Totals
-// are pinned as the commit before the one-sweep change printed them.
+// last, in no chunk at all and in masked blocks, the fs1+fs2 ledger native
+// EXPLAIN derives — after the retrieval, from where the survivors lie — is
+// the sim engine's, field for field, except for the FS2-match term. (f's
+// records are all one size, so on it the sim engine's truncated-average
+// fetch is exact, and a chunk's fetch always outlasts its match, so
+// DiskFetch and Total agree too; g's records vary, and there the two
+// engines' documented fetch terms differ.) A few Totals are pinned as the
+// native engine printed them while it still charged a drive chunk by
+// chunk. The native retrievals themselves charge nothing.
 func TestNativeLedgerDerived(t *testing.T) {
 	const nf, ng = 3000, 200
 	f, g := ledgerClauses(nf, ng)
@@ -127,15 +83,11 @@ func TestNativeLedgerDerived(t *testing.T) {
 			{"f-none", "f(absent, X)"},
 			{"g-masked", "g(k5, X)"},
 		}
-		var want, simF, nativeF disk.Stats
 		for _, gl := range goals {
 			name := "chunk=" + tc.name + "/" + gl.name
-			if gl.name == "g-masked" {
-				simF, nativeF = sim.DiskStats(), native.DiskStats()
-			}
 			goal := parse.MustTerm(gl.src)
 			diffRetrieve(t, sim, native, goal, ModeFS1FS2)
-			nrt, err := native.Retrieve(goal, ModeFS1FS2)
+			p, err := native.Explain(goal, ModeFS1FS2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,11 +95,7 @@ func TestNativeLedgerDerived(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := perChunkLedger(native, nrt.pred, goal)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ns, ss := nrt.Stats, srt.Stats
+			ns, ss := p.Stats, srt.Stats
 			type ledger struct {
 				IndexBytes, ClauseBytes, Chunks, AfterFS1, MaskedHits int
 				FS1Scan, DiskFetch, Total                             time.Duration
@@ -155,14 +103,11 @@ func TestNativeLedgerDerived(t *testing.T) {
 			of := func(st StageStats) ledger {
 				return ledger{st.IndexBytes, st.ClauseBytes, st.Chunks, st.AfterFS1, st.MaskedHits, st.FS1Scan, st.DiskFetch, st.Total}
 			}
-			if got := of(ns); got != of(ref) {
-				t.Errorf("%s: native ledger %+v, per-chunk loop %+v", name, got, of(ref))
-			}
 			if gl.name == "g-masked" {
 				ss.DiskFetch, ss.Total = ns.DiskFetch, ns.Total
 			}
 			if got := of(ns); got != of(ss) {
-				t.Errorf("%s: native ledger %+v, sim engine %+v", name, got, of(ss))
+				t.Errorf("%s: native EXPLAIN ledger %+v, sim engine %+v", name, got, of(ss))
 			}
 			if gl.name == "g-masked" && ns.MaskedHits == 0 {
 				t.Errorf("%s: no masked survivor", name)
@@ -176,21 +121,9 @@ func TestNativeLedgerDerived(t *testing.T) {
 					t.Errorf("%s: Total = %d, pinned %d", name, ns.Total, p)
 				}
 			}
-			// Two retrievals ran: each positioned once, streamed the whole
-			// index and fetched its survivors.
-			for i := 0; i < 2; i++ {
-				want.Add(disk.Stats{
-					BytesRead: int64(ref.IndexBytes + ref.ClauseBytes),
-					Accesses:  1 + ref.AfterFS1,
-					Elapsed:   ref.FS1Scan + ref.DiskFetch,
-				})
-			}
 		}
-		if got := native.DiskStats(); got != want {
-			t.Errorf("chunk=%s: native DiskStats %+v, want %+v", tc.name, got, want)
-		}
-		if nativeF != simF {
-			t.Errorf("chunk=%s: over f, native DiskStats %+v, sim %+v", tc.name, nativeF, simF)
+		if got := native.DiskStats(); got != (disk.Stats{}) {
+			t.Errorf("chunk=%s: native DiskStats %+v, want zero", tc.name, got)
 		}
 	}
 	if seen != len(pinned) {
@@ -198,55 +131,51 @@ func TestNativeLedgerDerived(t *testing.T) {
 	}
 }
 
-// TestNativeFaultSequence: a seeded drive-fault schedule fires on the same
-// probes as before the native engine stopped leasing a chassis — the drive
-// sites are probed under the same names and key, in the same order and
-// number per retrieval — so 200 serial retrievals walk the ladder the same
-// way. The per-retrieval (Faults, Retries, Degraded) sequence, the injected
-// count and the drive totals are pinned as the commit before printed them.
-func TestNativeFaultSequence(t *testing.T) {
+// TestNativeLedgerByHand: native EXPLAIN prices modes software, fs1 and
+// fs2 from the retrieval's counts alone, and each Total below is worked
+// out from the drive model by hand, not printed. The M2351A positions in
+// 18 ms + half of 60 s/3961 (15 147 689 ns truncated, halved) =
+// 25 573 844 ns and streams 2 MB/s; FS1 scans 4.5 MB/s. Each f record is
+// 67 B: 8 B framing, the head f/2 (16 B meta + 1 B functor + 2 words)
+// and the clause ':-'/2 (16 + 2 + 4 words: the head in line, then true).
+func TestNativeLedgerByHand(t *testing.T) {
+	f, _ := ledgerClauses(3000, 0)
 	cfg := DefaultConfig()
 	cfg.Engine = EngineNative
-	cfg.StreamChunkEntries = 64
-	cfg.RetryBackoff = time.Microsecond
-	cfg.Faults = fault.New(19890528).
-		Add(fault.Rule{Site: fault.SiteDiskIndex, Probability: 0.05}).
-		Add(fault.Rule{Site: fault.SiteDiskRead, Probability: 0.10})
-	r := buildRetriever(t, cfg, 500, 5)
-	h := fnv.New64a()
-	var faults, retries, fs2, host int
-	for i := 0; i < 200; i++ {
-		goal := parse.MustTerm(fmt.Sprintf("married_couple(husband%d, X)", (i*37)%500))
-		rt, err := r.Retrieve(goal, modes()[i%4])
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.AddClauses("ledger", f); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		mode SearchMode
+		want time.Duration
+	}{
+		// access + 3000 × 67 B / 2 MB/s (100.5 ms), then 3000 × 50 µs of
+		// host matching.
+		{ModeSoftware, 25573844 + 100500000 + 150000000},
+		// The index, 3000 × 14 B, is a disk scan (21 ms beats FS1's
+		// 9.33 ms), then one access and 33.5 µs fetch the one survivor.
+		{ModeFS1, 25573844 + 21000000 + 25573844 + 33500},
+		// The whole clause file streams; FS2 matching is free.
+		{ModeFS2, 25573844 + 100500000},
+	} {
+		p, err := r.Explain(parse.MustTerm("f(k5, X)"), tc.mode)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n, _, err := rt.Evaluate(); err != nil || n != 1 {
-			t.Fatalf("retrieval %d: %d true unifiers (%v), degraded %q", i, n, err, rt.Stats.Degraded)
+		if p.Stats.Total != tc.want || p.Unified != 1 {
+			t.Errorf("%v: EXPLAIN Total %d (%d unified), want %d", tc.mode, p.Stats.Total, p.Unified, tc.want)
 		}
-		fmt.Fprintf(h, "%d/%d/%s,", rt.Stats.Faults, rt.Stats.Retries, rt.Stats.Degraded)
-		faults += rt.Stats.Faults
-		retries += rt.Stats.Retries
-		switch rt.Stats.Degraded {
-		case "fs2":
-			fs2++
-		case "host":
-			host++
-		}
-	}
-	got := fmt.Sprintf("faults=%d retries=%d fs2=%d host=%d injected=%d seq=%016x disk=%+v",
-		faults, retries, fs2, host, r.cfg.Faults.Injected(), h.Sum64(), r.DiskStats())
-	const want = "faults=46 retries=46 fs2=28 host=0 injected=46 seq=e90c640a4e7595b5 disk={BytesRead:5721256 Accesses:377 Elapsed:12.118359528s Faults:46}"
-	if got != want {
-		t.Errorf("fault schedule moved:\n got %s\nwant %s", got, want)
 	}
 }
 
 // TestNativeRetrievalsOverlap: native retrievals lease nothing, so four
-// of them, each held 40 ms at its one clause-file read, finish in about
-// the time of one — not one after another behind a one-board chassis —
-// with the serial candidates, and the drive totals come out as four times
-// one retrieval's.
+// of them, each held 40 ms by a latency rule at the core.retrieve site,
+// finish in about the time of one — not one after another behind a
+// one-board chassis — with the serial candidates and statistics.
 func TestNativeRetrievalsOverlap(t *testing.T) {
 	const delay = 40 * time.Millisecond
 	const clients = 4
@@ -261,9 +190,8 @@ func TestNativeRetrievalsOverlap(t *testing.T) {
 	if want.Stats.AfterFS1 != 1 {
 		t.Fatalf("reference has %d FS1 survivors, want 1", want.Stats.AfterFS1)
 	}
-	one := ref.DiskStats()
 
-	cfg.Faults = fault.New(1).Add(fault.Rule{Site: fault.SiteDiskRead, Probability: 1, Delay: delay})
+	cfg.Faults = fault.New(1).Add(fault.Rule{Site: fault.SiteRetrieve, Probability: 1, Delay: delay})
 	r := buildRetriever(t, cfg, 100, 0)
 	var wg sync.WaitGroup
 	got := make([]*Retrieval, clients)
@@ -292,16 +220,9 @@ func TestNativeRetrievalsOverlap(t *testing.T) {
 		}
 	}
 	if d := r.cfg.Faults.Delayed(); d != clients {
-		t.Errorf("%d reads were delayed, want %d", d, clients)
+		t.Errorf("%d retrievals were delayed, want %d", d, clients)
 	}
 	if wall < delay || wall > delay*5/2 {
 		t.Errorf("%d retrievals delayed %v each took %v: want them overlapped (under %v)", clients, delay, wall, delay*5/2)
-	}
-	var total disk.Stats
-	for c := 0; c < clients; c++ {
-		total.Add(one)
-	}
-	if ds := r.DiskStats(); ds != total {
-		t.Errorf("DiskStats = %+v, want %d × one retrieval = %+v", ds, clients, total)
 	}
 }

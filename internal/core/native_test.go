@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"clare/internal/clausefile"
+	"clare/internal/fault"
 	"clare/internal/fs2"
 	"clare/internal/parse"
 	"clare/internal/pif"
@@ -148,10 +149,20 @@ func diffRetrieve(t *testing.T, sim, native *Retriever, goal term.Term, mode Sea
 	if ss.IndexBytes != ns.IndexBytes {
 		t.Fatalf("%v %v: IndexBytes sim %d, native %d", mode, goal, ss.IndexBytes, ns.IndexBytes)
 	}
-	if mode == ModeSoftware && ss.Total != ns.Total {
-		// Software mode shares the whole simulated ledger; the hardware
-		// modes differ only in the documented FS2Match/fetch terms.
-		t.Fatalf("%v %v: software Total sim %v, native %v", mode, goal, ss.Total, ns.Total)
+	if ns.FS1Scan != 0 || ns.DiskFetch != 0 || ns.FS2Match != 0 || ns.HostMatch != 0 || ns.Total != 0 || ns.Chunks != 0 {
+		t.Fatalf("%v %v: native retrieval carries a simulated ledger: %+v", mode, goal, ns)
+	}
+	if mode == ModeSoftware {
+		// Software mode shares the whole simulated ledger, which native
+		// EXPLAIN prices from the retrieval's counts; the hardware modes
+		// differ only in the documented FS2Match/fetch terms.
+		p, err := native.ProfileOf(nrt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Stats != ss {
+			t.Fatalf("%v %v: software Stats sim %+v, native EXPLAIN %+v", mode, goal, ss, p.Stats)
+		}
 	}
 	return len(srt.Candidates) + 1
 }
@@ -251,11 +262,15 @@ func TestEngineDifferentialFamily(t *testing.T) {
 	for _, g := range goals {
 		goal := parse.MustTerm(g)
 		diffRetrieve(t, sim, native, goal, ModeFS1)
-		// In mode fs1 the two ledgers agree to the nanosecond.
+		// In mode fs1 the sim ledger and native EXPLAIN's agree to the
+		// nanosecond.
 		srt, _ := sim.Retrieve(goal, ModeFS1)
-		nrt, _ := native.Retrieve(goal, ModeFS1)
-		if srt.Stats != nrt.Stats {
-			t.Fatalf("fs1 %s: Stats sim %+v, native %+v", g, srt.Stats, nrt.Stats)
+		p, err := native.Explain(goal, ModeFS1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if srt.Stats != p.Stats {
+			t.Fatalf("fs1 %s: Stats sim %+v, native EXPLAIN %+v", g, srt.Stats, p.Stats)
 		}
 	}
 }
@@ -400,6 +415,48 @@ func TestNativeEngineConfig(t *testing.T) {
 	}
 	if r.Engine() != EngineSim {
 		t.Fatalf("default engine = %v", r.Engine())
+	}
+}
+
+// TestNativeRefusesSimFaultSites: a fault rule at a site only the
+// simulated chassis probes — a drive, the bus, a board — would be armed
+// and never fire on the native engine, so building a native retriever
+// with one fails, naming the site and the engine that probes it, keyed or
+// not. The retrieval and WAL sites stay accepted, and the sim engine
+// accepts every rule.
+func TestNativeRefusesSimFaultSites(t *testing.T) {
+	for _, tc := range []struct {
+		site, key string
+		native    bool
+	}{
+		{fault.SiteDiskRead, "", false},
+		{fault.SiteDiskRead, "0", false},
+		{fault.SiteDiskIndex, "", false},
+		{fault.SiteDiskIndex, "0", false},
+		{fault.SiteBus, "", false},
+		{fault.SiteBus, "0", false},
+		{fault.SiteFS2, "", false},
+		{fault.SiteFS2, "0", false},
+		{fault.SiteRetrieve, "", true},
+		{fault.SiteRetrieve, "married_couple/2", true},
+		{fault.SiteWALAppend, "", true},
+	} {
+		for _, engine := range []Engine{EngineSim, EngineNative} {
+			cfg := DefaultConfig()
+			cfg.Engine = engine
+			cfg.Faults = fault.New(1).
+				Add(fault.Rule{Site: fault.SiteRetrieve, Probability: 0.1}).
+				Add(fault.Rule{Site: tc.site, Key: tc.key, Probability: 0})
+			_, err := New(cfg)
+			want := engine == EngineSim || tc.native
+			if want && err != nil {
+				t.Errorf("%v: rule %s@%q refused: %v", engine, tc.site, tc.key, err)
+			}
+			if !want && (err == nil || !strings.Contains(err.Error(), tc.site) ||
+				!strings.Contains(err.Error(), "needs -engine sim") || strings.Contains(err.Error(), "\n")) {
+				t.Errorf("%v: rule %s@%q: err = %v, want a one-line refusal naming the site and -engine sim", engine, tc.site, tc.key, err)
+			}
+		}
 	}
 }
 

@@ -162,25 +162,6 @@ func TestQueryCacheHits(t *testing.T) {
 	}
 }
 
-// TestQueryCacheDisabled: a negative cap turns the cache off entirely.
-func TestQueryCacheDisabled(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.QueryCacheSize = -1
-	r := buildRetriever(t, cfg, 20, 0)
-	for i := 0; i < 2; i++ {
-		rt, err := r.Retrieve(parse.MustTerm("married_couple(husband3, X)"), ModeFS1FS2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rt.Stats.QueryCacheHit {
-			t.Error("disabled cache reported a hit")
-		}
-	}
-	if cs := r.QueryCache(); cs != (QueryCacheStats{}) {
-		t.Errorf("disabled cache stats %+v, want zeros", cs)
-	}
-}
-
 // TestStreamingChunks: with a small chunk size the fs1+fs2 path must
 // stream in several chunks, keep the same candidates, and account a
 // Total that is at least each stage's own time (nothing is free) but at

@@ -21,7 +21,6 @@ import (
 // image) and safe to hand to concurrent retrievals.
 type queryCache struct {
 	mu      sync.RWMutex
-	cap     int
 	entries map[string]*cachedQuery
 
 	hits   atomic.Int64
@@ -33,36 +32,26 @@ type queryCache struct {
 	sizeG *telemetry.Gauge
 }
 
-// instrument wires the cache's counters to a metrics registry.
-func (c *queryCache) instrument(reg *telemetry.Registry) {
-	if c == nil {
-		return
-	}
-	c.hitC = reg.Counter("clare_qcache_hits_total", "query-encoding cache hits", nil)
-	c.missC = reg.Counter("clare_qcache_misses_total", "query-encoding cache misses", nil)
-	c.sizeG = reg.Gauge("clare_qcache_entries", "query-encoding cache population", nil)
-}
-
 type cachedQuery struct {
 	pif *pif.Encoded
 	scw scw.QueryDescriptor
 }
 
-// DefaultQueryCacheSize bounds the cache when Config.QueryCacheSize is 0.
-const DefaultQueryCacheSize = 1024
+// queryCacheSize bounds the cache (distinct goal shapes).
+const queryCacheSize = 1024
 
 // maxQueryKeyLen: goals larger than this are not worth caching (the key
 // build would rival the encode).
 const maxQueryKeyLen = 1 << 10
 
-func newQueryCache(capacity int) *queryCache {
-	if capacity == 0 {
-		capacity = DefaultQueryCacheSize
+// newQueryCache builds an empty cache whose counters land in reg.
+func newQueryCache(reg *telemetry.Registry) *queryCache {
+	return &queryCache{
+		entries: make(map[string]*cachedQuery),
+		hitC:    reg.Counter("clare_qcache_hits_total", "query-encoding cache hits", nil),
+		missC:   reg.Counter("clare_qcache_misses_total", "query-encoding cache misses", nil),
+		sizeG:   reg.Gauge("clare_qcache_entries", "query-encoding cache population", nil),
 	}
-	if capacity < 0 {
-		return nil // cache disabled
-	}
-	return &queryCache{cap: capacity, entries: make(map[string]*cachedQuery)}
 }
 
 func (c *queryCache) get(key string) *cachedQuery {
@@ -81,7 +70,7 @@ func (c *queryCache) get(key string) *cachedQuery {
 
 func (c *queryCache) put(key string, e *cachedQuery) {
 	c.mu.Lock()
-	if len(c.entries) >= c.cap {
+	if len(c.entries) >= queryCacheSize {
 		// Epoch flush: cheap, deterministic, and the working set refills in
 		// one round of misses.
 		c.entries = make(map[string]*cachedQuery)
@@ -93,16 +82,13 @@ func (c *queryCache) put(key string, e *cachedQuery) {
 }
 
 // QueryCacheStats reports the query-encoding cache's hit/miss counters and
-// current size. All zeros when the cache is disabled.
+// current size.
 type QueryCacheStats struct {
 	Hits, Misses int64
 	Size         int
 }
 
 func (c *queryCache) stats() QueryCacheStats {
-	if c == nil {
-		return QueryCacheStats{}
-	}
 	c.mu.RLock()
 	n := len(c.entries)
 	c.mu.RUnlock()

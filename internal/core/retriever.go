@@ -67,9 +67,9 @@ const (
 	EngineSim Engine = iota
 	// EngineNative runs the same algorithms as tight host code: columnar
 	// SCW scans (one AND/compare per entry), allocation-free PIF matching
-	// directly on the stored clause heads, batched exact-size fetch
-	// accounting. Results are bit-identical to EngineSim — only wall-clock
-	// speed and the FS2Match simulated-time ledger differ (see DESIGN §11).
+	// directly on the stored clause heads. Results are bit-identical to
+	// EngineSim; a retrieval keeps counts only, and EXPLAIN prices it in
+	// simulated time with FS2 matching free (see DESIGN §11).
 	EngineNative
 )
 
@@ -116,16 +116,14 @@ type Config struct {
 	// StreamChunkEntries is how many secondary-file entries FS1 hands to
 	// the fetch+FS2 stage per pipeline chunk in fs1+fs2 mode (0 derives
 	// one disk track's worth — the paper's unit of transfer, §3.2). On the
-	// native engine it only shapes the simulated-time ledger: the index is
-	// swept once whatever the chunk size.
+	// native engine it only shapes the simulated-time ledger EXPLAIN
+	// computes: the index is swept once whatever the chunk size.
 	StreamChunkEntries int
-	// QueryCacheSize bounds the query-encoding cache (distinct goal
-	// shapes). 0 means DefaultQueryCacheSize; negative disables caching.
-	QueryCacheSize int
 	// Metrics, when non-nil, receives per-stage counters and histograms
-	// (both wall-clock and simulated time) from the retriever, its board
-	// pool, the disk drives, the FS2 boards, the VME buses, and the query
-	// cache. Nil disables metrics at zero hot-path cost.
+	// from the retriever and the query cache, and on the sim engine from
+	// its board pool, disk drives, FS2 boards and VME buses. The sim
+	// engine observes durations in both clocks, the native engine in wall
+	// time only. Nil disables metrics at zero hot-path cost.
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, records one span tree per retrieval: the root
 	// plus one span per stage that ran (board lease, encode, FS1 scan,
@@ -134,9 +132,10 @@ type Config struct {
 	// Faults, when non-nil, is the fault injector armed across the
 	// chassis: every drive, bus, and board probes it, as does the
 	// retriever itself (site core.retrieve, keyed by predicate
-	// indicator). The native engine probes the drive sites only, keyed
-	// "0". Nil — the production configuration — costs one nil check per
-	// probe.
+	// indicator). The native engine probes core.retrieve only, and
+	// NewWithSymbols refuses it an injector with a rule naming a drive,
+	// bus or board site. Nil — the production configuration — costs one
+	// nil check per probe.
 	Faults *fault.Injector
 	// TripThreshold is how many consecutive faulted leases trip a board
 	// unit out of rotation (0 means 3; sim engine only, like ProbePeriod).
@@ -156,8 +155,9 @@ type Config struct {
 	// tests build from) or EngineNative (the vectorized host fast path
 	// with identical results, what crsd serves by default). Native mode
 	// requires a microprogram the native matcher supports (no
-	// DescendFull) and refuses Boards > 1, which sizes the simulated
-	// chassis.
+	// DescendFull) and refuses what only the simulated chassis has:
+	// Boards > 1, and fault rules at the disk.read, disk.index, vme.bus
+	// and fs2.match sites.
 	Engine Engine
 	// Flight, when non-nil, receives one compact FlightRecord per
 	// retrieval — the always-on black box the /flight dumps and
@@ -241,13 +241,13 @@ type Retriever struct {
 	met    *coreMetrics
 	tracer *telemetry.Tracer
 
-	// disk is what finished attempts charged the drive model: each
-	// accounts on a drive it owns — the leased unit's, the arena's — and
-	// folds its statistics in here when it ends.
+	// disk is what finished sim attempts charged the drive model: each
+	// accounts on its leased unit's drive and folds its statistics in
+	// here when it ends. The native engine charges no drive.
 	disk disk.Totals
 
 	// natPool recycles per-retrieval native-engine arenas (scan buffer,
-	// matcher, drive ledger); idle in sim mode.
+	// matcher); idle in sim mode.
 	natPool sync.Pool
 
 	// store pins the image MapRetriever loaded the predicates from (nil
@@ -276,8 +276,6 @@ func NewWithSymbols(cfg Config, syms *symtab.Table) (*Retriever, error) {
 	if cfg.SoftwareMatchCost <= 0 {
 		cfg.SoftwareMatchCost = DefaultConfig().SoftwareMatchCost
 	}
-	qcache := newQueryCache(cfg.QueryCacheSize)
-	qcache.instrument(cfg.Metrics)
 	if cfg.Metrics != nil {
 		cfg.Faults.Instrument(cfg.Metrics)
 	}
@@ -286,8 +284,8 @@ func NewWithSymbols(cfg Config, syms *symtab.Table) (*Retriever, error) {
 		syms:   syms,
 		penc:   pif.NewEncoder(syms),
 		ienc:   ienc,
-		qcache: qcache,
-		met:    newCoreMetrics(cfg.Metrics),
+		qcache: newQueryCache(cfg.Metrics),
+		met:    newCoreMetrics(cfg.Metrics, cfg.Engine),
 		tracer: cfg.Tracer,
 		preds:  make(map[Indicator]*Predicate),
 	}
@@ -299,10 +297,16 @@ func NewWithSymbols(cfg Config, syms *symtab.Table) (*Retriever, error) {
 	case EngineNative:
 		// Fail fast on what the native engine cannot run, rather than on
 		// the first retrieval: a simulated chassis of more than one board,
-		// and — building the first arena — a microprogram its matcher
-		// lacks.
+		// a fault rule at a site only that chassis probes — armed, it would
+		// never fire — and, building the first arena, a microprogram its
+		// matcher lacks.
 		if cfg.Boards > 1 {
 			return nil, fmt.Errorf("core: %d boards need the sim engine: the native engine builds no chassis and serves retrievals in parallel without one", cfg.Boards)
+		}
+		for _, site := range []string{fault.SiteDiskRead, fault.SiteDiskIndex, fault.SiteBus, fault.SiteFS2} {
+			if cfg.Faults.Arms(site) {
+				return nil, fmt.Errorf("core: fault site %s needs -engine sim: the native engine has no simulated drive, bus or board to probe it", site)
+			}
 		}
 		a, err := r.newArena()
 		if err != nil {
@@ -338,10 +342,10 @@ func (r *Retriever) Engine() Engine { return r.cfg.Engine }
 // still holding a board contributes its work when it releases.
 func (r *Retriever) FS2Stats() fs2.Stats { return r.pool.fs2Snapshot() }
 
-// DiskStats reports what finished retrievals charged the drive model, on
-// every spindle of the chassis or, on the native engine, on their own
-// ledgers. Like FS2Stats it is race-free while retrievals are in flight; an
-// attempt still running contributes when it ends.
+// DiskStats reports what finished retrievals charged the drive model on
+// every spindle of the chassis (zero on the native engine, which charges
+// no drive). Like FS2Stats it is race-free while retrievals are in
+// flight; an attempt still running contributes when it ends.
 func (r *Retriever) DiskStats() disk.Stats { return r.disk.Stats() }
 
 // Health reports the chassis's board-health snapshot: counts of free,
@@ -655,8 +659,8 @@ func (r *Retriever) RetrieveTraced(goal term.Term, mode SearchMode, tc *telemetr
 // attempt's partial candidates and stage times must not leak into the
 // next. start is the call's entry time; the first attempt's lease wait
 // is measured from it (only a map read lies between). The native engine
-// has no hardware to lease, retry on or trip: its attempts differ only in
-// what the drive fault sites answer.
+// has no hardware to lease, retry on or trip: only core.retrieve faults
+// its attempts, so it never takes the fs2 rung.
 func (r *Retriever) ladder(goal term.Term, mode SearchMode, pred *Predicate, name string, start time.Time) (*Retrieval, error) {
 	backoff := r.cfg.RetryBackoff
 	if backoff <= 0 {
@@ -720,10 +724,15 @@ func (r *Retriever) ladder(goal term.Term, mode SearchMode, pred *Predicate, nam
 	}
 	// Last rung: no healthy board, or the retry budget is spent. The host
 	// matches the raw clause file itself — no hardware, no injection
-	// sites, guaranteed to complete.
+	// sites, guaranteed to complete. On the sim engine it reads through a
+	// drive of its own.
 	degraded = "host"
 	rt := fresh(time.Now())
-	err := r.retrieveSoftware(goal, pred, rt, disk.NewDrive(r.cfg.Disk))
+	var drive *disk.Drive
+	if r.pool != nil {
+		drive = disk.NewDrive(r.cfg.Disk)
+	}
+	err := r.retrieveSoftware(goal, pred, rt, drive)
 	return seal(rt), err
 }
 
@@ -735,16 +744,11 @@ func (r *Retriever) Flight() *telemetry.FlightRecorder { return r.cfg.Flight }
 // memoised per goal shape in the query cache.
 func (r *Retriever) encodeQuery(goal term.Term, rt *Retrieval) (qd scw.QueryDescriptor, q *pif.Encoded, err error) {
 	defer rt.wall.lap(stageEncode)
-	var key string
-	if r.qcache != nil {
-		var cacheable bool
-		if key, cacheable = queryKey(goal); cacheable {
-			if c := r.qcache.get(key); c != nil {
-				rt.Stats.QueryCacheHit = true
-				return c.scw, c.pif, nil
-			}
-		} else {
-			key = ""
+	key, cacheable := queryKey(goal)
+	if cacheable {
+		if c := r.qcache.get(key); c != nil {
+			rt.Stats.QueryCacheHit = true
+			return c.scw, c.pif, nil
 		}
 	}
 	qd, err = r.ienc.EncodeQuery(goal)
@@ -755,7 +759,7 @@ func (r *Retriever) encodeQuery(goal term.Term, rt *Retrieval) (qd scw.QueryDesc
 	if err != nil {
 		return scw.QueryDescriptor{}, nil, err
 	}
-	if key != "" {
+	if cacheable {
 		r.qcache.put(key, &cachedQuery{pif: q, scw: qd})
 	}
 	return qd, q, nil
@@ -766,45 +770,50 @@ func (r *Retriever) encodeQuery(goal term.Term, rt *Retrieval) (qd scw.QueryDesc
 // software matcher runs the same level-3+XB algorithm (package ptu).
 //
 // drive is the spindle the clause file streams from: the leased unit's
-// on the sim engine, the arena's ledger on the native one. The host-only
-// rung passes a drive of its own — the host reads the clause file through
-// its own block I/O, costed by the drive model outside any per-spindle
+// on the sim engine's filter path. The sim engine's host-only rung passes
+// a drive of its own — the host reads the clause file through its own
+// block I/O, costed by the drive model outside any per-spindle
 // accounting — which nothing has armed with faults, so that path always
-// completes.
+// completes. The native engine passes nil and charges nothing: the
+// retrieval keeps counts, and EXPLAIN prices them.
 func (r *Retriever) retrieveSoftware(goal term.Term, pred *Predicate, rt *Retrieval, drive *disk.Drive) error {
 	all := pred.File.All()
 	rt.Stats.AfterFS1 = len(all)
 	rt.Stats.ClauseBytes = pred.File.SizeBytes()
-	diskTime, err := drive.Scan(pred.File.SizeBytes())
-	if err != nil {
-		return err
+	if drive != nil {
+		diskTime, err := drive.Scan(pred.File.SizeBytes())
+		if err != nil {
+			return err
+		}
+		rt.Stats.DiskFetch = diskTime
+		rt.wall.lap(stageDiskFetch)
 	}
-	rt.wall.lap(stageDiskFetch)
 	cfg := ptuConfigFor(r.cfg.Microprogram)
 	for _, sc := range all {
 		head, _, err := pred.File.DecodeClause(sc)
 		if err != nil {
 			return err
 		}
-		rt.Stats.HostMatch += r.cfg.SoftwareMatchCost
 		if ptu.Match(goal, head, cfg) {
 			rt.Candidates = append(rt.Candidates, sc)
 		}
 	}
 	rt.wall.lap(stageHostMatch)
-	rt.Stats.DiskFetch = diskTime
-	rt.Stats.Total = diskTime + rt.Stats.HostMatch
+	if drive != nil {
+		rt.Stats.HostMatch = time.Duration(len(all)) * r.cfg.SoftwareMatchCost
+		rt.Stats.Total = rt.Stats.DiskFetch + rt.Stats.HostMatch
+	}
 	return nil
 }
 
 // streamChunks resolves the fs1+fs2 pipeline's chunking of an n-entry
 // index: entries per chunk and how many chunks that makes.
-func (r *Retriever) streamChunks(n int) (chunk, count int) {
-	chunk = r.cfg.StreamChunkEntries
+func (c *Config) streamChunks(n int) (chunk, count int) {
+	chunk = c.StreamChunkEntries
 	if chunk <= 0 {
 		// One disk track per chunk — the paper's worst-case unit of a
 		// single FS2 search call (§3.2).
-		chunk = r.cfg.Disk.TrackBytes / scw.EntrySize
+		chunk = c.Disk.TrackBytes / scw.EntrySize
 		if chunk < 1 {
 			chunk = 1
 		}

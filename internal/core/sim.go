@@ -376,7 +376,7 @@ func (r *Retriever) retrieveFS1FS2(goal term.Term, pred *Predicate, rt *Retrieva
 	if n == 0 {
 		return nil
 	}
-	chunk, count := r.streamChunks(n)
+	chunk, count := r.cfg.streamChunks(n)
 
 	if _, err := u.bus.SelectFS2(fs2.ModeSetQuery); err != nil {
 		return err

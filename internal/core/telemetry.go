@@ -29,7 +29,8 @@ import (
 // whose Wall is the sum over its slices and whose "chunks" attr says how
 // many there were; per-chunk simulated time stays where it is exact, in
 // Stats.Chunks and pipelineTime. Sim comes from the component models
-// (the matching StageStats field), Wall from the host clock.
+// (the matching StageStats field, zero on the native engine, which keeps
+// counts only), Wall from the host clock.
 type stage int
 
 const (
@@ -90,7 +91,8 @@ type coreMetrics struct {
 	retrievalWall map[SearchMode]*telemetry.Histogram
 	// stageWall[stageLease] is the lease-wait histogram (observed on the
 	// sim engine only: a native retrieval leases nothing); the stages with
-	// no hardware analogue have no sim series observed.
+	// no hardware analogue have no sim series observed, and on the native
+	// engine no sim series is registered at all.
 	stageSim  [numStages]*telemetry.Histogram
 	stageWall [numStages]*telemetry.Histogram
 
@@ -123,22 +125,28 @@ type coreMetrics struct {
 
 var allModes = []SearchMode{ModeSoftware, ModeFS1, ModeFS2, ModeFS1FS2}
 
-func newCoreMetrics(reg *telemetry.Registry) *coreMetrics {
+func newCoreMetrics(reg *telemetry.Registry, e Engine) *coreMetrics {
 	m := &coreMetrics{
 		retrievals:    make(map[SearchMode]*telemetry.Counter, len(allModes)),
 		retrievalSim:  make(map[SearchMode]*telemetry.Histogram, len(allModes)),
 		retrievalWall: make(map[SearchMode]*telemetry.Histogram, len(allModes)),
 	}
+	// A native retrieval has no simulated time (EXPLAIN prices it), so
+	// the native engine registers no clock="sim" series: nil handles.
+	simReg := reg
+	if e == EngineNative {
+		simReg = nil
+	}
 	for _, mode := range allModes {
 		ml := telemetry.Labels{"mode": mode.String()}
 		m.retrievals[mode] = reg.Counter("clare_retrievals_total", "retrievals completed per search mode", ml)
-		m.retrievalSim[mode] = reg.Histogram("clare_retrieval_seconds", "whole-retrieval duration per mode and clock", nil,
+		m.retrievalSim[mode] = simReg.Histogram("clare_retrieval_seconds", "whole-retrieval duration per mode and clock", nil,
 			telemetry.Labels{"mode": mode.String(), "clock": "sim"})
 		m.retrievalWall[mode] = reg.Histogram("clare_retrieval_seconds", "whole-retrieval duration per mode and clock", nil,
 			telemetry.Labels{"mode": mode.String(), "clock": "wall"})
 	}
 	for s := stageEncode; s < numStages; s++ {
-		m.stageSim[s] = reg.Histogram("clare_stage_seconds", "per-stage duration per clock", nil,
+		m.stageSim[s] = simReg.Histogram("clare_stage_seconds", "per-stage duration per clock", nil,
 			telemetry.Labels{"stage": stageNames[s], "clock": "sim"})
 		m.stageWall[s] = reg.Histogram("clare_stage_seconds", "per-stage duration per clock", nil,
 			telemetry.Labels{"stage": stageNames[s], "clock": "wall"})

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"clare/internal/disk"
+	"clare/internal/fault"
 	"clare/internal/parse"
 	"clare/internal/telemetry"
 )
@@ -30,13 +32,23 @@ func telemetryRetriever(t *testing.T, boards int) (*Retriever, *telemetry.Regist
 // is exactly the root plus the stages that ran — the same spans for a
 // one-chunk predicate and a 25-chunk one — and every span's simulated
 // time is the matching StageStats field. Only the sim engine leases a
-// board, so only its trees carry a board_lease span.
+// board and streams in chunks, so only its trees carry a board_lease span
+// and a chunks attribute; a native retrieval reads no simulated disk, so
+// only its mode fs1, gathering the survivors' records, has a disk_fetch.
 func TestRetrievalSpanTree(t *testing.T) {
-	stagesRan := map[SearchMode][]string{
-		ModeSoftware: {"board_lease", "disk_fetch", "host_match"},
-		ModeFS1:      {"board_lease", "encode", "fs1_scan", "disk_fetch"},
-		ModeFS2:      {"board_lease", "encode", "disk_fetch", "fs2_match"},
-		ModeFS1FS2:   {"board_lease", "encode", "fs1_scan", "disk_fetch", "fs2_match"},
+	stagesRan := map[Engine]map[SearchMode][]string{
+		EngineSim: {
+			ModeSoftware: {"board_lease", "disk_fetch", "host_match"},
+			ModeFS1:      {"board_lease", "encode", "fs1_scan", "disk_fetch"},
+			ModeFS2:      {"board_lease", "encode", "disk_fetch", "fs2_match"},
+			ModeFS1FS2:   {"board_lease", "encode", "fs1_scan", "disk_fetch", "fs2_match"},
+		},
+		EngineNative: {
+			ModeSoftware: {"host_match"},
+			ModeFS1:      {"encode", "fs1_scan", "disk_fetch"},
+			ModeFS2:      {"encode", "fs2_match"},
+			ModeFS1FS2:   {"encode", "fs1_scan", "fs2_match"},
+		},
 	}
 	goal := parse.MustTerm("married_couple(husband3, X)")
 	for _, engine := range []Engine{EngineSim, EngineNative} {
@@ -53,10 +65,12 @@ func TestRetrievalSpanTree(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if mode == ModeFS1FS2 {
-						if want := (clauses + 15) / 16; rt.Stats.Chunks != want {
-							t.Fatalf("%d clauses: Stats.Chunks = %d, want %d", clauses, rt.Stats.Chunks, want)
-						}
+					wantChunks := 0
+					if mode == ModeFS1FS2 && engine == EngineSim {
+						wantChunks = (clauses + 15) / 16
+					}
+					if rt.Stats.Chunks != wantChunks {
+						t.Fatalf("%d clauses: Stats.Chunks = %d, want %d", clauses, rt.Stats.Chunks, wantChunks)
 					}
 					tr := rt.Trace()
 					if tr == nil {
@@ -88,14 +102,14 @@ func TestRetrievalSpanTree(t *testing.T) {
 						if sp.Sim != wantSim {
 							t.Errorf("%s sim = %v, want the Stats field %v", sp.Name, sp.Sim, wantSim)
 						}
-						if sp.Name == "fs1_scan" && mode == ModeFS1FS2 && sp.Attrs["chunks"] != strconv.Itoa(rt.Stats.Chunks) {
-							t.Errorf("fs1_scan chunks attr = %q, want %d", sp.Attrs["chunks"], rt.Stats.Chunks)
+						if sp.Name == "fs1_scan" && mode == ModeFS1FS2 && wantChunks > 0 && sp.Attrs["chunks"] != strconv.Itoa(wantChunks) {
+							t.Errorf("fs1_scan chunks attr = %q, want %d", sp.Attrs["chunks"], wantChunks)
+						}
+						if _, ok := sp.Attrs["chunks"]; ok && wantChunks == 0 {
+							t.Errorf("%s carries a chunks attr on a retrieval that streamed no chunks", sp.Name)
 						}
 					}
-					want := stagesRan[mode]
-					if engine == EngineNative {
-						want = want[1:]
-					}
+					want := stagesRan[engine][mode]
 					if !slices.Equal(got, want) {
 						t.Errorf("%d clauses: stage spans = %v, want %v", clauses, got, want)
 					}
@@ -111,7 +125,8 @@ func TestRetrievalSpanTree(t *testing.T) {
 
 // TestArmedRetrievalAllocsFlat: with registry, tracer and flight ring all
 // armed, a native fs1+fs2 retrieval allocates the same number of objects
-// over one pipeline chunk as over 25 — nothing per-chunk is recorded.
+// over one pipeline chunk's worth of index as over 25 — nothing per-chunk
+// is done or recorded.
 func TestArmedRetrievalAllocsFlat(t *testing.T) {
 	goal := parse.MustTerm("married_couple(husband3, X)")
 	allocs := func(clauses int) float64 {
@@ -127,8 +142,8 @@ func TestArmedRetrievalAllocsFlat(t *testing.T) {
 		best := math.Inf(1)
 		for i := 0; i < 50; i++ {
 			best = min(best, testing.AllocsPerRun(1, func() {
-				if rt, err := r.Retrieve(goal, ModeFS1FS2); err != nil || rt.Stats.Chunks != (clauses+15)/16 {
-					t.Fatalf("retrieve: %v (chunks %d)", err, rt.Stats.Chunks)
+				if rt, err := r.Retrieve(goal, ModeFS1FS2); err != nil || len(rt.Candidates) != 1 {
+					t.Fatalf("retrieve: %v", err)
 				}
 			}))
 		}
@@ -136,6 +151,63 @@ func TestArmedRetrievalAllocsFlat(t *testing.T) {
 	}
 	if one, many := allocs(10), allocs(400); one != many {
 		t.Errorf("allocs per retrieval: %v over 1 chunk, %v over 25", one, many)
+	}
+}
+
+// TestNativeRetrievalKeepsCounts: a native retrieval, in every mode and
+// on the host rung, keeps counts only — zero simulated stage times and
+// Chunks, span Sim and flight sim_ns zero, nothing charged to DiskStats —
+// and the registry lists no clare_disk_* family and no clock="sim"
+// series, while the wall-clock ones are observed.
+func TestNativeRetrievalKeepsCounts(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Engine = EngineNative
+	cfg.StreamChunkEntries = 16
+	cfg.Metrics = telemetry.NewRegistry()
+	cfg.Tracer = telemetry.NewTracer(8)
+	cfg.Flight = telemetry.NewFlightRecorder(8)
+	cfg.RetryBackoff = time.Microsecond
+	cfg.Faults = fault.New(1).Add(fault.Rule{Site: fault.SiteRetrieve, Key: "married_couple/2", Nth: 1, Limit: 3})
+	r := buildRetriever(t, cfg, 400, 6)
+	goal := parse.MustTerm("married_couple(husband3, X)")
+	for i, mode := range append([]SearchMode{ModeFS1FS2}, modes()...) {
+		rt, err := r.Retrieve(goal, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if host := i == 0; (rt.Stats.Degraded == "host") != host {
+			t.Fatalf("%v: degraded %q, want the host rung on the first retrieval only", mode, rt.Stats.Degraded)
+		}
+		st := rt.Stats
+		if st.FS1Scan != 0 || st.DiskFetch != 0 || st.FS2Match != 0 || st.HostMatch != 0 || st.Total != 0 || st.Chunks != 0 {
+			t.Errorf("%v: native retrieval carries a simulated ledger: %+v", mode, st)
+		}
+		for _, sp := range rt.Trace().Spans {
+			if sp.Sim != 0 {
+				t.Errorf("%v: span %s sim = %v", mode, sp.Name, sp.Sim)
+			}
+		}
+	}
+	for _, rec := range cfg.Flight.Snapshot(0) {
+		if rec.SimNS != 0 {
+			t.Errorf("flight record %+v has sim_ns", rec)
+		}
+	}
+	if ds := r.DiskStats(); ds != (disk.Stats{}) {
+		t.Errorf("DiskStats = %+v, want zero", ds)
+	}
+	var sb strings.Builder
+	if err := cfg.Metrics.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, banned := range []string{"clare_disk_", `clock="sim"`} {
+		if strings.Contains(out, banned) {
+			t.Errorf("native exposition lists %s", banned)
+		}
+	}
+	if !strings.Contains(out, `clare_retrieval_seconds_count{clock="wall",mode="fs1+fs2"} 2`) {
+		t.Error("native exposition lacks the wall-clock retrieval series")
 	}
 }
 

@@ -314,28 +314,26 @@ func (c *Session) Retrieve(goal term.Term, mode *core.SearchMode) (*core.Retriev
 // header through here so the retrieval's span tree records the caller's
 // trace ID and parent span.
 func (c *Session) RetrieveTraced(goal term.Term, mode *core.SearchMode, tc *telemetry.TraceContext) (*core.Retrieval, error) {
-	return c.serve(goal, mode, tc)
+	rt, _, err := c.serve(goal, mode, tc, false)
+	return rt, err
 }
 
 // Explain serves one EXPLAIN call: a served retrieval — same locking,
-// mode choice and accounting as Retrieve — whose candidates then go
-// through the host reference-unification pass, profiled per filter rung.
-// Like a reply's rendering, that pass reads only the candidates' own
-// words, which outlive the read lock (clausefile.StoredClause).
+// mode choice and accounting as Retrieve — then profiled per filter rung
+// under the same read lock, since pricing a native retrieval re-sweeps
+// the predicate's index.
 func (c *Session) Explain(goal term.Term, mode *core.SearchMode, tc *telemetry.TraceContext) (*core.Profile, error) {
-	rt, err := c.serve(goal, mode, tc)
-	if err != nil {
-		return nil, err
-	}
-	return c.srv.retriever.ProfileOf(rt)
+	_, p, err := c.serve(goal, mode, tc, true)
+	return p, err
 }
 
 // serve is the one path a retrieval takes through a session: predicate
-// lookup, read lock, mode choice, the retrieval itself, accounting.
-func (c *Session) serve(goal term.Term, mode *core.SearchMode, tc *telemetry.TraceContext) (*core.Retrieval, error) {
+// lookup, read lock, mode choice, the retrieval itself, accounting — and,
+// when explain is set, its profile, still under the read lock.
+func (c *Session) serve(goal term.Term, mode *core.SearchMode, tc *telemetry.TraceContext, explain bool) (*core.Retrieval, *core.Profile, error) {
 	pi, ps, err := c.lookup(goal)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	start := time.Now()
 	ps.lock.RLock()
@@ -344,7 +342,7 @@ func (c *Session) serve(goal term.Term, mode *core.SearchMode, tc *telemetry.Tra
 
 	m, err := c.chooseMode(goal, mode)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// No server-wide lock here: native retrievals run in parallel, and a
 	// sim retrieval leases a board unit from the chassis pool per call
@@ -353,10 +351,14 @@ func (c *Session) serve(goal term.Term, mode *core.SearchMode, tc *telemetry.Tra
 	wall := time.Since(start)
 	if err != nil {
 		c.srv.slo.Observe(pi.String(), wall, true)
-		return nil, err
+		return nil, nil, err
 	}
 	c.srv.account(pi, rt, wall)
-	return rt, nil
+	if !explain {
+		return rt, nil, nil
+	}
+	p, err := c.srv.retriever.ProfileOf(rt)
+	return rt, p, err
 }
 
 // lookup validates the session and resolves the goal's predicate state.

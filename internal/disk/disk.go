@@ -309,7 +309,8 @@ func (d *Drive) Fetch(k, recordBytes int) (time.Duration, error) {
 // FetchRunTime is the cost of fetching k scattered records totalling
 // totalBytes: like FetchTime but with the exact byte count instead of a
 // uniform per-record size, so runs of variable-length records are not
-// distorted by the truncated average.
+// distorted by the truncated average. The native engine's EXPLAIN ledger
+// prices its fetches with it.
 func (m Model) FetchRunTime(k, totalBytes int) time.Duration {
 	if k <= 0 {
 		return 0
@@ -319,29 +320,6 @@ func (m Model) FetchRunTime(k, totalBytes int) time.Duration {
 		seeks = t
 	}
 	return time.Duration(seeks)*m.AccessTime() + m.TransferTime(totalBytes)
-}
-
-// FetchRun accounts for k random clause-record reads totalling exactly
-// totalBytes — the native engine's batched fetch, which knows each
-// record's true size rather than a truncated average. Costing and fault
-// behaviour mirror Fetch.
-func (d *Drive) FetchRun(k, totalBytes int) (time.Duration, error) {
-	if k > 0 {
-		if err := d.probe(fault.SiteDiskRead); err != nil {
-			d.failedAccess()
-			return 0, err
-		}
-	}
-	t := d.Model.FetchRunTime(k, totalBytes)
-	d.Stats.BytesRead += int64(totalBytes)
-	d.Stats.Accesses += k
-	d.Stats.Elapsed += t
-	if k > 0 {
-		d.met.bytes.Add(int64(totalBytes))
-		d.met.accesses.Add(int64(k))
-		d.met.fetch.ObserveDuration(t)
-	}
-	return t, nil
 }
 
 // failedAccess accounts the positioning cost of a read attempt that died

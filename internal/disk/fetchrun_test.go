@@ -2,7 +2,7 @@ package disk
 
 import "testing"
 
-func TestFetchRun(t *testing.T) {
+func TestFetchRunTime(t *testing.T) {
 	m := FujitsuM2351A
 	// Exact-size batched fetch agrees with the uniform-size model when
 	// the records really are uniform.
@@ -11,25 +11,5 @@ func TestFetchRun(t *testing.T) {
 	}
 	if m.FetchRunTime(0, 100) != 0 {
 		t.Error("FetchRunTime with k=0 should be free")
-	}
-
-	d := NewDrive(m)
-	dur, err := d.FetchRun(3, 900)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dur != m.FetchRunTime(3, 900) {
-		t.Errorf("drive FetchRun = %v, model = %v", dur, m.FetchRunTime(3, 900))
-	}
-	if d.Stats.BytesRead != 900 || d.Stats.Accesses != 3 || d.Stats.Elapsed != dur {
-		t.Errorf("stats = %+v", d.Stats)
-	}
-
-	// Zero-record run: free, no probe, no accounting.
-	if dur, err := d.FetchRun(0, 0); err != nil || dur != 0 {
-		t.Errorf("empty FetchRun = %v, %v", dur, err)
-	}
-	if d.Stats.BytesRead != 900 {
-		t.Errorf("empty FetchRun changed stats: %+v", d.Stats)
 	}
 }

@@ -196,6 +196,22 @@ func (i *Injector) siteCounter(site string) *telemetry.Counter {
 	return c
 }
 
+// Arms reports whether a rule names site, keyed or not. A rule with an
+// empty site matches every site but names none.
+func (i *Injector) Arms(site string) bool {
+	if i == nil {
+		return false
+	}
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	for _, rs := range i.rules {
+		if rs.Site == site {
+			return true
+		}
+	}
+	return false
+}
+
 // Probe evaluates the armed rules at one injection point. It returns nil
 // when no fault fires, or an *Error naming the site. key identifies the
 // probing component instance (chassis slot) or subject (predicate).

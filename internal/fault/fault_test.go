@@ -17,8 +17,8 @@ func TestNilInjectorNeverFires(t *testing.T) {
 			t.Fatalf("nil injector fired: %v", err)
 		}
 	}
-	if inj.Injected() != 0 {
-		t.Fatalf("nil injector counted faults")
+	if inj.Injected() != 0 || inj.Arms(SiteDiskRead) {
+		t.Fatalf("nil injector counted faults or arms a site")
 	}
 	inj.Add(Rule{Site: SiteDiskRead, Probability: 1})
 	inj.Instrument(telemetry.NewRegistry())
