@@ -18,7 +18,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"clare/internal/core"
 	"clare/internal/disk"
@@ -618,48 +617,17 @@ func BenchmarkAblationDispatch(b *testing.B) {
 	})
 }
 
-// --- CONC: multi-board concurrent retrieval scaling ------------------------
+// --- Concurrent retrieval ---------------------------------------------------
 
-// BenchmarkConcurrentRetrieval measures aggregate retrieval throughput
-// over the Warren-style KB as the chassis grows from the paper's single
-// board to 8 boards, under 1..16 concurrent clients. Every concurrent
+// BenchmarkConcurrentRetrieval measures aggregate wall-clock retrieval
+// throughput over the Warren-style KB under concurrent clients. Every
 // result is checked byte-identical (by candidate address list) to the
-// serial single-board path.
-//
-// Two throughput figures come out of each run: wall-clock queries/s
-// (the Go simulator's own speed — bounded by the host's cores) and
-// sim-q/s, the modeled hardware throughput obtained by scheduling each
-// retrieval's simulated service time over the chassis (core.Makespan).
-// sim-q/s is the paper-comparable scaling curve: it grows near-linearly
-// with the board count until the client count is the limit.
+// serial path. Sim clients take turns on the one board unit, so its axis
+// checks candidates under contention rather than scaling; native clients
+// overlap.
 func BenchmarkConcurrentRetrieval(b *testing.B) {
 	w := workload.WarrenKB{Scale: 0.001, Seed: 1}
 	preds := w.Generate()
-
-	// Serial reference: candidates per goal from a single-board chassis.
-	ref, err := core.New(core.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, p := range preds {
-		if _, err := ref.AddClauses("warren", p.Clauses); err != nil {
-			b.Fatal(err)
-		}
-	}
-	nGoals := len(preds)
-	if nGoals > 8 {
-		nGoals = 8
-	}
-	goals := make([]term.Term, nGoals)
-	want := make([]string, nGoals)
-	for i := 0; i < nGoals; i++ {
-		goals[i] = term.New(preds[i].Name, term.Atom("e1"), term.NewVar("V"))
-		rt, err := ref.Retrieve(goals[i], core.ModeFS1FS2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		want[i] = fmt.Sprint(candidateAddrs(rt))
-	}
 
 	build := func(cfg core.Config) *core.Retriever {
 		r, err := core.New(cfg)
@@ -673,12 +641,26 @@ func BenchmarkConcurrentRetrieval(b *testing.B) {
 		}
 		return r
 	}
-	// run drives b.N retrievals from `clients` closed-loop clients and
-	// returns each one's simulated service time.
-	run := func(b *testing.B, r *core.Retriever, clients int) []time.Duration {
+	sim := build(core.DefaultConfig())
+	nGoals := len(preds)
+	if nGoals > 8 {
+		nGoals = 8
+	}
+	goals := make([]term.Term, nGoals)
+	want := make([]string, nGoals)
+	for i := 0; i < nGoals; i++ {
+		goals[i] = term.New(preds[i].Name, term.Atom("e1"), term.NewVar("V"))
+		rt, err := sim.Retrieve(goals[i], core.ModeFS1FS2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		want[i] = fmt.Sprint(candidateAddrs(rt))
+	}
+
+	// run drives b.N retrievals from `clients` closed-loop clients.
+	run := func(b *testing.B, r *core.Retriever, clients int) {
 		var next atomic.Int64
 		var wg sync.WaitGroup
-		service := make([]time.Duration, b.N)
 		b.ResetTimer()
 		for c := 0; c < clients; c++ {
 			wg.Add(1)
@@ -699,34 +681,22 @@ func BenchmarkConcurrentRetrieval(b *testing.B) {
 						b.Errorf("goal %d: candidates %s, want %s", g, got, want[g])
 						return
 					}
-					service[i] = rt.Stats.Total
 				}
 			}()
 		}
 		wg.Wait()
 		b.StopTimer()
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-		return service
 	}
 
-	for _, boards := range []int{1, 2, 4, 8} {
-		cfg := core.DefaultConfig()
-		cfg.Boards = boards
-		r := build(cfg)
-		for _, clients := range []int{1, 2, 4, 8, 16} {
-			b.Run(fmt.Sprintf("boards%d/clients%d", boards, clients), func(b *testing.B) {
-				makespan := core.Makespan(run(b, r, clients), boards, clients)
-				b.ReportMetric(float64(b.N)/makespan.Seconds(), "sim-q/s")
-			})
-		}
+	for _, clients := range []int{1, 4} {
+		b.Run(fmt.Sprintf("sim/clients%d", clients), func(b *testing.B) { run(b, sim, clients) })
 	}
-	// The native engine leases no board: its clients overlap with no
-	// chassis to size, so wall-clock queries/s is its only curve.
 	cfg := core.DefaultConfig()
 	cfg.Engine = core.EngineNative
-	r := build(cfg)
+	native := build(cfg)
 	for _, clients := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("native/clients%d", clients), func(b *testing.B) { run(b, r, clients) })
+		b.Run(fmt.Sprintf("native/clients%d", clients), func(b *testing.B) { run(b, native, clients) })
 	}
 }
 

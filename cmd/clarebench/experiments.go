@@ -629,97 +629,6 @@ func expOPS() error {
 	return w.Flush()
 }
 
-// expCONC sweeps the multi-board chassis: aggregate simulated retrieval
-// throughput over the Warren-style KB for 1/2/4/8 boards × 1..16 clients.
-// Service times come from real retrievals; the closed-system schedule
-// (core.Makespan) turns them into the chassis' aggregate throughput.
-// Candidates are verified identical to the single-board serial path.
-func expCONC() error {
-	const queries = 64
-	wk := workload.WarrenKB{Scale: 0.001, Seed: 1}
-	preds := wk.Generate()
-
-	build := func(boards int) (*core.Retriever, error) {
-		cfg := core.DefaultConfig()
-		cfg.Boards = boards
-		r, err := core.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range preds {
-			if _, err := r.AddClauses("warren", p.Clauses); err != nil {
-				return nil, err
-			}
-		}
-		return r, nil
-	}
-	nGoals := len(preds)
-	if nGoals > 8 {
-		nGoals = 8
-	}
-	goals := make([]term.Term, nGoals)
-	for i := range goals {
-		goals[i] = term.New(preds[i].Name, term.Atom("e1"), term.NewVar("V"))
-	}
-
-	single, err := build(1)
-	if err != nil {
-		return err
-	}
-	reference := make([]string, nGoals)
-	for i, g := range goals {
-		rt, err := single.Retrieve(g, core.ModeFS1FS2)
-		if err != nil {
-			return err
-		}
-		reference[i] = fmt.Sprint(addrList(rt))
-	}
-
-	w := tab()
-	fmt.Fprintln(w, "boards\tclients\tmakespan (sim)\tsim queries/s\tspeedup")
-	var baseline float64
-	for _, boards := range []int{1, 2, 4, 8} {
-		r, err := build(boards)
-		if err != nil {
-			return err
-		}
-		service := make([]time.Duration, queries)
-		for i := 0; i < queries; i++ {
-			g := i % nGoals
-			rt, err := r.Retrieve(goals[g], core.ModeFS1FS2)
-			if err != nil {
-				return err
-			}
-			if got := fmt.Sprint(addrList(rt)); got != reference[g] {
-				return fmt.Errorf("CONC: boards=%d goal %d: candidates diverge from serial path", boards, g)
-			}
-			service[i] = rt.Stats.Total
-		}
-		for _, clients := range []int{1, 2, 4, 8, 16} {
-			makespan := core.Makespan(service, boards, clients)
-			qps := float64(queries) / makespan.Seconds()
-			if boards == 1 && clients == 1 {
-				baseline = qps
-			}
-			fmt.Fprintf(w, "%d\t%d\t%v\t%.1f\t%.2fx\n",
-				boards, clients, makespan.Round(time.Millisecond), qps, qps/baseline)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Fprintln(out, "(service times measured on real retrievals; schedule is the closed multi-client model)")
-	return nil
-}
-
-func addrList(rt *core.Retrieval) []uint32 {
-	out := make([]uint32, len(rt.Candidates))
-	for i, sc := range rt.Candidates {
-		out[i] = sc.Addr
-	}
-	return out
-}
-
 // expFLT exercises the fault-injection and degradation machinery across
 // the ladder's rungs and proves the retrieval contract — the correct
 // unifier set comes back — holds on every one of them.
@@ -729,20 +638,19 @@ func expFLT() error {
 	clauses := fam.Clauses()
 
 	type scenario struct {
-		name   string
-		boards int
-		mode   core.SearchMode
-		rules  []fault.Rule
+		name  string
+		mode  core.SearchMode
+		rules []fault.Rule
 	}
 	scenarios := []scenario{
-		{"baseline", 2, core.ModeFS1FS2, nil},
-		{"board-retry", 2, core.ModeFS2,
-			[]fault.Rule{{Site: fault.SiteFS2, Key: "0", Probability: 1}}},
-		{"index-down", 2, core.ModeFS1FS2,
+		{"baseline", core.ModeFS1FS2, nil},
+		{"board-retry", core.ModeFS2,
+			[]fault.Rule{{Site: fault.SiteFS2, Probability: 1, Limit: 1}}},
+		{"index-down", core.ModeFS1FS2,
 			[]fault.Rule{{Site: fault.SiteDiskIndex, Probability: 1}}},
-		{"chassis-down", 4, core.ModeFS2,
+		{"board-down", core.ModeFS2,
 			[]fault.Rule{{Site: fault.SiteFS2, Probability: 1}}},
-		{"flaky-all", 4, core.ModeFS1FS2,
+		{"flaky-all", core.ModeFS1FS2,
 			[]fault.Rule{
 				{Site: fault.SiteFS2, Probability: 0.3},
 				{Site: fault.SiteDiskRead, Probability: 0.1},
@@ -751,12 +659,10 @@ func expFLT() error {
 	}
 
 	w := tab()
-	fmt.Fprintln(w, "scenario\tretrievals\tfaults\tretries\tdegraded fs2\tdegraded host\ttripped\tcorrect")
+	fmt.Fprintln(w, "scenario\tretrievals\tfaults\tretries\tdegraded fs2\tdegraded host\tcorrect")
 	for _, sc := range scenarios {
 		cfg := core.DefaultConfig()
-		cfg.Boards = sc.boards
 		cfg.RetryBackoff = time.Microsecond
-		cfg.ProbePeriod = time.Hour // no re-admission mid-experiment
 		if len(sc.rules) > 0 {
 			inj := fault.New(1989)
 			for _, rule := range sc.rules {
@@ -797,9 +703,8 @@ func expFLT() error {
 		if correct != queries {
 			return fmt.Errorf("FLT %s: only %d/%d retrievals returned the true unifier", sc.name, correct, queries)
 		}
-		h := r.Health()
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d/%d\n",
-			sc.name, queries, faults, retries, degFS2, degHost, h.Tripped, correct, queries)
+		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%d/%d\n",
+			sc.name, queries, faults, retries, degFS2, degHost, correct, queries)
 	}
 	if err := w.Flush(); err != nil {
 		return err

@@ -10,7 +10,7 @@
 // Usage:
 //
 //	clarebench              # the whole ledger
-//	clarebench -exp T1      # one section: T1 F6-F12 F1 TA1 R1 R2 D1 D2 M1 W1 CONC L15 B1 WCS OPS AB1 AB2 FLT PLAN
+//	clarebench -exp T1      # one section: T1 F6-F12 F1 TA1 R1 R2 D1 D2 M1 W1 L15 B1 WCS OPS AB1 AB2 FLT PLAN
 //	clarebench -exp M1,W1   # a comma-separated subset
 package main
 
@@ -43,7 +43,6 @@ var experiments = []experiment{
 	{"D2", "§2.1 — the shared-variable pathology (married_couple(S,S))", expD2},
 	{"M1", "§2.2 — the four CRS search modes", expM1},
 	{"W1", "§1 — Warren-scale knowledge base sweep", expW1},
-	{"CONC", "Multi-board chassis — concurrent retrieval scaling", expCONC},
 	{"L15", "§2.2 — matching levels 1–5 selectivity/cost trade-off", expL15},
 	{"B1", "Refs [6,7] — PDBM database benchmark suite", expB1},
 	{"WCS", "§3.1 — assembled Writable Control Store microprogram", expWCS},

@@ -6,7 +6,6 @@ import (
 
 	"clare/internal/core"
 	"clare/internal/parse"
-	"clare/internal/plan"
 	"clare/internal/term"
 	"clare/internal/workload"
 )
@@ -68,12 +67,12 @@ func funnelCost(rt *core.Retrieval, mode core.SearchMode, hostUnit time.Duration
 // observe folds a clean retrieval into the planner's statistics store.
 // Degraded or faulted runs price the failure ladder, not the mode, so
 // they stay out of the learned profile.
-func observe(pl *plan.Planner, rt *core.Retrieval) {
+func observe(pl *Planner, rt *core.Retrieval) {
 	st := &rt.Stats
 	if st.Degraded != "" || st.Faults != 0 {
 		return
 	}
-	pl.Observe(rt.Predicate, plan.ShapeOf(rt.Goal), plan.Mode(rt.Mode), plan.Observation{
+	pl.Observe(rt.Predicate, ShapeOf(rt.Goal), rt.Mode, Observation{
 		TotalClauses: st.TotalClauses,
 		AfterFS1:     st.AfterFS1,
 		AfterFS2:     st.AfterFS2,
@@ -109,7 +108,7 @@ func expPLAN() error {
 	if err := w.load(r); err != nil {
 		return err
 	}
-	pl := plan.New()
+	pl := newPlanner()
 	tw := tab()
 	fmt.Fprintln(tw, "strategy\tqueries\tsim cost\tsim queries/s")
 	best, worst := 0.0, 0.0
@@ -140,7 +139,7 @@ func expPLAN() error {
 			return err
 		}
 		pi := core.Indicator{Functor: pred.File.Functor, Arity: pred.File.Arity}
-		m := core.SearchMode(pl.Decide(pi.String(), plan.ShapeOf(g), pred.File.Len(), pred.MaskedClauses).Mode)
+		m := pl.Decide(pi.String(), ShapeOf(g), pred.File.Len(), pred.MaskedClauses).Mode
 		rt, err := r.Retrieve(g, m)
 		if err != nil {
 			return err
@@ -156,7 +155,7 @@ func expPLAN() error {
 
 	ctr := pl.Counters()
 	fmt.Fprintf(out, "\nplanner decisions: ")
-	for pm := plan.Mode(0); pm < plan.NumModes; pm++ {
+	for pm := core.SearchMode(0); pm < numModes; pm++ {
 		fmt.Fprintf(out, "%s=%d ", pm, ctr.ByMode[pm])
 	}
 	fmt.Fprintf(out, "(shared-var codeword skips %d, observations %d)\n", ctr.SharedVarSkips, ctr.Observations)

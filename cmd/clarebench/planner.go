@@ -1,6 +1,10 @@
-package plan
+package main
 
-import "sync"
+import (
+	"sync"
+
+	"clare/internal/core"
+)
 
 // Nominal per-clause stage costs, in nanoseconds. These seed the cost
 // model before any observations exist; they mirror the simulation's
@@ -30,7 +34,7 @@ const DefaultAlpha = 0.3
 type Counters struct {
 	// Decisions counts Decide calls, ByMode splits them by chosen mode.
 	Decisions int64
-	ByMode    [NumModes]int64
+	ByMode    [numModes]int64
 	// SharedVarSkips counts decisions where a shared-variable shape
 	// forced the codeword filter off.
 	SharedVarSkips int64
@@ -42,22 +46,19 @@ type Counters struct {
 // All methods are safe for concurrent use.
 type Planner struct {
 	mu       sync.Mutex
-	cells    map[cellKey]*[NumModes]modeStats
+	cells    map[cellKey]*[numModes]modeStats
 	counters Counters
 }
 
-// New builds an empty planner.
-func New() *Planner {
-	return &Planner{cells: make(map[cellKey]*[NumModes]modeStats)}
+// newPlanner builds an empty planner.
+func newPlanner() *Planner {
+	return &Planner{cells: make(map[cellKey]*[numModes]modeStats)}
 }
 
 // Observe folds one completed retrieval into the store. Degraded or
 // faulted retrievals should not be fed here — their costs describe the
 // failure ladder, not the mode.
-func (p *Planner) Observe(pred string, shape Shape, mode Mode, o Observation) {
-	if mode >= NumModes {
-		return
-	}
+func (p *Planner) Observe(pred string, shape Shape, mode core.SearchMode, o Observation) {
 	p.mu.Lock()
 	p.counters.Observations++
 	p.observeLocked(pred, shape, mode, o)
@@ -95,19 +96,19 @@ func (p *Planner) Decide(pred string, shape Shape, clauses, masked int) Decision
 
 	switch {
 	case shape.HasShared():
-		d.Mode = ModeFS2
-		if d.Est[ModeSoftware] < d.Est[ModeFS2] {
-			d.Mode = ModeSoftware
+		d.Mode = core.ModeFS2
+		if d.Est[core.ModeSoftware] < d.Est[core.ModeFS2] {
+			d.Mode = core.ModeSoftware
 		}
 		d.Reason = "shared-vars"
 		p.counters.SharedVarSkips++
 	case len(shape) > 0 && shape.AllVars():
-		d.Mode = ModeSoftware
+		d.Mode = core.ModeSoftware
 		d.Reason = "all-vars"
 	default:
 		// Preference order breaks exact ties toward the fuller pipeline.
-		d.Mode = ModeFS1FS2
-		for _, m := range [...]Mode{ModeFS2, ModeFS1, ModeSoftware} {
+		d.Mode = core.ModeFS1FS2
+		for _, m := range [...]core.SearchMode{core.ModeFS2, core.ModeFS1, core.ModeSoftware} {
 			if d.Est[m] < d.Est[d.Mode] {
 				d.Mode = m
 			}
@@ -127,7 +128,7 @@ func (p *Planner) Decide(pred string, shape Shape, clauses, masked int) Decision
 // model everywhere else, plus the downstream cost of host-unifying the
 // mode's returned candidates (ghosts included — that is what a leaky
 // filter costs).
-func (p *Planner) estimateLocked(pred string, shape Shape, clauses, masked int) (est [NumModes]float64, learned bool) {
+func (p *Planner) estimateLocked(pred string, shape Shape, clauses, masked int) (est [numModes]float64, learned bool) {
 	n := float64(clauses)
 	maskedFrac := 0.0
 	if clauses > 0 {
@@ -140,14 +141,14 @@ func (p *Planner) estimateLocked(pred string, shape Shape, clauses, masked int) 
 	if sel1 > 1 {
 		sel1 = 1
 	}
-	out := [NumModes]float64{
-		ModeSoftware: 0.05,
-		ModeFS1:      sel1,
-		ModeFS2:      0.10,
-		ModeFS1FS2:   sel1 * 0.2,
+	out := [numModes]float64{
+		core.ModeSoftware: 0.05,
+		core.ModeFS1:      sel1,
+		core.ModeFS2:      0.10,
+		core.ModeFS1FS2:   sel1 * 0.2,
 	}
 
-	var cells [NumModes]modeStats
+	var cells [numModes]modeStats
 	if c := p.cells[cellKey{pred, shape}]; c != nil {
 		cells = *c
 	}
@@ -156,25 +157,25 @@ func (p *Planner) estimateLocked(pred string, shape Shape, clauses, masked int) 
 	// minLearnObs. FS1 mode returns exactly the codeword scan's
 	// survivors, so its output fraction tracks sel1 however sel1 was
 	// learned.
-	if ms := cells[ModeFS1]; ms.count > 0 {
+	if ms := cells[core.ModeFS1]; ms.count > 0 {
 		sel1 = ms.selFS1
-	} else if ms := cells[ModeFS1FS2]; ms.count > 0 {
+	} else if ms := cells[core.ModeFS1FS2]; ms.count > 0 {
 		sel1 = ms.selFS1
 	}
-	out[ModeFS1] = sel1
-	for _, m := range [...]Mode{ModeSoftware, ModeFS2, ModeFS1FS2} {
+	out[core.ModeFS1] = sel1
+	for _, m := range [...]core.SearchMode{core.ModeSoftware, core.ModeFS2, core.ModeFS1FS2} {
 		if ms := cells[m]; ms.count > 0 {
 			out[m] = ms.selOut
 		}
 	}
 
-	model := [NumModes]float64{
-		ModeSoftware: n * costHostNS,
-		ModeFS1:      n*costScanNS + sel1*n*costFetchNS,
-		ModeFS2:      n * (costFetchNS + costFS2NS),
-		ModeFS1FS2:   n*costScanNS + sel1*n*(costFetchNS+costFS2NS),
+	model := [numModes]float64{
+		core.ModeSoftware: n * costHostNS,
+		core.ModeFS1:      n*costScanNS + sel1*n*costFetchNS,
+		core.ModeFS2:      n * (costFetchNS + costFS2NS),
+		core.ModeFS1FS2:   n*costScanNS + sel1*n*(costFetchNS+costFS2NS),
 	}
-	for m := Mode(0); m < NumModes; m++ {
+	for m := core.SearchMode(0); m < numModes; m++ {
 		retrieval := model[m]
 		if ms := cells[m]; ms.count >= minLearnObs {
 			retrieval = ms.simNS

@@ -1,37 +1,37 @@
-package core
+package main
 
 import (
 	"fmt"
 	"testing"
 
+	"clare/internal/core"
 	"clare/internal/parse"
-	"clare/internal/plan"
 	"clare/internal/term"
 )
 
 // plannerRetriever builds a retriever over a mixed KB: a selective fact
 // relation, a rule-intensive predicate whose masked index entries defeat
 // FS1, and the §2.1 shared-variable family.
-func plannerRetriever(t *testing.T) *Retriever {
+func plannerRetriever(t *testing.T) *core.Retriever {
 	t.Helper()
-	r, err := New(DefaultConfig())
+	r, err := core.New(core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	rel := make([]ClauseTerm, 120)
+	rel := make([]core.ClauseTerm, 120)
 	for i := range rel {
-		rel[i] = ClauseTerm{Head: term.New("orel",
+		rel[i] = core.ClauseTerm{Head: term.New("orel",
 			term.Atom(fmt.Sprintf("k%d", i%12)), term.Atom(fmt.Sprintf("v%d", i)))}
 	}
 	if _, err := r.AddClauses("oracle", rel); err != nil {
 		t.Fatal(err)
 	}
 
-	rules := make([]ClauseTerm, 40)
+	rules := make([]core.ClauseTerm, 40)
 	for i := range rules {
 		v := term.NewVar("X")
-		rules[i] = ClauseTerm{
+		rules[i] = core.ClauseTerm{
 			Head: term.New("orule", v, term.Atom(fmt.Sprintf("c%d", i%5))),
 			Body: term.New("orel", v, term.Atom(fmt.Sprintf("v%d", i))),
 		}
@@ -40,33 +40,19 @@ func plannerRetriever(t *testing.T) *Retriever {
 		t.Fatal(err)
 	}
 
-	fam := make([]ClauseTerm, 48)
+	fam := make([]core.ClauseTerm, 48)
 	for i := range fam {
 		a := term.Atom(fmt.Sprintf("husband%d", i))
 		b := term.Atom(fmt.Sprintf("wife%d", i))
 		if i%6 == 0 {
 			b = a
 		}
-		fam[i] = ClauseTerm{Head: term.New("married_couple", a, b)}
+		fam[i] = core.ClauseTerm{Head: term.New("married_couple", a, b)}
 	}
 	if _, err := r.AddClauses("oracle", fam); err != nil {
 		t.Fatal(err)
 	}
 	return r
-}
-
-// observe folds a clean retrieval into the planner, the way the ledger's
-// PLAN section does.
-func observe(p *plan.Planner, rt *Retrieval) {
-	if rt.Stats.Degraded != "" || rt.Stats.Faults != 0 {
-		return
-	}
-	p.Observe(rt.Predicate, plan.ShapeOf(rt.Goal), plan.Mode(rt.Mode), plan.Observation{
-		TotalClauses: rt.Stats.TotalClauses,
-		AfterFS1:     rt.Stats.AfterFS1,
-		AfterFS2:     rt.Stats.AfterFS2,
-		Sim:          rt.Stats.Total,
-	})
 }
 
 // TestPlannerDifferentialOracle is the planner's correctness oracle,
@@ -79,7 +65,7 @@ func observe(p *plan.Planner, rt *Retrieval) {
 // codeword filter passes everything for them, §2.1).
 func TestPlannerDifferentialOracle(t *testing.T) {
 	r := plannerRetriever(t)
-	p := plan.New()
+	p := newPlanner()
 	goals := []string{
 		"orel(k3, V)",
 		"orel(k11, V)",
@@ -100,7 +86,7 @@ func TestPlannerDifferentialOracle(t *testing.T) {
 			// the goal, so the planner's cost model keeps learning (and
 			// possibly changing its decision) between rounds.
 			want := -1
-			for _, mode := range modes() {
+			for _, mode := range []core.SearchMode{core.ModeSoftware, core.ModeFS1, core.ModeFS2, core.ModeFS1FS2} {
 				rt, err := r.Retrieve(parse.MustTerm(g), mode)
 				if err != nil {
 					t.Fatalf("round %d %s %v: %v", round, g, mode, err)
@@ -118,17 +104,18 @@ func TestPlannerDifferentialOracle(t *testing.T) {
 				}
 			}
 
-			pi, pred, err := r.lookup(goal)
+			pred, err := r.Predicate(goal)
 			if err != nil {
 				t.Fatal(err)
 			}
-			shape := plan.ShapeOf(goal)
+			pi := core.Indicator{Functor: pred.File.Functor, Arity: pred.File.Arity}
+			shape := ShapeOf(goal)
 			d := p.Decide(pi.String(), shape, pred.File.Len(), pred.MaskedClauses)
-			if shape.HasShared() && d.Mode.UsesFS1() {
+			if shape.HasShared() && usesFS1(d.Mode) {
 				t.Errorf("round %d %s: shared-variable goal planned onto %v (codeword filter is blind to it)",
 					round, g, d.Mode)
 			}
-			m := SearchMode(d.Mode)
+			m := d.Mode
 			rt, err := r.Retrieve(goal, m)
 			if err != nil {
 				t.Fatalf("round %d %s planner(%v): %v", round, g, m, err)

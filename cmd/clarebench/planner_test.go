@@ -1,10 +1,11 @@
-package plan
+package main
 
 import (
 	"math/rand"
 	"testing"
 	"time"
 
+	"clare/internal/core"
 	"clare/internal/term"
 )
 
@@ -35,11 +36,11 @@ func TestShapeOf(t *testing.T) {
 }
 
 func TestDecideStructuralRules(t *testing.T) {
-	p := New()
+	p := newPlanner()
 
 	// Shared variables must never plan onto the codeword filter.
 	d := p.Decide("married_couple/2", "ss", 1000, 0)
-	if d.Mode.UsesFS1() {
+	if usesFS1(d.Mode) {
 		t.Fatalf("shared-var shape planned onto FS1: %v", d)
 	}
 	if d.Reason != "shared-vars" {
@@ -47,17 +48,17 @@ func TestDecideStructuralRules(t *testing.T) {
 	}
 
 	// All-variable shapes constrain nothing: software.
-	if d := p.Decide("p/2", "vv", 1000, 0); d.Mode != ModeSoftware {
+	if d := p.Decide("p/2", "vv", 1000, 0); d.Mode != core.ModeSoftware {
 		t.Fatalf("all-vars shape planned %v, want software", d.Mode)
 	}
 
 	// A cold fact-intensive predicate takes the full pipeline, a
 	// heavily-masked one skips the useless index scan — the §2.2
 	// heuristic recovered from the cost model alone.
-	if d := p.Decide("fact/2", "gv", 1000, 0); d.Mode != ModeFS1FS2 {
+	if d := p.Decide("fact/2", "gv", 1000, 0); d.Mode != core.ModeFS1FS2 {
 		t.Fatalf("cold fact pred planned %v, want fs1+fs2", d.Mode)
 	}
-	if d := p.Decide("rule/2", "gv", 1000, 950); d.Mode != ModeFS2 {
+	if d := p.Decide("rule/2", "gv", 1000, 950); d.Mode != core.ModeFS2 {
 		t.Fatalf("cold masked pred planned %v, want fs2", d.Mode)
 	}
 
@@ -68,21 +69,21 @@ func TestDecideStructuralRules(t *testing.T) {
 }
 
 func TestDecideLearns(t *testing.T) {
-	p := New()
+	p := newPlanner()
 	// Feed the store a regime where fs2 is observed far cheaper than the
 	// pipeline for this shape (say FS1 passes everything: sel1 ~ 1).
 	for i := 0; i < 10; i++ {
-		p.Observe("q/2", "gv", ModeFS1FS2, Observation{
+		p.Observe("q/2", "gv", core.ModeFS1FS2, Observation{
 			TotalClauses: 1000, AfterFS1: 1000, AfterFS2: 20,
 			Sim: 80 * time.Millisecond,
 		})
-		p.Observe("q/2", "gv", ModeFS2, Observation{
+		p.Observe("q/2", "gv", core.ModeFS2, Observation{
 			TotalClauses: 1000, AfterFS1: 1000, AfterFS2: 20,
 			Sim: 8 * time.Millisecond,
 		})
 	}
 	d := p.Decide("q/2", "gv", 1000, 0)
-	if d.Mode != ModeFS2 {
+	if d.Mode != core.ModeFS2 {
 		t.Fatalf("learned decision = %v (est %v), want fs2", d.Mode, d.Est)
 	}
 	if !d.Learned || d.Reason != "learned" {
@@ -99,7 +100,7 @@ func randObs(rng *rand.Rand, p *Planner, n int) {
 		a1 := rng.Intn(total + 1)
 		a2 := rng.Intn(a1 + 1)
 		p.Observe(preds[rng.Intn(len(preds))], shapes[rng.Intn(len(shapes))],
-			Mode(rng.Intn(NumModes)), Observation{
+			core.SearchMode(rng.Intn(numModes)), Observation{
 				TotalClauses: total, AfterFS1: a1, AfterFS2: a2,
 				Sim: time.Duration(rng.Int63n(int64(time.Second))),
 			})
@@ -124,7 +125,7 @@ func decisions(p *Planner) []Decision {
 // timing) in the decision path.
 func TestDeterministicDecisions(t *testing.T) {
 	const seed = 42
-	p, q := New(), New()
+	p, q := newPlanner(), newPlanner()
 	randObs(rand.New(rand.NewSource(seed)), p, 300)
 	randObs(rand.New(rand.NewSource(seed)), q, 300)
 	dp, dq := decisions(p), decisions(q)

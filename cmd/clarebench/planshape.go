@@ -1,53 +1,32 @@
-// Package plan is the adaptive cost-based retrieval planner: it turns
-// the observability the EXPLAIN profiles expose (candidate funnels,
-// ghost ratios, per-stage costs) into per-query mode decisions. The
-// paper leaves the choice among the four CRS search modes to the caller
-// and documents one hard rule — shared-variable queries like
-// married_couple(X,X) defeat the superimposed-codeword filter (§2.1) —
-// so the planner combines that structural rule with a learned
-// per-predicate statistics store: every retrieval's funnel is folded
-// into EWMA-decayed selectivity and cost estimates keyed by the query's
-// argument shape, and the next decision for that shape reads them back.
+// The adaptive cost-based retrieval planner: it turns the observability
+// the EXPLAIN profiles expose (candidate funnels, ghost ratios, per-stage
+// costs) into per-query mode decisions. The paper leaves the choice among
+// the four CRS search modes to the caller and documents one hard rule —
+// shared-variable queries like married_couple(X,X) defeat the
+// superimposed-codeword filter (§2.1) — so the planner combines that
+// structural rule with a learned per-predicate statistics store: every
+// retrieval's funnel is folded into EWMA-decayed selectivity and cost
+// estimates keyed by the query's argument shape, and the next decision for
+// that shape reads them back.
 //
-// The planner prices simulated time, so it is a library of the paper
-// ledger, not of the server: clarebench's PLAN section drives one —
-// Decide before each planned retrieval, Observe after each clean one —
-// and no daemon path imports the package. It is deliberately
-// self-contained (it imports only the term walker).
-package plan
+// The planner prices simulated time, so it belongs to the paper ledger,
+// not to the server: the PLAN section drives one — Decide before each
+// planned retrieval, Observe after each clean one. Serving picks auto mode
+// with core.ChooseMode.
 
-import "clare/internal/term"
+package main
 
-// Mode is a CRS search mode. The values and wire spellings mirror
-// core.SearchMode one for one, so conversion between the two is a cast.
-type Mode uint8
-
-const (
-	ModeSoftware Mode = iota
-	ModeFS1
-	ModeFS2
-	ModeFS1FS2
-	// NumModes sizes per-mode arrays.
-	NumModes = 4
+import (
+	"clare/internal/core"
+	"clare/internal/term"
 )
 
-func (m Mode) String() string {
-	switch m {
-	case ModeSoftware:
-		return "software"
-	case ModeFS1:
-		return "fs1"
-	case ModeFS2:
-		return "fs2"
-	case ModeFS1FS2:
-		return "fs1+fs2"
-	}
-	return "mode?"
-}
+// numModes sizes per-mode arrays, indexed by core.SearchMode.
+const numModes = 4
 
-// UsesFS1 reports whether the mode runs the superimposed-codeword scan —
+// usesFS1 reports whether the mode runs the superimposed-codeword scan —
 // the stage shared-variable queries defeat.
-func (m Mode) UsesFS1() bool { return m == ModeFS1 || m == ModeFS1FS2 }
+func usesFS1(m core.SearchMode) bool { return m == core.ModeFS1 || m == core.ModeFS1FS2 }
 
 // Shape is a query's argument signature: one byte per argument,
 // 'g' ground, 'v' a variable occurring once in the goal, 's' an
@@ -142,11 +121,11 @@ func (s Shape) AllVars() bool {
 // Decision is one planned retrieval: the chosen mode, why, and the
 // per-mode cost estimates (nominal nanoseconds) the choice fell out of.
 type Decision struct {
-	Mode   Mode
+	Mode   core.SearchMode
 	Reason string
 	// Learned reports that the decision used per-shape observed stats
 	// rather than only the structural cost model.
 	Learned bool
-	// Est holds the estimated total cost per mode, indexed by Mode.
-	Est [NumModes]float64
+	// Est holds the estimated total cost per mode, indexed by mode.
+	Est [numModes]float64
 }

@@ -1,6 +1,10 @@
-package plan
+package main
 
-import "time"
+import (
+	"time"
+
+	"clare/internal/core"
+)
 
 // The statistics store: per-(predicate, shape) EWMAs of what each mode's
 // candidate funnel actually did. Everything here is owned by the
@@ -49,11 +53,11 @@ func ewma(v, x float64, first bool) float64 {
 }
 
 // observeLocked folds one retrieval into the store. Caller holds p.mu.
-func (p *Planner) observeLocked(pred string, shape Shape, mode Mode, o Observation) {
+func (p *Planner) observeLocked(pred string, shape Shape, mode core.SearchMode, o Observation) {
 	k := cellKey{pred, shape}
 	cells := p.cells[k]
 	if cells == nil {
-		cells = new([NumModes]modeStats)
+		cells = new([numModes]modeStats)
 		p.cells[k] = cells
 	}
 	ms := &cells[mode]
@@ -62,7 +66,7 @@ func (p *Planner) observeLocked(pred string, shape Shape, mode Mode, o Observati
 	ms.simNS = ewma(ms.simNS, float64(o.Sim.Nanoseconds()), first)
 	if o.TotalClauses > 0 {
 		n := float64(o.TotalClauses)
-		if mode.UsesFS1() {
+		if usesFS1(mode) {
 			ms.selFS1 = ewma(ms.selFS1, float64(o.AfterFS1)/n, first)
 		}
 		ms.selOut = ewma(ms.selOut, float64(o.AfterFS2)/n, first)

@@ -19,7 +19,7 @@
 // finish before being force-closed.
 //
 // The daemon serves the native engine: the vectorized host engine, which
-// builds no simulated chassis and runs retrievals in parallel (STATS key
+// builds no simulated board and runs retrievals in parallel (STATS key
 // engine.native 1). -engine sim is the explicit "reproduce the paper's
 // timings" mode: the cycle-accurate hardware simulation on the paper's
 // one board, returning the same candidates in the same order with the
@@ -42,8 +42,8 @@
 //
 // The degradation tallies are visible in the wire STATS reply
 // (degraded, retries, faults) and as clare_degraded_retrievals_total
-// etc. on /metrics; the sim engine's board health is on /metrics
-// (clare_boards_tripped, clare_board_trips_total).
+// etc. on /metrics. The sim engine's one board unit probes its sites with
+// key 0 (fs2.match@0=0.5), and crsd exits 1 on a rule keyed otherwise.
 //
 // Observability: the daemon self-diagnoses. -flight sizes the
 // always-on flight recorder (one compact record per retrieval, dumped

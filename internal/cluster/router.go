@@ -121,10 +121,9 @@ func isUnknownPredicate(se *crs.ServerError) bool {
 }
 
 // node is one CRS backend: an address, a small pool of idle protocol
-// clients, and board-pool-style health bookkeeping at the node level —
-// consecutive failures trip it out of rotation, a cool-off later it is
-// re-admitted on probation (one further failure re-trips it, one clean
-// call clears it). Mirrors internal/core's boardUnit, one level up.
+// clients, and the system's one health breaker — consecutive failures
+// trip it out of rotation, a cool-off later it is re-admitted on
+// probation (one further failure re-trips it, one clean call clears it).
 type node struct {
 	addr  string
 	shard int

@@ -11,21 +11,17 @@ import (
 )
 
 // TestChaosSoak hammers one retriever from many goroutines while every
-// injection site misbehaves at once, with trip/probe churn running fast
-// enough that boards cycle through tripped and probationary states
-// throughout the run. The soak properties:
+// injection site misbehaves at once, so retrievals queue for the board
+// unit, retry on it and fall down every rung of the ladder throughout the
+// run. The soak properties:
 //
 //   - no lost retrievals: Retrieve never returns an error for an
 //     injected fault, whatever rung of the degradation ladder it lands on;
 //   - soundness survives chaos: every retrieval's candidate set still
 //     contains the one true unifier;
-//   - pool invariants hold under concurrent sampling: leased never
-//     exceeds the chassis width, a tripped unit is never leased, and the
-//     free/leased/tripped split never exceeds the unit count;
 //   - no deadlock: the whole run finishes under a watchdog.
 //
-// CI runs this under -race; the sampler goroutine doubles as a race
-// detector probe against the lease/trip/readmit paths.
+// CI runs this under -race.
 func TestChaosSoak(t *testing.T) {
 	workers, iters := 8, 60
 	if testing.Short() {
@@ -33,9 +29,6 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	cfg := DefaultConfig()
-	cfg.Boards = 4
-	cfg.TripThreshold = 2
-	cfg.ProbePeriod = 2 * time.Millisecond
 	cfg.RetryBackoff = time.Microsecond
 	cfg.Faults = fault.New(20260805).
 		Add(fault.Rule{Site: fault.SiteFS2, Probability: 0.25}).
@@ -45,37 +38,6 @@ func TestChaosSoak(t *testing.T) {
 		Add(fault.Rule{Site: fault.SiteRetrieve, Probability: 0.05})
 	const facts = 60
 	r := faultyRetriever(t, cfg, facts)
-
-	// Health sampler: poll pool invariants concurrently with the workers.
-	stop := make(chan struct{})
-	samplerDone := make(chan error, 1)
-	go func() {
-		defer close(samplerDone)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			h := r.Health()
-			if h.Leased > h.Boards {
-				samplerDone <- fmt.Errorf("leased %d > %d boards", h.Leased, h.Boards)
-				return
-			}
-			if h.Free+h.Leased+h.Tripped > h.Boards {
-				samplerDone <- fmt.Errorf("free %d + leased %d + tripped %d > %d boards",
-					h.Free, h.Leased, h.Tripped, h.Boards)
-				return
-			}
-			for _, u := range h.Units {
-				if u.Tripped && u.Leased {
-					samplerDone <- fmt.Errorf("slot %d both tripped and leased", u.Slot)
-					return
-				}
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}()
 
 	modes := []SearchMode{ModeSoftware, ModeFS1, ModeFS2, ModeFS1FS2}
 	var wg sync.WaitGroup
@@ -116,8 +78,8 @@ func TestChaosSoak(t *testing.T) {
 		}(w)
 	}
 
-	// Watchdog: the soak must terminate — a stuck lease or a lost wakeup
-	// shows up here instead of as a test-binary timeout.
+	// Watchdog: the soak must terminate — a board unit never let go shows
+	// up here instead of as a test-binary timeout.
 	doneCh := make(chan struct{})
 	go func() { wg.Wait(); close(doneCh) }()
 	select {
@@ -127,23 +89,15 @@ func TestChaosSoak(t *testing.T) {
 	case <-time.After(2 * time.Minute):
 		t.Fatal("chaos soak deadlocked (watchdog)")
 	}
-	close(stop)
-	if err, ok := <-samplerDone; ok && err != nil {
-		t.Fatal(err)
-	}
 	select {
 	case err := <-errs:
 		t.Fatal(err)
 	default:
 	}
 
-	h := r.Health()
-	if h.Leased != 0 {
-		t.Fatalf("units still leased after the run: %+v", h)
-	}
 	if r.cfg.Faults.Injected() == 0 {
 		t.Fatal("chaos run injected no faults (rules misconfigured?)")
 	}
-	t.Logf("soak: %d retrievals, %d injected faults, %d degraded, %d retried, health %+v",
-		workers*iters, r.cfg.Faults.Injected(), degradedRuns, retriedRuns, h)
+	t.Logf("soak: %d retrievals, %d injected faults, %d degraded, %d retried",
+		workers*iters, r.cfg.Faults.Injected(), degradedRuns, retriedRuns)
 }

@@ -80,7 +80,7 @@ func (r *Retriever) ExplainTraced(goal term.Term, mode SearchMode, tc *telemetry
 // file has seen since.
 func (r *Retriever) ProfileOf(rt *Retrieval) (*Profile, error) {
 	p := &Profile{Mode: rt.Mode, Predicate: rt.Predicate, Stats: rt.Stats, Wall: rt.wall.total, Trace: rt.trace}
-	if r.pool == nil {
+	if r.unit == nil {
 		mode := rt.Mode
 		if rt.Stats.Degraded == "host" {
 			mode = ModeSoftware // the host rung ran mode (a)'s matcher

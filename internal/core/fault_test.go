@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,13 +31,11 @@ func faultyRetriever(t *testing.T, cfg Config, n int) *Retriever {
 	return r
 }
 
-func TestRetryLandsOnAnotherBoard(t *testing.T) {
-	// Slot 0's board always faults; slot 1 is healthy. The first attempt
-	// (the free stack hands out slot 0 first) faults, and the bounded
-	// retry must land on slot 1 and succeed without degrading.
+func TestRetryOnSameBoard(t *testing.T) {
+	// The board faults once (a transient TUE trap). The bounded retry runs
+	// on the same board and succeeds without degrading.
 	cfg := DefaultConfig()
-	cfg.Boards = 2
-	cfg.Faults = fault.New(1).Add(fault.Rule{Site: fault.SiteFS2, Key: "0", Probability: 1})
+	cfg.Faults = fault.New(1).Add(fault.Rule{Site: fault.SiteFS2, Probability: 1, Limit: 1})
 	cfg.RetryBackoff = time.Microsecond
 	r := faultyRetriever(t, cfg, 40)
 
@@ -86,70 +85,29 @@ func TestIndexFaultDegradesToFS2(t *testing.T) {
 	}
 }
 
-func TestTripProbationAndReadmit(t *testing.T) {
-	// Two consecutive faults trip the single board; the retrieval that
-	// tripped it completes host-only. After the cool-off the board is
-	// re-admitted on probation and serves cleanly (the rule's budget is
-	// spent).
-	cfg := DefaultConfig()
-	cfg.Faults = fault.New(1).Add(fault.Rule{Site: fault.SiteFS2, Probability: 1, Limit: 2})
-	cfg.TripThreshold = 2
-	cfg.ProbePeriod = 20 * time.Millisecond
-	cfg.RetryBackoff = time.Microsecond
-	r := faultyRetriever(t, cfg, 30)
-	goal := "married_couple(husband5, X)"
-
-	rt, err := r.Retrieve(parse.MustTerm(goal), ModeFS2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Stats.Degraded != "host" || rt.Stats.Faults != 2 {
-		t.Fatalf("stats = %+v, want host-only after 2 faults", rt.Stats)
-	}
-	if trueU, _, err := rt.Evaluate(); err != nil || trueU != 1 {
-		t.Fatalf("host-only evaluate = %d, %v", trueU, err)
-	}
-	h := r.Health()
-	if h.Tripped != 1 || h.Trips != 1 || h.Free != 0 {
-		t.Fatalf("health after trip = %+v", h)
-	}
-
-	time.Sleep(cfg.ProbePeriod + 10*time.Millisecond)
-	rt, err = r.Retrieve(parse.MustTerm(goal), ModeFS2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Stats.Degraded != "" || rt.Stats.Faults != 0 {
-		t.Fatalf("post-readmit stats = %+v, want clean hardware retrieval", rt.Stats)
-	}
-	h = r.Health()
-	if h.Readmits != 1 || h.Tripped != 0 || h.Free != 1 {
-		t.Fatalf("health after readmit = %+v", h)
-	}
-}
-
-func TestAllBoardsTrippedHostOnlyStillCorrect(t *testing.T) {
-	// The acceptance scenario: every board in an 8-slot chassis faults on
-	// every FS2 search, so the whole chassis trips, and retrievals must
-	// keep returning the correct unifier set via host-only degradation.
+func TestDeadBoardHostOnlyStillCorrect(t *testing.T) {
+	// The acceptance scenario: the board faults on every FS2 search. Each
+	// retrieval spends its retries on it and ends on the host rung, and
+	// every one must still return the correct unifier set. There is no
+	// board health to trip: the registry lists no trip or readmit family.
 	reg := telemetry.NewRegistry()
 	cfg := DefaultConfig()
-	cfg.Boards = 8
 	cfg.Faults = fault.New(7).Add(fault.Rule{Site: fault.SiteFS2, Probability: 1})
-	cfg.ProbePeriod = time.Hour // no re-admission during the test
 	cfg.RetryBackoff = time.Microsecond
 	cfg.Metrics = reg
 	r := faultyRetriever(t, cfg, 50)
 
-	sawHost := 0
+	var faults, retries, host int
 	for i := 0; i < 30; i++ {
 		goal := parse.MustTerm(fmt.Sprintf("married_couple(husband%d, X)", i%50))
 		rt, err := r.Retrieve(goal, ModeFS2)
 		if err != nil {
 			t.Fatalf("retrieval %d: %v", i, err)
 		}
+		faults += rt.Stats.Faults
+		retries += rt.Stats.Retries
 		if rt.Stats.Degraded == "host" {
-			sawHost++
+			host++
 		}
 		trueU, _, err := rt.Evaluate()
 		if err != nil {
@@ -159,17 +117,8 @@ func TestAllBoardsTrippedHostOnlyStillCorrect(t *testing.T) {
 			t.Fatalf("retrieval %d: true unifiers = %d, want 1", i, trueU)
 		}
 	}
-	if sawHost != 30 {
-		t.Fatalf("host-only retrievals = %d/30 (every FS2 attempt faults)", sawHost)
-	}
-	h := r.Health()
-	if h.Tripped != 8 {
-		t.Fatalf("tripped boards = %d, want the whole chassis", h.Tripped)
-	}
-	for _, u := range h.Units {
-		if u.Leased {
-			t.Fatalf("slot %d still leased after the run", u.Slot)
-		}
+	if faults != 90 || retries != 60 || host != 30 {
+		t.Fatalf("faults %d, retries %d, host-rung retrievals %d; want 90, 60, 30", faults, retries, host)
 	}
 
 	byName := map[string]float64{}
@@ -180,20 +129,19 @@ func TestAllBoardsTrippedHostOnlyStillCorrect(t *testing.T) {
 		}
 		byName[key] += sv.Value
 	}
-	if byName["clare_boards_tripped"] != 8 {
-		t.Errorf("clare_boards_tripped = %v, want 8", byName["clare_boards_tripped"])
-	}
-	if byName["clare_board_trips_total"] != 8 {
-		t.Errorf("clare_board_trips_total = %v, want 8", byName["clare_board_trips_total"])
+	for name := range byName {
+		if strings.Contains(name, "trip") || strings.Contains(name, "readmit") {
+			t.Errorf("registry lists %s: the one board has no health to trip", name)
+		}
 	}
 	if byName["clare_degraded_retrievals_total:host"] != 30 {
 		t.Errorf("degraded-to-host = %v, want 30", byName["clare_degraded_retrievals_total:host"])
 	}
-	if byName["clare_faults_injected_total"] == 0 {
-		t.Error("no injected faults recorded")
+	if byName["clare_faults_injected_total"] != 90 {
+		t.Errorf("clare_faults_injected_total = %v, want 90", byName["clare_faults_injected_total"])
 	}
-	if byName["clare_retrieval_retries_total"] == 0 {
-		t.Error("no retries recorded")
+	if byName["clare_retrieval_retries_total"] != 60 {
+		t.Errorf("clare_retrieval_retries_total = %v, want 60", byName["clare_retrieval_retries_total"])
 	}
 }
 

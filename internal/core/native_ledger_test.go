@@ -174,8 +174,9 @@ func TestNativeLedgerByHand(t *testing.T) {
 
 // TestNativeRetrievalsOverlap: native retrievals lease nothing, so four
 // of them, each held 40 ms by a latency rule at the core.retrieve site,
-// finish in about the time of one — not one after another behind a
-// one-board chassis — with the serial candidates and statistics.
+// finish in about the time of one — not one after another, as sim
+// retrievals take turns on the board unit — with the serial candidates
+// and statistics.
 func TestNativeRetrievalsOverlap(t *testing.T) {
 	const delay = 40 * time.Millisecond
 	const clients = 4

@@ -354,8 +354,8 @@ func TestNativeKernelsZeroAlloc(t *testing.T) {
 }
 
 // TestNativeEngineConfig covers the Engine plumbing: parsing, the
-// accessor, and what the native engine refuses — a DescendFull
-// microprogram and the settings of a chassis it does not build.
+// accessor, what the native engine refuses — a DescendFull
+// microprogram — and that it builds no simulated board unit.
 func TestNativeEngineConfig(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -387,23 +387,13 @@ func TestNativeEngineConfig(t *testing.T) {
 		t.Fatalf("sim engine rejected MPLevel5: %v", err)
 	}
 	cfg = DefaultConfig()
-	cfg.Boards = 2
-	if _, err := New(cfg); err != nil {
-		t.Fatalf("sim engine rejected Boards > 1: %v", err)
-	}
 	cfg.Engine = EngineNative
-	if _, err := New(cfg); err == nil || strings.Contains(err.Error(), "\n") {
-		t.Fatalf("native engine with Boards > 1: err = %v, want a one-line refusal", err)
-	}
-	cfg = DefaultConfig()
-	cfg.Engine = EngineNative
-	cfg.Boards = 1 // the paper's one board is accepted
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h := r.Health(); r.pool != nil || h.Boards != 0 || h.Units != nil || r.FS2Stats() != (fs2.Stats{}) {
-		t.Fatalf("native retriever describes a chassis: health %+v", h)
+	if r.unit != nil || r.FS2Stats() != (fs2.Stats{}) {
+		t.Fatal("native retriever carries a simulated board unit")
 	}
 	cfg.Engine = Engine(42)
 	if _, err := New(cfg); err == nil {
@@ -419,11 +409,11 @@ func TestNativeEngineConfig(t *testing.T) {
 }
 
 // TestNativeRefusesSimFaultSites: a fault rule at a site only the
-// simulated chassis probes — a drive, the bus, a board — would be armed
+// simulated board unit probes — its drive, bus or board — would be armed
 // and never fire on the native engine, so building a native retriever
 // with one fails, naming the site and the engine that probes it, keyed or
 // not. The retrieval and WAL sites stay accepted, and the sim engine
-// accepts every rule.
+// accepts every one of these rules.
 func TestNativeRefusesSimFaultSites(t *testing.T) {
 	for _, tc := range []struct {
 		site, key string
@@ -455,6 +445,30 @@ func TestNativeRefusesSimFaultSites(t *testing.T) {
 			if !want && (err == nil || !strings.Contains(err.Error(), tc.site) ||
 				!strings.Contains(err.Error(), "needs -engine sim") || strings.Contains(err.Error(), "\n")) {
 				t.Errorf("%v: rule %s@%q: err = %v, want a one-line refusal naming the site and -engine sim", engine, tc.site, tc.key, err)
+			}
+		}
+	}
+}
+
+// TestSimRefusesUnprobedBoardKeys: the sim engine has one board unit,
+// and its drive, bus and board probe with key "0". A rule at one of their
+// sites keyed to another unit would be armed and never fire, so building
+// a sim retriever with one fails with a one-line error naming the rule;
+// the same sites unkeyed or keyed "0" are accepted.
+func TestSimRefusesUnprobedBoardKeys(t *testing.T) {
+	for _, site := range []string{fault.SiteDiskRead, fault.SiteDiskIndex, fault.SiteBus, fault.SiteFS2} {
+		for _, key := range []string{"", "0", "1", "7"} {
+			cfg := DefaultConfig()
+			cfg.Faults = fault.New(1).Add(fault.Rule{Site: site, Key: key, Probability: 1})
+			_, err := New(cfg)
+			if key == "" || key == "0" {
+				if err != nil {
+					t.Errorf("rule %s@%q refused: %v", site, key, err)
+				}
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), site+"@"+key) || strings.Contains(err.Error(), "\n") {
+				t.Errorf("rule %s@%q: err = %v, want a one-line refusal naming the rule", site, key, err)
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"clare/internal/parse"
 	"clare/internal/term"
@@ -51,42 +50,12 @@ func addrsOf(rt *Retrieval) []uint32 {
 	return out
 }
 
-// TestPooledMatchesSingleBoard: retrieval through a multi-board pool must
-// return byte-identical candidates and identical per-retrieval stats to
-// the paper's single-board configuration, in every mode.
-func TestPooledMatchesSingleBoard(t *testing.T) {
-	single := buildRetriever(t, DefaultConfig(), 80, 5)
-	cfg := DefaultConfig()
-	cfg.Boards = 4
-	pooled := buildRetriever(t, cfg, 80, 5)
-
-	for _, g := range poolGoals() {
-		for _, mode := range modes() {
-			want, err := single.Retrieve(parse.MustTerm(g), mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := pooled.Retrieve(parse.MustTerm(g), mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(addrsOf(got)) != fmt.Sprint(addrsOf(want)) {
-				t.Errorf("%s %v: candidates %v, want %v", g, mode, addrsOf(got), addrsOf(want))
-			}
-			if got.Stats != want.Stats {
-				t.Errorf("%s %v: stats %+v, want %+v", g, mode, got.Stats, want.Stats)
-			}
-		}
-	}
-}
-
 // TestConcurrentRetrieveMatchesSerial: many goroutines hammering one
-// pooled retriever must each see exactly the answer the serial path
-// produces (run under -race to also prove memory safety).
+// retriever, taking turns on its board unit, must each see exactly the
+// answer the serial path produces (run under -race to also prove memory
+// safety).
 func TestConcurrentRetrieveMatchesSerial(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Boards = 4
-	r := buildRetriever(t, cfg, 80, 5)
+	r := buildRetriever(t, DefaultConfig(), 80, 5)
 
 	goals := poolGoals()
 	want := make(map[string]string, len(goals))
@@ -228,57 +197,4 @@ func TestPredicatesSorted(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("Predicates() = %v, want %v", got, want)
 	}
-}
-
-// TestMakespan: the closed-system schedule must serialise on one board,
-// divide by the chassis width when clients keep it busy, and be limited
-// by the client count when that is smaller.
-func TestMakespan(t *testing.T) {
-	service := make([]time.Duration, 64)
-	for i := range service {
-		service[i] = 10 * time.Millisecond
-	}
-	serial := Makespan(service, 1, 8)
-	if want := 640 * time.Millisecond; serial != want {
-		t.Errorf("1 board: makespan %v, want %v", serial, want)
-	}
-	quad := Makespan(service, 4, 8)
-	if want := 160 * time.Millisecond; quad != want {
-		t.Errorf("4 boards: makespan %v, want %v", quad, want)
-	}
-	// Two clients can keep at most two boards busy.
-	clientBound := Makespan(service, 8, 2)
-	if want := 320 * time.Millisecond; clientBound != want {
-		t.Errorf("8 boards 2 clients: makespan %v, want %v", clientBound, want)
-	}
-	if Makespan(nil, 4, 4) != 0 {
-		t.Error("empty schedule has nonzero makespan")
-	}
-}
-
-// TestBoardPoolLease: the pool must hand out distinct units under
-// contention and always prefer slot 0 when idle.
-func TestBoardPoolLease(t *testing.T) {
-	cfg := DefaultConfig()
-	pool, err := newBoardPool(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u0 := pool.lease()
-	if u0.slot != 0 {
-		t.Errorf("idle lease slot = %d, want 0", u0.slot)
-	}
-	u1 := pool.lease()
-	u2 := pool.lease()
-	if u1 == u0 || u2 == u0 || u1 == u2 {
-		t.Error("pool leased the same unit twice")
-	}
-	done := make(chan *boardUnit)
-	go func() { done <- pool.lease() }()
-	pool.release(u2)
-	if got := <-done; got != u2 {
-		t.Errorf("blocked lease got slot %d, want %d", got.slot, u2.slot)
-	}
-	pool.release(u0)
-	pool.release(u1)
 }

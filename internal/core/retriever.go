@@ -107,12 +107,6 @@ type Config struct {
 	// M68020-class host). It only shapes mode comparisons; all hardware
 	// times are derived from the component models.
 	SoftwareMatchCost time.Duration
-	// Boards is the number of FS2 board + bus + drive units in the
-	// simulated chassis (0 means 1 — the paper's configuration). Each sim
-	// retrieval leases one unit, so up to Boards retrievals proceed in
-	// parallel. The native engine builds no chassis — its retrievals run
-	// in parallel unleased — and refuses Boards > 1.
-	Boards int
 	// StreamChunkEntries is how many secondary-file entries FS1 hands to
 	// the fetch+FS2 stage per pipeline chunk in fs1+fs2 mode (0 derives
 	// one disk track's worth — the paper's unit of transfer, §3.2). On the
@@ -121,43 +115,32 @@ type Config struct {
 	StreamChunkEntries int
 	// Metrics, when non-nil, receives per-stage counters and histograms
 	// from the retriever and the query cache, and on the sim engine from
-	// its board pool, disk drives, FS2 boards and VME buses. The sim
-	// engine observes durations in both clocks, the native engine in wall
-	// time only. Nil disables metrics at zero hot-path cost.
+	// its disk drive, FS2 board and VME bus. The sim engine observes
+	// durations in both clocks, the native engine in wall time only. Nil
+	// disables metrics at zero hot-path cost.
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, records one span tree per retrieval: the root
 	// plus one span per stage that ran (board lease, encode, FS1 scan,
 	// disk fetch, FS2 match, host match). Nil disables tracing.
 	Tracer *telemetry.Tracer
-	// Faults, when non-nil, is the fault injector armed across the
-	// chassis: every drive, bus, and board probes it, as does the
-	// retriever itself (site core.retrieve, keyed by predicate
-	// indicator). The native engine probes core.retrieve only, and
-	// NewWithSymbols refuses it an injector with a rule naming a drive,
-	// bus or board site. Nil — the production configuration — costs one
-	// nil check per probe.
+	// Faults, when non-nil, is the fault injector: the sim engine's drive,
+	// bus and board probe it with key "0", and the retriever itself
+	// probes site core.retrieve, keyed by predicate indicator. The native
+	// engine probes core.retrieve only. NewWithSymbols refuses a rule that
+	// would never fire: one naming a drive, bus or board site on the
+	// native engine, or keyed to anything but "0" on the sim engine. Nil —
+	// the production configuration — costs one nil check per probe.
 	Faults *fault.Injector
-	// TripThreshold is how many consecutive faulted leases trip a board
-	// unit out of rotation (0 means 3; sim engine only, like ProbePeriod).
-	TripThreshold int
-	// ProbePeriod is how long a tripped unit cools off before a
-	// probationary re-admission (0 means 100ms).
-	ProbePeriod time.Duration
-	// MaxRetries bounds the extra attempts a retrieval makes after an
-	// injected fault before degrading to host-only matching (0 means 2,
-	// negative means no retries).
-	MaxRetries int
-	// RetryBackoff is the wait before the first retry, doubling per
-	// further attempt (0 means 200µs).
+	// RetryBackoff is the wait before the first of a faulted retrieval's
+	// maxRetries retries, doubling per further attempt (0 means 200µs).
 	RetryBackoff time.Duration
 	// Engine selects the execution engine: EngineSim (the zero value,
 	// the cycle-accurate hardware simulation the paper ledger and the
 	// tests build from) or EngineNative (the vectorized host fast path
 	// with identical results, what crsd serves by default). Native mode
 	// requires a microprogram the native matcher supports (no
-	// DescendFull) and refuses what only the simulated chassis has:
-	// Boards > 1, and fault rules at the disk.read, disk.index, vme.bus
-	// and fs2.match sites.
+	// DescendFull) and refuses fault rules at the sites only the simulated
+	// board unit probes: disk.read, disk.index, vme.bus and fs2.match.
 	Engine Engine
 	// Flight, when non-nil, receives one compact FlightRecord per
 	// retrieval — the always-on black box the /flight dumps and
@@ -171,12 +154,11 @@ type Config struct {
 // bench/ is its only caller, and it goes with ROADMAP item 1(c).
 const MaxScanWorkers = 32
 
-// Fault-handling defaults.
+// Fault handling: a faulted retrieval is retried at most maxRetries
+// times before it falls to the host rung.
 const (
-	defaultTripThreshold = 3
-	defaultProbePeriod   = 100 * time.Millisecond
-	defaultMaxRetries    = 2
-	defaultRetryBackoff  = 200 * time.Microsecond
+	maxRetries          = 2
+	defaultRetryBackoff = 200 * time.Microsecond
 )
 
 // DefaultConfig mirrors the paper's hardware: the faster SMD disk, 64-bit
@@ -226,25 +208,20 @@ func (p *Predicate) FractionMasked() float64 {
 }
 
 // Retriever is the CLARE engine instance over the managed predicates.
-// Retrieve is safe for concurrent callers. On the sim engine it is a
-// chassis of FS2 boards behind VME buses (one or more — the paper built
-// one), each with its own disk spindle, and each retrieval leases a
-// board unit from the pool; on the native engine a retrieval is a plain
-// reader of the compiled files and owns an arena for its duration.
+// Retrieve is safe for concurrent callers. On the sim engine it is the
+// paper's one board unit — an FS2 board behind a VME bus, fed by a disk
+// drive — and retrievals take turns on it; on the native engine a
+// retrieval is a plain reader of the compiled files and owns an arena for
+// its duration.
 type Retriever struct {
 	cfg    Config
 	syms   *symtab.Table
 	penc   *pif.Encoder
 	ienc   *scw.Encoder
-	pool   *boardPool // the simulated chassis; nil on the native engine
+	unit   *boardUnit // the simulated hardware; nil on the native engine
 	qcache *queryCache
 	met    *coreMetrics
 	tracer *telemetry.Tracer
-
-	// disk is what finished sim attempts charged the drive model: each
-	// accounts on its leased unit's drive and folds its statistics in
-	// here when it ends. The native engine charges no drive.
-	disk disk.Totals
 
 	// natPool recycles per-retrieval native-engine arenas (scan buffer,
 	// matcher); idle in sim mode.
@@ -289,25 +266,27 @@ func NewWithSymbols(cfg Config, syms *symtab.Table) (*Retriever, error) {
 		tracer: cfg.Tracer,
 		preds:  make(map[Indicator]*Predicate),
 	}
+	// Fail fast on a fault rule that would be armed and never fire, rather
+	// than on the first retrieval: the native engine probes no drive, bus
+	// or board, and the sim engine's one unit probes them with key "0".
+	for _, site := range []string{fault.SiteDiskRead, fault.SiteDiskIndex, fault.SiteBus, fault.SiteFS2} {
+		for _, key := range cfg.Faults.Keys(site) {
+			switch {
+			case cfg.Engine == EngineNative:
+				return nil, fmt.Errorf("core: fault site %s needs -engine sim: the native engine has no simulated drive, bus or board to probe it", site)
+			case key != "" && key != unitKey:
+				return nil, fmt.Errorf("core: fault rule %s@%s never fires: the sim engine's one board unit probes with key %s", site, key, unitKey)
+			}
+		}
+	}
 	switch cfg.Engine {
 	case EngineSim:
-		if r.pool, err = newBoardPool(cfg, cfg.Boards); err != nil {
+		if r.unit, err = newBoardUnit(cfg); err != nil {
 			return nil, err
 		}
 	case EngineNative:
-		// Fail fast on what the native engine cannot run, rather than on
-		// the first retrieval: a simulated chassis of more than one board,
-		// a fault rule at a site only that chassis probes — armed, it would
-		// never fire — and, building the first arena, a microprogram its
+		// Building the first arena fails on a microprogram the native
 		// matcher lacks.
-		if cfg.Boards > 1 {
-			return nil, fmt.Errorf("core: %d boards need the sim engine: the native engine builds no chassis and serves retrievals in parallel without one", cfg.Boards)
-		}
-		for _, site := range []string{fault.SiteDiskRead, fault.SiteDiskIndex, fault.SiteBus, fault.SiteFS2} {
-			if cfg.Faults.Arms(site) {
-				return nil, fmt.Errorf("core: fault site %s needs -engine sim: the native engine has no simulated drive, bus or board to probe it", site)
-			}
-		}
 		a, err := r.newArena()
 		if err != nil {
 			return nil, err
@@ -335,24 +314,17 @@ func (r *Retriever) Symbols() *symtab.Table { return r.syms }
 // Engine reports which execution engine the retriever runs.
 func (r *Retriever) Engine() Engine { return r.cfg.Engine }
 
-// FS2Stats aggregates FS2 statistics across every board in the chassis
-// (zero on the native engine, which drives no board). The snapshot is
-// taken under the pool lock from per-slot copies captured at board
-// release, so it is race-free while retrievals are in flight; a retrieval
-// still holding a board contributes its work when it releases.
-func (r *Retriever) FS2Stats() fs2.Stats { return r.pool.fs2Snapshot() }
+// FS2Stats reports the FS2 board's statistics (zero on the native engine,
+// which drives no board). It reads a copy the last attempt took as it
+// let go of the unit, so it is race-free and never waits while
+// retrievals are in flight; an attempt still running contributes when it
+// ends.
+func (r *Retriever) FS2Stats() fs2.Stats { return r.unit.stats().fs2 }
 
-// DiskStats reports what finished retrievals charged the drive model on
-// every spindle of the chassis (zero on the native engine, which charges
-// no drive). Like FS2Stats it is race-free while retrievals are in
-// flight; an attempt still running contributes when it ends.
-func (r *Retriever) DiskStats() disk.Stats { return r.disk.Stats() }
-
-// Health reports the chassis's board-health snapshot: counts of free,
-// leased, and tripped units plus per-slot state (the same state the
-// clare_board* metrics publish). The native engine has no boards to
-// lease or trip and reports the zero Health.
-func (r *Retriever) Health() Health { return r.pool.health() }
+// DiskStats reports what finished attempts charged the drive model (zero
+// on the native engine, which charges no drive). Like FS2Stats it reads
+// the copy taken when an attempt last let go of the unit.
+func (r *Retriever) DiskStats() disk.Stats { return r.unit.stats().disk }
 
 // QueryCache reports the query-encoding cache's counters.
 func (r *Retriever) QueryCache() QueryCacheStats { return r.qcache.stats() }
@@ -540,9 +512,8 @@ type StageStats struct {
 	// Degraded names the degradation-ladder rung the retrieval ended on:
 	// "" (none — it ran in the requested mode), "fs2" (the FS1 index was
 	// unreadable, so the clause file was full-scanned through FS2), or
-	// "host" (no healthy board, or the retry budget was spent; the host
-	// matched the clause file itself). The requested mode stays in
-	// Retrieval.Mode.
+	// "host" (the retry budget was spent; the host matched the clause
+	// file itself). The requested mode stays in Retrieval.Mode.
 	Degraded string
 }
 
@@ -563,7 +534,6 @@ type Retrieval struct {
 	pred       *Predicate
 
 	wall  stageClock
-	slot  int // board unit the final attempt leased; -1 when it leased none (native engine, host rung)
 	trace *telemetry.Trace
 }
 
@@ -612,22 +582,20 @@ func (rt *Retrieval) AppendCandidateLines(dst []byte, prefix string) ([]byte, er
 }
 
 // Retrieve runs one search call in the given mode. It is safe for
-// concurrent callers: on the sim engine each call leases one board unit
-// (FS2 board, VME bus, disk drive) from the chassis pool for its
-// duration; on the native engine calls run in parallel, sharing nothing
-// but the compiled files they read. When the retriever carries telemetry,
-// the call records per-stage metrics in both clocks and one span tree
-// into the tracer's ring buffer.
+// concurrent callers: on the sim engine each attempt holds the board unit
+// (FS2 board, VME bus, disk drive) for its duration, so calls take turns;
+// on the native engine calls run in parallel, sharing nothing but the
+// compiled files they read. When the retriever carries telemetry, the
+// call records per-stage metrics in both clocks and one span tree into
+// the tracer's ring buffer.
 //
 // Under fault injection the call degrades rather than fails. A faulted
-// attempt is retried (on different hardware, where there is any; bounded
-// by Config.MaxRetries, backing off between attempts); an unreadable FS1
-// index downgrades the mode to a full FS2 scan; and when every board is
-// tripped — or the retry budget is spent — the host performs the whole
-// match itself. Injected
-// faults therefore never surface as errors: Stats.Degraded records the
-// ladder rung the retrieval ended on, Stats.Faults/Retries what it cost
-// to get there.
+// attempt is retried on the same hardware, at most maxRetries times,
+// backing off between attempts; an unreadable FS1 index downgrades the
+// mode to a full FS2 scan; and once the retry budget is spent the host
+// performs the whole match itself. Injected faults therefore never
+// surface as errors: Stats.Degraded records the ladder rung the retrieval
+// ended on, Stats.Faults/Retries what it cost to get there.
 func (r *Retriever) Retrieve(goal term.Term, mode SearchMode) (*Retrieval, error) {
 	return r.RetrieveTraced(goal, mode, nil)
 }
@@ -651,32 +619,25 @@ func (r *Retriever) RetrieveTraced(goal term.Term, mode SearchMode, tc *telemetr
 	return rt, nil
 }
 
-// ladder runs one retrieval down the fault ladder — retry on other
-// hardware, downgrade to a full FS2 scan when the index is unreadable,
-// fall to the host when no board is left — and returns the record of the
-// attempt that ended it, together with that attempt's error if it was
-// not an injected fault. Each attempt starts a fresh record: a faulted
-// attempt's partial candidates and stage times must not leak into the
-// next. start is the call's entry time; the first attempt's lease wait
-// is measured from it (only a map read lies between). The native engine
-// has no hardware to lease, retry on or trip: only core.retrieve faults
-// its attempts, so it never takes the fs2 rung.
+// ladder runs one retrieval down the fault ladder — retry, downgrade to a
+// full FS2 scan when the index is unreadable, fall to the host once the
+// retries are spent — and returns the record of the attempt that ended
+// it, together with that attempt's error if it was not an injected fault.
+// Each attempt starts a fresh record: a faulted attempt's partial
+// candidates and stage times must not leak into the next. start is the
+// call's entry time; the first attempt's wait for the board unit is
+// measured from it (only a map read lies between). The native engine has
+// no hardware to fault: only core.retrieve faults its attempts, so it
+// never takes the fs2 rung.
 func (r *Retriever) ladder(goal term.Term, mode SearchMode, pred *Predicate, name string, start time.Time) (*Retrieval, error) {
 	backoff := r.cfg.RetryBackoff
 	if backoff <= 0 {
 		backoff = defaultRetryBackoff
 	}
-	maxRetries := r.cfg.MaxRetries
-	switch {
-	case maxRetries == 0:
-		maxRetries = defaultMaxRetries
-	case maxRetries < 0:
-		maxRetries = 0
-	}
 	effMode, degraded := mode, ""
 	faults, retries := 0, 0
 	fresh := func(mark time.Time) *Retrieval {
-		rt := &Retrieval{Mode: mode, Goal: goal, Predicate: name, pred: pred, slot: -1}
+		rt := &Retrieval{Mode: mode, Goal: goal, Predicate: name, pred: pred}
 		rt.Stats.TotalClauses = pred.File.Len()
 		rt.wall.mark = mark
 		return rt
@@ -705,12 +666,10 @@ func (r *Retriever) ladder(goal term.Term, mode SearchMode, pred *Predicate, nam
 		}
 		rt := fresh(mark)
 		var err error
-		if r.pool == nil {
+		if r.unit == nil {
 			err = r.searchNative(effMode, goal, pred, rt)
-		} else if err = r.searchSim(effMode, goal, pred, rt); err == errNoBoard {
-			// Every unit is tripped and cooling off: drop to the
-			// ladder's last rung.
-			break
+		} else {
+			err = r.searchSim(effMode, goal, pred, rt)
 		}
 		if !fault.Is(err) {
 			return seal(rt), err
@@ -722,14 +681,13 @@ func (r *Retriever) ladder(goal term.Term, mode SearchMode, pred *Predicate, nam
 			effMode, degraded = ModeFS2, "fs2"
 		}
 	}
-	// Last rung: no healthy board, or the retry budget is spent. The host
-	// matches the raw clause file itself — no hardware, no injection
-	// sites, guaranteed to complete. On the sim engine it reads through a
-	// drive of its own.
+	// Last rung: the retry budget is spent. The host matches the raw
+	// clause file itself — no hardware, no injection sites, guaranteed to
+	// complete. On the sim engine it reads through a drive of its own.
 	degraded = "host"
 	rt := fresh(time.Now())
 	var drive *disk.Drive
-	if r.pool != nil {
+	if r.unit != nil {
 		drive = disk.NewDrive(r.cfg.Disk)
 	}
 	err := r.retrieveSoftware(goal, pred, rt, drive)
@@ -769,13 +727,13 @@ func (r *Retriever) encodeQuery(goal term.Term, rt *Retrieval) (qd scw.QueryDesc
 // mode (a): "the CRS performs all the search operations itself". The
 // software matcher runs the same level-3+XB algorithm (package ptu).
 //
-// drive is the spindle the clause file streams from: the leased unit's
-// on the sim engine's filter path. The sim engine's host-only rung passes
-// a drive of its own — the host reads the clause file through its own
-// block I/O, costed by the drive model outside any per-spindle
-// accounting — which nothing has armed with faults, so that path always
-// completes. The native engine passes nil and charges nothing: the
-// retrieval keeps counts, and EXPLAIN prices them.
+// drive is the spindle the clause file streams from: the board unit's on
+// the sim engine's filter path. The sim engine's host-only rung passes a
+// drive of its own — the host reads the clause file through its own block
+// I/O, costed by the drive model outside the unit's accounting — which
+// nothing has armed with faults, so that path always completes. The
+// native engine passes nil and charges nothing: the retrieval keeps
+// counts, and EXPLAIN prices them.
 func (r *Retriever) retrieveSoftware(goal term.Term, pred *Predicate, rt *Retrieval, drive *disk.Drive) error {
 	all := pred.File.All()
 	rt.Stats.AfterFS1 = len(all)

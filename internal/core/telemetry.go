@@ -17,8 +17,8 @@ import (
 // shape — the root plus one span per stage that ran, whatever the
 // predicate size, chunk count or engine:
 //
-//	retrieve       predicate, mode, board, candidates [degraded, retries, error]
-//	├─ board_lease slot           (wall time waiting for a free unit; sim engine only)
+//	retrieve       predicate, mode, candidates [degraded, retries, error]
+//	├─ board_lease                (wall time waiting for the board unit; sim engine only)
 //	├─ encode      cache=hit|miss (query-cache probe + SCW/PIF encode)
 //	├─ fs1_scan    survivors, chunks (index scan through FS1, disk-bound)
 //	├─ disk_fetch  bytes          (clause records off disk)
@@ -89,10 +89,10 @@ type coreMetrics struct {
 	errors        *telemetry.Counter
 	retrievalSim  map[SearchMode]*telemetry.Histogram
 	retrievalWall map[SearchMode]*telemetry.Histogram
-	// stageWall[stageLease] is the lease-wait histogram (observed on the
-	// sim engine only: a native retrieval leases nothing); the stages with
-	// no hardware analogue have no sim series observed, and on the native
-	// engine no sim series is registered at all.
+	// stageWall[stageLease] is the wait for the board unit (observed on
+	// the sim engine only: a native retrieval waits for none); the
+	// stages with no hardware analogue have no sim series observed, and
+	// on the native engine no sim series is registered at all.
 	stageSim  [numStages]*telemetry.Histogram
 	stageWall [numStages]*telemetry.Histogram
 
@@ -151,7 +151,7 @@ func newCoreMetrics(reg *telemetry.Registry, e Engine) *coreMetrics {
 		m.stageWall[s] = reg.Histogram("clare_stage_seconds", "per-stage duration per clock", nil,
 			telemetry.Labels{"stage": stageNames[s], "clock": "wall"})
 	}
-	m.stageWall[stageLease] = reg.Histogram("clare_board_lease_wait_seconds", "wall time a retrieval waited for a free board unit", nil, nil)
+	m.stageWall[stageLease] = reg.Histogram("clare_board_lease_wait_seconds", "wall time a retrieval waited for the board unit", nil, nil)
 	m.errors = reg.Counter("clare_retrieval_errors_total", "retrievals that failed", nil)
 	m.clausesIn = reg.Counter("clare_stage_candidates_total", "candidate counts entering/leaving each filter stage",
 		telemetry.Labels{"stage": "input"})
@@ -161,7 +161,7 @@ func newCoreMetrics(reg *telemetry.Registry, e Engine) *coreMetrics {
 		telemetry.Labels{"stage": "after_fs2"})
 	m.chunks = reg.Counter("clare_pipeline_chunks_total", "FS1→FS2 pipeline chunks streamed", nil)
 	m.overflows = reg.Counter("clare_result_overflows_total", "retrievals that overflowed the Result Memory", nil)
-	m.boardsBusy = reg.Gauge("clare_boards_busy", "retrievals executing on the engine now (sim: board units leased; native: retrievals in flight)", nil)
+	m.boardsBusy = reg.Gauge("clare_boards_busy", "retrievals executing on the engine now (sim: 1 while the board unit is held; native: retrievals in flight)", nil)
 	m.retriesC = reg.Counter("clare_retrieval_retries_total", "retrieval attempts re-run after an injected fault", nil)
 	m.degraded = map[string]*telemetry.Counter{
 		"fs2": reg.Counter("clare_degraded_retrievals_total", "retrievals that fell down the degradation ladder, by rung",
@@ -221,9 +221,6 @@ func (r *Retriever) spanTree(rt *Retrieval, start time.Time, tc *telemetry.Trace
 	root.Wall, root.Sim = rt.wall.total, st.Total
 	root.SetAttr("predicate", rt.Predicate)
 	root.SetAttr("mode", rt.Mode.String())
-	if rt.slot >= 0 {
-		root.SetAttr("board", strconv.Itoa(rt.slot))
-	}
 	if st.Degraded != "" {
 		root.SetAttr("degraded", st.Degraded)
 	}
@@ -241,8 +238,6 @@ func (r *Retriever) spanTree(rt *Retrieval, start time.Time, tc *telemetry.Trace
 		}
 		sp := tr.Record(root, stageNames[s], rt.wall.first[s], rt.wall.wall[s], st.sim(s))
 		switch s {
-		case stageLease:
-			sp.SetAttr("slot", strconv.Itoa(rt.slot))
 		case stageEncode:
 			cache := "miss"
 			if st.QueryCacheHit {

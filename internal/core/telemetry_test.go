@@ -15,12 +15,11 @@ import (
 	"clare/internal/telemetry"
 )
 
-// telemetryRetriever builds a pooled retriever wired to a fresh registry
-// and tracer.
-func telemetryRetriever(t *testing.T, boards int) (*Retriever, *telemetry.Registry, *telemetry.Tracer) {
+// telemetryRetriever builds a sim retriever wired to a fresh registry and
+// tracer.
+func telemetryRetriever(t *testing.T) (*Retriever, *telemetry.Registry, *telemetry.Tracer) {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Boards = boards
 	cfg.StreamChunkEntries = 16
 	cfg.Metrics = telemetry.NewRegistry()
 	cfg.Tracer = telemetry.NewTracer(128)
@@ -31,7 +30,7 @@ func telemetryRetriever(t *testing.T, boards int) (*Retriever, *telemetry.Regist
 // TestRetrievalSpanTree: on both engines and in every mode the span tree
 // is exactly the root plus the stages that ran — the same spans for a
 // one-chunk predicate and a 25-chunk one — and every span's simulated
-// time is the matching StageStats field. Only the sim engine leases a
+// time is the matching StageStats field. Only the sim engine waits for a
 // board and streams in chunks, so only its trees carry a board_lease span
 // and a chunks attribute; a native retrieval reads no simulated disk, so
 // only its mode fs1, gathering the survivors' records, has a disk_fetch.
@@ -235,7 +234,7 @@ func TestFailedRetrievalRecorded(t *testing.T) {
 // TestRetrievalMetrics: the registry must expose per-mode counters and
 // per-stage histograms in both clocks after a mixed workload.
 func TestRetrievalMetrics(t *testing.T) {
-	r, reg, _ := telemetryRetriever(t, 2)
+	r, reg, _ := telemetryRetriever(t)
 	for _, mode := range modes() {
 		if _, err := r.Retrieve(parse.MustTerm("married_couple(husband3, X)"), mode); err != nil {
 			t.Fatal(err)
@@ -300,14 +299,12 @@ func TestUntracedRetrievalUnchanged(t *testing.T) {
 // and deadlock-free, and must converge to the exact serial totals once
 // the workload drains.
 func TestStatsSnapshotDuringRetrievals(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Boards = 4
-	r := buildRetriever(t, cfg, 80, 5)
+	r := buildRetriever(t, DefaultConfig(), 80, 5)
 	goals := poolGoals()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	// Snapshot readers hammering the pool while retrievals run —
+	// Snapshot readers hammering the retriever while retrievals run —
 	// including two concurrent readers, which deadlocked the old
 	// quiesce-based implementation.
 	for i := 0; i < 3; i++ {
@@ -355,9 +352,9 @@ func TestStatsSnapshotDuringRetrievals(t *testing.T) {
 		}
 	}
 	if got, want := r.FS2Stats(), serial.FS2Stats(); got != want {
-		t.Errorf("pooled FS2Stats %+v != serial %+v", got, want)
+		t.Errorf("concurrent FS2Stats %+v != serial %+v", got, want)
 	}
 	if got, want := r.DiskStats(), serial.DiskStats(); got != want {
-		t.Errorf("pooled DiskStats %+v != serial %+v", got, want)
+		t.Errorf("concurrent DiskStats %+v != serial %+v", got, want)
 	}
 }

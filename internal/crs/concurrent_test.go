@@ -12,13 +12,11 @@ import (
 	"clare/internal/workload"
 )
 
-// newPooledServer builds a server whose retriever has a multi-board
-// chassis, loaded with the family workload.
-func newPooledServer(t *testing.T, boards int) *Server {
+// newFamilyServer builds a server over a sim retriever loaded with the
+// family workload.
+func newFamilyServer(t *testing.T) *Server {
 	t.Helper()
-	cfg := core.DefaultConfig()
-	cfg.Boards = boards
-	r, err := core.New(cfg)
+	r, err := core.New(core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +33,7 @@ func newPooledServer(t *testing.T, boards int) *Server {
 // succeeds, the served counter matches the retrievals issued, and —
 // under -race — that the reworked locking is memory-safe.
 func TestConcurrentSessions(t *testing.T) {
-	s := newPooledServer(t, 4)
+	s := newFamilyServer(t)
 
 	const (
 		readers    = 8
@@ -176,7 +174,7 @@ func TestConcurrentSessions(t *testing.T) {
 // committing writer must always see either the old or the new clause
 // list, never a partial rebuild.
 func TestConcurrentRetrievalsSeeConsistentSnapshots(t *testing.T) {
-	s := newPooledServer(t, 2)
+	s := newFamilyServer(t)
 	seed := []core.ClauseTerm{{Head: term.New("log", term.Atom("e0"))}}
 	if err := s.Load("tx", seed); err != nil {
 		t.Fatal(err)

@@ -79,7 +79,7 @@ func TestStatsEngineKey(t *testing.T) {
 }
 
 // TestWirePlannerOffKeys: the STATS surface of the engine crsd serves
-// carries no simulated-chassis or planner keys — no plan.* and no
+// carries no simulated-board or planner keys — no plan.* and no
 // boards/boards.* — while it does name the engine (engine.native) and
 // the configured latency window.
 func TestWirePlannerOffKeys(t *testing.T) {

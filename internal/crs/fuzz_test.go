@@ -11,9 +11,7 @@ import (
 // FuzzWireParse binds the shared wire fuzz target (corpus, reply oracle
 // and invariants are wiretest's) to the backend's connection handler.
 func FuzzWireParse(f *testing.F) {
-	cfg := core.DefaultConfig()
-	cfg.Boards = 1
-	r, err := core.New(cfg)
+	r, err := core.New(core.DefaultConfig())
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -23,10 +23,10 @@ import (
 // concurrent client access. Concurrency is layered: the server mutex
 // guards only the predicate and session registries; each predicate has
 // its own read/write lock (readers share, transactions exclude); and the
-// retriever runs retrievals in parallel (native: unleased, each in an
-// arena of its own; sim: each on a leased board unit, up to the chassis
-// width), so sessions on different — or read-only same — predicates
-// proceed in parallel.
+// native retriever runs retrievals in parallel, each in an arena of its
+// own, so sessions on different — or read-only same — predicates proceed
+// in parallel. (A sim retriever's retrievals take turns on its one board
+// unit.)
 type Server struct {
 	mu        sync.RWMutex // guards preds and sessions registries only
 	retriever *core.Retriever
@@ -344,9 +344,9 @@ func (c *Session) serve(goal term.Term, mode *core.SearchMode, tc *telemetry.Tra
 	if err != nil {
 		return nil, nil, err
 	}
-	// No server-wide lock here: native retrievals run in parallel, and a
-	// sim retrieval leases a board unit from the chassis pool per call
-	// (the real CRS queues search calls only when all boards are busy).
+	// No server-wide lock here: native retrievals run in parallel, and
+	// sim retrievals queue for the one board unit, as the paper's CRS
+	// queues search calls for its one board.
 	rt, err := c.srv.retriever.RetrieveTraced(goal, m, tc)
 	wall := time.Since(start)
 	if err != nil {

@@ -11,7 +11,6 @@ package disk
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"clare/internal/fault"
@@ -122,39 +121,6 @@ type Stats struct {
 	Faults int
 }
 
-// Add folds other into s — used to aggregate per-drive statistics across
-// a multi-drive chassis.
-func (s *Stats) Add(other Stats) {
-	s.BytesRead += other.BytesRead
-	s.Accesses += other.Accesses
-	s.Elapsed += other.Elapsed
-	s.Faults += other.Faults
-}
-
-// Totals sums the Stats of drives whose owners have finished with them. It
-// is safe for concurrent use: a retrieval accounts on a Drive it owns —
-// no synchronisation on that path — and adds the drive's Stats here once,
-// so aggregate readers take no lock that retrievals share.
-type Totals struct{ bytes, accesses, elapsed, faults atomic.Int64 }
-
-// Add folds s into the totals.
-func (t *Totals) Add(s Stats) {
-	t.bytes.Add(s.BytesRead)
-	t.accesses.Add(int64(s.Accesses))
-	t.elapsed.Add(int64(s.Elapsed))
-	t.faults.Add(int64(s.Faults))
-}
-
-// Stats reports the totals so far.
-func (t *Totals) Stats() Stats {
-	return Stats{
-		BytesRead: t.bytes.Load(),
-		Accesses:  int(t.accesses.Load()),
-		Elapsed:   time.Duration(t.elapsed.Load()),
-		Faults:    int(t.faults.Load()),
-	}
-}
-
 // driveMetrics are the drive's registry handles; the zero value (all nil)
 // makes every observation a no-op.
 type driveMetrics struct {
@@ -182,8 +148,8 @@ type Drive struct {
 // NewDrive returns a drive of the given model.
 func NewDrive(m Model) *Drive { return &Drive{Model: m} }
 
-// SetFaults arms fault injection on the drive. key identifies the spindle
-// to keyed rules (its chassis slot).
+// SetFaults arms fault injection on the drive. key identifies the drive
+// to keyed rules (its board unit's).
 func (d *Drive) SetFaults(inj *fault.Injector, key string) {
 	d.flt = inj
 	d.fltKey = key
@@ -199,7 +165,7 @@ func (d *Drive) probe(site string) error {
 }
 
 // Instrument wires the drive to a metrics registry. labels identify the
-// spindle (e.g. its chassis slot); each operation's simulated duration
+// drive (e.g. its board unit's slot); each operation's simulated duration
 // lands in clare_disk_op_sim_seconds{op=...}.
 func (d *Drive) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
 	op := func(name string) telemetry.Labels {
@@ -330,6 +296,3 @@ func (d *Drive) failedAccess() {
 	d.Stats.Elapsed += t
 	d.met.accesses.Inc()
 }
-
-// Reset clears the statistics.
-func (d *Drive) Reset() { d.Stats = Stats{} }

@@ -1,16 +1,16 @@
 // Package fault provides deterministic, seedable fault injection for the
 // simulated CLARE hardware. The paper's engine is a physical pipeline —
-// disk spindles, a VMEbus card cage, FS2 filter boards — and a production
+// a disk drive, a VMEbus, an FS2 filter board — and a production
 // deployment must keep serving (degraded, observably) when any of them
 // fails. This package is the failure generator the degradation machinery
 // in internal/core is tested against.
 //
 // An Injector holds a set of Rules, each arming one injection site
-// (optionally narrowed to one key — a chassis slot or a predicate
-// indicator) with a probability-per-probe, an every-Nth-call trigger, or
-// both, and an optional total fault budget. Components carry probe calls
-// at their hardware operations; a nil *Injector never fires, so the
-// probes cost one nil check in production configurations.
+// (optionally narrowed to one key — the simulated board unit's "0" or a
+// predicate indicator) with a probability-per-probe, an every-Nth-call
+// trigger, or both, and an optional total fault budget. Components carry
+// probe calls at their hardware operations; a nil *Injector never fires,
+// so the probes cost one nil check in production configurations.
 //
 // All randomness comes from the injector's seed, so a single-goroutine
 // fault schedule is exactly reproducible; concurrent probes serialise on
@@ -113,8 +113,8 @@ func SiteOf(err error) string {
 type Rule struct {
 	// Site is the injection point ("" matches every site).
 	Site string
-	// Key narrows the rule to one probe key — a chassis slot ("0", "1",
-	// ...) or a predicate indicator ("parent/2"). "" matches every key.
+	// Key narrows the rule to one probe key — the simulated board unit's
+	// "0" or a predicate indicator ("parent/2"). "" matches every key.
 	Key string
 	// Probability is the chance each matching probe fires, in [0, 1].
 	Probability float64
@@ -196,25 +196,26 @@ func (i *Injector) siteCounter(site string) *telemetry.Counter {
 	return c
 }
 
-// Arms reports whether a rule names site, keyed or not. A rule with an
-// empty site matches every site but names none.
-func (i *Injector) Arms(site string) bool {
+// Keys lists the keys of the rules that name site, "" for an unkeyed
+// one. A rule with an empty site matches every site but names none.
+func (i *Injector) Keys(site string) []string {
 	if i == nil {
-		return false
+		return nil
 	}
 	i.mu.Lock()
 	defer i.mu.Unlock()
+	var keys []string
 	for _, rs := range i.rules {
 		if rs.Site == site {
-			return true
+			keys = append(keys, rs.Key)
 		}
 	}
-	return false
+	return keys
 }
 
 // Probe evaluates the armed rules at one injection point. It returns nil
 // when no fault fires, or an *Error naming the site. key identifies the
-// probing component instance (chassis slot) or subject (predicate).
+// probing component instance (the board unit) or subject (predicate).
 func (i *Injector) Probe(site, key string) error {
 	if i == nil {
 		return nil

@@ -17,7 +17,7 @@ func TestNilInjectorNeverFires(t *testing.T) {
 			t.Fatalf("nil injector fired: %v", err)
 		}
 	}
-	if inj.Injected() != 0 || inj.Arms(SiteDiskRead) {
+	if inj.Injected() != 0 || inj.Keys(SiteDiskRead) != nil {
 		t.Fatalf("nil injector counted faults or arms a site")
 	}
 	inj.Add(Rule{Site: SiteDiskRead, Probability: 1})

@@ -130,22 +130,6 @@ type Stats struct {
 // OpCount returns the count for one op.
 func (s *Stats) OpCount(op OpCode) int64 { return s.OpCounts[op] }
 
-// Add folds other into s — used to aggregate per-board statistics across
-// a multi-board chassis.
-func (s *Stats) Add(other Stats) {
-	for i := range s.OpCounts {
-		s.OpCounts[i] += other.OpCounts[i]
-	}
-	s.MatchTime += other.MatchTime
-	s.ClausesExamined += other.ClausesExamined
-	s.ClausesMatched += other.ClausesMatched
-	s.BytesExamined += other.BytesExamined
-	s.ResultOverflows += other.ResultOverflows
-	s.Faults += other.Faults
-	s.RejectsLevel += other.RejectsLevel
-	s.RejectsXB += other.RejectsXB
-}
-
 // TotalOps sums all operation executions.
 func (s *Stats) TotalOps() int64 {
 	var n int64
@@ -210,7 +194,7 @@ type engineMetrics struct {
 }
 
 // Instrument wires the engine to a metrics registry. labels identify the
-// board (e.g. its chassis slot).
+// board (e.g. its board unit's slot).
 func (e *Engine) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
 	e.met = engineMetrics{
 		examined:  reg.Counter("clare_fs2_clauses_examined_total", "clauses streamed through the TUE", labels),
@@ -238,7 +222,7 @@ func New() *Engine {
 }
 
 // SetFaults arms fault injection on the board. key identifies the board
-// to keyed rules (its chassis slot).
+// to keyed rules (its board unit's).
 func (e *Engine) SetFaults(inj *fault.Injector, key string) {
 	e.flt = inj
 	e.fltKey = key
@@ -280,8 +264,8 @@ func (e *Engine) SetQuery(q *pif.Encoded) error {
 }
 
 // Reset clears the board's per-retrieval protocol state — loaded query,
-// result memory, match flag, and mode — so a pooled board can be handed
-// to the next retrieval without leaking the previous one's satisfiers.
+// result memory, match flag, and mode — so the board can be handed to
+// the next attempt without leaking the previous one's satisfiers.
 // The microprogram in the WCS and the accumulated Stats survive: reload
 // is a separate host decision (§3's Microprogramming mode), and the
 // statistics model a hardware counter the host reads out explicitly.

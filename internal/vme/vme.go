@@ -80,7 +80,7 @@ type busMetrics struct {
 func NewBus(engine *fs2.Engine) *Bus { return &Bus{fs2: engine} }
 
 // Instrument wires the bus to a metrics registry: control-register writes
-// are counted per selected board. labels identify the chassis slot.
+// are counted per selected board. labels identify the board unit.
 func (b *Bus) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
 	board := func(name string) telemetry.Labels {
 		l := telemetry.Labels{"board": name}

@@ -1,8 +1,8 @@
 // Package wal is the durable replicated write path under the clause
 // retrieval engine: a segmented, append-only log of ASSERT/RETRACT
 // records with monotonic per-shard sequence numbers. The retrieval
-// side of this repository scales reads — board pools, shards, replica
-// failover — but a mutation only existed in one server's memory. The
+// side of this repository scales reads — parallel native retrievals,
+// shards, replica failover — but a mutation only existed in one server's memory. The
 // WAL makes a write durable on one node (length-prefixed CRC32 frames,
 // configurable fsync policy, torn-tail truncation on recovery) and
 // consistent across a shard's replicas (the Shipper/Follower pair
