@@ -19,11 +19,10 @@
 // finish before being force-closed.
 //
 // The daemon serves the native engine: the vectorized host engine, which
-// builds no simulated board and runs retrievals in parallel (STATS key
-// engine.native 1). -engine sim is the explicit "reproduce the paper's
-// timings" mode: the cycle-accurate hardware simulation on the paper's
-// one board, returning the same candidates in the same order with the
-// same funnel, and pricing every stage in the modelled hardware's time.
+// builds no simulated board and runs retrievals in parallel. EXPLAIN
+// prices a retrieval in the modelled hardware's time by replaying it on
+// a private instance of the cycle-accurate simulation, which runs
+// in-process only (clarebench, the tests, the clare package).
 // -latency-window resizes the per-predicate latency sample windows
 // behind the admin /top quantiles (latency.window in STATS).
 // -kb is loaded from a read-only mapping of the file where the
@@ -34,16 +33,14 @@
 // injection (seeded by -fault-seed). The native engine probes the
 // retrieval site core.retrieve (keyed by predicate indicator) and, with
 // -wal-dir, wal.append and wal.fsync; a rule naming a simulated drive,
-// bus or board site (disk.read, disk.index, vme.bus, fs2.match) needs
-// -engine sim, and crsd exits 1 on it otherwise:
+// bus or board site (disk.read, disk.index, vme.bus, fs2.match) is for
+// the in-process sim engine, and crsd exits 1 on it:
 //
 //	crsd -fault 'core.retrieve@married_couple/2=1,delay=30ms' family.pl
-//	crsd -engine sim -fault fs2.match=0.5 -fault disk.index=1/100 family.pl
 //
 // The degradation tallies are visible in the wire STATS reply
 // (degraded, retries, faults) and as clare_degraded_retrievals_total
-// etc. on /metrics. The sim engine's one board unit probes its sites with
-// key 0 (fs2.match@0=0.5), and crsd exits 1 on a rule keyed otherwise.
+// etc. on /metrics.
 //
 // Observability: the daemon self-diagnoses. -flight sizes the
 // always-on flight recorder (one compact record per retrieval, dumped
@@ -94,7 +91,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7071", "listen address")
 	admin := flag.String("admin", "", "admin HTTP address for /metrics, /trace and /debug/pprof (empty disables)")
-	engine := flag.String("engine", "native", "retrieval engine: native (vectorized, retrievals in parallel) or sim (the cycle-accurate simulation on the paper's one board, to reproduce its timings)")
 	drain := flag.Duration("drain", 10*time.Second, "shutdown grace period for in-flight sessions")
 	traceBuf := flag.Int("trace-buf", telemetry.DefaultTraceRing, "retrieval traces kept for /trace")
 	var faultSpecs multiFlag
@@ -119,18 +115,14 @@ func main() {
 	logJSON := flag.Bool("log-json", false, "emit the event log as JSON objects instead of logfmt lines")
 	flag.Parse()
 	if flag.NArg() == 0 && *kb == "" {
-		fmt.Fprintln(os.Stderr, "usage: crsd [-addr host:port] [-admin host:port] [-engine native|sim] [-kb store.clare] predicate.pl ...")
+		fmt.Fprintln(os.Stderr, "usage: crsd [-addr host:port] [-admin host:port] [-kb store.clare] predicate.pl ...")
 		os.Exit(2)
 	}
 
 	logg := telemetry.NewLogger(os.Stdout, telemetry.ParseLevel(*logLevel), *logJSON).With("daemon", "crsd")
 
 	cfg := core.DefaultConfig()
-	eng, err := core.ParseEngine(*engine)
-	if err != nil {
-		fatal("%v", err)
-	}
-	cfg.Engine = eng
+	cfg.Engine = core.EngineNative
 	cfg.Metrics = telemetry.NewRegistry()
 	cfg.Tracer = telemetry.NewTracer(*traceBuf)
 	if len(faultSpecs) > 0 {
@@ -157,6 +149,7 @@ func main() {
 		fatal("-flight-snap needs -flight > 0")
 	}
 	var r *core.Retriever
+	var err error
 	if *kb != "" {
 		start := time.Now()
 		var mapped bool

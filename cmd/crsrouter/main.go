@@ -23,8 +23,7 @@
 //
 // Replica selection is load-aware: within a shard group healthy
 // replicas are ranked by outstanding load × observed service time
-// (native-engine backends, discovered through a STATS probe when a
-// connection is first armed, start with a faster prior). -hedge arms
+// (every node not yet sampled is priced at the same prior). -hedge arms
 // request hedging: a retrieval still unanswered past its predicate's
 // observed P99 (floored at -hedge-floor) is duplicated to the runner-up
 // replica and the first answer wins, the loser being cancelled —

@@ -1174,17 +1174,19 @@ func (r *Router) Stats() (map[string]int64, error) {
 	return out, nil
 }
 
-// overlaySLO repairs the slo.* keys that plain per-key summing mangles
-// and overlays the cluster-wide burn rate. Objective and flag keys
-// (slo.enabled, slo.p99.us, slo.err.permille, slo.breach.active) become
-// per-group maxima — an objective is a target, not a quantity — while
+// overlaySLO repairs the keys that plain per-key summing mangles and
+// overlays the cluster-wide burn rate. Setting, objective and flag keys
+// (latency.window, flight.size, store.mapped, wal.enabled, wal.readonly,
+// slo.enabled, slo.p99.us, slo.err.permille, slo.breach.active) become
+// per-group maxima — a setting or a target, not a quantity — while
 // the burn rates are recomputed from the summed window counts against
 // that objective, so the cluster-wide burn weights every backend by its
 // own traffic instead of averaging milli-burns across idle and loaded
 // shards alike. No-op when no backend reports an armed SLO.
 func (r *Router) overlaySLO(out map[string]int64, groupStats []map[string]int64) {
 	enabled := false
-	for _, k := range []string{"slo.enabled", "slo.p99.us", "slo.err.permille", "slo.breach.active"} {
+	for _, k := range []string{"latency.window", "flight.size", "store.mapped", "wal.enabled", "wal.readonly",
+		"slo.enabled", "slo.p99.us", "slo.err.permille", "slo.breach.active"} {
 		var best int64
 		seen := false
 		for _, m := range groupStats {

@@ -463,6 +463,11 @@ func TestStatsAggregation(t *testing.T) {
 	if mapped, ok := kv["store.mapped"]; !ok || mapped != 0 {
 		t.Errorf("store.mapped = %d (present %v), want 0 for heap-backed shards", mapped, ok)
 	}
+	// A setting every backend reports alike folds to its value, not to
+	// the sum over the groups.
+	if w := kv["latency.window"]; w != telemetry.DefaultLatencyWindow {
+		t.Errorf("latency.window = %d, want each backend's %d", w, telemetry.DefaultLatencyWindow)
+	}
 }
 
 // TestRetrieveTrace: a routed retrieval leaves a span tree with the

@@ -101,3 +101,26 @@ func TestExplainSoftwareMode(t *testing.T) {
 		t.Errorf("unified = %d, want 1", p.Unified)
 	}
 }
+
+// TestProfileOfCatchesDivergence: native EXPLAIN prices a retrieval by
+// replaying it on the sim engine, and refuses one whose candidates the
+// replay does not find — here a retrieval with one candidate dropped.
+func TestProfileOfCatchesDivergence(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Engine = EngineNative
+	r := buildRetriever(t, cfg, 40, 4)
+	rt, err := r.Retrieve(parse.MustTerm("married_couple(S, S)"), ModeFS1FS2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ProfileOf(rt); err != nil {
+		t.Fatalf("the untouched retrieval: %v", err)
+	}
+	if len(rt.Candidates) < 2 {
+		t.Fatalf("%d candidates, want at least 2", len(rt.Candidates))
+	}
+	rt.Candidates = append(rt.Candidates[:1:1], rt.Candidates[2:]...)
+	if _, err := r.ProfileOf(rt); err == nil {
+		t.Fatal("ProfileOf priced a retrieval with a candidate dropped")
+	}
+}

@@ -27,9 +27,9 @@
 // while the caller holds the predicate's read lock), works in an arena it
 // owns for its duration and writes counts and the stage clock, so any
 // number of retrievals run in parallel. Its simulated-time fields stay
-// zero; EXPLAIN prices it (Config.nativeLedger). The only fault site it
-// probes is the retriever's own, core.retrieve. See DESIGN.md §6, §8 and
-// §11.
+// zero; EXPLAIN prices it by replaying it on a private sim board unit
+// (Retriever.replay). The only fault site it probes is the retriever's
+// own, core.retrieve. See DESIGN.md §6, §8 and §11.
 package core
 
 import (

@@ -69,7 +69,7 @@ const (
 	// SCW scans (one AND/compare per entry), allocation-free PIF matching
 	// directly on the stored clause heads. Results are bit-identical to
 	// EngineSim; a retrieval keeps counts only, and EXPLAIN prices it in
-	// simulated time with FS2 matching free (see DESIGN §11).
+	// simulated time by replaying it on EngineSim (see DESIGN §11).
 	EngineNative
 )
 
@@ -110,8 +110,8 @@ type Config struct {
 	// StreamChunkEntries is how many secondary-file entries FS1 hands to
 	// the fetch+FS2 stage per pipeline chunk in fs1+fs2 mode (0 derives
 	// one disk track's worth — the paper's unit of transfer, §3.2). On the
-	// native engine it only shapes the simulated-time ledger EXPLAIN
-	// computes: the index is swept once whatever the chunk size.
+	// native engine it only shapes the simulated-time ledger of EXPLAIN's
+	// sim replay: the index is swept once whatever the chunk size.
 	StreamChunkEntries int
 	// Metrics, when non-nil, receives per-stage counters and histograms
 	// from the retriever and the query cache, and on the sim engine from
@@ -126,9 +126,11 @@ type Config struct {
 	// Faults, when non-nil, is the fault injector: the sim engine's drive,
 	// bus and board probe it with key "0", and the retriever itself
 	// probes site core.retrieve, keyed by predicate indicator. The native
-	// engine probes core.retrieve only. NewWithSymbols refuses a rule that
-	// would never fire: one naming a drive, bus or board site on the
-	// native engine, or keyed to anything but "0" on the sim engine. Nil —
+	// engine probes core.retrieve only, so the drive, bus and board sites
+	// are in-process only. NewWithSymbols refuses a rule that would never
+	// fire: one naming a drive, bus or board site on the native engine, or
+	// keyed to anything but "0" on the sim engine. EXPLAIN's sim replay
+	// probes none. Nil —
 	// the production configuration — costs one nil check per probe.
 	Faults *fault.Injector
 	// RetryBackoff is the wait before the first of a faulted retrieval's
@@ -136,8 +138,9 @@ type Config struct {
 	RetryBackoff time.Duration
 	// Engine selects the execution engine: EngineSim (the zero value,
 	// the cycle-accurate hardware simulation the paper ledger and the
-	// tests build from) or EngineNative (the vectorized host fast path
-	// with identical results, what crsd serves by default). Native mode
+	// tests build from, and the one EXPLAIN replays a native retrieval
+	// on) or EngineNative (the vectorized host fast path with identical
+	// results, the one crsd serves). Native mode
 	// requires a microprogram the native matcher supports (no
 	// DescendFull) and refuses fault rules at the sites only the simulated
 	// board unit probes: disk.read, disk.index, vme.bus and fs2.match.
@@ -273,7 +276,7 @@ func NewWithSymbols(cfg Config, syms *symtab.Table) (*Retriever, error) {
 		for _, key := range cfg.Faults.Keys(site) {
 			switch {
 			case cfg.Engine == EngineNative:
-				return nil, fmt.Errorf("core: fault site %s needs -engine sim: the native engine has no simulated drive, bus or board to probe it", site)
+				return nil, fmt.Errorf("core: fault site %s needs the in-process sim engine: the native engine has no simulated drive, bus or board to probe it", site)
 			case key != "" && key != unitKey:
 				return nil, fmt.Errorf("core: fault rule %s@%s never fires: the sim engine's one board unit probes with key %s", site, key, unitKey)
 			}

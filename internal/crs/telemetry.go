@@ -107,9 +107,6 @@ type Snapshot struct {
 	Degraded int64
 	Retries  int64
 	Faults   int64
-	// EngineNative reports whether the retriever runs the native
-	// vectorized engine rather than the cycle-accurate simulation.
-	EngineNative bool
 	// StoreMapped reports whether the retriever's base store image is a
 	// read-only file mapping.
 	StoreMapped bool
@@ -152,7 +149,6 @@ func (s *Server) Snapshot() Snapshot {
 		Degraded:      degraded,
 		Retries:       retries,
 		Faults:        faults,
-		EngineNative:  s.retriever.Engine() == core.EngineNative,
 		StoreMapped:   s.retriever.StoreMapped(),
 		LatencyWindow: s.lat.Window(),
 		WALApplied:    s.applied.Load(),
@@ -198,7 +194,6 @@ func (sn Snapshot) lines() []statsKV {
 		statsKV{"degraded", sn.Degraded},
 		statsKV{"retries", sn.Retries},
 		statsKV{"faults", sn.Faults},
-		statsKV{"engine.native", b2i(sn.EngineNative)},
 		statsKV{"store.mapped", b2i(sn.StoreMapped)},
 		statsKV{"latency.window", int64(sn.LatencyWindow)},
 	)

@@ -272,22 +272,6 @@ func (d *Drive) Fetch(k, recordBytes int) (time.Duration, error) {
 	return t, nil
 }
 
-// FetchRunTime is the cost of fetching k scattered records totalling
-// totalBytes: like FetchTime but with the exact byte count instead of a
-// uniform per-record size, so runs of variable-length records are not
-// distorted by the truncated average. The native engine's EXPLAIN ledger
-// prices its fetches with it.
-func (m Model) FetchRunTime(k, totalBytes int) time.Duration {
-	if k <= 0 {
-		return 0
-	}
-	seeks := k
-	if t := m.Tracks(totalBytes); t < seeks {
-		seeks = t
-	}
-	return time.Duration(seeks)*m.AccessTime() + m.TransferTime(totalBytes)
-}
-
 // failedAccess accounts the positioning cost of a read attempt that died
 // on a bad track: the head still moved, no bytes were delivered.
 func (d *Drive) failedAccess() {

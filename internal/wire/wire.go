@@ -38,10 +38,8 @@
 // Verbs are case-insensitive; a verb the server did not register (REPL
 // on the front-end) answers "ERR unknown command". STATS keys are
 // served.<mode>, sessions, qcache.{hits,misses,entries}, the
-// fault-tolerance tallies degraded, retries and faults, engine.native
-// (1 when the server runs the native vectorized engine, 0 for the
-// cycle-accurate simulation), store.mapped (1 when the store image is a
-// file mapping), latency.window, the durable write path's wal.* keys
+// fault-tolerance tallies degraded, retries and faults, store.mapped (1
+// when the store image is a file mapping), latency.window, the durable write path's wal.* keys
 // (wal.{enabled,seq,applied,segments,appends,fsyncs,faults,replicated,
 // readonly}), the diagnosis layer's flight.{size,recorded} and
 // slow.{captured,suppressed}, and — when an SLO is configured — the
