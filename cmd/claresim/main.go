@@ -30,7 +30,7 @@ import (
 )
 
 func main() {
-	kbFile := flag.String("kb", "", "Prolog file holding one predicate's clauses")
+	kbFile := flag.String("kb", "", "Prolog source file (any number of predicates)")
 	store := flag.String("store", "", "compiled knowledge-base store (kbc output) instead of -kb")
 	modeWord := flag.String("mode", "all", "search mode: software|fs1|fs2|fs1+fs2|auto|all")
 	var faultSpecs multiFlag
@@ -68,7 +68,7 @@ func main() {
 		}
 		defer r.CloseStore()
 	} else {
-		clauses, err := plfile.ReadFile(*kbFile)
+		preds, err := plfile.ReadFile(*kbFile)
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -76,8 +76,10 @@ func main() {
 		if err != nil {
 			fatal("%v", err)
 		}
-		if _, err := r.AddClauses("kb", clauses); err != nil {
-			fatal("loading: %v", err)
+		for _, clauses := range preds {
+			if _, err := r.AddClauses("kb", clauses); err != nil {
+				fatal("loading: %v", err)
+			}
 		}
 	}
 

@@ -207,15 +207,19 @@ func main() {
 		logg.Info("store adopted", "path", *kb, "predicates", len(r.Predicates()))
 	}
 	for _, file := range flag.Args() {
-		clauses, err := plfile.ReadFile(file)
+		preds, err := plfile.ReadFile(file)
 		if err != nil {
 			fatal("%v", err)
 		}
 		module := strings.TrimSuffix(filepath.Base(file), filepath.Ext(file))
-		if err := srv.Load(module, clauses); err != nil {
-			fatal("loading %s: %v", file, err)
+		clauses := 0
+		for _, cls := range preds {
+			if err := srv.Load(module, cls); err != nil {
+				fatal("loading %s: %v", file, err)
+			}
+			clauses += len(cls)
 		}
-		logg.Info("module loaded", "file", file, "clauses", len(clauses), "module", module)
+		logg.Info("module loaded", "file", file, "predicates", len(preds), "clauses", clauses, "module", module)
 	}
 
 	if *walDir != "" {

@@ -54,17 +54,19 @@ func main() {
 		fatal("%v", err)
 	}
 	for _, file := range flag.Args() {
-		clauses, err := plfile.ReadFile(file)
+		preds, err := plfile.ReadFile(file)
 		if err != nil {
 			fatal("%v", err)
 		}
 		module := strings.TrimSuffix(filepath.Base(file), filepath.Ext(file))
-		pred, err := r.AddClauses(module, clauses)
-		if err != nil {
-			fatal("compiling %s: %v", file, err)
+		for _, clauses := range preds {
+			pred, err := r.AddClauses(module, clauses)
+			if err != nil {
+				fatal("compiling %s: %v", file, err)
+			}
+			fmt.Printf("compiled %s %s: %d clauses, %d B clause file, %d B index\n", file,
+				clauses[0].Head.Indicator(), pred.File.Len(), pred.File.SizeBytes(), pred.File.IndexSizeBytes())
 		}
-		fmt.Printf("compiled %s: %d clauses, %d B clause file, %d B index\n",
-			file, pred.File.Len(), pred.File.SizeBytes(), pred.File.IndexSizeBytes())
 	}
 
 	f, err := os.Create(*out)

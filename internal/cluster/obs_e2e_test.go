@@ -15,17 +15,18 @@ import (
 	"clare/internal/telemetry"
 )
 
-// startObsBackend boots one backend with the full diagnosis stack armed
-// and a fault injector delaying every clause-file read — pure latency
-// at a disk site, mirroring `crsd -fault disk.read=1,delay=...` (a slow
-// spindle, not a broken one).
+// startObsBackend boots one native backend with the full diagnosis stack
+// armed and a fault injector delaying every retrieval — pure latency at
+// the core.retrieve site, mirroring `crsd -fault core.retrieve=1,delay=...`
+// (a slow backend, not a broken one).
 func startObsBackend(t *testing.T, preds []testPred, delay time.Duration) (*crs.Server, net.Listener) {
 	t.Helper()
 	cfg := core.DefaultConfig()
+	cfg.Engine = core.EngineNative
 	cfg.Tracer = telemetry.NewTracer(32)
 	cfg.Flight = telemetry.NewFlightRecorder(128)
 	cfg.Faults = fault.New(1).Add(fault.Rule{
-		Site: fault.SiteDiskRead, Probability: 1, Delay: delay,
+		Site: fault.SiteRetrieve, Probability: 1, Delay: delay,
 	})
 	r, err := core.New(cfg)
 	if err != nil {

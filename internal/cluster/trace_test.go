@@ -31,6 +31,7 @@ func startTracedCluster(t *testing.T, shards, replicas int, preds []testPred) *t
 		var addrs []string
 		for j := 0; j < replicas; j++ {
 			cfg := core.DefaultConfig()
+			cfg.Engine = core.EngineNative
 			cfg.Tracer = telemetry.NewTracer(8)
 			cfg.StreamChunkEntries = 4
 			r, err := core.New(cfg)
@@ -130,30 +131,26 @@ func TestStitchedCrossProcessTrace(t *testing.T) {
 }
 
 // TestStitchedTraceFixedShape: the stitched route → shard → net →
-// retrieve tree over a 50-chunk predicate has exactly as many spans as
-// over a one-chunk predicate — the backend ships stages, not chunks.
+// retrieve tree over a 200-clause predicate has exactly as many spans as
+// over a 3-clause one — the backend ships one span per stage, whatever
+// the predicate size.
 func TestStitchedTraceFixedShape(t *testing.T) {
-	small, big := facts("shape1", 3), facts("shape50", 200)
+	small, big := facts("shape3", 3), facts("shape200", 200)
 	tc := startTracedCluster(t, 2, 1, []testPred{small, big})
 	r := newTestRouter(t, tc.addrs, func(cfg *Config) { cfg.Tracer = telemetry.NewTracer(4) })
-	spans := func(p testPred, chunks string) int {
+	spans := func(p testPred) int {
 		res, err := r.RetrieveTraced("fs1+fs2", p.name+"(e1, Y)", &telemetry.TraceContext{TraceID: 9, ParentSpan: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkSpanTree(t, res.Spans)
-		for _, ws := range res.Spans {
-			if ws.Name == "fs1_scan" && ws.Attrs["chunks"] != chunks {
-				t.Errorf("%s: fs1_scan streamed %s chunks, want %s", p.name, ws.Attrs["chunks"], chunks)
-			}
-		}
 		if names := spanNames(res.Spans); names["fs1_scan"] != 1 || names["fs2_match"] != 1 {
 			t.Errorf("%s: stage spans = %v, want one per stage", p.name, names)
 		}
 		return len(res.Spans)
 	}
-	if one, many := spans(small, "1"), spans(big, "50"); one != many {
-		t.Errorf("stitched tree has %d spans over 1 chunk, %d over 50", one, many)
+	if few, many := spans(small), spans(big); few != many {
+		t.Errorf("stitched tree has %d spans over 3 clauses, %d over 200", few, many)
 	}
 }
 

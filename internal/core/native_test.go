@@ -14,6 +14,7 @@ import (
 	"clare/internal/pif"
 	"clare/internal/scw"
 	"clare/internal/symtab"
+	"clare/internal/telemetry"
 	"clare/internal/term"
 	"clare/internal/termgen"
 )
@@ -21,11 +22,13 @@ import (
 // buildEnginePair returns two retrievers over an identical clause set —
 // one per execution engine — so retrieval results can be compared
 // address by address (clauses are assigned addresses in insertion order,
-// so equal Addr means "the same clause").
+// so equal Addr means "the same clause"). cfg's registry, tracer and
+// flight ring go to the native retriever only: the sim engine takes none.
 func buildEnginePair(t testing.TB, cfg Config, module string, clauses []ClauseTerm) (sim, native *Retriever) {
 	t.Helper()
-	cfg.Engine = EngineSim
-	sim, err := New(cfg)
+	simCfg := cfg
+	simCfg.Engine, simCfg.Metrics, simCfg.Tracer, simCfg.Flight = EngineSim, nil, nil, nil
+	sim, err := New(simCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,10 +268,12 @@ func TestEngineDifferentialFamily(t *testing.T) {
 		diffRetrieve(t, sim, native, parse.MustTerm(g), ModeFS1)
 	}
 	// The host rung: every attempt faults, so both engines end on it, and
-	// native EXPLAIN prices it as mode software.
+	// native EXPLAIN prices it as mode software. The native half carries
+	// the registry (the sim engine takes none).
 	cfg := DefaultConfig()
 	cfg.RetryBackoff = time.Microsecond
 	cfg.Faults = fault.New(1).Add(fault.Rule{Site: fault.SiteRetrieve, Probability: 1})
+	cfg.Metrics = telemetry.NewRegistry()
 	sim, native = buildEnginePair(t, cfg, "family", family(120))
 	for _, mode := range modes() {
 		goal := parse.MustTerm("married_couple(husband10, X)")
@@ -279,6 +284,26 @@ func TestEngineDifferentialFamily(t *testing.T) {
 		}
 		if rt.Stats.Degraded != "host" {
 			t.Fatalf("%v: native retrieval ended on rung %q, want host", mode, rt.Stats.Degraded)
+		}
+	}
+	// Two native retrievals per mode, each faulted on all three attempts
+	// (two retries) before the host rung. The injector is shared, so its
+	// count also holds the sim retrieval's three faults per mode.
+	byName := map[string]float64{}
+	for _, sv := range cfg.Metrics.Gather() {
+		key := sv.Name
+		if to := sv.Labels["to"]; to != "" {
+			key += ":" + to
+		}
+		byName[key] += sv.Value
+	}
+	for name, want := range map[string]float64{
+		"clare_degraded_retrievals_total:host": 8,
+		"clare_retrieval_retries_total":        16,
+		"clare_faults_injected_total":          36,
+	} {
+		if byName[name] != want {
+			t.Errorf("%s = %v, want %v", name, byName[name], want)
 		}
 	}
 }

@@ -12,6 +12,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -113,15 +114,15 @@ type Config struct {
 	// native engine it only shapes the simulated-time ledger of EXPLAIN's
 	// sim replay: the index is swept once whatever the chunk size.
 	StreamChunkEntries int
-	// Metrics, when non-nil, receives per-stage counters and histograms
-	// from the retriever and the query cache, and on the sim engine from
-	// its disk drive, FS2 board and VME bus. The sim engine observes
-	// durations in both clocks, the native engine in wall time only. Nil
+	// Metrics, when non-nil, receives per-stage counters and host-time
+	// histograms from the retriever and the query cache. Native engine
+	// only: the sim engine reports simulated time through Stats, and
+	// NewWithSymbols refuses Metrics, Tracer or Flight on it. Nil
 	// disables metrics at zero hot-path cost.
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, records one span tree per retrieval: the root
-	// plus one span per stage that ran (board lease, encode, FS1 scan,
-	// disk fetch, FS2 match, host match). Nil disables tracing.
+	// plus one span per stage that ran (encode, FS1 scan, disk fetch, FS2
+	// match, host match), each timed in host time. Nil disables tracing.
 	Tracer *telemetry.Tracer
 	// Faults, when non-nil, is the fault injector: the sim engine's drive,
 	// bus and board probe it with key "0", and the retriever itself
@@ -265,13 +266,17 @@ func NewWithSymbols(cfg Config, syms *symtab.Table) (*Retriever, error) {
 		penc:   pif.NewEncoder(syms),
 		ienc:   ienc,
 		qcache: newQueryCache(cfg.Metrics),
-		met:    newCoreMetrics(cfg.Metrics, cfg.Engine),
+		met:    newCoreMetrics(cfg.Metrics),
 		tracer: cfg.Tracer,
 		preds:  make(map[Indicator]*Predicate),
 	}
-	// Fail fast on a fault rule that would be armed and never fire, rather
-	// than on the first retrieval: the native engine probes no drive, bus
-	// or board, and the sim engine's one unit probes them with key "0".
+	// Fail fast on telemetry the sim engine would never feed, and on a
+	// fault rule that would be armed and never fire, rather than on the
+	// first retrieval: the native engine probes no drive, bus or board,
+	// and the sim engine's one unit probes them with key "0".
+	if cfg.Engine == EngineSim && (cfg.Metrics != nil || cfg.Tracer != nil || cfg.Flight != nil) {
+		return nil, errors.New("core: the sim engine takes no metrics, tracer or flight recorder: it reports simulated time through Stats")
+	}
 	for _, site := range []string{fault.SiteDiskRead, fault.SiteDiskIndex, fault.SiteBus, fault.SiteFS2} {
 		for _, key := range cfg.Faults.Keys(site) {
 			switch {
@@ -521,10 +526,10 @@ type StageStats struct {
 }
 
 // Retrieval is the outcome of one CLARE search call and its one record:
-// the search modes write Stats (simulated time, counts) and the stage
-// clock, and everything else said about the call — registry
-// observations, the flight record, the span tree — is derived from those
-// by Retriever.record.
+// the search modes write Stats (counts, and on the sim engine simulated
+// time) and the native engine's stage clock, and everything else said
+// about the call — registry observations, the flight record, the span
+// tree, all in host time — is derived from those by Retriever.record.
 type Retrieval struct {
 	Mode SearchMode
 	Goal term.Term
@@ -588,9 +593,9 @@ func (rt *Retrieval) AppendCandidateLines(dst []byte, prefix string) ([]byte, er
 // concurrent callers: on the sim engine each attempt holds the board unit
 // (FS2 board, VME bus, disk drive) for its duration, so calls take turns;
 // on the native engine calls run in parallel, sharing nothing but the
-// compiled files they read. When the retriever carries telemetry, the
-// call records per-stage metrics in both clocks and one span tree into
-// the tracer's ring buffer.
+// compiled files they read. When the retriever carries telemetry (native
+// only), the call records per-stage host-time metrics, one flight record
+// and one span tree into the tracer's ring buffer.
 //
 // Under fault injection the call degrades rather than fails. A faulted
 // attempt is retried on the same hardware, at most maxRetries times,
@@ -628,10 +633,9 @@ func (r *Retriever) RetrieveTraced(goal term.Term, mode SearchMode, tc *telemetr
 // it, together with that attempt's error if it was not an injected fault.
 // Each attempt starts a fresh record: a faulted attempt's partial
 // candidates and stage times must not leak into the next. start is the
-// call's entry time; the first attempt's wait for the board unit is
-// measured from it (only a map read lies between). The native engine has
-// no hardware to fault: only core.retrieve faults its attempts, so it
-// never takes the fs2 rung.
+// call's entry time; the first attempt's stage clock starts from it (only
+// a map read lies between). The native engine has no hardware to fault:
+// only core.retrieve faults its attempts, so it never takes the fs2 rung.
 func (r *Retriever) ladder(goal term.Term, mode SearchMode, pred *Predicate, name string, start time.Time) (*Retrieval, error) {
 	backoff := r.cfg.RetryBackoff
 	if backoff <= 0 {
@@ -747,7 +751,6 @@ func (r *Retriever) retrieveSoftware(goal term.Term, pred *Predicate, rt *Retrie
 			return err
 		}
 		rt.Stats.DiskFetch = diskTime
-		rt.wall.lap(stageDiskFetch)
 	}
 	cfg := ptuConfigFor(r.cfg.Microprogram)
 	for _, sc := range all {

@@ -15,13 +15,11 @@ import (
 	"clare/internal/clausefile"
 	"clare/internal/disk"
 	"clare/internal/fs2"
-	"clare/internal/telemetry"
 	"clare/internal/term"
 	"clare/internal/vme"
 )
 
-// unitKey is the one unit's fault-probe key and its components' metric
-// slot label.
+// unitKey is the one unit's fault-probe key.
 const unitKey = "0"
 
 // boardUnit is the paper's one FS2 board behind its VME bus, paired with
@@ -58,12 +56,6 @@ func newBoardUnit(cfg Config) (*boardUnit, error) {
 	board.SetFaults(cfg.Faults, unitKey)
 	bus.SetFaults(cfg.Faults, unitKey)
 	drive.SetFaults(cfg.Faults, unitKey)
-	if cfg.Metrics != nil {
-		slot := telemetry.Labels{"slot": unitKey}
-		board.Instrument(cfg.Metrics, slot)
-		bus.Instrument(cfg.Metrics, slot)
-		drive.Instrument(cfg.Metrics, slot)
-	}
 	u := &boardUnit{board: board, bus: bus, drive: drive}
 	u.last.Store(&unitStats{})
 	return u, nil
@@ -79,16 +71,13 @@ func (u *boardUnit) stats() unitStats {
 }
 
 // searchSim runs one attempt of a retrieval on the board unit: it waits
-// for the unit (the board_lease stage), drives it in the given mode, and
-// lets go of it with the board's protocol state reset — a retry must not
-// inherit the faulted attempt's query or satisfiers — and its statistics
-// published.
+// for the unit, drives it in the given mode, and lets go of it with the
+// board's protocol state reset — a retry must not inherit the faulted
+// attempt's query or satisfiers — and its statistics published.
 func (r *Retriever) searchSim(mode SearchMode, goal term.Term, pred *Predicate, rt *Retrieval) error {
 	u := r.unit
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	rt.wall.lap(stageLease)
-	r.met.boardsBusy.Add(1)
 	var err error
 	switch mode {
 	case ModeSoftware:
@@ -100,7 +89,6 @@ func (r *Retriever) searchSim(mode SearchMode, goal term.Term, pred *Predicate, 
 	case ModeFS1FS2:
 		err = r.retrieveFS1FS2(goal, pred, rt, u)
 	}
-	r.met.boardsBusy.Add(-1)
 	u.board.Reset()
 	u.last.Store(&unitStats{fs2: u.board.Stats, disk: u.drive.Stats})
 	return err
@@ -128,7 +116,6 @@ func (r *Retriever) retrieveFS1(goal term.Term, pred *Predicate, rt *Retrieval, 
 	rt.Stats.FS1Scan = fs1Time
 	rt.Stats.AfterFS1 = len(scan.Addrs)
 	rt.Stats.MaskedHits = scan.MaskedHits
-	rt.wall.lap(stageFS1Scan)
 
 	candidates, err := pred.File.ByAddrs(scan.Addrs)
 	if err != nil {
@@ -147,7 +134,6 @@ func (r *Retriever) retrieveFS1(goal term.Term, pred *Predicate, rt *Retrieval, 
 		return err
 	}
 	rt.Candidates = candidates
-	rt.wall.lap(stageDiskFetch)
 	rt.Stats.Total = rt.Stats.FS1Scan + rt.Stats.DiskFetch
 	return nil
 }
@@ -177,7 +163,6 @@ func (r *Retriever) retrieveFS1FS2(goal term.Term, pred *Predicate, rt *Retrieva
 	if err := u.board.SetQuery(q); err != nil {
 		return err
 	}
-	rt.wall.lap(stageFS2Match)
 
 	// One positioning access starts the sequential index stream; chunk
 	// transfers then continue at the sustained rate.
@@ -207,7 +192,6 @@ func (r *Retriever) retrieveFS1FS2(goal term.Term, pred *Predicate, rt *Retrieva
 		rt.Stats.AfterFS1 += len(scan.Addrs)
 		rt.Stats.MaskedHits += scan.MaskedHits
 		scanChunks = append(scanChunks, sTime)
-		rt.wall.lap(stageFS1Scan)
 
 		candidates, err := pred.File.ByAddrs(scan.Addrs)
 		if err != nil {
@@ -227,7 +211,6 @@ func (r *Retriever) retrieveFS1FS2(goal term.Term, pred *Predicate, rt *Retrieva
 			return err
 		}
 		rt.Stats.DiskFetch += fetch
-		rt.wall.lap(stageDiskFetch)
 
 		match, _, err := r.searchFS2(u, candidates, rt)
 		if err != nil {
@@ -260,7 +243,6 @@ func (r *Retriever) retrieveFS2All(goal term.Term, pred *Predicate, rt *Retrieva
 	if err != nil {
 		return err
 	}
-	rt.wall.lap(stageDiskFetch)
 	_, q, err := r.encodeQuery(goal, rt)
 	if err != nil {
 		return err
@@ -334,6 +316,5 @@ func (r *Retriever) searchFS2(u *boardUnit, in []*clausefile.StoredClause, rt *R
 		return 0, nil, err
 	}
 	rt.Candidates = append(rt.Candidates, matched...)
-	rt.wall.lap(stageFS2Match)
 	return matchTime, clauseTimes, nil
 }

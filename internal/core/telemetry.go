@@ -10,32 +10,29 @@ import (
 
 // stage indexes the per-stage slots of a retrieval's record, the stage
 // histograms and the trace span taxonomy. The Retrieval is the source:
-// the retrieve* functions write Stats (simulated time, counts) and lap
-// the stage clock, nothing else, and record derives the registry
-// observations, the flight record and the span tree from it in one
-// place. The tree is therefore a view with a fixed
-// shape — the root plus one span per stage that ran, whatever the
-// predicate size, chunk count or engine:
+// the retrieve* functions write Stats (counts, and on the sim engine
+// simulated time) and the native engine laps the stage clock, nothing
+// else, and record derives the registry observations, the flight record
+// and the span tree from it in one place. Telemetry is the native
+// engine's: the sim engine takes no registry, tracer or flight recorder,
+// and its simulated time lives in Stats, EXPLAIN's sim.* rows, the
+// clarebench ledger and the facade's FS2Stats/DiskStats. The tree is a
+// view with a fixed shape — the root plus one span per stage that ran,
+// whatever the predicate size:
 //
 //	retrieve       predicate, mode, candidates [degraded, retries, error]
-//	├─ board_lease                (wall time waiting for the board unit; sim engine only)
 //	├─ encode      cache=hit|miss (query-cache probe + SCW/PIF encode)
-//	├─ fs1_scan    survivors, chunks (index scan through FS1, disk-bound)
-//	├─ disk_fetch  bytes          (clause records off disk)
-//	├─ fs2_match   examined       (partial test unification)
+//	├─ fs1_scan    survivors      (columnar index sweep)
+//	├─ disk_fetch  bytes          (gather of the surviving clause records)
+//	├─ fs2_match   examined       (query compile + native matcher)
 //	└─ host_match  examined       (software mode, and the host-only rung)
 //
-// A stage that interleaves per pipeline chunk (fs1+fs2 mode) is one span
-// whose Wall is the sum over its slices and whose "chunks" attr says how
-// many there were; per-chunk simulated time stays where it is exact, in
-// Stats.Chunks and pipelineTime. Sim comes from the component models
-// (the matching StageStats field, zero on the native engine, which keeps
-// counts only), Wall from the host clock.
+// Every duration is host time: a span's Wall, a flight record's wall_ns
+// and the clare_*_seconds histograms.
 type stage int
 
 const (
-	stageLease stage = iota
-	stageEncode
+	stageEncode stage = iota
 	stageFS1Scan
 	stageDiskFetch
 	stageFS2Match
@@ -43,12 +40,12 @@ const (
 	numStages
 )
 
-var stageNames = [numStages]string{"board_lease", "encode", "fs1_scan", "disk_fetch", "fs2_match", "host_match"}
+var stageNames = [numStages]string{"encode", "fs1_scan", "disk_fetch", "fs2_match", "host_match"}
 
 // stageClock splits a retrieval's host time between its stages with one
 // clock read per stage boundary: lap charges the time since the previous
-// boundary to a stage. The stages interleave per chunk in fs1+fs2 mode,
-// so a stage's wall time is summed over its slices.
+// boundary to a stage, summed when a stage runs more than once (fs2_match
+// in fs1+fs2 mode: query compile, then the survivors' match).
 type stageClock struct {
 	mark  time.Time            // the last boundary
 	first [numStages]time.Time // when each stage first began; zero = never ran
@@ -65,36 +62,14 @@ func (c *stageClock) lap(s stage) {
 	c.mark = now
 }
 
-// sim reports the stage's simulated duration (zero for the stages with no
-// hardware analogue).
-func (st *StageStats) sim(s stage) time.Duration {
-	switch s {
-	case stageFS1Scan:
-		return st.FS1Scan
-	case stageDiskFetch:
-		return st.DiskFetch
-	case stageFS2Match:
-		return st.FS2Match
-	case stageHostMatch:
-		return st.HostMatch
-	}
-	return 0
-}
-
 // coreMetrics pre-resolves every handle the retrieval hot path updates,
 // so instrumentation costs one atomic op per touch (and literally nothing
 // when no registry is configured: nil handles no-op).
 type coreMetrics struct {
 	retrievals    map[SearchMode]*telemetry.Counter
 	errors        *telemetry.Counter
-	retrievalSim  map[SearchMode]*telemetry.Histogram
 	retrievalWall map[SearchMode]*telemetry.Histogram
-	// stageWall[stageLease] is the wait for the board unit (observed on
-	// the sim engine only: a native retrieval waits for none); the
-	// stages with no hardware analogue have no sim series observed, and
-	// on the native engine no sim series is registered at all.
-	stageSim  [numStages]*telemetry.Histogram
-	stageWall [numStages]*telemetry.Histogram
+	stageWall     [numStages]*telemetry.Histogram
 
 	clausesIn *telemetry.Counter
 	afterFS1  *telemetry.Counter
@@ -125,33 +100,20 @@ type coreMetrics struct {
 
 var allModes = []SearchMode{ModeSoftware, ModeFS1, ModeFS2, ModeFS1FS2}
 
-func newCoreMetrics(reg *telemetry.Registry, e Engine) *coreMetrics {
+func newCoreMetrics(reg *telemetry.Registry) *coreMetrics {
 	m := &coreMetrics{
 		retrievals:    make(map[SearchMode]*telemetry.Counter, len(allModes)),
-		retrievalSim:  make(map[SearchMode]*telemetry.Histogram, len(allModes)),
 		retrievalWall: make(map[SearchMode]*telemetry.Histogram, len(allModes)),
-	}
-	// A native retrieval has no simulated time (EXPLAIN prices it), so
-	// the native engine registers no clock="sim" series: nil handles.
-	simReg := reg
-	if e == EngineNative {
-		simReg = nil
 	}
 	for _, mode := range allModes {
 		ml := telemetry.Labels{"mode": mode.String()}
 		m.retrievals[mode] = reg.Counter("clare_retrievals_total", "retrievals completed per search mode", ml)
-		m.retrievalSim[mode] = simReg.Histogram("clare_retrieval_seconds", "whole-retrieval duration per mode and clock", nil,
-			telemetry.Labels{"mode": mode.String(), "clock": "sim"})
-		m.retrievalWall[mode] = reg.Histogram("clare_retrieval_seconds", "whole-retrieval duration per mode and clock", nil,
-			telemetry.Labels{"mode": mode.String(), "clock": "wall"})
+		m.retrievalWall[mode] = reg.Histogram("clare_retrieval_seconds", "whole-retrieval duration per mode", nil, ml)
 	}
-	for s := stageEncode; s < numStages; s++ {
-		m.stageSim[s] = simReg.Histogram("clare_stage_seconds", "per-stage duration per clock", nil,
-			telemetry.Labels{"stage": stageNames[s], "clock": "sim"})
-		m.stageWall[s] = reg.Histogram("clare_stage_seconds", "per-stage duration per clock", nil,
-			telemetry.Labels{"stage": stageNames[s], "clock": "wall"})
+	for s := stage(0); s < numStages; s++ {
+		m.stageWall[s] = reg.Histogram("clare_stage_seconds", "per-stage duration", nil,
+			telemetry.Labels{"stage": stageNames[s]})
 	}
-	m.stageWall[stageLease] = reg.Histogram("clare_board_lease_wait_seconds", "wall time a retrieval waited for the board unit", nil, nil)
 	m.errors = reg.Counter("clare_retrieval_errors_total", "retrievals that failed", nil)
 	m.clausesIn = reg.Counter("clare_stage_candidates_total", "candidate counts entering/leaving each filter stage",
 		telemetry.Labels{"stage": "input"})
@@ -161,7 +123,7 @@ func newCoreMetrics(reg *telemetry.Registry, e Engine) *coreMetrics {
 		telemetry.Labels{"stage": "after_fs2"})
 	m.chunks = reg.Counter("clare_pipeline_chunks_total", "FS1→FS2 pipeline chunks streamed", nil)
 	m.overflows = reg.Counter("clare_result_overflows_total", "retrievals that overflowed the Result Memory", nil)
-	m.boardsBusy = reg.Gauge("clare_boards_busy", "retrievals executing on the engine now (sim: 1 while the board unit is held; native: retrievals in flight)", nil)
+	m.boardsBusy = reg.Gauge("clare_boards_busy", "retrievals executing on the engine now", nil)
 	m.retriesC = reg.Counter("clare_retrieval_retries_total", "retrieval attempts re-run after an injected fault", nil)
 	m.degraded = map[string]*telemetry.Counter{
 		"fs2": reg.Counter("clare_degraded_retrievals_total", "retrievals that fell down the degradation ladder, by rung",
@@ -198,7 +160,6 @@ func (r *Retriever) record(rt *Retrieval, start time.Time, tc *telemetry.TraceCo
 			Total:     int64(st.TotalClauses),
 			AfterFS1:  int64(st.AfterFS1),
 			AfterFS2:  int64(st.AfterFS2),
-			SimNS:     int64(st.Total),
 			WallNS:    int64(rt.wall.total),
 			Degraded:  st.Degraded,
 			Faults:    int64(st.Faults),
@@ -218,7 +179,7 @@ func (r *Retriever) spanTree(rt *Retrieval, start time.Time, tc *telemetry.Trace
 	st := &rt.Stats
 	tr := r.tracer.StartAt("retrieve", tc, start)
 	root := tr.Root()
-	root.Wall, root.Sim = rt.wall.total, st.Total
+	root.Wall = rt.wall.total
 	root.SetAttr("predicate", rt.Predicate)
 	root.SetAttr("mode", rt.Mode.String())
 	if st.Degraded != "" {
@@ -236,7 +197,7 @@ func (r *Retriever) spanTree(rt *Retrieval, start time.Time, tc *telemetry.Trace
 		if rt.wall.first[s].IsZero() {
 			continue
 		}
-		sp := tr.Record(root, stageNames[s], rt.wall.first[s], rt.wall.wall[s], st.sim(s))
+		sp := tr.Record(root, stageNames[s], rt.wall.first[s], rt.wall.wall[s])
 		switch s {
 		case stageEncode:
 			cache := "miss"
@@ -246,9 +207,6 @@ func (r *Retriever) spanTree(rt *Retrieval, start time.Time, tc *telemetry.Trace
 			sp.SetAttr("cache", cache)
 		case stageFS1Scan:
 			sp.SetAttr("survivors", strconv.Itoa(st.AfterFS1))
-			if st.Chunks > 0 {
-				sp.SetAttr("chunks", strconv.Itoa(st.Chunks))
-			}
 		case stageDiskFetch:
 			sp.SetAttr("bytes", strconv.Itoa(st.ClauseBytes))
 		case stageFS2Match, stageHostMatch:
@@ -269,12 +227,8 @@ func (m *coreMetrics) observe(rt *Retrieval, err error) {
 		return
 	}
 	m.retrievals[rt.Mode].Inc()
-	m.retrievalSim[rt.Mode].ObserveDuration(st.Total)
 	m.retrievalWall[rt.Mode].ObserveDuration(rt.wall.total)
 	for s := stage(0); s < numStages; s++ {
-		if d := st.sim(s); d > 0 {
-			m.stageSim[s].ObserveDuration(d)
-		}
 		if !rt.wall.first[s].IsZero() {
 			m.stageWall[s].ObserveDuration(rt.wall.wall[s])
 		}

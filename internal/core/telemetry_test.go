@@ -1,9 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"regexp"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -15,110 +16,110 @@ import (
 	"clare/internal/telemetry"
 )
 
-// telemetryRetriever builds a sim retriever wired to a fresh registry and
-// tracer.
+// telemetryRetriever builds a native retriever wired to a fresh registry
+// and tracer.
 func telemetryRetriever(t *testing.T) (*Retriever, *telemetry.Registry, *telemetry.Tracer) {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.StreamChunkEntries = 16
+	cfg.Engine = EngineNative
 	cfg.Metrics = telemetry.NewRegistry()
 	cfg.Tracer = telemetry.NewTracer(128)
 	r := buildRetriever(t, cfg, 120, 6)
 	return r, cfg.Metrics, cfg.Tracer
 }
 
-// TestRetrievalSpanTree: on both engines and in every mode the span tree
-// is exactly the root plus the stages that ran — the same spans for a
-// one-chunk predicate and a 25-chunk one — and every span's simulated
-// time is the matching StageStats field. Only the sim engine waits for a
-// board and streams in chunks, so only its trees carry a board_lease span
-// and a chunks attribute; a native retrieval reads no simulated disk, so
-// only its mode fs1, gathering the survivors' records, has a disk_fetch.
+// TestSimRefusesTelemetry: the sim engine reports simulated time through
+// Stats only, so NewWithSymbols refuses it a registry, a tracer or a
+// flight ring with a one-line error; the native engine takes all three,
+// and the sim engine still takes a fault injector.
+func TestSimRefusesTelemetry(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		engine Engine
+		arm    func(*Config)
+		refuse bool
+	}{
+		{"sim/metrics", EngineSim, func(c *Config) { c.Metrics = telemetry.NewRegistry() }, true},
+		{"sim/tracer", EngineSim, func(c *Config) { c.Tracer = telemetry.NewTracer(4) }, true},
+		{"sim/flight", EngineSim, func(c *Config) { c.Flight = telemetry.NewFlightRecorder(4) }, true},
+		{"sim/faults", EngineSim, func(c *Config) {
+			c.Faults = fault.New(1).Add(fault.Rule{Site: fault.SiteFS2, Probability: 1})
+		}, false},
+		{"native/all", EngineNative, func(c *Config) {
+			c.Metrics = telemetry.NewRegistry()
+			c.Tracer = telemetry.NewTracer(4)
+			c.Flight = telemetry.NewFlightRecorder(4)
+		}, false},
+	} {
+		cfg := DefaultConfig()
+		cfg.Engine = tc.engine
+		tc.arm(&cfg)
+		_, err := New(cfg)
+		switch {
+		case tc.refuse && (err == nil || strings.Contains(err.Error(), "\n")):
+			t.Errorf("%s: err = %v, want a one-line refusal", tc.name, err)
+		case !tc.refuse && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		}
+	}
+}
+
+// TestRetrievalSpanTree: in every mode the span tree is exactly the root
+// plus the stages that ran — the same spans for a 10-clause predicate and
+// a 400-clause one — every span hangs from the root, and none carries a
+// per-chunk attr. A native retrieval reads no simulated disk, so only its
+// mode fs1, gathering the survivors' records, has a disk_fetch.
 func TestRetrievalSpanTree(t *testing.T) {
-	stagesRan := map[Engine]map[SearchMode][]string{
-		EngineSim: {
-			ModeSoftware: {"board_lease", "disk_fetch", "host_match"},
-			ModeFS1:      {"board_lease", "encode", "fs1_scan", "disk_fetch"},
-			ModeFS2:      {"board_lease", "encode", "disk_fetch", "fs2_match"},
-			ModeFS1FS2:   {"board_lease", "encode", "fs1_scan", "disk_fetch", "fs2_match"},
-		},
-		EngineNative: {
-			ModeSoftware: {"host_match"},
-			ModeFS1:      {"encode", "fs1_scan", "disk_fetch"},
-			ModeFS2:      {"encode", "fs2_match"},
-			ModeFS1FS2:   {"encode", "fs1_scan", "fs2_match"},
-		},
+	stagesRan := map[SearchMode][]string{
+		ModeSoftware: {"host_match"},
+		ModeFS1:      {"encode", "fs1_scan", "disk_fetch"},
+		ModeFS2:      {"encode", "fs2_match"},
+		ModeFS1FS2:   {"encode", "fs1_scan", "fs2_match"},
 	}
 	goal := parse.MustTerm("married_couple(husband3, X)")
-	for _, engine := range []Engine{EngineSim, EngineNative} {
-		for _, mode := range modes() {
-			t.Run(engine.String()+"/"+mode.String(), func(t *testing.T) {
-				var spanCounts []int
-				for _, clauses := range []int{10, 400} {
-					cfg := DefaultConfig()
-					cfg.Engine = engine
-					cfg.StreamChunkEntries = 16
-					cfg.Tracer = telemetry.NewTracer(4)
-					r := buildRetriever(t, cfg, clauses, 0)
-					rt, err := r.Retrieve(goal, mode)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantChunks := 0
-					if mode == ModeFS1FS2 && engine == EngineSim {
-						wantChunks = (clauses + 15) / 16
-					}
-					if rt.Stats.Chunks != wantChunks {
-						t.Fatalf("%d clauses: Stats.Chunks = %d, want %d", clauses, rt.Stats.Chunks, wantChunks)
-					}
-					tr := rt.Trace()
-					if tr == nil {
-						t.Fatal("retrieval carried no trace")
-					}
-					if last := cfg.Tracer.Last(1); len(last) != 1 || last[0] != tr {
-						t.Error("finished trace not in the tracer ring")
-					}
-					root := tr.Root()
-					if root.Name != "retrieve" || root.Attrs["predicate"] != "married_couple/2" ||
-						root.Attrs["mode"] != mode.String() || root.Attrs["candidates"] != "1" {
-						t.Errorf("root span = %+v", root)
-					}
-					if root.Sim != rt.Stats.Total {
-						t.Errorf("root sim %v != Stats.Total %v", root.Sim, rt.Stats.Total)
-					}
-					var got []string
-					for _, sp := range tr.Spans[1:] {
-						got = append(got, sp.Name)
-						if sp.Parent != root.ID {
-							t.Errorf("%s parent = %d, want root %d", sp.Name, sp.Parent, root.ID)
-						}
-						wantSim := map[string]time.Duration{
-							"fs1_scan":   rt.Stats.FS1Scan,
-							"disk_fetch": rt.Stats.DiskFetch,
-							"fs2_match":  rt.Stats.FS2Match,
-							"host_match": rt.Stats.HostMatch,
-						}[sp.Name]
-						if sp.Sim != wantSim {
-							t.Errorf("%s sim = %v, want the Stats field %v", sp.Name, sp.Sim, wantSim)
-						}
-						if sp.Name == "fs1_scan" && mode == ModeFS1FS2 && wantChunks > 0 && sp.Attrs["chunks"] != strconv.Itoa(wantChunks) {
-							t.Errorf("fs1_scan chunks attr = %q, want %d", sp.Attrs["chunks"], wantChunks)
-						}
-						if _, ok := sp.Attrs["chunks"]; ok && wantChunks == 0 {
-							t.Errorf("%s carries a chunks attr on a retrieval that streamed no chunks", sp.Name)
-						}
-					}
-					want := stagesRan[engine][mode]
-					if !slices.Equal(got, want) {
-						t.Errorf("%d clauses: stage spans = %v, want %v", clauses, got, want)
-					}
-					spanCounts = append(spanCounts, len(tr.Spans))
+	for _, mode := range modes() {
+		t.Run("native/"+mode.String(), func(t *testing.T) {
+			var spanCounts []int
+			for _, clauses := range []int{10, 400} {
+				cfg := DefaultConfig()
+				cfg.Engine = EngineNative
+				cfg.Tracer = telemetry.NewTracer(4)
+				r := buildRetriever(t, cfg, clauses, 0)
+				rt, err := r.Retrieve(goal, mode)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if spanCounts[0] != spanCounts[1] {
-					t.Errorf("span count depends on predicate size: %v", spanCounts)
+				tr := rt.Trace()
+				if tr == nil {
+					t.Fatal("retrieval carried no trace")
 				}
-			})
-		}
+				if last := cfg.Tracer.Last(1); len(last) != 1 || last[0] != tr {
+					t.Error("finished trace not in the tracer ring")
+				}
+				root := tr.Root()
+				if root.Name != "retrieve" || root.Attrs["predicate"] != "married_couple/2" ||
+					root.Attrs["mode"] != mode.String() || root.Attrs["candidates"] != "1" {
+					t.Errorf("root span = %+v", root)
+				}
+				var got []string
+				for _, sp := range tr.Spans[1:] {
+					got = append(got, sp.Name)
+					if sp.Parent != root.ID {
+						t.Errorf("%s parent = %d, want root %d", sp.Name, sp.Parent, root.ID)
+					}
+					if _, ok := sp.Attrs["chunks"]; ok {
+						t.Errorf("%s carries a chunks attr", sp.Name)
+					}
+				}
+				if want := stagesRan[mode]; !slices.Equal(got, want) {
+					t.Errorf("%d clauses: stage spans = %v, want %v", clauses, got, want)
+				}
+				spanCounts = append(spanCounts, len(tr.Spans))
+			}
+			if spanCounts[0] != spanCounts[1] {
+				t.Errorf("span count depends on predicate size: %v", spanCounts)
+			}
+		})
 	}
 }
 
@@ -155,9 +156,9 @@ func TestArmedRetrievalAllocsFlat(t *testing.T) {
 
 // TestNativeRetrievalKeepsCounts: a native retrieval, in every mode and
 // on the host rung, keeps counts only — zero simulated stage times and
-// Chunks, span Sim and flight sim_ns zero, nothing charged to DiskStats —
-// and the registry lists no clare_disk_* family and no clock="sim"
-// series, while the wall-clock ones are observed.
+// Chunks, nothing charged to DiskStats — and the registry's exposition
+// has one clock: no clock label, no board-lease histogram and no disk,
+// FS2-board or VME-bus family, while the host-time series are observed.
 func TestNativeRetrievalKeepsCounts(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Engine = EngineNative
@@ -181,16 +182,6 @@ func TestNativeRetrievalKeepsCounts(t *testing.T) {
 		if st.FS1Scan != 0 || st.DiskFetch != 0 || st.FS2Match != 0 || st.HostMatch != 0 || st.Total != 0 || st.Chunks != 0 {
 			t.Errorf("%v: native retrieval carries a simulated ledger: %+v", mode, st)
 		}
-		for _, sp := range rt.Trace().Spans {
-			if sp.Sim != 0 {
-				t.Errorf("%v: span %s sim = %v", mode, sp.Name, sp.Sim)
-			}
-		}
-	}
-	for _, rec := range cfg.Flight.Snapshot(0) {
-		if rec.SimNS != 0 {
-			t.Errorf("flight record %+v has sim_ns", rec)
-		}
 	}
 	if ds := r.DiskStats(); ds != (disk.Stats{}) {
 		t.Errorf("DiskStats = %+v, want zero", ds)
@@ -200,13 +191,11 @@ func TestNativeRetrievalKeepsCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, banned := range []string{"clare_disk_", `clock="sim"`} {
-		if strings.Contains(out, banned) {
-			t.Errorf("native exposition lists %s", banned)
-		}
+	if banned := regexp.MustCompile(`clock=|clare_board_lease_wait_seconds|clare_(disk|fs2|vme)_`).FindString(out); banned != "" {
+		t.Errorf("native exposition lists %s", banned)
 	}
-	if !strings.Contains(out, `clare_retrieval_seconds_count{clock="wall",mode="fs1+fs2"} 2`) {
-		t.Error("native exposition lacks the wall-clock retrieval series")
+	if !strings.Contains(out, `clare_retrieval_seconds_count{mode="fs1+fs2"} 2`) {
+		t.Error("native exposition lacks the retrieval duration series")
 	}
 }
 
@@ -215,6 +204,7 @@ func TestNativeRetrievalKeepsCounts(t *testing.T) {
 // ring holds it with Err set and the trace root carries the error.
 func TestFailedRetrievalRecorded(t *testing.T) {
 	cfg := DefaultConfig()
+	cfg.Engine = EngineNative
 	cfg.Tracer = telemetry.NewTracer(4)
 	cfg.Flight = telemetry.NewFlightRecorder(4)
 	r := buildRetriever(t, cfg, 10, 0)
@@ -232,13 +222,17 @@ func TestFailedRetrievalRecorded(t *testing.T) {
 }
 
 // TestRetrievalMetrics: the registry must expose per-mode counters and
-// per-stage histograms in both clocks after a mixed workload.
+// per-mode and per-stage duration histograms after a mixed workload, and
+// its candidate counters must reconcile with the retrievals' Stats.
 func TestRetrievalMetrics(t *testing.T) {
 	r, reg, _ := telemetryRetriever(t)
+	clauses := 0
 	for _, mode := range modes() {
-		if _, err := r.Retrieve(parse.MustTerm("married_couple(husband3, X)"), mode); err != nil {
+		rt, err := r.Retrieve(parse.MustTerm("married_couple(husband3, X)"), mode)
+		if err != nil {
 			t.Fatal(err)
 		}
+		clauses += rt.Stats.TotalClauses
 	}
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -248,33 +242,17 @@ func TestRetrievalMetrics(t *testing.T) {
 	for _, want := range []string{
 		`clare_retrievals_total{mode="software"} 1`,
 		`clare_retrievals_total{mode="fs1+fs2"} 1`,
-		`clare_retrieval_seconds_count{clock="sim",mode="fs2"} 1`,
-		`clare_retrieval_seconds_count{clock="wall",mode="fs2"} 1`,
-		`clare_stage_seconds_count{clock="sim",stage="fs1_scan"}`,
-		`clare_stage_seconds_count{clock="wall",stage="fs1_scan"}`,
-		`clare_stage_seconds_count{clock="sim",stage="fs2_match"}`,
-		`clare_stage_seconds_count{clock="wall",stage="fs2_match"}`,
-		`clare_stage_seconds_count{clock="sim",stage="host_match"} 1`,
-		`clare_stage_candidates_total{stage="input"}`,
-		`clare_disk_bytes_read_total{slot="0"}`,
-		`clare_fs2_clauses_examined_total{slot="0"}`,
-		`clare_vme_control_writes_total{board="fs2",slot="0"}`,
+		`clare_retrieval_seconds_count{mode="fs2"} 1`,
+		`clare_stage_seconds_count{stage="encode"} 3`,
+		`clare_stage_seconds_count{stage="fs1_scan"} 2`,
+		`clare_stage_seconds_count{stage="fs2_match"} 2`,
+		`clare_stage_seconds_count{stage="host_match"} 1`,
+		fmt.Sprintf(`clare_stage_candidates_total{stage="input"} %d`, clauses),
 		`clare_qcache_misses_total`,
-		`clare_board_lease_wait_seconds_count 4`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
-	}
-	// Registry counters must reconcile with the engine's own statistics.
-	var examined float64
-	for _, sv := range reg.Gather() {
-		if sv.Name == "clare_fs2_clauses_examined_total" {
-			examined += sv.Value
-		}
-	}
-	if got := r.FS2Stats().ClausesExamined; float64(got) != examined {
-		t.Errorf("registry examined %v != FS2Stats %d", examined, got)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 func newObsServer(t *testing.T) (*Server, *telemetry.Tracer) {
 	t.Helper()
 	cfg := core.DefaultConfig()
+	cfg.Engine = core.EngineNative
 	cfg.Tracer = telemetry.NewTracer(16)
 	cfg.Flight = telemetry.NewFlightRecorder(64)
 	r, err := core.New(cfg)

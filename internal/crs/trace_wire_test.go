@@ -16,6 +16,7 @@ import (
 func newTracedServer(t *testing.T) (*Server, *telemetry.Tracer) {
 	t.Helper()
 	cfg := core.DefaultConfig()
+	cfg.Engine = core.EngineNative
 	cfg.Tracer = telemetry.NewTracer(8)
 	r, err := core.New(cfg)
 	if err != nil {

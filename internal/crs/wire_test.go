@@ -197,6 +197,7 @@ func TestClientTimeout(t *testing.T) {
 // service counters into the registry.
 func TestServerMetrics(t *testing.T) {
 	cfg := core.DefaultConfig()
+	cfg.Engine = core.EngineNative
 	cfg.Metrics = telemetry.NewRegistry()
 	r, err := core.New(cfg)
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"clare/internal/fault"
-	"clare/internal/telemetry"
 )
 
 // Model describes a disk drive.
@@ -121,22 +120,10 @@ type Stats struct {
 	Faults int
 }
 
-// driveMetrics are the drive's registry handles; the zero value (all nil)
-// makes every observation a no-op.
-type driveMetrics struct {
-	bytes    *telemetry.Counter
-	accesses *telemetry.Counter
-	scan     *telemetry.Histogram
-	access   *telemetry.Histogram
-	stream   *telemetry.Histogram
-	fetch    *telemetry.Histogram
-}
-
 // Drive is a stateful disk with accumulated statistics.
 type Drive struct {
 	Model Model
 	Stats Stats
-	met   driveMetrics
 
 	// flt, when non-nil, injects read faults: Scan/Fetch probe
 	// fault.SiteDiskRead (the clause-file stream), IndexScan/Access/
@@ -164,27 +151,6 @@ func (d *Drive) probe(site string) error {
 	return err
 }
 
-// Instrument wires the drive to a metrics registry. labels identify the
-// drive (e.g. its board unit's slot); each operation's simulated duration
-// lands in clare_disk_op_sim_seconds{op=...}.
-func (d *Drive) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
-	op := func(name string) telemetry.Labels {
-		l := telemetry.Labels{"op": name}
-		for k, v := range labels {
-			l[k] = v
-		}
-		return l
-	}
-	d.met = driveMetrics{
-		bytes:    reg.Counter("clare_disk_bytes_read_total", "bytes streamed off the simulated disk", labels),
-		accesses: reg.Counter("clare_disk_accesses_total", "positioning accesses (seek + rotational latency)", labels),
-		scan:     reg.Histogram("clare_disk_op_sim_seconds", "simulated duration per disk operation", nil, op("scan")),
-		access:   reg.Histogram("clare_disk_op_sim_seconds", "simulated duration per disk operation", nil, op("access")),
-		stream:   reg.Histogram("clare_disk_op_sim_seconds", "simulated duration per disk operation", nil, op("stream")),
-		fetch:    reg.Histogram("clare_disk_op_sim_seconds", "simulated duration per disk operation", nil, op("fetch")),
-	}
-}
-
 // Scan accounts for a sequential scan of n clause-file bytes and returns
 // its duration. A fault (injected bad track) aborts the scan: the drive
 // burns one positioning access discovering it and delivers nothing.
@@ -209,9 +175,6 @@ func (d *Drive) scan(site string, n int) (time.Duration, error) {
 	d.Stats.BytesRead += int64(n)
 	d.Stats.Accesses++
 	d.Stats.Elapsed += t
-	d.met.bytes.Add(int64(n))
-	d.met.accesses.Inc()
-	d.met.scan.ObserveDuration(t)
 	return t, nil
 }
 
@@ -226,8 +189,6 @@ func (d *Drive) Access() (time.Duration, error) {
 	t := d.Model.AccessTime()
 	d.Stats.Accesses++
 	d.Stats.Elapsed += t
-	d.met.accesses.Inc()
-	d.met.access.ObserveDuration(t)
 	return t, nil
 }
 
@@ -246,8 +207,6 @@ func (d *Drive) Stream(n int) (time.Duration, error) {
 	t := d.Model.TransferTime(n)
 	d.Stats.BytesRead += int64(n)
 	d.Stats.Elapsed += t
-	d.met.bytes.Add(int64(n))
-	d.met.stream.ObserveDuration(t)
 	return t, nil
 }
 
@@ -264,11 +223,6 @@ func (d *Drive) Fetch(k, recordBytes int) (time.Duration, error) {
 	d.Stats.BytesRead += int64(k * recordBytes)
 	d.Stats.Accesses += k
 	d.Stats.Elapsed += t
-	if k > 0 {
-		d.met.bytes.Add(int64(k * recordBytes))
-		d.met.accesses.Add(int64(k))
-		d.met.fetch.ObserveDuration(t)
-	}
 	return t, nil
 }
 
@@ -278,5 +232,4 @@ func (d *Drive) failedAccess() {
 	t := d.Model.AccessTime()
 	d.Stats.Accesses++
 	d.Stats.Elapsed += t
-	d.met.accesses.Inc()
 }

@@ -8,7 +8,6 @@ import (
 	"clare/internal/fault"
 	"clare/internal/hw"
 	"clare/internal/pif"
-	"clare/internal/telemetry"
 )
 
 // Mode is the FS2 operational mode, selected by bits b0/b1 of the control
@@ -175,34 +174,11 @@ type Engine struct {
 	countFn func(OpCode)
 
 	Stats Stats
-	met   engineMetrics
 
 	// flt, when non-nil, injects board faults: Search probes
 	// fault.SiteFS2 before streaming a batch through the TUE.
 	flt    *fault.Injector
 	fltKey string
-}
-
-// engineMetrics are the board's registry handles; the zero value (all
-// nil) makes every observation a no-op.
-type engineMetrics struct {
-	examined  *telemetry.Counter
-	matchedC  *telemetry.Counter
-	bytes     *telemetry.Counter
-	overflows *telemetry.Counter
-	searchSim *telemetry.Histogram
-}
-
-// Instrument wires the engine to a metrics registry. labels identify the
-// board (e.g. its board unit's slot).
-func (e *Engine) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
-	e.met = engineMetrics{
-		examined:  reg.Counter("clare_fs2_clauses_examined_total", "clauses streamed through the TUE", labels),
-		matchedC:  reg.Counter("clare_fs2_clauses_matched_total", "clauses the partial test accepted", labels),
-		bytes:     reg.Counter("clare_fs2_bytes_examined_total", "PIF bytes through the Double Buffer", labels),
-		overflows: reg.Counter("clare_fs2_result_overflows_total", "satisfiers lost to Result Memory capacity", labels),
-		searchSim: reg.Histogram("clare_fs2_search_sim_seconds", "simulated TUE time per search call", nil, labels),
-	}
 }
 
 // Errors.
@@ -340,8 +316,6 @@ func (e *Engine) Search(records []Record) (SearchResult, error) {
 	// comparison only; reset per clause below.
 	var res SearchResult
 	before := e.Stats.MatchTime
-	beforeBytes := e.Stats.BytesExamined
-	beforeMatched := e.Stats.ClausesMatched
 	for _, rec := range records {
 		e.buffer.Load(rec.Enc.SizeBytes())
 		e.Stats.BytesExamined += int64(rec.Enc.SizeBytes())
@@ -367,13 +341,6 @@ func (e *Engine) Search(records []Record) (SearchResult, error) {
 		res.ClauseTimes = append(res.ClauseTimes, e.Stats.MatchTime-clauseStart)
 	}
 	res.MatchTime = e.Stats.MatchTime - before
-	e.met.examined.Add(int64(res.Examined))
-	e.met.matchedC.Add(int64(e.Stats.ClausesMatched - beforeMatched))
-	e.met.bytes.Add(e.Stats.BytesExamined - beforeBytes)
-	if res.Overflowed {
-		e.met.overflows.Inc()
-	}
-	e.met.searchSim.ObserveDuration(res.MatchTime)
 	return res, nil
 }
 

@@ -39,8 +39,11 @@ func ReadClauses(src string) ([]core.ClauseTerm, error) {
 	return out, nil
 }
 
-// ReadFile is ReadClauses over a file.
-func ReadFile(path string) ([]core.ClauseTerm, error) {
+// ReadFile is ReadClauses over a file, split into one clause list per
+// predicate (functor/arity) — the unit a clause file holds — in order of
+// first appearance, each list in source order: a file may hold any number
+// of predicates, their clauses in any order.
+func ReadFile(path string) ([][]core.ClauseTerm, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -49,5 +52,20 @@ func ReadFile(path string) ([]core.ClauseTerm, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return cls, nil
+	return byPredicate(cls), nil
+}
+
+func byPredicate(cls []core.ClauseTerm) [][]core.ClauseTerm {
+	var preds [][]core.ClauseTerm
+	at := make(map[string]int)
+	for _, c := range cls {
+		key := c.Head.Indicator()
+		i, ok := at[key]
+		if !ok {
+			i, at[key] = len(preds), len(preds)
+			preds = append(preds, nil)
+		}
+		preds[i] = append(preds[i], c)
+	}
+	return preds
 }

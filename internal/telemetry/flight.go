@@ -23,7 +23,6 @@ type FlightRecord struct {
 	Total     int64  `json:"candidates_total"`
 	AfterFS1  int64  `json:"after_fs1"`
 	AfterFS2  int64  `json:"after_fs2"`
-	SimNS     int64  `json:"sim_ns"`
 	WallNS    int64  `json:"wall_ns"`
 	Degraded  string `json:"degraded,omitempty"`
 	Faults    int64  `json:"faults,omitempty"`

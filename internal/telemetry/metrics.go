@@ -1,15 +1,15 @@
 // Package telemetry is CLARE's observability layer: a lock-cheap metrics
 // registry (counters, gauges, fixed-bucket histograms keyed by
 // name+labels), a per-retrieval trace recorder that captures one span per
-// pipeline stage in both wall-clock and simulated time, and the
-// operational HTTP surface (/metrics in Prometheus text format, /trace,
-// /debug/pprof) that crsd mounts on its admin listener.
+// pipeline stage, and the operational HTTP surface (/metrics in
+// Prometheus text format, /trace, /debug/pprof) that crsd mounts on its
+// admin listener.
 //
-// The paper's whole argument rests on where time goes — FS1 index scan vs
-// clause fetch vs FS2 partial test unification vs host fallback — so the
-// subsystem distinguishes two clocks everywhere: "sim" durations come from
-// the component timing models (disk geometry, Table-1 op times), "wall"
-// durations from the host actually running the simulation.
+// It has one clock: every duration it records — span, flight record,
+// histogram — is host time spent by the serving (native) engine. The
+// paper's simulated times come from the component timing models and stay
+// where they are exact: core's per-retrieval Stats, EXPLAIN's sim.* rows
+// and the clarebench ledger.
 //
 // Design: callers resolve metric handles once (Registry.Counter et al.
 // take a family mutex) and then update them with single atomic operations
@@ -53,9 +53,8 @@ func (k Kind) String() string {
 	return "kind?"
 }
 
-// DurationBuckets are the default histogram bounds (seconds) for both
-// clocks: wide enough to cover sub-microsecond host work and multi-second
-// simulated disk scans.
+// DurationBuckets are the default histogram bounds (seconds): wide enough
+// to cover sub-microsecond host work and multi-second stalls.
 var DurationBuckets = []float64{
 	1e-6, 1e-5, 1e-4, 2.5e-4, 1e-3, 2.5e-3, 1e-2, 2.5e-2, 0.1, 0.25, 1, 2.5, 10,
 }

@@ -93,7 +93,7 @@ func TestPrometheusExposition(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("clare_retrievals_total", "retrievals served", Labels{"mode": "fs1+fs2"}).Add(7)
 	reg.Gauge("clare_boards_busy", "busy boards", nil).Set(2)
-	h := reg.Histogram("clare_stage_seconds", "stage time", Buckets(0.001, 1), Labels{"stage": "fs1_scan", "clock": "sim"})
+	h := reg.Histogram("clare_stage_seconds", "stage time", Buckets(0.001, 1), Labels{"stage": "fs1_scan", "mode": "fs2"})
 	h.Observe(0.0009765625) // binary-exact values keep the _sum assertion exact
 	h.Observe(0.5)
 	h.Observe(2)
@@ -109,11 +109,11 @@ func TestPrometheusExposition(t *testing.T) {
 		"# TYPE clare_boards_busy gauge",
 		"clare_boards_busy 2",
 		"# TYPE clare_stage_seconds histogram",
-		`clare_stage_seconds_bucket{clock="sim",stage="fs1_scan",le="0.001"} 1`,
-		`clare_stage_seconds_bucket{clock="sim",stage="fs1_scan",le="1"} 2`,
-		`clare_stage_seconds_bucket{clock="sim",stage="fs1_scan",le="+Inf"} 3`,
-		`clare_stage_seconds_sum{clock="sim",stage="fs1_scan"} 2.5009765625`,
-		`clare_stage_seconds_count{clock="sim",stage="fs1_scan"} 3`,
+		`clare_stage_seconds_bucket{mode="fs2",stage="fs1_scan",le="0.001"} 1`,
+		`clare_stage_seconds_bucket{mode="fs2",stage="fs1_scan",le="1"} 2`,
+		`clare_stage_seconds_bucket{mode="fs2",stage="fs1_scan",le="+Inf"} 3`,
+		`clare_stage_seconds_sum{mode="fs2",stage="fs1_scan"} 2.5009765625`,
+		`clare_stage_seconds_count{mode="fs2",stage="fs1_scan"} 3`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)

@@ -12,14 +12,11 @@ import (
 	"time"
 )
 
-// Span is one stage of a retrieval (encode, board lease, FS1 scan, disk
-// fetch, FS2 match, host matching) or one hop of a routed call (shard,
-// net). Spans form a tree within their trace via Parent (span IDs start
-// at 1; the root's Parent is 0).
-//
-// Every span carries both clocks: Wall is host time actually spent, Sim
-// is the component model's simulated duration (zero for stages that have
-// no hardware analogue, like the query-cache probe).
+// Span is one stage of a retrieval (encode, FS1 scan, disk fetch, FS2
+// match, host matching) or one hop of a routed call (shard, net). Spans
+// form a tree within their trace via Parent (span IDs start at 1; the
+// root's Parent is 0). Wall is the host time the stage took; simulated
+// time is not a span's: it lives in core.StageStats and EXPLAIN.
 type Span struct {
 	ID     int               `json:"id"`
 	Parent int               `json:"parent"`
@@ -27,7 +24,6 @@ type Span struct {
 	Attrs  map[string]string `json:"attrs,omitempty"`
 	Start  time.Time         `json:"start"`
 	Wall   time.Duration     `json:"wall_ns"`
-	Sim    time.Duration     `json:"sim_ns"`
 }
 
 // SetAttr attaches a key/value to the span.
@@ -112,13 +108,13 @@ func (t *Trace) Span(parent *Span, name string) *Span {
 	if t == nil {
 		return nil
 	}
-	return t.Record(parent, name, time.Now(), 0, 0)
+	return t.Record(parent, name, time.Now(), 0)
 }
 
 // Record adds a finished span under parent — a stage the caller timed
 // itself and reports afterwards, where Span/End time a live one. Parent
 // resolution, nil-safety and concurrency are Span's.
-func (t *Trace) Record(parent *Span, name string, start time.Time, wall, sim time.Duration) *Span {
+func (t *Trace) Record(parent *Span, name string, start time.Time, wall time.Duration) *Span {
 	if t == nil {
 		return nil
 	}
@@ -129,7 +125,7 @@ func (t *Trace) Record(parent *Span, name string, start time.Time, wall, sim tim
 	} else if len(t.Spans) > 0 {
 		pid = t.Spans[0].ID
 	}
-	s := &Span{ID: len(t.Spans) + 1, Parent: pid, Name: name, Start: start, Wall: wall, Sim: sim}
+	s := &Span{ID: len(t.Spans) + 1, Parent: pid, Name: name, Start: start, Wall: wall}
 	t.Spans = append(t.Spans, s)
 	t.mu.Unlock()
 	return s
@@ -158,7 +154,6 @@ type WireSpan struct {
 	Attrs  map[string]string `json:"a,omitempty"`
 	Start  time.Time         `json:"t"`
 	Wall   int64             `json:"w"`
-	Sim    int64             `json:"s"`
 }
 
 // Wire snapshots the trace's spans in creation order for wire
@@ -172,7 +167,7 @@ func (t *Trace) Wire() []WireSpan {
 	out := make([]WireSpan, len(t.Spans))
 	for i, s := range t.Spans {
 		out[i] = WireSpan{ID: s.ID, Parent: s.Parent, Name: s.Name, Attrs: s.Attrs,
-			Start: s.Start, Wall: int64(s.Wall), Sim: int64(s.Sim)}
+			Start: s.Start, Wall: int64(s.Wall)}
 	}
 	return out
 }
@@ -240,7 +235,7 @@ func (t *Trace) Graft(parent *Span, sub []WireSpan) {
 		attrs["remote_span"] = strconv.Itoa(ws.ID)
 		t.Spans = append(t.Spans, &Span{
 			ID: id, Parent: pid, Name: ws.Name, Attrs: attrs,
-			Start: ws.Start, Wall: time.Duration(ws.Wall), Sim: time.Duration(ws.Sim),
+			Start: ws.Start, Wall: time.Duration(ws.Wall),
 		})
 	}
 }
@@ -292,7 +287,7 @@ func (tr *Tracer) StartAt(name string, tc *TraceContext, begin time.Time) *Trace
 		ctx := *tc
 		t.Remote = &ctx
 	}
-	t.Record(nil, name, begin, 0, 0) // root
+	t.Record(nil, name, begin, 0) // root
 	return t
 }
 

@@ -22,7 +22,7 @@ func TestTraceSpanTree(t *testing.T) {
 	chunk := trace.Span(root, "chunk")
 	// A stage its caller timed itself arrives finished.
 	scanStart := time.Now()
-	scan := trace.Record(chunk, "fs1_scan", scanStart, 2*time.Millisecond, 4*time.Millisecond)
+	scan := trace.Record(chunk, "fs1_scan", scanStart, 2*time.Millisecond)
 	chunk.End()
 	root.End()
 	tr.Finish(trace)
@@ -33,8 +33,8 @@ func TestTraceSpanTree(t *testing.T) {
 	if scan.Parent != chunk.ID || chunk.Parent != root.ID || enc.Parent != root.ID {
 		t.Errorf("parent links wrong: enc=%d chunk=%d scan=%d", enc.Parent, chunk.Parent, scan.Parent)
 	}
-	if scan.Sim != 4*time.Millisecond || scan.Wall != 2*time.Millisecond || !scan.Start.Equal(scanStart) {
-		t.Errorf("recorded span = %+v, want sim 4ms wall 2ms at %v", scan, scanStart)
+	if scan.Wall != 2*time.Millisecond || !scan.Start.Equal(scanStart) {
+		t.Errorf("recorded span = %+v, want wall 2ms at %v", scan, scanStart)
 	}
 	if enc.Attrs["cache"] != "miss" {
 		t.Errorf("attrs = %v", enc.Attrs)
@@ -76,7 +76,7 @@ func TestTracerNilSafe(t *testing.T) {
 	sp := trace.Span(nil, "y")
 	sp.SetAttr("a", "b")
 	sp.End()
-	if trace.Record(nil, "z", time.Time{}, 0, time.Second) != nil || tr.StartAt("x", nil, time.Time{}) != nil {
+	if trace.Record(nil, "z", time.Time{}, time.Second) != nil || tr.StartAt("x", nil, time.Time{}) != nil {
 		t.Error("nil tracer/trace recorded a span")
 	}
 	tr.Finish(trace)
@@ -90,7 +90,7 @@ func TestWriteJSONLines(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 2; i++ {
 		trace := tr.Start("retrieve")
-		trace.Record(nil, "fs2_match", time.Now(), 0, time.Millisecond)
+		trace.Record(nil, "fs2_match", time.Now(), time.Millisecond)
 		trace.Root().End()
 		tr.Finish(trace)
 	}
@@ -109,8 +109,8 @@ func TestWriteJSONLines(t *testing.T) {
 		if decoded.Name != "retrieve" || len(decoded.Spans) != 2 {
 			t.Errorf("decoded trace = %+v", &decoded)
 		}
-		if decoded.Spans[1].Sim != time.Millisecond {
-			t.Errorf("sim duration lost in JSON: %v", decoded.Spans[1].Sim)
+		if decoded.Spans[1].Wall != time.Millisecond {
+			t.Errorf("wall duration lost in JSON: %v", decoded.Spans[1].Wall)
 		}
 	}
 	if lines != 2 {

@@ -16,7 +16,6 @@ import (
 
 	"clare/internal/fault"
 	"clare/internal/fs2"
-	"clare/internal/telemetry"
 )
 
 // The shared address window (§2.2). The paper quotes the hex range
@@ -58,7 +57,6 @@ func (b Board) String() string {
 type Bus struct {
 	fs2     *fs2.Engine
 	control uint8
-	met     busMetrics
 
 	// flt, when non-nil, injects bus timeouts: SelectFS2 probes
 	// fault.SiteBus before driving the control register.
@@ -69,31 +67,8 @@ type Bus struct {
 	Timeouts int
 }
 
-// busMetrics are the bus's registry handles; the zero value (all nil)
-// makes every observation a no-op.
-type busMetrics struct {
-	writesFS1 *telemetry.Counter
-	writesFS2 *telemetry.Counter
-}
-
 // NewBus wires a bus to an FS2 engine.
 func NewBus(engine *fs2.Engine) *Bus { return &Bus{fs2: engine} }
-
-// Instrument wires the bus to a metrics registry: control-register writes
-// are counted per selected board. labels identify the board unit.
-func (b *Bus) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
-	board := func(name string) telemetry.Labels {
-		l := telemetry.Labels{"board": name}
-		for k, v := range labels {
-			l[k] = v
-		}
-		return l
-	}
-	b.met = busMetrics{
-		writesFS1: reg.Counter("clare_vme_control_writes_total", "control-register writes per selected board", board("fs1")),
-		writesFS2: reg.Counter("clare_vme_control_writes_total", "control-register writes per selected board", board("fs2")),
-	}
-}
 
 // InWindow reports whether addr falls inside the CLARE register window.
 func InWindow(addr uint32) bool { return addr >= WindowBase && addr <= WindowEnd }
@@ -105,9 +80,6 @@ func (b *Bus) WriteControl(v uint8) {
 	if b.Selected() == BoardFS2 {
 		mode := fs2.ModeFromBits(v>>BitMode0&1, v>>BitMode1&1)
 		b.fs2.SetMode(mode)
-		b.met.writesFS2.Inc()
-	} else {
-		b.met.writesFS1.Inc()
 	}
 }
 
