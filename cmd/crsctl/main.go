@@ -15,15 +15,15 @@
 // primary and shipped to its replicas). -assert-tx stages the clause in
 // an explicit BEGIN/ASSERT/COMMIT transaction instead.
 //
-// Diagnosis commands:
+// Diagnosis:
 //
 //	crsctl -flight 20          # newest flight-recorder records
-//	crsctl -slow-tail 5        # newest slow-query captures with profiles
-//	crsctl -slo                # SLO burn-rate summary from STATS
+//	crsctl -stats              # service counters
 //
-// All three work against crsd and crsrouter alike — against the router,
-// -flight shows the routing-level records and -slo the cluster-wide
-// burn recomputed from the backends' summed SLO windows.
+// Both work against crsd and crsrouter alike — against the router,
+// -flight shows the routing-level records, each with the trace ID its
+// backend call joined. A slow retrieval is a flight record with a large
+// wall time; -explain on its goal prices it on the modelled hardware.
 package main
 
 import (
@@ -47,8 +47,6 @@ func main() {
 	stats := flag.Bool("stats", false, "print the server's service counters and exit")
 	explain := flag.Bool("explain", false, "profile the retrieval instead of printing candidates")
 	flight := flag.Int("flight", -1, "print the newest N flight-recorder records and exit (0 = all)")
-	slowTail := flag.Int("slow-tail", -1, "print the newest N slow-query captures and exit (0 = all)")
-	slo := flag.Bool("slo", false, "print the server's SLO burn-rate summary and exit")
 	timeout := flag.Duration("timeout", crs.DefaultTimeout, "per-operation wire timeout (0 disables)")
 	flag.Parse()
 
@@ -73,24 +71,6 @@ func main() {
 			fatal("flight: %v", err)
 		}
 		printFlight(recs)
-		return
-	}
-
-	if *slowTail >= 0 {
-		caps, err := c.SlowTail(*slowTail)
-		if err != nil {
-			fatal("slowlog: %v", err)
-		}
-		printSlowTail(caps)
-		return
-	}
-
-	if *slo {
-		kv, err := c.Stats()
-		if err != nil {
-			fatal("%v", err)
-		}
-		printSLO(kv)
 		return
 	}
 
@@ -185,8 +165,6 @@ var statsSections = []struct {
 	{"latency", func(k string) bool { return strings.HasPrefix(k, "latency.") }},
 	{"wal", func(k string) bool { return strings.HasPrefix(k, "wal.") }},
 	{"flight", func(k string) bool { return strings.HasPrefix(k, "flight.") }},
-	{"slow", func(k string) bool { return strings.HasPrefix(k, "slow.") }},
-	{"slo", func(k string) bool { return strings.HasPrefix(k, "slo.") }},
 	{"cluster", func(k string) bool { return strings.HasPrefix(k, "cluster.") }},
 }
 
@@ -246,66 +224,10 @@ func printFlight(recs []telemetry.FlightRecord) {
 		if r.Faults > 0 {
 			line += fmt.Sprintf("  faults=%d", r.Faults)
 		}
-		if r.Hedged {
-			line += "  hedged"
-		}
 		if r.Err != "" {
 			line += fmt.Sprintf("  err=%q", r.Err)
 		}
 		fmt.Println(line)
-	}
-}
-
-// printSlowTail renders slow-query captures oldest first, each with its
-// captured EXPLAIN profile indented under the header line.
-func printSlowTail(caps []telemetry.SlowCapture) {
-	if len(caps) == 0 {
-		fmt.Println("slow-query log empty (is the server running with -slow-ms or -slow-p99x?)")
-		return
-	}
-	for i, c := range caps {
-		if i > 0 {
-			fmt.Println()
-		}
-		fmt.Printf("#%d %s  %s  mode=%s  wall=%s  threshold=%s",
-			c.Seq, time.Unix(0, c.TS).Format("15:04:05.000"), c.Predicate, c.Mode,
-			time.Duration(c.WallNS).Round(time.Microsecond),
-			time.Duration(c.ThresholdNS).Round(time.Microsecond))
-		if c.TraceID != 0 {
-			fmt.Printf("  trace=%016x", c.TraceID)
-		}
-		fmt.Println()
-		fmt.Printf("  goal: %s\n", c.Goal)
-		for _, kv := range c.Profile {
-			fmt.Printf("  %-24s %s\n", kv.Key, kv.Value)
-		}
-	}
-}
-
-// printSLO renders the slo.* STATS keys as a burn-rate summary — the
-// milli-scaled wire integers become decimals again. Works against crsd
-// (its own tracker) and crsrouter (cluster-wide recompute) alike.
-func printSLO(kv map[string]int64) {
-	if kv["slo.enabled"] == 0 {
-		fmt.Println("no SLO armed (is the server running with -slo?)")
-		return
-	}
-	obj := []string{}
-	if us := kv["slo.p99.us"]; us > 0 {
-		obj = append(obj, fmt.Sprintf("p99=%s", time.Duration(us)*time.Microsecond))
-	}
-	if pm := kv["slo.err.permille"]; pm > 0 {
-		obj = append(obj, fmt.Sprintf("err=%.1f%%", float64(pm)/10))
-	}
-	fmt.Printf("objective    %s\n", strings.Join(obj, ","))
-	fmt.Printf("requests     %d  (slow %d, errors %d, breaches %d)\n",
-		kv["slo.requests"], kv["slo.slow"], kv["slo.errors"], kv["slo.breaches"])
-	fmt.Printf("burn short   %.3f  (%d requests in window)\n",
-		float64(kv["slo.burn.short.milli"])/1000, kv["slo.window.short.requests"])
-	fmt.Printf("burn long    %.3f  (%d requests in window)\n",
-		float64(kv["slo.burn.long.milli"])/1000, kv["slo.window.long.requests"])
-	if kv["slo.breach.active"] > 0 {
-		fmt.Println("BREACH ACTIVE: short-window burn over the fast-burn threshold")
 	}
 }
 

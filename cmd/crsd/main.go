@@ -42,28 +42,25 @@
 // (degraded, retries, faults) and as clare_degraded_retrievals_total
 // etc. on /metrics.
 //
-// Observability: the daemon self-diagnoses. -flight sizes the
-// always-on flight recorder (one compact record per retrieval, dumped
-// by the FLIGHT wire verb, /flight admin endpoint and crsctl -flight;
-// -flight-snap names the file the ring snapshots to on SIGTERM, panic
-// and SLO breach). -slow-ms and -slow-p99x arm the slow-query log:
-// a retrieval over the absolute threshold, or over N× its predicate's
-// rolling P99, gets an automatic capture-side EXPLAIN re-run whose
-// profile lands in the SLOWLOG ring (-slow-log entries, captures per
-// predicate spaced -slow-gap apart). -slo p99=5ms,err=0.1% arms SLO
-// burn-rate accounting over short and long windows (slo.* STATS keys,
-// clare_slo_* metrics, /slo endpoint). -log-level and -log-json shape
-// the structured event log on stdout.
+// Observability: -flight sizes the always-on flight recorder (one
+// compact record per retrieval — predicate, mode, candidate funnel, wall
+// time, trace ID — dumped by the FLIGHT wire verb, /flight admin
+// endpoint and crsctl -flight; -flight-snap names the file the ring
+// snapshots to on SIGTERM and panic). A slow retrieval is one of those
+// records; crsctl -explain prices it on the modelled hardware, and a
+// burn rate is a query over clare_retrieval_seconds and the error
+// counters on /metrics. -log-level and -log-json shape the structured
+// event log on stdout.
 //
 // Durable writes: -wal-dir enables the write-ahead log — WRITE
 // (autocommit assert/retract) and transaction commits append to a
 // segmented log before they apply, and a restart replays the log over
 // the loaded store. -wal-fsync picks the flush policy (always, never,
-// or an interval), -replica serves read-only (writes arrive only as
-// REPL records from the shard primary), and -follow pulls a primary's
-// log over SYNC for catch-up without a pushing router:
+// or an interval), and -replica serves read-only: writes arrive only as
+// REPL records that crsrouter's log shipper pushes from the shard
+// primary, resuming from the replica's own applied seq after a restart:
 //
-//	crsd -addr :7473 -kb build/shard-0.clare -wal-dir wal/s0r1 -replica -follow 127.0.0.1:7471
+//	crsd -addr :7473 -kb build/shard-0.clare -wal-dir wal/s0r1 -replica
 package main
 
 import (
@@ -76,7 +73,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -101,16 +97,8 @@ func main() {
 	walDir := flag.String("wal-dir", "", "write-ahead log directory: enables the durable write path (WRITE/SYNC/REPL) and replays the log over the loaded store at startup")
 	walFsync := flag.String("wal-fsync", "always", "WAL fsync policy: always, never, or a flush interval like 50ms")
 	replica := flag.Bool("replica", false, "serve as a read-only replica: client writes are rejected, only REPL applies records")
-	follow := flag.String("follow", "", "primary address to pull the log from (replica catch-up without a pushing router)")
-	followShard := flag.Int("follow-shard", 0, "shard index named in SYNC requests to -follow")
-	followEvery := flag.Duration("follow-interval", time.Second, "poll period for -follow")
 	flightN := flag.Int("flight", telemetry.DefaultFlightSize, "flight-recorder ring size: per-retrieval records kept for FLIGHT//flight (0 disables)")
-	flightSnap := flag.String("flight-snap", "", "file the flight ring snapshots to on SIGTERM, panic and SLO breach (empty disables snapshots)")
-	slowMs := flag.Float64("slow-ms", 0, "absolute slow-query threshold in milliseconds: slower retrievals get an automatic EXPLAIN capture (0 disables)")
-	slowP99x := flag.Float64("slow-p99x", 0, "adaptive slow-query threshold: N times the predicate's rolling P99 (0 disables; with -slow-ms the smaller threshold wins)")
-	slowLogN := flag.Int("slow-log", telemetry.DefaultSlowLogSize, "slow-query captures kept for SLOWLOG//slowlog")
-	slowGap := flag.Duration("slow-gap", telemetry.DefaultSlowGap, "minimum spacing between captures of the same predicate")
-	sloSpec := flag.String("slo", "", "service-level objective, e.g. p99=5ms,err=0.1% (arms burn-rate accounting: slo.* STATS, clare_slo_* metrics, /slo)")
+	flightSnap := flag.String("flight-snap", "", "file the flight ring snapshots to on SIGTERM and panic (empty disables snapshots)")
 	logLevel := flag.String("log-level", "info", "event-log level: debug, info, warn or error")
 	logJSON := flag.Bool("log-json", false, "emit the event log as JSON objects instead of logfmt lines")
 	flag.Parse()
@@ -172,32 +160,6 @@ func main() {
 	}
 	srv.SetLogger(logg)
 	srv.SetFlight(flight, *flightSnap)
-	if *slowMs > 0 || *slowP99x > 0 {
-		srv.SetSlowLog(telemetry.NewSlowQueryLog(*slowLogN, *slowGap),
-			time.Duration(*slowMs*float64(time.Millisecond)), *slowP99x)
-		logg.Info("slow-query log armed", "abs_ms", *slowMs, "p99x", *slowP99x, "entries", *slowLogN)
-	} else if *slowLogN != telemetry.DefaultSlowLogSize {
-		fatal("-slow-log needs -slow-ms or -slow-p99x")
-	}
-	var sloT *telemetry.SLOTracker
-	if *sloSpec != "" {
-		slo, err := telemetry.ParseSLO(*sloSpec)
-		if err != nil {
-			fatal("%v", err)
-		}
-		sloT = telemetry.NewSLOTracker(slo)
-		sloT.Instrument(cfg.Metrics)
-		sloT.OnBreach = func(burn float64) {
-			// A fast burn is exactly the moment the black box matters:
-			// snapshot it while the bad window is still in the ring.
-			logg.Error("slo breach", "burn", fmt.Sprintf("%.1f", burn), "objective", slo.String())
-			if err := srv.SnapshotFlight(); err != nil {
-				logg.Error("flight snapshot failed", "error", err)
-			}
-		}
-		srv.SetSLO(sloT)
-		logg.Info("slo armed", "objective", slo.String())
-	}
 	if *kb != "" {
 		// Register the store's predicates with the server (Load only sees
 		// the .pl arguments).
@@ -249,33 +211,6 @@ func main() {
 		srv.SetReadOnly(true)
 		logg.Info("serving read-only", "replica", true)
 	}
-	if *follow != "" {
-		if *walDir == "" {
-			fatal("-follow needs -wal-dir (the pulled log must land somewhere durable)")
-		}
-		fc, err := crs.DialTimeout(*follow, 5*time.Second)
-		if err != nil {
-			fatal("dialing -follow primary %s: %v", *follow, err)
-		}
-		defer fc.Close()
-		var followMu sync.Mutex
-		fetch := func(from uint64, max int) ([]wal.Record, uint64, error) {
-			followMu.Lock()
-			defer followMu.Unlock()
-			recs, last, err := fc.SyncLog(*followShard, from)
-			return recs, last, err
-		}
-		follower := wal.NewFollower(fetch, srv.ApplyReplicated, srv.AppliedSeq,
-			wal.FollowerConfig{Interval: *followEvery})
-		if n, err := follower.CatchUp(); err != nil {
-			logg.Warn("follow catch-up failed; polling retries", "primary", *follow, "error", err)
-		} else {
-			logg.Info("follow caught up", "primary", *follow, "records", n, "applied_seq", srv.AppliedSeq())
-		}
-		follower.Run()
-		defer follower.Close()
-	}
-
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal("%v", err)
@@ -293,8 +228,6 @@ func main() {
 			Tracer:   cfg.Tracer,
 			Latency:  srv.Latency(),
 			Flight:   flight,
-			SLO:      sloT,
-			SlowLog:  srv.SlowLog(),
 		})}
 		logg.Info("admin listening", "url", fmt.Sprintf("http://%s/metrics", al.Addr()))
 		go func() {

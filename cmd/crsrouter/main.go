@@ -16,19 +16,15 @@
 // in shard order — the order must match the kbc -shards build. The
 // FIRST address in each list is the shard's write primary: WRITE
 // (autocommit assert/retract) and pass-through transactions route to it
-// alone, and the router ships its write-ahead log to the remaining
-// replicas (disable with -no-replicate). A replica trailing the primary
+// alone, and the router's log shipper pushes its write-ahead log to the
+// remaining replicas — the one replication path; a restarted replica
+// catches up from its own applied seq. A replica trailing the primary
 // by more than -max-lag records is demoted in the retrieval failover
 // order until it catches up.
 //
 // Replica selection is load-aware: within a shard group healthy
 // replicas are ranked by outstanding load × observed service time
-// (every node not yet sampled is priced at the same prior). -hedge arms
-// request hedging: a retrieval still unanswered past its predicate's
-// observed P99 (floored at -hedge-floor) is duplicated to the runner-up
-// replica and the first answer wins, the loser being cancelled —
-// tail-latency insurance against one slow replica. Hedge traffic shows
-// up as cluster.hedges / cluster.hedge.wins in STATS.
+// (every node not yet sampled is priced at the same prior).
 //
 // The admin listener serves /metrics (clare_cluster_* and the Prometheus
 // base set), /trace?n=K (router span trees) and /debug/pprof; -admin ""
@@ -37,12 +33,9 @@
 //
 // Observability mirrors crsd: -flight sizes the router's own flight
 // recorder (one record per routed retrieval with the routing decision,
-// the merged candidate funnel and the hedge flag; FLIGHT wire verb and
-// /flight endpoint; -flight-snap snapshots it on SIGTERM and SLO
-// breach), -slo arms the router's end-to-end burn-rate accounting, and
-// STATS overlays a cluster-wide burn recomputed from the backends'
-// summed SLO windows (cluster.slo.burn.*). SLOWLOG scatter-gathers the
-// backends' slow-query captures. -log-level/-log-json shape the
+// the merged candidate funnel, the end-to-end wall time and the trace
+// ID its backend call joined; FLIGHT wire verb and /flight endpoint;
+// -flight-snap snapshots it on SIGTERM). -log-level/-log-json shape the
 // structured event log on stdout.
 package main
 
@@ -74,13 +67,9 @@ func main() {
 	pool := flag.Int("pool", cluster.DefaultPoolSize, "idle connections kept per backend")
 	maxLag := flag.Uint64("max-lag", cluster.DefaultMaxLag, "log records a replica may trail its primary before it is demoted as stale")
 	shipEvery := flag.Duration("ship-interval", cluster.DefaultShipInterval, "idle log-shipping period per replica (writes wake shippers early)")
-	noRepl := flag.Bool("no-replicate", false, "disable primary-to-replica log shipping (backends sync some other way)")
-	hedge := flag.Bool("hedge", false, "hedge slow retrievals: duplicate to a second replica past the predicate's P99 budget, first answer wins")
-	hedgeFloor := flag.Duration("hedge-floor", cluster.DefaultHedgeFloor, "minimum hedge budget (cold predicates never hedge earlier)")
 	latWindow := flag.Int("latency-window", 0, "latency samples kept per predicate and per backend for quantiles (0 = default)")
 	flightN := flag.Int("flight", telemetry.DefaultFlightSize, "flight-recorder ring size: routed-retrieval records kept for FLIGHT//flight (0 disables)")
-	flightSnap := flag.String("flight-snap", "", "file the flight ring snapshots to on SIGTERM and SLO breach (empty disables snapshots)")
-	sloSpec := flag.String("slo", "", "service-level objective over routed retrievals, e.g. p99=10ms,err=0.1%")
+	flightSnap := flag.String("flight-snap", "", "file the flight ring snapshots to on SIGTERM (empty disables snapshots)")
 	logLevel := flag.String("log-level", "info", "event-log level: debug, info, warn or error")
 	logJSON := flag.Bool("log-json", false, "emit the event log as JSON objects instead of logfmt lines")
 	var shardSpecs multiFlag
@@ -101,8 +90,6 @@ func main() {
 		PoolSize:      *pool,
 		MaxLag:        *maxLag,
 		ShipInterval:  *shipEvery,
-		Hedge:         *hedge,
-		HedgeFloor:    *hedgeFloor,
 		LatencyWindow: *latWindow,
 		Metrics:       telemetry.NewRegistry(),
 		Tracer:        telemetry.NewTracer(*traceBuf),
@@ -121,45 +108,13 @@ func main() {
 	} else if *flightSnap != "" {
 		fatal("-flight-snap needs -flight > 0")
 	}
-	var sloT *telemetry.SLOTracker
-	if *sloSpec != "" {
-		slo, err := telemetry.ParseSLO(*sloSpec)
-		if err != nil {
-			fatal("%v", err)
-		}
-		sloT = telemetry.NewSLOTracker(slo)
-		sloT.Instrument(cfg.Metrics)
-		cfg.SLO = sloT
-		logg.Info("slo armed", "objective", slo.String())
-	}
-	snapshotFlight := func() {
-		if *flightSnap == "" {
-			return
-		}
-		if err := cfg.Flight.SnapshotToFile(*flightSnap); err != nil {
-			logg.Error("flight snapshot failed", "path", *flightSnap, "error", err)
-		} else {
-			logg.Info("flight snapshot written", "path", *flightSnap, "recorded", cfg.Flight.Recorded())
-		}
-	}
-	if sloT != nil {
-		sloT.OnBreach = func(burn float64) {
-			logg.Error("slo breach", "burn", fmt.Sprintf("%.1f", burn))
-			snapshotFlight()
-		}
-	}
 	router, err := cluster.NewRouter(cfg)
 	if err != nil {
 		fatal("%v", err)
 	}
 	defer router.Close()
-	if !*noRepl {
-		router.StartReplication()
-		logg.Info("log shipping armed", "primary", "first address per -shard", "max_lag", *maxLag, "interval", *shipEvery)
-	}
-	if *hedge {
-		logg.Info("request hedging armed", "budget", "per-predicate P99", "floor", *hedgeFloor)
-	}
+	router.StartReplication()
+	logg.Info("log shipping armed", "primary", "first address per -shard", "max_lag", *maxLag, "interval", *shipEvery)
 	srv := cluster.NewServer(router)
 
 	l, err := net.Listen("tcp", *addr)
@@ -179,7 +134,6 @@ func main() {
 			Tracer:   cfg.Tracer,
 			Latency:  router.Latency(),
 			Flight:   cfg.Flight,
-			SLO:      sloT,
 		})}
 		logg.Info("admin listening", "url", fmt.Sprintf("http://%s/metrics", al.Addr()))
 		go func() {
@@ -211,7 +165,13 @@ func main() {
 		adminSrv.Close()
 	}
 	<-serveErr // Serve returns once the listener closes and handlers drain
-	snapshotFlight()
+	if *flightSnap != "" {
+		if err := cfg.Flight.SnapshotToFile(*flightSnap); err != nil {
+			logg.Error("flight snapshot failed", "path", *flightSnap, "error", err)
+		} else {
+			logg.Info("flight snapshot written", "path", *flightSnap, "recorded", cfg.Flight.Recorded())
+		}
+	}
 	logg.Info("bye")
 }
 

@@ -18,11 +18,9 @@ import (
 // shard's primary; transactions pass through to the primary of the
 // shard owning the first asserted predicate (see Tx).
 //
-// The diagnosis verbs follow the same split: FLIGHT dumps the ROUTER'S
-// own flight recorder (the cluster-level view — routing decisions,
-// hedges, merged funnels), while SLOWLOG scatter-gathers the backends'
-// slow-query captures merged by capture time, because the EXPLAIN
-// re-run that fills a capture only ever happens where the clauses live.
+// FLIGHT dumps the ROUTER'S own flight recorder (the cluster-level view
+// — routing decisions, merged funnels); a backend's ring holds the
+// same retrievals as seen where the clauses live, joined by trace ID.
 type Server struct {
 	router   *Router
 	nextSess atomic.Int64
@@ -59,7 +57,6 @@ func init() {
 	verbs.Plain("HELLO", func(c *frontConn, r *wire.Reply) { r.OK("crs", c.id) })
 	verbs.Plain("STATS", (*frontConn).stats)
 	verbs.Count("FLIGHT", (*frontConn).flight)
-	verbs.Count("SLOWLOG", (*frontConn).slowLog)
 	verbs.Query("RETRIEVE", (*frontConn).retrieve)
 	verbs.Query("EXPLAIN", (*frontConn).explain)
 	verbs.Plain("BEGIN", func(c *frontConn, r *wire.Reply) { r.Done(c.tx.Begin()) })
@@ -95,15 +92,6 @@ func (c *frontConn) stats(r *wire.Reply) {
 
 func (c *frontConn) flight(r *wire.Reply, n int) {
 	wire.JSONBody(r, "FLIGHT", "F", c.router.Flight().Snapshot(n))
-}
-
-func (c *frontConn) slowLog(r *wire.Reply, n int) {
-	caps, err := c.router.SlowTail(n)
-	if err != nil {
-		r.Fail(err)
-		return
-	}
-	wire.JSONBody(r, "SLOWLOG", "Q", caps)
 }
 
 func (c *frontConn) retrieve(r *wire.Reply, q wire.Query) {

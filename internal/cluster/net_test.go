@@ -59,6 +59,29 @@ func TestWireTransparent(t *testing.T) {
 	if kv["cluster.requests"] != 3 {
 		t.Errorf("cluster.requests = %d, want 3", kv["cluster.requests"])
 	}
+
+	// The front-end serves every verb but REPL; a verb neither server
+	// registers is rejected the same way.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	in := bufio.NewReader(conn)
+	for _, step := range []struct{ send, want string }{
+		{"REPL 1 assert m m(1)", `ERR unknown command "REPL"`},
+		{"SLOWLOG 1", `ERR unknown command "SLOWLOG"`},
+		{"HELLO", "OK crs"},
+	} {
+		fmt.Fprintf(conn, "%s\n", step.send)
+		got, err := in.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(got, step.want) {
+			t.Errorf("%q → %q, want prefix %q", step.send, got, step.want)
+		}
+	}
 }
 
 // TestWireStatsSorted: the front-end renders STATS keys in sorted order

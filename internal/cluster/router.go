@@ -41,10 +41,6 @@ const (
 	// DefaultShipInterval is the idle log-shipping period per replica
 	// (Notify wakes a shipper early after every routed write).
 	DefaultShipInterval = 500 * time.Millisecond
-	// DefaultHedgeFloor is the minimum hedge budget: a duplicate request
-	// never fires earlier than this, so cold predicates and fast
-	// backends do not hedge on noise.
-	DefaultHedgeFloor = 5 * time.Millisecond
 )
 
 // servicePrior scores a replica before the router holds latency samples
@@ -80,14 +76,6 @@ type Config struct {
 	// ShipInterval is the idle log-shipping period per replica (0 means
 	// DefaultShipInterval).
 	ShipInterval time.Duration
-	// Hedge arms request hedging on routed reads (RETRIEVE and EXPLAIN
-	// take one path): when a group's best replica has not answered within
-	// the predicate's P99 budget, the runner-up gets a duplicate request
-	// and the first answer wins (the loser is cancelled).
-	Hedge bool
-	// HedgeFloor is the minimum hedge budget (0 means DefaultHedgeFloor).
-	// Only meaningful with Hedge.
-	HedgeFloor time.Duration
 	// LatencyWindow sizes the router's per-predicate and per-node
 	// latency sample windows (0 means telemetry.DefaultLatencyWindow).
 	LatencyWindow int
@@ -101,13 +89,9 @@ type Config struct {
 	Tracer *telemetry.Tracer
 	// Flight, when non-nil, receives one compact record per routed read,
 	// served or failed (predicate, routing decision, merged candidate
-	// funnel, wall time, hedge flag, error) — the router's own black box,
-	// independent of the per-backend recorders. Nil disables recording.
+	// funnel, wall time, error) — the router's own black box, independent
+	// of the per-backend recorders. Nil disables recording.
 	Flight *telemetry.FlightRecorder
-	// SLO, when non-nil, tracks the router's own burn rate over routed
-	// reads (end-to-end wall time, as a client saw it). Nil disables
-	// tracking.
-	SLO *telemetry.SLOTracker
 }
 
 // errUnknownPredicate marks a backend's definitive "unknown predicate"
@@ -172,7 +156,7 @@ type Router struct {
 
 	// nodeLat windows per-backend service times (keyed by address) for
 	// load-aware replica scoring; lat windows per-predicate wall times
-	// for the hedge budget.
+	// for the /top endpoint.
 	nodeLat *telemetry.LatencyTracker
 
 	// Service counters (also surfaced through STATS aggregation, so
@@ -183,8 +167,6 @@ type Router struct {
 	trips     atomic.Int64
 	readmits  atomic.Int64
 	writes    atomic.Int64
-	hedges    atomic.Int64
-	hedgeWins atomic.Int64
 
 	// replOnce guards StartReplication (see repl.go).
 	replOnce sync.Once
@@ -422,102 +404,28 @@ func (g *group) candidates(r *Router) []*node {
 	return out
 }
 
-// errHedgeAborted marks a hedged attempt cancelled because the other
-// arm answered first. It never strikes node health — the node did
-// nothing wrong, it just lost the race.
-var errHedgeAborted = errors.New("cluster: hedged attempt cancelled")
-
-// hedgeArm tracks one hedged attempt's in-flight client so the losing
-// arm can be cancelled: closing the connection unblocks its pending
-// read, the only cancellation the text protocol offers. A nil receiver
-// means "not hedged" — set always succeeds, finish reports not-aborted.
-type hedgeArm struct {
-	mu      sync.Mutex
-	c       *crs.Client
-	aborted bool
-}
-
-// set registers the arm's active client; false when the arm was already
-// cancelled (the caller must close the client and give up).
-func (a *hedgeArm) set(c *crs.Client) bool {
-	if a == nil {
-		return true
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.aborted {
-		return false
-	}
-	a.c = c
-	return true
-}
-
-// finish deregisters the client after its call returned; true when the
-// arm was cancelled mid-call (the connection is then already closed and
-// must not be pooled).
-func (a *hedgeArm) finish() bool {
-	if a == nil {
-		return false
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.c = nil
-	return a.aborted
-}
-
-// abort cancels the arm: any registered in-flight connection is severed
-// (failing its pending read) and any future set is refused. Abort, not
-// Close — a QUIT handshake would wait out the very reply being
-// abandoned, stalling the winning arm's return.
-func (a *hedgeArm) abort() {
-	a.mu.Lock()
-	c := a.c
-	a.c = nil
-	a.aborted = true
-	a.mu.Unlock()
-	if c != nil {
-		c.Sever() //nolint:errcheck // the connection is being abandoned
-	}
-}
-
 // callNode runs one request against one backend, tracking the node's
 // in-flight count and feeding its service-time window. A transport
 // failure on a pooled (possibly stale) connection is retried once on a
 // fresh dial before it counts against the node.
 func callNode[T any](r *Router, n *node, op func(c *crs.Client) (T, error)) (T, error) {
-	return callNodeArm(r, n, nil, op)
-}
-
-// callNodeArm is callNode registered against a hedge arm (nil for
-// unhedged calls).
-func callNodeArm[T any](r *Router, n *node, arm *hedgeArm, op func(c *crs.Client) (T, error)) (T, error) {
 	n.outstanding.Add(1)
 	defer n.outstanding.Add(-1)
 	start := time.Now()
-	res, err := callNodeConn(r, n, arm, op)
+	res, err := callNodeConn(r, n, op)
 	var se *crs.ServerError
 	if err == nil || errors.As(err, &se) {
 		// The node answered, so this is a service-time sample; transport
-		// failures and cancelled hedge arms are not.
+		// failures are not.
 		r.nodeLat.Observe(n.addr, time.Since(start))
 	}
 	return res, err
 }
 
-func callNodeConn[T any](r *Router, n *node, arm *hedgeArm, op func(c *crs.Client) (T, error)) (T, error) {
+func callNodeConn[T any](r *Router, n *node, op func(c *crs.Client) (T, error)) (T, error) {
 	var zero T
 	attempt := func(c *crs.Client, pooled bool) (res T, err error, redial bool) {
-		if !arm.set(c) {
-			c.Sever() //nolint:errcheck // the arm already lost the race
-			return zero, errHedgeAborted, false
-		}
 		res, err = op(c)
-		if arm.finish() {
-			// The other arm won mid-call: the connection was severed under
-			// us and must not be pooled.
-			c.Sever() //nolint:errcheck // already severed by the winner
-			return zero, errHedgeAborted, false
-		}
 		if err == nil {
 			n.put(c, r.cfg)
 			return res, nil, false
@@ -559,17 +467,9 @@ func callNodeConn[T any](r *Router, n *node, arm *hedgeArm, op func(c *crs.Clien
 // one. op receives the attempt's net span so it can thread the trace
 // context to the backend and graft the returned subtree under it.
 func callGroup[T any](r *Router, g *group, tr *telemetry.Trace, span *telemetry.Span, op func(c *crs.Client, netSpan *telemetry.Span) (T, error)) (T, error) {
-	return callLadder(r, g, g.candidates(r), 0, tr, span, op)
-}
-
-// callLadder is callGroup's loop over an explicit candidate list
-// starting at index first (so the hedged path can resume the ladder
-// past the two arms it already spent).
-func callLadder[T any](r *Router, g *group, cands []*node, first int, tr *telemetry.Trace, span *telemetry.Span, op func(c *crs.Client, netSpan *telemetry.Span) (T, error)) (T, error) {
 	var zero T
 	var lastErr error
-	for attempt := first; attempt < len(cands); attempt++ {
-		n := cands[attempt]
+	for attempt, n := range g.candidates(r) {
 		if attempt > 0 {
 			r.failovers.Add(1)
 			r.met.failovers[g.shard].Inc()
@@ -620,138 +520,6 @@ func callLadder[T any](r *Router, g *group, cands []*node, first int, tr *teleme
 	return zero, lastErr
 }
 
-// hedgeBudget is one predicate's duplicate-request trigger: its
-// observed P99 across routed calls, floored so cold predicates and
-// sub-millisecond backends do not hedge on noise.
-func (r *Router) hedgeBudget(pred string) time.Duration {
-	floor := r.cfg.HedgeFloor
-	if floor <= 0 {
-		floor = DefaultHedgeFloor
-	}
-	if p99, ok := r.lat.Quantile(pred, 0.99); ok && p99 > floor {
-		return p99
-	}
-	return floor
-}
-
-// callGroupHedged is callGroup with request hedging: the group's
-// best-scored replica gets the request, and when it has not answered
-// within the predicate's hedge budget the runner-up gets a duplicate —
-// the first answer wins and the loser's connection is closed to cancel
-// it. An arm failing before the budget fires the hedge immediately, and
-// when both arms fail the remaining replicas run the ordinary failover
-// ladder, so hedging never weakens failover. Falls through to the plain
-// ladder when hedging is off or the group has fewer than two live
-// candidates. hedgedOut, when non-nil, is set the moment a duplicate
-// fires so the caller's flight record can carry the hedge flag.
-func callGroupHedged[T any](r *Router, g *group, pred string, tr *telemetry.Trace, span *telemetry.Span, hedgedOut *atomic.Bool, op func(c *crs.Client, netSpan *telemetry.Span) (T, error)) (T, error) {
-	cands := g.candidates(r)
-	if !r.cfg.Hedge || len(cands) < 2 {
-		return callLadder(r, g, cands, 0, tr, span, op)
-	}
-	var zero T
-	type armResult struct {
-		res T
-		err error
-		idx int
-	}
-	done := make(chan armResult, 2)
-	arms := [2]*hedgeArm{new(hedgeArm), new(hedgeArm)}
-	launch := func(idx int) {
-		n := cands[idx]
-		go func() {
-			netSpan := tr.Span(span, "net")
-			if netSpan != nil {
-				netSpan.SetAttr("addr", n.addr)
-				if idx == 1 {
-					netSpan.SetAttr("hedge", "true")
-				}
-			}
-			res, err := callNodeArm(r, n, arms[idx], func(c *crs.Client) (T, error) { return op(c, netSpan) })
-			if netSpan != nil {
-				if err != nil {
-					netSpan.SetAttr("error", err.Error())
-				}
-				netSpan.End()
-			}
-			done <- armResult{res, err, idx}
-		}()
-	}
-	launch(0)
-	timer := time.NewTimer(r.hedgeBudget(pred))
-	defer timer.Stop()
-	hedged := false
-	fire := func() bool {
-		if hedged {
-			return false
-		}
-		hedged = true
-		if hedgedOut != nil {
-			hedgedOut.Store(true)
-		}
-		r.hedges.Add(1)
-		r.met.hedges.Inc()
-		launch(1)
-		return true
-	}
-	var lastErr error
-	for pending := 1; pending > 0; {
-		select {
-		case <-timer.C:
-			if fire() {
-				pending++
-			}
-		case d := <-done:
-			pending--
-			if errors.Is(d.err, errHedgeAborted) {
-				continue
-			}
-			n := cands[d.idx]
-			if d.err == nil {
-				n.clear(r)
-				arms[1-d.idx].abort()
-				if d.idx == 1 {
-					r.hedgeWins.Add(1)
-					r.met.hedgeWins.Inc()
-				}
-				if span != nil {
-					span.SetAttr("addr", n.addr)
-					if d.idx == 1 {
-						span.SetAttr("hedge_won", "true")
-					}
-				}
-				return d.res, nil
-			}
-			var se *crs.ServerError
-			if errors.As(d.err, &se) {
-				if isUnknownPredicate(se) {
-					// Definitive: the healthy replica just does not hold
-					// the predicate. No point racing the other arm.
-					n.clear(r)
-					arms[1-d.idx].abort()
-					return zero, errUnknownPredicate
-				}
-				if strings.Contains(se.Msg, "shutting down") {
-					n.strike(r)
-				}
-			} else {
-				n.strike(r)
-			}
-			lastErr = d.err
-			// The arm died before the budget expired: hedge immediately
-			// rather than waiting out the timer.
-			if fire() {
-				pending++
-			}
-		}
-	}
-	// Both hedge arms failed; finish on the remaining replicas.
-	if len(cands) > 2 {
-		return callLadder(r, g, cands, 2, tr, span, op)
-	}
-	return zero, lastErr
-}
-
 // remoteCtx builds the trace context a backend call should carry: the
 // router's trace joined at the attempt's net span. Nil (untraced call)
 // keeps the wire request header-free — old-server compatible.
@@ -765,7 +533,7 @@ func remoteCtx(tr *telemetry.Trace, netSpan *telemetry.Span) *telemetry.TraceCon
 // verb is what distinguishes the routed read verbs, RETRIEVE and EXPLAIN:
 // the backend call, where the reply keeps its span tree, how fanned-out
 // replies merge and where the candidate funnel is read from. Everything
-// else — home shard, fan-out, failover, hedging, tracing, recording — is
+// else — home shard, fan-out, failover, tracing, recording — is
 // route's, once.
 type verb[T any] struct {
 	explain bool
@@ -860,12 +628,11 @@ func route[T any](r *Router, v *verb[T], mode, goal string, tc *telemetry.TraceC
 		return res, err
 	}
 
-	var hedged atomic.Bool
 	var res T
 	plan, homed := "fanout", false
 	if mode != "software" {
 		g := r.groups[ShardOf(pred, len(r.groups))]
-		res, err = callShard(r, v, g, pred, tr, root, &hedged, op)
+		res, err = callShard(r, v, g, tr, root, op)
 		// An unknown-predicate reply means the owning shard has never
 		// heard of the predicate (the KB may not have been partitioned
 		// with our shard function, or the clauses were asserted
@@ -875,7 +642,7 @@ func route[T any](r *Router, v *verb[T], mode, goal string, tc *telemetry.TraceC
 		}
 	}
 	if !homed {
-		res, err = fanout(r, v, mode, pred, tr, root, &hedged, op)
+		res, err = fanout(r, v, mode, pred, tr, root, op)
 	}
 
 	var fn wire.Funnel
@@ -883,7 +650,7 @@ func route[T any](r *Router, v *verb[T], mode, goal string, tc *telemetry.TraceC
 		fn = v.funnel(res)
 	}
 	r.observeRouted(routed{pred: pred, mode: mode, plan: plan, explain: v.explain, start: start,
-		trace: tr, hedged: hedged.Load(), funnel: fn, err: err})
+		trace: tr, funnel: fn, err: err})
 	if err != nil {
 		return zero, err
 	}
@@ -899,13 +666,13 @@ func route[T any](r *Router, v *verb[T], mode, goal string, tc *telemetry.TraceC
 // callShard runs op against one shard group under its own "shard" span.
 // Span creation and grafting are goroutine-safe on a Trace, so fan-out
 // workers each open (and own) theirs.
-func callShard[T any](r *Router, v *verb[T], g *group, pred string, tr *telemetry.Trace, root *telemetry.Span,
-	hedged *atomic.Bool, op func(c *crs.Client, netSpan *telemetry.Span) (T, error)) (T, error) {
+func callShard[T any](r *Router, v *verb[T], g *group, tr *telemetry.Trace, root *telemetry.Span,
+	op func(c *crs.Client, netSpan *telemetry.Span) (T, error)) (T, error) {
 	sp := tr.Span(root, "shard")
 	if sp != nil {
 		sp.SetAttr("shard", strconv.Itoa(g.shard))
 	}
-	res, err := callGroupHedged(r, g, pred, tr, sp, hedged, op)
+	res, err := callGroup(r, g, tr, sp, op)
 	if err == nil {
 		r.met.requests[g.shard].Inc()
 	}
@@ -925,7 +692,7 @@ func callShard[T any](r *Router, v *verb[T], g *group, pred string, tr *telemetr
 // contributes nothing; when no group knows it, the unknown-predicate
 // rejection is surfaced in the single-node ERR shape.
 func fanout[T any](r *Router, v *verb[T], mode, pred string, tr *telemetry.Trace, root *telemetry.Span,
-	hedged *atomic.Bool, op func(c *crs.Client, netSpan *telemetry.Span) (T, error)) (T, error) {
+	op func(c *crs.Client, netSpan *telemetry.Span) (T, error)) (T, error) {
 	var zero T
 	r.fanouts.Add(1)
 	r.met.fanouts.Inc()
@@ -936,7 +703,7 @@ func fanout[T any](r *Router, v *verb[T], mode, pred string, tr *telemetry.Trace
 		wg.Add(1)
 		go func(i int, g *group) {
 			defer wg.Done()
-			results[i], errs[i] = callShard(r, v, g, pred, tr, root, hedged, op)
+			results[i], errs[i] = callShard(r, v, g, tr, root, op)
 		}(i, g)
 	}
 	wg.Wait()
@@ -972,20 +739,18 @@ type routed struct {
 	explain    bool
 	start      time.Time
 	trace      *telemetry.Trace
-	hedged     bool
 	funnel     wire.Funnel // merged candidate funnel; zero when the call failed
 	err        error
 }
 
 // observeRouted is the one place a routed call is recorded. One reading
-// of the clock feeds the latency histogram, the per-predicate latency
-// window (the hedge budget), the SLO tracker (end-to-end wall time, as a
-// client saw it), the flight ring and the trace root. Every surface is
-// nil-safe, so an unarmed router pays nil checks here.
+// of the clock — end-to-end wall time, as a client saw it — feeds the
+// latency histogram, the per-predicate latency window (/top), the flight
+// ring and the trace root. Every surface is nil-safe, so an unarmed
+// router pays nil checks here.
 func (r *Router) observeRouted(c routed) {
 	wall := time.Since(c.start)
 	r.lat.Observe(c.pred, wall)
-	r.cfg.SLO.Observe(c.pred, wall, c.err != nil)
 	if c.err != nil {
 		r.met.errors.Inc()
 	} else {
@@ -1016,7 +781,6 @@ func (r *Router) observeRouted(c routed) {
 			AfterFS1:  c.funnel.FS1,
 			AfterFS2:  c.funnel.FS2,
 			WallNS:    int64(wall),
-			Hedged:    c.hedged,
 		}
 		if c.trace != nil {
 			rec.TraceID = c.trace.TraceID
@@ -1156,37 +920,23 @@ func (r *Router) Stats() (map[string]int64, error) {
 	out["cluster.trips"] = r.trips.Load()
 	out["cluster.readmits"] = r.readmits.Load()
 	out["cluster.writes"] = r.writes.Load()
-	hedgeEnabled := int64(0)
-	if r.cfg.Hedge {
-		hedgeEnabled = 1
-	}
-	out["cluster.hedge.enabled"] = hedgeEnabled
-	out["cluster.hedges"] = r.hedges.Load()
-	out["cluster.hedge.wins"] = r.hedgeWins.Load()
 	out["cluster.latency.window"] = int64(r.lat.Window())
 	out["cluster.wal.shipped"] = shipped
 	out["cluster.wal.lag.max"] = lagMax
 	out["cluster.wal.stale"] = staleN
-	r.overlaySLO(out, groupStats)
+	maxSettings(out, groupStats)
 	if f := r.cfg.Flight; f != nil {
 		out["cluster.flight.recorded"] = int64(f.Recorded())
 	}
 	return out, nil
 }
 
-// overlaySLO repairs the keys that plain per-key summing mangles and
-// overlays the cluster-wide burn rate. Setting, objective and flag keys
-// (latency.window, flight.size, store.mapped, wal.enabled, wal.readonly,
-// slo.enabled, slo.p99.us, slo.err.permille, slo.breach.active) become
-// per-group maxima — a setting or a target, not a quantity — while
-// the burn rates are recomputed from the summed window counts against
-// that objective, so the cluster-wide burn weights every backend by its
-// own traffic instead of averaging milli-burns across idle and loaded
-// shards alike. No-op when no backend reports an armed SLO.
-func (r *Router) overlaySLO(out map[string]int64, groupStats []map[string]int64) {
-	enabled := false
-	for _, k := range []string{"latency.window", "flight.size", "store.mapped", "wal.enabled", "wal.readonly",
-		"slo.enabled", "slo.p99.us", "slo.err.permille", "slo.breach.active"} {
+// maxSettings repairs the keys that plain per-key summing mangles: a
+// setting or a flag (latency.window, flight.size, store.mapped,
+// wal.enabled, wal.readonly) is not a quantity, so the cluster-wide
+// value is the per-group maximum.
+func maxSettings(out map[string]int64, groupStats []map[string]int64) {
+	for _, k := range []string{"latency.window", "flight.size", "store.mapped", "wal.enabled", "wal.readonly"} {
 		var best int64
 		seen := false
 		for _, m := range groupStats {
@@ -1199,55 +949,12 @@ func (r *Router) overlaySLO(out map[string]int64, groupStats []map[string]int64)
 		}
 		if seen {
 			out[k] = best
-			if k == "slo.enabled" && best > 0 {
-				enabled = true
-			}
 		}
 	}
-	if !enabled {
-		return
-	}
-	slo := telemetry.SLO{
-		P99:     time.Duration(out["slo.p99.us"]) * time.Microsecond,
-		ErrRate: float64(out["slo.err.permille"]) / 1000,
-	}
-	short := telemetry.BurnRate(slo,
-		out["slo.window.short.requests"], out["slo.window.short.slow"], out["slo.window.short.errors"])
-	long := telemetry.BurnRate(slo,
-		out["slo.window.long.requests"], out["slo.window.long.slow"], out["slo.window.long.errors"])
-	out["slo.burn.short.milli"] = int64(short * 1000)
-	out["slo.burn.long.milli"] = int64(long * 1000)
-	out["cluster.slo.burn.short.milli"] = out["slo.burn.short.milli"]
-	out["cluster.slo.burn.long.milli"] = out["slo.burn.long.milli"]
 }
 
 // Flight exposes the router's own flight recorder (nil when unarmed).
 func (r *Router) Flight() *telemetry.FlightRecorder { return r.cfg.Flight }
-
-// SLOTracker exposes the router's own SLO tracker (nil when unarmed).
-func (r *Router) SLOTracker() *telemetry.SLOTracker { return r.cfg.SLO }
-
-// SlowTail gathers the newest slow-query captures across every shard
-// group (one reachable replica per group, failover ladder applied),
-// merges them by capture time and returns the last n (n <= 0 means
-// everything the backends hold).
-func (r *Router) SlowTail(n int) ([]telemetry.SlowCapture, error) {
-	var all []telemetry.SlowCapture
-	for _, g := range r.groups {
-		caps, err := callGroup(r, g, nil, nil, func(c *crs.Client, _ *telemetry.Span) ([]telemetry.SlowCapture, error) {
-			return c.SlowTail(n)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("cluster: shard %d slowlog: %w", g.shard, err)
-		}
-		all = append(all, caps...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].TS < all[j].TS })
-	if n > 0 && len(all) > n {
-		all = all[len(all)-n:]
-	}
-	return all, nil
-}
 
 // Failovers reports the total replica failovers performed so far.
 func (r *Router) Failovers() int64 { return r.failovers.Load() }

@@ -23,8 +23,6 @@ type routerMetrics struct {
 	stale       *telemetry.Gauge
 	trips       *telemetry.Counter
 	readmits    *telemetry.Counter
-	hedges      *telemetry.Counter
-	hedgeWins   *telemetry.Counter
 }
 
 func newRouterMetrics(reg *telemetry.Registry, shards int) *routerMetrics {
@@ -58,9 +56,5 @@ func newRouterMetrics(reg *telemetry.Registry, shards int) *routerMetrics {
 		"backend nodes tripped after consecutive failures", nil)
 	m.readmits = reg.Counter("clare_cluster_node_readmits_total",
 		"tripped backend nodes re-admitted on probation", nil)
-	m.hedges = reg.Counter("clare_cluster_hedges_total",
-		"duplicate requests fired after the hedge budget expired", nil)
-	m.hedgeWins = reg.Counter("clare_cluster_hedge_wins_total",
-		"hedged duplicates that answered before the primary", nil)
 	return m
 }

@@ -147,8 +147,8 @@ type Config struct {
 	// board unit probes: disk.read, disk.index, vme.bus and fs2.match.
 	Engine Engine
 	// Flight, when non-nil, receives one compact FlightRecord per
-	// retrieval — the always-on black box the /flight dumps and
-	// crash/SLO-breach snapshots are built from. Nil — the default —
+	// retrieval — the always-on black box the /flight dumps and the
+	// SIGTERM and panic snapshots are built from. Nil — the default —
 	// costs one nil check per retrieval.
 	Flight *telemetry.FlightRecorder
 }

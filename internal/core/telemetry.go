@@ -74,8 +74,6 @@ type coreMetrics struct {
 	clausesIn *telemetry.Counter
 	afterFS1  *telemetry.Counter
 	afterFS2  *telemetry.Counter
-	chunks    *telemetry.Counter
-	overflows *telemetry.Counter
 
 	boardsBusy *telemetry.Gauge
 
@@ -121,8 +119,6 @@ func newCoreMetrics(reg *telemetry.Registry) *coreMetrics {
 		telemetry.Labels{"stage": "after_fs1"})
 	m.afterFS2 = reg.Counter("clare_stage_candidates_total", "candidate counts entering/leaving each filter stage",
 		telemetry.Labels{"stage": "after_fs2"})
-	m.chunks = reg.Counter("clare_pipeline_chunks_total", "FS1→FS2 pipeline chunks streamed", nil)
-	m.overflows = reg.Counter("clare_result_overflows_total", "retrievals that overflowed the Result Memory", nil)
 	m.boardsBusy = reg.Gauge("clare_boards_busy", "retrievals executing on the engine now", nil)
 	m.retriesC = reg.Counter("clare_retrieval_retries_total", "retrieval attempts re-run after an injected fault", nil)
 	m.degraded = map[string]*telemetry.Counter{
@@ -242,10 +238,6 @@ func (m *coreMetrics) observe(rt *Retrieval, err error) {
 		m.ghostSurvivors += int64(st.AfterFS2)
 		m.ghostFS1.Set(1 - float64(m.ghostSurvivors)/float64(m.ghostIn))
 		m.ghostMu.Unlock()
-	}
-	m.chunks.Add(int64(st.Chunks))
-	if st.Overflowed {
-		m.overflows.Inc()
 	}
 	if st.Degraded != "" {
 		m.degraded[st.Degraded].Inc()

@@ -191,7 +191,7 @@ func TestNativeRetrievalKeepsCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if banned := regexp.MustCompile(`clock=|clare_board_lease_wait_seconds|clare_(disk|fs2|vme)_`).FindString(out); banned != "" {
+	if banned := regexp.MustCompile(`clock=|clare_board_lease_wait_seconds|clare_(disk|fs2|vme)_|clare_(pipeline_chunks|result_overflows)_total`).FindString(out); banned != "" {
 		t.Errorf("native exposition lists %s", banned)
 	}
 	if !strings.Contains(out, `clare_retrieval_seconds_count{mode="fs1+fs2"} 2`) {

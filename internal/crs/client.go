@@ -166,13 +166,6 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// Sever drops the connection without the QUIT handshake. Close waits
-// for the server's goodbye, which deadlocks a caller cancelling an
-// in-flight request — the goodbye queues behind the very reply being
-// abandoned. Sever fails the pending read immediately instead; the
-// connection is unusable afterwards.
-func (c *Client) Sever() error { return c.conn.Close() }
-
 // roundTrip sends one request under the deadline in force for the
 // current operation and returns the first reply line.
 func (c *Client) roundTrip(verb string, args ...string) (string, error) {
@@ -353,42 +346,29 @@ func (c *Client) statsOnce() (map[string]int64, error) {
 }
 
 // Flight pulls the last n flight-recorder records (n <= 0 = the whole
-// ring), oldest first. Idempotent and retried like Stats.
+// ring), oldest first: one "FLIGHT [n]" → "FLIGHT <k>" + k "F <json>"
+// exchange. Idempotent and retried like Stats.
 func (c *Client) Flight(n int) ([]telemetry.FlightRecord, error) {
-	return retryIdempotent(c, func() ([]telemetry.FlightRecord, error) {
-		return dumpOnce[telemetry.FlightRecord](c, "FLIGHT", "F", n)
-	})
-}
-
-// SlowTail pulls the last n slow-query captures (n <= 0 = everything
-// the log holds), oldest first. Idempotent and retried like Stats.
-func (c *Client) SlowTail(n int) ([]telemetry.SlowCapture, error) {
-	return retryIdempotent(c, func() ([]telemetry.SlowCapture, error) {
-		return dumpOnce[telemetry.SlowCapture](c, "SLOWLOG", "Q", n)
-	})
-}
-
-// dumpOnce runs one "<verb> [n]" → "<verb> <k>" + k "<tag> <json>"
-// exchange, decoding each body line into T.
-func dumpOnce[T any](c *Client, verb, tag string, n int) ([]T, error) {
 	var args []string
 	if n > 0 {
 		args = []string{strconv.Itoa(n)}
 	}
-	first, err := c.roundTrip(verb, args...)
-	if err != nil {
-		return nil, err
-	}
-	out := []T{}
-	if _, err := c.conn.Body(first, verb, tag, func(body string) error {
-		var rec T
-		err := json.Unmarshal([]byte(body), &rec)
-		out = append(out, rec)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return retryIdempotent(c, func() ([]telemetry.FlightRecord, error) {
+		first, err := c.roundTrip("FLIGHT", args...)
+		if err != nil {
+			return nil, err
+		}
+		out := []telemetry.FlightRecord{}
+		if _, err := c.conn.Body(first, "FLIGHT", "F", func(body string) error {
+			var rec telemetry.FlightRecord
+			err := json.Unmarshal([]byte(body), &rec)
+			out = append(out, rec)
+			return err
+		}); err != nil {
+			return nil, err
+		}
+		return out, nil
+	})
 }
 
 // Begin starts a transaction. Until the matching Commit or Abort, the

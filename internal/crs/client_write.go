@@ -71,7 +71,7 @@ func (c *Client) seqReply(verb string, args ...string) (uint64, error) {
 // server's batch cap of records with seq >= from, plus the log's last
 // seq. shard names the shard being synced (informational to a
 // single-shard crsd, routing to a cluster front-end). Not retried: the
-// caller (a follower loop) re-issues from its own watermark.
+// caller (the log shipper's source) re-issues from its own watermark.
 func (c *Client) SyncLog(shard int, from uint64) ([]wal.Record, uint64, error) {
 	first, err := c.roundTrip("SYNC", strconv.Itoa(shard), strconv.FormatUint(from, 10))
 	if err != nil {

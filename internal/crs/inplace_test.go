@@ -7,11 +7,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"clare/internal/core"
 	"clare/internal/parse"
-	"clare/internal/telemetry"
 	"clare/internal/term"
 	"clare/internal/unify"
 	"clare/internal/wal"
@@ -258,10 +256,9 @@ func TestUnappliableWriteNeverLogged(t *testing.T) {
 
 // TestWritesRaceReaders runs one writer asserting and retracting in place
 // against readers on RETRIEVE (rendering their candidates after the read
-// lock is gone, as the wire handler does) and EXPLAIN, with the slow-log
-// bar at 1 µs so every served call also spawns a lock-free-no-more
-// capture. Under -race this is the proof that nothing reads a compiled
-// file while a write changes it.
+// lock is gone, as the wire handler does) and EXPLAIN, whose profile
+// re-sweeps the predicate under its read lock. Under -race this is the
+// proof that nothing reads a compiled file while a write changes it.
 func TestWritesRaceReaders(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Engine = core.EngineNative
@@ -279,7 +276,6 @@ func TestWritesRaceReaders(t *testing.T) {
 	)); err != nil {
 		t.Fatal(err)
 	}
-	s.SetSlowLog(telemetry.NewSlowQueryLog(64, time.Nanosecond), time.Microsecond, 0)
 
 	const writes, readers, reads = 300, 3, 150
 	var wg sync.WaitGroup
@@ -345,13 +341,9 @@ func TestWritesRaceReaders(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	s.slowWG.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-	if got := s.SlowLog().Captured(); got == 0 {
-		t.Error("no slow capture ran")
 	}
 	if got, want := listing(t, s, "married_couple(A, B)"), 5+4; strings.Count(got, "\n") != want {
 		t.Errorf("store ends with %d clauses, want %d:\n%s", strings.Count(got, "\n"), want, got)

@@ -15,7 +15,7 @@ import (
 // The wire protocol is specified and framed in package wire; this file
 // binds its verbs to a Session.
 
-// syncBatch caps the records one SYNC reply carries; a follower that
+// syncBatch caps the records one SYNC reply carries; a shipper that
 // needs more keeps pulling from its advanced watermark.
 const syncBatch = 512
 
@@ -74,7 +74,6 @@ func init() {
 	verbs.Plain("HELLO", (*wireConn).hello)
 	verbs.Plain("STATS", (*wireConn).stats)
 	verbs.Count("FLIGHT", (*wireConn).flight)
-	verbs.Count("SLOWLOG", (*wireConn).slowLog)
 	verbs.Query("RETRIEVE", (*wireConn).retrieve)
 	verbs.Query("EXPLAIN", (*wireConn).explain)
 	verbs.Plain("BEGIN", func(c *wireConn, r *wire.Reply) { r.Done(c.sess.Begin()) })
@@ -116,10 +115,6 @@ func (c *wireConn) stats(r *wire.Reply) {
 
 func (c *wireConn) flight(r *wire.Reply, n int) {
 	wire.JSONBody(r, "FLIGHT", "F", c.srv.flight.Snapshot(n))
-}
-
-func (c *wireConn) slowLog(r *wire.Reply, n int) {
-	wire.JSONBody(r, "SLOWLOG", "Q", c.srv.slowLog.Tail(n))
 }
 
 // parseQuery resolves a query's mode word and goal text.

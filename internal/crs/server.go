@@ -51,18 +51,12 @@ type Server struct {
 	// endpoint ("which predicates are eating the wall clock").
 	lat *telemetry.LatencyTracker
 
-	// Always-on diagnosis layer (all optional, nil-safe): the flight
+	// Always-on diagnosis layer (both optional, nil-safe): the flight
 	// recorder the retriever writes into (held here for the FLIGHT verb
-	// and crash snapshots), the slow-query log with its thresholds, the
-	// SLO tracker, and the structured event logger.
+	// and crash snapshots) and the structured event logger.
 	flight     *telemetry.FlightRecorder
 	flightSnap string
-	slowLog    *telemetry.SlowQueryLog
-	slowAbs    time.Duration // absolute slow threshold; 0 = off
-	slowMult   float64       // adaptive: slowMult × predicate rolling P99; 0 = off
-	slo        *telemetry.SLOTracker
 	log        *telemetry.Logger
-	slowWG     sync.WaitGroup
 
 	// Durable write path (see wal.go). walLog is the shard's
 	// write-ahead log (nil = writes are memory-only, the pre-WAL
@@ -124,37 +118,14 @@ func (s *Server) SetFlight(f *telemetry.FlightRecorder, snapPath string) {
 func (s *Server) Flight() *telemetry.FlightRecorder { return s.flight }
 
 // SnapshotFlight writes the flight ring to the configured snapshot path
-// (a no-op without a recorder or path). The daemons call it on SIGTERM
-// and the SLO tracker's breach callback; the wire handler calls it on
-// panic.
+// (a no-op without a recorder or path). The daemons call it on SIGTERM;
+// the wire handler calls it on panic.
 func (s *Server) SnapshotFlight() error {
 	if s.flight == nil || s.flightSnap == "" {
 		return nil
 	}
 	return s.flight.SnapshotToFile(s.flightSnap)
 }
-
-// SetSlowLog arms slow-query capture: a served retrieval whose wall
-// time exceeds the threshold re-runs ExplainTraced capture-side and
-// lands in l with its full funnel profile. abs is the absolute
-// threshold (-slow-ms); mult the adaptive one (mult × the predicate's
-// rolling P99); when both are set the smaller wins, and 0/0 disables
-// detection. Call before serving traffic.
-func (s *Server) SetSlowLog(l *telemetry.SlowQueryLog, abs time.Duration, mult float64) {
-	s.slowLog = l
-	s.slowAbs = abs
-	s.slowMult = mult
-}
-
-// SlowLog reports the attached slow-query log (nil when none).
-func (s *Server) SlowLog() *telemetry.SlowQueryLog { return s.slowLog }
-
-// SetSLO arms SLO accounting: every served retrieval (and failed
-// retrieval) is observed into t. Call before serving traffic.
-func (s *Server) SetSLO(t *telemetry.SLOTracker) { s.slo = t }
-
-// SLOTracker reports the attached SLO tracker (nil when none).
-func (s *Server) SLOTracker() *telemetry.SLOTracker { return s.slo }
 
 // SetLogger attaches the structured event logger daemon-level events
 // route through (nil stays silent).
@@ -350,7 +321,6 @@ func (c *Session) serve(goal term.Term, mode *core.SearchMode, tc *telemetry.Tra
 	rt, err := c.srv.retriever.RetrieveTraced(goal, m, tc)
 	wall := time.Since(start)
 	if err != nil {
-		c.srv.slo.Observe(pi.String(), wall, true)
 		return nil, nil, err
 	}
 	c.srv.account(pi, rt, wall)
@@ -396,12 +366,9 @@ func (c *Session) chooseMode(goal term.Term, mode *core.SearchMode) (core.Search
 
 // account publishes one served retrieval — its record, plus the wall time
 // the session saw around it (lock wait included) — into the service
-// counters, the per-predicate latency window, and the SLO tracker, then
-// checks the slow-query threshold — which must read the rolling P99
-// before this sample joins the window, or a genuine outlier would raise
-// its own adaptive bar.
+// counters and the per-predicate latency window.
 func (s *Server) account(pi core.Indicator, rt *core.Retrieval, wall time.Duration) {
-	st, pred := &rt.Stats, rt.Predicate
+	st := &rt.Stats
 	s.statsMu.Lock()
 	s.served[rt.Mode]++
 	if st.Degraded != "" {
@@ -412,71 +379,7 @@ func (s *Server) account(pi core.Indicator, rt *core.Retrieval, wall time.Durati
 	s.statsMu.Unlock()
 	s.met.requests[rt.Mode].Inc()
 	s.met.predCounter(pi).Inc()
-	thr := s.slowThreshold(pred)
-	s.lat.Observe(pred, wall)
-	s.slo.Observe(pred, wall, false)
-	if thr > 0 && wall > thr && s.slowLog.Offer(pred) {
-		s.captureSlow(pi, rt, wall, thr)
-	}
-}
-
-// slowThreshold resolves the predicate's slow-query bar: the absolute
-// threshold, the adaptive multiple of its rolling P99, or — when both
-// are armed — whichever is smaller. 0 means detection is off (no log,
-// no thresholds, or an adaptive bar with no samples yet).
-func (s *Server) slowThreshold(pred string) time.Duration {
-	if s.slowLog == nil {
-		return 0
-	}
-	thr := s.slowAbs
-	if s.slowMult > 0 {
-		if p99, ok := s.lat.Quantile(pred, 0.99); ok {
-			if a := time.Duration(float64(p99) * s.slowMult); a > 0 && (thr == 0 || a < thr) {
-				thr = a
-			}
-		}
-	}
-	return thr
-}
-
-// captureSlow re-runs the slow retrieval as an EXPLAIN on a background
-// goroutine and publishes the capture. The re-run takes the predicate's
-// read lock like any retrieval — writes change a compiled file in place —
-// so it may profile a newer clause list than the retrieval saw; it
-// bypasses account, so a capture can never trigger itself. It runs on a
-// copy of the goal: profiling binds a goal's variables, and the goal
-// itself is still the session's, which may be profiling it too.
-func (s *Server) captureSlow(pi core.Indicator, rt *core.Retrieval, wall, thr time.Duration) {
-	goal := term.Rename(rt.Goal)
-	capt := &telemetry.SlowCapture{
-		Predicate:   rt.Predicate,
-		Mode:        rt.Mode.String(),
-		Goal:        fmt.Sprint(rt.Goal),
-		WallNS:      int64(wall),
-		ThresholdNS: int64(thr),
-		TraceID:     rt.TraceID(),
-	}
-	s.slowWG.Add(1)
-	go func() {
-		defer s.slowWG.Done()
-		ps, _ := s.state(pi)
-		ps.lock.RLock()
-		p, err := s.retriever.ExplainTraced(goal, rt.Mode, nil)
-		ps.lock.RUnlock()
-		if err != nil {
-			capt.Profile = []telemetry.KV{{Key: "error", Value: err.Error()}}
-		} else {
-			for _, e := range p.Entries() {
-				capt.Profile = append(capt.Profile, telemetry.KV{Key: e.Key, Value: e.Value})
-			}
-		}
-		s.slowLog.Add(capt)
-		s.met.slowCaptures.Inc()
-		s.log.Warn("slow query captured",
-			"predicate", capt.Predicate, "mode", capt.Mode,
-			"wall", wall.String(), "threshold", thr.String(),
-			"trace", fmt.Sprintf("%016x", capt.TraceID))
-	}()
+	s.lat.Observe(rt.Predicate, wall)
 }
 
 // Begin starts a transaction.

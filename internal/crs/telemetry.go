@@ -36,8 +36,6 @@ type serverMetrics struct {
 	replApplied   *telemetry.Counter
 
 	wireErrs *telemetry.Counter
-
-	slowCaptures *telemetry.Counter
 }
 
 func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
@@ -70,8 +68,6 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		"primary-sequenced records applied via replication", nil)
 	m.wireErrs = reg.Counter("clare_crs_wire_errors_total",
 		"rejections (ERR replies) sent over the wire protocol", nil)
-	m.slowCaptures = reg.Counter("clare_crs_slow_captures_total",
-		"slow retrievals re-profiled into the slow-query log", nil)
 	return m
 }
 
@@ -125,16 +121,9 @@ type Snapshot struct {
 	Replicated int64
 	ReadOnly   bool
 	// FlightSize/FlightRecorded mirror the flight recorder ring (0/0
-	// when no recorder is attached); SlowCaptured/SlowSuppressed are the
-	// slow-query log's capture and rate-limit counters.
+	// when no recorder is attached).
 	FlightSize     int
 	FlightRecorded uint64
-	SlowCaptured   int64
-	SlowSuppressed int64
-	// SLOEnabled reports whether an objective is configured; SLO then
-	// carries the tracker's full status (windows, burn rates, breaches).
-	SLOEnabled bool
-	SLO        telemetry.SLOStatus
 }
 
 // Snapshot captures the server's current service counters.
@@ -164,12 +153,6 @@ func (s *Server) Snapshot() Snapshot {
 	}
 	sn.FlightSize = s.flight.Size()
 	sn.FlightRecorded = s.flight.Recorded()
-	sn.SlowCaptured = s.slowLog.Captured()
-	sn.SlowSuppressed = s.slowLog.Suppressed()
-	if s.slo != nil {
-		sn.SLOEnabled = true
-		sn.SLO = s.slo.Status()
-	}
 	return sn
 }
 
@@ -211,30 +194,7 @@ func (sn Snapshot) lines() []statsKV {
 	kv = append(kv,
 		statsKV{"flight.size", int64(sn.FlightSize)},
 		statsKV{"flight.recorded", int64(sn.FlightRecorded)},
-		statsKV{"slow.captured", sn.SlowCaptured},
-		statsKV{"slow.suppressed", sn.SlowSuppressed},
-		statsKV{"slo.enabled", b2i(sn.SLOEnabled)},
 	)
-	if sn.SLOEnabled {
-		st := sn.SLO
-		kv = append(kv,
-			statsKV{"slo.p99.us", int64(st.P99Millis * 1000)},
-			statsKV{"slo.err.permille", int64(st.ErrRate * 1000)},
-			statsKV{"slo.requests", st.Requests},
-			statsKV{"slo.slow", st.Slow},
-			statsKV{"slo.errors", st.Errors},
-			statsKV{"slo.breaches", st.Breaches},
-			statsKV{"slo.breach.active", b2i(st.BreachActive)},
-			statsKV{"slo.window.short.requests", st.Short.Requests},
-			statsKV{"slo.window.short.slow", st.Short.Slow},
-			statsKV{"slo.window.short.errors", st.Short.Errors},
-			statsKV{"slo.burn.short.milli", int64(st.Short.Burn * 1000)},
-			statsKV{"slo.window.long.requests", st.Long.Requests},
-			statsKV{"slo.window.long.slow", st.Long.Slow},
-			statsKV{"slo.window.long.errors", st.Long.Errors},
-			statsKV{"slo.burn.long.milli", int64(st.Long.Burn * 1000)},
-		)
-	}
 	return kv
 }
 

@@ -79,12 +79,12 @@ func (s *Server) LogSuffix(from uint64, max int) ([]wal.Record, uint64, error) {
 }
 
 // ApplyReplicated lands one primary-sequenced record on this server —
-// the REPL wire command, driven by the cluster shipper or a follower's
-// catch-up. The returned seq is the server's applied watermark and is
-// authoritative for the caller: a duplicate (seq <= applied) acks
-// without re-applying, a gap (seq > applied+1) acks the current
-// watermark without applying so the sender rewinds, and only the exact
-// next record is logged and applied.
+// the REPL wire command, driven by the cluster's log shipper. The
+// returned seq is the server's applied watermark and is authoritative
+// for the caller: a duplicate (seq <= applied) acks without re-applying,
+// a gap (seq > applied+1) acks the current watermark without applying so
+// the sender rewinds, and only the exact next record is logged and
+// applied.
 func (s *Server) ApplyReplicated(rec wal.Record) (uint64, error) {
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()

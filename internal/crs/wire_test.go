@@ -72,6 +72,7 @@ func TestWireMalformedFrames(t *testing.T) {
 		{"RETRIEVE fs1 married_couple(((.", "ERR"},
 		{"ASSERT )))", "ERR"},
 		{"FROB twiddle", `ERR unknown command "FROB"`},
+		{"SLOWLOG 1", `ERR unknown command "SLOWLOG"`},
 	} {
 		got := r.sendRecv(t, tc.send)
 		if !strings.HasPrefix(got, tc.wantPrefix) {

@@ -27,7 +27,6 @@ type FlightRecord struct {
 	Degraded  string `json:"degraded,omitempty"`
 	Faults    int64  `json:"faults,omitempty"`
 	Retries   int64  `json:"retries,omitempty"`
-	Hedged    bool   `json:"hedged,omitempty"`
 	// Err is the error a failed retrieval returned ("" when it succeeded).
 	Err string `json:"err,omitempty"`
 }
@@ -125,7 +124,7 @@ func (f *FlightRecorder) WriteJSONL(w io.Writer, n int) error {
 
 // SnapshotToFile writes the whole ring as JSONL to path atomically
 // (temp file + rename), creating parent directories as needed. Used on
-// SIGTERM, panic, and SLO breach so the black box survives the process.
+// SIGTERM and panic so the black box survives the process.
 func (f *FlightRecorder) SnapshotToFile(path string) error {
 	if f == nil || path == "" {
 		return nil

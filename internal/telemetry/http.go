@@ -15,8 +15,6 @@ type AdminConfig struct {
 	Tracer   *Tracer
 	Latency  *LatencyTracker
 	Flight   *FlightRecorder
-	SLO      *SLOTracker
-	SlowLog  *SlowQueryLog
 }
 
 // NewAdminMux assembles the operational HTTP surface:
@@ -25,8 +23,6 @@ type AdminConfig struct {
 //	/trace?n=K     last K retrieval traces as JSON lines (default 16)
 //	/top?n=K       hottest K latency keys (predicates) as JSON (default 10)
 //	/flight?n=K    last K flight-recorder records as JSONL (default: whole ring)
-//	/slo           SLO burn-rate status as one JSON document
-//	/slowlog?n=K   last K slow-query captures as JSONL (default: whole ring)
 //	/debug/pprof/  the standard Go profiling endpoints
 func NewAdminMux(cfg AdminConfig) *http.ServeMux {
 	reg, tracer, tracker := cfg.Registry, cfg.Tracer, cfg.Latency
@@ -58,18 +54,6 @@ func NewAdminMux(cfg AdminConfig) *http.ServeMux {
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		_ = cfg.Flight.WriteJSONL(w, n)
-	})
-	mux.HandleFunc("/slo", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = cfg.SLO.WriteJSON(w)
-	})
-	mux.HandleFunc("/slowlog", func(w http.ResponseWriter, r *http.Request) {
-		n, ok := queryN(w, r, "slowlog", 0)
-		if !ok {
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		_ = cfg.SlowLog.WriteJSONL(w, n)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestAdminMuxMetrics(t *testing.T) {
@@ -119,46 +118,12 @@ func TestAdminMuxFlight(t *testing.T) {
 	}
 }
 
-func TestAdminMuxSLOAndSlowlog(t *testing.T) {
-	tr := NewSLOTracker(SLO{P99: time.Millisecond})
-	tr.Observe("p/1", time.Second, false)
-	sl := NewSlowQueryLog(4, time.Millisecond)
-	sl.Add(&SlowCapture{Predicate: "p/1", Goal: "p(X)"})
-	srv := httptest.NewServer(NewAdminMux(AdminConfig{SLO: tr, SlowLog: sl}))
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/slo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var st SLOStatus
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatalf("/slo not JSON: %v\n%s", err, body)
-	}
-	if st.Requests != 1 || st.Slow != 1 {
-		t.Errorf("/slo status = %+v", st)
-	}
-
-	resp, err = http.Get(srv.URL + "/slowlog")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var c SlowCapture
-	if err := json.Unmarshal([]byte(strings.TrimSpace(string(body))), &c); err != nil || c.Goal != "p(X)" {
-		t.Errorf("/slowlog line bad (%v):\n%s", err, body)
-	}
-}
-
 // The observability endpoints of an unarmed daemon must serve empty
 // documents, not crash — every AdminConfig field is optional.
 func TestAdminMuxObservabilityNils(t *testing.T) {
 	srv := httptest.NewServer(NewAdminMux(AdminConfig{}))
 	defer srv.Close()
-	for _, path := range []string{"/flight", "/slo", "/slowlog"} {
+	for _, path := range []string{"/flight", "/trace", "/top"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)

@@ -255,99 +255,3 @@ func (s *Shipper) Close() {
 	close(s.stop)
 	<-s.done
 }
-
-// FollowerConfig parameterises a Follower.
-type FollowerConfig struct {
-	// Interval is the poll period (default 1s).
-	Interval time.Duration
-	// Batch caps records fetched per round (default 256).
-	Batch int
-}
-
-// Follower is the pull half of replication: a restarted replica (or
-// one whose primary lacks a push shipper) periodically fetches the log
-// suffix past its own applied seq and applies it locally. Fetch is a
-// SYNC round-trip against the primary; Apply lands one record in the
-// local server+log and returns the new applied seq.
-type Follower struct {
-	fetch Source
-	apply func(Record) (uint64, error)
-	seq   func() uint64 // local applied seq
-	cfg   FollowerConfig
-
-	stop chan struct{}
-	done chan struct{}
-}
-
-// NewFollower builds a follower; call Run to start polling, or CatchUp
-// for a synchronous drain.
-func NewFollower(fetch Source, apply func(Record) (uint64, error), seq func() uint64, cfg FollowerConfig) *Follower {
-	if cfg.Interval <= 0 {
-		cfg.Interval = time.Second
-	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = 256
-	}
-	return &Follower{
-		fetch: fetch,
-		apply: apply,
-		seq:   seq,
-		cfg:   cfg,
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-}
-
-// CatchUp fetches and applies until the local applied seq reaches the
-// source's last seq. It returns the records applied and the first
-// error (after which it stops; partial progress is kept — replication
-// is idempotent and resumable by construction).
-func (f *Follower) CatchUp() (int, error) {
-	total := 0
-	for {
-		recs, last, err := f.fetch(f.seq()+1, f.cfg.Batch)
-		if err != nil {
-			return total, err
-		}
-		for _, rec := range recs {
-			if rec.Seq <= f.seq() {
-				continue // dup: already applied
-			}
-			if _, err := f.apply(rec); err != nil {
-				return total, err
-			}
-			total++
-		}
-		if f.seq() >= last || len(recs) == 0 {
-			return total, nil
-		}
-	}
-}
-
-// Run polls CatchUp every Interval until Close.
-func (f *Follower) Run() {
-	go func() {
-		defer close(f.done)
-		t := time.NewTicker(f.cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-f.stop:
-				return
-			case <-t.C:
-				f.CatchUp() //nolint:errcheck // polling: next tick retries
-			}
-		}
-	}()
-}
-
-// Close stops the poll loop.
-func (f *Follower) Close() {
-	select {
-	case <-f.stop:
-		return
-	default:
-	}
-	close(f.stop)
-	<-f.done
-}

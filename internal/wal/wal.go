@@ -5,9 +5,9 @@
 // shards, replica failover — but a mutation only existed in one server's memory. The
 // WAL makes a write durable on one node (length-prefixed CRC32 frames,
 // configurable fsync policy, torn-tail truncation on recovery) and
-// consistent across a shard's replicas (the Shipper/Follower pair
-// streams the log primary→replica; replicas apply records in sequence
-// order, so identical logs yield identical stores).
+// consistent across a shard's replicas (a Shipper pushes the log
+// primary→replica; replicas apply records in sequence order, so
+// identical logs yield identical stores).
 //
 // The log is the shard's authority on write order: the primary assigns
 // sequence numbers at append time, replicas append the same records at

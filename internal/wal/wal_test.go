@@ -566,47 +566,6 @@ func TestShipperRewindsOnSinkRestart(t *testing.T) {
 	}
 }
 
-func TestFollowerCatchUp(t *testing.T) {
-	primary, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer primary.Close()
-	replica, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer replica.Close()
-	for i := 0; i < 12; i++ {
-		if _, err := primary.Append(OpAssert, "m", fmt.Sprintf("p(c%d)", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f := NewFollower(
-		primary.Suffix,
-		func(r Record) (uint64, error) {
-			if err := replica.AppendAt(r); err != nil {
-				return 0, err
-			}
-			return replica.LastSeq(), nil
-		},
-		replica.LastSeq,
-		FollowerConfig{Batch: 5},
-	)
-	n, err := f.CatchUp()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 12 || replica.LastSeq() != 12 {
-		t.Fatalf("CatchUp applied %d (replica at %d), want 12", n, replica.LastSeq())
-	}
-	// Idempotent: nothing new applies twice.
-	n, err = f.CatchUp()
-	if err != nil || n != 0 {
-		t.Fatalf("second CatchUp = (%d, %v), want (0, nil)", n, err)
-	}
-}
-
 func copyDir(t *testing.T, src, dst string) {
 	t.Helper()
 	entries, err := os.ReadDir(src)

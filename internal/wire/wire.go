@@ -29,9 +29,6 @@
 //	C: FLIGHT [<n>]             S: FLIGHT <k>
 //	                               <k> lines, each "F <json>" — the last k
 //	                               flight-recorder records, oldest first
-//	C: SLOWLOG [<n>]            S: SLOWLOG <k>
-//	                               <k> lines, each "Q <json>" — the last k
-//	                               slow-query captures, oldest first
 //	C: QUIT                     S: BYE
 //
 // mode ∈ software|fs1|fs2|fs1+fs2|auto. Errors answer "ERR <message>".
@@ -41,16 +38,10 @@
 // fault-tolerance tallies degraded, retries and faults, store.mapped (1
 // when the store image is a file mapping), latency.window, the durable write path's wal.* keys
 // (wal.{enabled,seq,applied,segments,appends,fsyncs,faults,replicated,
-// readonly}), the diagnosis layer's flight.{size,recorded} and
-// slow.{captured,suppressed}, and — when an SLO is configured — the
-// slo.* family (slo.enabled, the objective as slo.p99.us /
-// slo.err.permille, lifetime slo.{requests,slow,errors,breaches,
-// breach.active}, and per sliding window slo.window.{short,long}.
-// {requests,slow,errors} with the burn rates scaled ×1000 as
-// slo.burn.{short,long}.milli); values are decimal integers. FLIGHT and
-// SLOWLOG bodies are single-line JSON objects (see
-// telemetry.FlightRecord and telemetry.SlowCapture); with no recorder
-// or log attached both answer an empty listing.
+// readonly}) and the flight recorder's flight.{size,recorded}; values
+// are decimal integers. FLIGHT body lines are single-line JSON objects
+// (see telemetry.FlightRecord); with no recorder attached FLIGHT
+// answers an empty listing.
 //
 // Write path: ASSERT stages into a BEGIN…COMMIT transaction; WRITE is
 // the autocommit form — one clause logged, applied and (per the fsync

@@ -63,7 +63,7 @@ func replyOK(line string) bool {
 	tok, _, _ := strings.Cut(line, " ")
 	switch tok {
 	case "OK", "BYE", "ERR", "CANDIDATES", "STATS", "S", "C", "LOG", "R",
-		"EXPLAIN", "E", "TRACE", "FLIGHT", "F", "SLOWLOG", "Q":
+		"EXPLAIN", "E", "TRACE", "FLIGHT", "F":
 		return true
 	}
 	return false
