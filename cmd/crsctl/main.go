@@ -22,7 +22,8 @@
 //
 // Both work against crsd and crsrouter alike — against the router,
 // -flight shows the routing-level records, each with the trace ID its
-// backend call joined. A slow retrieval is a flight record with a large
+// backend call joined; the backend's record of that call prints the
+// same ID as caller=<id>. A slow retrieval is a flight record with a large
 // wall time; -explain on its goal prices it on the modelled hardware.
 package main
 
@@ -162,7 +163,6 @@ var statsSections = []struct {
 	}},
 	{"served", func(k string) bool { return strings.HasPrefix(k, "served.") }},
 	{"qcache", func(k string) bool { return strings.HasPrefix(k, "qcache.") }},
-	{"latency", func(k string) bool { return strings.HasPrefix(k, "latency.") }},
 	{"wal", func(k string) bool { return strings.HasPrefix(k, "wal.") }},
 	{"flight", func(k string) bool { return strings.HasPrefix(k, "flight.") }},
 	{"cluster", func(k string) bool { return strings.HasPrefix(k, "cluster.") }},
@@ -217,6 +217,9 @@ func printFlight(recs []telemetry.FlightRecord) {
 		}
 		if r.TraceID != 0 {
 			line += fmt.Sprintf("  trace=%016x", r.TraceID)
+		}
+		if r.CallerTraceID != 0 {
+			line += fmt.Sprintf("  caller=%016x", r.CallerTraceID)
 		}
 		if r.Degraded != "" {
 			line += "  degraded=" + r.Degraded

@@ -13,18 +13,17 @@
 //	crsd -addr :7071 -kb build/shard-0.clare
 //
 // The admin listener serves /metrics (Prometheus text
-// format), /trace?n=K (recent retrieval span trees as JSON lines) and
-// /debug/pprof; -admin "" disables it. SIGINT/SIGTERM drain the server:
-// new connections are refused and in-flight sessions get -drain to
-// finish before being force-closed.
+// format), /trace?n=K (recent retrieval span trees as JSON lines),
+// /flight?n=K, /top?n=K and /debug/pprof; -admin "" disables it.
+// SIGINT/SIGTERM drain the server: new connections are refused, idle
+// ones close at once, and a request still running gets -drain to finish
+// before its connection is force-closed.
 //
 // The daemon serves the native engine: the vectorized host engine, which
 // builds no simulated board and runs retrievals in parallel. EXPLAIN
 // prices a retrieval in the modelled hardware's time by replaying it on
 // a private instance of the cycle-accurate simulation, which runs
 // in-process only (clarebench, the tests, the clare package).
-// -latency-window resizes the per-predicate latency sample windows
-// behind the admin /top quantiles (latency.window in STATS).
 // -kb is loaded from a read-only mapping of the file where the
 // platform has mmap (store.mapped=1 in STATS) and from the file read
 // into memory elsewhere; either way predicates view the image in place.
@@ -47,7 +46,9 @@
 // time, trace ID — dumped by the FLIGHT wire verb, /flight admin
 // endpoint and crsctl -flight; -flight-snap names the file the ring
 // snapshots to on SIGTERM and panic). A slow retrieval is one of those
-// records; crsctl -explain prices it on the modelled hardware, and a
+// records, and /top groups the ring by predicate (count, summed wall
+// time, P50/P90/P99 and max over the records it holds); crsctl -explain
+// prices a slow goal on the modelled hardware, and a
 // burn rate is a query over clare_retrieval_seconds and the error
 // counters on /metrics. -log-level and -log-json shape the structured
 // event log on stdout.
@@ -86,14 +87,13 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7071", "listen address")
-	admin := flag.String("admin", "", "admin HTTP address for /metrics, /trace and /debug/pprof (empty disables)")
-	drain := flag.Duration("drain", 10*time.Second, "shutdown grace period for in-flight sessions")
+	admin := flag.String("admin", "", "admin HTTP address for /metrics, /trace, /flight, /top and /debug/pprof (empty disables)")
+	drain := flag.Duration("drain", 10*time.Second, "shutdown grace period for requests still running")
 	traceBuf := flag.Int("trace-buf", telemetry.DefaultTraceRing, "retrieval traces kept for /trace")
 	var faultSpecs multiFlag
 	flag.Var(&faultSpecs, "fault", "arm a fault-injection rule, site[@key]=P or site[@key]=1/N[,limit=L] (repeatable)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the fault-injection schedule")
 	kb := flag.String("kb", "", "compiled knowledge-base store to load (kbc output; a shard slice works unchanged)")
-	latWindow := flag.Int("latency-window", 0, "per-predicate latency samples kept for quantiles (0 = default)")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory: enables the durable write path (WRITE/SYNC/REPL) and replays the log over the loaded store at startup")
 	walFsync := flag.String("wal-fsync", "always", "WAL fsync policy: always, never, or a flush interval like 50ms")
 	replica := flag.Bool("replica", false, "serve as a read-only replica: client writes are rejected, only REPL applies records")
@@ -155,9 +155,6 @@ func main() {
 		logg.Info("fault injection armed", "rules", strings.Join(faultSpecs, " "), "seed", *faultSeed)
 	}
 	srv := crs.NewServer(r)
-	if *latWindow > 0 {
-		srv.SetLatencyWindow(*latWindow)
-	}
 	srv.SetLogger(logg)
 	srv.SetFlight(flight, *flightSnap)
 	if *kb != "" {
@@ -226,7 +223,6 @@ func main() {
 		adminSrv = &http.Server{Handler: telemetry.NewAdminMux(telemetry.AdminConfig{
 			Registry: cfg.Metrics,
 			Tracer:   cfg.Tracer,
-			Latency:  srv.Latency(),
 			Flight:   flight,
 		})}
 		logg.Info("admin listening", "url", fmt.Sprintf("http://%s/metrics", al.Addr()))

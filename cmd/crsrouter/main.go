@@ -23,13 +23,16 @@
 // order until it catches up.
 //
 // Replica selection is load-aware: within a shard group healthy
-// replicas are ranked by outstanding load × observed service time
-// (every node not yet sampled is priced at the same prior).
+// replicas are ranked by outstanding load × service time, a moving
+// average over each replica's answers (every node that has not answered
+// yet is priced at the same prior).
 //
 // The admin listener serves /metrics (clare_cluster_* and the Prometheus
-// base set), /trace?n=K (router span trees) and /debug/pprof; -admin ""
-// disables it. SIGINT/SIGTERM drain: new connections are refused and
-// in-flight sessions get -drain to finish before being force-closed.
+// base set), /trace?n=K (router span trees), /flight?n=K, /top?n=K (the
+// router's flight ring grouped by predicate) and /debug/pprof; -admin ""
+// disables it. SIGINT/SIGTERM drain: new connections are refused, idle
+// ones close at once, and a request still running gets -drain to finish
+// before its connection is force-closed.
 //
 // Observability mirrors crsd: -flight sizes the router's own flight
 // recorder (one record per routed retrieval with the routing decision,
@@ -57,8 +60,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "listen address")
-	admin := flag.String("admin", "", "admin HTTP address for /metrics, /trace and /debug/pprof (empty disables)")
-	drain := flag.Duration("drain", 10*time.Second, "shutdown grace period for in-flight sessions")
+	admin := flag.String("admin", "", "admin HTTP address for /metrics, /trace, /flight, /top and /debug/pprof (empty disables)")
+	drain := flag.Duration("drain", 10*time.Second, "shutdown grace period for requests still running")
 	traceBuf := flag.Int("trace-buf", telemetry.DefaultTraceRing, "routed-retrieval traces kept for /trace")
 	wireTimeout := flag.Duration("wire-timeout", cluster.DefaultWireTimeout, "backend dial and wire operation bound")
 	callTimeout := flag.Duration("call-timeout", cluster.DefaultCallTimeout, "per-backend request budget before failover (negative disables)")
@@ -67,7 +70,6 @@ func main() {
 	pool := flag.Int("pool", cluster.DefaultPoolSize, "idle connections kept per backend")
 	maxLag := flag.Uint64("max-lag", cluster.DefaultMaxLag, "log records a replica may trail its primary before it is demoted as stale")
 	shipEvery := flag.Duration("ship-interval", cluster.DefaultShipInterval, "idle log-shipping period per replica (writes wake shippers early)")
-	latWindow := flag.Int("latency-window", 0, "latency samples kept per predicate and per backend for quantiles (0 = default)")
 	flightN := flag.Int("flight", telemetry.DefaultFlightSize, "flight-recorder ring size: routed-retrieval records kept for FLIGHT//flight (0 disables)")
 	flightSnap := flag.String("flight-snap", "", "file the flight ring snapshots to on SIGTERM (empty disables snapshots)")
 	logLevel := flag.String("log-level", "info", "event-log level: debug, info, warn or error")
@@ -90,7 +92,6 @@ func main() {
 		PoolSize:      *pool,
 		MaxLag:        *maxLag,
 		ShipInterval:  *shipEvery,
-		LatencyWindow: *latWindow,
 		Metrics:       telemetry.NewRegistry(),
 		Tracer:        telemetry.NewTracer(*traceBuf),
 	}
@@ -132,7 +133,6 @@ func main() {
 		adminSrv = &http.Server{Handler: telemetry.NewAdminMux(telemetry.AdminConfig{
 			Registry: cfg.Metrics,
 			Tracer:   cfg.Tracer,
-			Latency:  router.Latency(),
 			Flight:   cfg.Flight,
 		})}
 		logg.Info("admin listening", "url", fmt.Sprintf("http://%s/metrics", al.Addr()))

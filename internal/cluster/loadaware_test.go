@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-// TestCandidatesRankByObservedServiceTime: once the router holds
-// latency samples, candidate order follows observed P90 — the
-// declared-second but faster replica ranks first.
+// TestCandidatesRankByObservedServiceTime: once the replicas have
+// answered, candidate order follows their moving-average service times —
+// the declared-second but faster replica ranks first.
 func TestCandidatesRankByObservedServiceTime(t *testing.T) {
 	r, err := NewRouter(Config{Shards: [][]string{{"a:1", "b:1"}}})
 	if err != nil {
@@ -16,10 +16,10 @@ func TestCandidatesRankByObservedServiceTime(t *testing.T) {
 	defer r.Close()
 	g := r.groups[0]
 	for i := 0; i < 16; i++ {
-		r.nodeLat.Observe("a:1", 5*time.Millisecond)
-		r.nodeLat.Observe("b:1", 200*time.Microsecond)
+		g.nodes[0].observe(5 * time.Millisecond)
+		g.nodes[1].observe(200 * time.Microsecond)
 	}
-	cands := g.candidates(r)
+	cands := g.candidates()
 	if cands[0].addr != "b:1" {
 		t.Errorf("candidates[0] = %s, want the faster b:1", cands[0].addr)
 	}
@@ -36,8 +36,26 @@ func TestCandidatesOutstandingPenalty(t *testing.T) {
 	defer r.Close()
 	g := r.groups[0]
 	g.nodes[0].outstanding.Store(3)
-	cands := g.candidates(r)
+	cands := g.candidates()
 	if cands[0].addr != "b:1" {
 		t.Errorf("candidates[0] = %s, want the idle b:1", cands[0].addr)
+	}
+}
+
+// TestNodeServiceMovingAverage: the first answer seeds a node's service
+// time, each later one moves it an eighth of the way, and an unanswered
+// node is priced at servicePrior.
+func TestNodeServiceMovingAverage(t *testing.T) {
+	var n node
+	if got := n.serviceEstimate(); got != servicePrior {
+		t.Errorf("unanswered estimate = %v, want the prior %v", got, servicePrior)
+	}
+	n.observe(800 * time.Microsecond)
+	if got := n.serviceEstimate(); got != 800*time.Microsecond {
+		t.Errorf("seeded estimate = %v, want 800µs", got)
+	}
+	n.observe(0)
+	if got := n.serviceEstimate(); got != 700*time.Microsecond {
+		t.Errorf("after one 0 answer = %v, want 700µs", got)
 	}
 }

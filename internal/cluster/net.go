@@ -37,9 +37,10 @@ func (s *Server) Router() *Router { return s.router }
 // connection — the same accept loop contract as crs.Server.Serve.
 func (s *Server) Serve(l net.Listener) error { return s.acc.Serve(l, s.serveConn) }
 
-// Shutdown drains the front-end: new connections are refused and
-// Shutdown returns when in-flight handlers finish, or force-closes the
-// stragglers when ctx expires first.
+// Shutdown drains the front-end as crs.Server.Shutdown drains a
+// backend: new connections are refused, idle ones close at once, a busy
+// one after its reply, and the stragglers are force-closed when ctx
+// expires first.
 func (s *Server) Shutdown(ctx context.Context) error { return s.acc.Shutdown(ctx) }
 
 // frontConn is one connection's state: its session id and its

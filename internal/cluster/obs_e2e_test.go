@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"net"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,7 +21,7 @@ import (
 // every retrieval — pure latency at the core.retrieve site, mirroring
 // `crsd -fault core.retrieve=1,delay=...` (a slow backend, not a broken
 // one).
-func startObsBackend(t *testing.T, preds []testPred, delay time.Duration, snap string) (*crs.Server, *telemetry.Tracer, net.Listener) {
+func startObsBackend(t *testing.T, preds []testPred, delay time.Duration, snap string) (*crs.Server, net.Listener) {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Engine = core.EngineNative
@@ -46,7 +47,7 @@ func startObsBackend(t *testing.T, preds []testPred, delay time.Duration, snap s
 	}
 	go s.Serve(l)
 	t.Cleanup(func() { l.Close() })
-	return s, cfg.Tracer, l
+	return s, l
 }
 
 // TestClusterSlowRetrievalFlight is the acceptance path for a slow
@@ -58,14 +59,15 @@ func startObsBackend(t *testing.T, preds []testPred, delay time.Duration, snap s
 //   - the router's record, dumped by FLIGHT through the front-end,
 //     carries wall >= delay, plan=shard=0, a monotone funnel and the
 //     router's trace ID;
-//   - that trace ID is the remote context of a backend trace, whose own
-//     ID is on the backend's flight record of the same call;
+//   - that trace ID is the caller trace ID on the backend's flight
+//     record of the same call;
+//   - /top on the backend and on the router counts every retrieval;
 //   - SnapshotFlight (the SIGTERM/panic path) leaves valid JSONL.
 func TestClusterSlowRetrievalFlight(t *testing.T) {
 	preds := []testPred{facts("obsfact", 12)}
 	const delay = 10 * time.Millisecond
 	snap := filepath.Join(t.TempDir(), "crash.flight")
-	backend, backendTracer, l := startObsBackend(t, preds, delay, snap)
+	backend, l := startObsBackend(t, preds, delay, snap)
 
 	r := newTestRouter(t, [][]string{{l.Addr().String()}}, func(cfg *Config) {
 		cfg.Tracer = telemetry.NewTracer(16)
@@ -119,23 +121,14 @@ func TestClusterSlowRetrievalFlight(t *testing.T) {
 	}
 
 	// 2. The router's trace ID joins the backend's record of the call.
-	var backendID uint64
-	for _, tr := range backendTracer.Last(0) {
-		if tr.Remote != nil && tr.Remote.TraceID == rec.TraceID {
-			backendID = tr.TraceID
-		}
-	}
-	if backendID == 0 {
-		t.Fatalf("no backend trace joined to router trace %d", rec.TraceID)
-	}
 	var matched *telemetry.FlightRecord
 	for _, br := range backend.Flight().Snapshot(0) {
-		if br.TraceID == backendID {
+		if br.CallerTraceID == rec.TraceID {
 			matched = br
 		}
 	}
 	if matched == nil {
-		t.Fatalf("backend trace %d not in the backend flight ring", backendID)
+		t.Fatalf("no backend flight record has caller trace %d", rec.TraceID)
 	}
 	if matched.Predicate != "obsfact/2" || matched.WallNS < int64(delay) {
 		t.Errorf("backend flight record = %+v", matched)
@@ -144,7 +137,26 @@ func TestClusterSlowRetrievalFlight(t *testing.T) {
 		t.Errorf("backend flight funnel not monotone: %+v", matched)
 	}
 
-	// 3. The SIGTERM/panic snapshot path leaves valid JSONL behind.
+	// 3. /top on both sides counts every retrieval of the predicate.
+	const k = 3
+	for i := 1; i < k; i++ {
+		if _, err := c.Retrieve("auto", "obsfact(X, Y)"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for side, f := range map[string]*telemetry.FlightRecorder{"backend": backend.Flight(), "router": r.Flight()} {
+		rec := httptest.NewRecorder()
+		telemetry.NewAdminMux(telemetry.AdminConfig{Flight: f}).ServeHTTP(rec, httptest.NewRequest("GET", "/top?n=5", nil))
+		var top []telemetry.TopEntry
+		if err := json.Unmarshal(rec.Body.Bytes(), &top); err != nil {
+			t.Fatalf("%s /top payload %q: %v", side, rec.Body.String(), err)
+		}
+		if len(top) != 1 || top[0].Key != "obsfact/2" || top[0].Count != k || top[0].P50 < delay {
+			t.Errorf("%s /top = %+v, want obsfact/2 with count %d and P50 >= %v", side, top, k, delay)
+		}
+	}
+
+	// 4. The SIGTERM/panic snapshot path leaves valid JSONL behind.
 	if err := backend.SnapshotFlight(); err != nil {
 		t.Fatal(err)
 	}

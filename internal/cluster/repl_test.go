@@ -296,7 +296,7 @@ func TestStaleCandidatesOrder(t *testing.T) {
 	}
 	order := func(g *group) string {
 		var names []string
-		for _, n := range g.candidates(nil) {
+		for _, n := range g.candidates() {
 			names = append(names, n.addr)
 		}
 		return strings.Join(names, "")

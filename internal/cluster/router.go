@@ -43,9 +43,8 @@ const (
 	DefaultShipInterval = 500 * time.Millisecond
 )
 
-// servicePrior scores a replica before the router holds latency samples
-// for it: every unsampled node is priced alike, so the outstanding count
-// alone ranks them.
+// servicePrior scores a replica before it has answered: every unanswered
+// node is priced alike, so the outstanding count alone ranks them.
 const servicePrior = 200 * time.Microsecond
 
 // Config parameterises a Router.
@@ -76,9 +75,6 @@ type Config struct {
 	// ShipInterval is the idle log-shipping period per replica (0 means
 	// DefaultShipInterval).
 	ShipInterval time.Duration
-	// LatencyWindow sizes the router's per-predicate and per-node
-	// latency sample windows (0 means telemetry.DefaultLatencyWindow).
-	LatencyWindow int
 	// Faults, when non-nil, lets the shippers probe the wal.ship fault
 	// site (keyed by replica address) — the chaos hook for replication.
 	Faults *fault.Injector
@@ -124,8 +120,10 @@ type node struct {
 	stale atomic.Bool
 
 	// Load-aware selection state: calls currently in flight against the
-	// node.
+	// node, and its service time in nanoseconds as a moving average over
+	// its answers (0 before the first).
 	outstanding atomic.Int64
+	service     atomic.Int64
 }
 
 // group is one shard's replica set; nodes[0] is the primary (see
@@ -152,12 +150,6 @@ type Router struct {
 	groups []*group
 	met    *routerMetrics
 	tracer *telemetry.Tracer
-	lat    *telemetry.LatencyTracker
-
-	// nodeLat windows per-backend service times (keyed by address) for
-	// load-aware replica scoring; lat windows per-predicate wall times
-	// for the /top endpoint.
-	nodeLat *telemetry.LatencyTracker
 
 	// Service counters (also surfaced through STATS aggregation, so
 	// they exist even without a metrics registry).
@@ -201,11 +193,9 @@ func NewRouter(cfg Config) (*Router, error) {
 		cfg.ShipInterval = DefaultShipInterval
 	}
 	r := &Router{
-		cfg:     cfg,
-		met:     newRouterMetrics(cfg.Metrics, len(cfg.Shards)),
-		tracer:  cfg.Tracer,
-		lat:     telemetry.NewLatencyTracker(cfg.LatencyWindow),
-		nodeLat: telemetry.NewLatencyTracker(cfg.LatencyWindow),
+		cfg:    cfg,
+		met:    newRouterMetrics(cfg.Metrics, len(cfg.Shards)),
+		tracer: cfg.Tracer,
 	}
 	for i, replicas := range cfg.Shards {
 		if len(replicas) == 0 {
@@ -225,10 +215,6 @@ func NewRouter(cfg Config) (*Router, error) {
 
 // Shards reports the shard-group count.
 func (r *Router) Shards() int { return len(r.groups) }
-
-// Latency exposes the per-predicate latency tracker (for the admin
-// mux's /top endpoint).
-func (r *Router) Latency() *telemetry.LatencyTracker { return r.lat }
 
 // Replicas reports the total backend count across all groups.
 func (r *Router) Replicas() int {
@@ -342,22 +328,38 @@ func (n *node) clear(r *Router) {
 	}
 }
 
-// serviceEstimate prices one request against the node: the router's
-// observed per-node P90 when it holds samples, servicePrior otherwise
-// (and when r is nil, as in tests of the ordering rules).
-func (n *node) serviceEstimate(r *Router) time.Duration {
-	if r != nil {
-		if p90, ok := r.nodeLat.Quantile(n.addr, 0.90); ok && p90 > 0 {
-			return p90
+// serviceWeight is the weight 1/serviceWeight a new answer gets in the
+// node's moving-average service time.
+const serviceWeight = 8
+
+// observe folds one answer's service time into the node's moving
+// average; the first answer seeds it.
+func (n *node) observe(d time.Duration) {
+	for {
+		old := n.service.Load()
+		next := int64(d)
+		if old != 0 {
+			next = old + (next-old)/serviceWeight
 		}
+		if n.service.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
+
+// serviceEstimate prices one request against the node: its moving-average
+// service time once it has answered, servicePrior before.
+func (n *node) serviceEstimate() time.Duration {
+	if d := n.service.Load(); d > 0 {
+		return time.Duration(d)
 	}
 	return servicePrior
 }
 
 // score is the node's expected queueing cost for one more request:
 // service estimate scaled by the requests already in flight against it.
-func (n *node) score(r *Router) int64 {
-	return (n.outstanding.Load() + 1) * int64(n.serviceEstimate(r))
+func (n *node) score() int64 {
+	return (n.outstanding.Load() + 1) * int64(n.serviceEstimate())
 }
 
 // candidates orders the group's replicas for one request: fresh healthy
@@ -371,7 +373,7 @@ func (n *node) score(r *Router) int64 {
 // is tripped and still cooling, all are returned anyway — the router
 // has no host-only rung below it, so a last-ditch attempt beats a
 // guaranteed error.
-func (g *group) candidates(r *Router) []*node {
+func (g *group) candidates() []*node {
 	now := time.Now()
 	healthy := make([]*node, 0, len(g.nodes))
 	var probation, stale []*node
@@ -391,7 +393,7 @@ func (g *group) candidates(r *Router) []*node {
 	if len(healthy) > 1 {
 		scores := make(map[*node]int64, len(healthy))
 		for _, n := range healthy {
-			scores[n] = n.score(r)
+			scores[n] = n.score()
 		}
 		sort.SliceStable(healthy, func(i, j int) bool {
 			return scores[healthy[i]] < scores[healthy[j]]
@@ -405,9 +407,9 @@ func (g *group) candidates(r *Router) []*node {
 }
 
 // callNode runs one request against one backend, tracking the node's
-// in-flight count and feeding its service-time window. A transport
-// failure on a pooled (possibly stale) connection is retried once on a
-// fresh dial before it counts against the node.
+// in-flight count and feeding its moving-average service time. A
+// transport failure on a pooled (possibly stale) connection is retried
+// once on a fresh dial before it counts against the node.
 func callNode[T any](r *Router, n *node, op func(c *crs.Client) (T, error)) (T, error) {
 	n.outstanding.Add(1)
 	defer n.outstanding.Add(-1)
@@ -417,7 +419,7 @@ func callNode[T any](r *Router, n *node, op func(c *crs.Client) (T, error)) (T, 
 	if err == nil || errors.As(err, &se) {
 		// The node answered, so this is a service-time sample; transport
 		// failures are not.
-		r.nodeLat.Observe(n.addr, time.Since(start))
+		n.observe(time.Since(start))
 	}
 	return res, err
 }
@@ -469,7 +471,7 @@ func callNodeConn[T any](r *Router, n *node, op func(c *crs.Client) (T, error)) 
 func callGroup[T any](r *Router, g *group, tr *telemetry.Trace, span *telemetry.Span, op func(c *crs.Client, netSpan *telemetry.Span) (T, error)) (T, error) {
 	var zero T
 	var lastErr error
-	for attempt, n := range g.candidates(r) {
+	for attempt, n := range g.candidates() {
 		if attempt > 0 {
 			r.failovers.Add(1)
 			r.met.failovers[g.shard].Inc()
@@ -745,12 +747,11 @@ type routed struct {
 
 // observeRouted is the one place a routed call is recorded. One reading
 // of the clock — end-to-end wall time, as a client saw it — feeds the
-// latency histogram, the per-predicate latency window (/top), the flight
-// ring and the trace root. Every surface is nil-safe, so an unarmed
+// latency histogram, the flight ring (which /top reads) and the trace
+// root. Every surface is nil-safe, so an unarmed
 // router pays nil checks here.
 func (r *Router) observeRouted(c routed) {
 	wall := time.Since(c.start)
-	r.lat.Observe(c.pred, wall)
 	if c.err != nil {
 		r.met.errors.Inc()
 	} else {
@@ -920,7 +921,6 @@ func (r *Router) Stats() (map[string]int64, error) {
 	out["cluster.trips"] = r.trips.Load()
 	out["cluster.readmits"] = r.readmits.Load()
 	out["cluster.writes"] = r.writes.Load()
-	out["cluster.latency.window"] = int64(r.lat.Window())
 	out["cluster.wal.shipped"] = shipped
 	out["cluster.wal.lag.max"] = lagMax
 	out["cluster.wal.stale"] = staleN
@@ -932,11 +932,11 @@ func (r *Router) Stats() (map[string]int64, error) {
 }
 
 // maxSettings repairs the keys that plain per-key summing mangles: a
-// setting or a flag (latency.window, flight.size, store.mapped,
-// wal.enabled, wal.readonly) is not a quantity, so the cluster-wide
-// value is the per-group maximum.
+// setting or a flag (flight.size, store.mapped, wal.enabled,
+// wal.readonly) is not a quantity, so the cluster-wide value is the
+// per-group maximum.
 func maxSettings(out map[string]int64, groupStats []map[string]int64) {
-	for _, k := range []string{"latency.window", "flight.size", "store.mapped", "wal.enabled", "wal.readonly"} {
+	for _, k := range []string{"flight.size", "store.mapped", "wal.enabled", "wal.readonly"} {
 		var best int64
 		seen := false
 		for _, m := range groupStats {

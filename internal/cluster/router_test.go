@@ -36,14 +36,22 @@ func facts(name string, n int) testPred {
 // indicator is the pred's routing key (all test facts are arity 2).
 func (p testPred) indicator() string { return p.name + "/2" }
 
-// startBackend boots one crs.Server on loopback holding preds.
+// testFlightSize is every test backend's flight ring size.
+const testFlightSize = 32
+
+// startBackend boots one crs.Server on loopback holding preds: the native
+// engine, as crsd serves it, with a flight ring of testFlightSize.
 func startBackend(t testing.TB, preds []testPred) (*crs.Server, net.Listener) {
 	t.Helper()
-	r, err := core.New(core.DefaultConfig())
+	cfg := core.DefaultConfig()
+	cfg.Engine = core.EngineNative
+	cfg.Flight = telemetry.NewFlightRecorder(testFlightSize)
+	r, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := crs.NewServer(r)
+	s.SetFlight(cfg.Flight, "")
 	for _, p := range preds {
 		if err := s.Load("test", p.clauses); err != nil {
 			t.Fatal(err)
@@ -265,7 +273,7 @@ func TestFailoverToReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 64; i++ {
-		r.nodeLat.Observe(tc.addrs[0][0], 100*time.Microsecond)
+		r.groups[0].nodes[0].observe(100 * time.Microsecond)
 	}
 	tc.kill(t, 0, 0)
 
@@ -382,7 +390,7 @@ func TestCandidatesOrder(t *testing.T) {
 	}
 	order := func(g *group) string {
 		var names []string
-		for _, n := range g.candidates(nil) {
+		for _, n := range g.candidates() {
 			names = append(names, n.addr)
 		}
 		return strings.Join(names, "")
@@ -426,10 +434,11 @@ func TestStatsAggregation(t *testing.T) {
 	// Pin each group's replica 0 at the head of the candidate order:
 	// served.* counters arrive from exactly one replica per group, so
 	// the requests and the stats poll must land on the same node even
-	// when -race skews the observed service times.
-	for i := 0; i < 64; i++ {
-		r.nodeLat.Observe(tc.addrs[0][0], 100*time.Microsecond)
-		r.nodeLat.Observe(tc.addrs[1][0], 100*time.Microsecond)
+	// when -race skews the observed service times. Replica 1 is priced
+	// far above anything replica 0's own answers can average to.
+	for _, g := range r.groups {
+		g.nodes[0].observe(100 * time.Microsecond)
+		g.nodes[1].observe(time.Second)
 	}
 	for _, p := range preds[:3] {
 		if _, err := r.Retrieve("auto", p.name+"(X, Y)"); err != nil {
@@ -465,8 +474,8 @@ func TestStatsAggregation(t *testing.T) {
 	}
 	// A setting every backend reports alike folds to its value, not to
 	// the sum over the groups.
-	if w := kv["latency.window"]; w != telemetry.DefaultLatencyWindow {
-		t.Errorf("latency.window = %d, want each backend's %d", w, telemetry.DefaultLatencyWindow)
+	if w := kv["flight.size"]; w != testFlightSize {
+		t.Errorf("flight.size = %d, want each backend's %d", w, testFlightSize)
 	}
 }
 

@@ -263,7 +263,7 @@ func TestStitchedTraceSurvivesFailover(t *testing.T) {
 	// trace — load-aware ranking would otherwise sidestep it whenever
 	// the warm sample exceeds the idle prior (routine under -race).
 	for i := 0; i < 64; i++ {
-		r.nodeLat.Observe(tc.addrs[0][0], 100*time.Microsecond)
+		r.groups[0].nodes[0].observe(100 * time.Microsecond)
 	}
 	tc.kill(t, 0, 0)
 

@@ -161,6 +161,9 @@ func (r *Retriever) record(rt *Retrieval, start time.Time, tc *telemetry.TraceCo
 			Faults:    int64(st.Faults),
 			Retries:   int64(st.Retries),
 		}
+		if tc != nil {
+			rec.CallerTraceID = tc.TraceID
+		}
 		if err != nil {
 			rec.Err = err.Error()
 		}

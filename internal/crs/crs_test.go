@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"clare/internal/core"
 	"clare/internal/parse"
@@ -130,7 +131,10 @@ func TestTransactionAbort(t *testing.T) {
 	}
 }
 
-func TestWriteLockBlocksUntilCommit(t *testing.T) {
+// TestOpenTransactionBlocksNoReader: a transaction stages its writes
+// without a lock, so a reader of the predicate it writes neither waits
+// for the commit nor sees the staged clause before it.
+func TestOpenTransactionBlocksNoReader(t *testing.T) {
 	s := newServer(t)
 	writer := s.OpenSession()
 	defer writer.Close()
@@ -140,26 +144,99 @@ func TestWriteLockBlocksUntilCommit(t *testing.T) {
 	if err := writer.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	if err := writer.Assert(parse.MustTerm("married_couple(locked, out)"), term.Atom("true")); err != nil {
+	if err := writer.Assert(parse.MustTerm("married_couple(staged, out)"), term.Atom("true")); err != nil {
 		t.Fatal(err)
 	}
-	// The reader blocks on the predicate's write lock until commit.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, err := reader.Retrieve(parse.MustTerm("married_couple(husband1, X)"), nil); err != nil {
-			t.Errorf("reader: %v", err)
+	visible := func() int {
+		rt, err := reader.Retrieve(parse.MustTerm("married_couple(staged, X)"), nil)
+		if err != nil {
+			t.Error(err)
+			return -1
 		}
-	}()
+		n, _, _ := rt.Evaluate()
+		return n
+	}
+	done := make(chan int, 1)
+	go func() { done <- visible() }()
 	select {
-	case <-done:
-		t.Fatal("reader finished while the write lock was held")
-	default:
+	case n := <-done:
+		if n != 0 {
+			t.Errorf("staged clause visible before commit: %d", n)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("reader still blocked by an open transaction after 1s")
 	}
 	if err := writer.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	<-done
+	if n := visible(); n != 1 {
+		t.Errorf("committed clause visible %d times, want 1", n)
+	}
+}
+
+// TestCrossedTransactionsCommit: two transactions that touch the same two
+// predicates in opposite orders both commit. Commit locks its predicates
+// in indicator order, so neither waits on the other forever.
+func TestCrossedTransactionsCommit(t *testing.T) {
+	s := newServer(t)
+	for _, pred := range []string{"p", "q"} {
+		cl := []core.ClauseTerm{{Head: parse.MustTerm(pred + "(seed)"), Body: term.Atom("true")}}
+		if err := s.Load("test", cl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// No deferred Close: a session blocked in Assert holds its own mutex,
+	// which Close needs, and the test must fail rather than hang.
+	a, b := s.OpenSession(), s.OpenSession()
+	assert := func(c *Session, clause string) error {
+		return c.Assert(parse.MustTerm(clause), term.Atom("true"))
+	}
+	for _, c := range []*Session{a, b} {
+		if err := c.Begin(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := assert(a, "p(a)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := assert(b, "q(b)"); err != nil {
+		t.Fatal(err)
+	}
+	// Each now writes the other's predicate and commits, concurrently.
+	errs := make(chan error, 2)
+	for _, x := range []struct {
+		c      *Session
+		clause string
+	}{{a, "q(a)"}, {b, "p(b)"}} {
+		go func(c *Session, clause string) {
+			if err := assert(c, clause); err != nil {
+				errs <- err
+				return
+			}
+			errs <- c.Commit()
+		}(x.c, x.clause)
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatal("crossed transactions have not committed after 3s")
+		}
+	}
+	for _, pred := range []string{"p", "q"} {
+		rt, err := a.Retrieve(parse.MustTerm(pred+"(X)"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt.Stats.TotalClauses != 3 {
+			t.Errorf("%s/1 holds %d clauses after both commits, want 3", pred, rt.Stats.TotalClauses)
+		}
+	}
+	a.Close()
+	b.Close()
 }
 
 func TestConcurrentReaders(t *testing.T) {
@@ -203,7 +280,7 @@ func TestSessionCloseAbortsTransaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess.Close()
-	// Lock must be free again.
+	// The staged clause went with the session.
 	sess2 := s.OpenSession()
 	defer sess2.Close()
 	rt, err := sess2.Retrieve(parse.MustTerm("married_couple(zzz, X)"), nil)

@@ -45,12 +45,13 @@ func ParseMode(s string) (*core.SearchMode, error) {
 // connection handlers finish.
 func (s *Server) Serve(l net.Listener) error { return s.acc.Serve(l, s.serveConn) }
 
-// Shutdown drains the server: new connections are refused, and Shutdown
-// returns once every in-flight handler has finished. If ctx expires
-// first, the remaining connections are force-closed (an in-flight
-// retrieval still runs to completion; its client sees the connection
-// drop) and ctx.Err() is returned. The caller should close its
-// listeners first so Serve stops accepting.
+// Shutdown drains the server (wire.Acceptor.Shutdown): new connections
+// are refused, idle ones close at once, and one running a request closes
+// once its reply has gone out. If ctx expires first, the connections
+// still running a request are force-closed (the retrieval still runs to
+// completion; its client sees the connection drop) and ctx.Err() is
+// returned. The caller should close its listeners first so Serve stops
+// accepting.
 func (s *Server) Shutdown(ctx context.Context) error { return s.acc.Shutdown(ctx) }
 
 // wireConn is one connection's state: its session on the server, and the

@@ -1,6 +1,8 @@
 package crs
 
 import (
+	"encoding/json"
+	"net/http/httptest"
 	"testing"
 
 	"clare/internal/core"
@@ -30,9 +32,10 @@ func newObsServer(t *testing.T) (*Server, *telemetry.Tracer) {
 }
 
 // TestWireFlight: the FLIGHT verb dumps the retriever's ring over the
-// wire — every served retrieval present, funnel counts monotone, and a
+// wire — every served retrieval present, funnel counts monotone, a
 // traced retrieval's trace ID resolving against the server's tracer
-// (whose trace records the caller's remote context).
+// (whose trace records the caller's remote context) and the caller's own
+// trace ID on the record — and /top counts the same retrievals.
 func TestWireFlight(t *testing.T) {
 	s, tracer := newObsServer(t)
 	addr := startWire(t, s)
@@ -82,6 +85,11 @@ func TestWireFlight(t *testing.T) {
 		}
 		if r.TraceID == wantID {
 			traced = true
+			if r.CallerTraceID != 0xbeef {
+				t.Errorf("traced record caller = %#x, want 0xbeef", r.CallerTraceID)
+			}
+		} else if r.CallerTraceID != 0 {
+			t.Errorf("untraced record carries caller %#x", r.CallerTraceID)
 		}
 	}
 	if !traced {
@@ -90,6 +98,16 @@ func TestWireFlight(t *testing.T) {
 
 	if recs, err := c.Flight(1); err != nil || len(recs) != 1 {
 		t.Errorf("FLIGHT 1 = %d records, err %v", len(recs), err)
+	}
+
+	rec := httptest.NewRecorder()
+	telemetry.NewAdminMux(telemetry.AdminConfig{Flight: s.Flight()}).ServeHTTP(rec, httptest.NewRequest("GET", "/top?n=5", nil))
+	var top []telemetry.TopEntry
+	if err := json.Unmarshal(rec.Body.Bytes(), &top); err != nil {
+		t.Fatalf("bad /top payload %q: %v", rec.Body.String(), err)
+	}
+	if len(top) != 1 || top[0].Key != "married_couple/2" || top[0].Count != 2 || top[0].Max <= 0 {
+		t.Errorf("/top = %+v, want married_couple/2 with count 2", top)
 	}
 }
 

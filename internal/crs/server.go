@@ -8,6 +8,7 @@ package crs
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,11 +23,11 @@ import (
 // Server owns a CLARE retriever and the clause data behind it, mediating
 // concurrent client access. Concurrency is layered: the server mutex
 // guards only the predicate and session registries; each predicate has
-// its own read/write lock (readers share, transactions exclude); and the
-// native retriever runs retrievals in parallel, each in an arena of its
-// own, so sessions on different — or read-only same — predicates proceed
-// in parallel. (A sim retriever's retrievals take turns on its one board
-// unit.)
+// its own read/write lock (readers share; a write or a COMMIT excludes);
+// and the native retriever runs retrievals in parallel, each in an arena
+// of its own, so sessions on different — or read-only same — predicates
+// proceed in parallel. (A sim retriever's retrievals take turns on its
+// one board unit.)
 type Server struct {
 	mu        sync.RWMutex // guards preds and sessions registries only
 	retriever *core.Retriever
@@ -46,10 +47,6 @@ type Server struct {
 	// met mirrors the service counters into the retriever's metrics
 	// registry (no-ops when the retriever is uninstrumented).
 	met *serverMetrics
-
-	// lat tracks per-predicate retrieval wall time for the /top admin
-	// endpoint ("which predicates are eating the wall clock").
-	lat *telemetry.LatencyTracker
 
 	// Always-on diagnosis layer (both optional, nil-safe): the flight
 	// recorder the retriever writes into (held here for the FLIGHT verb
@@ -92,19 +89,8 @@ func NewServer(r *core.Retriever) *Server {
 		sessions:  make(map[int64]*Session),
 		served:    make(map[core.SearchMode]int),
 		met:       newServerMetrics(r.Metrics()),
-		lat:       telemetry.NewLatencyTracker(0),
 	}
 }
-
-// Latency exposes the per-predicate latency tracker (for the admin
-// mux's /top endpoint).
-func (s *Server) Latency() *telemetry.LatencyTracker { return s.lat }
-
-// SetLatencyWindow replaces the latency tracker with one retaining n
-// samples per predicate (n <= 0 keeps the default). Call before the
-// server starts serving traffic — the swap is not synchronized against
-// in-flight observations, and samples already recorded are dropped.
-func (s *Server) SetLatencyWindow(n int) { s.lat = telemetry.NewLatencyTracker(n) }
 
 // SetFlight attaches the flight recorder the retriever records into, so
 // the FLIGHT verb can dump it, and names the path crash snapshots go to
@@ -251,8 +237,6 @@ type Session struct {
 type tx struct {
 	// staged appends per predicate, applied at commit.
 	staged map[core.Indicator][]core.ClauseTerm
-	// locked predicates (write locks held until commit/abort).
-	locked []*predState
 }
 
 // ID returns the session identifier.
@@ -302,7 +286,7 @@ func (c *Session) Explain(goal term.Term, mode *core.SearchMode, tc *telemetry.T
 // lookup, read lock, mode choice, the retrieval itself, accounting — and,
 // when explain is set, its profile, still under the read lock.
 func (c *Session) serve(goal term.Term, mode *core.SearchMode, tc *telemetry.TraceContext, explain bool) (*core.Retrieval, *core.Profile, error) {
-	pi, ps, err := c.lookup(goal)
+	ps, err := c.lookup(goal)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -319,11 +303,10 @@ func (c *Session) serve(goal term.Term, mode *core.SearchMode, tc *telemetry.Tra
 	// sim retrievals queue for the one board unit, as the paper's CRS
 	// queues search calls for its one board.
 	rt, err := c.srv.retriever.RetrieveTraced(goal, m, tc)
-	wall := time.Since(start)
 	if err != nil {
 		return nil, nil, err
 	}
-	c.srv.account(pi, rt, wall)
+	c.srv.account(rt)
 	if !explain {
 		return rt, nil, nil
 	}
@@ -332,23 +315,23 @@ func (c *Session) serve(goal term.Term, mode *core.SearchMode, tc *telemetry.Tra
 }
 
 // lookup validates the session and resolves the goal's predicate state.
-func (c *Session) lookup(goal term.Term) (core.Indicator, *predState, error) {
+func (c *Session) lookup(goal term.Term) (*predState, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return core.Indicator{}, nil, ErrClosed
+		return nil, ErrClosed
 	}
 	c.mu.Unlock()
 
 	pi, err := indicatorOf(goal)
 	if err != nil {
-		return core.Indicator{}, nil, err
+		return nil, err
 	}
 	ps, ok := c.srv.state(pi)
 	if !ok {
-		return core.Indicator{}, nil, fmt.Errorf("crs: unknown predicate %v", pi)
+		return nil, fmt.Errorf("crs: unknown predicate %v", pi)
 	}
-	return pi, ps, nil
+	return ps, nil
 }
 
 // chooseMode resolves the effective search mode; nil selects it by the
@@ -364,10 +347,10 @@ func (c *Session) chooseMode(goal term.Term, mode *core.SearchMode) (core.Search
 	return core.ChooseMode(goal, pred), nil
 }
 
-// account publishes one served retrieval — its record, plus the wall time
-// the session saw around it (lock wait included) — into the service
-// counters and the per-predicate latency window.
-func (s *Server) account(pi core.Indicator, rt *core.Retrieval, wall time.Duration) {
+// account publishes one served retrieval into the service counters. Its
+// wall time is already in the engine's own record: the retrieval
+// histogram and the flight ring.
+func (s *Server) account(rt *core.Retrieval) {
 	st := &rt.Stats
 	s.statsMu.Lock()
 	s.served[rt.Mode]++
@@ -378,8 +361,6 @@ func (s *Server) account(pi core.Indicator, rt *core.Retrieval, wall time.Durati
 	s.faults += int64(st.Faults)
 	s.statsMu.Unlock()
 	s.met.requests[rt.Mode].Inc()
-	s.met.predCounter(pi).Inc()
-	s.lat.Observe(rt.Predicate, wall)
 }
 
 // Begin starts a transaction.
@@ -400,9 +381,9 @@ func (c *Session) Begin() error {
 	return nil
 }
 
-// Assert stages a clause append within the transaction. The predicate's
-// write lock is taken on first touch and held to commit/abort (strict
-// two-phase locking).
+// Assert stages a clause append within the transaction. It takes no
+// lock: the predicates a transaction writes are locked only inside
+// Commit, so an open transaction blocks no reader, and no writer.
 func (c *Session) Assert(head, body term.Term) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -416,23 +397,18 @@ func (c *Session) Assert(head, body term.Term) error {
 	if err != nil {
 		return err
 	}
-	ps, ok := c.srv.state(pi)
-	if !ok {
+	if _, ok := c.srv.state(pi); !ok {
 		return fmt.Errorf("crs: unknown predicate %v (load it first)", pi)
-	}
-	if _, touched := c.tx.staged[pi]; !touched {
-		lockStart := time.Now()
-		ps.lock.Lock()
-		c.srv.met.lockWaitWrite.ObserveDuration(time.Since(lockStart))
-		c.tx.locked = append(c.tx.locked, ps)
 	}
 	c.tx.staged[pi] = append(c.tx.staged[pi], core.ClauseTerm{Head: head, Body: body})
 	return nil
 }
 
 // Commit applies the staged writes — each clause appended in place to its
-// predicate's compiled clause file and secondary index — and releases the
-// locks.
+// predicate's compiled clause file and secondary index. It write-locks
+// the staged predicates in indicator order, so two commits over the same
+// predicates queue rather than deadlock, and holds the locks from prepare
+// through the log append to the last apply.
 func (c *Session) Commit() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -443,33 +419,55 @@ func (c *Session) Commit() error {
 		return ErrNoTransaction
 	}
 	txn := c.tx
-	defer func() {
-		releaseLocks(txn)
-		c.tx = nil
-	}()
+	c.tx = nil
 	c.srv.met.txCommits.Inc()
 	tr := c.srv.retriever.Tracer().Start("commit")
 	defer c.srv.retriever.Tracer().Finish(tr)
+	pis := make([]core.Indicator, 0, len(txn.staged))
+	for pi := range txn.staged {
+		pis = append(pis, pi)
+	}
+	sort.Slice(pis, func(i, j int) bool {
+		if pis[i].Functor != pis[j].Functor {
+			return pis[i].Functor < pis[j].Functor
+		}
+		return pis[i].Arity < pis[j].Arity
+	})
+	locked := make([]*predState, 0, len(pis))
+	defer func() {
+		for _, ps := range locked {
+			ps.lock.Unlock()
+		}
+	}()
+	for _, pi := range pis {
+		ps, ok := c.srv.state(pi)
+		if !ok {
+			return fmt.Errorf("crs: unknown predicate %v (load it first)", pi)
+		}
+		lockStart := time.Now()
+		ps.lock.Lock()
+		c.srv.met.lockWaitWrite.ObserveDuration(time.Since(lockStart))
+		locked = append(locked, ps)
+	}
 	// Prepare first: a clause the store cannot hold fails the commit here,
 	// with nothing of the batch logged or applied.
 	var applies []func() error
 	var recs []wal.Record
-	for pi, appended := range txn.staged {
-		ps, _ := c.srv.state(pi)
-		for _, cl := range appended {
+	for i, pi := range pis {
+		for _, cl := range txn.staged[pi] {
 			apply, err := c.srv.prepare(wal.OpAssert, pi, cl.Head, cl.Body)
 			if err != nil {
 				return fmt.Errorf("crs: commit failed for %v: %w", pi, err)
 			}
 			applies = append(applies, apply)
-			recs = append(recs, wal.Record{Op: wal.OpAssert, Module: ps.module, Clause: renderClause(cl.Head, cl.Body)})
+			recs = append(recs, wal.Record{Op: wal.OpAssert, Module: locked[i].module, Clause: renderClause(cl.Head, cl.Body)})
 		}
 	}
 	// Write-ahead: the transaction's appends become one log batch (one
 	// durability unit, consecutive seqs, one policy fsync) before any
-	// compiled clause file changes. The affected predicates are all still
-	// write-locked (since their first Assert), so replay order per
-	// predicate matches apply order.
+	// compiled clause file changes. The affected predicates stay
+	// write-locked until the last apply, so replay order per predicate
+	// matches apply order.
 	if c.srv.walLog != nil && len(recs) > 0 {
 		sp := tr.Span(nil, "wal")
 		last, err := c.srv.walLog.AppendBatch(recs)
@@ -489,7 +487,7 @@ func (c *Session) Commit() error {
 	return nil
 }
 
-// Abort discards the staged writes and releases the locks.
+// Abort discards the staged writes.
 func (c *Session) Abort() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -503,15 +501,8 @@ func (c *Session) Abort() error {
 	return nil
 }
 
+// abortLocked discards the open transaction; the caller holds c.mu.
 func (c *Session) abortLocked() {
-	releaseLocks(c.tx)
 	c.tx = nil
 	c.srv.met.txAborts.Inc()
-}
-
-func releaseLocks(txn *tx) {
-	for _, ps := range txn.locked {
-		ps.lock.Unlock()
-	}
-	txn.locked = nil
 }

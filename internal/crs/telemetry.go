@@ -1,9 +1,6 @@
 package crs
 
 import (
-	"fmt"
-	"sync"
-
 	"clare/internal/core"
 	"clare/internal/telemetry"
 	"clare/internal/wal"
@@ -11,15 +8,11 @@ import (
 
 // serverMetrics holds the CRS-level registry handles. All handles are
 // nil-safe, so a server built over an uninstrumented retriever pays
-// nothing (the per-predicate map stays empty because resolve short-
-// circuits on a nil registry).
+// nothing. No family is labelled per predicate: that would grow one
+// series per predicate of the store; /top answers per-predicate
+// questions from the flight ring.
 type serverMetrics struct {
-	reg *telemetry.Registry
-
 	requests map[core.SearchMode]*telemetry.Counter
-
-	predMu sync.Mutex
-	byPred map[core.Indicator]*telemetry.Counter
 
 	sessOpen  *telemetry.Gauge
 	sessTotal *telemetry.Counter
@@ -39,11 +32,7 @@ type serverMetrics struct {
 }
 
 func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
-	m := &serverMetrics{
-		reg:      reg,
-		requests: make(map[core.SearchMode]*telemetry.Counter, 4),
-		byPred:   make(map[core.Indicator]*telemetry.Counter),
-	}
+	m := &serverMetrics{requests: make(map[core.SearchMode]*telemetry.Counter, 4)}
 	for _, mode := range []core.SearchMode{core.ModeSoftware, core.ModeFS1, core.ModeFS2, core.ModeFS1FS2} {
 		m.requests[mode] = reg.Counter("clare_crs_requests_total",
 			"CRS retrievals served per search mode", telemetry.Labels{"mode": mode.String()})
@@ -71,23 +60,6 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	return m
 }
 
-// predCounter resolves (and caches) the per-predicate request counter.
-func (m *serverMetrics) predCounter(pi core.Indicator) *telemetry.Counter {
-	if m.reg == nil {
-		return nil
-	}
-	m.predMu.Lock()
-	defer m.predMu.Unlock()
-	c, ok := m.byPred[pi]
-	if !ok {
-		c = m.reg.Counter("clare_crs_predicate_requests_total",
-			"CRS retrievals served per predicate",
-			telemetry.Labels{"predicate": fmt.Sprintf("%s/%d", pi.Functor, pi.Arity)})
-		m.byPred[pi] = c
-	}
-	return c
-}
-
 // Snapshot is a consistent view of the server's service counters,
 // returned by Server.Snapshot and carried by the STATS wire command.
 type Snapshot struct {
@@ -106,9 +78,6 @@ type Snapshot struct {
 	// StoreMapped reports whether the retriever's base store image is a
 	// read-only file mapping.
 	StoreMapped bool
-	// LatencyWindow is the per-predicate latency tracker's sample
-	// capacity.
-	LatencyWindow int
 	// WAL is the durable write path's state: enabled says whether a log
 	// is attached, Seq/Applied are the log's last and the store's
 	// applied sequence numbers (Applied lags Seq only transiently),
@@ -132,17 +101,16 @@ func (s *Server) Snapshot() Snapshot {
 	degraded, retries, faults := s.degraded, s.retries, s.faults
 	s.statsMu.Unlock()
 	sn := Snapshot{
-		Served:        s.Served(),
-		Sessions:      s.Sessions(),
-		QueryCache:    s.retriever.QueryCache(),
-		Degraded:      degraded,
-		Retries:       retries,
-		Faults:        faults,
-		StoreMapped:   s.retriever.StoreMapped(),
-		LatencyWindow: s.lat.Window(),
-		WALApplied:    s.applied.Load(),
-		Replicated:    s.replicated.Load(),
-		ReadOnly:      s.readOnly.Load(),
+		Served:      s.Served(),
+		Sessions:    s.Sessions(),
+		QueryCache:  s.retriever.QueryCache(),
+		Degraded:    degraded,
+		Retries:     retries,
+		Faults:      faults,
+		StoreMapped: s.retriever.StoreMapped(),
+		WALApplied:  s.applied.Load(),
+		Replicated:  s.replicated.Load(),
+		ReadOnly:    s.readOnly.Load(),
 	}
 	if s.walLog != nil {
 		sn.WALEnabled = true
@@ -178,7 +146,6 @@ func (sn Snapshot) lines() []statsKV {
 		statsKV{"retries", sn.Retries},
 		statsKV{"faults", sn.Faults},
 		statsKV{"store.mapped", b2i(sn.StoreMapped)},
-		statsKV{"latency.window", int64(sn.LatencyWindow)},
 	)
 	kv = append(kv,
 		statsKV{"wal.enabled", b2i(sn.WALEnabled)},

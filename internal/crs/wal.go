@@ -243,9 +243,9 @@ func (c *Session) writeNow(op wal.Op, head, body term.Term) (uint64, error) {
 		return 0, ErrClosed
 	}
 	if c.tx != nil {
-		// An autocommit write under an open transaction would deadlock on
-		// the transaction's own predicate locks; stage through ASSERT
-		// instead.
+		// An autocommit write under an open transaction would land ahead
+		// of the transaction's staged clauses and outside its batch;
+		// stage through ASSERT instead.
 		c.mu.Unlock()
 		return 0, ErrInTransaction
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"clare/internal/core"
+	"clare/internal/fault"
 	"clare/internal/parse"
 	"clare/internal/telemetry"
 	"clare/internal/wire"
@@ -110,32 +111,73 @@ func TestWireOversizedPayload(t *testing.T) {
 	}
 }
 
-// TestServerShutdownGraceful: with no open connections Shutdown returns
-// immediately; with a connected client it waits for the client to leave.
-func TestServerShutdownGraceful(t *testing.T) {
-	s := newServer(t)
-	addr := startWire(t, s)
-	c, err := Dial(addr)
+// newSlowServer builds a native server whose every retrieval sleeps
+// delay at the core.retrieve fault site; the injector's Delayed count
+// tells a test when a retrieval is running.
+func newSlowServer(t *testing.T, delay time.Duration) (*Server, *fault.Injector) {
+	t.Helper()
+	cfg := core.DefaultConfig()
+	cfg.Engine = core.EngineNative
+	cfg.Faults = fault.New(1).Add(fault.Rule{Site: fault.SiteRetrieve, Probability: 1, Delay: delay})
+	r, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Retrieve("fs1+fs2", "married_couple(husband1, X)"); err != nil {
+	s := NewServer(r)
+	if err := s.Load("family", workload.Family{Couples: 30, SameEvery: 3}.Clauses()); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		done <- s.Shutdown(ctx)
-	}()
-	select {
-	case <-done:
-		t.Fatal("Shutdown returned while a connection was open")
-	case <-time.After(50 * time.Millisecond):
+	return s, cfg.Faults
+}
+
+// waitDelayed polls until n retrievals have entered their fault delay.
+func waitDelayed(t *testing.T, inj *fault.Injector, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); inj.Delayed() < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d retrievals started after 5s", inj.Delayed(), n)
+		}
 	}
-	c.Close()
-	if err := <-done; err != nil {
-		t.Errorf("graceful Shutdown = %v, want nil", err)
+}
+
+// TestServerShutdownGraceful: Shutdown closes a connection idle between
+// requests at once, lets a client mid-request have its reply, then
+// returns — and refuses new dials meanwhile.
+func TestServerShutdownGraceful(t *testing.T) {
+	const delay = 200 * time.Millisecond
+	s, inj := newSlowServer(t, delay)
+	addr := startWire(t, s)
+	idle, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	if _, err := idle.Retrieve("fs1+fs2", "married_couple(husband1, X)"); err != nil {
+		t.Fatal(err)
+	}
+	busy, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	reply := make(chan error, 1)
+	go func() {
+		_, err := busy.Retrieve("fs1+fs2", "married_couple(husband2, X)")
+		reply <- err
+	}()
+	waitDelayed(t, inj, 2)
+
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Errorf("Shutdown = %v after %v, want nil: the idle client held the drain", err, time.Since(start))
+	}
+	if err := <-reply; err != nil {
+		t.Errorf("client mid-request lost its reply: %v", err)
+	}
+	if s.Sessions() != 0 {
+		t.Errorf("open sessions after Shutdown = %d", s.Sessions())
 	}
 	// While draining, new connections are refused.
 	if _, err := Dial(addr); err == nil {
@@ -143,20 +185,30 @@ func TestServerShutdownGraceful(t *testing.T) {
 	}
 }
 
-// TestServerShutdownDeadline: a client that never leaves is force-closed
-// when the context expires.
+// TestServerShutdownDeadline: a request that outlasts the context is
+// force-closed when it expires, and Shutdown reports the deadline.
 func TestServerShutdownDeadline(t *testing.T) {
-	s := newServer(t)
+	s, inj := newSlowServer(t, time.Second)
 	addr := startWire(t, s)
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.conn.Close()
+	defer c.Close()
+	c.MaxRetries = -1
+	reply := make(chan error, 1)
+	go func() {
+		_, err := c.Retrieve("fs1+fs2", "married_couple(husband1, X)")
+		reply <- err
+	}()
+	waitDelayed(t, inj, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	if err := s.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("Shutdown = %v, want DeadlineExceeded", err)
+	}
+	if err := <-reply; err == nil {
+		t.Error("client of a force-closed request got a reply")
 	}
 	if s.Sessions() != 0 {
 		t.Errorf("open sessions after forced shutdown = %d", s.Sessions())
@@ -229,7 +281,6 @@ func TestServerMetrics(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		`clare_crs_requests_total{mode="fs2"} 1`,
-		`clare_crs_predicate_requests_total{predicate="married_couple/2"} 1`,
 		`clare_crs_sessions_total 1`,
 		`clare_crs_sessions_open 0`,
 		`clare_crs_transactions_total{op="begin"} 1`,
@@ -239,5 +290,10 @@ func TestServerMetrics(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	// Per-predicate data stays out of /metrics: one series per predicate
+	// would grow with the store.
+	if strings.Contains(out, "predicate=") {
+		t.Errorf("exposition carries a per-predicate series:\n%s", out)
 	}
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -13,7 +14,6 @@ import (
 type AdminConfig struct {
 	Registry *Registry
 	Tracer   *Tracer
-	Latency  *LatencyTracker
 	Flight   *FlightRecorder
 }
 
@@ -21,11 +21,20 @@ type AdminConfig struct {
 //
 //	/metrics       Prometheus text exposition of the registry
 //	/trace?n=K     last K retrieval traces as JSON lines (default 16)
-//	/top?n=K       hottest K latency keys (predicates) as JSON (default 10)
+//	/top?n=K       hottest K predicates over the flight ring as JSON (default 10)
 //	/flight?n=K    last K flight-recorder records as JSONL (default: whole ring)
 //	/debug/pprof/  the standard Go profiling endpoints
+//
+// /top is a read-time view over the flight ring (FlightRecorder.Top),
+// not a record of its own, which fixes three things about its numbers:
+// count and sum cover the records in the ring (the newest -flight
+// retrievals over all predicates), not the process lifetime; on a
+// backend a sample is the engine's wall_ns, so lock wait is not in it
+// (clare_crs_lock_wait_seconds{op="read"} holds that); and failed
+// retrievals count, as do a retract's victim searches. Without a flight
+// recorder /top serves [].
 func NewAdminMux(cfg AdminConfig) *http.ServeMux {
-	reg, tracer, tracker := cfg.Registry, cfg.Tracer, cfg.Latency
+	reg, tracer := cfg.Registry, cfg.Tracer
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -45,7 +54,7 @@ func NewAdminMux(cfg AdminConfig) *http.ServeMux {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		_ = tracker.WriteJSON(w, n)
+		_ = json.NewEncoder(w).Encode(cfg.Flight.Top(n))
 	})
 	mux.HandleFunc("/flight", func(w http.ResponseWriter, r *http.Request) {
 		n, ok := queryN(w, r, "flight", 0)

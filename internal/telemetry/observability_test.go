@@ -50,22 +50,30 @@ func TestWireSpanRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLatencyTrackerQuantiles: nearest-rank quantiles over a known
-// sample set, hottest-first Top ordering.
-func TestLatencyTrackerQuantiles(t *testing.T) {
-	lt := NewLatencyTracker(0)
-	for i := 1; i <= 100; i++ {
-		lt.Observe("hot/2", time.Duration(i)*time.Millisecond)
+// recordWalls files one flight record per wall time under pred.
+func recordWalls(f *FlightRecorder, pred string, walls ...time.Duration) {
+	for _, w := range walls {
+		f.Record(&FlightRecord{Predicate: pred, WallNS: int64(w)})
 	}
-	lt.Observe("cold/1", 5*time.Millisecond)
+}
 
-	top := lt.Top(10)
+// TestFlightTopQuantiles: nearest-rank quantiles over a known sample
+// set, hottest-first order, n truncation, and counts that cover the ring
+// rather than the process lifetime.
+func TestFlightTopQuantiles(t *testing.T) {
+	f := NewFlightRecorder(128)
+	for i := 1; i <= 100; i++ {
+		recordWalls(f, "hot/2", time.Duration(i)*time.Millisecond)
+	}
+	recordWalls(f, "cold/1", 5*time.Millisecond)
+
+	top := f.Top(10)
 	if len(top) != 2 || top[0].Key != "hot/2" || top[1].Key != "cold/1" {
 		t.Fatalf("Top order wrong: %+v", top)
 	}
 	h := top[0]
-	if h.Count != 100 {
-		t.Errorf("count = %d, want 100", h.Count)
+	if h.Count != 100 || h.Sum != 5050*time.Millisecond {
+		t.Errorf("count/sum = %d/%v, want 100/5.05s", h.Count, h.Sum)
 	}
 	if h.P50 != 50*time.Millisecond || h.P90 != 90*time.Millisecond || h.P99 != 99*time.Millisecond {
 		t.Errorf("quantiles = %v/%v/%v, want 50ms/90ms/99ms", h.P50, h.P90, h.P99)
@@ -73,38 +81,46 @@ func TestLatencyTrackerQuantiles(t *testing.T) {
 	if h.Max != 100*time.Millisecond {
 		t.Errorf("max = %v, want 100ms", h.Max)
 	}
+	if got := f.Top(1); len(got) != 1 || got[0].Key != "hot/2" {
+		t.Errorf("Top(1) = %+v, want the hottest predicate only", got)
+	}
 
-	// The window drops old samples but lifetime count/sum keep running.
-	for i := 0; i < DefaultLatencyWindow; i++ {
-		lt.Observe("hot/2", time.Millisecond)
+	// The ring drops old records, and count and sum drop with them.
+	recordWalls(f, "hot/2", make([]time.Duration, f.Size())...)
+	h = f.Top(0)[0]
+	if h.Key != "hot/2" || h.Count != uint64(f.Size()) || h.Sum != 0 || h.P99 != 0 {
+		t.Errorf("after the ring rolled: %+v, want %d zero-wall records", h, f.Size())
 	}
-	h = lt.Top(1)[0]
-	if h.Count != uint64(100+DefaultLatencyWindow) {
-		t.Errorf("lifetime count = %d", h.Count)
-	}
-	if h.P99 != time.Millisecond {
-		t.Errorf("windowed P99 = %v, want 1ms after the window rolled", h.P99)
+
+	var nilRec *FlightRecorder
+	if got := nilRec.Top(10); got == nil || len(got) != 0 {
+		t.Errorf("nil recorder Top = %#v, want an empty list", got)
 	}
 }
 
-// TestAdminMuxTop: /top serves the hottest predicates as JSON; bad n is
-// a 400; a mux without a tracker serves an empty list.
+// TestAdminMuxTop: /top serves the hottest predicates of the flight ring
+// as JSON; bad n is a 400; a mux without a recorder serves an empty list.
 func TestAdminMuxTop(t *testing.T) {
-	lt := NewLatencyTracker(0)
-	lt.Observe("married_couple/2", 3*time.Millisecond)
-	lt.Observe("route0/2", time.Millisecond)
-	mux := NewAdminMux(AdminConfig{Registry: NewRegistry(), Latency: lt})
+	f := NewFlightRecorder(16)
+	recordWalls(f, "married_couple/2", 3*time.Millisecond)
+	recordWalls(f, "route0/2", time.Millisecond)
+	mux := NewAdminMux(AdminConfig{Registry: NewRegistry(), Flight: f})
 
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/top?n=1", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Header().Get("Content-Type"), "application/json") {
 		t.Fatalf("GET /top: %d %s", rec.Code, rec.Header().Get("Content-Type"))
 	}
-	var snaps []LatencySnapshot
+	for _, field := range []string{`"key":`, `"count":`, `"sum_ns":`, `"p50_ns":`, `"p90_ns":`, `"p99_ns":`, `"max_ns":`} {
+		if !strings.Contains(rec.Body.String(), field) {
+			t.Errorf("/top payload %q lacks %s", rec.Body.String(), field)
+		}
+	}
+	var snaps []TopEntry
 	if err := json.Unmarshal(rec.Body.Bytes(), &snaps); err != nil {
 		t.Fatalf("bad /top payload %q: %v", rec.Body.String(), err)
 	}
-	if len(snaps) != 1 || snaps[0].Key != "married_couple/2" {
+	if len(snaps) != 1 || snaps[0].Key != "married_couple/2" || snaps[0].Count != 1 {
 		t.Errorf("/top?n=1 = %+v, want the hottest predicate only", snaps)
 	}
 
@@ -117,7 +133,7 @@ func TestAdminMuxTop(t *testing.T) {
 	rec = httptest.NewRecorder()
 	NewAdminMux(AdminConfig{Registry: NewRegistry()}).ServeHTTP(rec, httptest.NewRequest("GET", "/top", nil))
 	if rec.Code != 200 || strings.TrimSpace(rec.Body.String()) != "[]" {
-		t.Errorf("trackerless /top = %d %q, want 200 []", rec.Code, rec.Body.String())
+		t.Errorf("unarmed /top = %d %q, want 200 []", rec.Code, rec.Body.String())
 	}
 }
 

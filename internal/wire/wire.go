@@ -36,10 +36,10 @@
 // on the front-end) answers "ERR unknown command". STATS keys are
 // served.<mode>, sessions, qcache.{hits,misses,entries}, the
 // fault-tolerance tallies degraded, retries and faults, store.mapped (1
-// when the store image is a file mapping), latency.window, the durable write path's wal.* keys
-// (wal.{enabled,seq,applied,segments,appends,fsyncs,faults,replicated,
-// readonly}) and the flight recorder's flight.{size,recorded}; values
-// are decimal integers. FLIGHT body lines are single-line JSON objects
+// when the store image is a file mapping), the durable write path's wal.*
+// keys (wal.{enabled,seq,applied,segments,appends,fsyncs,faults,
+// replicated,readonly}) and the flight recorder's flight.{size,recorded};
+// values are decimal integers. FLIGHT body lines are single-line JSON objects
 // (see telemetry.FlightRecord); with no recorder attached FLIGHT
 // answers an empty listing.
 //
@@ -85,6 +85,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"time"
 )
 
 // MaxLine bounds one protocol line in either direction. A longer line
@@ -138,15 +139,22 @@ func (a *Acceptor) Serve(l net.Listener, handle func(net.Conn)) error {
 	}
 }
 
-// Shutdown drains the server: new connections are refused, and Shutdown
-// returns once every in-flight handler has finished. If ctx expires
-// first, the remaining connections are force-closed (an in-flight
-// request still runs to completion; its client sees the connection
-// drop) and ctx.Err() is returned. The caller should close its
-// listeners first so Serve stops accepting.
+// Shutdown drains the server: new connections are refused, a connection
+// idle between requests is closed at once, and one running a request is
+// closed once its reply has gone out. Shutdown returns when every handler
+// has finished. If ctx expires first, the connections still running a
+// request are force-closed (the request still runs to completion; its
+// client sees the connection drop) and ctx.Err() is returned. The caller
+// should close its listeners first so Serve stops accepting.
 func (a *Acceptor) Shutdown(ctx context.Context) error {
 	a.mu.Lock()
 	a.draining = true
+	// A handler reads its next request only between requests, so a read
+	// deadline in the past ends every connection at that point: at once
+	// when idle, after the reply when busy.
+	for c := range a.conns {
+		c.SetReadDeadline(time.Now()) //nolint:errcheck // a closed conn is already done
+	}
 	a.mu.Unlock()
 	done := make(chan struct{})
 	go func() {
