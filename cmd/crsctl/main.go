@@ -19,17 +19,24 @@
 //
 //	crsctl -flight 20          # newest flight-recorder records
 //	crsctl -stats              # service counters
+//	crsctl -trace 'married_couple(S, S)'   # also print the span tree
 //
-// Both work against crsd and crsrouter alike — against the router,
-// -flight shows the routing-level records, each with the trace ID its
-// backend call joined; the backend's record of that call prints the
-// same ID as caller=<id>. A slow retrieval is a flight record with a large
-// wall time; -explain on its goal prices it on the modelled hardware.
+// All three work against crsd and crsrouter alike. A server records a
+// span tree only for a request that carries a trace context; -trace
+// sends a fresh one with the retrieval (or -explain) and prints the tree
+// the reply carries — through crsrouter, the stitched route → shard →
+// net → retrieve tree. Against the router, -flight shows the
+// routing-level records; a traced call's record carries the trace ID its
+// backend call joined, and the backend's record of that call prints the
+// same ID as caller=<id>. A slow retrieval is a flight record with a
+// large wall time; -explain on its goal prices it on the modelled
+// hardware.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"sort"
 	"strings"
@@ -49,6 +56,7 @@ func main() {
 	explain := flag.Bool("explain", false, "profile the retrieval instead of printing candidates")
 	flight := flag.Int("flight", -1, "print the newest N flight-recorder records and exit (0 = all)")
 	timeout := flag.Duration("timeout", crs.DefaultTimeout, "per-operation wire timeout (0 disables)")
+	trace := flag.Bool("trace", false, "send a fresh trace context with the retrieval or -explain and print the span tree of the reply")
 	flag.Parse()
 
 	c, err := crs.DialTimeout(*addr, *timeout)
@@ -108,20 +116,26 @@ func main() {
 	}
 
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: crsctl [-addr a] [-mode m] [-explain] 'goal(...)'  |  crsctl -assert|-retract 'clause'")
+		fmt.Fprintln(os.Stderr, "usage: crsctl [-addr a] [-mode m] [-explain] [-trace] 'goal(...)'  |  crsctl -assert|-retract 'clause'")
 		os.Exit(2)
 	}
 
+	var tc *telemetry.TraceContext
+	if *trace {
+		tc = &telemetry.TraceContext{TraceID: max(rand.Uint64(), 1)}
+	}
+
 	if *explain {
-		res, err := c.Explain(*mode, flag.Arg(0))
+		res, err := c.ExplainTraced(*mode, flag.Arg(0), tc)
 		if err != nil {
 			fatal("%v", err)
 		}
 		printExplain(res)
+		printTrace(tc, res.Spans)
 		return
 	}
 
-	res, err := c.Retrieve(*mode, flag.Arg(0))
+	res, err := c.RetrieveTraced(*mode, flag.Arg(0), tc)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -129,6 +143,54 @@ func main() {
 		fmt.Println(cl)
 	}
 	fmt.Println("% " + res.Stats)
+	printTrace(tc, res.Spans)
+}
+
+// printTrace renders a traced reply's span tree as comment lines, one
+// span per line, each child indented under its parent: name, wall time
+// and attrs in key order. Nothing is printed for an untraced call.
+func printTrace(tc *telemetry.TraceContext, spans []telemetry.WireSpan) {
+	if tc == nil {
+		return
+	}
+	if len(spans) == 0 {
+		fmt.Printf("%% trace %016x: no span tree in the reply\n", tc.TraceID)
+		return
+	}
+	fmt.Printf("%% trace %016x\n", tc.TraceID)
+	ids := make(map[int]bool, len(spans))
+	for _, sp := range spans {
+		ids[sp.ID] = true
+	}
+	children := make(map[int][]telemetry.WireSpan)
+	var roots []telemetry.WireSpan
+	for _, sp := range spans {
+		if ids[sp.Parent] {
+			children[sp.Parent] = append(children[sp.Parent], sp)
+		} else {
+			roots = append(roots, sp)
+		}
+	}
+	var walk func(sp telemetry.WireSpan, depth int)
+	walk = func(sp telemetry.WireSpan, depth int) {
+		keys := make([]string, 0, len(sp.Attrs))
+		for k := range sp.Attrs {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		line := fmt.Sprintf("%% %s%s  %v", strings.Repeat("  ", depth), sp.Name,
+			time.Duration(sp.Wall).Round(100*time.Nanosecond))
+		for _, k := range keys {
+			line += "  " + k + "=" + sp.Attrs[k]
+		}
+		fmt.Println(line)
+		for _, c := range children[sp.ID] {
+			walk(c, depth+1)
+		}
+	}
+	for _, sp := range roots {
+		walk(sp, 0)
+	}
 }
 
 // printExplain renders the EXPLAIN profile in wire order (the filter
@@ -165,6 +227,7 @@ var statsSections = []struct {
 	{"qcache", func(k string) bool { return strings.HasPrefix(k, "qcache.") }},
 	{"wal", func(k string) bool { return strings.HasPrefix(k, "wal.") }},
 	{"flight", func(k string) bool { return strings.HasPrefix(k, "flight.") }},
+	{"store", func(k string) bool { return strings.HasPrefix(k, "store.") }},
 	{"cluster", func(k string) bool { return strings.HasPrefix(k, "cluster.") }},
 }
 

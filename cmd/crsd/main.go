@@ -13,7 +13,9 @@
 //	crsd -addr :7071 -kb build/shard-0.clare
 //
 // The admin listener serves /metrics (Prometheus text
-// format), /trace?n=K (recent retrieval span trees as JSON lines),
+// format), /trace?n=K (the span trees of recent traced retrievals — a
+// request whose line carries a trace context, as crsctl -trace sends —
+// as JSON lines),
 // /flight?n=K, /top?n=K and /debug/pprof; -admin "" disables it.
 // SIGINT/SIGTERM drain the server: new connections are refused, idle
 // ones close at once, and a request still running gets -drain to finish
@@ -43,7 +45,8 @@
 //
 // Observability: -flight sizes the always-on flight recorder (one
 // compact record per retrieval — predicate, mode, candidate funnel, wall
-// time, trace ID — dumped by the FLIGHT wire verb, /flight admin
+// time, and for a traced request its trace ID — dumped by the FLIGHT
+// wire verb, /flight admin
 // endpoint and crsctl -flight; -flight-snap names the file the ring
 // snapshots to on SIGTERM and panic). A slow retrieval is one of those
 // records, and /top groups the ring by predicate (count, summed wall
@@ -89,7 +92,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7071", "listen address")
 	admin := flag.String("admin", "", "admin HTTP address for /metrics, /trace, /flight, /top and /debug/pprof (empty disables)")
 	drain := flag.Duration("drain", 10*time.Second, "shutdown grace period for requests still running")
-	traceBuf := flag.Int("trace-buf", telemetry.DefaultTraceRing, "retrieval traces kept for /trace")
+	traceBuf := flag.Int("trace-buf", telemetry.DefaultTraceRing, "traces of traced retrievals (requests carrying a trace context) kept for /trace")
 	var faultSpecs multiFlag
 	flag.Var(&faultSpecs, "fault", "arm a fault-injection rule, site[@key]=P or site[@key]=1/N[,limit=L] (repeatable)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the fault-injection schedule")

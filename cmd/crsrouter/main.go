@@ -28,7 +28,9 @@
 // yet is priced at the same prior).
 //
 // The admin listener serves /metrics (clare_cluster_* and the Prometheus
-// base set), /trace?n=K (router span trees), /flight?n=K, /top?n=K (the
+// base set), /trace?n=K (the stitched span trees of traced requests —
+// ones whose line carries a trace context, as crsctl -trace sends),
+// /flight?n=K, /top?n=K (the
 // router's flight ring grouped by predicate) and /debug/pprof; -admin ""
 // disables it. SIGINT/SIGTERM drain: new connections are refused, idle
 // ones close at once, and a request still running gets -drain to finish
@@ -36,8 +38,9 @@
 //
 // Observability mirrors crsd: -flight sizes the router's own flight
 // recorder (one record per routed retrieval with the routing decision,
-// the merged candidate funnel, the end-to-end wall time and the trace
-// ID its backend call joined; FLIGHT wire verb and /flight endpoint;
+// the merged candidate funnel, the end-to-end wall time and, for a
+// traced request, the trace ID its backend call joined; FLIGHT wire
+// verb and /flight endpoint;
 // -flight-snap snapshots it on SIGTERM). -log-level/-log-json shape the
 // structured event log on stdout.
 package main
@@ -62,7 +65,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "listen address")
 	admin := flag.String("admin", "", "admin HTTP address for /metrics, /trace, /flight, /top and /debug/pprof (empty disables)")
 	drain := flag.Duration("drain", 10*time.Second, "shutdown grace period for requests still running")
-	traceBuf := flag.Int("trace-buf", telemetry.DefaultTraceRing, "routed-retrieval traces kept for /trace")
+	traceBuf := flag.Int("trace-buf", telemetry.DefaultTraceRing, "stitched traces of traced routed requests (ones carrying a trace context) kept for /trace")
 	wireTimeout := flag.Duration("wire-timeout", cluster.DefaultWireTimeout, "backend dial and wire operation bound")
 	callTimeout := flag.Duration("call-timeout", cluster.DefaultCallTimeout, "per-backend request budget before failover (negative disables)")
 	trip := flag.Int("trip", cluster.DefaultTripThreshold, "consecutive failures that trip a backend out of rotation")

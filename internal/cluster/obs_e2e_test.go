@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"io"
 	"net"
 	"net/http/httptest"
 	"os"
@@ -17,19 +18,21 @@ import (
 )
 
 // startObsBackend boots one native backend with its tracer and flight
-// recorder armed (snapshots going to snap) and a fault injector delaying
-// every retrieval — pure latency at the core.retrieve site, mirroring
-// `crsd -fault core.retrieve=1,delay=...` (a slow backend, not a broken
-// one).
+// recorder armed (snapshots going to snap) and, for a positive delay, a
+// fault injector delaying every retrieval — pure latency at the
+// core.retrieve site, mirroring `crsd -fault core.retrieve=1,delay=...`
+// (a slow backend, not a broken one).
 func startObsBackend(t *testing.T, preds []testPred, delay time.Duration, snap string) (*crs.Server, net.Listener) {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Engine = core.EngineNative
 	cfg.Tracer = telemetry.NewTracer(32)
 	cfg.Flight = telemetry.NewFlightRecorder(128)
-	cfg.Faults = fault.New(1).Add(fault.Rule{
-		Site: fault.SiteRetrieve, Probability: 1, Delay: delay,
-	})
+	if delay > 0 {
+		cfg.Faults = fault.New(1).Add(fault.Rule{
+			Site: fault.SiteRetrieve, Probability: 1, Delay: delay,
+		})
+	}
 	r, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -50,11 +53,25 @@ func startObsBackend(t *testing.T, preds []testPred, delay time.Duration, snap s
 	return s, l
 }
 
+// startFrontEnd serves r's wire front-end on loopback and returns its
+// address.
+func startFrontEnd(t *testing.T, r *Router) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go NewServer(r).Serve(l)
+	t.Cleanup(func() { l.Close() })
+	return l.Addr().String()
+}
+
 // TestClusterSlowRetrievalFlight is the acceptance path for a slow
 // retrieval across two processes' worth of machinery: a backend whose
 // retrievals are slowed by an injected fault latency, fronted by a
-// traced router with its own flight recorder. The slow call is found
-// where an operator finds it — in the flight rings:
+// router with a tracer and its own flight recorder. The slow call, sent
+// with a trace context, is found where an operator finds it — in the
+// flight rings:
 //
 //   - the router's record, dumped by FLIGHT through the front-end,
 //     carries wall >= delay, plan=shard=0, a monotone funnel and the
@@ -73,21 +90,13 @@ func TestClusterSlowRetrievalFlight(t *testing.T) {
 		cfg.Tracer = telemetry.NewTracer(16)
 		cfg.Flight = telemetry.NewFlightRecorder(64)
 	})
-	front := NewServer(r)
-	fl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go front.Serve(fl)
-	t.Cleanup(func() { fl.Close() })
-
-	c, err := crs.Dial(fl.Addr().String())
+	c, err := crs.Dial(startFrontEnd(t, r))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	res, err := c.Retrieve("auto", "obsfact(X, Y)")
+	res, err := c.RetrieveTraced("auto", "obsfact(X, Y)", &telemetry.TraceContext{TraceID: 99, ParentSpan: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,5 +182,103 @@ func TestClusterSlowRetrievalFlight(t *testing.T) {
 		if err := json.Unmarshal([]byte(ln), &fr); err != nil || fr.Predicate != "obsfact/2" {
 			t.Errorf("snapshot line not a flight record (%v): %s", err, ln)
 		}
+	}
+}
+
+// rawSession sends script to the server at addr in one write and returns
+// everything the server answers until it closes the connection (the
+// script ends with QUIT).
+func rawSession(t *testing.T, addr, script string) string {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write([]byte(script)); err != nil {
+		t.Fatal(err)
+	}
+	out, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestUntracedRetrievalRecordsNoTrace: a trace is recorded only for a
+// request that carries a trace context. Untraced retrievals through a
+// router and a native backend, both with a tracer armed, leave both
+// trace rings empty, put no TRACE line on either server's wire and file
+// flight records with no trace or caller ID. One traced retrieval then
+// lands in both rings, and the backend's flight record of it joins the
+// router's by caller trace ID.
+func TestUntracedRetrievalRecordsNoTrace(t *testing.T) {
+	const n = 5
+	backend, l := startObsBackend(t, []testPred{facts("obsfact", 12)}, 0, "")
+	backendTracer := backend.Retriever().Tracer()
+	routerTracer, routerFlight := telemetry.NewTracer(16), telemetry.NewFlightRecorder(64)
+	r := newTestRouter(t, [][]string{{l.Addr().String()}}, func(cfg *Config) {
+		cfg.Tracer, cfg.Flight = routerTracer, routerFlight
+	})
+	front := startFrontEnd(t, r)
+	c, err := crs.Dial(front)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	for i := 0; i < n; i++ {
+		res, err := c.Retrieve("auto", "obsfact(X, Y)")
+		if err != nil || len(res.Clauses) != 12 || res.Spans != nil {
+			t.Fatalf("untraced retrieval %d: %v, %+v", i, err, res)
+		}
+	}
+	if _, err := c.Explain("auto", "obsfact(X, Y)"); err != nil {
+		t.Fatal(err)
+	}
+	for side, addr := range map[string]string{"router": front, "backend": l.Addr().String()} {
+		out := rawSession(t, addr, "RETRIEVE auto obsfact(X, Y).\nEXPLAIN auto obsfact(X, Y).\nQUIT\n")
+		if !strings.Contains(out, "C obsfact(") || strings.Contains(out, "TRACE") {
+			t.Errorf("%s: untraced session reply:\n%s", side, out)
+		}
+	}
+	if got, back := len(routerTracer.Last(0)), len(backendTracer.Last(0)); got != 0 || back != 0 {
+		t.Errorf("untraced traffic left %d router and %d backend traces", got, back)
+	}
+	// The router saw n retrievals, one EXPLAIN and its raw session's two
+	// calls; the backend saw all of those and its own raw session's two.
+	for side, want := range map[string]struct {
+		f    *telemetry.FlightRecorder
+		recs int
+	}{"router": {routerFlight, n + 3}, "backend": {backend.Flight(), n + 5}} {
+		recs := want.f.Snapshot(0)
+		if len(recs) != want.recs {
+			t.Errorf("%s flight ring holds %d records, want %d", side, len(recs), want.recs)
+		}
+		for _, rec := range recs {
+			if rec.TraceID != 0 || rec.CallerTraceID != 0 {
+				t.Errorf("%s: untraced flight record %+v carries a trace", side, rec)
+			}
+		}
+	}
+
+	ctx := &telemetry.TraceContext{TraceID: 77, ParentSpan: 3}
+	res, err := c.RetrieveTraced("auto", "obsfact(X, Y)", ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSpanTree(t, res.Spans)
+	rt, bt := routerTracer.Last(0), backendTracer.Last(0)
+	if len(rt) != 1 || len(bt) != 1 {
+		t.Fatalf("one traced retrieval left %d router and %d backend traces, want 1 each", len(rt), len(bt))
+	}
+	if rt[0].Remote == nil || *rt[0].Remote != *ctx || bt[0].Remote == nil || bt[0].Remote.TraceID != rt[0].TraceID {
+		t.Errorf("traces not joined: router remote %+v, backend remote %+v", rt[0].Remote, bt[0].Remote)
+	}
+	routerRecs, backendRecs := routerFlight.Snapshot(1), backend.Flight().Snapshot(1)
+	if len(routerRecs) != 1 || len(backendRecs) != 1 || routerRecs[0].TraceID != rt[0].TraceID ||
+		backendRecs[0].TraceID != bt[0].TraceID || backendRecs[0].CallerTraceID != rt[0].TraceID {
+		t.Errorf("traced flight records do not join: router %+v, backend %+v", routerRecs, backendRecs)
 	}
 }

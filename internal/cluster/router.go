@@ -81,7 +81,8 @@ type Config struct {
 	// Metrics, when non-nil, receives the router counters
 	// (clare_cluster_*). Nil disables metrics.
 	Metrics *telemetry.Registry
-	// Tracer, when non-nil, records one span tree per routed retrieval.
+	// Tracer, when non-nil, records one span tree per traced routed
+	// retrieval: one whose caller sent a trace context.
 	Tracer *telemetry.Tracer
 	// Flight, when non-nil, receives one compact record per routed read,
 	// served or failed (predicate, routing decision, merged candidate
@@ -372,8 +373,12 @@ func (n *node) score() int64 {
 // stable, so unscored equals keep their declared order. When every node
 // is tripped and still cooling, all are returned anyway — the router
 // has no host-only rung below it, so a last-ditch attempt beats a
-// guaranteed error.
+// guaranteed error. A one-node group is its own order in every case, so
+// it is returned as is, without allocating.
 func (g *group) candidates() []*node {
+	if len(g.nodes) == 1 {
+		return g.nodes
+	}
 	now := time.Now()
 	healthy := make([]*node, 0, len(g.nodes))
 	var probation, stale []*node
@@ -589,10 +594,11 @@ func (r *Router) Retrieve(mode, goal string) (*crs.RetrieveResult, error) {
 }
 
 // RetrieveTraced is Retrieve joining a remote caller's trace context.
-// The router threads the context down to each backend attempt and grafts
+// When tc is non-nil (and the router has a tracer) the router records a
+// trace, threads its context down to each backend attempt and grafts
 // every returned span subtree under the attempt's net span, so the
-// result's Spans field (populated only when tc is non-nil) holds one
-// stitched cross-process tree: route → shard → net → backend pipeline.
+// result's Spans field holds one stitched cross-process tree: route →
+// shard → net → backend pipeline. tc nil records no trace anywhere.
 func (r *Router) RetrieveTraced(mode, goal string, tc *telemetry.TraceContext) (*crs.RetrieveResult, error) {
 	return route(r, &retrieveVerb, mode, goal, tc)
 }
@@ -620,7 +626,13 @@ func route[T any](r *Router, v *verb[T], mode, goal string, tc *telemetry.TraceC
 		r.met.errors.Inc()
 		return zero, err
 	}
-	tr := r.tracer.StartAt("route", tc, start)
+	// Only a caller that sent a trace context gets a trace. An untraced
+	// request opens none, so remoteCtx is nil and no backend records or
+	// ships a span tree for it.
+	var tr *telemetry.Trace
+	if tc != nil {
+		tr = r.tracer.StartAt("route", tc, start)
+	}
 	root := tr.Root()
 	op := func(c *crs.Client, netSpan *telemetry.Span) (T, error) {
 		res, err := v.call(c, mode, goal, remoteCtx(tr, netSpan), r.cfg.CallTimeout)
@@ -656,12 +668,9 @@ func route[T any](r *Router, v *verb[T], mode, goal string, tc *telemetry.TraceC
 	if err != nil {
 		return zero, err
 	}
-	// The reply carries the stitched tree only for a caller that sent a
-	// trace context; the grafted backend subtrees never leak out bare.
-	*v.spans(res) = nil
-	if tc != nil {
-		*v.spans(res) = tr.Wire()
-	}
+	// The reply carries the stitched tree, never the bare backend
+	// subtrees grafted into it.
+	*v.spans(res) = tr.Wire()
 	return res, nil
 }
 
@@ -671,9 +680,7 @@ func route[T any](r *Router, v *verb[T], mode, goal string, tc *telemetry.TraceC
 func callShard[T any](r *Router, v *verb[T], g *group, tr *telemetry.Trace, root *telemetry.Span,
 	op func(c *crs.Client, netSpan *telemetry.Span) (T, error)) (T, error) {
 	sp := tr.Span(root, "shard")
-	if sp != nil {
-		sp.SetAttr("shard", strconv.Itoa(g.shard))
-	}
+	sp.SetAttr("shard", strconv.Itoa(g.shard))
 	res, err := callGroup(r, g, tr, sp, op)
 	if err == nil {
 		r.met.requests[g.shard].Inc()
@@ -747,8 +754,8 @@ type routed struct {
 
 // observeRouted is the one place a routed call is recorded. One reading
 // of the clock — end-to-end wall time, as a client saw it — feeds the
-// latency histogram, the flight ring (which /top reads) and the trace
-// root. Every surface is nil-safe, so an unarmed
+// latency histogram, the flight ring (which /top reads) and, for a
+// traced call, the trace root. Every surface is nil-safe, so an unarmed
 // router pays nil checks here.
 func (r *Router) observeRouted(c routed) {
 	wall := time.Since(c.start)

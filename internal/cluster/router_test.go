@@ -425,6 +425,28 @@ func TestCandidatesOrder(t *testing.T) {
 	}
 }
 
+// TestSingleNodeCandidatesAllocFree: a one-node group's candidate order
+// is that node whatever its health — fresh, stale, on probation or
+// tripped and cooling — and computing it allocates nothing.
+func TestSingleNodeCandidatesAllocFree(t *testing.T) {
+	n := &node{addr: "a"}
+	g := &group{nodes: []*node{n}}
+	for _, state := range []func(){
+		func() {},
+		func() { n.stale.Store(true) },
+		func() { n.stale.Store(false); n.tripped, n.retryAt = true, time.Now().Add(-time.Second) },
+		func() { n.retryAt = time.Now().Add(time.Hour) },
+	} {
+		state()
+		if got := g.candidates(); len(got) != 1 || got[0] != n {
+			t.Errorf("one-node group (stale %v, tripped %v): candidates = %v", n.stale.Load(), n.tripped, got)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { g.candidates() }); allocs != 0 {
+		t.Errorf("one-node candidates allocates %v objects per call, want 0", allocs)
+	}
+}
+
 // TestStatsAggregation: Stats sums backend counters across groups and
 // overlays the router's own cluster.* keys.
 func TestStatsAggregation(t *testing.T) {
@@ -487,7 +509,7 @@ func TestRetrieveTrace(t *testing.T) {
 	tracer := telemetry.NewTracer(4)
 	r := newTestRouter(t, tc.addrs, func(cfg *Config) { cfg.Tracer = tracer })
 	p := preds[0]
-	if _, err := r.Retrieve("auto", p.name+"(X, Y)"); err != nil {
+	if _, err := r.RetrieveTraced("auto", p.name+"(X, Y)", &telemetry.TraceContext{TraceID: 5, ParentSpan: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if len(tracer.Last(1)) == 0 {

@@ -92,17 +92,18 @@ func spanNames(spans []telemetry.WireSpan) map[string]int {
 	return names
 }
 
-// TestStitchedCrossProcessTrace is the acceptance scenario: 2 shards ×
-// 2 replicas behind a traced router yield ONE trace containing the
-// router's route/shard spans, the network attempt spans, and the
-// backends' pipeline spans, all with consistent parent links.
+// TestStitchedCrossProcessTrace is the acceptance scenario: a traced
+// retrieval over 2 shards × 2 replicas behind a router with a tracer
+// yields ONE trace containing the router's route/shard spans, the network
+// attempt spans, and the backends' pipeline spans, all with consistent
+// parent links.
 func TestStitchedCrossProcessTrace(t *testing.T) {
 	preds := testPreds()
 	tc := startTracedCluster(t, 2, 2, preds)
 	tracer := telemetry.NewTracer(4)
 	r := newTestRouter(t, tc.addrs, func(cfg *Config) { cfg.Tracer = tracer })
 	p := predOnShard(t, preds, 2, 1)
-	if _, err := r.Retrieve("fs1+fs2", p.name+"(X, Y)"); err != nil {
+	if _, err := r.RetrieveTraced("fs1+fs2", p.name+"(X, Y)", &telemetry.TraceContext{TraceID: 5, ParentSpan: 1}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -47,7 +47,8 @@ type Profile struct {
 	// Wall is the retrieval's own host time, as its record measured it
 	// (the reference pass is HostUnifyWall).
 	Wall time.Duration
-	// Trace is the retrieval's span tree (nil without a Tracer).
+	// Trace is the retrieval's span tree (nil without a Tracer or a
+	// trace context).
 	Trace *telemetry.Trace
 }
 

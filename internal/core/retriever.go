@@ -120,9 +120,10 @@ type Config struct {
 	// NewWithSymbols refuses Metrics, Tracer or Flight on it. Nil
 	// disables metrics at zero hot-path cost.
 	Metrics *telemetry.Registry
-	// Tracer, when non-nil, records one span tree per retrieval: the root
-	// plus one span per stage that ran (encode, FS1 scan, disk fetch, FS2
-	// match, host match), each timed in host time. Nil disables tracing.
+	// Tracer, when non-nil, records one span tree per traced retrieval
+	// (RetrieveTraced with a non-nil context): the root plus one span per
+	// stage that ran (encode, FS1 scan, disk fetch, FS2 match, host
+	// match), each timed in host time. Nil disables tracing.
 	Tracer *telemetry.Tracer
 	// Faults, when non-nil, is the fault injector: the sim engine's drive,
 	// bus and board probe it with key "0", and the retriever itself
@@ -546,7 +547,7 @@ type Retrieval struct {
 }
 
 // Trace returns the retrieval's span tree (nil unless the retriever was
-// configured with a Tracer).
+// configured with a Tracer and the call carried a trace context).
 func (rt *Retrieval) Trace() *telemetry.Trace { return rt.trace }
 
 // TraceID reports the retrieval's trace identifier (0 when untraced).
@@ -594,8 +595,9 @@ func (rt *Retrieval) AppendCandidateLines(dst []byte, prefix string) ([]byte, er
 // (FS2 board, VME bus, disk drive) for its duration, so calls take turns;
 // on the native engine calls run in parallel, sharing nothing but the
 // compiled files they read. When the retriever carries telemetry (native
-// only), the call records per-stage host-time metrics, one flight record
-// and one span tree into the tracer's ring buffer.
+// only), the call records per-stage host-time metrics and one flight
+// record; a traced call (RetrieveTraced) also files one span tree in the
+// tracer's ring buffer.
 //
 // Under fault injection the call degrades rather than fails. A faulted
 // attempt is retried on the same hardware, at most maxRetries times,
@@ -609,9 +611,10 @@ func (r *Retriever) Retrieve(goal term.Term, mode SearchMode) (*Retrieval, error
 }
 
 // RetrieveTraced is Retrieve joining a remote caller's trace: when tc is
-// non-nil the retrieval's span tree records the caller's trace ID and
-// parent span, so the CRS server can ship the subtree back over the wire
-// for the caller to graft. tc nil is plain Retrieve.
+// non-nil (and the retriever has a Tracer) the retrieval records a span
+// tree carrying the caller's trace ID and parent span, so the CRS server
+// can ship the subtree back over the wire for the caller to graft. tc nil
+// is plain Retrieve, which records no tree.
 func (r *Retriever) RetrieveTraced(goal term.Term, mode SearchMode, tc *telemetry.TraceContext) (*Retrieval, error) {
 	start := time.Now()
 	pi, pred, err := r.lookup(goal)

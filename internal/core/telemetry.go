@@ -139,12 +139,14 @@ func newCoreMetrics(reg *telemetry.Registry) *coreMetrics {
 // record is the one place a finished retrieval is observed: the registry,
 // the span tree and the flight record are all derived here from rt (and
 // err, for a retrieval that failed past the predicate lookup), so the
-// search modes carry no bookkeeping of their own.
+// search modes carry no bookkeeping of their own. The span tree is built
+// only for a caller that sent a trace context: an untraced retrieval
+// leaves the tracer's ring alone.
 func (r *Retriever) record(rt *Retrieval, start time.Time, tc *telemetry.TraceContext, err error) {
 	st := &rt.Stats
 	rt.wall.total = time.Since(start)
 	r.met.observe(rt, err)
-	if r.tracer != nil {
+	if r.tracer != nil && tc != nil {
 		rt.trace = r.spanTree(rt, start, tc, err)
 	}
 	if f := r.cfg.Flight; f != nil {

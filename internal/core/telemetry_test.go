@@ -64,11 +64,12 @@ func TestSimRefusesTelemetry(t *testing.T) {
 	}
 }
 
-// TestRetrievalSpanTree: in every mode the span tree is exactly the root
-// plus the stages that ran — the same spans for a 10-clause predicate and
-// a 400-clause one — every span hangs from the root, and none carries a
-// per-chunk attr. A native retrieval reads no simulated disk, so only its
-// mode fs1, gathering the survivors' records, has a disk_fetch.
+// TestRetrievalSpanTree: in every mode a traced retrieval's span tree is
+// exactly the root plus the stages that ran — the same spans for a
+// 10-clause predicate and a 400-clause one — every span hangs from the
+// root, and none carries a per-chunk attr. A native retrieval reads no
+// simulated disk, so only its mode fs1, gathering the survivors' records,
+// has a disk_fetch.
 func TestRetrievalSpanTree(t *testing.T) {
 	stagesRan := map[SearchMode][]string{
 		ModeSoftware: {"host_match"},
@@ -85,7 +86,7 @@ func TestRetrievalSpanTree(t *testing.T) {
 				cfg.Engine = EngineNative
 				cfg.Tracer = telemetry.NewTracer(4)
 				r := buildRetriever(t, cfg, clauses, 0)
-				rt, err := r.Retrieve(goal, mode)
+				rt, err := r.RetrieveTraced(goal, mode, &telemetry.TraceContext{TraceID: 7, ParentSpan: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -124,11 +125,12 @@ func TestRetrievalSpanTree(t *testing.T) {
 }
 
 // TestArmedRetrievalAllocsFlat: with registry, tracer and flight ring all
-// armed, a native fs1+fs2 retrieval allocates the same number of objects
-// over one pipeline chunk's worth of index as over 25 — nothing per-chunk
-// is done or recorded.
+// armed, a traced native fs1+fs2 retrieval allocates the same number of
+// objects over one pipeline chunk's worth of index as over 25 — nothing
+// per-chunk is done or recorded.
 func TestArmedRetrievalAllocsFlat(t *testing.T) {
 	goal := parse.MustTerm("married_couple(husband3, X)")
+	tc := &telemetry.TraceContext{TraceID: 7, ParentSpan: 1}
 	allocs := func(clauses int) float64 {
 		cfg := DefaultConfig()
 		cfg.Engine = EngineNative
@@ -142,7 +144,7 @@ func TestArmedRetrievalAllocsFlat(t *testing.T) {
 		best := math.Inf(1)
 		for i := 0; i < 50; i++ {
 			best = min(best, testing.AllocsPerRun(1, func() {
-				if rt, err := r.Retrieve(goal, ModeFS1FS2); err != nil || len(rt.Candidates) != 1 {
+				if rt, err := r.RetrieveTraced(goal, ModeFS1FS2, tc); err != nil || len(rt.Candidates) != 1 {
 					t.Fatalf("retrieve: %v", err)
 				}
 			}))
@@ -199,20 +201,23 @@ func TestNativeRetrievalKeepsCounts(t *testing.T) {
 	}
 }
 
-// TestFailedRetrievalRecorded: a retrieval that fails past the predicate
-// lookup goes through the same record path as a served one — the flight
-// ring holds it with Err set and the trace root carries the error.
+// TestFailedRetrievalRecorded: a traced retrieval that fails past the
+// predicate lookup goes through the same record path as a served one —
+// the flight ring holds it with Err set and the trace root carries the
+// error.
 func TestFailedRetrievalRecorded(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Engine = EngineNative
 	cfg.Tracer = telemetry.NewTracer(4)
 	cfg.Flight = telemetry.NewFlightRecorder(4)
 	r := buildRetriever(t, cfg, 10, 0)
-	if _, err := r.RetrieveTraced(parse.MustTerm("married_couple(husband3, X)"), SearchMode(9), nil); err == nil {
+	tc := &telemetry.TraceContext{TraceID: 7, ParentSpan: 1}
+	if _, err := r.RetrieveTraced(parse.MustTerm("married_couple(husband3, X)"), SearchMode(9), tc); err == nil {
 		t.Fatal("unknown mode did not fail")
 	}
 	recs := cfg.Flight.Snapshot(0)
-	if len(recs) != 1 || !strings.Contains(recs[0].Err, "unknown mode") || recs[0].Predicate != "married_couple/2" {
+	if len(recs) != 1 || !strings.Contains(recs[0].Err, "unknown mode") || recs[0].Predicate != "married_couple/2" ||
+		recs[0].CallerTraceID != tc.TraceID {
 		t.Fatalf("flight ring after a failed retrieval = %+v", recs)
 	}
 	last := cfg.Tracer.Last(1)
@@ -257,7 +262,8 @@ func TestRetrievalMetrics(t *testing.T) {
 }
 
 // TestUntracedRetrievalUnchanged: with no registry/tracer configured the
-// retrieval must behave exactly as before (and carry no trace).
+// retrieval must behave exactly as before (and carry no trace); with a
+// tracer armed, a call without a trace context records no tree either.
 func TestUntracedRetrievalUnchanged(t *testing.T) {
 	r := buildRetriever(t, DefaultConfig(), 40, 5)
 	rt, err := r.Retrieve(parse.MustTerm("married_couple(X, Y)"), ModeFS1FS2)
@@ -269,6 +275,13 @@ func TestUntracedRetrievalUnchanged(t *testing.T) {
 	}
 	if r.Metrics() != nil || r.Tracer() != nil {
 		t.Error("accessors should be nil without telemetry")
+	}
+	armed, _, tracer := telemetryRetriever(t)
+	if rt, err = armed.Retrieve(parse.MustTerm("married_couple(X, Y)"), ModeFS1FS2); err != nil {
+		t.Fatal(err)
+	}
+	if rt.Trace() != nil || rt.TraceID() != 0 || len(tracer.Last(0)) != 0 {
+		t.Errorf("untraced retrieval on an armed retriever left a trace: %d in the ring", len(tracer.Last(0)))
 	}
 }
 

@@ -20,7 +20,7 @@ type AdminConfig struct {
 // NewAdminMux assembles the operational HTTP surface:
 //
 //	/metrics       Prometheus text exposition of the registry
-//	/trace?n=K     last K retrieval traces as JSON lines (default 16)
+//	/trace?n=K     last K traced retrievals as JSON lines (default 16)
 //	/top?n=K       hottest K predicates over the flight ring as JSON (default 10)
 //	/flight?n=K    last K flight-recorder records as JSONL (default: whole ring)
 //	/debug/pprof/  the standard Go profiling endpoints

@@ -265,17 +265,12 @@ func NewTracer(n int) *Tracer {
 // Start opens a trace whose root span carries name. Nil-safe: a nil
 // tracer returns a nil trace.
 func (tr *Tracer) Start(name string) *Trace {
-	return tr.StartRemote(name, nil)
+	return tr.StartAt(name, nil, time.Now())
 }
 
-// StartRemote is Start joining a caller's trace: the new trace records
-// tc so its span tree can be stitched back under the caller's parent
-// span. tc nil is plain Start.
-func (tr *Tracer) StartRemote(name string, tc *TraceContext) *Trace {
-	return tr.StartAt(name, tc, time.Now())
-}
-
-// StartAt is StartRemote for an operation that began at begin: the
+// StartAt is Start for an operation that began at begin, joining a
+// caller's trace when tc is non-nil: the new trace records tc so its
+// span tree can be stitched back under the caller's parent span. The
 // caller read the clock itself and derives the tree afterwards, so the
 // trace and its root span are stamped with that instant.
 func (tr *Tracer) StartAt(name string, tc *TraceContext, begin time.Time) *Trace {

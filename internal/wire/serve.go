@@ -278,20 +278,24 @@ func (f Funnel) String() string {
 	return fmt.Sprintf("STATS mode=%s total=%d fs1=%d fs2=%d", f.Mode, f.Total, f.FS1, f.FS2)
 }
 
-// ParseFunnel reads a trailer back; unparsable fields read as zero.
+// ParseFunnel reads a trailer back; unparsable fields read as zero. A
+// well-formed trailer allocates nothing: the router parses one per routed
+// retrieval, so fields are cut in place and only the numeric keys' values
+// go through ParseInt (whose error for "fs1+fs2" would allocate).
 func ParseFunnel(line string) (f Funnel) {
-	for _, field := range strings.Fields(line) {
+	for rest := line; rest != ""; {
+		var field string
+		field, rest, _ = strings.Cut(rest, " ")
 		k, v, _ := strings.Cut(field, "=")
-		n, _ := strconv.ParseInt(v, 10, 64)
 		switch k {
 		case "mode":
 			f.Mode = v
 		case "total":
-			f.Total = n
+			f.Total, _ = strconv.ParseInt(v, 10, 64)
 		case "fs1":
-			f.FS1 = n
+			f.FS1, _ = strconv.ParseInt(v, 10, 64)
 		case "fs2":
-			f.FS2 = n
+			f.FS2, _ = strconv.ParseInt(v, 10, 64)
 		}
 	}
 	return f

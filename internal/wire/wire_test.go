@@ -260,3 +260,20 @@ func BenchmarkWireReply(b *testing.B) {
 		})
 	}
 }
+
+// TestParseFunnel: a trailer round-trips through String and ParseFunnel,
+// unparsable or missing fields read as zero, and parsing a well-formed
+// trailer — once per routed retrieval on the router — allocates nothing.
+func TestParseFunnel(t *testing.T) {
+	want := Funnel{Mode: "fs1+fs2", Total: 4096, FS1: 3, FS2: 1}
+	line := want.String()
+	if got := ParseFunnel(line); got != want {
+		t.Errorf("ParseFunnel(%q) = %+v, want %+v", line, got, want)
+	}
+	if got := ParseFunnel("STATS mode=fs2  total=x fs2=7"); got != (Funnel{Mode: "fs2", FS2: 7}) {
+		t.Errorf("malformed trailer parsed as %+v", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ParseFunnel(line) }); allocs != 0 {
+		t.Errorf("ParseFunnel allocates %v objects per trailer, want 0", allocs)
+	}
+}
